@@ -39,7 +39,7 @@ pub mod rfd;
 pub mod rib;
 pub mod router;
 
-pub use message::{AggregatorStamp, AsId, AsPath, BgpAction, BgpUpdate};
+pub use message::{AggregatorStamp, AsId, AsPath, BgpAction};
 pub use network::{Network, NetworkConfig, TapRecord};
 pub use policy::{ExportPolicy, Relationship, SessionPolicy};
 pub use prefix::Prefix;

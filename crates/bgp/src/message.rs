@@ -1,18 +1,17 @@
 //! BGP message and attribute types.
 //!
-//! The simulator exchanges [`BgpUpdate`]s: an announcement (carrying an
-//! [`AsPath`] and optional transitive [`AggregatorStamp`]) or a withdrawal
-//! for a single prefix. Real UPDATE messages can pack several NLRI; one
-//! prefix per message is equivalent at the routing level and keeps the
-//! event queue simple.
+//! The simulator exchanges single-prefix updates: a [`BgpAction`] — an
+//! announcement (carrying an [`AsPath`] and optional transitive
+//! [`AggregatorStamp`]) or a withdrawal — for one prefix. Real UPDATE
+//! messages can pack several NLRI; one prefix per message is equivalent
+//! at the routing level and keeps the event queue simple.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use netsim::SimTime;
-
-use crate::prefix::Prefix;
 
 /// An Autonomous System number.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -33,18 +32,22 @@ impl fmt::Debug for AsId {
 /// An AS path: the sequence of ASs a route has traversed, most recent
 /// (neighbor of the receiver) first, origin last. Prepending is represented
 /// naturally by repeated entries.
+///
+/// Paths are immutable and shared: cloning one (into an Adj-RIB-Out, an
+/// update on the wire, a tap record) bumps a reference count instead of
+/// copying the ASNs. `Arc` rather than `Rc` keeps routes `Send`.
 #[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub struct AsPath(Vec<AsId>);
+pub struct AsPath(Arc<[AsId]>);
 
 impl AsPath {
     /// The empty path (a route originated locally).
     pub fn empty() -> Self {
-        AsPath(Vec::new())
+        AsPath::default()
     }
 
     /// Build from an ordered list (first hop → origin).
     pub fn from_slice(asns: &[AsId]) -> Self {
-        AsPath(asns.to_vec())
+        AsPath(asns.into())
     }
 
     /// The ASs on the path, first hop first.
@@ -74,22 +77,21 @@ impl AsPath {
 
     /// A new path with `asn` prepended `count` times (sender-side export).
     pub fn prepend(&self, asn: AsId, count: usize) -> AsPath {
-        let mut v = Vec::with_capacity(self.0.len() + count);
-        v.extend(std::iter::repeat_n(asn, count));
-        v.extend_from_slice(&self.0);
-        AsPath(v)
+        std::iter::repeat_n(asn, count)
+            .chain(self.0.iter().copied())
+            .collect()
     }
 
     /// The path with consecutive duplicates collapsed — the paper's path
     /// cleaning step ("paths are cleaned by removing AS path prepending").
     pub fn deduplicated(&self) -> AsPath {
         let mut v: Vec<AsId> = Vec::with_capacity(self.0.len());
-        for &a in &self.0 {
+        for &a in self.0.iter() {
             if v.last() != Some(&a) {
                 v.push(a);
             }
         }
-        AsPath(v)
+        AsPath(v.into())
     }
 
     /// True if the *deduplicated* path visits some AS twice (a routing loop).
@@ -171,33 +173,6 @@ impl BgpAction {
     }
 }
 
-/// A single-prefix BGP UPDATE travelling over a session.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct BgpUpdate {
-    /// The affected prefix.
-    pub prefix: Prefix,
-    /// Announce or withdraw.
-    pub action: BgpAction,
-}
-
-impl BgpUpdate {
-    /// Announcement constructor.
-    pub fn announce(prefix: Prefix, path: AsPath, aggregator: Option<AggregatorStamp>) -> Self {
-        BgpUpdate {
-            prefix,
-            action: BgpAction::Announce { path, aggregator },
-        }
-    }
-
-    /// Withdrawal constructor.
-    pub fn withdraw(prefix: Prefix) -> Self {
-        BgpUpdate {
-            prefix,
-            action: BgpAction::Withdraw,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,11 +241,12 @@ mod tests {
     }
 
     #[test]
-    fn update_constructors() {
-        let pfx: Prefix = "10.0.0.0/24".parse().unwrap();
-        let a = BgpUpdate::announce(pfx, p(&[1]), None);
-        assert!(a.action.is_announce());
-        let w = BgpUpdate::withdraw(pfx);
-        assert!(!w.action.is_announce());
+    fn action_kind() {
+        let a = BgpAction::Announce {
+            path: p(&[1]),
+            aggregator: None,
+        };
+        assert!(a.is_announce());
+        assert!(!BgpAction::Withdraw.is_announce());
     }
 }

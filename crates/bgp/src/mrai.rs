@@ -13,18 +13,15 @@
 //! updates and acts on the returned verdicts; the network layer schedules
 //! the expiry timers the gate requests.
 
-use std::collections::BTreeMap;
-
 use netsim::{SimDuration, SimTime};
 
-use crate::message::{BgpAction, BgpUpdate};
-use crate::prefix::Prefix;
+use crate::message::BgpAction;
 
 /// Result of submitting an update to the gate.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MraiVerdict {
     /// Send the update on the wire now.
-    SendNow(BgpUpdate),
+    SendNow(BgpAction),
     /// The update was queued; arm a timer for `at` (unless one for this
     /// prefix is already armed, which the gate tracks — `arm` is false).
     Deferred {
@@ -40,48 +37,65 @@ struct Slot {
     /// Earliest time the next announcement may be sent.
     open_at: SimTime,
     /// Latest coalesced update waiting for the gate to open.
-    pending: Option<BgpUpdate>,
+    pending: Option<BgpAction>,
     /// Whether an expiry event is already scheduled.
     armed: bool,
 }
 
-/// Per-neighbor MRAI state over all prefixes.
+/// Per-neighbor MRAI state: one slot per prefix, indexed by the network's
+/// dense prefix id. A disabled gate keeps no slots at all.
 #[derive(Debug, Clone, Default)]
 pub struct MraiGate {
     interval: Option<SimDuration>,
-    slots: BTreeMap<Prefix, Slot>,
+    slots: Vec<Slot>,
 }
 
 impl MraiGate {
-    /// A gate with the given interval; `None` disables MRAI entirely.
-    pub fn new(interval: Option<SimDuration>) -> Self {
+    /// A gate with the given interval over `prefixes` prefix slots; `None`
+    /// disables MRAI entirely.
+    pub fn new(interval: Option<SimDuration>, prefixes: usize) -> Self {
+        let slots = if interval.is_some() { prefixes } else { 0 };
         MraiGate {
             interval,
-            slots: BTreeMap::new(),
+            slots: vec![Slot::default(); slots],
         }
     }
 
-    /// Submit an outbound update; returns what to do with it.
-    pub fn submit(&mut self, update: BgpUpdate, now: SimTime) -> MraiVerdict {
-        let Some(interval) = self.interval else {
-            return MraiVerdict::SendNow(update);
-        };
-        let slot = self.slots.entry(update.prefix).or_default();
+    /// Add a slot for a newly interned prefix.
+    pub fn push_slot(&mut self) {
+        if self.interval.is_some() {
+            self.slots.push(Slot::default());
+        }
+    }
 
-        match update.action {
+    /// Forget every pending update and open every gate (the session
+    /// carrying them was reset).
+    pub fn reset(&mut self) {
+        self.slots.fill(Slot::default());
+    }
+
+    /// Submit an outbound update for prefix id `pid`; returns what to do
+    /// with it.
+    pub fn submit(&mut self, pid: usize, action: BgpAction, now: SimTime) -> MraiVerdict {
+        let Some(interval) = self.interval else {
+            return MraiVerdict::SendNow(action);
+        };
+        let slot = &mut self.slots[pid];
+
+        match action {
             // Withdrawals bypass the gate and cancel any pending
             // announcement (it would be stale).
             BgpAction::Withdraw => {
                 slot.pending = None;
-                MraiVerdict::SendNow(update)
+                MraiVerdict::SendNow(action)
             }
             BgpAction::Announce { .. } => {
                 if now >= slot.open_at {
                     slot.open_at = now + interval;
                     slot.pending = None;
-                    MraiVerdict::SendNow(update)
+                    MraiVerdict::SendNow(action)
                 } else {
-                    slot.pending = Some(update);
+                    slot.pending = Some(action);
                     let at = slot.open_at;
                     let arm = !slot.armed;
                     slot.armed = true;
@@ -91,15 +105,15 @@ impl MraiGate {
         }
     }
 
-    /// An expiry timer fired for `prefix`. Returns the coalesced update to
-    /// send, if any survived (a withdrawal may have cancelled it).
-    pub fn expire(&mut self, prefix: Prefix, now: SimTime) -> Option<BgpUpdate> {
+    /// An expiry timer fired for prefix id `pid`. Returns the coalesced
+    /// update to send, if any survived (a withdrawal may have cancelled it).
+    pub fn expire(&mut self, pid: usize, now: SimTime) -> Option<BgpAction> {
         let interval = self.interval?;
-        let slot = self.slots.get_mut(&prefix)?;
+        let slot = &mut self.slots[pid];
         slot.armed = false;
-        let update = slot.pending.take()?;
+        let action = slot.pending.take()?;
         slot.open_at = now + interval;
-        Some(update)
+        Some(action)
     }
 
     /// The configured interval, if enabled.
@@ -114,31 +128,33 @@ mod tests {
     use crate::message::AsId;
     use crate::message::AsPath;
 
-    fn pfx() -> Prefix {
-        "10.0.0.0/24".parse().unwrap()
-    }
+    /// The prefix id the tests use.
+    const PID: usize = 0;
 
-    fn ann(tag: u32) -> BgpUpdate {
-        BgpUpdate::announce(pfx(), AsPath::from_slice(&[AsId(tag)]), None)
+    fn ann(tag: u32) -> BgpAction {
+        BgpAction::Announce {
+            path: AsPath::from_slice(&[AsId(tag)]),
+            aggregator: None,
+        }
     }
 
     #[test]
     fn disabled_gate_passes_everything() {
-        let mut g = MraiGate::new(None);
+        let mut g = MraiGate::new(None, 1);
         for t in 0..5 {
-            let v = g.submit(ann(t), SimTime::from_secs(t as u64));
+            let v = g.submit(PID, ann(t), SimTime::from_secs(t as u64));
             assert!(matches!(v, MraiVerdict::SendNow(_)));
         }
     }
 
     #[test]
     fn first_announcement_sends_then_defers() {
-        let mut g = MraiGate::new(Some(SimDuration::from_secs(30)));
+        let mut g = MraiGate::new(Some(SimDuration::from_secs(30)), 2);
         assert!(matches!(
-            g.submit(ann(1), SimTime::ZERO),
+            g.submit(PID, ann(1), SimTime::ZERO),
             MraiVerdict::SendNow(_)
         ));
-        match g.submit(ann(2), SimTime::from_secs(10)) {
+        match g.submit(PID, ann(2), SimTime::from_secs(10)) {
             MraiVerdict::Deferred { at, arm } => {
                 assert_eq!(at, SimTime::from_secs(30));
                 assert!(arm);
@@ -146,44 +162,44 @@ mod tests {
             other => panic!("expected deferral, got {other:?}"),
         }
         // A third submit coalesces without re-arming.
-        match g.submit(ann(3), SimTime::from_secs(20)) {
+        match g.submit(PID, ann(3), SimTime::from_secs(20)) {
             MraiVerdict::Deferred { arm, .. } => assert!(!arm),
             other => panic!("expected deferral, got {other:?}"),
         }
         // Expiry sends the *latest* pending update.
-        let sent = g.expire(pfx(), SimTime::from_secs(30)).unwrap();
+        let sent = g.expire(PID, SimTime::from_secs(30)).unwrap();
         assert_eq!(sent, ann(3));
     }
 
     #[test]
     fn gate_reopens_after_interval() {
-        let mut g = MraiGate::new(Some(SimDuration::from_secs(30)));
-        g.submit(ann(1), SimTime::ZERO);
+        let mut g = MraiGate::new(Some(SimDuration::from_secs(30)), 2);
+        g.submit(PID, ann(1), SimTime::ZERO);
         assert!(matches!(
-            g.submit(ann(2), SimTime::from_secs(30)),
+            g.submit(PID, ann(2), SimTime::from_secs(30)),
             MraiVerdict::SendNow(_)
         ));
     }
 
     #[test]
     fn withdrawal_bypasses_and_cancels_pending() {
-        let mut g = MraiGate::new(Some(SimDuration::from_secs(30)));
-        g.submit(ann(1), SimTime::ZERO);
-        g.submit(ann(2), SimTime::from_secs(5));
-        let v = g.submit(BgpUpdate::withdraw(pfx()), SimTime::from_secs(6));
+        let mut g = MraiGate::new(Some(SimDuration::from_secs(30)), 2);
+        g.submit(PID, ann(1), SimTime::ZERO);
+        g.submit(PID, ann(2), SimTime::from_secs(5));
+        let v = g.submit(PID, BgpAction::Withdraw, SimTime::from_secs(6));
         assert!(matches!(v, MraiVerdict::SendNow(_)));
         // The expiry finds nothing to send.
-        assert_eq!(g.expire(pfx(), SimTime::from_secs(30)), None);
+        assert_eq!(g.expire(PID, SimTime::from_secs(30)), None);
     }
 
     #[test]
     fn expiry_restarts_window() {
-        let mut g = MraiGate::new(Some(SimDuration::from_secs(30)));
-        g.submit(ann(1), SimTime::ZERO);
-        g.submit(ann(2), SimTime::from_secs(10));
-        g.expire(pfx(), SimTime::from_secs(30)).unwrap();
+        let mut g = MraiGate::new(Some(SimDuration::from_secs(30)), 2);
+        g.submit(PID, ann(1), SimTime::ZERO);
+        g.submit(PID, ann(2), SimTime::from_secs(10));
+        g.expire(PID, SimTime::from_secs(30)).unwrap();
         // Window restarted at expiry: an announcement at t=40 defers again.
-        match g.submit(ann(3), SimTime::from_secs(40)) {
+        match g.submit(PID, ann(3), SimTime::from_secs(40)) {
             MraiVerdict::Deferred { at, .. } => assert_eq!(at, SimTime::from_secs(60)),
             other => panic!("expected deferral, got {other:?}"),
         }
@@ -191,11 +207,14 @@ mod tests {
 
     #[test]
     fn prefixes_are_independent() {
-        let mut g = MraiGate::new(Some(SimDuration::from_secs(30)));
-        let other: Prefix = "10.0.1.0/24".parse().unwrap();
-        g.submit(ann(1), SimTime::ZERO);
+        let mut g = MraiGate::new(Some(SimDuration::from_secs(30)), 2);
+        g.submit(PID, ann(1), SimTime::ZERO);
         let v = g.submit(
-            BgpUpdate::announce(other, AsPath::empty(), None),
+            1,
+            BgpAction::Announce {
+                path: AsPath::empty(),
+                aggregator: None,
+            },
             SimTime::from_secs(1),
         );
         assert!(
@@ -206,7 +225,7 @@ mod tests {
 
     #[test]
     fn expire_without_pending_is_noop() {
-        let mut g = MraiGate::new(Some(SimDuration::from_secs(30)));
-        assert_eq!(g.expire(pfx(), SimTime::from_secs(5)), None);
+        let mut g = MraiGate::new(Some(SimDuration::from_secs(30)), 2);
+        assert_eq!(g.expire(PID, SimTime::from_secs(5)), None);
     }
 }

@@ -1,13 +1,13 @@
 //! The simulated inter-domain network: routers, links, and the event loop.
 //!
-//! [`Network`] owns one [`Router`] per AS, a directed link-delay map, and a
-//! [`netsim::EventQueue`]. It drives the simulation by popping events and
-//! feeding them to the pure router state machines, translating each
-//! [`crate::router::RouterOutput`] back into scheduled events:
+//! [`Network`] owns one [`Router`] per AS, per-link delay and FIFO state,
+//! and a [`netsim::EventQueue`]. It drives the simulation by popping
+//! events and feeding them to the pure router state machines, translating
+//! each router output back into scheduled events:
 //!
-//! * `sends` become [`NetEvent::Deliver`] after the link delay (jittered,
-//!   but never reordered within a directed link — BGP sessions run over
-//!   TCP, so per-session FIFO order is preserved by clamping);
+//! * `sends` become deliveries after the link delay (jittered, but never
+//!   reordered within a directed link — BGP sessions run over TCP, so
+//!   per-session FIFO order is preserved by clamping);
 //! * MRAI and RFD timer requests become timer events;
 //! * Loc-RIB changes at *tapped* ASs (the vantage points) are appended to
 //!   the tap log, which the `collector` crate turns into update dumps.
@@ -17,17 +17,29 @@
 //! `stamp: true` carry an [`AggregatorStamp`] of their fire time, exactly
 //! like the paper's beacons encode send timestamps in the aggregator
 //! attribute.
+//!
+//! # Data layout
+//!
+//! Inside the event loop everything is a dense index (DESIGN.md §5e):
+//! routers live in a `Vec` ordered by AS number, each router's sessions
+//! in a `Vec` ordered by peer AS number, and prefixes get ids in the
+//! order they are first scheduled. The directed links form a CSR
+//! adjacency — router `r`'s links are `start[r]..start[r + 1]`, one per
+//! session, in session order — over which delay, FIFO horizon and
+//! down-state are flat arrays. AS numbers and prefixes are translated to
+//! indices only at the public API edge. The CSR is built when the first
+//! event is scheduled; from then on the topology is fixed.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use netsim::faults::{FaultCounters, FaultPlan};
 use netsim::{EventQueue, SimDuration, SimRng, SimTime};
 
-use crate::message::{AggregatorStamp, AsId, BgpUpdate};
+use crate::message::{AggregatorStamp, AsId, BgpAction};
 use crate::policy::SessionPolicy;
 use crate::prefix::Prefix;
 use crate::rib::Route;
-use crate::router::Router;
+use crate::router::{Router, RouterOutput};
 
 /// Global network parameters.
 #[derive(Clone, Debug)]
@@ -36,12 +48,13 @@ pub struct NetworkConfig {
     pub default_link_delay: SimDuration,
     /// Multiplicative jitter: each delivery takes `delay × (1 + U[0, jitter])`.
     pub jitter: f64,
-    /// Per-hop router processing/batching delay, drawn uniformly from
-    /// this inclusive range and added to every delivery. Real BGP update
-    /// propagation is dominated by per-router batching (scan timers,
-    /// update pacing), not wire latency — this is what gives the paper's
-    /// Fig. 8 its seconds-scale propagation times. Defaults to zero so
-    /// protocol-level tests stay exact.
+    /// Per-hop router processing/batching delay `(lo, hi)`, added to every
+    /// delivery: `lo` plus a whole number of milliseconds drawn uniformly
+    /// from `[0, hi − lo)`, so the delay lies in the half-open range
+    /// `[lo, hi)` (it is exactly `lo` when `hi ≤ lo`). Real BGP update propagation is dominated by per-router
+    /// batching (scan timers, update pacing), not wire latency — this is
+    /// what gives the paper's Fig. 8 its seconds-scale propagation times.
+    /// Defaults to zero so protocol-level tests stay exact.
     pub processing_delay: (SimDuration, SimDuration),
     /// Seed for the network's private randomness (jitter only).
     pub seed: u64,
@@ -60,8 +73,8 @@ impl Default for NetworkConfig {
 
 impl NetworkConfig {
     /// A configuration with realistic per-hop processing delays
-    /// (0.5 – 8 s), matching the propagation-time scale the paper
-    /// measures against the RIPE beacons.
+    /// (0.5 s up to, but excluding, 8 s), matching the propagation-time
+    /// scale the paper measures against the RIPE beacons.
     pub fn realistic(seed: u64) -> Self {
         NetworkConfig {
             processing_delay: (SimDuration::from_millis(500), SimDuration::from_secs(8)),
@@ -71,66 +84,45 @@ impl NetworkConfig {
     }
 }
 
-/// Events understood by the network driver.
+/// Events understood by the network driver. Routers are named by router
+/// id, sessions by their index in the router's session list (which also
+/// names the directed link), prefixes by prefix id.
 #[derive(Clone, Debug)]
-pub enum NetEvent {
-    /// Deliver `update` from `from` to `to` (already delayed).
+enum NetEvent {
+    /// Deliver `action` for `prefix`, sent by `router` on `session`
+    /// (already delayed).
     Deliver {
-        /// Sending AS.
-        from: AsId,
-        /// Receiving AS.
-        to: AsId,
-        /// The update on the wire.
-        update: BgpUpdate,
+        router: u32,
+        session: u32,
+        prefix: u32,
+        action: BgpAction,
     },
-    /// An MRAI gate for (router, peer, prefix) may reopen.
+    /// The MRAI gate of (router, session, prefix) may reopen.
     MraiExpire {
-        /// Router owning the gate.
-        router: AsId,
-        /// The neighbor the gate throttles.
-        peer: AsId,
-        /// Gated prefix.
-        prefix: Prefix,
+        router: u32,
+        session: u32,
+        prefix: u32,
     },
-    /// An RFD reuse check for (router, peer, prefix).
+    /// An RFD reuse check for (router, session, prefix).
     RfdReuse {
-        /// Router owning the damping state.
-        router: AsId,
-        /// Session the state belongs to.
-        peer: AsId,
-        /// Damped prefix.
-        prefix: Prefix,
+        router: u32,
+        session: u32,
+        prefix: u32,
     },
-    /// A locally-scheduled origination (beacon announcement).
+    /// A locally-scheduled origination (beacon announcement); `stamp`
+    /// stamps the aggregator attribute with the fire time.
     Originate {
-        /// Originating AS.
-        router: AsId,
-        /// Prefix to announce.
-        prefix: Prefix,
-        /// Whether to stamp the aggregator attribute with the fire time.
+        router: u32,
+        prefix: u32,
         stamp: bool,
     },
     /// A locally-scheduled withdrawal (beacon withdrawal).
-    WithdrawOrigin {
-        /// Originating AS.
-        router: AsId,
-        /// Prefix to withdraw.
-        prefix: Prefix,
-    },
-    /// A fault-injected BGP session reset: the `a`–`b` session drops.
-    SessionDown {
-        /// One endpoint.
-        a: AsId,
-        /// The other endpoint.
-        b: AsId,
-    },
-    /// The reset `a`–`b` session re-establishes (full table re-sync).
-    SessionUp {
-        /// One endpoint.
-        a: AsId,
-        /// The other endpoint.
-        b: AsId,
-    },
+    WithdrawOrigin { router: u32, prefix: u32 },
+    /// A fault-injected reset: the session `router` holds on `session`
+    /// (and its reverse) drops.
+    SessionDown { router: u32, session: u32 },
+    /// The reset session re-establishes (full table re-sync).
+    SessionUp { router: u32, session: u32 },
 }
 
 /// One observation at a vantage point: the VP's best route for a beacon
@@ -170,36 +162,63 @@ pub struct NetStats {
     pub rfd: BTreeMap<&'static str, RfdProfileStats>,
 }
 
+/// Per-directed-link state over a CSR adjacency. Link `start[r] + s` is
+/// router `r`'s session `s`.
+#[derive(Debug, Default)]
+struct Links {
+    /// Set once the arrays are built; the topology is fixed from then on.
+    built: bool,
+    /// `start[r]..start[r + 1]` are router `r`'s links.
+    start: Vec<u32>,
+    /// Receiving router of each link.
+    to: Vec<u32>,
+    /// The receiver's session index for each link (its session back to
+    /// the sender).
+    reverse: Vec<u32>,
+    delay: Vec<SimDuration>,
+    /// Last scheduled delivery per link, to preserve TCP FIFO.
+    horizon: Vec<SimTime>,
+    /// Whether the link's session is down (between a fault-injected
+    /// reset and its re-establishment).
+    down: Vec<bool>,
+}
+
+impl Links {
+    fn id(&self, router: usize, session: usize) -> usize {
+        self.start[router] as usize + session
+    }
+}
+
 /// The simulated network.
 pub struct Network {
-    routers: BTreeMap<AsId, Router>,
-    delays: BTreeMap<(AsId, AsId), SimDuration>,
+    /// Routers by router id; ids follow ascending AS number.
+    routers: Vec<Router>,
+    /// Per router id: whether its Loc-RIB changes are tapped.
+    tapped: Vec<bool>,
+    links: Links,
+    /// Delays passed to `connect`, held until the link arrays are built.
+    staged_delays: BTreeMap<(AsId, AsId), SimDuration>,
+    /// Dense prefix ids, assigned in first-scheduled order.
+    prefix_ids: BTreeMap<Prefix, u32>,
     queue: EventQueue<NetEvent>,
-    taps: BTreeSet<AsId>,
     tap_log: Vec<TapRecord>,
     rng: SimRng,
     config: NetworkConfig,
-    /// Last scheduled delivery per directed link, to preserve TCP FIFO.
-    link_horizon: BTreeMap<(AsId, AsId), SimTime>,
     delivered: u64,
     stats: NetStats,
     /// Optional event trace. `None` (the default) costs one branch per
     /// dispatch; see DESIGN.md §5d.
     trace: Option<obs::TraceBuffer>,
-    /// Interned sim-time lane per damped (router, peer, prefix) session.
-    rfd_lanes: BTreeMap<(AsId, AsId, Prefix), obs::Lane>,
+    /// Interned sim-time lane per damped (router, session, prefix).
+    rfd_lanes: BTreeMap<(usize, usize, usize), obs::Lane>,
     /// Interned sim-time lane per router for MRAI deferral instants.
-    mrai_lanes: BTreeMap<AsId, obs::Lane>,
-    /// Directed links whose session is currently down (both directions
-    /// inserted). Empty unless a fault plan scheduled resets, so the
-    /// delivery hot path pays exactly one `is_empty` branch.
-    down_links: BTreeSet<(AsId, AsId)>,
+    mrai_lanes: BTreeMap<usize, obs::Lane>,
     /// Tallies of injected faults (session resets, dropped deliveries).
     fault_counters: FaultCounters,
     /// True once a fault plan was applied (even one injecting nothing).
     faults_applied: bool,
-    /// Interned sim-time lane per faulted (unordered) link.
-    fault_lanes: BTreeMap<(AsId, AsId), obs::Lane>,
+    /// Interned sim-time lane per faulted link (router ids, low first).
+    fault_lanes: BTreeMap<(usize, usize), obs::Lane>,
 }
 
 impl Network {
@@ -207,20 +226,20 @@ impl Network {
     pub fn new(config: NetworkConfig) -> Self {
         let rng = SimRng::new(config.seed).split("network-jitter");
         Network {
-            routers: BTreeMap::new(),
-            delays: BTreeMap::new(),
+            routers: Vec::new(),
+            tapped: Vec::new(),
+            links: Links::default(),
+            staged_delays: BTreeMap::new(),
+            prefix_ids: BTreeMap::new(),
             queue: EventQueue::new(),
-            taps: BTreeSet::new(),
             tap_log: Vec::new(),
             rng,
             config,
-            link_horizon: BTreeMap::new(),
             delivered: 0,
             stats: NetStats::default(),
             trace: None,
             rfd_lanes: BTreeMap::new(),
             mrai_lanes: BTreeMap::new(),
-            down_links: BTreeSet::new(),
             fault_counters: FaultCounters::default(),
             faults_applied: false,
             fault_lanes: BTreeMap::new(),
@@ -229,23 +248,29 @@ impl Network {
 
     /// Schedule every session reset a fault plan prescribes for this
     /// network's links over `[0, horizon)`. Each reset becomes a
-    /// [`NetEvent::SessionDown`]/[`NetEvent::SessionUp`] pair; between
-    /// the two, deliveries on the link are dropped (and counted). Links
-    /// are visited in deterministic order, and the plan itself is a pure
-    /// function of its seed, so the same `(seed, plan)` always injects
-    /// the same resets.
+    /// session-down/session-up event pair; between the two, deliveries on
+    /// the link are dropped (and counted). Links are visited in ascending
+    /// `(AsId, AsId)` order, and the plan itself is a pure function of its
+    /// seed, so the same `(seed, plan)` always injects the same resets.
     pub fn apply_faults(&mut self, plan: &FaultPlan, horizon: SimDuration) {
+        self.build_links();
         self.faults_applied = true;
-        for &(a, b) in self.delays.keys() {
-            if a >= b {
-                continue; // each undirected link once
-            }
-            if let Some((down_at, up_at)) =
-                plan.session_reset(u64::from(a.0), u64::from(b.0), horizon)
-            {
-                self.queue
-                    .schedule_at(down_at, NetEvent::SessionDown { a, b });
-                self.queue.schedule_at(up_at, NetEvent::SessionUp { a, b });
+        for (a, router) in self.routers.iter().enumerate() {
+            for session in 0..router.session_count() {
+                let b = self.links.to[self.links.id(a, session)] as usize;
+                if a >= b {
+                    continue; // each undirected link once
+                }
+                let (asn_a, asn_b) = (router.asn(), router.peer(session));
+                if let Some((down_at, up_at)) =
+                    plan.session_reset(u64::from(asn_a.0), u64::from(asn_b.0), horizon)
+                {
+                    let (router, session) = (a as u32, session as u32);
+                    self.queue
+                        .schedule_at(down_at, NetEvent::SessionDown { router, session });
+                    self.queue
+                        .schedule_at(up_at, NetEvent::SessionUp { router, session });
+                }
             }
         }
     }
@@ -278,14 +303,39 @@ impl Network {
         self.trace.as_ref()
     }
 
+    /// The router id of `asn`.
+    fn router_id(&self, asn: AsId) -> Option<usize> {
+        self.routers.binary_search_by_key(&asn, Router::asn).ok()
+    }
+
+    /// The router id of `asn`, which must exist.
+    fn known_router(&self, asn: AsId) -> usize {
+        self.router_id(asn)
+            .unwrap_or_else(|| panic!("unknown router {asn}"))
+    }
+
     /// Add a router for `asn` (no-op if it exists).
+    ///
+    /// # Panics
+    /// If `asn` is new and the simulation has started (the first event
+    /// was scheduled): the topology is fixed from then on.
     pub fn add_router(&mut self, asn: AsId) {
-        self.routers.entry(asn).or_insert_with(|| Router::new(asn));
+        if let Err(at) = self.routers.binary_search_by_key(&asn, Router::asn) {
+            assert!(
+                !self.links.built,
+                "cannot add {asn}: the topology is fixed once events are scheduled"
+            );
+            self.routers.insert(at, Router::new(asn));
+            self.tapped.insert(at, false);
+        }
     }
 
     /// Connect `a` and `b` with the given per-side session policies and a
     /// symmetric link delay. Policies are *from each side's perspective*:
     /// `policy_at_a` is how `a` treats neighbor `b`.
+    ///
+    /// # Panics
+    /// If the simulation has started (the first event was scheduled).
     pub fn connect(
         &mut self,
         a: AsId,
@@ -295,6 +345,10 @@ impl Network {
         delay: Option<SimDuration>,
     ) {
         assert_ne!(a, b, "self-link");
+        assert!(
+            !self.links.built,
+            "cannot connect {a}–{b}: the topology is fixed once events are scheduled"
+        );
         debug_assert_eq!(
             policy_at_a.relationship,
             policy_at_b.relationship.reversed(),
@@ -303,37 +357,75 @@ impl Network {
         self.add_router(a);
         self.add_router(b);
         let d = delay.unwrap_or(self.config.default_link_delay);
-        self.delays.insert((a, b), d);
-        self.delays.insert((b, a), d);
-        self.routers
-            .get_mut(&a)
-            .expect("added")
-            .add_session(b, policy_at_a);
-        self.routers
-            .get_mut(&b)
-            .expect("added")
-            .add_session(a, policy_at_b);
+        self.staged_delays.insert((a, b), d);
+        self.staged_delays.insert((b, a), d);
+        let ia = self.known_router(a);
+        self.routers[ia].add_session(b, policy_at_a);
+        let ib = self.known_router(b);
+        self.routers[ib].add_session(a, policy_at_b);
+    }
+
+    /// Build the per-link arrays from the routers' session lists. Runs
+    /// once, before the first event is scheduled.
+    fn build_links(&mut self) {
+        if self.links.built {
+            return;
+        }
+        let delays = std::mem::take(&mut self.staged_delays);
+        let mut links = Links {
+            built: true,
+            ..Links::default()
+        };
+        for router in &self.routers {
+            links.start.push(links.to.len() as u32);
+            for session in 0..router.session_count() {
+                let peer = router.peer(session);
+                let to = self.known_router(peer);
+                let reverse = self.routers[to]
+                    .session_index(router.asn())
+                    .expect("sessions come in pairs");
+                links.to.push(to as u32);
+                links.reverse.push(reverse as u32);
+                links.delay.push(delays[&(router.asn(), peer)]);
+            }
+        }
+        links.start.push(links.to.len() as u32);
+        links.horizon = vec![SimTime::ZERO; links.to.len()];
+        links.down = vec![false; links.to.len()];
+        self.links = links;
+    }
+
+    /// The dense id of `prefix`, interning it in every router on first
+    /// sight.
+    fn prefix_id(&mut self, prefix: Prefix) -> u32 {
+        if let Some(&pid) = self.prefix_ids.get(&prefix) {
+            return pid;
+        }
+        let pid = self.prefix_ids.len() as u32;
+        self.prefix_ids.insert(prefix, pid);
+        for router in &mut self.routers {
+            let interned = router.intern(prefix);
+            debug_assert_eq!(interned, pid as usize, "routers share prefix ids");
+        }
+        pid
     }
 
     /// Mark `asn` as a vantage point whose Loc-RIB changes are recorded.
     pub fn attach_tap(&mut self, asn: AsId) {
-        assert!(self.routers.contains_key(&asn), "tap on unknown {asn}");
-        self.taps.insert(asn);
+        let Some(id) = self.router_id(asn) else {
+            panic!("tap on unknown {asn}");
+        };
+        self.tapped[id] = true;
     }
 
     /// Immutable access to a router.
     pub fn router(&self, asn: AsId) -> Option<&Router> {
-        self.routers.get(&asn)
+        self.router_id(asn).map(|id| &self.routers[id])
     }
 
-    /// Mutable access to a router (for test instrumentation).
-    pub fn router_mut(&mut self, asn: AsId) -> Option<&mut Router> {
-        self.routers.get_mut(&asn)
-    }
-
-    /// All AS numbers in the network.
+    /// All AS numbers in the network (ascending).
     pub fn as_ids(&self) -> Vec<AsId> {
-        self.routers.keys().copied().collect()
+        self.routers.iter().map(Router::asn).collect()
     }
 
     /// Current simulated time.
@@ -384,7 +476,13 @@ impl Network {
     /// Schedule an origination (announcement) of `prefix` at `router`.
     /// With `stamp`, the announcement carries an aggregator timestamp equal
     /// to the fire time — the beacon convention.
+    ///
+    /// # Panics
+    /// If `router` is not in the network.
     pub fn schedule_announce(&mut self, at: SimTime, router: AsId, prefix: Prefix, stamp: bool) {
+        self.build_links();
+        let router = self.known_router(router) as u32;
+        let prefix = self.prefix_id(prefix);
         self.queue.schedule_at(
             at,
             NetEvent::Originate {
@@ -396,7 +494,13 @@ impl Network {
     }
 
     /// Schedule a withdrawal of a locally-originated `prefix`.
+    ///
+    /// # Panics
+    /// If `router` is not in the network.
     pub fn schedule_withdraw(&mut self, at: SimTime, router: AsId, prefix: Prefix) {
+        self.build_links();
+        let router = self.known_router(router) as u32;
+        let prefix = self.prefix_id(prefix);
         self.queue
             .schedule_at(at, NetEvent::WithdrawOrigin { router, prefix });
     }
@@ -404,9 +508,13 @@ impl Network {
     /// Run until the queue is empty or the clock passes `until`.
     /// Returns the number of events processed by this call.
     pub fn run_until(&mut self, until: SimTime) -> u64 {
+        self.build_links();
+        // One output buffer for the whole run: dispatch clears it per
+        // router input instead of allocating.
+        let mut out = RouterOutput::default();
         let mut n = 0;
         while let Some((now, ev)) = self.queue.pop_until(until) {
-            self.dispatch(now, ev);
+            self.dispatch(now, ev, &mut out);
             n += 1;
         }
         n
@@ -427,183 +535,196 @@ impl Network {
         &self.tap_log
     }
 
-    fn dispatch(&mut self, now: SimTime, ev: NetEvent) {
-        // Which (peer, prefix) session any RFD transition in the output
-        // belongs to — only deliveries and reuse timers can flip RFD
-        // state, and both name the session up front.
-        let mut rfd_session: Option<(AsId, Prefix)> = None;
-        let (router_id, output) = match ev {
-            NetEvent::Deliver { from, to, update } => {
-                // A down session drops traffic on the floor. The set is
-                // empty unless a fault plan injected resets, so the
-                // fault-free path costs exactly this one branch.
-                if !self.down_links.is_empty() && self.down_links.contains(&(from, to)) {
+    fn dispatch(&mut self, now: SimTime, ev: NetEvent, out: &mut RouterOutput) {
+        out.clear();
+        // `rfd_session` names the session any RFD transition in the
+        // output belongs to — only deliveries and reuse timers can flip
+        // RFD state, and both name the session up front.
+        let (router, prefix, rfd_session) = match ev {
+            NetEvent::Deliver {
+                router,
+                session,
+                prefix,
+                action,
+            } => {
+                let link = self.links.id(router as usize, session as usize);
+                // A down session drops traffic on the floor.
+                if self.links.down[link] {
                     self.fault_counters.updates_dropped_down += 1;
                     if self.trace.is_some() {
-                        self.trace_fault(now, from, to, "update_dropped");
+                        let to = self.links.to[link] as usize;
+                        self.trace_fault(now, router as usize, to, "update_dropped");
                     }
                     return;
                 }
                 self.delivered += 1;
-                if update.action.is_announce() {
+                if action.is_announce() {
                     self.stats.updates_announced += 1;
                 } else {
                     self.stats.updates_withdrawn += 1;
                 }
-                rfd_session = Some((from, update.prefix));
-                let Some(r) = self.routers.get_mut(&to) else {
-                    return;
-                };
-                (to, r.handle_update(from, update, now))
+                let to = self.links.to[link] as usize;
+                let session = self.links.reverse[link] as usize;
+                let prefix = prefix as usize;
+                self.routers[to].handle_update(session, prefix, action, now, out);
+                (to, prefix, Some(session))
             }
             NetEvent::MraiExpire {
                 router,
-                peer,
+                session,
                 prefix,
             } => {
-                let Some(r) = self.routers.get_mut(&router) else {
-                    return;
-                };
-                (router, r.mrai_expired(peer, prefix, now))
+                let (router, prefix) = (router as usize, prefix as usize);
+                self.routers[router].mrai_expired(session as usize, prefix, now, out);
+                (router, prefix, None)
             }
             NetEvent::RfdReuse {
                 router,
-                peer,
+                session,
                 prefix,
             } => {
-                rfd_session = Some((peer, prefix));
-                let Some(r) = self.routers.get_mut(&router) else {
-                    return;
-                };
-                (router, r.rfd_reuse_fired(peer, prefix, now))
+                let (router, session, prefix) =
+                    (router as usize, session as usize, prefix as usize);
+                self.routers[router].rfd_reuse_fired(session, prefix, now, out);
+                (router, prefix, Some(session))
             }
             NetEvent::Originate {
                 router,
                 prefix,
                 stamp,
             } => {
-                let Some(r) = self.routers.get_mut(&router) else {
-                    return;
-                };
+                let (router, prefix) = (router as usize, prefix as usize);
                 let aggregator = stamp.then(|| AggregatorStamp::new(now));
-                (router, r.originate(prefix, aggregator, now))
+                self.routers[router].originate(prefix, aggregator, now, out);
+                (router, prefix, None)
             }
             NetEvent::WithdrawOrigin { router, prefix } => {
-                let Some(r) = self.routers.get_mut(&router) else {
-                    return;
-                };
-                (router, r.withdraw_origin(prefix, now))
+                let (router, prefix) = (router as usize, prefix as usize);
+                self.routers[router].withdraw_origin(prefix, now, out);
+                (router, prefix, None)
             }
-            NetEvent::SessionDown { a, b } => {
-                self.session_transition(now, a, b, false);
+            NetEvent::SessionDown { router, session } => {
+                self.session_transition(now, router as usize, session as usize, false, out);
                 return;
             }
-            NetEvent::SessionUp { a, b } => {
-                self.session_transition(now, a, b, true);
+            NetEvent::SessionUp { router, session } => {
+                self.session_transition(now, router as usize, session as usize, true, out);
                 return;
             }
         };
 
-        self.apply_output(now, router_id, rfd_session, output);
+        self.apply_output(now, router, prefix, rfd_session, out);
     }
 
-    /// Drive one endpoint pair through a session reset transition and
-    /// apply each affected prefix's router output individually (so every
-    /// Loc-RIB change reaches the tap log).
-    fn session_transition(&mut self, now: SimTime, a: AsId, b: AsId, up: bool) {
-        if up {
-            self.down_links.remove(&(a, b));
-            self.down_links.remove(&(b, a));
-        } else {
-            self.down_links.insert((a, b));
-            self.down_links.insert((b, a));
+    /// Drive both endpoints of a link through a session reset transition
+    /// and apply each affected prefix's router output individually (so
+    /// every Loc-RIB change reaches the tap log). Each endpoint walks its
+    /// prefixes in ascending prefix order.
+    fn session_transition(
+        &mut self,
+        now: SimTime,
+        a: usize,
+        a_session: usize,
+        up: bool,
+        out: &mut RouterOutput,
+    ) {
+        let link = self.links.id(a, a_session);
+        let b = self.links.to[link] as usize;
+        let b_session = self.links.reverse[link] as usize;
+        let back = self.links.id(b, b_session);
+        self.links.down[link] = !up;
+        self.links.down[back] = !up;
+        if !up {
             self.fault_counters.session_resets += 1;
         }
         if self.trace.is_some() {
             self.trace_fault(now, a, b, if up { "session_up" } else { "session_down" });
         }
-        for (router_id, peer) in [(a, b), (b, a)] {
-            let Some(r) = self.routers.get_mut(&router_id) else {
-                continue;
-            };
-            let outs = if up {
-                r.session_up(peer, now)
+        for (router, session) in [(a, a_session), (b, b_session)] {
+            let prefixes = if up {
+                self.routers[router].session_up(session)
             } else {
-                r.session_down(peer, now)
+                self.routers[router].session_down(session)
             };
-            for (prefix, output) in outs {
-                self.apply_output(now, router_id, Some((peer, prefix)), output);
+            for prefix in prefixes {
+                out.clear();
+                let r = &mut self.routers[router];
+                if up {
+                    r.resync(session, prefix, now, out);
+                } else {
+                    r.handle_update(session, prefix, BgpAction::Withdraw, now, out);
+                }
+                self.apply_output(now, router, prefix, Some(session), out);
             }
         }
     }
 
-    /// Translate one router output into scheduled events, stats, trace
-    /// records and tap-log entries.
+    /// Translate one router output for `prefix` into scheduled events,
+    /// stats, trace records and tap-log entries.
     fn apply_output(
         &mut self,
         now: SimTime,
-        router_id: AsId,
-        rfd_session: Option<(AsId, Prefix)>,
-        output: crate::router::RouterOutput,
+        router: usize,
+        prefix: usize,
+        rfd_session: Option<usize>,
+        out: &mut RouterOutput,
     ) {
-        self.stats.mrai_deferrals += u64::from(output.mrai_deferrals);
+        self.stats.mrai_deferrals += u64::from(out.mrai_deferrals);
         if self.trace.is_some() {
-            self.trace_output(now, router_id, rfd_session, &output);
+            self.trace_output(now, router, prefix, rfd_session, out);
         }
-        if output.rfd_suppressed || output.rfd_released {
+        if out.rfd_suppressed || out.rfd_released {
+            let r = &self.routers[router];
             let name = rfd_session
-                .and_then(|(peer, prefix)| {
-                    self.routers
-                        .get(&router_id)?
-                        .session_policy(peer)?
-                        .rfd_for(prefix)
-                })
+                .and_then(|session| r.policy_at(session).rfd_for(r.prefix(prefix)))
                 .map_or("custom", |params| params.profile_name());
             let profile = self.stats.rfd.entry(name).or_default();
-            if output.rfd_suppressed {
+            if out.rfd_suppressed {
                 profile.suppressions += 1;
             }
-            if output.rfd_released {
+            if out.rfd_released {
                 profile.releases += 1;
             }
         }
 
         // Translate the router's requests into events.
-        for (peer, update) in output.sends {
-            let delivery = self.delivery_time(router_id, peer, now);
+        let (router_id, prefix_id) = (router as u32, prefix as u32);
+        for (session, action) in out.sends.drain(..) {
+            let delivery = self.delivery_time(self.links.id(router, session), now);
             self.queue.schedule_at(
                 delivery,
                 NetEvent::Deliver {
-                    from: router_id,
-                    to: peer,
-                    update,
+                    router: router_id,
+                    session: session as u32,
+                    prefix: prefix_id,
+                    action,
                 },
             );
         }
-        for (peer, prefix, at) in output.mrai_timers {
+        for &(session, at) in &out.mrai_timers {
             self.queue.schedule_at(
                 at.max(now),
                 NetEvent::MraiExpire {
                     router: router_id,
-                    peer,
-                    prefix,
+                    session: session as u32,
+                    prefix: prefix_id,
                 },
             );
         }
-        for (peer, prefix, at) in output.rfd_timers {
+        for &(session, at) in &out.rfd_timers {
             self.queue.schedule_at(
                 at.max(now),
                 NetEvent::RfdReuse {
                     router: router_id,
-                    peer,
-                    prefix,
+                    session: session as u32,
+                    prefix: prefix_id,
                 },
             );
         }
-        if let Some(change) = output.loc_rib_change {
-            if self.taps.contains(&router_id) {
+        if let Some(change) = out.loc_rib_change.take() {
+            if self.tapped[router] {
                 self.tap_log.push(TapRecord {
-                    vantage: router_id,
+                    vantage: self.routers[router].asn(),
                     time: now,
                     prefix: change.prefix,
                     route: change.route,
@@ -618,54 +739,53 @@ impl Network {
     fn trace_output(
         &mut self,
         now: SimTime,
-        router_id: AsId,
-        rfd_session: Option<(AsId, Prefix)>,
-        output: &crate::router::RouterOutput,
+        router: usize,
+        prefix: usize,
+        rfd_session: Option<usize>,
+        out: &RouterOutput,
     ) {
         let trace = self.trace.as_mut().expect("caller checked");
+        let r = &self.routers[router];
         let now_ms = now.as_millis();
-        if output.mrai_deferrals > 0 {
+        if out.mrai_deferrals > 0 {
             let next = self.mrai_lanes.len() as u32;
-            let lane = *self.mrai_lanes.entry(router_id).or_insert_with(|| {
+            let lane = *self.mrai_lanes.entry(router).or_insert_with(|| {
                 let lane = obs::Lane::pair(1, next);
-                trace.set_lane_name(lane, &format!("mrai {router_id}"));
+                trace.set_lane_name(lane, &format!("mrai {}", r.asn()));
                 lane
             });
             trace.counter_sim(
                 "mrai_deferrals",
                 lane,
                 now_ms,
-                f64::from(output.mrai_deferrals),
+                f64::from(out.mrai_deferrals),
             );
         }
-        let Some((peer, prefix)) = rfd_session else {
+        let Some(session) = rfd_session else {
             return;
         };
-        // Only damped sessions get a lane; `rfd_penalty` is `None` when
-        // the session has no RFD configured.
-        let Some(penalty) = self
-            .routers
-            .get(&router_id)
-            .and_then(|r| r.rfd_penalty(peer, prefix, now))
-        else {
+        // Only damped sessions get a lane; the penalty is `None` when the
+        // session has no RFD configured.
+        let Some(penalty) = r.session_penalty(session, prefix, now) else {
             return;
         };
         let next = self.rfd_lanes.len() as u32;
         let lane = *self
             .rfd_lanes
-            .entry((router_id, peer, prefix))
+            .entry((router, session, prefix))
             .or_insert_with(|| {
                 let lane = obs::Lane::pair(2, next);
-                trace.set_lane_name(lane, &format!("rfd {router_id}<-{peer} {prefix}"));
+                let name = format!("rfd {}<-{} {}", r.asn(), r.peer(session), r.prefix(prefix));
+                trace.set_lane_name(lane, &name);
                 lane
             });
         trace.counter_sim("penalty", lane, now_ms, penalty);
-        if output.rfd_suppressed {
+        if out.rfd_suppressed {
             trace.begin_sim("suppressed", lane, now_ms);
         }
-        if output.rfd_released {
+        if out.rfd_released {
             trace.end_sim("suppressed", lane, now_ms);
-            let usable_again = output
+            let usable_again = out
                 .loc_rib_change
                 .as_ref()
                 .is_some_and(|c| c.route.is_some());
@@ -678,28 +798,28 @@ impl Network {
         }
     }
 
-    /// Record an injected fault on the link's interned fault lane. Only
-    /// called when a trace is attached (callers check), keeping the
-    /// untraced path at one branch.
-    fn trace_fault(&mut self, now: SimTime, a: AsId, b: AsId, what: &'static str) {
+    /// Record an injected fault on the interned fault lane of the link
+    /// between routers `a` and `b` (either direction). Only called when a
+    /// trace is attached (callers check), keeping the untraced path at one
+    /// branch.
+    fn trace_fault(&mut self, now: SimTime, a: usize, b: usize, what: &'static str) {
         let trace = self.trace.as_mut().expect("caller checked");
-        let key = if a <= b { (a, b) } else { (b, a) };
+        let key = (a.min(b), a.max(b));
         let next = self.fault_lanes.len() as u32;
+        let routers = &self.routers;
         let lane = *self.fault_lanes.entry(key).or_insert_with(|| {
             let lane = obs::Lane::pair(3, next);
-            trace.set_lane_name(lane, &format!("fault {}-{}", key.0, key.1));
+            let (a, b) = (routers[key.0].asn(), routers[key.1].asn());
+            trace.set_lane_name(lane, &format!("fault {a}-{b}"));
             lane
         });
         trace.instant_sim(what, lane, now.as_millis());
     }
 
-    /// Jittered delivery time that preserves per-link FIFO order.
-    fn delivery_time(&mut self, from: AsId, to: AsId, now: SimTime) -> SimTime {
-        let base = self
-            .delays
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(self.config.default_link_delay);
+    /// Jittered delivery time on `link` that preserves per-link FIFO
+    /// order.
+    fn delivery_time(&mut self, link: usize, now: SimTime) -> SimTime {
+        let base = self.links.delay[link];
         let jitter = 1.0 + self.config.jitter * self.rng.uniform();
         let (proc_lo, proc_hi) = self.config.processing_delay;
         let processing = if proc_hi > proc_lo {
@@ -709,7 +829,7 @@ impl Network {
             proc_lo
         };
         let mut t = now + base.mul_f64(jitter) + processing;
-        let horizon = self.link_horizon.entry((from, to)).or_insert(SimTime::ZERO);
+        let horizon = &mut self.links.horizon[link];
         if t < *horizon {
             t = *horizon;
         }
@@ -1202,5 +1322,109 @@ mod tests {
             hunts >= 1,
             "expected at least one alternative-path announcement"
         );
+    }
+
+    #[test]
+    fn session_reset_walks_prefixes_in_ascending_order() {
+        use netsim::faults::{FaultPlan, FaultSpec};
+        // AS1 originates three prefixes in *descending* order to its
+        // provider AS2 (the tap); then the 1–2 session resets. The
+        // withdrawals at the reset and the re-sync announcements after it
+        // must come in ascending prefix order, whatever order the
+        // prefixes were first seen in.
+        let mut net = Network::new(cfg());
+        net.connect(
+            AsId(1),
+            AsId(2),
+            SessionPolicy::plain(Relationship::Provider),
+            SessionPolicy::plain(Relationship::Customer),
+            None,
+        );
+        net.attach_tap(AsId(2));
+        let mut prefixes: Vec<Prefix> = ["10.0.9.0/24", "10.0.5.0/24", "10.0.1.0/24"]
+            .iter()
+            .map(|p| p.parse().unwrap())
+            .collect();
+        for &p in &prefixes {
+            net.schedule_announce(SimTime::ZERO, AsId(1), p, false);
+        }
+        let plan = FaultPlan::new(FaultSpec {
+            session_reset_rate: 1.0,
+            session_reset_duration: SimDuration::from_mins(2),
+            seed: 3,
+            ..FaultSpec::default()
+        });
+        net.apply_faults(&plan, SimDuration::from_mins(30));
+        net.run_to_quiescence();
+        assert_eq!(net.fault_counters().session_resets, 1);
+
+        prefixes.sort();
+        let log = net.tap_log();
+        assert_eq!(log.len(), 9, "3 announcements, 3 withdrawals, 3 re-syncs");
+        let withdrawn: Vec<Prefix> = log[3..6].iter().map(|r| r.prefix).collect();
+        assert!(log[3..6].iter().all(|r| r.route.is_none()));
+        assert_eq!(withdrawn, prefixes, "session_down order");
+        let resynced: Vec<Prefix> = log[6..].iter().map(|r| r.prefix).collect();
+        assert!(log[6..].iter().all(|r| r.route.is_some()));
+        assert_eq!(resynced, prefixes, "session_up order");
+    }
+
+    #[test]
+    fn connect_order_does_not_change_the_simulation() {
+        // Export walks neighbors in ascending AS order, which fixes the
+        // order of the jitter draws; wiring the same topology in another
+        // order must replay the exact same run.
+        use Relationship::{Customer, Peer};
+        let links = [
+            (1, 2, Peer),
+            (1, 10, Customer),
+            (2, 10, Customer),
+            (2, 20, Customer),
+            (10, 100, Customer),
+            (10, 101, Customer),
+            (20, 101, Customer),
+            (20, 102, Customer),
+        ];
+        let run = |shuffled: bool| {
+            let mut net = Network::new(NetworkConfig::realistic(7));
+            let mrai = SimDuration::from_secs(30);
+            let mut wiring: Vec<_> = links.to_vec();
+            if shuffled {
+                wiring.reverse();
+                wiring.swap(1, 5);
+            }
+            for (i, &(a, b, rel)) in wiring.iter().enumerate() {
+                let at_a = SessionPolicy::plain(rel).with_mrai(mrai);
+                let at_b = SessionPolicy::plain(rel.reversed());
+                // Half the links are wired from the other end.
+                if shuffled && i % 2 == 0 {
+                    net.connect(AsId(b), AsId(a), at_b, at_a, None);
+                } else {
+                    net.connect(AsId(a), AsId(b), at_a, at_b, None);
+                }
+            }
+            let mut taps = [1, 100, 102];
+            if shuffled {
+                taps.reverse();
+            }
+            for t in taps {
+                net.attach_tap(AsId(t));
+            }
+            let (pa, pb): (Prefix, Prefix) = (
+                "10.0.2.0/24".parse().unwrap(),
+                "10.0.1.0/24".parse().unwrap(),
+            );
+            net.schedule_announce(SimTime::ZERO, AsId(101), pa, true);
+            net.schedule_announce(SimTime::ZERO, AsId(100), pb, true);
+            net.schedule_withdraw(SimTime::from_mins(5), AsId(101), pa);
+            net.schedule_announce(SimTime::from_mins(6), AsId(101), pa, true);
+            net.run_to_quiescence();
+            (net.events_processed(), net.take_tap_log())
+        };
+        let (sorted_events, sorted_log) = run(false);
+        let (shuffled_events, shuffled_log) = run(true);
+        assert!(!sorted_log.is_empty());
+        assert_eq!(sorted_events, shuffled_events);
+        assert_eq!(sorted_log, shuffled_log);
     }
 }

@@ -7,14 +7,11 @@
 //! a *suppressed* route: the penalty keeps growing with continued flaps
 //! and the stored route is re-evaluated (not re-requested) on release.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use netsim::SimTime;
 
 use crate::message::{AggregatorStamp, AsPath};
-use crate::prefix::Prefix;
 use crate::rfd::{FlapKind, RfdState};
 
 /// A route as stored in a RIB: path plus the transitive beacon stamp.
@@ -52,49 +49,48 @@ impl AdjEntry {
     }
 }
 
-/// One neighbor's Adj-RIB-In over all prefixes.
+/// One neighbor's Adj-RIB-In: one [`AdjEntry`] slot per prefix, indexed
+/// by the network's dense prefix id. A prefix never heard on the session
+/// holds the default (empty, unpenalised) entry.
 #[derive(Clone, Debug, Default)]
 pub struct AdjRibIn {
-    entries: BTreeMap<Prefix, AdjEntry>,
+    entries: Vec<AdjEntry>,
 }
 
 impl AdjRibIn {
-    /// Empty RIB.
-    pub fn new() -> Self {
-        Self::default()
+    /// A RIB with `prefixes` empty slots.
+    pub fn new(prefixes: usize) -> Self {
+        AdjRibIn {
+            entries: vec![AdjEntry::default(); prefixes],
+        }
     }
 
-    /// The entry for `prefix`, if the prefix was ever seen.
-    pub fn get(&self, prefix: Prefix) -> Option<&AdjEntry> {
-        self.entries.get(&prefix)
+    /// Add an empty slot for a newly interned prefix.
+    pub fn push_slot(&mut self) {
+        self.entries.push(AdjEntry::default());
     }
 
-    /// Mutable entry access (creates a default entry on first touch).
-    pub fn entry(&mut self, prefix: Prefix) -> &mut AdjEntry {
-        self.entries.entry(prefix).or_default()
+    /// The entry for prefix id `pid`.
+    pub fn get(&self, pid: usize) -> &AdjEntry {
+        &self.entries[pid]
     }
 
-    /// Mutable access without creating (for timer paths).
-    pub fn get_mut(&mut self, prefix: Prefix) -> Option<&mut AdjEntry> {
-        self.entries.get_mut(&prefix)
+    /// Mutable entry access.
+    pub fn get_mut(&mut self, pid: usize) -> &mut AdjEntry {
+        &mut self.entries[pid]
     }
 
     /// Apply an announcement, classifying the flap it represents.
     /// Returns the classification and whether the stored route changed.
-    pub fn apply_announce(
-        &mut self,
-        prefix: Prefix,
-        route: Route,
-        now: SimTime,
-    ) -> (FlapKind, bool) {
-        let entry = self.entry(prefix);
+    pub fn apply_announce(&mut self, pid: usize, route: Route, now: SimTime) -> (FlapKind, bool) {
+        let entry = &mut self.entries[pid];
         let kind = match (&entry.route, entry.ever_announced) {
             (Some(old), _) if *old == route => FlapKind::Duplicate,
             (Some(_), _) => FlapKind::AttributeChange,
             (None, true) => FlapKind::Readvertisement,
             (None, false) => FlapKind::InitialAdvertisement,
         };
-        let changed = entry.route.as_ref() != Some(&route);
+        let changed = kind != FlapKind::Duplicate;
         entry.route = Some(route);
         entry.ever_announced = true;
         entry.learned_at = now;
@@ -104,8 +100,8 @@ impl AdjRibIn {
     /// Apply a withdrawal. Returns the flap classification ([`FlapKind::Withdrawal`]
     /// when a route was actually removed, [`FlapKind::Duplicate`] otherwise)
     /// and whether anything changed.
-    pub fn apply_withdraw(&mut self, prefix: Prefix, now: SimTime) -> (FlapKind, bool) {
-        let entry = self.entry(prefix);
+    pub fn apply_withdraw(&mut self, pid: usize, now: SimTime) -> (FlapKind, bool) {
+        let entry = &mut self.entries[pid];
         if entry.route.is_some() {
             entry.route = None;
             entry.learned_at = now;
@@ -114,11 +110,6 @@ impl AdjRibIn {
             (FlapKind::Duplicate, false)
         }
     }
-
-    /// Iterate all entries (deterministic prefix order).
-    pub fn iter(&self) -> impl Iterator<Item = (&Prefix, &AdjEntry)> {
-        self.entries.iter()
-    }
 }
 
 #[cfg(test)]
@@ -126,9 +117,8 @@ mod tests {
     use super::*;
     use crate::message::AsId;
 
-    fn pfx() -> Prefix {
-        "10.0.0.0/24".parse().unwrap()
-    }
+    /// The prefix id the tests use.
+    const PID: usize = 0;
 
     fn route(tag: u32) -> Route {
         Route {
@@ -139,45 +129,45 @@ mod tests {
 
     #[test]
     fn first_announcement_is_initial() {
-        let mut rib = AdjRibIn::new();
-        let (kind, changed) = rib.apply_announce(pfx(), route(1), SimTime::ZERO);
+        let mut rib = AdjRibIn::new(1);
+        let (kind, changed) = rib.apply_announce(PID, route(1), SimTime::ZERO);
         assert_eq!(kind, FlapKind::InitialAdvertisement);
         assert!(changed);
     }
 
     #[test]
     fn same_route_again_is_duplicate() {
-        let mut rib = AdjRibIn::new();
-        rib.apply_announce(pfx(), route(1), SimTime::ZERO);
-        let (kind, changed) = rib.apply_announce(pfx(), route(1), SimTime::from_secs(1));
+        let mut rib = AdjRibIn::new(1);
+        rib.apply_announce(PID, route(1), SimTime::ZERO);
+        let (kind, changed) = rib.apply_announce(PID, route(1), SimTime::from_secs(1));
         assert_eq!(kind, FlapKind::Duplicate);
         assert!(!changed);
     }
 
     #[test]
     fn different_route_is_attribute_change() {
-        let mut rib = AdjRibIn::new();
-        rib.apply_announce(pfx(), route(1), SimTime::ZERO);
-        let (kind, changed) = rib.apply_announce(pfx(), route(2), SimTime::from_secs(1));
+        let mut rib = AdjRibIn::new(1);
+        rib.apply_announce(PID, route(1), SimTime::ZERO);
+        let (kind, changed) = rib.apply_announce(PID, route(2), SimTime::from_secs(1));
         assert_eq!(kind, FlapKind::AttributeChange);
         assert!(changed);
     }
 
     #[test]
     fn withdraw_then_announce_is_readvertisement() {
-        let mut rib = AdjRibIn::new();
-        rib.apply_announce(pfx(), route(1), SimTime::ZERO);
-        let (kind, changed) = rib.apply_withdraw(pfx(), SimTime::from_secs(1));
+        let mut rib = AdjRibIn::new(1);
+        rib.apply_announce(PID, route(1), SimTime::ZERO);
+        let (kind, changed) = rib.apply_withdraw(PID, SimTime::from_secs(1));
         assert_eq!(kind, FlapKind::Withdrawal);
         assert!(changed);
-        let (kind, _) = rib.apply_announce(pfx(), route(1), SimTime::from_secs(2));
+        let (kind, _) = rib.apply_announce(PID, route(1), SimTime::from_secs(2));
         assert_eq!(kind, FlapKind::Readvertisement);
     }
 
     #[test]
     fn withdraw_of_unknown_prefix_is_duplicate() {
-        let mut rib = AdjRibIn::new();
-        let (kind, changed) = rib.apply_withdraw(pfx(), SimTime::ZERO);
+        let mut rib = AdjRibIn::new(1);
+        let (kind, changed) = rib.apply_withdraw(PID, SimTime::ZERO);
         assert_eq!(kind, FlapKind::Duplicate);
         assert!(!changed);
     }
@@ -186,19 +176,16 @@ mod tests {
     fn suppressed_route_is_unusable_but_kept() {
         use crate::rfd::{FlapKind as FK, VendorProfile};
         let params = VendorProfile::Cisco.params();
-        let mut rib = AdjRibIn::new();
-        rib.apply_announce(pfx(), route(1), SimTime::ZERO);
-        let entry = rib.get_mut(pfx()).unwrap();
+        let mut rib = AdjRibIn::new(1);
+        rib.apply_announce(PID, route(1), SimTime::ZERO);
+        let entry = rib.get_mut(PID);
         // Hammer the penalty until suppression.
         let mut t = SimTime::ZERO;
         while !entry.rfd.is_suppressed() {
             entry.rfd.record(FK::Withdrawal, t, &params);
             t += netsim::SimDuration::from_secs(10);
         }
-        assert!(rib.get(pfx()).unwrap().usable().is_none());
-        assert!(
-            rib.get(pfx()).unwrap().route.is_some(),
-            "route kept while suppressed"
-        );
+        assert!(rib.get(PID).usable().is_none());
+        assert!(rib.get(PID).route.is_some(), "route kept while suppressed");
     }
 }

@@ -2,11 +2,17 @@
 //!
 //! [`Router`] is a *pure* state machine: it never touches the event queue.
 //! Every entry point (an incoming update, a timer expiry, a local
-//! origination) returns a [`RouterOutput`] describing what must happen
-//! next — messages to put on the wire, timers to arm, and the Loc-RIB
-//! change (if any) for vantage-point taps. The [`crate::network::Network`]
-//! driver translates those into scheduled events. Keeping the router pure
-//! makes the RFD/MRAI interactions unit-testable without a simulator.
+//! origination) writes into a caller-owned `RouterOutput` what must
+//! happen next — messages to put on the wire, timers to arm, and the
+//! Loc-RIB change (if any) for vantage-point taps. The
+//! [`crate::network::Network`] driver translates those into scheduled
+//! events. Keeping the router pure makes the RFD/MRAI interactions
+//! unit-testable without a simulator.
+//!
+//! The inputs name sessions and prefixes by dense index: a session is a
+//! position in the router's peer-sorted session list, a prefix is the id
+//! the router's prefix table handed out when the prefix was interned. All per-prefix state (Adj-RIB-In, Adj-RIB-Out, MRAI slots,
+//! Loc-RIB, originations) lives in flat slot arrays indexed by that id.
 //!
 //! Processing pipeline for an incoming update (mirroring RFC 4271 + 2439):
 //!
@@ -20,14 +26,14 @@
 //! 5. export diffing against the per-neighbor Adj-RIB-Out under the
 //!    Gao–Rexford filter, with MRAI gating on announcements.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 
-use netsim::SimTime;
+use netsim::{SimDuration, SimTime};
 
 use crate::decision::{select_best, Candidate};
-use crate::message::{AggregatorStamp, AsId, AsPath, BgpAction, BgpUpdate};
+use crate::message::{AggregatorStamp, AsId, AsPath, BgpAction};
 use crate::mrai::{MraiGate, MraiVerdict};
-use crate::policy::{ExportPolicy, Relationship, SessionPolicy};
+use crate::policy::{ExportPolicy, SessionPolicy};
 use crate::prefix::Prefix;
 use crate::rfd::{FlapKind, RfdTransition};
 use crate::rib::{AdjRibIn, Route};
@@ -75,15 +81,17 @@ pub struct LocRibChange {
     pub route: Option<Route>,
 }
 
-/// Everything a router wants done after processing one input.
+/// Everything a router wants done after processing one input. Each input
+/// concerns a single prefix, so entries name only the session (an index
+/// into the router's session list).
 #[derive(Debug, Default)]
-pub struct RouterOutput {
-    /// Updates to deliver to neighbors (after link delay).
-    pub sends: Vec<(AsId, BgpUpdate)>,
-    /// MRAI expiry timers to arm: (peer, prefix, fire-at).
-    pub mrai_timers: Vec<(AsId, Prefix, SimTime)>,
-    /// RFD reuse timers to arm: (peer, prefix, fire-at).
-    pub rfd_timers: Vec<(AsId, Prefix, SimTime)>,
+pub(crate) struct RouterOutput {
+    /// Updates to put on the wire, in session order: (session, action).
+    pub sends: Vec<(usize, BgpAction)>,
+    /// MRAI expiry timers to arm: (session, fire-at).
+    pub mrai_timers: Vec<(usize, SimTime)>,
+    /// RFD reuse timers to arm: (session, fire-at).
+    pub rfd_timers: Vec<(usize, SimTime)>,
     /// The Loc-RIB change, if the best route moved.
     pub loc_rib_change: Option<LocRibChange>,
     /// Announcements the MRAI gate deferred while processing this input.
@@ -95,34 +103,64 @@ pub struct RouterOutput {
 }
 
 impl RouterOutput {
-    fn merge(&mut self, mut other: RouterOutput) {
-        self.sends.append(&mut other.sends);
-        self.mrai_timers.append(&mut other.mrai_timers);
-        self.rfd_timers.append(&mut other.rfd_timers);
-        if other.loc_rib_change.is_some() {
-            self.loc_rib_change = other.loc_rib_change;
-        }
-        self.mrai_deferrals += other.mrai_deferrals;
-        self.rfd_suppressed |= other.rfd_suppressed;
-        self.rfd_released |= other.rfd_released;
+    /// Empty the output for the next input, keeping buffer capacity.
+    pub(crate) fn clear(&mut self) {
+        self.sends.clear();
+        self.mrai_timers.clear();
+        self.rfd_timers.clear();
+        self.loc_rib_change = None;
+        self.mrai_deferrals = 0;
+        self.rfd_suppressed = false;
+        self.rfd_released = false;
     }
 }
 
+/// One BGP session: how the router treats one neighbor, and the
+/// per-prefix state it keeps for it.
 #[derive(Debug)]
-struct Neighbor {
+struct Session {
+    peer: AsId,
     policy: SessionPolicy,
     adj_in: AdjRibIn,
-    adj_out: BTreeMap<Prefix, Route>,
+    /// What the router last advertised to the peer, by prefix id.
+    adj_out: Vec<Option<Route>>,
     mrai: MraiGate,
+}
+
+impl Session {
+    fn new(peer: AsId, policy: SessionPolicy, prefixes: usize) -> Self {
+        Session {
+            peer,
+            policy,
+            adj_in: AdjRibIn::new(prefixes),
+            adj_out: vec![None; prefixes],
+            mrai: MraiGate::new(policy.mrai, prefixes),
+        }
+    }
+
+    /// The session went down or came back: the peer holds none of our
+    /// routes, and the pending MRAI updates died with the TCP session.
+    fn reset_outbound(&mut self) {
+        self.adj_out.fill(None);
+        self.mrai.reset();
+    }
 }
 
 /// One AS's router.
 #[derive(Debug)]
 pub struct Router {
     asn: AsId,
-    neighbors: BTreeMap<AsId, Neighbor>,
-    originated: BTreeMap<Prefix, Option<AggregatorStamp>>,
-    loc_rib: BTreeMap<Prefix, Selection>,
+    /// Sessions sorted by peer AS number. Export walks them in this
+    /// order, which fixes the order in which the network draws jitter.
+    sessions: Vec<Session>,
+    /// The interned prefixes, by prefix id.
+    prefixes: Vec<Prefix>,
+    /// Prefix ids in ascending prefix order (session resets walk this).
+    prefix_order: Vec<usize>,
+    /// Per prefix id: the local origination's stamp, if originated here.
+    originated: Vec<Option<Option<AggregatorStamp>>>,
+    /// Per prefix id: the selected best route.
+    loc_rib: Vec<Option<Selection>>,
 }
 
 impl Router {
@@ -130,9 +168,11 @@ impl Router {
     pub fn new(asn: AsId) -> Self {
         Router {
             asn,
-            neighbors: BTreeMap::new(),
-            originated: BTreeMap::new(),
-            loc_rib: BTreeMap::new(),
+            sessions: Vec::new(),
+            prefixes: Vec::new(),
+            prefix_order: Vec::new(),
+            originated: Vec::new(),
+            loc_rib: Vec::new(),
         }
     }
 
@@ -141,102 +181,155 @@ impl Router {
         self.asn
     }
 
-    /// Add (or reconfigure) a session to `peer`.
+    /// Add (or reconfigure) a session to `peer`. Reconfiguring starts the
+    /// session from empty RIBs.
     pub fn add_session(&mut self, peer: AsId, policy: SessionPolicy) {
         assert_ne!(peer, self.asn, "cannot peer with self");
-        let mrai = MraiGate::new(policy.mrai);
-        self.neighbors.insert(
-            peer,
-            Neighbor {
-                policy,
-                adj_in: AdjRibIn::new(),
-                adj_out: BTreeMap::new(),
-                mrai,
-            },
-        );
+        let session = Session::new(peer, policy, self.prefixes.len());
+        match self.sessions.binary_search_by_key(&peer, |s| s.peer) {
+            Ok(i) => self.sessions[i] = session,
+            Err(i) => self.sessions.insert(i, session),
+        }
+    }
+
+    /// The dense id of `prefix`, interning it (one empty slot in every
+    /// per-prefix array) on first sight.
+    pub(crate) fn intern(&mut self, prefix: Prefix) -> usize {
+        if let Some(pid) = self.prefix_id(prefix) {
+            return pid;
+        }
+        let pid = self.prefixes.len();
+        self.prefixes.push(prefix);
+        let at = self
+            .prefix_order
+            .partition_point(|&p| self.prefixes[p] < prefix);
+        self.prefix_order.insert(at, pid);
+        self.originated.push(None);
+        self.loc_rib.push(None);
+        for s in &mut self.sessions {
+            s.adj_in.push_slot();
+            s.adj_out.push(None);
+            s.mrai.push_slot();
+        }
+        pid
+    }
+
+    /// The id of an already interned prefix.
+    pub(crate) fn prefix_id(&self, prefix: Prefix) -> Option<usize> {
+        self.prefixes.iter().position(|&p| p == prefix)
+    }
+
+    /// The prefix with id `pid`.
+    pub(crate) fn prefix(&self, pid: usize) -> Prefix {
+        self.prefixes[pid]
+    }
+
+    /// Number of sessions.
+    pub(crate) fn session_count(&self) -> usize {
+        self.sessions.len()
+    }
+
+    /// The session index of `peer`, if a session exists.
+    pub(crate) fn session_index(&self, peer: AsId) -> Option<usize> {
+        self.sessions.binary_search_by_key(&peer, |s| s.peer).ok()
+    }
+
+    /// The neighbor on session `session`.
+    pub(crate) fn peer(&self, session: usize) -> AsId {
+        self.sessions[session].peer
+    }
+
+    /// The policy of session `session`.
+    pub(crate) fn policy_at(&self, session: usize) -> &SessionPolicy {
+        &self.sessions[session].policy
     }
 
     /// The session policy towards `peer`, if a session exists.
     pub fn session_policy(&self, peer: AsId) -> Option<&SessionPolicy> {
-        self.neighbors.get(&peer).map(|n| &n.policy)
+        self.session_index(peer).map(|s| self.policy_at(s))
     }
 
-    /// All neighbor ASNs (deterministic order).
+    /// All neighbor ASNs (ascending).
     pub fn neighbor_ids(&self) -> Vec<AsId> {
-        self.neighbors.keys().copied().collect()
+        self.sessions.iter().map(|s| s.peer).collect()
     }
 
     /// The current best selection for `prefix`, if reachable.
     pub fn best(&self, prefix: Prefix) -> Option<&Selection> {
-        self.loc_rib.get(&prefix)
+        self.loc_rib[self.prefix_id(prefix)?].as_ref()
     }
 
     /// Whether the route from `peer` for `prefix` is currently suppressed.
     pub fn is_suppressed(&self, peer: AsId, prefix: Prefix) -> bool {
-        self.neighbors
-            .get(&peer)
-            .and_then(|n| n.adj_in.get(prefix))
-            .map(|e| e.rfd.is_suppressed())
-            .unwrap_or(false)
+        match (self.session_index(peer), self.prefix_id(prefix)) {
+            (Some(s), Some(pid)) => self.sessions[s].adj_in.get(pid).rfd.is_suppressed(),
+            _ => false,
+        }
     }
 
     /// Current RFD penalty on (peer, prefix) at `now`, if RFD is enabled.
     pub fn rfd_penalty(&self, peer: AsId, prefix: Prefix, now: SimTime) -> Option<f64> {
-        let n = self.neighbors.get(&peer)?;
-        let params = n.policy.rfd_for(prefix)?;
-        Some(
-            n.adj_in
-                .get(prefix)
-                .map(|e| e.rfd.penalty_at(now, params))
-                .unwrap_or(0.0),
-        )
+        let session = self.session_index(peer)?;
+        match self.prefix_id(prefix) {
+            Some(pid) => self.session_penalty(session, pid, now),
+            None => self.policy_at(session).rfd_for(prefix).map(|_| 0.0),
+        }
+    }
+
+    /// [`Router::rfd_penalty`] by session index and prefix id.
+    pub(crate) fn session_penalty(&self, session: usize, pid: usize, now: SimTime) -> Option<f64> {
+        let s = &self.sessions[session];
+        let params = s.policy.rfd_for(self.prefixes[pid])?;
+        Some(s.adj_in.get(pid).rfd.penalty_at(now, params))
     }
 
     // ------------------------------------------------------------------
     // Inputs
     // ------------------------------------------------------------------
 
-    /// Process an update received from `from`.
-    pub fn handle_update(&mut self, from: AsId, update: BgpUpdate, now: SimTime) -> RouterOutput {
-        let Some(neighbor) = self.neighbors.get_mut(&from) else {
-            // Session gone (not modelled as an error — deliveries may race
-            // a reconfiguration in principle).
-            return RouterOutput::default();
-        };
-        let prefix = update.prefix;
+    /// Process an update for prefix `pid` received on `session`.
+    pub(crate) fn handle_update(
+        &mut self,
+        session: usize,
+        pid: usize,
+        action: BgpAction,
+        now: SimTime,
+        out: &mut RouterOutput,
+    ) {
+        let prefix = self.prefixes[pid];
+        let own = self.asn;
+        let s = &mut self.sessions[session];
 
         // 1. Loop detection: a path carrying our ASN makes the route
         //    unfeasible — treat as withdrawal, without an RFD penalty
         //    (RFC 2439 penalises route *changes*, and an unfeasible
         //    announcement never enters the RIB).
-        let action = match update.action {
-            BgpAction::Announce { ref path, .. } if path.contains(self.asn) => BgpAction::Withdraw,
+        let action = match action {
+            BgpAction::Announce { ref path, .. } if path.contains(own) => BgpAction::Withdraw,
             other => other,
         };
 
         // 2. Adj-RIB-In + flap classification.
         let (kind, rib_changed) = match action {
             BgpAction::Announce { path, aggregator } => {
-                neighbor
-                    .adj_in
-                    .apply_announce(prefix, Route { path, aggregator }, now)
+                s.adj_in
+                    .apply_announce(pid, Route { path, aggregator }, now)
             }
-            BgpAction::Withdraw => neighbor.adj_in.apply_withdraw(prefix, now),
+            BgpAction::Withdraw => s.adj_in.apply_withdraw(pid, now),
         };
 
         // 3. RFD penalty accounting.
-        let mut out = RouterOutput::default();
         let mut usability_changed = rib_changed;
-        if let Some(params) = neighbor.policy.rfd_for(prefix).copied() {
+        if let Some(params) = s.policy.rfd_for(prefix).copied() {
+            let entry = s.adj_in.get_mut(pid);
             if kind != FlapKind::Duplicate {
-                let entry = neighbor.adj_in.entry(prefix);
                 match entry.rfd.record(kind, now, &params) {
                     RfdTransition::Suppressed => {
                         let at = entry
                             .rfd
                             .release_at(&params)
                             .expect("suppressed has release time");
-                        out.rfd_timers.push((from, prefix, at));
+                        out.rfd_timers.push((session, at));
                         out.rfd_suppressed = true;
                         usability_changed = true;
                     }
@@ -252,38 +345,33 @@ impl Router {
                     }
                     RfdTransition::StillUsable => {}
                 }
-            } else if neighbor
-                .adj_in
-                .get(prefix)
-                .map(|e| e.rfd.is_suppressed())
-                .unwrap_or(false)
-            {
+            } else if entry.rfd.is_suppressed() {
                 usability_changed = false;
             }
         }
 
         if usability_changed {
-            out.merge(self.reselect(prefix, now));
+            self.reselect(pid, now, out);
         }
-        out
     }
 
-    /// An RFD reuse timer fired for (peer, prefix).
-    pub fn rfd_reuse_fired(&mut self, peer: AsId, prefix: Prefix, now: SimTime) -> RouterOutput {
-        let mut out = RouterOutput::default();
-        let Some(neighbor) = self.neighbors.get_mut(&peer) else {
-            return out;
+    /// An RFD reuse timer fired for (session, prefix).
+    pub(crate) fn rfd_reuse_fired(
+        &mut self,
+        session: usize,
+        pid: usize,
+        now: SimTime,
+        out: &mut RouterOutput,
+    ) {
+        let s = &mut self.sessions[session];
+        let Some(params) = s.policy.rfd_for(self.prefixes[pid]).copied() else {
+            return;
         };
-        let Some(params) = neighbor.policy.rfd_for(prefix).copied() else {
-            return out;
-        };
-        let Some(entry) = neighbor.adj_in.get_mut(prefix) else {
-            return out;
-        };
+        let entry = s.adj_in.get_mut(pid);
         if entry.rfd.tick(now, &params) {
             // Released: the stored route (if any) becomes usable again.
             out.rfd_released = true;
-            out.merge(self.reselect(prefix, now));
+            self.reselect(pid, now, out);
         } else if entry.rfd.is_suppressed() {
             // Flaps while suppressed pushed the release time out; re-arm.
             // The new deadline must be strictly in the future: exp2/log2
@@ -295,140 +383,130 @@ impl Router {
                 .rfd
                 .release_at(&params)
                 .expect("still suppressed")
-                .max(now + netsim::SimDuration::from_millis(1));
-            out.rfd_timers.push((peer, prefix, at));
+                .max(now + SimDuration::from_millis(1));
+            out.rfd_timers.push((session, at));
         }
-        out
     }
 
-    /// An MRAI timer fired for (peer, prefix): flush the coalesced update.
-    pub fn mrai_expired(&mut self, peer: AsId, prefix: Prefix, now: SimTime) -> RouterOutput {
-        let mut out = RouterOutput::default();
-        if let Some(neighbor) = self.neighbors.get_mut(&peer) {
-            if let Some(update) = neighbor.mrai.expire(prefix, now) {
-                out.sends.push((peer, update));
-            }
+    /// An MRAI timer fired for (session, prefix): flush the coalesced
+    /// update.
+    pub(crate) fn mrai_expired(
+        &mut self,
+        session: usize,
+        pid: usize,
+        now: SimTime,
+        out: &mut RouterOutput,
+    ) {
+        if let Some(action) = self.sessions[session].mrai.expire(pid, now) {
+            out.sends.push((session, action));
         }
-        out
     }
 
-    /// The session to `peer` went down (e.g. a fault-injected reset).
+    /// Session `session` went down (e.g. a fault-injected reset).
     ///
     /// The per-session transient state resets with the TCP session: the
     /// Adj-RIB-Out is forgotten (the peer no longer holds our routes)
-    /// and the MRAI gate discards its pending/coalesced updates. Every
-    /// route learned on the session is implicitly withdrawn *through the
-    /// normal RFD-aware path*, so the flap penalty accrues exactly as
-    /// RFC 2439 prescribes for session loss. Returns one output per
-    /// affected prefix (deterministic prefix order) so the driver can
-    /// record each Loc-RIB change individually.
-    pub fn session_down(&mut self, peer: AsId, now: SimTime) -> Vec<(Prefix, RouterOutput)> {
-        let Some(neighbor) = self.neighbors.get_mut(&peer) else {
-            return Vec::new();
-        };
-        neighbor.adj_out.clear();
-        neighbor.mrai = MraiGate::new(neighbor.policy.mrai);
-        let prefixes: Vec<Prefix> = neighbor
-            .adj_in
+    /// and the MRAI gate discards its pending/coalesced updates. Returns
+    /// the prefixes with a route learned on the session, in ascending
+    /// prefix order; the caller withdraws each one through
+    /// [`Router::handle_update`], so the flap penalty accrues exactly as
+    /// RFC 2439 prescribes for session loss and every Loc-RIB change is
+    /// reported on its own.
+    pub(crate) fn session_down(&mut self, session: usize) -> Vec<usize> {
+        let s = &mut self.sessions[session];
+        s.reset_outbound();
+        self.prefix_order
             .iter()
-            .filter(|(_, e)| e.route.is_some())
-            .map(|(p, _)| *p)
-            .collect();
-        prefixes
-            .into_iter()
-            .map(|prefix| {
-                (
-                    prefix,
-                    self.handle_update(peer, BgpUpdate::withdraw(prefix), now),
-                )
-            })
+            .copied()
+            .filter(|&pid| s.adj_in.get(pid).route.is_some())
             .collect()
     }
 
-    /// The session to `peer` re-established after a reset.
+    /// Session `session` re-established after a reset.
     ///
-    /// BGP re-syncs a fresh session with a full table exchange: clear
-    /// the (stale) Adj-RIB-Out and MRAI gate, then re-advertise the
-    /// entire Loc-RIB towards this peer. On the peer's side each
-    /// arriving announcement classifies as a re-advertisement flap —
-    /// the RFD penalty cost of a session reset.
-    pub fn session_up(&mut self, peer: AsId, now: SimTime) -> Vec<(Prefix, RouterOutput)> {
-        let Some(neighbor) = self.neighbors.get_mut(&peer) else {
-            return Vec::new();
-        };
-        neighbor.adj_out.clear();
-        neighbor.mrai = MraiGate::new(neighbor.policy.mrai);
-        let prefixes: Vec<Prefix> = self.loc_rib.keys().copied().collect();
-        prefixes
-            .into_iter()
-            .map(|prefix| {
-                let sel = self.loc_rib.get(&prefix).cloned();
-                (prefix, self.export_to(peer, prefix, sel.as_ref(), now))
-            })
+    /// BGP re-syncs a fresh session with a full table exchange: clear the
+    /// (stale) Adj-RIB-Out and MRAI gate, then re-advertise the entire
+    /// Loc-RIB towards this peer. Returns the Loc-RIB's prefixes in
+    /// ascending prefix order; the caller re-advertises each one through
+    /// [`Router::resync`]. On the peer's side each arriving announcement
+    /// classifies as a re-advertisement flap — the RFD penalty cost of a
+    /// session reset.
+    pub(crate) fn session_up(&mut self, session: usize) -> Vec<usize> {
+        self.sessions[session].reset_outbound();
+        self.prefix_order
+            .iter()
+            .copied()
+            .filter(|&pid| self.loc_rib[pid].is_some())
             .collect()
     }
 
-    /// Originate (announce) `prefix` locally, with an optional beacon stamp.
-    pub fn originate(
+    /// Re-advertise the current selection for `pid` on `session` alone.
+    pub(crate) fn resync(
         &mut self,
-        prefix: Prefix,
+        session: usize,
+        pid: usize,
+        now: SimTime,
+        out: &mut RouterOutput,
+    ) {
+        let view = self.loc_rib[pid]
+            .as_ref()
+            .map(|s| s.exported_view(self.asn));
+        self.export(pid, view.as_ref(), session..session + 1, now, out);
+    }
+
+    /// Originate (announce) prefix `pid` locally, with an optional beacon
+    /// stamp.
+    pub(crate) fn originate(
+        &mut self,
+        pid: usize,
         aggregator: Option<AggregatorStamp>,
         now: SimTime,
-    ) -> RouterOutput {
-        self.originated.insert(prefix, aggregator);
-        self.reselect(prefix, now)
+        out: &mut RouterOutput,
+    ) {
+        self.originated[pid] = Some(aggregator);
+        self.reselect(pid, now, out);
     }
 
     /// Withdraw a locally-originated prefix.
-    pub fn withdraw_origin(&mut self, prefix: Prefix, now: SimTime) -> RouterOutput {
-        self.originated.remove(&prefix);
-        self.reselect(prefix, now)
+    pub(crate) fn withdraw_origin(&mut self, pid: usize, now: SimTime, out: &mut RouterOutput) {
+        self.originated[pid] = None;
+        self.reselect(pid, now, out);
     }
 
     // ------------------------------------------------------------------
     // Decision + export
     // ------------------------------------------------------------------
 
-    /// Re-run the decision process for `prefix` and export any change.
-    fn reselect(&mut self, prefix: Prefix, now: SimTime) -> RouterOutput {
-        let new = self.compute_best(prefix);
-        let old = self.loc_rib.get(&prefix);
-        if old == new.as_ref() {
-            return RouterOutput::default();
+    /// Re-run the decision process for `pid` and export any change.
+    fn reselect(&mut self, pid: usize, now: SimTime, out: &mut RouterOutput) {
+        let new = self.compute_best(pid);
+        if self.loc_rib[pid] == new {
+            return;
         }
-        match new.clone() {
-            Some(sel) => self.loc_rib.insert(prefix, sel),
-            None => self.loc_rib.remove(&prefix),
-        };
-
-        let mut out = RouterOutput {
-            loc_rib_change: Some(LocRibChange {
-                prefix,
-                route: new.as_ref().map(|s| s.exported_view(self.asn)),
-            }),
-            ..RouterOutput::default()
-        };
-        out.merge(self.export(prefix, new.as_ref(), now));
-        out
+        // The exported view is the same for every neighbor; build it once.
+        let view = new.as_ref().map(|s| s.exported_view(self.asn));
+        self.loc_rib[pid] = new;
+        self.export(pid, view.as_ref(), 0..self.sessions.len(), now, out);
+        out.loc_rib_change = Some(LocRibChange {
+            prefix: self.prefixes[pid],
+            route: view,
+        });
     }
 
-    fn compute_best(&self, prefix: Prefix) -> Option<Selection> {
-        if let Some(aggregator) = self.originated.get(&prefix) {
-            return Some(Selection::Local {
-                aggregator: *aggregator,
-            });
+    fn compute_best(&self, pid: usize) -> Option<Selection> {
+        if let Some(aggregator) = self.originated[pid] {
+            return Some(Selection::Local { aggregator });
         }
-        let candidates = self.neighbors.iter().filter_map(|(&asn, n)| {
-            let entry = n.adj_in.get(prefix)?;
-            let route = entry.usable()?;
+        let candidates = self.sessions.iter().filter_map(|s| {
+            let route = s.adj_in.get(pid).usable()?;
             // Defensive loop check (sender-side split horizon should make
             // this unreachable, but policy bugs must not loop forever).
             if route.path.contains(self.asn) {
                 return None;
             }
             Some(Candidate {
-                neighbor: asn,
-                relationship: n.policy.relationship,
+                neighbor: s.peer,
+                relationship: s.policy.relationship,
                 route,
             })
         });
@@ -438,143 +516,67 @@ impl Router {
         })
     }
 
-    /// Diff the desired advertisement against each neighbor's Adj-RIB-Out
-    /// and emit the needed updates through the MRAI gate.
+    /// Diff the desired advertisement of the current selection for `pid`
+    /// (whose exported view is `view`) against the Adj-RIB-Out of each
+    /// session in `sessions`, and emit the needed updates through the
+    /// MRAI gates.
     fn export(
         &mut self,
-        prefix: Prefix,
-        selection: Option<&Selection>,
-        now: SimTime,
-    ) -> RouterOutput {
-        let own = self.asn;
-        // Who did we learn the best route from (split horizon), and what
-        // relationship was it learned over (Gao–Rexford)?
-        let (learned_from, learned_rel) = match selection {
-            Some(Selection::Learned { neighbor, .. }) => {
-                let rel = self.neighbors[neighbor].policy.relationship;
-                (Some(*neighbor), Some(rel))
-            }
-            _ => (None, None),
-        };
-
-        let mut out = RouterOutput::default();
-        for (&peer, neighbor) in &mut self.neighbors {
-            Self::export_one(
-                own,
-                peer,
-                neighbor,
-                prefix,
-                selection,
-                learned_from,
-                learned_rel,
-                now,
-                &mut out,
-            );
-        }
-        out
-    }
-
-    /// [`Router::export`] restricted to one peer — used by
-    /// [`Router::session_up`] to re-sync a re-established session.
-    fn export_to(
-        &mut self,
-        peer: AsId,
-        prefix: Prefix,
-        selection: Option<&Selection>,
-        now: SimTime,
-    ) -> RouterOutput {
-        let own = self.asn;
-        let (learned_from, learned_rel) = match selection {
-            Some(Selection::Learned { neighbor, .. }) => {
-                let rel = self.neighbors[neighbor].policy.relationship;
-                (Some(*neighbor), Some(rel))
-            }
-            _ => (None, None),
-        };
-        let mut out = RouterOutput::default();
-        if let Some(neighbor) = self.neighbors.get_mut(&peer) {
-            Self::export_one(
-                own,
-                peer,
-                neighbor,
-                prefix,
-                selection,
-                learned_from,
-                learned_rel,
-                now,
-                &mut out,
-            );
-        }
-        out
-    }
-
-    /// The per-neighbor half of the export diff: decide the desired
-    /// advertisement, diff it against the Adj-RIB-Out, and push the
-    /// resulting update through the MRAI gate.
-    #[allow(clippy::too_many_arguments)]
-    fn export_one(
-        own: AsId,
-        peer: AsId,
-        neighbor: &mut Neighbor,
-        prefix: Prefix,
-        selection: Option<&Selection>,
-        learned_from: Option<AsId>,
-        learned_rel: Option<Relationship>,
+        pid: usize,
+        view: Option<&Route>,
+        sessions: Range<usize>,
         now: SimTime,
         out: &mut RouterOutput,
     ) {
-        // Desired route towards this peer.
-        let desired: Option<Route> = match selection {
-            None => None,
-            Some(sel) => {
-                // Split horizon (never advertise back to the peer the
-                // route was learned from) or export policy forbids.
-                if learned_from == Some(peer)
-                    || !ExportPolicy::permits(learned_rel, neighbor.policy.relationship)
-                {
-                    None
-                } else {
-                    let base = sel.exported_view(own);
-                    let extra = neighbor.policy.prepend_extra;
-                    Some(Route {
-                        path: if extra > 0 {
-                            base.path.prepend(own, extra)
-                        } else {
-                            base.path
-                        },
-                        aggregator: base.aggregator,
-                    })
-                }
+        let own = self.asn;
+        // Who did we learn the best route from (split horizon), and what
+        // relationship was it learned over (Gao–Rexford)?
+        let (learned_from, learned_rel) = match &self.loc_rib[pid] {
+            Some(Selection::Learned { neighbor, .. }) => {
+                let s = self.session_index(*neighbor).expect("learned on a session");
+                (Some(s), Some(self.sessions[s].policy.relationship))
             }
+            _ => (None, None),
         };
 
-        let current = neighbor.adj_out.get(&prefix);
-        if current == desired.as_ref() {
-            return;
-        }
-        let update = match &desired {
-            Some(route) => BgpUpdate::announce(prefix, route.path.clone(), route.aggregator),
-            None => {
-                if current.is_none() {
-                    return; // never advertised, nothing to withdraw
-                }
-                BgpUpdate::withdraw(prefix)
+        for i in sessions {
+            let session = &mut self.sessions[i];
+            // Desired route towards this peer: none under split horizon
+            // (never advertise back to the peer the route was learned
+            // from) or when the export policy forbids.
+            let desired = view
+                .filter(|_| {
+                    learned_from != Some(i)
+                        && ExportPolicy::permits(learned_rel, session.policy.relationship)
+                })
+                .map(|route| match session.policy.prepend_extra {
+                    0 => route.clone(),
+                    extra => Route {
+                        path: route.path.prepend(own, extra),
+                        aggregator: route.aggregator,
+                    },
+                });
+
+            let current = &mut session.adj_out[pid];
+            if *current == desired {
+                continue;
             }
-        };
-        match desired {
-            Some(route) => {
-                neighbor.adj_out.insert(prefix, route);
-            }
-            None => {
-                neighbor.adj_out.remove(&prefix);
-            }
-        }
-        match neighbor.mrai.submit(update, now) {
-            MraiVerdict::SendNow(u) => out.sends.push((peer, u)),
-            MraiVerdict::Deferred { at, arm } => {
-                out.mrai_deferrals += 1;
-                if arm {
-                    out.mrai_timers.push((peer, prefix, at));
+            // Unequal, so a `None` desired means something was advertised.
+            let action = match &desired {
+                Some(route) => BgpAction::Announce {
+                    path: route.path.clone(),
+                    aggregator: route.aggregator,
+                },
+                None => BgpAction::Withdraw,
+            };
+            *current = desired;
+            match session.mrai.submit(pid, action, now) {
+                MraiVerdict::SendNow(action) => out.sends.push((i, action)),
+                MraiVerdict::Deferred { at, arm } => {
+                    out.mrai_deferrals += 1;
+                    if arm {
+                        out.mrai_timers.push((i, at));
+                    }
                 }
             }
         }
@@ -586,10 +588,84 @@ mod tests {
     use super::*;
     use crate::policy::Relationship;
     use crate::rfd::VendorProfile;
-    use netsim::SimDuration;
 
     fn pfx() -> Prefix {
         "10.0.0.0/24".parse().unwrap()
+    }
+
+    /// Deliver `action` for `prefix` from `from`, as the network would.
+    fn recv(
+        r: &mut Router,
+        from: AsId,
+        prefix: Prefix,
+        action: BgpAction,
+        now: SimTime,
+    ) -> RouterOutput {
+        let pid = r.intern(prefix);
+        let session = r.session_index(from).expect("session exists");
+        let mut out = RouterOutput::default();
+        r.handle_update(session, pid, action, now, &mut out);
+        out
+    }
+
+    fn announce(path: &[u32]) -> BgpAction {
+        BgpAction::Announce {
+            path: path.iter().map(|&a| AsId(a)).collect(),
+            aggregator: None,
+        }
+    }
+
+    /// The output's sends as (peer, action).
+    fn sends(r: &Router, out: &RouterOutput) -> Vec<(AsId, BgpAction)> {
+        out.sends
+            .iter()
+            .map(|(s, a)| (r.peer(*s), a.clone()))
+            .collect()
+    }
+
+    fn originate(
+        r: &mut Router,
+        prefix: Prefix,
+        aggregator: Option<AggregatorStamp>,
+        now: SimTime,
+    ) -> RouterOutput {
+        let pid = r.intern(prefix);
+        let mut out = RouterOutput::default();
+        r.originate(pid, aggregator, now, &mut out);
+        out
+    }
+
+    fn reuse_fired(r: &mut Router, peer: AsId, prefix: Prefix, now: SimTime) -> RouterOutput {
+        let pid = r.intern(prefix);
+        let mut out = RouterOutput::default();
+        r.rfd_reuse_fired(r.session_index(peer).unwrap(), pid, now, &mut out);
+        out
+    }
+
+    /// A session reset, driven prefix by prefix as the network does.
+    fn session_down(r: &mut Router, peer: AsId, now: SimTime) -> Vec<(Prefix, RouterOutput)> {
+        let session = r.session_index(peer).unwrap();
+        r.session_down(session)
+            .into_iter()
+            .map(|pid| {
+                let mut out = RouterOutput::default();
+                r.handle_update(session, pid, BgpAction::Withdraw, now, &mut out);
+                (r.prefix(pid), out)
+            })
+            .collect()
+    }
+
+    /// A session re-establishment, driven prefix by prefix.
+    fn session_up(r: &mut Router, peer: AsId, now: SimTime) -> Vec<(Prefix, RouterOutput)> {
+        let session = r.session_index(peer).unwrap();
+        r.session_up(session)
+            .into_iter()
+            .map(|pid| {
+                let mut out = RouterOutput::default();
+                r.resync(session, pid, now, &mut out);
+                (r.prefix(pid), out)
+            })
+            .collect()
     }
 
     fn plain(rel: Relationship) -> SessionPolicy {
@@ -604,21 +680,22 @@ mod tests {
         r
     }
 
-    fn announce_from(origin: u32) -> BgpUpdate {
-        BgpUpdate::announce(pfx(), AsPath::from_slice(&[AsId(origin)]), None)
+    fn announce_from(origin: u32) -> BgpAction {
+        announce(&[origin])
     }
 
     #[test]
     fn origination_exports_to_all_neighbors() {
         let mut r = sample_router();
-        let out = r.originate(
+        let out = originate(
+            &mut r,
             pfx(),
             Some(AggregatorStamp::new(SimTime::ZERO)),
             SimTime::ZERO,
         );
         assert_eq!(out.sends.len(), 2);
-        for (_, u) in &out.sends {
-            match &u.action {
+        for (_, u) in sends(&r, &out) {
+            match u {
                 BgpAction::Announce { path, aggregator } => {
                     assert_eq!(path.asns(), &[AsId(1)]);
                     assert!(aggregator.is_some());
@@ -632,12 +709,13 @@ mod tests {
     #[test]
     fn learned_route_prepends_own_asn_on_export() {
         let mut r = sample_router();
-        let out = r.handle_update(AsId(2), announce_from(2), SimTime::ZERO);
+        let out = recv(&mut r, AsId(2), pfx(), announce_from(2), SimTime::ZERO);
         // Learned from customer → export to provider AS3 (not back to AS2).
-        assert_eq!(out.sends.len(), 1);
-        let (to, u) = &out.sends[0];
+        let sent = sends(&r, &out);
+        assert_eq!(sent.len(), 1);
+        let (to, u) = &sent[0];
         assert_eq!(*to, AsId(3));
-        match &u.action {
+        match u {
             BgpAction::Announce { path, .. } => assert_eq!(path.asns(), &[AsId(1), AsId(2)]),
             _ => panic!("expected announce"),
         }
@@ -650,8 +728,8 @@ mod tests {
         r.add_session(AsId(3), plain(Relationship::Provider));
         r.add_session(AsId(4), plain(Relationship::Peer));
         r.add_session(AsId(5), plain(Relationship::Customer));
-        let out = r.handle_update(AsId(2), announce_from(2), SimTime::ZERO);
-        let dests: Vec<AsId> = out.sends.iter().map(|(d, _)| *d).collect();
+        let out = recv(&mut r, AsId(2), pfx(), announce_from(2), SimTime::ZERO);
+        let dests: Vec<AsId> = sends(&r, &out).into_iter().map(|(d, _)| d).collect();
         assert_eq!(
             dests,
             vec![AsId(5)],
@@ -662,19 +740,26 @@ mod tests {
     #[test]
     fn withdrawal_retracts_only_where_advertised() {
         let mut r = sample_router();
-        r.handle_update(AsId(2), announce_from(2), SimTime::ZERO);
-        let out = r.handle_update(AsId(2), BgpUpdate::withdraw(pfx()), SimTime::from_secs(1));
-        assert_eq!(out.sends.len(), 1);
-        let (to, u) = &out.sends[0];
+        recv(&mut r, AsId(2), pfx(), announce_from(2), SimTime::ZERO);
+        let out = recv(
+            &mut r,
+            AsId(2),
+            pfx(),
+            BgpAction::Withdraw,
+            SimTime::from_secs(1),
+        );
+        let sent = sends(&r, &out);
+        assert_eq!(sent.len(), 1);
+        let (to, u) = &sent[0];
         assert_eq!(*to, AsId(3));
-        assert!(matches!(u.action, BgpAction::Withdraw));
+        assert!(matches!(u, BgpAction::Withdraw));
         assert!(r.best(pfx()).is_none());
     }
 
     #[test]
     fn duplicate_withdrawal_is_silent() {
         let mut r = sample_router();
-        let out = r.handle_update(AsId(2), BgpUpdate::withdraw(pfx()), SimTime::ZERO);
+        let out = recv(&mut r, AsId(2), pfx(), BgpAction::Withdraw, SimTime::ZERO);
         assert!(out.sends.is_empty());
         assert!(out.loc_rib_change.is_none());
     }
@@ -686,45 +771,53 @@ mod tests {
         r.add_session(AsId(2), plain(Relationship::Customer));
         r.add_session(AsId(4), plain(Relationship::Customer));
         r.add_session(AsId(3), plain(Relationship::Provider));
-        r.handle_update(AsId(2), announce_from(2), SimTime::ZERO);
-        r.handle_update(
+        recv(&mut r, AsId(2), pfx(), announce_from(2), SimTime::ZERO);
+        recv(
+            &mut r,
             AsId(4),
-            BgpUpdate::announce(pfx(), AsPath::from_slice(&[AsId(4), AsId(9)]), None),
+            pfx(),
+            announce(&[4, 9]),
             SimTime::from_secs(1),
         );
         // Best is AS2 (shorter). Withdraw it → switch to AS4's longer path
         // and *announce* (not withdraw) to the provider: path hunting.
         // The best change also retracts the old advertisement towards AS4
         // (now the learning neighbor) and offers the new best to AS2.
-        let out = r.handle_update(AsId(2), BgpUpdate::withdraw(pfx()), SimTime::from_secs(2));
-        let to_provider: Vec<_> = out.sends.iter().filter(|(to, _)| *to == AsId(3)).collect();
+        let out = recv(
+            &mut r,
+            AsId(2),
+            pfx(),
+            BgpAction::Withdraw,
+            SimTime::from_secs(2),
+        );
+        let sent = sends(&r, &out);
+        let to_provider: Vec<_> = sent.iter().filter(|(to, _)| *to == AsId(3)).collect();
         assert_eq!(to_provider.len(), 1);
-        match &to_provider[0].1.action {
+        match &to_provider[0].1 {
             BgpAction::Announce { path, .. } => {
                 assert_eq!(path.asns(), &[AsId(1), AsId(4), AsId(9)]);
             }
             _ => panic!("expected alternative-path announce"),
         }
         // Split horizon: the new advertisement never goes back to AS4.
-        assert!(out
-            .sends
+        assert!(sent
             .iter()
             .filter(|(to, _)| *to == AsId(4))
-            .all(|(_, u)| matches!(u.action, BgpAction::Withdraw)));
+            .all(|(_, u)| matches!(u, BgpAction::Withdraw)));
     }
 
     #[test]
     fn looped_announcement_treated_as_withdrawal() {
         let mut r = sample_router();
-        r.handle_update(AsId(2), announce_from(2), SimTime::ZERO);
+        recv(&mut r, AsId(2), pfx(), announce_from(2), SimTime::ZERO);
         // AS2 now (bogusly) sends a path containing AS1.
-        let looped = BgpUpdate::announce(pfx(), AsPath::from_slice(&[AsId(2), AsId(1)]), None);
-        let out = r.handle_update(AsId(2), looped, SimTime::from_secs(1));
+        let looped = announce(&[2, 1]);
+        let out = recv(&mut r, AsId(2), pfx(), looped, SimTime::from_secs(1));
         assert!(r.best(pfx()).is_none());
         assert!(out
             .sends
             .iter()
-            .any(|(_, u)| matches!(u.action, BgpAction::Withdraw)));
+            .any(|(_, u)| matches!(u, BgpAction::Withdraw)));
     }
 
     #[test]
@@ -739,11 +832,11 @@ mod tests {
         // Flap until suppression: W/A alternating every 60 s.
         for i in 0..40 {
             let out = if i % 2 == 0 {
-                r.handle_update(AsId(2), BgpUpdate::withdraw(pfx()), now)
+                recv(&mut r, AsId(2), pfx(), BgpAction::Withdraw, now)
             } else {
-                r.handle_update(AsId(2), announce_from(2), now)
+                recv(&mut r, AsId(2), pfx(), announce_from(2), now)
             };
-            if let Some(&(_, _, at)) = out.rfd_timers.first() {
+            if let Some(&(_, at)) = out.rfd_timers.first() {
                 suppressed_at = Some((now, at));
                 break;
             }
@@ -754,8 +847,10 @@ mod tests {
         assert!(t_release > t_supp + SimDuration::from_mins(10));
 
         // While suppressed, further updates do not propagate downstream.
-        let out = r.handle_update(
+        let out = recv(
+            &mut r,
             AsId(2),
+            pfx(),
             announce_from(2),
             t_supp + SimDuration::from_secs(60),
         );
@@ -766,17 +861,17 @@ mod tests {
         let mut fire_at = t_release;
         let mut released = false;
         for _ in 0..10 {
-            let out = r.rfd_reuse_fired(AsId(2), pfx(), fire_at);
-            if let Some(&(_, _, at)) = out.rfd_timers.first() {
+            let out = reuse_fired(&mut r, AsId(2), pfx(), fire_at);
+            if let Some(&(_, at)) = out.rfd_timers.first() {
                 fire_at = at;
                 continue;
             }
             // Released: the stored announcement re-exports downstream.
             released = true;
             assert!(
-                out.sends
+                sends(&r, &out)
                     .iter()
-                    .any(|(to, u)| *to == AsId(3) && u.action.is_announce()),
+                    .any(|(to, u)| *to == AsId(3) && u.is_announce()),
                 "release must re-advertise"
             );
             break;
@@ -797,17 +892,17 @@ mod tests {
         r.add_session(AsId(3), plain(Relationship::Provider));
         let mut now = SimTime::ZERO;
         while !r.is_suppressed(AsId(2), pfx()) {
-            r.handle_update(AsId(2), BgpUpdate::withdraw(pfx()), now);
+            recv(&mut r, AsId(2), pfx(), BgpAction::Withdraw, now);
             now += SimDuration::from_secs(30);
-            r.handle_update(AsId(2), announce_from(2), now);
+            recv(&mut r, AsId(2), pfx(), announce_from(2), now);
             now += SimDuration::from_secs(30);
         }
         // Fire deliberately early, then follow the re-arm chain.
         let mut fire_at = now + SimDuration::from_secs(1);
         for _ in 0..100_000 {
-            let out = r.rfd_reuse_fired(AsId(2), pfx(), fire_at);
+            let out = reuse_fired(&mut r, AsId(2), pfx(), fire_at);
             match out.rfd_timers.first() {
-                Some(&(_, _, at)) => {
+                Some(&(_, at)) => {
                     assert!(at > fire_at, "re-arm must move forward: {at} vs {fire_at}");
                     fire_at = at;
                 }
@@ -831,15 +926,12 @@ mod tests {
         let mut now = SimTime::ZERO;
         for i in 0..30 {
             let (u2, u4) = if i % 2 == 0 {
-                (BgpUpdate::withdraw(pfx()), BgpUpdate::withdraw(pfx()))
+                (BgpAction::Withdraw, BgpAction::Withdraw)
             } else {
-                (
-                    announce_from(2),
-                    BgpUpdate::announce(pfx(), AsPath::from_slice(&[AsId(4)]), None),
-                )
+                (announce_from(2), announce(&[4]))
             };
-            r.handle_update(AsId(2), u2, now);
-            r.handle_update(AsId(4), u4, now);
+            recv(&mut r, AsId(2), pfx(), u2, now);
+            recv(&mut r, AsId(4), pfx(), u4, now);
             now += SimDuration::from_secs(60);
         }
         assert!(r.is_suppressed(AsId(2), pfx()));
@@ -860,19 +952,21 @@ mod tests {
             plain(Relationship::Provider).with_mrai(SimDuration::from_secs(30)),
         );
         // First announce passes.
-        let out = r.handle_update(AsId(2), announce_from(2), SimTime::ZERO);
+        let out = recv(&mut r, AsId(2), pfx(), announce_from(2), SimTime::ZERO);
         assert_eq!(out.sends.len(), 1);
         // Attribute change 5 s later defers (gate closed).
-        let changed = BgpUpdate::announce(pfx(), AsPath::from_slice(&[AsId(2), AsId(9)]), None);
-        let out = r.handle_update(AsId(2), changed, SimTime::from_secs(5));
+        let changed = announce(&[2, 9]);
+        let out = recv(&mut r, AsId(2), pfx(), changed, SimTime::from_secs(5));
         assert!(out.sends.is_empty());
         assert_eq!(out.mrai_timers.len(), 1);
-        let (peer, prefix, at) = out.mrai_timers[0];
-        assert_eq!((peer, prefix), (AsId(3), pfx()));
+        let (session, at) = out.mrai_timers[0];
+        assert_eq!(r.peer(session), AsId(3));
         // Expiry flushes the pending (coalesced) announcement.
-        let out = r.mrai_expired(peer, prefix, at);
+        let pid = r.intern(pfx());
+        let mut out = RouterOutput::default();
+        r.mrai_expired(session, pid, at, &mut out);
         assert_eq!(out.sends.len(), 1);
-        assert!(out.sends[0].1.action.is_announce());
+        assert!(out.sends[0].1.is_announce());
     }
 
     #[test]
@@ -882,9 +976,8 @@ mod tests {
         let mut pol = plain(Relationship::Provider);
         pol.prepend_extra = 2;
         r.add_session(AsId(3), pol);
-        let out = r.handle_update(AsId(2), announce_from(2), SimTime::ZERO);
-        let (_, u) = &out.sends[0];
-        match &u.action {
+        let out = recv(&mut r, AsId(2), pfx(), announce_from(2), SimTime::ZERO);
+        match &out.sends[0].1 {
             BgpAction::Announce { path, .. } => {
                 assert_eq!(path.asns(), &[AsId(1), AsId(1), AsId(1), AsId(2)]);
             }
@@ -895,7 +988,7 @@ mod tests {
     #[test]
     fn loc_rib_change_reports_exported_view() {
         let mut r = sample_router();
-        let out = r.handle_update(AsId(2), announce_from(2), SimTime::ZERO);
+        let out = recv(&mut r, AsId(2), pfx(), announce_from(2), SimTime::ZERO);
         let change = out.loc_rib_change.expect("best changed");
         assert_eq!(change.prefix, pfx());
         let route = change.route.expect("announced");
@@ -906,37 +999,38 @@ mod tests {
     fn better_relationship_replaces_current_best() {
         let mut r = sample_router();
         // Provider route first.
-        r.handle_update(
-            AsId(3),
-            BgpUpdate::announce(pfx(), AsPath::from_slice(&[AsId(3)]), None),
-            SimTime::ZERO,
-        );
+        recv(&mut r, AsId(3), pfx(), announce(&[3]), SimTime::ZERO);
         assert!(
             matches!(r.best(pfx()), Some(Selection::Learned { neighbor, .. }) if *neighbor == AsId(3))
         );
         // Customer route displaces it despite equal length.
-        let out = r.handle_update(AsId(2), announce_from(2), SimTime::from_secs(1));
+        let out = recv(
+            &mut r,
+            AsId(2),
+            pfx(),
+            announce_from(2),
+            SimTime::from_secs(1),
+        );
         assert!(
             matches!(r.best(pfx()), Some(Selection::Learned { neighbor, .. }) if *neighbor == AsId(2))
         );
         // The new best is customer-learned → exported to the provider.
-        assert!(out.sends.iter().any(|(to, _)| *to == AsId(3)));
+        assert!(sends(&r, &out).iter().any(|(to, _)| *to == AsId(3)));
     }
 
     #[test]
     fn session_down_withdraws_learned_routes_and_propagates() {
         let mut r = sample_router();
-        r.handle_update(AsId(2), announce_from(2), SimTime::ZERO);
+        recv(&mut r, AsId(2), pfx(), announce_from(2), SimTime::ZERO);
         assert!(r.best(pfx()).is_some());
-        let outs = r.session_down(AsId(2), SimTime::from_secs(10));
+        let outs = session_down(&mut r, AsId(2), SimTime::from_secs(10));
         assert_eq!(outs.len(), 1);
         let (prefix, out) = &outs[0];
         assert_eq!(*prefix, pfx());
         // The loss propagates downstream as a withdrawal to AS3.
-        assert!(out
-            .sends
+        assert!(sends(&r, out)
             .iter()
-            .any(|(to, u)| *to == AsId(3) && matches!(u.action, BgpAction::Withdraw)));
+            .any(|(to, u)| *to == AsId(3) && matches!(u, BgpAction::Withdraw)));
         assert!(r.best(pfx()).is_none());
     }
 
@@ -945,11 +1039,11 @@ mod tests {
         let params = VendorProfile::Cisco.params();
         let mut r = Router::new(AsId(1));
         r.add_session(AsId(2), plain(Relationship::Customer).with_rfd(params));
-        r.handle_update(AsId(2), announce_from(2), SimTime::ZERO);
+        recv(&mut r, AsId(2), pfx(), announce_from(2), SimTime::ZERO);
         let before = r
             .rfd_penalty(AsId(2), pfx(), SimTime::from_secs(10))
             .unwrap();
-        r.session_down(AsId(2), SimTime::from_secs(10));
+        session_down(&mut r, AsId(2), SimTime::from_secs(10));
         let after = r
             .rfd_penalty(AsId(2), pfx(), SimTime::from_secs(10))
             .unwrap();
@@ -964,21 +1058,20 @@ mod tests {
         let mut r = sample_router();
         // AS1 originates one prefix and learns another from AS3.
         let other: Prefix = "10.0.1.0/24".parse().unwrap();
-        r.originate(pfx(), None, SimTime::ZERO);
-        r.handle_update(
-            AsId(3),
-            BgpUpdate::announce(other, AsPath::from_slice(&[AsId(3)]), None),
-            SimTime::ZERO,
-        );
+        originate(&mut r, pfx(), None, SimTime::ZERO);
+        recv(&mut r, AsId(3), other, announce(&[3]), SimTime::ZERO);
         // Session to the customer AS2 resets.
-        r.session_down(AsId(2), SimTime::from_secs(5));
-        let outs = r.session_up(AsId(2), SimTime::from_secs(65));
+        session_down(&mut r, AsId(2), SimTime::from_secs(5));
+        let outs = session_up(&mut r, AsId(2), SimTime::from_secs(65));
         // Both Loc-RIB prefixes re-advertise towards the customer.
         let announced: Vec<Prefix> = outs
             .iter()
-            .flat_map(|(_, out)| out.sends.iter())
-            .filter(|(to, u)| *to == AsId(2) && u.action.is_announce())
-            .map(|(_, u)| u.prefix)
+            .filter(|(_, out)| {
+                sends(&r, out)
+                    .iter()
+                    .any(|(to, u)| *to == AsId(2) && u.is_announce())
+            })
+            .map(|(prefix, _)| *prefix)
             .collect();
         assert!(announced.contains(&pfx()), "origin must re-advertise");
         assert!(
@@ -992,9 +1085,11 @@ mod tests {
         // The receiving side of a re-established session sees the full
         // re-sync as re-advertisement flaps.
         let mut r = sample_router();
-        r.handle_update(AsId(2), announce_from(2), SimTime::ZERO);
-        r.session_down(AsId(2), SimTime::from_secs(10));
-        let entry = r.neighbors[&AsId(2)].adj_in.get(pfx()).unwrap();
+        recv(&mut r, AsId(2), pfx(), announce_from(2), SimTime::ZERO);
+        session_down(&mut r, AsId(2), SimTime::from_secs(10));
+        let pid = r.intern(pfx());
+        let session = r.session_index(AsId(2)).unwrap();
+        let entry = r.sessions[session].adj_in.get(pid);
         assert!(entry.route.is_none(), "session loss withdraws the route");
         assert!(entry.ever_announced, "history survives the reset");
     }
@@ -1002,8 +1097,8 @@ mod tests {
     #[test]
     fn session_down_without_session_or_routes_is_silent() {
         let mut r = sample_router();
-        assert!(r.session_down(AsId(99), SimTime::ZERO).is_empty());
-        assert!(r.session_down(AsId(2), SimTime::ZERO).is_empty());
-        assert!(r.session_up(AsId(99), SimTime::ZERO).is_empty());
+        assert_eq!(r.session_index(AsId(99)), None, "no session to reset");
+        assert!(session_down(&mut r, AsId(2), SimTime::ZERO).is_empty());
+        assert!(session_up(&mut r, AsId(2), SimTime::ZERO).is_empty());
     }
 }

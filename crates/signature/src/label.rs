@@ -159,11 +159,15 @@ pub fn label_dump_with_outages(
     config: &LabelingConfig,
     outages: &BTreeMap<AsId, (SimTime, SimTime)>,
 ) -> Vec<LabeledPath> {
+    // Group only this schedule's records: per vantage point, ascending,
+    // each group in dump (time) order.
+    let prefix = schedule.prefix;
+    let mut by_vantage: BTreeMap<AsId, Vec<&UpdateRecord>> = BTreeMap::new();
+    for r in dump.records().iter().filter(|r| r.prefix == prefix) {
+        by_vantage.entry(r.vantage).or_default().push(r);
+    }
     let mut out = Vec::new();
-    for ((vantage, prefix), records) in dump.by_vantage_prefix() {
-        if prefix != schedule.prefix {
-            continue;
-        }
+    for (vantage, records) in by_vantage {
         let outage = outages.get(&vantage).copied();
         let outcomes = pair_outcomes_with_outage(&records, schedule, config, outage);
         // Aggregate per path: (observable, matching, r/break deltas,

@@ -80,6 +80,23 @@ for bin in appendix_b_defaults fig02_penalty_trace fig05_signature \
 done
 (cd "$artifacts/golden" && sha256sum --quiet -c "$root/tests/golden_stdout_tiny.sha256")
 
+echo "==> e2ebench traced replay (digests and counts unchanged)"
+cargo build --release --offline --quiet --manifest-path e2ebench/Cargo.toml
+for pair in rfd_small:e928da9cd512103f multi_interval_faults:44603a0514b4af45; do
+    workload="${pair%%:*}"
+    ./e2ebench/target/release/e2ebench --workload "$workload" --seed 2020 \
+        --seconds 1 --trace 1 > "$artifacts/e2ebench.$workload.txt" 2> /dev/null
+    python3 - "$artifacts/e2ebench.$workload.txt" "${pair##*:}" <<'PY'
+import json, sys
+path, want = sys.argv[1:3]
+lines = open(path).read().splitlines()
+result, run = json.loads(lines[-1]), json.loads(lines[-2])["run"]
+assert result["correct"] is True, f"{path}: correct is {result['correct']}"
+assert result["failed"] == 0, f"{path}: {result['failed']} failed runs"
+assert run["digest"] == want, f"{path}: digest {run['digest']}, want {want}"
+PY
+done
+
 echo "==> serve/dash smoke test (fig09 with --serve + --dash, live scrape)"
 : > "$artifacts/fig09.serve.err"
 REPRO_SCALE=tiny REPRO_SERVE_LINGER_SECS=60 ./target/release/fig09_marginals \
