@@ -1,0 +1,100 @@
+//! Exact-value pins of the two MCMC kernels.
+//!
+//! The sampler tests elsewhere check statistical properties (means,
+//! acceptance, convergence) or compare two runs of the same build, so a
+//! kernel change that moves a draw by one ulp passes them all. These
+//! tests compare one `Analysis::run` against digests recorded from a
+//! known-good build: an FNV-1a digest over the bits of every MH and HMC
+//! draw, chain by chain, and one over the final category vector. Any
+//! change to an RNG draw, to the order of a floating-point sum in the
+//! likelihood, its gradient or the prior, or to the adaptation schedule
+//! moves at least one of them.
+//!
+//! Re-record the constants only for a deliberate, documented change of
+//! sampler semantics.
+
+use because::chain::{Chain, ChainConfig};
+use because::model::{NodeId, PathData, PathObservation};
+use because::{Analysis, AnalysisConfig, Prior};
+
+/// 64-bit FNV-1a, continued from `h`.
+fn fnv1a_from(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Digest of every draw of every chain, in chain order.
+fn draws_digest(chains: &[Chain]) -> u64 {
+    chains.iter().fold(FNV_OFFSET, |h, c| {
+        c.flat()
+            .iter()
+            .fold(h, |h, x| fnv1a_from(h, &x.to_bits().to_le_bytes()))
+    })
+}
+
+/// Twelve ASs on paths of one to five hops: showing and non-showing
+/// paths, most observed several times so the collapsed weights exceed 1.
+fn dataset() -> PathData {
+    let paths: &[(&[u32], bool, u32)] = &[
+        (&[1], true, 6),
+        (&[1, 2], true, 4),
+        (&[2, 3], false, 5),
+        (&[3, 4, 5], false, 3),
+        (&[4, 6], true, 2),
+        (&[5, 6, 7, 8], true, 3),
+        (&[7, 8], false, 7),
+        (&[8, 9, 10, 11, 12], true, 1),
+        (&[9, 10], false, 4),
+        (&[11, 12], false, 2),
+        (&[1, 9, 12], true, 3),
+        (&[6], false, 1),
+        (&[2, 5, 10, 12, 3], false, 2),
+    ];
+    let mut obs = Vec::new();
+    for &(ids, shows, copies) in paths {
+        for _ in 0..copies {
+            obs.push(PathObservation::new(
+                ids.iter().map(|&i| NodeId(i)).collect(),
+                shows,
+            ));
+        }
+    }
+    PathData::from_observations(&obs, &[])
+}
+
+#[test]
+fn mh_and_hmc_draws_match_recorded_pins() {
+    let data = dataset();
+    assert!(data.paths().any(|p| p.weight > 1));
+    let config = AnalysisConfig {
+        prior: Prior::default(),
+        chain: ChainConfig {
+            warmup: 100,
+            samples: 150,
+            thin: 1,
+        },
+        n_chains: 2,
+        seed: 2020,
+        ..AnalysisConfig::default()
+    };
+    let a = Analysis::run(&data, &config);
+    assert_eq!(a.mh_chains.len(), 2);
+    assert_eq!(a.hmc_chains.len(), 2);
+    let categories: Vec<u8> = a.reports.iter().map(|r| r.category.value()).collect();
+    assert_eq!(
+        (
+            draws_digest(&a.mh_chains),
+            draws_digest(&a.hmc_chains),
+            fnv1a_from(FNV_OFFSET, &categories),
+        ),
+        (
+            0xd1b7_e6c9_c0f7_7b4d,
+            0x1b9b_116b_b2f7_db98,
+            0xc393_457c_0db6_57a6
+        ),
+        "sampler draws drifted from their recorded pins"
+    );
+}
