@@ -1,7 +1,8 @@
 //! Likelihood kernels — the inner loop of both samplers.
 //!
-//! * `eval` / `grad`: full-dataset log-likelihood and gradient (the HMC
-//!   leapfrog cost), over growing dataset sizes.
+//! * `eval` / `eval_grad`: full-dataset log-likelihood, and the fused
+//!   log-likelihood + gradient pass (the HMC leapfrog cost), over growing
+//!   dataset sizes.
 //! * `incremental_vs_full`: the ablation DESIGN.md calls out — a
 //!   component-wise update via the incremental cache versus recomputing
 //!   the full likelihood, which is the difference that makes MH viable
@@ -31,7 +32,7 @@ fn bench_grad(c: &mut Criterion) {
     let mut group = c.benchmark_group("likelihood_grad");
     for &(nodes, paths) in &[(50u32, 200usize), (200, 1000), (500, 4000), (800, 6000)] {
         let data = synthetic_paths(nodes, paths, 0.2, 2);
-        let ll = LogLikelihood::new(&data);
+        let mut ll = LogLikelihood::new(&data);
         let p = mid_p(&data);
         let mut g = vec![0.0; data.num_nodes()];
         group.bench_with_input(
@@ -39,7 +40,7 @@ fn bench_grad(c: &mut Criterion) {
             &(),
             |b, _| {
                 b.iter(|| {
-                    ll.grad(black_box(&p), &mut g);
+                    black_box(ll.eval_grad(black_box(&p), &mut g));
                     black_box(&g);
                 })
             },
@@ -52,13 +53,14 @@ fn bench_grad(c: &mut Criterion) {
 /// ablation behind the `BENCH_*.json` speedup numbers. The threshold
 /// override pins each side: `usize::MAX` forces serial, `0` forces the
 /// scoped-thread path (which still collapses to one chunk on a 1-core
-/// host, bounding the parallel overhead).
+/// host, bounding the parallel overhead). The `grad_*` labels time the
+/// fused `eval_grad` pass; they keep BENCH_0001's names.
 fn bench_parallel_vs_serial(c: &mut Criterion) {
     let mut group = c.benchmark_group("likelihood_parallel");
     let data = synthetic_paths(800, 6000, 0.2, 4);
     let p = mid_p(&data);
-    let serial = LogLikelihood::new(&data).with_parallel_threshold(usize::MAX);
-    let parallel = LogLikelihood::new(&data).with_parallel_threshold(0);
+    let mut serial = LogLikelihood::new(&data).with_parallel_threshold(usize::MAX);
+    let mut parallel = LogLikelihood::new(&data).with_parallel_threshold(0);
     let mut g = vec![0.0; data.num_nodes()];
 
     group.bench_function("eval_serial", |b| {
@@ -69,13 +71,13 @@ fn bench_parallel_vs_serial(c: &mut Criterion) {
     });
     group.bench_function("grad_serial", |b| {
         b.iter(|| {
-            serial.grad(black_box(&p), &mut g);
+            black_box(serial.eval_grad(black_box(&p), &mut g));
             black_box(&g);
         })
     });
     group.bench_function("grad_parallel", |b| {
         b.iter(|| {
-            parallel.grad(black_box(&p), &mut g);
+            black_box(parallel.eval_grad(black_box(&p), &mut g));
             black_box(&g);
         })
     });

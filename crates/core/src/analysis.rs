@@ -139,6 +139,40 @@ pub struct ChainFailure {
     pub reason: String,
 }
 
+/// Convergence diagnostics of one kernel's chains.
+#[derive(Clone, Copy, Debug)]
+pub struct KernelDiagnostics {
+    /// Worst split-R̂ across coordinates (NaN with fewer than two chains).
+    pub max_r_hat: f64,
+    /// Worst rank-normalized split-R̂ across coordinates (NaN with fewer
+    /// than two chains).
+    pub max_rank_r_hat: f64,
+    /// Smallest bulk ESS across coordinates (NaN without draws).
+    pub min_ess_bulk: f64,
+    /// Smallest tail ESS across coordinates (NaN without draws).
+    pub min_ess_tail: f64,
+}
+
+impl KernelDiagnostics {
+    /// Diagnose one kernel's chains (all NaN when it did not run).
+    pub(crate) fn of(chains: &[Chain]) -> Self {
+        // Multi-chain R̂ statistics need at least two chains to compare.
+        let multi = |f: fn(&[Chain]) -> f64| {
+            if chains.len() > 1 {
+                f(chains)
+            } else {
+                f64::NAN
+            }
+        };
+        KernelDiagnostics {
+            max_r_hat: multi(diagnostics::max_r_hat),
+            max_rank_r_hat: multi(diagnostics::max_rank_r_hat),
+            min_ess_bulk: diagnostics::min_ess_bulk(chains),
+            min_ess_tail: diagnostics::min_ess_tail(chains),
+        }
+    }
+}
+
 /// The complete analysis output.
 #[derive(Clone, Debug)]
 pub struct Analysis {
@@ -162,6 +196,11 @@ pub struct Analysis {
     /// Smallest tail ESS (5 %/95 % indicator) across coordinates and
     /// kernels.
     pub min_ess_tail: f64,
+    /// The MH chains' own diagnostics (all NaN if MH did not run); the
+    /// pooled fields above are the NaN-aware worst of the two kernels.
+    pub mh_diagnostics: KernelDiagnostics,
+    /// The HMC chains' own diagnostics (all NaN if HMC did not run).
+    pub hmc_diagnostics: KernelDiagnostics,
     /// Per-HMC-chain E-BFMI over the recorded trajectory energies
     /// (empty if HMC did not run).
     pub e_bfmi: Vec<f64>,
@@ -443,30 +482,18 @@ impl Analysis {
                 (true, _) => b,
             }
         }
-        // Multi-chain R̂ statistics need at least two chains to compare.
-        let multi = |chains: &[Chain], f: fn(&[Chain]) -> f64| {
-            if chains.len() > 1 {
-                f(chains)
-            } else {
-                f64::NAN
-            }
-        };
-        let max_r_hat = nan_max(
-            multi(&mh_chains, diagnostics::max_r_hat),
-            multi(&hmc_chains, diagnostics::max_r_hat),
-        );
-        let max_rank_r_hat = nan_max(
-            multi(&mh_chains, diagnostics::max_rank_r_hat),
-            multi(&hmc_chains, diagnostics::max_rank_r_hat),
-        );
-        let min_ess_bulk = nan_min(
-            diagnostics::min_ess_bulk(&mh_chains),
-            diagnostics::min_ess_bulk(&hmc_chains),
-        );
-        let min_ess_tail = nan_min(
-            diagnostics::min_ess_tail(&mh_chains),
-            diagnostics::min_ess_tail(&hmc_chains),
-        );
+        // The two kernels' diagnostics are independent pure functions of
+        // their chains: compute them side by side.
+        let (mh_diagnostics, hmc_diagnostics) = std::thread::scope(|scope| {
+            let mh = scope.spawn(|| KernelDiagnostics::of(&mh_chains));
+            let hmc = KernelDiagnostics::of(&hmc_chains);
+            (mh.join().expect("MH diagnostics panicked"), hmc)
+        });
+        let (mh, hmc) = (&mh_diagnostics, &hmc_diagnostics);
+        let max_r_hat = nan_max(mh.max_r_hat, hmc.max_r_hat);
+        let max_rank_r_hat = nan_max(mh.max_rank_r_hat, hmc.max_rank_r_hat);
+        let min_ess_bulk = nan_min(mh.min_ess_bulk, hmc.min_ess_bulk);
+        let min_ess_tail = nan_min(mh.min_ess_tail, hmc.min_ess_tail);
         let e_bfmi: Vec<f64> = hmc_chains
             .iter()
             .map(|c| diagnostics::e_bfmi(c.energies()))
@@ -481,6 +508,8 @@ impl Analysis {
             max_rank_r_hat,
             min_ess_bulk,
             min_ess_tail,
+            mh_diagnostics,
+            hmc_diagnostics,
             e_bfmi,
             mh_secs,
             hmc_secs,
@@ -492,12 +521,22 @@ impl Analysis {
     }
 
     /// Export kernel and diagnostics metrics into a run report: one
-    /// `because.<kernel>` section per kernel that ran, plus
-    /// `because.diagnostics`.
+    /// `because.<kernel>` section per kernel that ran (with that kernel's
+    /// own ESS), plus `because.diagnostics` (pooled across kernels).
     pub fn export_obs(&self, report: &mut obs::RunReport) {
-        for (label, chains, wall) in [
-            ("because.mh", &self.mh_chains, self.mh_secs),
-            ("because.hmc", &self.hmc_chains, self.hmc_secs),
+        for (label, chains, wall, diag) in [
+            (
+                "because.mh",
+                &self.mh_chains,
+                self.mh_secs,
+                &self.mh_diagnostics,
+            ),
+            (
+                "because.hmc",
+                &self.hmc_chains,
+                self.hmc_secs,
+                &self.hmc_diagnostics,
+            ),
         ] {
             if chains.is_empty() {
                 continue;
@@ -512,6 +551,8 @@ impl Analysis {
                 .counter("likelihood_evals", pooled.likelihood_evals)
                 .counter("grad_evals", pooled.grad_evals)
                 .gauge("accept_rate", pooled.accept_rate)
+                .gauge("min_ess_bulk", diag.min_ess_bulk)
+                .gauge("min_ess_tail", diag.min_ess_tail)
                 .span_secs("warmup_secs", pooled.warmup_secs)
                 .span_secs("sampling_secs", pooled.sampling_secs)
                 .span_secs("wall_secs", wall);
@@ -752,6 +793,56 @@ mod tests {
         // Rank diagnostics still come from the MH chains.
         assert!(a.max_rank_r_hat.is_finite());
         assert!(a.min_ess_bulk.is_finite());
+    }
+
+    #[test]
+    fn per_kernel_diagnostics_pool_into_the_headline_fields() {
+        let obs = observations(&[(&[1], true), (&[1, 2], true), (&[2], false)], 10);
+        let data = PathData::from_observations(&obs, &[]);
+        let a = Analysis::run(&data, &AnalysisConfig::fast(10));
+        let (mh, hmc) = (a.mh_diagnostics, a.hmc_diagnostics);
+        for d in [mh, hmc] {
+            assert!(d.min_ess_bulk.is_finite() && d.min_ess_tail.is_finite());
+            assert!(d.max_r_hat.is_finite() && d.max_rank_r_hat.is_finite());
+        }
+        assert_eq!(a.min_ess_bulk, mh.min_ess_bulk.min(hmc.min_ess_bulk));
+        assert_eq!(a.min_ess_tail, mh.min_ess_tail.min(hmc.min_ess_tail));
+        assert_eq!(a.max_r_hat, mh.max_r_hat.max(hmc.max_r_hat));
+        assert_eq!(a.max_rank_r_hat, mh.max_rank_r_hat.max(hmc.max_rank_r_hat));
+        assert_eq!(
+            mh.min_ess_bulk.to_bits(),
+            diagnostics::min_ess_bulk(&a.mh_chains).to_bits()
+        );
+        assert_eq!(
+            hmc.min_ess_tail.to_bits(),
+            diagnostics::min_ess_tail(&a.hmc_chains).to_bits()
+        );
+
+        let mut report = obs::RunReport::new("test");
+        a.export_obs(&mut report);
+        for (section, d) in [("because.mh", mh), ("because.hmc", hmc)] {
+            let s = report.get(section).unwrap();
+            assert!(
+                matches!(s.get("min_ess_bulk"), Some(obs::Value::Gauge(v)) if *v == d.min_ess_bulk),
+                "{section} min_ess_bulk"
+            );
+            assert!(
+                matches!(s.get("min_ess_tail"), Some(obs::Value::Gauge(v)) if *v == d.min_ess_tail),
+                "{section} min_ess_tail"
+            );
+        }
+
+        // A kernel that did not run has no diagnostics of its own, and
+        // the pooled fields fall back to the other kernel's.
+        let cfg = AnalysisConfig {
+            run_mh: false,
+            ..AnalysisConfig::fast(10)
+        };
+        let b = Analysis::run(&data, &cfg);
+        assert!(b.mh_diagnostics.min_ess_bulk.is_nan());
+        assert!(b.mh_diagnostics.max_rank_r_hat.is_nan());
+        assert_eq!(b.min_ess_bulk, b.hmc_diagnostics.min_ess_bulk);
+        assert_eq!(b.max_rank_r_hat, b.hmc_diagnostics.max_rank_r_hat);
     }
 
     #[test]

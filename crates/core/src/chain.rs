@@ -43,6 +43,11 @@ pub trait Sampler {
     /// iteration index and the warmup length. Kernels freeze their tuned
     /// parameters when `iter + 1 == total`.
     fn adapt(&mut self, iter: usize, total: usize);
+    /// Called once when the warmup phase ends, also when it had no
+    /// iterations (so [`Self::adapt`] never ran): a kernel that is still
+    /// adapting must freeze here, or the retained draws would not come
+    /// from a fixed kernel.
+    fn end_warmup(&mut self) {}
     /// Overall acceptance rate so far.
     fn acceptance_rate(&self) -> f64;
     /// Total proposals made so far (the denominator of
@@ -362,6 +367,7 @@ pub fn run_chain_observed<S: Sampler, O: ProgressObserver>(
             });
         }
     }
+    sampler.end_warmup();
     if every > 0 {
         observer.end_phase(chain_index, kind, ChainPhase::Warmup);
     }

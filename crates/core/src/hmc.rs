@@ -19,7 +19,14 @@
 //! ```
 //!
 //! The step size is tuned during warmup by dual averaging (Nesterov-style,
-//! as in NUTS) towards an 80 % acceptance target and frozen afterwards.
+//! as in NUTS) towards an 80 % acceptance target and frozen afterwards
+//! (immediately, for a chain with no warmup).
+//!
+//! Each leapfrog step costs one fused likelihood-and-gradient pass
+//! ([`LogLikelihood::eval_grad`]) plus one pass over the nodes for the
+//! prior and the Jacobian, with the Beta normaliser evaluated once per
+//! kernel. The trajectory runs in buffers owned by the kernel, so a
+//! step allocates nothing.
 
 use netsim::SimRng;
 
@@ -28,10 +35,44 @@ use crate::checkpoint::{CheckpointError, Checkpointable, Reader, Writer};
 use crate::likelihood::LogLikelihood;
 use crate::math::sigmoid;
 use crate::model::PathData;
-use crate::prior::Prior;
+use crate::prior::{NormalisedPrior, Prior};
 
 /// Dual-averaging target acceptance probability.
 const TARGET_ACCEPT: f64 = 0.8;
+
+/// The logit-space log posterior and its θ-gradient, with the scratch
+/// buffers one evaluation needs.
+struct LogPosterior<'a> {
+    likelihood: LogLikelihood<'a>,
+    prior: NormalisedPrior,
+    /// `p = sigmoid(θ)` of the point being evaluated.
+    p: Vec<f64>,
+    /// `∂ log P(D|p) / ∂ p` at that point.
+    grad_p: Vec<f64>,
+    /// Evaluations so far (one per leapfrog step, plus the initial one).
+    evals: u64,
+}
+
+impl LogPosterior<'_> {
+    /// Log posterior at `theta`, with its θ-gradient written into `grad`.
+    ///
+    /// Keep the accumulation as is: `log_post` starts at the likelihood
+    /// and adds `log prior + ln jac` node by node, in index order. The
+    /// golden outputs pin its rounding (DESIGN.md §5c).
+    fn eval_grad(&mut self, theta: &[f64], grad: &mut [f64]) -> f64 {
+        self.evals += 1;
+        for (pi, &ti) in self.p.iter_mut().zip(theta) {
+            *pi = sigmoid(ti);
+        }
+        let mut log_post = self.likelihood.eval_grad(&self.p, &mut self.grad_p);
+        for ((g, &p), &grad_p) in grad.iter_mut().zip(&self.p).zip(&self.grad_p) {
+            let jac = (p * (1.0 - p)).max(1e-18);
+            log_post += self.prior.log_density(p) + jac.ln();
+            *g = (grad_p + self.prior.grad(p)) * jac + (1.0 - 2.0 * p);
+        }
+        log_post
+    }
+}
 
 /// HMC kernel in logit space.
 pub struct Hmc<'a> {
@@ -39,8 +80,7 @@ pub struct Hmc<'a> {
     p: Vec<f64>,
     log_post: f64,
     grad_theta: Vec<f64>,
-    likelihood: LogLikelihood<'a>,
-    prior: Prior,
+    target: LogPosterior<'a>,
     /// Leapfrog steps per trajectory.
     leapfrog_steps: usize,
     /// Current step size.
@@ -54,14 +94,14 @@ pub struct Hmc<'a> {
     accepted: u64,
     proposed: u64,
     divergences: u64,
-    /// Likelihood eval+grad pairs computed (one per leapfrog step).
-    evals: u64,
     /// Total energy `H = −log π + kinetic` at the start of the most
     /// recent trajectory — the series the E-BFMI diagnostic needs.
     last_energy: f64,
-    // Scratch buffers.
-    scratch_p: Vec<f64>,
-    scratch_grad_p: Vec<f64>,
+    // Trajectory buffers, reused across steps: the momentum, and the
+    // proposed θ and its gradient (swapped into the state on accept).
+    momentum: Vec<f64>,
+    theta_prop: Vec<f64>,
+    grad_prop: Vec<f64>,
 }
 
 impl<'a> Hmc<'a> {
@@ -70,15 +110,22 @@ impl<'a> Hmc<'a> {
         assert_eq!(init_p.len(), data.num_nodes(), "init dimension mismatch");
         let n = init_p.len();
         let theta: Vec<f64> = init_p.iter().map(|&p| crate::math::logit(p)).collect();
-        let likelihood = LogLikelihood::new(data);
+        let mut target = LogPosterior {
+            likelihood: LogLikelihood::new(data),
+            prior: prior.normalised(),
+            p: vec![0.0; n],
+            grad_p: vec![0.0; n],
+            evals: 0,
+        };
+        let mut grad_theta = vec![0.0; n];
+        let log_post = target.eval_grad(&theta, &mut grad_theta);
         let step_size = 0.1 / (n.max(1) as f64).powf(0.25);
         let mut hmc = Hmc {
             theta,
             p: vec![0.0; n],
-            log_post: 0.0,
-            grad_theta: vec![0.0; n],
-            likelihood,
-            prior,
+            log_post,
+            grad_theta,
+            target,
             leapfrog_steps: 20,
             step_size,
             mu: (10.0 * step_size).ln(),
@@ -89,14 +136,11 @@ impl<'a> Hmc<'a> {
             accepted: 0,
             proposed: 0,
             divergences: 0,
-            evals: 0,
             last_energy: f64::NAN,
-            scratch_p: vec![0.0; n],
-            scratch_grad_p: vec![0.0; n],
+            momentum: vec![0.0; n],
+            theta_prop: vec![0.0; n],
+            grad_prop: vec![0.0; n],
         };
-        let (lp, grad) = hmc.log_post_and_grad(&hmc.theta.clone());
-        hmc.log_post = lp;
-        hmc.grad_theta = grad;
         hmc.refresh_p();
         hmc
     }
@@ -124,28 +168,6 @@ impl<'a> Hmc<'a> {
             *pi = sigmoid(ti);
         }
     }
-
-    /// Log posterior and its θ-gradient at `theta`.
-    fn log_post_and_grad(&mut self, theta: &[f64]) -> (f64, Vec<f64>) {
-        let n = theta.len();
-        self.evals += 1;
-        for (pi, &ti) in self.scratch_p.iter_mut().zip(theta) {
-            *pi = sigmoid(ti);
-        }
-        let ll = self.likelihood.eval(&self.scratch_p);
-        self.likelihood
-            .grad(&self.scratch_p, &mut self.scratch_grad_p);
-
-        let mut log_post = ll;
-        let mut grad = vec![0.0; n];
-        for (i, g) in grad.iter_mut().enumerate() {
-            let p = self.scratch_p[i];
-            let jac = (p * (1.0 - p)).max(1e-18);
-            log_post += self.prior.log_density(p) + jac.ln();
-            *g = (self.scratch_grad_p[i] + self.prior.grad(p)) * jac + (1.0 - 2.0 * p);
-        }
-        (log_post, grad)
-    }
 }
 
 impl Sampler for Hmc<'_> {
@@ -158,29 +180,28 @@ impl Sampler for Hmc<'_> {
     }
 
     fn step(&mut self, rng: &mut SimRng) {
-        let n = self.theta.len();
         let eps = self.step_size;
 
         // Fresh Gaussian momentum.
-        let mut r: Vec<f64> = (0..n).map(|_| rng.gaussian()).collect();
-        let kinetic0: f64 = 0.5 * r.iter().map(|v| v * v).sum::<f64>();
+        for r in &mut self.momentum {
+            *r = rng.gaussian();
+        }
+        let kinetic0: f64 = 0.5 * self.momentum.iter().map(|v| v * v).sum::<f64>();
         let h0 = -self.log_post + kinetic0;
         self.last_energy = h0;
 
-        // Leapfrog trajectory.
-        let mut theta = self.theta.clone();
-        let mut grad = self.grad_theta.clone();
+        // Leapfrog trajectory, from the current state.
+        self.theta_prop.copy_from_slice(&self.theta);
         // Half-step momentum.
-        for i in 0..n {
-            r[i] += 0.5 * eps * grad[i];
+        for (r, &g) in self.momentum.iter_mut().zip(&self.grad_theta) {
+            *r += 0.5 * eps * g;
         }
         let mut diverged = false;
         for step in 0..self.leapfrog_steps {
-            for i in 0..n {
-                theta[i] += eps * r[i];
+            for (t, &r) in self.theta_prop.iter_mut().zip(&self.momentum) {
+                *t += eps * r;
             }
-            let (lp, g) = self.log_post_and_grad(&theta);
-            grad = g;
+            let lp = self.target.eval_grad(&self.theta_prop, &mut self.grad_prop);
             if !lp.is_finite() {
                 diverged = true;
                 break;
@@ -190,20 +211,20 @@ impl Sampler for Hmc<'_> {
             } else {
                 1.0
             };
-            for i in 0..n {
-                r[i] += coeff * eps * grad[i];
+            for (r, &g) in self.momentum.iter_mut().zip(&self.grad_prop) {
+                *r += coeff * eps * g;
             }
             if step + 1 == self.leapfrog_steps {
                 // Metropolis correction on the total energy.
-                let kinetic1: f64 = 0.5 * r.iter().map(|v| v * v).sum::<f64>();
+                let kinetic1: f64 = 0.5 * self.momentum.iter().map(|v| v * v).sum::<f64>();
                 let h1 = -lp + kinetic1;
                 let log_alpha = (h0 - h1).min(0.0);
                 self.proposed += 1;
                 let alpha = log_alpha.exp();
                 if rng.uniform() < alpha {
-                    self.theta = theta.clone();
+                    std::mem::swap(&mut self.theta, &mut self.theta_prop);
+                    std::mem::swap(&mut self.grad_theta, &mut self.grad_prop);
                     self.log_post = lp;
-                    self.grad_theta = grad.clone();
                     self.refresh_p();
                     self.accepted += 1;
                 }
@@ -225,9 +246,19 @@ impl Sampler for Hmc<'_> {
     }
 
     fn adapt(&mut self, iter: usize, total: usize) {
-        if iter + 1 == total && self.adapting {
+        if iter + 1 == total {
+            self.end_warmup();
+        }
+    }
+
+    fn end_warmup(&mut self) {
+        if self.adapting {
             self.adapting = false;
-            self.step_size = self.log_eps_bar.exp();
+            // With no warmup there was no dual averaging: keep the
+            // initial step size rather than `exp(ln ε₀)`.
+            if self.adapt_iter > 0 {
+                self.step_size = self.log_eps_bar.exp();
+            }
         }
     }
 
@@ -252,12 +283,12 @@ impl Sampler for Hmc<'_> {
     }
 
     fn likelihood_evals(&self) -> u64 {
-        self.evals
+        self.target.evals
     }
 
     fn grad_evals(&self) -> u64 {
-        // eval and grad always run as a pair in `log_post_and_grad`.
-        self.evals
+        // Every evaluation is a fused likelihood-and-gradient pass.
+        self.target.evals
     }
 
     fn energy(&self) -> f64 {
@@ -281,7 +312,7 @@ impl Checkpointable for Hmc<'_> {
         w.u64(self.accepted);
         w.u64(self.proposed);
         w.u64(self.divergences);
-        w.u64(self.evals);
+        w.u64(self.target.evals);
         w.f64(self.last_energy);
     }
 
@@ -309,7 +340,7 @@ impl Checkpointable for Hmc<'_> {
         self.accepted = r.u64()?;
         self.proposed = r.u64()?;
         self.divergences = r.u64()?;
-        self.evals = r.u64()?;
+        self.target.evals = r.u64()?;
         self.last_energy = r.f64()?;
         if self.grad_theta.len() != n || self.leapfrog_steps == 0 {
             return Err(CheckpointError::Mismatch(
@@ -554,6 +585,96 @@ mod tests {
             s.step(&mut rng);
         }
         assert_eq!(s.step_size(), eps, "post-warmup step size must not move");
+    }
+
+    /// Forwards to an [`Hmc`] and records its step size after every
+    /// step, so a test can watch adaptation through a chain driver.
+    struct StepSizeProbe<'a> {
+        inner: Hmc<'a>,
+        seen: std::sync::Arc<std::sync::Mutex<Vec<f64>>>,
+    }
+
+    impl Sampler for StepSizeProbe<'_> {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+        fn state(&self) -> &[f64] {
+            self.inner.state()
+        }
+        fn step(&mut self, rng: &mut SimRng) {
+            self.inner.step(rng);
+            self.seen.lock().unwrap().push(self.inner.step_size());
+        }
+        fn adapt(&mut self, iter: usize, total: usize) {
+            self.inner.adapt(iter, total);
+        }
+        fn end_warmup(&mut self) {
+            self.inner.end_warmup();
+        }
+        fn acceptance_rate(&self) -> f64 {
+            self.inner.acceptance_rate()
+        }
+        fn proposals(&self) -> u64 {
+            self.inner.proposals()
+        }
+        fn kind(&self) -> SamplerKind {
+            self.inner.kind()
+        }
+    }
+
+    impl Checkpointable for StepSizeProbe<'_> {
+        fn save_sampler(&self, w: &mut Writer) {
+            self.inner.save_sampler(w);
+        }
+        fn restore_sampler(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
+            self.inner.restore_sampler(r)
+        }
+    }
+
+    #[test]
+    fn no_warmup_keeps_the_initial_step_size() {
+        // Regression: adaptation used to freeze only inside `adapt`, which
+        // the drivers call during warmup alone, so a `warmup: 0` chain ran
+        // dual averaging on every retained draw.
+        let d = data(&[(&[1, 2], true), (&[2, 3], false), (&[3], true)], 6);
+        let cfg = ChainConfig {
+            warmup: 0,
+            samples: 60,
+            thin: 1,
+        };
+        let initial = Hmc::new(&d, Prior::default(), vec![0.5; d.num_nodes()]).step_size();
+        let check = |seen: &std::sync::Mutex<Vec<f64>>, driver: &str| {
+            let seen = seen.lock().unwrap();
+            assert_eq!(seen.len(), cfg.samples, "{driver}: one entry per draw");
+            for (k, &eps) in seen.iter().enumerate() {
+                assert_eq!(eps, initial, "{driver}: step size moved at draw {k}");
+            }
+        };
+
+        let seen = std::sync::Arc::default();
+        let mut rng = SimRng::new(21);
+        let probe = StepSizeProbe {
+            inner: Hmc::from_prior(&d, Prior::default(), &mut rng),
+            seen: std::sync::Arc::clone(&seen),
+        };
+        run_chain(probe, &cfg, &mut rng);
+        check(&seen, "run_chain");
+
+        let seen = std::sync::Arc::default();
+        let run = crate::supervisor::run_chains_supervised(
+            |_, r: &mut SimRng| StepSizeProbe {
+                inner: Hmc::from_prior(&d, Prior::default(), r),
+                seen: std::sync::Arc::clone(&seen),
+            },
+            |_| crate::progress::NoProgress,
+            1,
+            &cfg,
+            &SimRng::new(22),
+            &crate::supervisor::SupervisorConfig::default(),
+            "hmc",
+        );
+        assert_eq!(run.into_parts().0.len(), 1);
+        check(&seen, "run_chains_supervised");
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub mod progress;
 pub mod summary;
 pub mod supervisor;
 
-pub use analysis::{Analysis, AnalysisConfig, AsReport, ChainFailure};
+pub use analysis::{Analysis, AnalysisConfig, AsReport, ChainFailure, KernelDiagnostics};
 pub use category::Category;
 pub use chain::{Chain, SamplerKind};
 pub use checkpoint::{CheckpointError, Checkpointable};

@@ -16,17 +16,31 @@
 //!
 //! ## Parallel full evaluation
 //!
-//! [`LogLikelihood::eval`] and [`LogLikelihood::grad`] walk the CSR path
-//! arena in contiguous chunks and, above a tunable path-count threshold
-//! ([`LogLikelihood::with_parallel_threshold`], default
+//! [`LogLikelihood::eval`] and [`LogLikelihood::eval_grad`] walk the CSR
+//! path arena in contiguous chunks and, above a tunable path-count
+//! threshold ([`LogLikelihood::with_parallel_threshold`], default
 //! [`DEFAULT_PARALLEL_THRESHOLD`]), fan the chunks out over scoped
 //! threads — the same dependency-free pattern as
 //! [`crate::chain::run_chains`]. Each thread reduces into a private
-//! accumulator (a scalar for `eval`, a gradient buffer for `grad`) that is
-//! summed on the calling thread, so results are deterministic up to
-//! float-addition order within a fixed thread count. Below the threshold,
-//! or on a single-core host, the evaluation stays serial with zero
-//! threading overhead.
+//! accumulator (a scalar for `eval`, a `(total, gradient)` pair for
+//! `eval_grad`), and the partials are summed on the calling thread in
+//! chunk order, so results are deterministic up to float-addition order
+//! within a fixed thread count. Below the threshold, or on a single-core
+//! host, the evaluation stays serial with zero threading overhead.
+//!
+//! ## The fused HMC pass
+//!
+//! HMC needs the total and the gradient at every leapfrog step.
+//! [`LogLikelihood::eval_grad`] computes both in one walk of the arena:
+//! `log q_i` and `1/q_i = exp(−log q_i)` once per node into reused
+//! buffers, then per path one sum `S_J` and (for showing paths) one
+//! `log1mexp`. The total is accumulated in the same path order and with
+//! the same expressions as [`LogLikelihood::eval`], so the two agree bit
+//! for bit; `eval` stays as the plain reference. The showing-path
+//! gradient term is kept as `w · exp(S − log q_i − log1mexp(S))`:
+//! factoring it into `exp(S − log1mexp(S)) · (1/q_i)` is algebraically
+//! equal but rounds differently, which would move every HMC draw and
+//! break the golden-stdout pins and bit-exact resume (DESIGN.md §5c).
 //!
 //! ## Numerical safety at the `log1mexp` boundary
 //!
@@ -49,7 +63,7 @@ use crate::model::PathData;
 pub const P_EPS: f64 = 1e-9;
 
 /// Default path count above which [`LogLikelihood::eval`] and
-/// [`LogLikelihood::grad`] use scoped threads. Below it the
+/// [`LogLikelihood::eval_grad`] use scoped threads. Below it the
 /// fork/join overhead outweighs the work.
 pub const DEFAULT_PARALLEL_THRESHOLD: usize = 4096;
 
@@ -68,6 +82,10 @@ pub fn clamp_p(p: f64) -> f64 {
 pub struct LogLikelihood<'a> {
     data: &'a PathData,
     parallel_threshold: usize,
+    /// `log q_i` per node, rebuilt by every [`Self::eval_grad`].
+    log_q: Vec<f64>,
+    /// `1/q_i = exp(−log q_i)` per node, rebuilt alongside `log_q`.
+    inv_q: Vec<f64>,
 }
 
 impl<'a> LogLikelihood<'a> {
@@ -76,6 +94,8 @@ impl<'a> LogLikelihood<'a> {
         LogLikelihood {
             data,
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
+            log_q: Vec::new(),
+            inv_q: Vec::new(),
         }
     }
 
@@ -108,7 +128,8 @@ impl<'a> LogLikelihood<'a> {
         hw.min(n_paths.div_ceil(MIN_CHUNK)).max(1)
     }
 
-    /// `log P(D | p)`.
+    /// `log P(D | p)`: the plain reference for [`Self::eval_grad`]'s
+    /// total, for callers that need no gradient.
     pub fn eval(&self, p: &[f64]) -> f64 {
         assert_eq!(p.len(), self.data.num_nodes(), "dimension mismatch");
         let log_q: Vec<f64> = p.iter().map(|&pi| (1.0 - clamp_p(pi)).ln()).collect();
@@ -131,40 +152,48 @@ impl<'a> LogLikelihood<'a> {
         partials.iter().sum()
     }
 
-    /// Gradient `∂ log P(D|p) / ∂ p_i` written into `grad` (overwritten).
+    /// `log P(D | p)`, with the gradient `∂ log P(D|p) / ∂ p_i` written
+    /// into `grad` (overwritten), in one pass over the paths.
     ///
     /// For a non-showing path: `∂/∂p_i = −w/q_i`. For a showing path with
     /// `Q = e^{S}`: `∂/∂p_i = w · (Q/q_i) / (1 − Q)`, evaluated as
     /// `w · exp(S − log q_i − log1mexp(S))` to stay stable when `Q → 0`
-    /// or `Q → 1`.
-    pub fn grad(&self, p: &[f64], grad: &mut [f64]) {
-        assert_eq!(p.len(), self.data.num_nodes());
+    /// or `Q → 1`. The returned total is bit-identical to [`Self::eval`].
+    /// Serial evaluation allocates nothing after the first call.
+    pub fn eval_grad(&mut self, p: &[f64], grad: &mut [f64]) -> f64 {
+        assert_eq!(p.len(), self.data.num_nodes(), "dimension mismatch");
         assert_eq!(grad.len(), p.len());
-        let log_q: Vec<f64> = p.iter().map(|&pi| (1.0 - clamp_p(pi)).ln()).collect();
+        self.log_q.clear();
+        self.inv_q.clear();
+        for &pi in p {
+            let log_q = (1.0 - clamp_p(pi)).ln();
+            self.log_q.push(log_q);
+            self.inv_q.push((-log_q).exp());
+        }
         grad.fill(0.0);
         let n_paths = self.data.num_paths();
         let threads = self.thread_count(n_paths);
+        let (data, log_q, inv_q) = (self.data, &self.log_q[..], &self.inv_q[..]);
         if threads <= 1 {
-            grad_range(self.data, &log_q, 0..n_paths, grad);
-            return;
+            return eval_grad_range(data, log_q, inv_q, 0..n_paths, grad);
         }
         let chunk = n_paths.div_ceil(threads);
-        // Private per-thread gradient buffers, reduced after the join.
-        let mut partials = vec![vec![0.0f64; p.len()]; threads];
-        let data = self.data;
-        let log_q = &log_q;
+        // Private per-thread totals and gradient buffers, reduced in chunk
+        // order after the join.
+        let mut partials = vec![(0.0f64, vec![0.0f64; p.len()]); threads];
         std::thread::scope(|scope| {
-            for (t, buf) in partials.iter_mut().enumerate() {
+            for (t, (total, buf)) in partials.iter_mut().enumerate() {
                 let lo = t * chunk;
                 let hi = ((t + 1) * chunk).min(n_paths);
-                scope.spawn(move || grad_range(data, log_q, lo..hi, buf));
+                scope.spawn(move || *total = eval_grad_range(data, log_q, inv_q, lo..hi, buf));
             }
         });
-        for buf in &partials {
+        for (_, buf) in &partials {
             for (g, b) in grad.iter_mut().zip(buf) {
                 *g += b;
             }
         }
+        partials.iter().map(|(total, _)| total).sum()
     }
 }
 
@@ -194,9 +223,21 @@ fn eval_range(data: &PathData, log_q: &[f64], range: Range<usize>) -> f64 {
     total
 }
 
-/// Accumulate the gradient contribution of paths in `range` into `grad`.
-fn grad_range(data: &PathData, log_q: &[f64], range: Range<usize>, grad: &mut [f64]) {
+/// Sum the log-likelihood contribution of paths in `range` and
+/// accumulate their gradient contribution into `grad`.
+///
+/// The total uses exactly [`eval_range`]'s expressions in the same path
+/// order. Do not factor the showing-path term into
+/// `exp(s − log_denom) * inv_q[i]`: it rounds differently (module docs).
+fn eval_grad_range(
+    data: &PathData,
+    log_q: &[f64],
+    inv_q: &[f64],
+    range: Range<usize>,
+    grad: &mut [f64],
+) -> f64 {
     let (arena, meta) = data.path_csr();
+    let mut total = 0.0;
     let mut lo = meta[range.start].offset as usize;
     for j in range {
         let hi = meta[j + 1].offset as usize;
@@ -208,16 +249,18 @@ fn grad_range(data: &PathData, log_q: &[f64], range: Range<usize>, grad: &mut [f
         if wshow & 1 == 1 {
             let s = s.min(0.0);
             let log_denom = log1mexp(s); // log(1 − Q)
+            total += w * log_denom;
             for &i in nodes {
                 grad[i as usize] += w * (s - log_q[i as usize] - log_denom).exp();
             }
         } else {
+            total += w * s;
             for &i in nodes {
-                // −1/q_i = −exp(−log q_i)
-                grad[i as usize] -= w * (-log_q[i as usize]).exp();
+                grad[i as usize] -= w * inv_q[i as usize];
             }
         }
     }
+    total
 }
 
 /// Incremental evaluator: caches per-path `S_J` and the total, and updates
@@ -426,10 +469,10 @@ mod tests {
             (&[1, 3], true),
             (&[3], false),
         ]);
-        let ll = LogLikelihood::new(&d);
+        let mut ll = LogLikelihood::new(&d);
         let p = [0.3, 0.6, 0.2];
         let mut g = vec![0.0; 3];
-        ll.grad(&p, &mut g);
+        ll.eval_grad(&p, &mut g);
         let h = 1e-7;
         for i in 0..3 {
             let mut pp = p;
@@ -447,11 +490,11 @@ mod tests {
         // path pushes p down.
         let d_show = data(&[(&[1], true)]);
         let mut g = vec![0.0];
-        LogLikelihood::new(&d_show).grad(&[0.5], &mut g);
+        LogLikelihood::new(&d_show).eval_grad(&[0.5], &mut g);
         assert!(g[0] > 0.0);
 
         let d_clean = data(&[(&[1], false)]);
-        LogLikelihood::new(&d_clean).grad(&[0.5], &mut g);
+        LogLikelihood::new(&d_clean).eval_grad(&[0.5], &mut g);
         assert!(g[0] < 0.0);
     }
 
@@ -476,8 +519,8 @@ mod tests {
             .map(|i| (i as f64 * 0.37).fract().clamp(0.01, 0.99))
             .collect();
 
-        let serial = LogLikelihood::new(&d).with_parallel_threshold(usize::MAX);
-        let parallel = LogLikelihood::new(&d).with_parallel_threshold(0);
+        let mut serial = LogLikelihood::new(&d).with_parallel_threshold(usize::MAX);
+        let mut parallel = LogLikelihood::new(&d).with_parallel_threshold(0);
         let (es, ep) = (serial.eval(&p), parallel.eval(&p));
         assert!(
             (es - ep).abs() < 1e-9 * es.abs().max(1.0),
@@ -486,13 +529,126 @@ mod tests {
 
         let mut gs = vec![0.0; d.num_nodes()];
         let mut gp = vec![0.0; d.num_nodes()];
-        serial.grad(&p, &mut gs);
-        parallel.grad(&p, &mut gp);
+        serial.eval_grad(&p, &mut gs);
+        parallel.eval_grad(&p, &mut gp);
         for (i, (a, b)) in gs.iter().zip(&gp).enumerate() {
             assert!(
                 (a - b).abs() < 1e-9 * a.abs().max(1.0),
                 "grad[{i}]: {a} vs {b}"
             );
+        }
+    }
+
+    /// The two-pass gradient that [`LogLikelihood::eval_grad`] replaced,
+    /// kept as the bit-equality reference: its own `log_q`, the same
+    /// chunking and reduction, and `exp(−log q_i)` per path entry.
+    fn two_pass_grad(ll: &LogLikelihood<'_>, p: &[f64], grad: &mut [f64]) {
+        let log_q: Vec<f64> = p.iter().map(|&pi| (1.0 - clamp_p(pi)).ln()).collect();
+        grad.fill(0.0);
+        let n_paths = ll.data.num_paths();
+        let threads = ll.thread_count(n_paths);
+        if threads <= 1 {
+            two_pass_grad_range(ll.data, &log_q, 0..n_paths, grad);
+            return;
+        }
+        let chunk = n_paths.div_ceil(threads);
+        let mut partials = vec![vec![0.0f64; p.len()]; threads];
+        let (data, log_q) = (ll.data, &log_q);
+        std::thread::scope(|scope| {
+            for (t, buf) in partials.iter_mut().enumerate() {
+                let lo = t * chunk;
+                let hi = ((t + 1) * chunk).min(n_paths);
+                scope.spawn(move || two_pass_grad_range(data, log_q, lo..hi, buf));
+            }
+        });
+        for buf in &partials {
+            for (g, b) in grad.iter_mut().zip(buf) {
+                *g += b;
+            }
+        }
+    }
+
+    fn two_pass_grad_range(data: &PathData, log_q: &[f64], range: Range<usize>, grad: &mut [f64]) {
+        let (arena, meta) = data.path_csr();
+        let mut lo = meta[range.start].offset as usize;
+        for j in range {
+            let hi = meta[j + 1].offset as usize;
+            let wshow = meta[j].wshow;
+            let nodes = &arena[lo..hi];
+            lo = hi;
+            let w = f64::from(wshow >> 1);
+            let s: f64 = nodes.iter().map(|&i| log_q[i as usize]).sum();
+            if wshow & 1 == 1 {
+                let s = s.min(0.0);
+                let log_denom = log1mexp(s);
+                for &i in nodes {
+                    grad[i as usize] += w * (s - log_q[i as usize] - log_denom).exp();
+                }
+            } else {
+                for &i in nodes {
+                    grad[i as usize] -= w * (-log_q[i as usize]).exp();
+                }
+            }
+        }
+    }
+
+    /// `n_paths` random paths of 1–5 hops over `n_nodes` ASs, every third
+    /// one showing; repeated draws collapse into weights above 1.
+    fn random_data(n_nodes: u32, n_paths: usize, seed: u64) -> PathData {
+        let mut x = seed;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as u32
+        };
+        let obs: Vec<PathObservation> = (0..n_paths)
+            .map(|k| {
+                let hops = 1 + next() as usize % 5;
+                let mut nodes = Vec::with_capacity(hops);
+                while nodes.len() < hops {
+                    let id = NodeId(next() % n_nodes);
+                    if !nodes.contains(&id) {
+                        nodes.push(id);
+                    }
+                }
+                PathObservation::new(nodes, k % 3 == 0)
+            })
+            .collect();
+        PathData::from_observations(&obs, &[])
+    }
+
+    #[test]
+    fn eval_grad_is_bit_identical_to_the_two_pass_reference() {
+        for (n_nodes, n_paths, seed) in [(6, 60, 1), (40, 400, 2), (120, 3000, 3)] {
+            let d = random_data(n_nodes, n_paths, seed);
+            assert!(d.paths().any(|p| p.weight > 1), "weights above 1 covered");
+            let lens: Vec<usize> = (0..d.num_paths()).map(|j| d.path_nodes(j).len()).collect();
+            assert!((1..=5).all(|len| lens.contains(&len)), "1–5 hops covered");
+            let n = d.num_nodes();
+            let mid: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).fract()).collect();
+            let mixed: Vec<f64> = (0..n)
+                .map(|i| [0.0, P_EPS, 1.0 - P_EPS, 1.0, mid[i]][i % 5])
+                .collect();
+            let states = [mid, mixed, vec![P_EPS; n], vec![1.0 - P_EPS; n]];
+            for threshold in [0, usize::MAX] {
+                let mut ll = LogLikelihood::new(&d).with_parallel_threshold(threshold);
+                for p in &states {
+                    let mut fused = vec![f64::NAN; n];
+                    let total = ll.eval_grad(p, &mut fused);
+                    assert_eq!(total.to_bits(), ll.eval(p).to_bits(), "total vs eval");
+                    let mut reference = vec![0.0; n];
+                    two_pass_grad(&ll, p, &mut reference);
+                    for (i, (a, b)) in fused.iter().zip(&reference).enumerate() {
+                        assert!(a.is_finite(), "grad[{i}] = {a}");
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "grad[{i}]: fused {a} vs two-pass {b} ({n_paths} paths, threshold {threshold})"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -538,12 +694,12 @@ mod tests {
     #[test]
     fn extreme_p_values_stay_finite() {
         let d = data(&[(&[1, 2], true), (&[1, 2], false)]);
-        let ll = LogLikelihood::new(&d);
+        let mut ll = LogLikelihood::new(&d);
         for p in [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]] {
             let v = ll.eval(&p);
             assert!(v.is_finite(), "p={p:?} gave {v}");
             let mut g = vec![0.0; 2];
-            ll.grad(&p, &mut g);
+            ll.eval_grad(&p, &mut g);
             assert!(g.iter().all(|x| x.is_finite()), "p={p:?} grad {g:?}");
         }
     }

@@ -18,7 +18,7 @@ use crate::chain::{Sampler, SamplerKind};
 use crate::checkpoint::{CheckpointError, Checkpointable, Reader, Writer};
 use crate::likelihood::{clamp_p, IncrementalLikelihood};
 use crate::model::PathData;
-use crate::prior::Prior;
+use crate::prior::{NormalisedPrior, Prior};
 
 /// Target acceptance rate for per-coordinate scale adaptation.
 const TARGET_ACCEPT: f64 = 0.44;
@@ -27,7 +27,7 @@ const TARGET_ACCEPT: f64 = 0.44;
 pub struct MetropolisHastings<'a> {
     p: Vec<f64>,
     likelihood: IncrementalLikelihood<'a>,
-    prior: Prior,
+    prior: NormalisedPrior,
     scale: Vec<f64>,
     order: Vec<usize>,
     accepted: u64,
@@ -48,7 +48,7 @@ impl<'a> MetropolisHastings<'a> {
         MetropolisHastings {
             p: init,
             likelihood,
-            prior,
+            prior: prior.normalised(),
             scale: vec![0.25; n],
             order: (0..n).collect(),
             accepted: 0,

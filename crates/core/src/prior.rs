@@ -37,14 +37,21 @@ impl Default for Prior {
 }
 
 impl Prior {
-    /// Log density at `p` (normalised).
+    /// Log density at `p` (normalised). Evaluates the normaliser on
+    /// every call; the samplers hoist it with `Prior::normalised`.
     pub fn log_density(&self, p: f64) -> f64 {
-        let p = clamp_p(p);
-        match *self {
+        self.normalised().log_density(p)
+    }
+
+    /// This prior with its normalising constant evaluated once.
+    pub(crate) fn normalised(self) -> NormalisedPrior {
+        let log_norm = match self {
             Prior::Uniform => 0.0,
-            Prior::Beta { alpha, beta } => {
-                (alpha - 1.0) * p.ln() + (beta - 1.0) * (1.0 - p).ln() - ln_beta(alpha, beta)
-            }
+            Prior::Beta { alpha, beta } => ln_beta(alpha, beta),
+        };
+        NormalisedPrior {
+            prior: self,
+            log_norm,
         }
     }
 
@@ -76,6 +83,39 @@ impl Prior {
             Prior::Uniform => 0.5,
             Prior::Beta { alpha, beta } => alpha / (alpha + beta),
         }
+    }
+}
+
+/// A [`Prior`] with `ln B(α, β)` evaluated once, for the samplers' per-
+/// proposal and per-gradient loops: the Lanczos `ln Γ` behind it costs
+/// more than the rest of the density.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct NormalisedPrior {
+    prior: Prior,
+    /// `ln B(α, β)`; 0 for the uniform prior.
+    log_norm: f64,
+}
+
+impl NormalisedPrior {
+    /// Log density at `p`. The single definition behind
+    /// [`Prior::log_density`]: keep the term order
+    /// `(α−1)·ln p + (β−1)·ln(1−p) − ln B(α, β)`, because the golden
+    /// outputs pin its rounding (DESIGN.md §5c).
+    #[inline]
+    pub(crate) fn log_density(&self, p: f64) -> f64 {
+        let p = clamp_p(p);
+        match self.prior {
+            Prior::Uniform => 0.0,
+            Prior::Beta { alpha, beta } => {
+                (alpha - 1.0) * p.ln() + (beta - 1.0) * (1.0 - p).ln() - self.log_norm
+            }
+        }
+    }
+
+    /// `d log density / d p`, as [`Prior::grad`].
+    #[inline]
+    pub(crate) fn grad(&self, p: f64) -> f64 {
+        self.prior.grad(p)
     }
 }
 
@@ -119,6 +159,38 @@ mod tests {
         for &p in &[0.1, 0.3, 0.7, 0.9] {
             let fd = (b.log_density(p + h) - b.log_density(p - h)) / (2.0 * h);
             assert!((b.grad(p) - fd).abs() < 1e-4, "p={p}");
+        }
+    }
+
+    #[test]
+    fn normalised_density_is_bit_identical() {
+        for prior in [
+            Prior::Uniform,
+            Prior::default(),
+            Prior::Beta {
+                alpha: 2.5,
+                beta: 0.7,
+            },
+        ] {
+            // The per-call form `Prior::log_density` had before the
+            // normaliser was hoisted.
+            let per_call = |p: f64| {
+                let p = clamp_p(p);
+                match prior {
+                    Prior::Uniform => 0.0,
+                    Prior::Beta { alpha, beta } => {
+                        (alpha - 1.0) * p.ln() + (beta - 1.0) * (1.0 - p).ln()
+                            - ln_beta(alpha, beta)
+                    }
+                }
+            };
+            let cached = prior.normalised();
+            for p in [0.0, 1e-12, 0.1, 0.5, 0.93, 1.0] {
+                let want: f64 = per_call(p);
+                assert_eq!(cached.log_density(p).to_bits(), want.to_bits());
+                assert_eq!(prior.log_density(p).to_bits(), want.to_bits());
+                assert_eq!(cached.grad(p).to_bits(), prior.grad(p).to_bits());
+            }
         }
     }
 

@@ -351,6 +351,7 @@ fn run_one<S: Checkpointable, O: ProgressObserver>(
                 });
             }
         }
+        sampler.end_warmup();
         if every > 0 {
             observer.end_phase(chain_index, kind, ChainPhase::Warmup);
         }
@@ -783,6 +784,9 @@ mod tests {
         }
         fn adapt(&mut self, iter: usize, total: usize) {
             self.inner.adapt(iter, total);
+        }
+        fn end_warmup(&mut self) {
+            self.inner.end_warmup();
         }
         fn acceptance_rate(&self) -> f64 {
             self.inner.acceptance_rate()

@@ -82,7 +82,8 @@ done
 
 echo "==> e2ebench traced replay (digests and counts unchanged)"
 cargo build --release --offline --quiet --manifest-path e2ebench/Cargo.toml
-for pair in rfd_small:e928da9cd512103f multi_interval_faults:44603a0514b4af45; do
+for pair in rfd_small:e928da9cd512103f rov_small:b216038698b928da \
+    multi_interval_faults:44603a0514b4af45; do
     workload="${pair%%:*}"
     ./e2ebench/target/release/e2ebench --workload "$workload" --seed 2020 \
         --seconds 1 --trace 1 > "$artifacts/e2ebench.$workload.txt" 2> /dev/null

@@ -241,11 +241,12 @@ proptest! {
                 _ => 1.0 - P_EPS,
             })
             .collect();
-        let ll = LogLikelihood::new(&data);
+        let mut ll = LogLikelihood::new(&data);
         let v = ll.eval(&p);
         prop_assert!(v.is_finite(), "eval({p:?}) = {v}");
         let mut g = vec![0.0; data.num_nodes()];
-        ll.grad(&p, &mut g);
+        let fused = ll.eval_grad(&p, &mut g);
+        prop_assert!(fused.to_bits() == v.to_bits(), "eval_grad total {fused} vs eval {v}");
         for (i, gi) in g.iter().enumerate() {
             prop_assert!(gi.is_finite(), "grad[{i}] = {gi} at p={p:?}");
         }
