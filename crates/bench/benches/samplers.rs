@@ -1,7 +1,7 @@
 //! MCMC kernels: MH sweeps vs HMC trajectories (the §3.2 comparison),
 //! plus the prior-sensitivity and step-count ablations from DESIGN.md.
 
-use because::chain::{run_chain, run_chain_observed, ChainConfig, Sampler};
+use because::chain::{run_chain, ChainConfig, Sampler};
 use because::hmc::Hmc;
 use because::mh::MetropolisHastings;
 use because::{Prior, TraceProgress};
@@ -30,10 +30,12 @@ fn bench_mh_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// The enabled-tracing A/B: a full MH chain run through the plain driver
-/// vs the observed driver with a `TraceProgress` recorder at the default
-/// cadence. The delta is the whole cost of per-k snapshots (Welford
-/// means + incremental split-R̂/min-ESS) plus the ring-buffer pushes.
+/// The driver A/Bs on one full MH chain: `run_chain` (`plain`), the
+/// supervised driver with no observer (`supervised_default`), and the
+/// supervised driver with a `TraceProgress` recorder at the default
+/// cadence (`traced_every_50`). The gap between the last two is the whole
+/// cost of per-k snapshots (Welford means + incremental split-R̂/min-ESS)
+/// plus the ring-buffer pushes.
 fn bench_chain_run_traced(c: &mut Criterion) {
     let mut group = c.benchmark_group("mh_chain_run");
     group.sample_size(10);
@@ -76,16 +78,23 @@ fn bench_chain_run_traced(c: &mut Criterion) {
     });
     group.bench_function("traced_every_50", |b| {
         b.iter(|| {
-            let mut rng = SimRng::new(5);
-            let mut observer = TraceProgress::new(50, 2048, std::time::Instant::now(), 0);
-            let chain = run_chain_observed(
-                MetropolisHastings::from_prior(&data, Prior::default(), &mut rng),
+            let rng = SimRng::new(5);
+            let run = because::run_chains_supervised(
+                |_k, rng| MetropolisHastings::from_prior(&data, Prior::default(), rng),
+                |_k| TraceProgress::new(50, 2048, std::time::Instant::now(), 0),
+                1,
                 &config,
-                &mut rng,
-                0,
-                &mut observer,
+                &rng,
+                &because::SupervisorConfig::default(),
+                "mh",
             );
-            black_box((chain.len(), observer.into_buffer().len()))
+            let (mut completed, _) = run.into_parts();
+            let (_, chain, observer) = completed.pop().expect("chain completed");
+            let events = observer
+                .expect("completed chain keeps its observer")
+                .into_buffer()
+                .len();
+            black_box((chain.len(), events))
         })
     });
     group.finish();

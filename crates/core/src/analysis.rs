@@ -12,6 +12,7 @@ use netsim::SimRng;
 
 use crate::category::Category;
 use crate::chain::{Chain, ChainConfig};
+use crate::checkpoint::Checkpointable;
 use crate::diagnostics;
 use crate::hmc::Hmc;
 use crate::mh::MetropolisHastings;
@@ -133,7 +134,7 @@ impl AsReport {
 pub struct ChainFailure {
     /// Kernel the chain belonged to (`"MH"` / `"HMC"`).
     pub kernel: &'static str,
-    /// The `run_chains` index of the failed chain.
+    /// The index of the failed chain within its kernel's run.
     pub chain_index: usize,
     /// Panic message, timeout phase, or checkpoint error.
     pub reason: String,
@@ -267,23 +268,85 @@ impl ProgressObserver for RunObserver {
         chain_index: usize,
         kind: crate::chain::SamplerKind,
         phase: ChainPhase,
+        iteration: usize,
+        total: usize,
     ) {
         if let Some(t) = &mut self.trace {
-            t.end_phase(chain_index, kind, phase);
+            t.end_phase(chain_index, kind, phase, iteration, total);
         }
         if let Some(t) = &mut self.serve {
-            t.end_phase(chain_index, kind, phase);
+            t.end_phase(chain_index, kind, phase, iteration, total);
         }
+    }
+}
+
+/// Runs one kernel's supervised chains at a time and totals the
+/// supervision results across kernels.
+struct KernelRuns<'a> {
+    config: &'a AnalysisConfig,
+    rng: &'a SimRng,
+    sup: &'a SupervisorConfig,
+    failures: Vec<ChainFailure>,
+    resumed_chains: usize,
+    checkpoints_written: u64,
+}
+
+impl KernelRuns<'_> {
+    /// Run one kernel's chains on the RNG stream and checkpoint tag
+    /// `tag`, recording failures under `kernel`. Returns the completed
+    /// chains, their observers and the kernel's wall-clock (empty and 0
+    /// when the kernel is disabled).
+    fn run<S, F, G>(
+        &mut self,
+        enabled: bool,
+        kernel: &'static str,
+        tag: &str,
+        make_sampler: F,
+        make_observer: G,
+    ) -> (Vec<Chain>, Vec<RunObserver>, f64)
+    where
+        S: Checkpointable + Send,
+        F: Fn(usize, &mut SimRng) -> S + Sync,
+        G: Fn(usize) -> RunObserver + Sync,
+    {
+        if !enabled {
+            return (Vec::new(), Vec::new(), 0.0);
+        }
+        let watch = obs::Stopwatch::start();
+        let run = run_chains_supervised(
+            make_sampler,
+            make_observer,
+            self.config.n_chains,
+            &self.config.chain,
+            &self.rng.split(tag),
+            self.sup,
+            tag,
+        );
+        self.resumed_chains += run.resumed_chains();
+        self.checkpoints_written += run.checkpoints_written();
+        let (done, failed) = run.into_parts();
+        self.failures.extend(
+            failed
+                .into_iter()
+                .map(|(chain_index, reason)| ChainFailure {
+                    kernel,
+                    chain_index,
+                    reason,
+                }),
+        );
+        let (chains, observers) = done
+            .into_iter()
+            .map(|(_, chain, obs)| (chain, obs.expect("completed chain keeps its observer")))
+            .unzip();
+        (chains, observers, watch.elapsed_secs())
     }
 }
 
 impl Analysis {
     /// Run the full pipeline.
     ///
-    /// Delegates to [`Self::run_supervised`] with a default (fully
-    /// disabled) [`SupervisorConfig`] — the supervised driver with no
-    /// supervision enabled is draw-for-draw identical to the historic
-    /// plain driver.
+    /// [`Self::run_supervised`] with a default (fully disabled)
+    /// [`SupervisorConfig`].
     pub fn run(data: &PathData, config: &AnalysisConfig) -> Analysis {
         Self::run_supervised(data, config, &SupervisorConfig::default())
     }
@@ -328,85 +391,33 @@ impl Analysis {
             }
         };
 
-        let mut failures: Vec<ChainFailure> = Vec::new();
-        let mut resumed_chains = 0usize;
-        let mut checkpoints_written = 0u64;
-
-        let mh_watch = obs::Stopwatch::start();
-        let (mh_chains, mh_observers): (Vec<Chain>, Vec<RunObserver>) = if config.run_mh {
-            let mh_rng = rng.split("mh");
-            let run = run_chains_supervised(
-                |_k, r: &mut SimRng| MetropolisHastings::from_prior(data, config.prior, r),
-                make_observer(0),
-                config.n_chains,
-                &config.chain,
-                &mh_rng,
-                sup,
-                "mh",
-            );
-            resumed_chains += run.resumed_chains();
-            checkpoints_written += run.checkpoints_written();
-            let (done, failed) = run.into_parts();
-            failures.extend(
-                failed
-                    .into_iter()
-                    .map(|(chain_index, reason)| ChainFailure {
-                        kernel: "MH",
-                        chain_index,
-                        reason,
-                    }),
-            );
-            done.into_iter()
-                .map(|(_, chain, obs)| (chain, obs.expect("completed chain keeps its observer")))
-                .unzip()
-        } else {
-            (Vec::new(), Vec::new())
+        let mut runs = KernelRuns {
+            config,
+            rng: &rng,
+            sup,
+            failures: Vec::new(),
+            resumed_chains: 0,
+            checkpoints_written: 0,
         };
-        let mh_secs = if config.run_mh {
-            mh_watch.elapsed_secs()
-        } else {
-            0.0
-        };
-        let hmc_watch = obs::Stopwatch::start();
+        let (mh_chains, mh_observers, mh_secs) = runs.run(
+            config.run_mh,
+            "MH",
+            "mh",
+            |_k, r: &mut SimRng| MetropolisHastings::from_prior(data, config.prior, r),
+            make_observer(0),
+        );
         let hmc_lane_base = if config.run_mh {
             config.n_chains as u64
         } else {
             0
         };
-        let (hmc_chains, hmc_observers): (Vec<Chain>, Vec<RunObserver>) = if config.run_hmc {
-            let hmc_rng = rng.split("hmc");
-            let run = run_chains_supervised(
-                |_k, r: &mut SimRng| Hmc::from_prior(data, config.prior, r),
-                make_observer(hmc_lane_base),
-                config.n_chains,
-                &config.chain,
-                &hmc_rng,
-                sup,
-                "hmc",
-            );
-            resumed_chains += run.resumed_chains();
-            checkpoints_written += run.checkpoints_written();
-            let (done, failed) = run.into_parts();
-            failures.extend(
-                failed
-                    .into_iter()
-                    .map(|(chain_index, reason)| ChainFailure {
-                        kernel: "HMC",
-                        chain_index,
-                        reason,
-                    }),
-            );
-            done.into_iter()
-                .map(|(_, chain, obs)| (chain, obs.expect("completed chain keeps its observer")))
-                .unzip()
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let hmc_secs = if config.run_hmc {
-            hmc_watch.elapsed_secs()
-        } else {
-            0.0
-        };
+        let (hmc_chains, hmc_observers, hmc_secs) = runs.run(
+            config.run_hmc,
+            "HMC",
+            "hmc",
+            |_k, r: &mut SimRng| Hmc::from_prior(data, config.prior, r),
+            make_observer(hmc_lane_base),
+        );
         let trace = config.trace.then(|| {
             let chains = mh_observers.len() + hmc_observers.len();
             let mut merged = obs::TraceBuffer::with_epoch(2048 * chains.max(1), epoch);
@@ -514,9 +525,9 @@ impl Analysis {
             mh_secs,
             hmc_secs,
             trace,
-            failures,
-            resumed_chains,
-            checkpoints_written,
+            failures: runs.failures,
+            resumed_chains: runs.resumed_chains,
+            checkpoints_written: runs.checkpoints_written,
         }
     }
 

@@ -1,5 +1,6 @@
-//! The sampler abstraction and chain driver: warmup, thinning, and
-//! parallel multi-chain execution.
+//! The sampler abstraction and the chain loop: warmup, thinning, energy
+//! and divergence bookkeeping, and progress observation. Parallel
+//! multi-chain execution lives in [`crate::supervisor`].
 //!
 //! Draws are stored row-major in one flat `Vec<f64>` (draw `s`, coordinate
 //! `i` at `s * dim + i`) instead of a `Vec` per draw: one allocation per
@@ -9,7 +10,9 @@
 use netsim::SimRng;
 use serde::{Deserialize, Serialize};
 
+use crate::checkpoint::CheckpointError;
 use crate::progress::{ChainPhase, NoProgress, ProgressObserver, ProgressSnapshot};
+use crate::supervisor::ChainOutcome;
 
 /// Which MCMC kernel produced a chain.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -125,11 +128,11 @@ pub struct Chain {
     pub likelihood_evals: u64,
     /// Likelihood gradient evaluations (0 for gradient-free kernels).
     pub grad_evals: u64,
-    /// Wall-clock spent in warmup (0 for chains not built by
-    /// [`run_chain`]).
+    /// Wall-clock spent in warmup (0 for hand-built chains and for
+    /// chains resumed from a checkpoint, which skip warmup).
     pub warmup_secs: f64,
-    /// Wall-clock spent collecting samples (0 for chains not built by
-    /// [`run_chain`]).
+    /// Wall-clock spent collecting samples (0 for hand-built chains; a
+    /// resumed chain counts only the draws after its restore point).
     pub sampling_secs: f64,
     /// Per-retained-draw trajectory energies (`NaN` entries for kernels
     /// without an energy notion; empty for synthetic chains).
@@ -326,70 +329,164 @@ impl Chain {
 
 /// Run one chain: warmup with adaptation, then collect thinned samples.
 pub fn run_chain<S: Sampler>(sampler: S, config: &ChainConfig, rng: &mut SimRng) -> Chain {
-    // `NoProgress` monomorphises `every == 0`, so the observed driver
-    // collapses back to the bare warmup/sampling loops.
-    run_chain_observed(sampler, config, rng, 0, &mut NoProgress)
+    match drive_chain(sampler, config, rng, 0, &mut NoProgress, &mut Unsupervised) {
+        Ok(ChainOutcome::Completed(chain)) => chain,
+        _ => unreachable!("an unsupervised chain always completes"),
+    }
 }
 
-/// [`run_chain`] with a [`ProgressObserver`] called every
-/// `observer.every()` iterations (see [`crate::progress`]).
+/// The supervisor's points in the chain loop: resume prologue,
+/// per-iteration deadline, per-draw checkpoint, stop and kill. The
+/// defaults are the unsupervised no-ops; the supervised hook lives in
+/// [`crate::supervisor`].
+pub(crate) trait ChainHook<S: Sampler> {
+    /// Called once before the first iteration: arm the deadline and
+    /// restore a checkpointed chain into `(sampler, rng, chain)`,
+    /// returning its retained draws, or `None` to start fresh.
+    #[inline(always)]
+    fn start(
+        &mut self,
+        sampler: &mut S,
+        rng: &mut SimRng,
+        chain: &mut Chain,
+    ) -> Result<Option<usize>, CheckpointError> {
+        let _ = (sampler, rng, chain);
+        Ok(None)
+    }
+
+    /// Checked before every warmup iteration and sampling draw; `true`
+    /// stops the chain as timed out.
+    #[inline(always)]
+    fn expired(&self) -> bool {
+        false
+    }
+
+    /// The chain timed out during sampling with `chain` collected.
+    #[inline(always)]
+    fn timed_out(
+        &mut self,
+        sampler: &S,
+        rng: &SimRng,
+        chain: &Chain,
+    ) -> Result<(), CheckpointError> {
+        let _ = (sampler, rng, chain);
+        Ok(())
+    }
+
+    /// After retained draw number `done`: checkpoint when due (or exit
+    /// the process at the kill point); `true` stops the chain.
+    #[inline(always)]
+    fn after_draw(
+        &mut self,
+        done: u64,
+        sampler: &S,
+        rng: &SimRng,
+        chain: &Chain,
+    ) -> Result<bool, CheckpointError> {
+        let _ = (done, sampler, rng, chain);
+        Ok(false)
+    }
+}
+
+/// The unsupervised hook: every point is an inlined no-op, so
+/// [`run_chain`] monomorphises [`drive_chain`] to the bare loop.
+pub(crate) struct Unsupervised;
+
+impl<S: Sampler> ChainHook<S> for Unsupervised {}
+
+/// The chain loop behind every driver: warmup with adaptation and
+/// `end_warmup`, thinned sampling with energy and divergence
+/// bookkeeping, Welford means and observer snapshots every
+/// `observer.every()` iterations (see [`crate::progress`]), and the
+/// `hook`'s supervision points.
 ///
-/// Observation never touches the RNG, so an observed run produces a
-/// draw-for-draw identical chain to an unobserved one.
-pub fn run_chain_observed<S: Sampler, O: ProgressObserver>(
+/// Neither observation nor the hook touches the RNG between draws, so
+/// every driver produces the same chain draw for draw. Every return
+/// closes the open observer phase with the iterations actually run.
+pub(crate) fn drive_chain<S: Sampler, O: ProgressObserver, H: ChainHook<S>>(
     mut sampler: S,
     config: &ChainConfig,
     rng: &mut SimRng,
     chain_index: usize,
     observer: &mut O,
-) -> Chain {
+    hook: &mut H,
+) -> Result<ChainOutcome, CheckpointError> {
     let every = observer.every();
     let kind = sampler.kind();
-    let warmup_watch = obs::Stopwatch::start();
-    if every > 0 {
-        observer.begin_phase(chain_index, kind, ChainPhase::Warmup);
-    }
-    for it in 0..config.warmup {
-        sampler.step(rng);
-        sampler.adapt(it, config.warmup);
-        if every > 0 && (it + 1) % every == 0 {
-            observer.observe(&ProgressSnapshot {
-                chain_index,
-                kind,
-                phase: ChainPhase::Warmup,
-                iteration: it + 1,
-                total: config.warmup,
-                accept_rate: sampler.acceptance_rate(),
-                divergences: sampler.divergences(),
-                means: &[],
-                split_r_hat: f64::NAN,
-                min_ess: f64::NAN,
-            });
-        }
-    }
-    sampler.end_warmup();
-    if every > 0 {
-        observer.end_phase(chain_index, kind, ChainPhase::Warmup);
-    }
-    let warmup_secs = warmup_watch.elapsed_secs();
     let mut chain = Chain::with_capacity(kind, sampler.dim(), config.samples);
+    let resumed = hook.start(&mut sampler, rng, &mut chain)?;
+
+    let mut warmup_secs = 0.0;
+    if resumed.is_none() {
+        let warmup_watch = obs::Stopwatch::start();
+        if every > 0 {
+            observer.begin_phase(chain_index, kind, ChainPhase::Warmup);
+        }
+        for it in 0..config.warmup {
+            if hook.expired() {
+                if every > 0 {
+                    observer.end_phase(chain_index, kind, ChainPhase::Warmup, it, config.warmup);
+                }
+                return Ok(ChainOutcome::TimedOut { phase: "warmup" });
+            }
+            sampler.step(rng);
+            sampler.adapt(it, config.warmup);
+            if every > 0 && (it + 1) % every == 0 {
+                observer.observe(&ProgressSnapshot {
+                    chain_index,
+                    kind,
+                    phase: ChainPhase::Warmup,
+                    iteration: it + 1,
+                    total: config.warmup,
+                    accept_rate: sampler.acceptance_rate(),
+                    divergences: sampler.divergences(),
+                    means: &[],
+                    split_r_hat: f64::NAN,
+                    min_ess: f64::NAN,
+                });
+            }
+        }
+        sampler.end_warmup();
+        if every > 0 {
+            let total = config.warmup;
+            observer.end_phase(chain_index, kind, ChainPhase::Warmup, total, total);
+        }
+        warmup_secs = warmup_watch.elapsed_secs();
+    }
+
     let sampling_watch = obs::Stopwatch::start();
     let thin = config.thin.max(1);
     if every > 0 {
         observer.begin_phase(chain_index, kind, ChainPhase::Sampling);
     }
     // Welford online means over retained draws (only maintained when
-    // observed — the unobserved path allocates nothing).
-    let mut means: Vec<f64> = if every > 0 {
-        vec![0.0; sampler.dim()]
-    } else {
-        Vec::new()
-    };
+    // observed — the unobserved path allocates nothing). A resumed chain
+    // replays them over its restored rows in original order, so they
+    // match the uninterrupted run bit for bit.
+    let mut means: Vec<f64> = Vec::new();
+    if every > 0 {
+        means.resize(sampler.dim(), 0.0);
+        for (s, row) in chain.rows().enumerate() {
+            let n = (s + 1) as f64;
+            for (m, &x) in means.iter_mut().zip(row) {
+                *m += (x - *m) / n;
+            }
+        }
+    }
     // Divergence watermark: only trajectories inside the sampling phase
     // mark draws (warmup divergences are the kernel's problem to adapt
-    // away, not the posterior's).
+    // away, not the posterior's). After a resume the restored kernel
+    // counters keep this bit-exact with the uninterrupted run.
     let mut prev_div = sampler.divergences();
-    for s in 0..config.samples {
+    let mut stopped = None;
+    for s in resumed.unwrap_or(0)..config.samples {
+        if hook.expired() {
+            stopped = Some(
+                hook.timed_out(&sampler, rng, &chain)
+                    .map(|()| ChainOutcome::TimedOut { phase: "sampling" }),
+            );
+            break;
+        }
         for _ in 0..thin {
             sampler.step(rng);
         }
@@ -420,9 +517,26 @@ pub fn run_chain_observed<S: Sampler, O: ProgressObserver>(
                 });
             }
         }
+        let done = (s + 1) as u64;
+        stopped = hook
+            .after_draw(done, &sampler, rng, &chain)
+            .map(|stop| stop.then_some(ChainOutcome::Interrupted { samples_done: done }))
+            .transpose();
+        if stopped.is_some() {
+            break;
+        }
     }
     if every > 0 {
-        observer.end_phase(chain_index, kind, ChainPhase::Sampling);
+        observer.end_phase(
+            chain_index,
+            kind,
+            ChainPhase::Sampling,
+            chain.len(),
+            config.samples,
+        );
+    }
+    if let Some(stopped) = stopped {
+        return stopped;
     }
     chain.accept_rate = sampler.acceptance_rate();
     chain.proposals = sampler.proposals();
@@ -431,69 +545,11 @@ pub fn run_chain_observed<S: Sampler, O: ProgressObserver>(
     chain.grad_evals = sampler.grad_evals();
     chain.warmup_secs = warmup_secs;
     chain.sampling_secs = sampling_watch.elapsed_secs();
-    chain
-}
-
-/// Run `n_chains` independent chains in parallel threads.
-///
-/// `make_sampler` builds a fresh kernel per chain (typically with
-/// overdispersed initial states); each chain gets a decorrelated RNG
-/// stream derived from `rng`.
-pub fn run_chains<S, F>(
-    make_sampler: F,
-    n_chains: usize,
-    config: &ChainConfig,
-    rng: &SimRng,
-) -> Vec<Chain>
-where
-    S: Sampler + Send,
-    F: Fn(usize, &mut SimRng) -> S + Sync,
-{
-    run_chains_observed(make_sampler, |_| NoProgress, n_chains, config, rng)
-        .into_iter()
-        .map(|(chain, _)| chain)
-        .collect()
-}
-
-/// [`run_chains`] with a per-chain [`ProgressObserver`] built by
-/// `make_observer(k)`. Each observer runs on its chain's thread (no
-/// shared sink, no locks) and is returned alongside its chain so callers
-/// can recover owned state (e.g. a [`crate::progress::TraceProgress`]
-/// buffer to merge).
-pub fn run_chains_observed<S, F, O, G>(
-    make_sampler: F,
-    make_observer: G,
-    n_chains: usize,
-    config: &ChainConfig,
-    rng: &SimRng,
-) -> Vec<(Chain, O)>
-where
-    S: Sampler + Send,
-    F: Fn(usize, &mut SimRng) -> S + Sync,
-    O: ProgressObserver + Send,
-    G: Fn(usize) -> O + Sync,
-{
-    let mut out: Vec<Option<(Chain, O)>> = (0..n_chains).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (k, slot) in out.iter_mut().enumerate() {
-            let make_sampler = &make_sampler;
-            let make_observer = &make_observer;
-            let mut chain_rng = rng.split_index("chain", k as u64);
-            scope.spawn(move || {
-                let sampler = make_sampler(k, &mut chain_rng);
-                let mut observer = make_observer(k);
-                let chain = run_chain_observed(sampler, config, &mut chain_rng, k, &mut observer);
-                *slot = Some((chain, observer));
-            });
-        }
-    });
-    out.into_iter()
-        .map(|c| c.expect("chain thread completed"))
-        .collect()
+    Ok(ChainOutcome::Completed(chain))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// A toy kernel: independent draws from N(μ, 1) via a random-walk —
@@ -588,28 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_chains_are_reproducible_and_distinct() {
-        let rng = SimRng::new(9);
-        let cfg = ChainConfig {
-            warmup: 50,
-            samples: 100,
-            thin: 1,
-        };
-        let make = |_k: usize, r: &mut SimRng| Toy {
-            x: vec![r.gaussian() * 3.0],
-            accepted: 0,
-            proposed: 0,
-        };
-        let a = run_chains(make, 3, &cfg, &rng);
-        let b = run_chains(make, 3, &cfg, &rng);
-        assert_eq!(a.len(), 3);
-        for (ca, cb) in a.iter().zip(&b) {
-            assert_eq!(ca.flat(), cb.flat(), "same seed → same chains");
-        }
-        assert_ne!(a[0].flat(), a[1].flat(), "different chains differ");
-    }
-
-    #[test]
     fn pooled_concatenates() {
         let rng = SimRng::new(2);
         let cfg = ChainConfig {
@@ -617,12 +651,16 @@ mod tests {
             samples: 20,
             thin: 1,
         };
-        let make = |_k: usize, _r: &mut SimRng| Toy {
-            x: vec![0.0],
-            accepted: 0,
-            proposed: 0,
-        };
-        let chains = run_chains(make, 4, &cfg, &rng);
+        let chains: Vec<Chain> = (0..4)
+            .map(|k| {
+                let toy = Toy {
+                    x: vec![0.0],
+                    accepted: 0,
+                    proposed: 0,
+                };
+                run_chain(toy, &cfg, &mut rng.split_index("chain", k))
+            })
+            .collect();
         let pooled = Chain::pooled(&chains);
         assert_eq!(pooled.len(), 80);
         assert_eq!(pooled.column(0).len(), 80);
@@ -659,11 +697,24 @@ mod tests {
         assert_eq!(chain.likelihood_evals, 0);
     }
 
-    /// Collects every snapshot for assertions.
-    struct Collector {
-        every: usize,
-        snaps: Vec<(ChainPhase, usize, f64, Vec<f64>, f64, f64)>,
-        phases: Vec<(ChainPhase, bool)>,
+    /// Collects every snapshot and phase boundary for assertions.
+    #[derive(Default)]
+    pub(crate) struct Collector {
+        pub(crate) every: usize,
+        /// `(phase, iteration, accept rate, means, split-R̂, min-ESS)`.
+        pub(crate) snaps: Vec<(ChainPhase, usize, f64, Vec<f64>, f64, f64)>,
+        /// `(phase, None)` at a phase's start, `(phase, Some(iterations
+        /// run))` at its end.
+        pub(crate) phases: Vec<(ChainPhase, Option<usize>)>,
+    }
+
+    impl Collector {
+        pub(crate) fn every(every: usize) -> Collector {
+            Collector {
+                every,
+                ..Collector::default()
+            }
+        }
     }
 
     impl ProgressObserver for Collector {
@@ -681,10 +732,10 @@ mod tests {
             ));
         }
         fn begin_phase(&mut self, _: usize, _: SamplerKind, phase: ChainPhase) {
-            self.phases.push((phase, true));
+            self.phases.push((phase, None));
         }
-        fn end_phase(&mut self, _: usize, _: SamplerKind, phase: ChainPhase) {
-            self.phases.push((phase, false));
+        fn end_phase(&mut self, _: usize, _: SamplerKind, phase: ChainPhase, it: usize, _: usize) {
+            self.phases.push((phase, Some(it)));
         }
     }
 
@@ -703,12 +754,18 @@ mod tests {
         let mut rng_a = SimRng::new(21);
         let plain = run_chain(make(), &cfg, &mut rng_a);
         let mut rng_b = SimRng::new(21);
-        let mut collector = Collector {
-            every: 50,
-            snaps: Vec::new(),
-            phases: Vec::new(),
+        let mut collector = Collector::every(50);
+        let observed = match drive_chain(
+            make(),
+            &cfg,
+            &mut rng_b,
+            0,
+            &mut collector,
+            &mut Unsupervised,
+        ) {
+            Ok(ChainOutcome::Completed(chain)) => chain,
+            _ => unreachable!(),
         };
-        let observed = run_chain_observed(make(), &cfg, &mut rng_b, 0, &mut collector);
         assert_eq!(
             plain.flat(),
             observed.flat(),
@@ -721,10 +778,10 @@ mod tests {
         assert_eq!(
             collector.phases,
             vec![
-                (ChainPhase::Warmup, true),
-                (ChainPhase::Warmup, false),
-                (ChainPhase::Sampling, true),
-                (ChainPhase::Sampling, false),
+                (ChainPhase::Warmup, None),
+                (ChainPhase::Warmup, Some(100)),
+                (ChainPhase::Sampling, None),
+                (ChainPhase::Sampling, Some(400)),
             ]
         );
         // Warmup snapshots carry no convergence estimates.
@@ -743,42 +800,6 @@ mod tests {
         }
         assert!(rhat.is_finite() && *rhat > 0.9, "rhat={rhat}");
         assert!(ess.is_finite() && *ess >= 1.0, "ess={ess}");
-    }
-
-    #[test]
-    fn run_chains_observed_returns_observer_per_chain() {
-        let rng = SimRng::new(5);
-        let cfg = ChainConfig {
-            warmup: 20,
-            samples: 60,
-            thin: 1,
-        };
-        let make = |_k: usize, r: &mut SimRng| Toy {
-            x: vec![r.gaussian()],
-            accepted: 0,
-            proposed: 0,
-        };
-        let results = run_chains_observed(
-            make,
-            |_k| Collector {
-                every: 20,
-                snaps: Vec::new(),
-                phases: Vec::new(),
-            },
-            3,
-            &cfg,
-            &rng,
-        );
-        assert_eq!(results.len(), 3);
-        for (chain, collector) in &results {
-            assert_eq!(chain.len(), 60);
-            assert_eq!(collector.snaps.len(), 1 + 3);
-        }
-        // Observed and plain multi-chain runs agree draw-for-draw too.
-        let plain = run_chains(make, 3, &cfg, &rng);
-        for (p, (o, _)) in plain.iter().zip(&results) {
-            assert_eq!(p.flat(), o.flat());
-        }
     }
 
     #[test]

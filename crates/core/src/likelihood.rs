@@ -21,8 +21,8 @@
 //! threshold ([`LogLikelihood::with_parallel_threshold`], default
 //! [`DEFAULT_PARALLEL_THRESHOLD`]), fan the chunks out over scoped
 //! threads — the same dependency-free pattern as
-//! [`crate::chain::run_chains`]. Each thread reduces into a private
-//! accumulator (a scalar for `eval`, a `(total, gradient)` pair for
+//! [`crate::supervisor::run_chains_supervised`]. Each thread reduces into
+//! a private accumulator (a scalar for `eval`, a `(total, gradient)` pair for
 //! `eval_grad`), and the partials are summed on the calling thread in
 //! chunk order, so results are deterministic up to float-addition order
 //! within a fixed thread count. Below the threshold, or on a single-core

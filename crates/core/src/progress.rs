@@ -1,11 +1,14 @@
 //! Streaming sampler diagnostics: the [`ProgressObserver`] hook on the
 //! chain driver.
 //!
-//! [`crate::chain::run_chain_observed`] calls the observer every `k`
-//! iterations with a [`ProgressSnapshot`] — running accept rate, Welford
-//! online means, and an incremental split-R̂ / min-ESS estimate over the
-//! draws collected so far (reusing the capped estimators in
-//! [`crate::diagnostics`]). Two observers ship with the crate:
+//! The chain loop calls the observer every `k` iterations with a
+//! [`ProgressSnapshot`] — running accept rate, Welford online means, and
+//! an incremental split-R̂ / min-ESS estimate over the draws collected so
+//! far (reusing the capped estimators in [`crate::diagnostics`]) — and
+//! brackets each phase with `begin_phase`/`end_phase`, also when a chain
+//! stops early. Observers are handed to
+//! [`crate::supervisor::run_chains_supervised`]. Three ship with the
+//! crate:
 //!
 //! * [`StderrTicker`] — one line per snapshot on stderr, the
 //!   `--progress [every-n]` flag of the experiment binaries;
@@ -17,8 +20,8 @@
 //!   feeding the live `/metrics` and `/progress` views.
 //!
 //! The unobserved path uses [`NoProgress`], whose `every()` of 0 lets
-//! the driver skip every per-iteration check after one branch — the
-//! monomorphised loop is identical to the pre-observer code.
+//! the loop skip every per-iteration check after one branch, so the
+//! monomorphised loop is the bare one.
 
 use crate::chain::SamplerKind;
 
@@ -48,7 +51,7 @@ impl ChainPhase {
 /// so there is nothing to diagnose yet).
 #[derive(Debug)]
 pub struct ProgressSnapshot<'a> {
-    /// Which chain (the `run_chains` index).
+    /// Which chain (the index `k` of its multi-chain run).
     pub chain_index: usize,
     /// Which kernel is running.
     pub kind: SamplerKind,
@@ -73,7 +76,7 @@ pub struct ProgressSnapshot<'a> {
     pub min_ess: f64,
 }
 
-/// Observer hook for [`crate::chain::run_chain_observed`].
+/// Observer hook for the chain loop (see the module docs).
 pub trait ProgressObserver {
     /// Snapshot cadence in iterations; `0` disables observation (the
     /// driver then skips all snapshot bookkeeping).
@@ -87,9 +90,18 @@ pub trait ProgressObserver {
         let _ = (chain_index, kind, phase);
     }
 
-    /// The phase finished.
-    fn end_phase(&mut self, chain_index: usize, kind: SamplerKind, phase: ChainPhase) {
-        let _ = (chain_index, kind, phase);
+    /// The phase ended after `iteration` of its `total` iterations:
+    /// `iteration < total` when the chain stopped early (watchdog, stop
+    /// hook, failed checkpoint write).
+    fn end_phase(
+        &mut self,
+        chain_index: usize,
+        kind: SamplerKind,
+        phase: ChainPhase,
+        iteration: usize,
+        total: usize,
+    ) {
+        let _ = (chain_index, kind, phase, iteration, total);
     }
 }
 
@@ -223,7 +235,14 @@ impl ProgressObserver for TraceProgress {
         self.buf.begin_wall(phase.name(), lane);
     }
 
-    fn end_phase(&mut self, chain_index: usize, _kind: SamplerKind, phase: ChainPhase) {
+    fn end_phase(
+        &mut self,
+        chain_index: usize,
+        _kind: SamplerKind,
+        phase: ChainPhase,
+        _iteration: usize,
+        _total: usize,
+    ) {
         let lane = self.lane(chain_index);
         self.buf.end_wall(phase.name(), lane);
     }
@@ -281,11 +300,19 @@ impl ProgressObserver for ServeProgress {
         });
     }
 
-    fn end_phase(&mut self, chain_index: usize, kind: SamplerKind, phase: ChainPhase) {
+    fn end_phase(
+        &mut self,
+        chain_index: usize,
+        kind: SamplerKind,
+        phase: ChainPhase,
+        iteration: usize,
+        total: usize,
+    ) {
         // Flip the chain's `/progress` row to "done" when sampling closes
-        // so a finished chain is not reported mid-flight forever.
-        if phase == ChainPhase::Sampling {
-            self.state.mark_done(kind.name(), chain_index);
+        // or the chain stops early, so it is not reported mid-flight
+        // forever; only the draws actually taken are credited.
+        if phase == ChainPhase::Sampling || iteration < total {
+            self.state.mark_done(kind.name(), chain_index, iteration);
         }
     }
 }
@@ -321,7 +348,7 @@ mod tests {
             split_r_hat: f64::NAN,
             min_ess: f64::NAN,
         });
-        tp.end_phase(2, SamplerKind::Hmc, ChainPhase::Warmup);
+        tp.end_phase(2, SamplerKind::Hmc, ChainPhase::Warmup, 100, 100);
         tp.begin_phase(2, SamplerKind::Hmc, ChainPhase::Sampling);
         tp.observe(&ProgressSnapshot {
             chain_index: 2,
@@ -335,7 +362,7 @@ mod tests {
             split_r_hat: 1.01,
             min_ess: 42.0,
         });
-        tp.end_phase(2, SamplerKind::Hmc, ChainPhase::Sampling);
+        tp.end_phase(2, SamplerKind::Hmc, ChainPhase::Sampling, 100, 100);
 
         let buf = tp.into_buffer();
         assert_eq!(buf.lane_name(obs::Lane(2)), Some("HMC chain 2"));

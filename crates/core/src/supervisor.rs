@@ -1,11 +1,11 @@
-//! Supervised multi-chain execution: panic isolation, a wall-clock
-//! watchdog, and checkpoint/resume on top of the plain chain driver.
+//! Multi-chain execution: one thread per chain, panic isolation, a
+//! wall-clock watchdog, and checkpoint/resume.
 //!
-//! [`run_chains_supervised`] runs the *exact* loop of
-//! [`crate::chain::run_chains_observed`] — same per-chain RNG streams,
-//! same step/adapt/observe order — so with a default
-//! [`SupervisorConfig`] the draws are bit-identical to an unsupervised
-//! run. On top of that shape it adds:
+//! [`run_chains_supervised`] runs every chain through the one chain loop
+//! of [`crate::chain`], with the hook in this module at its supervision
+//! points. The hook never touches the RNG between draws, so with a
+//! default [`SupervisorConfig`] the draws are bit-identical to
+//! [`crate::chain::run_chain`]. Supervision adds:
 //!
 //! * **panic isolation** — a chain that panics (a poisoned likelihood, a
 //!   bug in a kernel) is caught with `catch_unwind`, reported as
@@ -28,20 +28,21 @@
 //! well-defined cut point.
 
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use netsim::SimRng;
 
-use crate::chain::{Chain, ChainConfig, SamplerKind};
+use crate::chain::{drive_chain, Chain, ChainConfig, ChainHook, SamplerKind};
 use crate::checkpoint::{self, CheckpointError, Checkpointable, Reader, Writer};
-use crate::progress::{ChainPhase, ProgressObserver, ProgressSnapshot};
+use crate::progress::ProgressObserver;
 
 /// Exit code of the `kill_after_draws` hard-exit hook (used by the
 /// resume-equivalence smoke test to distinguish the staged kill from a
 /// real failure).
 pub const KILL_EXIT_CODE: i32 = 86;
 
-/// Supervision settings; the default disables every feature and makes
-/// [`run_chains_supervised`] equivalent to the plain driver.
+/// Supervision settings; the default disables every feature, so every
+/// chain runs to completion exactly as [`crate::chain::run_chain`] would.
 #[derive(Clone, Debug, Default)]
 pub struct SupervisorConfig {
     /// Base path for *writing* checkpoints (`<base>.<tag>.<k>` per
@@ -82,8 +83,8 @@ pub enum ChainOutcome {
         /// Phase the deadline fired in (`"warmup"` / `"sampling"`).
         phase: &'static str,
     },
-    /// Panicked or failed to restore; the rest of the campaign completed
-    /// without it.
+    /// Panicked, or failed to restore or write a checkpoint; the rest of
+    /// the campaign completed without it.
     Poisoned {
         /// Panic message or checkpoint error.
         reason: String,
@@ -105,7 +106,7 @@ impl ChainOutcome {
 /// Per-chain result of a supervised run.
 #[derive(Debug)]
 pub struct SupervisedChain<O> {
-    /// The `run_chains` index.
+    /// The chain's index `k`.
     pub chain_index: usize,
     /// Terminal state (chain inside when completed).
     pub outcome: ChainOutcome,
@@ -175,41 +176,6 @@ fn kind_tag(kind: SamplerKind) -> u8 {
         SamplerKind::MetropolisHastings => 0,
         SamplerKind::Hmc => 1,
     }
-}
-
-struct RunOne {
-    outcome: ChainOutcome,
-    resumed_from: Option<u64>,
-    checkpoints_written: u64,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_checkpoint<S: Checkpointable>(
-    base: &Path,
-    tag: &str,
-    chain_index: usize,
-    config: &ChainConfig,
-    samples_done: u64,
-    rng: &SimRng,
-    chain: &Chain,
-    sampler: &S,
-) -> Result<(), CheckpointError> {
-    let mut w = Writer::new();
-    w.u8(kind_tag(sampler.kind()));
-    w.u64(chain_index as u64);
-    w.usize(config.warmup);
-    w.usize(config.samples);
-    w.usize(config.thin);
-    w.u64(samples_done);
-    for s in rng.state() {
-        w.u64(s);
-    }
-    w.usize(chain.dim());
-    w.f64_slice(chain.flat());
-    w.f64_slice(chain.energies());
-    w.usize_slice(chain.divergent_draws());
-    sampler.save_sampler(&mut w);
-    checkpoint::write_frame(&chain_file(base, tag, chain_index), w.as_bytes())
 }
 
 /// Restore chain `chain_index` from `path` into `(sampler, rng, chain)`,
@@ -285,199 +251,110 @@ fn restore_checkpoint<S: Checkpointable>(
     Ok(samples_done)
 }
 
-/// The supervised single-chain loop. Mirrors
-/// [`crate::chain::run_chain_observed`] exactly (same step/adapt/observe
-/// order, no extra RNG draws), adding only the resume prologue and the
-/// deadline/checkpoint hooks.
-fn run_one<S: Checkpointable, O: ProgressObserver>(
-    mut sampler: S,
-    config: &ChainConfig,
-    sup: &SupervisorConfig,
-    tag: &str,
-    rng: &mut SimRng,
+/// The supervised [`ChainHook`] of one chain: it owns the deadline, the
+/// checkpoint codec and the counters, and outlives a panicking chain so
+/// a poisoned chain still reports what it wrote.
+struct Supervision<'a> {
+    sup: &'a SupervisorConfig,
+    tag: &'a str,
     chain_index: usize,
-    observer: &mut O,
-) -> Result<RunOne, CheckpointError> {
-    let every = observer.every();
-    let kind = sampler.kind();
-    let deadline = sup
-        .wall_clock_timeout
-        .map(|d| std::time::Instant::now() + d);
-    let mut checkpoints_written = 0u64;
+    config: &'a ChainConfig,
+    deadline: Option<Instant>,
+    resumed_from: Option<u64>,
+    checkpoints_written: u64,
+}
 
-    let mut chain = Chain::with_capacity(kind, sampler.dim(), config.samples);
-    let mut start_draw = 0usize;
-    let mut resumed_from = None;
-    if let Some(base) = &sup.resume {
-        let path = chain_file(base, tag, chain_index);
-        if path.exists() {
-            let done =
-                restore_checkpoint(&path, chain_index, config, &mut sampler, rng, &mut chain)?;
-            start_draw = done;
-            resumed_from = Some(done as u64);
+impl Supervision<'_> {
+    /// Write the chain's full state after `done` retained draws to
+    /// `<base>.<tag>.<k>`, when checkpointing is on.
+    fn checkpoint<S: Checkpointable>(
+        &mut self,
+        done: u64,
+        sampler: &S,
+        rng: &SimRng,
+        chain: &Chain,
+    ) -> Result<(), CheckpointError> {
+        let Some(base) = &self.sup.checkpoint else {
+            return Ok(());
+        };
+        let mut w = Writer::new();
+        w.u8(kind_tag(sampler.kind()));
+        w.u64(self.chain_index as u64);
+        w.usize(self.config.warmup);
+        w.usize(self.config.samples);
+        w.usize(self.config.thin);
+        w.u64(done);
+        for s in rng.state() {
+            w.u64(s);
         }
+        w.usize(chain.dim());
+        w.f64_slice(chain.flat());
+        w.f64_slice(chain.energies());
+        w.usize_slice(chain.divergent_draws());
+        sampler.save_sampler(&mut w);
+        checkpoint::write_frame(&chain_file(base, self.tag, self.chain_index), w.as_bytes())?;
+        self.checkpoints_written += 1;
+        Ok(())
     }
+}
 
-    let mut warmup_secs = 0.0;
-    if resumed_from.is_none() {
-        let warmup_watch = obs::Stopwatch::start();
-        if every > 0 {
-            observer.begin_phase(chain_index, kind, ChainPhase::Warmup);
+impl<S: Checkpointable> ChainHook<S> for Supervision<'_> {
+    fn start(
+        &mut self,
+        sampler: &mut S,
+        rng: &mut SimRng,
+        chain: &mut Chain,
+    ) -> Result<Option<usize>, CheckpointError> {
+        self.deadline = self.sup.wall_clock_timeout.map(|d| Instant::now() + d);
+        let Some(base) = &self.sup.resume else {
+            return Ok(None);
+        };
+        let path = chain_file(base, self.tag, self.chain_index);
+        if !path.exists() {
+            return Ok(None);
         }
-        for it in 0..config.warmup {
-            if let Some(d) = deadline {
-                if std::time::Instant::now() > d {
-                    return Ok(RunOne {
-                        outcome: ChainOutcome::TimedOut { phase: "warmup" },
-                        resumed_from,
-                        checkpoints_written,
-                    });
-                }
-            }
-            sampler.step(rng);
-            sampler.adapt(it, config.warmup);
-            if every > 0 && (it + 1) % every == 0 {
-                observer.observe(&ProgressSnapshot {
-                    chain_index,
-                    kind,
-                    phase: ChainPhase::Warmup,
-                    iteration: it + 1,
-                    total: config.warmup,
-                    accept_rate: sampler.acceptance_rate(),
-                    divergences: sampler.divergences(),
-                    means: &[],
-                    split_r_hat: f64::NAN,
-                    min_ess: f64::NAN,
-                });
-            }
-        }
-        sampler.end_warmup();
-        if every > 0 {
-            observer.end_phase(chain_index, kind, ChainPhase::Warmup);
-        }
-        warmup_secs = warmup_watch.elapsed_secs();
+        let done = restore_checkpoint(&path, self.chain_index, self.config, sampler, rng, chain)?;
+        self.resumed_from = Some(done as u64);
+        Ok(Some(done))
     }
 
-    let sampling_watch = obs::Stopwatch::start();
-    let thin = config.thin.max(1);
-    if every > 0 {
-        observer.begin_phase(chain_index, kind, ChainPhase::Sampling);
+    fn expired(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() > d)
     }
-    let mut means: Vec<f64> = if every > 0 {
-        vec![0.0; sampler.dim()]
-    } else {
-        Vec::new()
-    };
-    if every > 0 && start_draw > 0 {
-        // Replay Welford over the restored rows in original order so the
-        // running means match the uninterrupted run bit for bit.
-        for (s, row) in chain.rows().enumerate() {
-            let n = (s + 1) as f64;
-            for (m, &x) in means.iter_mut().zip(row) {
-                *m += (x - *m) / n;
-            }
+
+    fn timed_out(
+        &mut self,
+        sampler: &S,
+        rng: &SimRng,
+        chain: &Chain,
+    ) -> Result<(), CheckpointError> {
+        if chain.is_empty() {
+            return Ok(());
         }
+        self.checkpoint(chain.len() as u64, sampler, rng, chain)
     }
-    // Divergence watermark, as in `run_chain_observed`. After a resume
-    // the restored kernel counters make this bit-exact with the
-    // uninterrupted run.
-    let mut prev_div = sampler.divergences();
-    for s in start_draw..config.samples {
-        if let Some(d) = deadline {
-            if std::time::Instant::now() > d {
-                if let Some(base) = &sup.checkpoint {
-                    if !chain.is_empty() {
-                        write_checkpoint(
-                            base,
-                            tag,
-                            chain_index,
-                            config,
-                            chain.len() as u64,
-                            rng,
-                            &chain,
-                            &sampler,
-                        )?;
-                        checkpoints_written += 1;
-                    }
-                }
-                return Ok(RunOne {
-                    outcome: ChainOutcome::TimedOut { phase: "sampling" },
-                    resumed_from,
-                    checkpoints_written,
-                });
-            }
-        }
-        for _ in 0..thin {
-            sampler.step(rng);
-        }
-        chain.push_row(sampler.state());
-        chain.energies.push(sampler.energy());
-        let div = sampler.divergences();
-        if div != prev_div {
-            chain.divergent_draws.push(s);
-            prev_div = div;
-        }
-        if every > 0 {
-            let n = (s + 1) as f64;
-            for (m, &x) in means.iter_mut().zip(sampler.state()) {
-                *m += (x - *m) / n;
-            }
-            if (s + 1) % every == 0 {
-                observer.observe(&ProgressSnapshot {
-                    chain_index,
-                    kind,
-                    phase: ChainPhase::Sampling,
-                    iteration: s + 1,
-                    total: config.samples,
-                    accept_rate: sampler.acceptance_rate(),
-                    divergences: sampler.divergences(),
-                    means: &means,
-                    split_r_hat: crate::diagnostics::max_r_hat(std::slice::from_ref(&chain)),
-                    min_ess: crate::diagnostics::min_ess(&chain),
-                });
-            }
-        }
-        let done = (s + 1) as u64;
+
+    fn after_draw(
+        &mut self,
+        done: u64,
+        sampler: &S,
+        rng: &SimRng,
+        chain: &Chain,
+    ) -> Result<bool, CheckpointError> {
+        let sup = self.sup;
         let at_stop = sup.stop_after_draws == Some(done);
         let at_kill = sup.kill_after_draws == Some(done);
         let periodic = sup.checkpoint_every > 0 && done.is_multiple_of(sup.checkpoint_every);
         if periodic || at_stop || at_kill {
-            if let Some(base) = &sup.checkpoint {
-                write_checkpoint(base, tag, chain_index, config, done, rng, &chain, &sampler)?;
-                checkpoints_written += 1;
-            }
+            self.checkpoint(done, sampler, rng, chain)?;
         }
         if at_kill {
             // Simulated external kill: no cleanup, no unwinding — the
             // next run must come back purely from the checkpoint files.
             std::process::exit(KILL_EXIT_CODE);
         }
-        if at_stop {
-            if every > 0 {
-                observer.end_phase(chain_index, kind, ChainPhase::Sampling);
-            }
-            return Ok(RunOne {
-                outcome: ChainOutcome::Interrupted { samples_done: done },
-                resumed_from,
-                checkpoints_written,
-            });
-        }
+        Ok(at_stop)
     }
-    if every > 0 {
-        observer.end_phase(chain_index, kind, ChainPhase::Sampling);
-    }
-    chain.accept_rate = sampler.acceptance_rate();
-    chain.proposals = sampler.proposals();
-    chain.divergences = sampler.divergences();
-    chain.likelihood_evals = sampler.likelihood_evals();
-    chain.grad_evals = sampler.grad_evals();
-    chain.warmup_secs = warmup_secs;
-    chain.sampling_secs = sampling_watch.elapsed_secs();
-    Ok(RunOne {
-        outcome: ChainOutcome::Completed(chain),
-        resumed_from,
-        checkpoints_written,
-    })
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -490,12 +367,16 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// [`crate::chain::run_chains_observed`] with supervision. `tag` names
-/// the kernel in checkpoint files (conventionally `"mh"` / `"hmc"`).
+/// Run `n_chains` independent chains in parallel threads under
+/// supervision. `make_sampler` builds a fresh kernel per chain (typically
+/// with an overdispersed initial state) and `make_observer(k)` its
+/// [`ProgressObserver`], which runs on the chain's thread and is returned
+/// with the chain. `tag` names the kernel in checkpoint files
+/// (conventionally `"mh"` / `"hmc"`).
 ///
-/// Per-chain RNG streams are derived exactly as in the plain driver
-/// (`rng.split_index("chain", k)`), so a default `sup` reproduces an
-/// unsupervised run draw for draw.
+/// Chain `k` draws from the stream `rng.split_index("chain", k)`, so with
+/// a default `sup` chain `k` equals [`crate::chain::run_chain`] on the
+/// kernel built from that stream, draw for draw.
 pub fn run_chains_supervised<S, F, O, G>(
     make_sampler: F,
     make_observer: G,
@@ -518,38 +399,43 @@ where
             let make_observer = &make_observer;
             let mut chain_rng = rng.split_index("chain", k as u64);
             scope.spawn(move || {
+                let mut hook = Supervision {
+                    sup,
+                    tag,
+                    chain_index: k,
+                    config,
+                    deadline: None,
+                    resumed_from: None,
+                    checkpoints_written: 0,
+                };
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let sampler = make_sampler(k, &mut chain_rng);
                     let mut observer = make_observer(k);
-                    let run = run_one(sampler, config, sup, tag, &mut chain_rng, k, &mut observer);
-                    (run, observer)
+                    let outcome =
+                        drive_chain(sampler, config, &mut chain_rng, k, &mut observer, &mut hook);
+                    (outcome, observer)
                 }));
-                *slot = Some(match result {
-                    Ok((Ok(run), observer)) => SupervisedChain {
-                        chain_index: k,
-                        outcome: run.outcome,
-                        observer: Some(observer),
-                        resumed_from: run.resumed_from,
-                        checkpoints_written: run.checkpoints_written,
-                    },
-                    Ok((Err(e), observer)) => SupervisedChain {
-                        chain_index: k,
-                        outcome: ChainOutcome::Poisoned {
+                let (outcome, observer) = match result {
+                    Ok((Ok(outcome), observer)) => (outcome, Some(observer)),
+                    Ok((Err(e), observer)) => (
+                        ChainOutcome::Poisoned {
                             reason: e.to_string(),
                         },
-                        observer: Some(observer),
-                        resumed_from: None,
-                        checkpoints_written: 0,
-                    },
-                    Err(payload) => SupervisedChain {
-                        chain_index: k,
-                        outcome: ChainOutcome::Poisoned {
+                        Some(observer),
+                    ),
+                    Err(payload) => (
+                        ChainOutcome::Poisoned {
                             reason: panic_message(payload),
                         },
-                        observer: None,
-                        resumed_from: None,
-                        checkpoints_written: 0,
-                    },
+                        None,
+                    ),
+                };
+                *slot = Some(SupervisedChain {
+                    chain_index: k,
+                    outcome,
+                    observer,
+                    resumed_from: hook.resumed_from,
+                    checkpoints_written: hook.checkpoints_written,
                 });
             });
         }
@@ -565,11 +451,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::{run_chains, Sampler};
+    use crate::chain::tests::Collector;
+    use crate::chain::{run_chain, Sampler};
     use crate::mh::MetropolisHastings;
     use crate::model::{NodeId, PathData, PathObservation};
     use crate::prior::Prior;
-    use crate::progress::NoProgress;
+    use crate::progress::{ChainPhase, NoProgress};
 
     fn data() -> PathData {
         let mut obs = Vec::new();
@@ -600,8 +487,46 @@ mod tests {
         }
     }
 
+    fn mh<'a>(d: &'a PathData) -> impl Fn(usize, &mut SimRng) -> MetropolisHastings<'a> + Sync {
+        move |_k, r| MetropolisHastings::from_prior(d, Prior::default(), r)
+    }
+
+    /// Chain `k` of a multi-chain run on `rng`, run alone by `run_chain`.
+    fn solo(d: &PathData, cfg: &ChainConfig, rng: &SimRng, k: usize) -> Chain {
+        let mut r = rng.split_index("chain", k as u64);
+        run_chain(mh(d)(k, &mut r), cfg, &mut r)
+    }
+
+    /// The observer contract on every exit path: each phase that began
+    /// ended, in order, and no snapshot or phase end credits more
+    /// sampling draws than the `taken` the chain actually retained.
+    fn assert_closed_and_credited(c: &Collector, taken: usize) {
+        assert_eq!(c.phases.len() % 2, 0, "unbalanced phases: {:?}", c.phases);
+        for pair in c.phases.chunks(2) {
+            assert!(
+                pair[0].0 == pair[1].0 && pair[0].1.is_none() && pair[1].1.is_some(),
+                "phase not closed: {:?}",
+                c.phases
+            );
+        }
+        let sampling = c
+            .snaps
+            .iter()
+            .filter(|s| s.0 == ChainPhase::Sampling)
+            .map(|s| s.1)
+            .chain(
+                c.phases
+                    .iter()
+                    .filter(|p| p.0 == ChainPhase::Sampling)
+                    .filter_map(|p| p.1),
+            );
+        for it in sampling {
+            assert!(it <= taken, "credited {it} of {taken} retained draws");
+        }
+    }
+
     #[test]
-    fn default_supervision_matches_plain_driver_bitwise() {
+    fn default_supervision_matches_run_chain_bitwise() {
         let d = data();
         let cfg = ChainConfig {
             warmup: 60,
@@ -609,12 +534,9 @@ mod tests {
             thin: 1,
         };
         let rng = SimRng::new(42);
-        let make =
-            |_k: usize, r: &mut SimRng| MetropolisHastings::from_prior(&d, Prior::default(), r);
-        let plain = run_chains(make, 3, &cfg, &rng);
         let supervised = run_chains_supervised(
-            make,
-            |_| NoProgress,
+            mh(&d),
+            |_| Collector::every(20),
             3,
             &cfg,
             &rng,
@@ -626,11 +548,43 @@ mod tests {
         let (done, failed) = supervised.into_parts();
         assert!(failed.is_empty(), "failures: {failed:?}");
         assert_eq!(done.len(), 3);
-        for ((k, chain, _), p) in done.iter().zip(&plain) {
+        for (k, chain, observer) in &done {
+            // Observation does not perturb the draws either.
+            let p = solo(&d, &cfg, &rng, *k);
             assert_eq!(chain.flat(), p.flat(), "chain {k} diverged");
             assert_eq!(chain.accept_rate, p.accept_rate);
             assert_eq!(chain.proposals, p.proposals);
+            // Each chain returns its own observer: 60/20 warmup + 80/20
+            // sampling snapshots.
+            let observer = observer
+                .as_ref()
+                .expect("completed chain keeps its observer");
+            assert_eq!(observer.snaps.len(), 3 + 4);
+            assert_closed_and_credited(observer, 80);
         }
+    }
+
+    #[test]
+    fn supervised_chains_are_reproducible_and_distinct() {
+        let d = data();
+        let cfg = ChainConfig {
+            warmup: 50,
+            samples: 100,
+            thin: 1,
+        };
+        let rng = SimRng::new(9);
+        let sup = SupervisorConfig::default();
+        let chains = || {
+            let run = run_chains_supervised(mh(&d), |_| NoProgress, 3, &cfg, &rng, &sup, "mh");
+            let (done, _) = run.into_parts();
+            done.into_iter().map(|(_, c, _)| c).collect::<Vec<_>>()
+        };
+        let (a, b) = (chains(), chains());
+        assert_eq!(a.len(), 3);
+        for (ca, cb) in a.iter().zip(&b) {
+            assert_eq!(ca.flat(), cb.flat(), "same seed → same chains");
+        }
+        assert_ne!(a[0].flat(), a[1].flat(), "different chains differ");
     }
 
     #[test]
@@ -642,10 +596,6 @@ mod tests {
             thin: 1,
         };
         let rng = SimRng::new(7);
-        let make =
-            |_k: usize, r: &mut SimRng| MetropolisHastings::from_prior(&d, Prior::default(), r);
-
-        let uninterrupted = run_chains(make, 2, &cfg, &rng);
 
         let base = tmp_base("resume");
         let stop = SupervisorConfig {
@@ -654,7 +604,8 @@ mod tests {
             stop_after_draws: Some(25),
             ..Default::default()
         };
-        let first = run_chains_supervised(make, |_| NoProgress, 2, &cfg, &rng, &stop, "mh");
+        let first =
+            run_chains_supervised(mh(&d), |_| Collector::every(10), 2, &cfg, &rng, &stop, "mh");
         for c in &first.chains {
             assert!(
                 matches!(c.outcome, ChainOutcome::Interrupted { samples_done: 25 }),
@@ -664,17 +615,32 @@ mod tests {
             );
             // 10, 20, then the stop checkpoint at 25.
             assert_eq!(c.checkpoints_written, 3);
+            let observer = c.observer.as_ref().unwrap();
+            assert_closed_and_credited(observer, 25);
+            assert_eq!(
+                observer.phases.last(),
+                Some(&(ChainPhase::Sampling, Some(25)))
+            );
         }
 
         let resume = SupervisorConfig {
             resume: Some(base.clone()),
             ..Default::default()
         };
-        let second = run_chains_supervised(make, |_| NoProgress, 2, &cfg, &rng, &resume, "mh");
+        let second = run_chains_supervised(
+            mh(&d),
+            |_| Collector::every(10),
+            2,
+            &cfg,
+            &rng,
+            &resume,
+            "mh",
+        );
         assert_eq!(second.resumed_chains(), 2);
         let (done, failed) = second.into_parts();
         assert!(failed.is_empty(), "failures: {failed:?}");
-        for ((k, chain, _), u) in done.iter().zip(&uninterrupted) {
+        for (k, chain, observer) in &done {
+            let u = solo(&d, &cfg, &rng, *k);
             assert_eq!(
                 chain.flat(),
                 u.flat(),
@@ -686,8 +652,18 @@ mod tests {
             // Per-draw metadata survives the round trip bit for bit
             // (bitwise compare: MH energies are NaN, which != itself).
             let bits = |c: &Chain| c.energies().iter().map(|e| e.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(chain), bits(u), "resumed chain {k} energies differ");
+            assert_eq!(bits(chain), bits(&u), "resumed chain {k} energies differ");
             assert_eq!(chain.divergent_draws(), u.divergent_draws());
+            // A resumed chain skips warmup and samples from draw 25 on.
+            let observer = observer.as_ref().unwrap();
+            assert_eq!(
+                observer.phases,
+                vec![
+                    (ChainPhase::Sampling, None),
+                    (ChainPhase::Sampling, Some(70))
+                ]
+            );
+            assert_eq!(chain.warmup_secs, 0.0);
         }
         cleanup(&base, "mh", 2);
     }
@@ -701,19 +677,16 @@ mod tests {
             thin: 1,
         };
         let rng = SimRng::new(3);
-        let make =
-            |_k: usize, r: &mut SimRng| MetropolisHastings::from_prior(&d, Prior::default(), r);
-        let plain = run_chains(make, 2, &cfg, &rng);
         let resume = SupervisorConfig {
             resume: Some(tmp_base("never-written")),
             ..Default::default()
         };
-        let run = run_chains_supervised(make, |_| NoProgress, 2, &cfg, &rng, &resume, "mh");
+        let run = run_chains_supervised(mh(&d), |_| NoProgress, 2, &cfg, &rng, &resume, "mh");
         assert_eq!(run.resumed_chains(), 0);
         let (done, failed) = run.into_parts();
         assert!(failed.is_empty());
-        for ((_, chain, _), p) in done.iter().zip(&plain) {
-            assert_eq!(chain.flat(), p.flat());
+        for (k, chain, _) in &done {
+            assert_eq!(chain.flat(), solo(&d, &cfg, &rng, *k).flat());
         }
     }
 
@@ -726,8 +699,6 @@ mod tests {
             thin: 1,
         };
         let rng = SimRng::new(5);
-        let make =
-            |_k: usize, r: &mut SimRng| MetropolisHastings::from_prior(&d, Prior::default(), r);
 
         let base = tmp_base("corrupt");
         let stop = SupervisorConfig {
@@ -735,7 +706,7 @@ mod tests {
             stop_after_draws: Some(15),
             ..Default::default()
         };
-        run_chains_supervised(make, |_| NoProgress, 2, &cfg, &rng, &stop, "mh");
+        run_chains_supervised(mh(&d), |_| NoProgress, 2, &cfg, &rng, &stop, "mh");
 
         // Truncate chain 1's file mid-payload.
         let victim = chain_file(&base, "mh", 1);
@@ -746,7 +717,7 @@ mod tests {
             resume: Some(base.clone()),
             ..Default::default()
         };
-        let run = run_chains_supervised(make, |_| NoProgress, 2, &cfg, &rng, &resume, "mh");
+        let run = run_chains_supervised(mh(&d), |_| NoProgress, 2, &cfg, &rng, &resume, "mh");
         assert!(matches!(run.chains[0].outcome, ChainOutcome::Completed(_)));
         match &run.chains[1].outcome {
             ChainOutcome::Poisoned { reason } => {
@@ -760,12 +731,26 @@ mod tests {
         cleanup(&base, "mh", 2);
     }
 
-    /// A kernel that panics mid-sampling on one chain: the supervisor
-    /// must report it and let the others finish.
+    /// MH with a callback before every step, given the chain index and
+    /// the 1-based step number: it can panic, stall, or sabotage the
+    /// checkpoint directory.
     struct FaultyKernel<'a> {
         inner: MetropolisHastings<'a>,
+        chain_index: usize,
         steps: u64,
-        panic_at: Option<u64>,
+        on_step: &'a (dyn Fn(usize, u64) + Sync),
+    }
+
+    fn faulty<'a>(
+        d: &'a PathData,
+        on_step: &'a (dyn Fn(usize, u64) + Sync),
+    ) -> impl Fn(usize, &mut SimRng) -> FaultyKernel<'a> + Sync {
+        move |k, r| FaultyKernel {
+            inner: MetropolisHastings::from_prior(d, Prior::default(), r),
+            chain_index: k,
+            steps: 0,
+            on_step,
+        }
     }
 
     impl Sampler for FaultyKernel<'_> {
@@ -777,9 +762,7 @@ mod tests {
         }
         fn step(&mut self, rng: &mut SimRng) {
             self.steps += 1;
-            if Some(self.steps) == self.panic_at {
-                panic!("injected kernel fault at step {}", self.steps);
-            }
+            (self.on_step)(self.chain_index, self.steps);
             self.inner.step(rng);
         }
         fn adapt(&mut self, iter: usize, total: usize) {
@@ -820,13 +803,13 @@ mod tests {
             thin: 1,
         };
         let rng = SimRng::new(8);
-        let make = |k: usize, r: &mut SimRng| FaultyKernel {
-            inner: MetropolisHastings::from_prior(&d, Prior::default(), r),
-            steps: 0,
-            panic_at: (k == 1).then_some(25),
+        let fault = |k: usize, step: u64| {
+            if k == 1 && step == 25 {
+                panic!("injected kernel fault at step {step}");
+            }
         };
         let run = run_chains_supervised(
-            make,
+            faulty(&d, &fault),
             |_| NoProgress,
             3,
             &cfg,
@@ -849,6 +832,51 @@ mod tests {
     }
 
     #[test]
+    fn failed_checkpoint_write_keeps_earlier_counts() {
+        let d = data();
+        let cfg = ChainConfig {
+            warmup: 20,
+            samples: 40,
+            thin: 1,
+        };
+        let dir = tmp_base("vanishing");
+        std::fs::create_dir_all(&dir).unwrap();
+        // Warmup is steps 1..=20, draw n is step 20 + n: the directory
+        // vanishes right after the first periodic checkpoint (draw 10),
+        // so the write at draw 20 fails.
+        let vanish = |_k: usize, step: u64| {
+            if step == 31 {
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        };
+        let sup = SupervisorConfig {
+            checkpoint: Some(dir.join("ckpt")),
+            checkpoint_every: 10,
+            ..Default::default()
+        };
+        let run = run_chains_supervised(
+            faulty(&d, &vanish),
+            |_| Collector::every(5),
+            1,
+            &cfg,
+            &SimRng::new(4),
+            &sup,
+            "mh",
+        );
+        let c = &run.chains[0];
+        match &c.outcome {
+            ChainOutcome::Poisoned { reason } => {
+                assert!(reason.contains("checkpoint io error"), "reason: {reason}");
+            }
+            other => panic!("expected poisoned chain, got {}", other.status()),
+        }
+        assert_eq!(c.checkpoints_written, 1);
+        assert_eq!(run.checkpoints_written(), 1);
+        assert_closed_and_credited(c.observer.as_ref().unwrap(), 20);
+        assert!(!dir.exists());
+    }
+
+    #[test]
     fn watchdog_times_out_a_stuck_chain() {
         let d = data();
         // A huge warmup that cannot finish inside the deadline.
@@ -858,20 +886,70 @@ mod tests {
             thin: 1,
         };
         let rng = SimRng::new(9);
-        let make =
-            |_k: usize, r: &mut SimRng| MetropolisHastings::from_prior(&d, Prior::default(), r);
         let sup = SupervisorConfig {
             wall_clock_timeout: Some(std::time::Duration::from_millis(50)),
             ..Default::default()
         };
-        let run = run_chains_supervised(make, |_| NoProgress, 1, &cfg, &rng, &sup, "mh");
+        let run =
+            run_chains_supervised(mh(&d), |_| Collector::every(100), 1, &cfg, &rng, &sup, "mh");
+        let c = &run.chains[0];
         assert!(
-            matches!(
-                run.chains[0].outcome,
-                ChainOutcome::TimedOut { phase: "warmup" }
-            ),
+            matches!(c.outcome, ChainOutcome::TimedOut { phase: "warmup" }),
             "got {}",
-            run.chains[0].outcome.status()
+            c.outcome.status()
+        );
+        // The warmup phase is closed short of its total; sampling never
+        // began, so no draw is credited.
+        let observer = c.observer.as_ref().unwrap();
+        assert_closed_and_credited(observer, 0);
+        match observer.phases.as_slice() {
+            [(ChainPhase::Warmup, None), (ChainPhase::Warmup, Some(it))] => {
+                assert!(*it < cfg.warmup);
+            }
+            other => panic!("phases {other:?}"),
+        }
+    }
+
+    #[test]
+    fn watchdog_closes_the_sampling_phase_at_the_draws_taken() {
+        let d = data();
+        let cfg = ChainConfig {
+            warmup: 0,
+            samples: 1_000_000,
+            thin: 1,
+        };
+        // Every step stalls, so the deadline fires during sampling; with
+        // no warmup and `thin` 1, steps taken are retained draws.
+        let steps = std::sync::atomic::AtomicUsize::new(0);
+        let stall = |_k: usize, _step: u64| {
+            steps.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        };
+        let sup = SupervisorConfig {
+            wall_clock_timeout: Some(std::time::Duration::from_millis(50)),
+            ..Default::default()
+        };
+        let run = run_chains_supervised(
+            faulty(&d, &stall),
+            |_| Collector::every(4),
+            1,
+            &cfg,
+            &SimRng::new(6),
+            &sup,
+            "mh",
+        );
+        let c = &run.chains[0];
+        assert!(
+            matches!(c.outcome, ChainOutcome::TimedOut { phase: "sampling" }),
+            "got {}",
+            c.outcome.status()
+        );
+        let taken = steps.load(std::sync::atomic::Ordering::Relaxed);
+        let observer = c.observer.as_ref().unwrap();
+        assert_closed_and_credited(observer, taken);
+        assert_eq!(
+            observer.phases.last(),
+            Some(&(ChainPhase::Sampling, Some(taken)))
         );
     }
 

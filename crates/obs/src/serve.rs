@@ -47,7 +47,7 @@ use crate::report::HistogramSnapshot;
 pub struct ChainProgress {
     /// Kernel label (`"MH"`, `"HMC"`).
     pub kernel: &'static str,
-    /// The `run_chains` index.
+    /// The chain's index within its multi-chain run.
     pub chain_index: usize,
     /// `"warmup"` or `"sampling"` (or `"done"` once the chain finished).
     pub phase: &'static str,
@@ -173,11 +173,14 @@ impl ServeState {
     }
 
     /// Mark a chain's `/progress` row finished (phase `"done"`), keeping
-    /// its last recorded statistics and crediting the draws collected
-    /// after the final sampling snapshot. Chains that never snapshotted
-    /// (cadence longer than the run) have no row and stay unrecorded.
-    pub fn mark_done(&self, kernel: &'static str, chain_index: usize) {
-        let sampling_total = {
+    /// its last recorded statistics. A row that was sampling moves to
+    /// `iteration`, the draws the chain took (its total when it ran to
+    /// completion, fewer when it stopped early), and the draws collected
+    /// after the final sampling snapshot are credited. Chains that never
+    /// snapshotted (cadence longer than the run) have no row and stay
+    /// unrecorded.
+    pub fn mark_done(&self, kernel: &'static str, chain_index: usize, iteration: usize) {
+        {
             let mut table = self.progress.lock().expect("progress lock");
             let Some(slot) = table
                 .iter_mut()
@@ -190,16 +193,15 @@ impl ServeState {
             if !was_sampling {
                 return;
             }
-            slot.iteration = slot.total;
-            slot.total
-        };
+            slot.iteration = iteration;
+        }
         let mut last = self.last_iteration.lock().expect("iteration lock");
         if let Some((_, _, it)) = last
             .iter_mut()
             .find(|(k, c, _)| *k == kernel && *c == chain_index)
         {
-            let delta = sampling_total.saturating_sub(*it);
-            *it = sampling_total;
+            let delta = iteration.saturating_sub(*it);
+            *it = iteration;
             self.registry.add(self.ids.draws, delta as u64);
         }
     }
@@ -666,7 +668,7 @@ mod tests {
         state.record_progress(snap(100));
         // The run ends between snapshots (170 not divisible by 50):
         // mark_done credits the 70-draw tail and keeps the statistics.
-        state.mark_done("MH", 0);
+        state.mark_done("MH", 0, 170);
         let metrics = state.render_metrics();
         assert!(metrics.contains("repro_draws 170"), "{metrics}");
         let progress = state.render_progress();
@@ -674,10 +676,43 @@ mod tests {
         assert!(progress.contains("\"iteration\":170"), "{progress}");
         assert!(progress.contains("\"split_r_hat\":1.02"), "{progress}");
         // Idempotent: a second call credits nothing.
-        state.mark_done("MH", 0);
+        state.mark_done("MH", 0, 170);
         assert!(state.render_metrics().contains("repro_draws 170"));
         // Unknown chains are ignored.
-        state.mark_done("HMC", 9);
+        state.mark_done("HMC", 9, 170);
+    }
+
+    #[test]
+    fn mark_done_credits_only_the_draws_of_a_stopped_chain() {
+        let state = Arc::new(ServeState::new(Registry::new()));
+        let snap = |phase: &'static str, it: usize, total: usize| ChainProgress {
+            kernel: "HMC",
+            chain_index: 1,
+            phase,
+            iteration: it,
+            total,
+            accept_rate: 0.8,
+            divergences: 0,
+            split_r_hat: f64::NAN,
+            min_ess: f64::NAN,
+        };
+        // Stopped at draw 120 of 200: the row ends at 120, not 200.
+        state.record_progress(snap("sampling", 50, 200));
+        state.record_progress(snap("sampling", 100, 200));
+        state.mark_done("HMC", 1, 120);
+        assert!(state.render_metrics().contains("repro_draws 120"));
+        let progress = state.render_progress();
+        assert!(progress.contains("\"phase\":\"done\""), "{progress}");
+        assert!(progress.contains("\"iteration\":120"), "{progress}");
+        // Stopped in warmup: the row closes and no draw is credited.
+        state.record_progress(ChainProgress {
+            kernel: "MH",
+            chain_index: 0,
+            ..snap("warmup", 50, 300)
+        });
+        state.mark_done("MH", 0, 70);
+        assert!(state.render_metrics().contains("repro_draws 120"));
+        assert!(!state.render_progress().contains("\"phase\":\"warmup\""));
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! The sampler tests elsewhere check statistical properties (means,
 //! acceptance, convergence) or compare two runs of the same build, so a
 //! kernel change that moves a draw by one ulp passes them all. These
-//! tests compare one `Analysis::run` against digests recorded from a
+//! tests compare `Analysis` runs against digests recorded from a
 //! known-good build: an FNV-1a digest over the bits of every MH and HMC
-//! draw, chain by chain, and one over the final category vector. Any
+//! draw, chain by chain, and one over the final category vector. A
+//! plain run, an observed (progress + trace) run and a stopped-then-
+//! resumed run must all reproduce the same digests. Any
 //! change to an RNG draw, to the order of a floating-point sum in the
 //! likelihood, its gradient or the prior, or to the adaptation schedule
 //! moves at least one of them.
@@ -13,9 +15,11 @@
 //! Re-record the constants only for a deliberate, documented change of
 //! sampler semantics.
 
+use std::path::PathBuf;
+
 use because::chain::{Chain, ChainConfig};
 use because::model::{NodeId, PathData, PathObservation};
-use because::{Analysis, AnalysisConfig, Prior};
+use because::{Analysis, AnalysisConfig, Prior, SupervisorConfig};
 
 /// 64-bit FNV-1a, continued from `h`.
 fn fnv1a_from(h: u64, bytes: &[u8]) -> u64 {
@@ -65,11 +69,10 @@ fn dataset() -> PathData {
     PathData::from_observations(&obs, &[])
 }
 
-#[test]
-fn mh_and_hmc_draws_match_recorded_pins() {
-    let data = dataset();
-    assert!(data.paths().any(|p| p.weight > 1));
-    let config = AnalysisConfig {
+/// The pinned configuration: two chains per kernel, 100 warmup and 150
+/// retained draws, seed 2020.
+fn config() -> AnalysisConfig {
+    AnalysisConfig {
         prior: Prior::default(),
         chain: ChainConfig {
             warmup: 100,
@@ -79,8 +82,11 @@ fn mh_and_hmc_draws_match_recorded_pins() {
         n_chains: 2,
         seed: 2020,
         ..AnalysisConfig::default()
-    };
-    let a = Analysis::run(&data, &config);
+    }
+}
+
+/// Compare a run of [`config`] against the recorded digests.
+fn assert_pinned(a: &Analysis) {
     assert_eq!(a.mh_chains.len(), 2);
     assert_eq!(a.hmc_chains.len(), 2);
     let categories: Vec<u8> = a.reports.iter().map(|r| r.category.value()).collect();
@@ -97,4 +103,65 @@ fn mh_and_hmc_draws_match_recorded_pins() {
         ),
         "sampler draws drifted from their recorded pins"
     );
+}
+
+#[test]
+fn mh_and_hmc_draws_match_recorded_pins() {
+    let data = dataset();
+    assert!(data.paths().any(|p| p.weight > 1));
+    assert_pinned(&Analysis::run(&data, &config()));
+}
+
+/// Progress snapshots and trace recording observe the chains without
+/// moving a draw.
+#[test]
+fn observed_run_matches_recorded_pins() {
+    let config = AnalysisConfig {
+        trace: true,
+        progress_every: 40,
+        ..config()
+    };
+    let a = Analysis::run(&dataset(), &config);
+    assert!(a.trace.as_ref().is_some_and(|t| !t.is_empty()));
+    assert_pinned(&a);
+}
+
+/// A run stopped after 60 retained draws and resumed from its
+/// checkpoints finishes with the uninterrupted draws.
+#[test]
+fn stopped_then_resumed_run_matches_recorded_pins() {
+    /// A fresh scratch directory, removed on drop.
+    struct TempDir(PathBuf);
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+    let dir =
+        TempDir(std::env::temp_dir().join(format!("because-sampler-pins-{}", std::process::id())));
+    let _ = std::fs::remove_dir_all(&dir.0);
+    std::fs::create_dir_all(&dir.0).unwrap();
+    let base = dir.0.join("ckpt");
+
+    let data = dataset();
+    let stop = SupervisorConfig {
+        checkpoint: Some(base.clone()),
+        checkpoint_every: 25,
+        stop_after_draws: Some(60),
+        ..SupervisorConfig::default()
+    };
+    let first = Analysis::run_supervised(&data, &config(), &stop);
+    assert_eq!(first.failures.len(), 4, "every chain stops at draw 60");
+    assert!(first.mh_chains.is_empty() && first.hmc_chains.is_empty());
+    // Draws 25 and 50, then the stop checkpoint at 60, per chain.
+    assert_eq!(first.checkpoints_written, 4 * 3);
+
+    let resume = SupervisorConfig {
+        resume: Some(base),
+        ..SupervisorConfig::default()
+    };
+    let second = Analysis::run_supervised(&data, &config(), &resume);
+    assert!(second.failures.is_empty(), "{:?}", second.failures);
+    assert_eq!(second.resumed_chains, 4);
+    assert_pinned(&second);
 }
