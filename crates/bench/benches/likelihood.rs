@@ -49,41 +49,6 @@ fn bench_grad(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs. threaded full evaluation on the ≥5k-path dataset — the
-/// ablation behind the `BENCH_*.json` speedup numbers. The threshold
-/// override pins each side: `usize::MAX` forces serial, `0` forces the
-/// scoped-thread path (which still collapses to one chunk on a 1-core
-/// host, bounding the parallel overhead). The `grad_*` labels time the
-/// fused `eval_grad` pass; they keep BENCH_0001's names.
-fn bench_parallel_vs_serial(c: &mut Criterion) {
-    let mut group = c.benchmark_group("likelihood_parallel");
-    let data = synthetic_paths(800, 6000, 0.2, 4);
-    let p = mid_p(&data);
-    let mut serial = LogLikelihood::new(&data).with_parallel_threshold(usize::MAX);
-    let mut parallel = LogLikelihood::new(&data).with_parallel_threshold(0);
-    let mut g = vec![0.0; data.num_nodes()];
-
-    group.bench_function("eval_serial", |b| {
-        b.iter(|| black_box(serial.eval(black_box(&p))))
-    });
-    group.bench_function("eval_parallel", |b| {
-        b.iter(|| black_box(parallel.eval(black_box(&p))))
-    });
-    group.bench_function("grad_serial", |b| {
-        b.iter(|| {
-            black_box(serial.eval_grad(black_box(&p), &mut g));
-            black_box(&g);
-        })
-    });
-    group.bench_function("grad_parallel", |b| {
-        b.iter(|| {
-            black_box(parallel.eval_grad(black_box(&p), &mut g));
-            black_box(&g);
-        })
-    });
-    group.finish();
-}
-
 fn bench_incremental_vs_full(c: &mut Criterion) {
     let mut group = c.benchmark_group("coordinate_update");
     let data = synthetic_paths(200, 1000, 0.2, 3);
@@ -115,6 +80,6 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_eval, bench_grad, bench_parallel_vs_serial, bench_incremental_vs_full
+    targets = bench_eval, bench_grad, bench_incremental_vs_full
 );
 criterion_main!(benches);

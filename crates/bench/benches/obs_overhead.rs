@@ -1,24 +1,10 @@
 //! Cost of the obs primitives themselves — the instrumentation must stay
-//! well inside its ≤ 2 % end-to-end budget, which means every counter
-//! bump and histogram record has to be a handful of nanoseconds.
+//! well inside its ≤ 2 % end-to-end budget, which means every histogram
+//! record, span and registry bump has to be a handful of nanoseconds.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use obs::{Counter, Histogram, Registry, SpanSet};
+use obs::{Histogram, Registry, SpanSet};
 use std::hint::black_box;
-
-fn bench_counter(c: &mut Criterion) {
-    let mut group = c.benchmark_group("obs_primitives");
-    group.bench_function("counter_inc_1k", |b| {
-        let mut counter = Counter::new();
-        b.iter(|| {
-            for _ in 0..1000 {
-                counter.inc();
-            }
-            black_box(counter.get())
-        })
-    });
-    group.finish();
-}
 
 fn bench_histogram(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_primitives");
@@ -69,6 +55,6 @@ fn bench_registry(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default();
-    targets = bench_counter, bench_histogram, bench_span, bench_registry
+    targets = bench_histogram, bench_span, bench_registry
 );
 criterion_main!(benches);

@@ -34,10 +34,6 @@ pub struct AnalysisConfig {
     pub chain: ChainConfig,
     /// Independent chains per kernel.
     pub n_chains: usize,
-    /// Run the Metropolis–Hastings kernel.
-    pub run_mh: bool,
-    /// Run the HMC kernel.
-    pub run_hmc: bool,
     /// HPDI mass level (paper: 0.95).
     pub hpdi_level: f64,
     /// Master seed.
@@ -57,8 +53,6 @@ impl Default for AnalysisConfig {
             prior: Prior::default(),
             chain: ChainConfig::default(),
             n_chains: 2,
-            run_mh: true,
-            run_hmc: true,
             hpdi_level: 0.95,
             seed: 0,
             progress_every: 0,
@@ -88,9 +82,9 @@ impl AnalysisConfig {
 pub struct AsReport {
     /// The AS.
     pub id: NodeId,
-    /// MH marginal summary (if MH ran).
+    /// MH marginal summary (`None` if every MH chain failed).
     pub mh: Option<Marginal>,
-    /// HMC marginal summary (if HMC ran).
+    /// HMC marginal summary (`None` if every HMC chain failed).
     pub hmc: Option<Marginal>,
     /// Final Table-1 category (after the pinpoint pass).
     pub category: Category,
@@ -101,7 +95,8 @@ pub struct AsReport {
 }
 
 impl AsReport {
-    /// The mean over whichever samplers ran (average of available means).
+    /// The mean over the samplers with surviving chains (average of
+    /// available means).
     pub fn mean(&self) -> f64 {
         match (self.mh, self.hmc) {
             (Some(a), Some(b)) => 0.5 * (a.mean + b.mean),
@@ -155,7 +150,7 @@ pub struct KernelDiagnostics {
 }
 
 impl KernelDiagnostics {
-    /// Diagnose one kernel's chains (all NaN when it did not run).
+    /// Diagnose one kernel's chains (all NaN when none survived).
     pub(crate) fn of(chains: &[Chain]) -> Self {
         // Multi-chain R̂ statistics need at least two chains to compare.
         let multi = |f: fn(&[Chain]) -> f64| {
@@ -179,9 +174,9 @@ impl KernelDiagnostics {
 pub struct Analysis {
     /// Per-AS reports, in dense index order.
     pub reports: Vec<AsReport>,
-    /// Pooled MH chains (empty if MH did not run).
+    /// Completed MH chains (empty if every MH chain failed).
     pub mh_chains: Vec<Chain>,
-    /// Pooled HMC chains (empty if HMC did not run).
+    /// Completed HMC chains (empty if every HMC chain failed).
     pub hmc_chains: Vec<Chain>,
     /// Paths labeled as showing the property that no flagged AS explains.
     pub unexplained_paths: usize,
@@ -197,17 +192,18 @@ pub struct Analysis {
     /// Smallest tail ESS (5 %/95 % indicator) across coordinates and
     /// kernels.
     pub min_ess_tail: f64,
-    /// The MH chains' own diagnostics (all NaN if MH did not run); the
-    /// pooled fields above are the NaN-aware worst of the two kernels.
+    /// The MH chains' own diagnostics (all NaN if every MH chain failed);
+    /// the pooled fields above are the NaN-aware worst of the two kernels.
     pub mh_diagnostics: KernelDiagnostics,
-    /// The HMC chains' own diagnostics (all NaN if HMC did not run).
+    /// The HMC chains' own diagnostics (all NaN if every HMC chain
+    /// failed).
     pub hmc_diagnostics: KernelDiagnostics,
-    /// Per-HMC-chain E-BFMI over the recorded trajectory energies
-    /// (empty if HMC did not run).
+    /// E-BFMI of each completed HMC chain over its recorded trajectory
+    /// energies.
     pub e_bfmi: Vec<f64>,
-    /// Wall-clock spent running MH chains (0 if MH did not run).
+    /// Wall-clock spent running MH chains.
     pub mh_secs: f64,
-    /// Wall-clock spent running HMC chains (0 if HMC did not run).
+    /// Wall-clock spent running HMC chains.
     pub hmc_secs: f64,
     /// Merged per-chain progress trace (lanes: MH chains, then HMC
     /// chains), when [`AnalysisConfig::trace`] was set.
@@ -294,11 +290,9 @@ struct KernelRuns<'a> {
 impl KernelRuns<'_> {
     /// Run one kernel's chains on the RNG stream and checkpoint tag
     /// `tag`, recording failures under `kernel`. Returns the completed
-    /// chains, their observers and the kernel's wall-clock (empty and 0
-    /// when the kernel is disabled).
+    /// chains, their observers and the kernel's wall-clock.
     fn run<S, F, G>(
         &mut self,
-        enabled: bool,
         kernel: &'static str,
         tag: &str,
         make_sampler: F,
@@ -309,9 +303,6 @@ impl KernelRuns<'_> {
         F: Fn(usize, &mut SimRng) -> S + Sync,
         G: Fn(usize) -> RunObserver + Sync,
     {
-        if !enabled {
-            return (Vec::new(), Vec::new(), 0.0);
-        }
         let watch = obs::Stopwatch::start();
         let run = run_chains_supervised(
             make_sampler,
@@ -364,10 +355,6 @@ impl Analysis {
         config: &AnalysisConfig,
         sup: &SupervisorConfig,
     ) -> Analysis {
-        assert!(
-            config.run_mh || config.run_hmc,
-            "enable at least one kernel"
-        );
         let rng = SimRng::new(config.seed);
 
         // Progress/trace observers share one cadence and wall epoch; lane
@@ -400,23 +387,16 @@ impl Analysis {
             checkpoints_written: 0,
         };
         let (mh_chains, mh_observers, mh_secs) = runs.run(
-            config.run_mh,
             "MH",
             "mh",
             |_k, r: &mut SimRng| MetropolisHastings::from_prior(data, config.prior, r),
             make_observer(0),
         );
-        let hmc_lane_base = if config.run_mh {
-            config.n_chains as u64
-        } else {
-            0
-        };
         let (hmc_chains, hmc_observers, hmc_secs) = runs.run(
-            config.run_hmc,
             "HMC",
             "hmc",
             |_k, r: &mut SimRng| Hmc::from_prior(data, config.prior, r),
-            make_observer(hmc_lane_base),
+            make_observer(config.n_chains as u64),
         );
         let trace = config.trace.then(|| {
             let chains = mh_observers.len() + hmc_observers.len();
@@ -532,7 +512,7 @@ impl Analysis {
     }
 
     /// Export kernel and diagnostics metrics into a run report: one
-    /// `because.<kernel>` section per kernel that ran (with that kernel's
+    /// `because.<kernel>` section per kernel with completed chains (with that kernel's
     /// own ESS), plus `because.diagnostics` (pooled across kernels).
     pub fn export_obs(&self, report: &mut obs::RunReport) {
         for (label, chains, wall, diag) in [
@@ -742,24 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn single_kernel_modes_work() {
-        let obs = observations(&[(&[1], true), (&[2], false)], 10);
-        let data = PathData::from_observations(&obs, &[]);
-        for (mh, hmc) in [(true, false), (false, true)] {
-            let cfg = AnalysisConfig {
-                run_mh: mh,
-                run_hmc: hmc,
-                ..AnalysisConfig::fast(4)
-            };
-            let a = Analysis::run(&data, &cfg);
-            let r = a.report(NodeId(1)).unwrap();
-            assert!(r.is_property(), "mh={mh} hmc={hmc}");
-            assert_eq!(r.mh.is_some(), mh);
-            assert_eq!(r.hmc.is_some(), hmc);
-        }
-    }
-
-    #[test]
     fn chains_converge_on_easy_data() {
         let obs = observations(&[(&[1], true), (&[2], false)], 25);
         let data = PathData::from_observations(&obs, &[]);
@@ -789,21 +751,6 @@ mod tests {
         for (k, b) in a.e_bfmi.iter().enumerate() {
             assert!(b.is_finite() && *b > 0.3, "chain {k} e-bfmi={b}");
         }
-    }
-
-    #[test]
-    fn mh_only_run_has_no_e_bfmi() {
-        let obs = observations(&[(&[1], true), (&[2], false)], 10);
-        let data = PathData::from_observations(&obs, &[]);
-        let cfg = AnalysisConfig {
-            run_hmc: false,
-            ..AnalysisConfig::fast(8)
-        };
-        let a = Analysis::run(&data, &cfg);
-        assert!(a.e_bfmi.is_empty());
-        // Rank diagnostics still come from the MH chains.
-        assert!(a.max_rank_r_hat.is_finite());
-        assert!(a.min_ess_bulk.is_finite());
     }
 
     #[test]
@@ -842,18 +789,58 @@ mod tests {
                 "{section} min_ess_tail"
             );
         }
+    }
 
-        // A kernel that did not run has no diagnostics of its own, and
-        // the pooled fields fall back to the other kernel's.
-        let cfg = AnalysisConfig {
-            run_mh: false,
-            ..AnalysisConfig::fast(10)
-        };
-        let b = Analysis::run(&data, &cfg);
-        assert!(b.mh_diagnostics.min_ess_bulk.is_nan());
-        assert!(b.mh_diagnostics.max_rank_r_hat.is_nan());
-        assert_eq!(b.min_ess_bulk, b.hmc_diagnostics.min_ess_bulk);
-        assert_eq!(b.max_rank_r_hat, b.hmc_diagnostics.max_rank_r_hat);
+    #[test]
+    fn a_kernel_that_loses_every_chain_falls_back_to_the_other() {
+        // Corrupt checkpoints poison every chain of one kernel on resume;
+        // the other kernel starts fresh (it has no files) and carries the
+        // run alone.
+        let obs = observations(&[(&[1], true), (&[1, 2], true), (&[2], false)], 10);
+        let data = PathData::from_observations(&obs, &[]);
+        let cfg = AnalysisConfig::fast(10);
+        for (kernel, tag) in [("MH", "mh"), ("HMC", "hmc")] {
+            let mut base = std::env::temp_dir();
+            base.push(format!(
+                "because-analysis-poison-{tag}-{}",
+                std::process::id()
+            ));
+            let files: Vec<_> = (0..cfg.n_chains)
+                .map(|k| crate::supervisor::chain_file(&base, tag, k))
+                .collect();
+            for f in &files {
+                std::fs::write(f, b"not a checkpoint").unwrap();
+            }
+            let resume = SupervisorConfig {
+                resume: Some(base),
+                ..Default::default()
+            };
+            let a = Analysis::run_supervised(&data, &cfg, &resume);
+            for f in &files {
+                let _ = std::fs::remove_file(f);
+            }
+
+            assert_eq!(a.failures.len(), cfg.n_chains, "{kernel}");
+            assert!(a.failures.iter().all(|f| f.kernel == kernel));
+            let (lost, kept) = if kernel == "MH" {
+                (a.mh_diagnostics, a.hmc_diagnostics)
+            } else {
+                (a.hmc_diagnostics, a.mh_diagnostics)
+            };
+            assert!(lost.min_ess_bulk.is_nan() && lost.max_rank_r_hat.is_nan());
+            assert!(kept.min_ess_bulk.is_finite() && kept.max_rank_r_hat.is_finite());
+            assert_eq!(a.min_ess_bulk, kept.min_ess_bulk, "{kernel}");
+            assert_eq!(a.min_ess_tail, kept.min_ess_tail, "{kernel}");
+            assert_eq!(a.max_r_hat, kept.max_r_hat, "{kernel}");
+            assert_eq!(a.max_rank_r_hat, kept.max_rank_r_hat, "{kernel}");
+            // E-BFMI comes from HMC chains only.
+            assert_eq!(a.e_bfmi.is_empty(), kernel == "HMC");
+
+            let r = a.report(NodeId(1)).unwrap();
+            assert!(r.is_property(), "{kernel} poisoned");
+            assert_eq!(r.mh.is_some(), kernel != "MH");
+            assert_eq!(r.hmc.is_some(), kernel != "HMC");
+        }
     }
 
     #[test]

@@ -93,61 +93,13 @@ pub fn min_ess(chain: &Chain) -> f64 {
 /// in half and the Gelman–Rubin statistic computed over the 2m half
 /// chains. Values near 1 indicate convergence; > 1.05 is suspect.
 pub fn split_r_hat(chains: &[Chain], coord: usize) -> f64 {
-    // The pooled B/W formulas below assume every half contributes the
-    // same number of draws, so halves from different-length chains are
-    // truncated to the common minimum length before any statistics are
-    // computed. (Computing per-half stats at full length but plugging
-    // the minimum into the formulas, as an earlier version did, skews
-    // both B and W whenever chain lengths differ.)
-    let Some(min_half) = chains
-        .iter()
-        .filter(|c| c.len() >= 4)
-        .map(|c| c.len() / 2)
-        .min()
-    else {
-        return f64::NAN;
-    };
-    // Per-half statistics gathered from one reused column buffer — no
-    // per-half allocations.
-    let mut col: Vec<f64> = Vec::new();
-    let mut means: Vec<f64> = Vec::new();
-    let mut vars: Vec<f64> = Vec::new();
-    for c in chains {
-        if c.len() < 4 {
-            continue;
-        }
-        c.copy_column(coord, &mut col);
-        let mid = col.len() / 2;
-        for half in [&col[..min_half], &col[mid..mid + min_half]] {
-            let len = half.len() as f64;
-            let mu = half.iter().sum::<f64>() / len;
-            means.push(mu);
-            vars.push(half.iter().map(|x| (x - mu).powi(2)).sum::<f64>() / (len - 1.0));
-        }
-    }
-    gelman_rubin(&means, &vars, min_half as f64)
+    split_halves(chains, coord).map_or(f64::NAN, |halves| gelman_rubin_halves(&halves))
 }
 
-/// The Gelman–Rubin statistic from per-half means and sample variances,
-/// every half holding `n` draws. Shared tail of [`split_r_hat`] and the
-/// rank-normalized variants; the accumulation order is load-bearing
-/// (split-R̂ values are asserted bit-for-bit in tests).
-fn gelman_rubin(means: &[f64], vars: &[f64], n: f64) -> f64 {
-    if means.len() < 2 {
-        return f64::NAN;
-    }
-    let m = means.len() as f64;
-    let grand = means.iter().sum::<f64>() / m;
-    let b = n / (m - 1.0) * means.iter().map(|&x| (x - grand).powi(2)).sum::<f64>();
-    let w = vars.iter().sum::<f64>() / m;
-    if w <= 0.0 {
-        return 1.0; // identical constant chains: trivially converged
-    }
-    let var_plus = (n - 1.0) / n * w + b / n;
-    (var_plus / w).sqrt()
-}
-
-/// [`gelman_rubin`] over explicit half-chains (all the same length).
+/// The Gelman–Rubin statistic over half-chains that all hold the same
+/// number of draws. Shared by [`split_r_hat`] and the rank-normalized
+/// variants; the accumulation order is load-bearing (split-R̂ values are
+/// asserted bit-for-bit in tests).
 fn gelman_rubin_halves(halves: &[Vec<f64>]) -> f64 {
     let n = halves.first().map(Vec::len).unwrap_or(0);
     if n < 2 {
@@ -161,12 +113,26 @@ fn gelman_rubin_halves(halves: &[Vec<f64>]) -> f64 {
         means.push(mu);
         vars.push(h.iter().map(|x| (x - mu).powi(2)).sum::<f64>() / (len - 1.0));
     }
-    gelman_rubin(&means, &vars, n as f64)
+    let (m, n) = (means.len() as f64, n as f64);
+    let grand = means.iter().sum::<f64>() / m;
+    let b = n / (m - 1.0) * means.iter().map(|&x| (x - grand).powi(2)).sum::<f64>();
+    let w = vars.iter().sum::<f64>() / m;
+    if w <= 0.0 {
+        return 1.0; // identical constant chains: trivially converged
+    }
+    let var_plus = (n - 1.0) / n * w + b / n;
+    (var_plus / w).sqrt()
 }
 
-/// Half-columns of `coord` across `chains`, truncated to the common
-/// minimum half length — the same halving rule as [`split_r_hat`].
-/// `None` when no chain has at least 4 draws.
+/// Half-columns of `coord` across `chains`. `None` when no chain has at
+/// least 4 draws.
+///
+/// The pooled B/W formulas of [`gelman_rubin_halves`] assume every half
+/// contributes the same number of draws, so halves from different-length
+/// chains are truncated to the common minimum half length before any
+/// statistics are computed. (Computing per-half stats at full length but
+/// plugging the minimum into the formulas, as an earlier version did,
+/// skews both B and W whenever chain lengths differ.)
 fn split_halves(chains: &[Chain], coord: usize) -> Option<Vec<Vec<f64>>> {
     let min_half = chains
         .iter()

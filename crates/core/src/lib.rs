@@ -62,7 +62,7 @@ pub use analysis::{Analysis, AnalysisConfig, AsReport, ChainFailure, KernelDiagn
 pub use category::Category;
 pub use chain::{Chain, SamplerKind};
 pub use checkpoint::{CheckpointError, Checkpointable};
-pub use likelihood::{LogLikelihood, DEFAULT_PARALLEL_THRESHOLD};
+pub use likelihood::LogLikelihood;
 pub use model::{NodeId, PathData, PathObservation, PathRef};
 pub use prior::Prior;
 pub use progress::{

@@ -14,20 +14,6 @@
 //! `O(paths-through-i)` operation instead of `O(all paths)` —
 //! [`IncrementalLikelihood`] exploits exactly that.
 //!
-//! ## Parallel full evaluation
-//!
-//! [`LogLikelihood::eval`] and [`LogLikelihood::eval_grad`] walk the CSR
-//! path arena in contiguous chunks and, above a tunable path-count
-//! threshold ([`LogLikelihood::with_parallel_threshold`], default
-//! [`DEFAULT_PARALLEL_THRESHOLD`]), fan the chunks out over scoped
-//! threads — the same dependency-free pattern as
-//! [`crate::supervisor::run_chains_supervised`]. Each thread reduces into
-//! a private accumulator (a scalar for `eval`, a `(total, gradient)` pair for
-//! `eval_grad`), and the partials are summed on the calling thread in
-//! chunk order, so results are deterministic up to float-addition order
-//! within a fixed thread count. Below the threshold, or on a single-core
-//! host, the evaluation stays serial with zero threading overhead.
-//!
 //! ## The fused HMC pass
 //!
 //! HMC needs the total and the gradient at every leapfrog step.
@@ -62,15 +48,6 @@ use crate::model::PathData;
 /// below any resolvable posterior mass.
 pub const P_EPS: f64 = 1e-9;
 
-/// Default path count above which [`LogLikelihood::eval`] and
-/// [`LogLikelihood::eval_grad`] use scoped threads. Below it the
-/// fork/join overhead outweighs the work.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 4096;
-
-/// Minimum paths per spawned chunk; stops a huge core count from dicing a
-/// barely-above-threshold dataset into cache-hostile slivers.
-const MIN_CHUNK: usize = 1024;
-
 /// Clamp a probability into the numerically safe open interval.
 #[inline]
 pub fn clamp_p(p: f64) -> f64 {
@@ -81,7 +58,6 @@ pub fn clamp_p(p: f64) -> f64 {
 #[derive(Clone, Debug)]
 pub struct LogLikelihood<'a> {
     data: &'a PathData,
-    parallel_threshold: usize,
     /// `log q_i` per node, rebuilt by every [`Self::eval_grad`].
     log_q: Vec<f64>,
     /// `1/q_i = exp(−log q_i)` per node, rebuilt alongside `log_q`.
@@ -93,23 +69,9 @@ impl<'a> LogLikelihood<'a> {
     pub fn new(data: &'a PathData) -> Self {
         LogLikelihood {
             data,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             log_q: Vec::new(),
             inv_q: Vec::new(),
         }
-    }
-
-    /// Override the path count at which evaluation goes parallel.
-    /// `usize::MAX` forces serial evaluation; `0` forces parallel (useful
-    /// for benchmarks and tests).
-    pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_threshold = threshold;
-        self
-    }
-
-    /// The current parallel threshold.
-    pub fn parallel_threshold(&self) -> usize {
-        self.parallel_threshold
     }
 
     /// The underlying dataset.
@@ -117,39 +79,12 @@ impl<'a> LogLikelihood<'a> {
         self.data
     }
 
-    /// How many threads to use for `n_paths` paths.
-    fn thread_count(&self, n_paths: usize) -> usize {
-        if n_paths < self.parallel_threshold.max(1) {
-            return 1;
-        }
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        hw.min(n_paths.div_ceil(MIN_CHUNK)).max(1)
-    }
-
     /// `log P(D | p)`: the plain reference for [`Self::eval_grad`]'s
     /// total, for callers that need no gradient.
     pub fn eval(&self, p: &[f64]) -> f64 {
         assert_eq!(p.len(), self.data.num_nodes(), "dimension mismatch");
         let log_q: Vec<f64> = p.iter().map(|&pi| (1.0 - clamp_p(pi)).ln()).collect();
-        let n_paths = self.data.num_paths();
-        let threads = self.thread_count(n_paths);
-        if threads <= 1 {
-            return eval_range(self.data, &log_q, 0..n_paths);
-        }
-        let chunk = n_paths.div_ceil(threads);
-        let mut partials = vec![0.0f64; threads];
-        let data = self.data;
-        let log_q = &log_q;
-        std::thread::scope(|scope| {
-            for (t, out) in partials.iter_mut().enumerate() {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n_paths);
-                scope.spawn(move || *out = eval_range(data, log_q, lo..hi));
-            }
-        });
-        partials.iter().sum()
+        eval_range(self.data, &log_q, 0..self.data.num_paths())
     }
 
     /// `log P(D | p)`, with the gradient `∂ log P(D|p) / ∂ p_i` written
@@ -159,7 +94,7 @@ impl<'a> LogLikelihood<'a> {
     /// `Q = e^{S}`: `∂/∂p_i = w · (Q/q_i) / (1 − Q)`, evaluated as
     /// `w · exp(S − log q_i − log1mexp(S))` to stay stable when `Q → 0`
     /// or `Q → 1`. The returned total is bit-identical to [`Self::eval`].
-    /// Serial evaluation allocates nothing after the first call.
+    /// Allocates nothing after the first call.
     pub fn eval_grad(&mut self, p: &[f64], grad: &mut [f64]) -> f64 {
         assert_eq!(p.len(), self.data.num_nodes(), "dimension mismatch");
         assert_eq!(grad.len(), p.len());
@@ -172,28 +107,7 @@ impl<'a> LogLikelihood<'a> {
         }
         grad.fill(0.0);
         let n_paths = self.data.num_paths();
-        let threads = self.thread_count(n_paths);
-        let (data, log_q, inv_q) = (self.data, &self.log_q[..], &self.inv_q[..]);
-        if threads <= 1 {
-            return eval_grad_range(data, log_q, inv_q, 0..n_paths, grad);
-        }
-        let chunk = n_paths.div_ceil(threads);
-        // Private per-thread totals and gradient buffers, reduced in chunk
-        // order after the join.
-        let mut partials = vec![(0.0f64, vec![0.0f64; p.len()]); threads];
-        std::thread::scope(|scope| {
-            for (t, (total, buf)) in partials.iter_mut().enumerate() {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n_paths);
-                scope.spawn(move || *total = eval_grad_range(data, log_q, inv_q, lo..hi, buf));
-            }
-        });
-        for (_, buf) in &partials {
-            for (g, b) in grad.iter_mut().zip(buf) {
-                *g += b;
-            }
-        }
-        partials.iter().map(|(total, _)| total).sum()
+        eval_grad_range(self.data, &self.log_q, &self.inv_q, 0..n_paths, grad)
     }
 }
 
@@ -498,80 +412,15 @@ mod tests {
         assert!(g[0] < 0.0);
     }
 
-    #[test]
-    fn parallel_eval_matches_serial() {
-        // Build a dataset big enough for several chunks and compare a
-        // forced-parallel evaluation against a forced-serial one.
-        let mut obs = Vec::new();
-        let mut x = 42u64;
-        for k in 0..3000u32 {
-            let mut nodes = Vec::new();
-            for _ in 0..3 {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                nodes.push(NodeId((x >> 33) as u32 % 100));
-            }
-            obs.push(PathObservation::new(nodes, k % 3 == 0));
-        }
-        let d = PathData::from_observations(&obs, &[]);
-        let p: Vec<f64> = (0..d.num_nodes())
-            .map(|i| (i as f64 * 0.37).fract().clamp(0.01, 0.99))
-            .collect();
-
-        let mut serial = LogLikelihood::new(&d).with_parallel_threshold(usize::MAX);
-        let mut parallel = LogLikelihood::new(&d).with_parallel_threshold(0);
-        let (es, ep) = (serial.eval(&p), parallel.eval(&p));
-        assert!(
-            (es - ep).abs() < 1e-9 * es.abs().max(1.0),
-            "serial {es} vs parallel {ep}"
-        );
-
-        let mut gs = vec![0.0; d.num_nodes()];
-        let mut gp = vec![0.0; d.num_nodes()];
-        serial.eval_grad(&p, &mut gs);
-        parallel.eval_grad(&p, &mut gp);
-        for (i, (a, b)) in gs.iter().zip(&gp).enumerate() {
-            assert!(
-                (a - b).abs() < 1e-9 * a.abs().max(1.0),
-                "grad[{i}]: {a} vs {b}"
-            );
-        }
-    }
-
     /// The two-pass gradient that [`LogLikelihood::eval_grad`] replaced,
-    /// kept as the bit-equality reference: its own `log_q`, the same
-    /// chunking and reduction, and `exp(−log q_i)` per path entry.
-    fn two_pass_grad(ll: &LogLikelihood<'_>, p: &[f64], grad: &mut [f64]) {
+    /// kept as the bit-equality reference: its own `log_q` and
+    /// `exp(−log q_i)` per path entry.
+    fn two_pass_grad(data: &PathData, p: &[f64], grad: &mut [f64]) {
         let log_q: Vec<f64> = p.iter().map(|&pi| (1.0 - clamp_p(pi)).ln()).collect();
         grad.fill(0.0);
-        let n_paths = ll.data.num_paths();
-        let threads = ll.thread_count(n_paths);
-        if threads <= 1 {
-            two_pass_grad_range(ll.data, &log_q, 0..n_paths, grad);
-            return;
-        }
-        let chunk = n_paths.div_ceil(threads);
-        let mut partials = vec![vec![0.0f64; p.len()]; threads];
-        let (data, log_q) = (ll.data, &log_q);
-        std::thread::scope(|scope| {
-            for (t, buf) in partials.iter_mut().enumerate() {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n_paths);
-                scope.spawn(move || two_pass_grad_range(data, log_q, lo..hi, buf));
-            }
-        });
-        for buf in &partials {
-            for (g, b) in grad.iter_mut().zip(buf) {
-                *g += b;
-            }
-        }
-    }
-
-    fn two_pass_grad_range(data: &PathData, log_q: &[f64], range: Range<usize>, grad: &mut [f64]) {
         let (arena, meta) = data.path_csr();
-        let mut lo = meta[range.start].offset as usize;
-        for j in range {
+        let mut lo = 0;
+        for j in 0..data.num_paths() {
             let hi = meta[j + 1].offset as usize;
             let wshow = meta[j].wshow;
             let nodes = &arena[lo..hi];
@@ -620,7 +469,10 @@ mod tests {
 
     #[test]
     fn eval_grad_is_bit_identical_to_the_two_pass_reference() {
-        for (n_nodes, n_paths, seed) in [(6, 60, 1), (40, 400, 2), (120, 3000, 3)] {
+        // Up to 5627 distinct paths: the largest `likelihood_grad` bench
+        // size, above every dataset the pipeline produces.
+        let sizes = [(6, 60, 1), (40, 400, 2), (120, 3000, 3), (800, 6000, 4)];
+        for (n_nodes, n_paths, seed) in sizes {
             let d = random_data(n_nodes, n_paths, seed);
             assert!(d.paths().any(|p| p.weight > 1), "weights above 1 covered");
             let lens: Vec<usize> = (0..d.num_paths()).map(|j| d.path_nodes(j).len()).collect();
@@ -631,22 +483,20 @@ mod tests {
                 .map(|i| [0.0, P_EPS, 1.0 - P_EPS, 1.0, mid[i]][i % 5])
                 .collect();
             let states = [mid, mixed, vec![P_EPS; n], vec![1.0 - P_EPS; n]];
-            for threshold in [0, usize::MAX] {
-                let mut ll = LogLikelihood::new(&d).with_parallel_threshold(threshold);
-                for p in &states {
-                    let mut fused = vec![f64::NAN; n];
-                    let total = ll.eval_grad(p, &mut fused);
-                    assert_eq!(total.to_bits(), ll.eval(p).to_bits(), "total vs eval");
-                    let mut reference = vec![0.0; n];
-                    two_pass_grad(&ll, p, &mut reference);
-                    for (i, (a, b)) in fused.iter().zip(&reference).enumerate() {
-                        assert!(a.is_finite(), "grad[{i}] = {a}");
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "grad[{i}]: fused {a} vs two-pass {b} ({n_paths} paths, threshold {threshold})"
-                        );
-                    }
+            let mut ll = LogLikelihood::new(&d);
+            for p in &states {
+                let mut fused = vec![f64::NAN; n];
+                let total = ll.eval_grad(p, &mut fused);
+                assert_eq!(total.to_bits(), ll.eval(p).to_bits(), "total vs eval");
+                let mut reference = vec![0.0; n];
+                two_pass_grad(&d, p, &mut reference);
+                for (i, (a, b)) in fused.iter().zip(&reference).enumerate() {
+                    assert!(a.is_finite(), "grad[{i}] = {a}");
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "grad[{i}]: fused {a} vs two-pass {b} ({n_paths} paths)"
+                    );
                 }
             }
         }

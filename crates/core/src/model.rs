@@ -15,7 +15,7 @@
 //! (compressed-sparse-row) arenas rather than nested `Vec`s:
 //!
 //! * the **path arena**: one flat `Vec<u32>` of dense node indices plus a
-//!   packed per-path metadata stream ([`PathMeta`]: arena offset and
+//!   packed per-path metadata stream (`PathMeta`: arena offset and
 //!   `weight << 1 | shows` in one 8-byte record, so the hot loop loads one
 //!   record per path instead of three separate columns);
 //! * the **incidence arena**: the inverse map behind [`PathData::paths_of`],

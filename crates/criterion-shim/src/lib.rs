@@ -7,7 +7,7 @@
 //! `criterion_group!` / `criterion_main!` macros.
 //!
 //! Measurement model: each benchmark is auto-calibrated so one sample
-//! takes ≳ [`TARGET_SAMPLE_NANOS`], then `sample_size` samples are timed
+//! takes ≳ 5 ms (`TARGET_SAMPLE_NANOS`), then `sample_size` samples are timed
 //! with `std::time::Instant`. The mean / median / min per-iteration times
 //! are printed and appended as JSON lines to
 //! `target/criterion-shim/<group>.jsonl` (path overridable via

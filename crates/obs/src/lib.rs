@@ -4,10 +4,10 @@
 //! long chain of hot loops; this crate gives every layer a uniform,
 //! near-zero-cost way to report what it actually did:
 //!
-//! * [`Counter`], [`Gauge`], [`HighWater`], [`Histogram`] — plain-cell
-//!   metrics a subsystem *embeds* in its own struct. Recording is a field
-//!   update (no allocation, no atomics, no locks), so they are safe to
-//!   touch from the tightest loops (`EventQueue::pop`, MH sweeps).
+//! * [`Histogram`] — a plain-cell fixed-bucket histogram a subsystem
+//!   *embeds* in its own struct. Recording is a bucket scan plus field
+//!   updates (no allocation, no atomics, no locks), so it is safe to
+//!   touch from hot loops. Plain counts are ordinary `u64` fields.
 //! * [`Registry`] — a pre-registered, named metric table backed by
 //!   relaxed `AtomicU64` cells, for the one case plain cells cannot
 //!   serve: several threads sharing a sink. Handles ([`CounterId`] etc.)
@@ -56,7 +56,7 @@ mod span;
 pub mod trace;
 mod write;
 
-pub use metrics::{Counter, Gauge, HighWater, Histogram};
+pub use metrics::Histogram;
 pub use registry::{CounterId, GaugeId, HistogramId, Registry};
 pub use report::{Entry, HistogramSnapshot, RunReport, Section, Value};
 pub use span::{SpanGuard, SpanId, SpanSet, Stopwatch};

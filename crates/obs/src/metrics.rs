@@ -1,95 +1,14 @@
-//! Plain-cell metrics: embed them in the struct that owns the hot loop.
+//! The plain-cell histogram: embed it in the struct that owns the hot
+//! loop.
 //!
-//! These are deliberately *not* shared-state abstractions: each is a bare
-//! `u64`/`f64` cell (plus fixed bucket arrays for histograms), so an
-//! update compiles to a load/add/store. Subsystems export them into a
-//! [`crate::Section`] at snapshot time. When several threads genuinely
-//! need one sink, use [`crate::Registry`] instead.
+//! It is deliberately *not* a shared-state abstraction: fixed bucket
+//! arrays plus `u64`/`f64` cells, so recording is a short scan and a few
+//! field updates. Subsystems export it into a [`crate::Section`] at
+//! snapshot time; plain counts are ordinary `u64` fields exported with
+//! [`crate::Section::counter`]. When several threads genuinely need one
+//! sink, use [`crate::Registry`] instead.
 
 use crate::report::HistogramSnapshot;
-
-/// A monotonically increasing event count.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// A zeroed counter.
-    pub const fn new() -> Counter {
-        Counter { value: 0 }
-    }
-
-    /// Add one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
-
-/// A point-in-time value.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Gauge {
-    value: f64,
-}
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub const fn new() -> Gauge {
-        Gauge { value: 0.0 }
-    }
-
-    /// Overwrite the value.
-    #[inline]
-    pub fn set(&mut self, v: f64) {
-        self.value = v;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> f64 {
-        self.value
-    }
-}
-
-/// A high-water mark: remembers the largest value ever observed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HighWater {
-    max: u64,
-}
-
-impl HighWater {
-    /// A zeroed mark.
-    pub const fn new() -> HighWater {
-        HighWater { max: 0 }
-    }
-
-    /// Observe a value, keeping the maximum.
-    #[inline]
-    pub fn observe(&mut self, v: u64) {
-        if v > self.max {
-            self.max = v;
-        }
-    }
-
-    /// The largest value observed so far.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.max
-    }
-}
 
 /// A fixed-bucket histogram: bucket bounds are chosen at registration
 /// time, so recording is a short scan plus an increment — no allocation.
@@ -193,31 +112,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn gauge_overwrites() {
-        let mut g = Gauge::new();
-        g.set(2.5);
-        g.set(-1.0);
-        assert_eq!(g.get(), -1.0);
-    }
-
-    #[test]
-    fn high_water_keeps_max() {
-        let mut h = HighWater::new();
-        for v in [3, 7, 2, 7, 1] {
-            h.observe(v);
-        }
-        assert_eq!(h.get(), 7);
-    }
 
     #[test]
     fn histogram_buckets_samples() {

@@ -12,7 +12,7 @@
 //!   families plus interpolated `_p50`/`_p90`/`_p99` gauges;
 //! * `GET /progress` — the latest per-chain sampler snapshot (draw
 //!   count, accept rate, incremental split-R̂/min-ESS) as JSON;
-//! * `GET /report`   — the most recently published [`RunReport`] JSON;
+//! * `GET /report`   — the most recently published [`RunReport`](crate::RunReport) JSON;
 //! * `GET /healthz`  — `200 ok`, for liveness probes.
 //!
 //! Everything is read-only and lock-cheap: the registry cells are relaxed

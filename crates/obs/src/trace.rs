@@ -1,7 +1,7 @@
 //! Structured event tracing: a bounded, lossy ring buffer of typed
 //! events with a Chrome trace-event exporter.
 //!
-//! Aggregate metrics ([`crate::Counter`], [`crate::Histogram`]) answer
+//! Aggregate metrics ([`crate::Registry`], [`crate::Histogram`]) answer
 //! *how much*; a trace answers *when*. [`TraceBuffer`] records typed
 //! [`TraceEvent`]s — span begin/end, instants, counter samples — each
 //! stamped with either wall-clock time or simulated time and tagged with

@@ -185,7 +185,7 @@ pub mod collection {
     use super::{Gen, Strategy};
     use std::ops::Range;
 
-    /// Length specification accepted by [`vec`].
+    /// Length specification accepted by [`vec()`].
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,

@@ -21,6 +21,9 @@ cargo test -p obs --no-default-features -q
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run
 
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "==> artifact smoke test (--trace / --report-json on a tiny campaign)"
 cargo build --release -p experiments --bins -q
 artifacts="$(mktemp -d)"
