@@ -1,0 +1,373 @@
+//! One simulation lane: everything the simulation of one prefix mutates.
+//!
+//! A [`Lane`] owns that prefix's Adj-RIB-In/Out, MRAI and RFD slots and
+//! Loc-RIB in every router, the per-link FIFO horizons and down flags,
+//! its own event queue, a jitter stream split from the network seed by
+//! the prefix, and a buffer of the tap records it produced since the
+//! network last merged them. It reads the routers' sessions and policies,
+//! the CSR link arrays and the tap flags from the network's shared,
+//! read-only [`Fabric`]. Two lanes share no mutable state, so the network
+//! runs them on separate threads (DESIGN.md §5e).
+
+use netsim::{EventQueue, SimDuration, SimRng, SimTime};
+
+use crate::message::{AggregatorStamp, BgpAction};
+use crate::network::{Fabric, NetStats, Reset, TapRecord, Tracer};
+use crate::prefix::Prefix;
+use crate::router::{LocalSlot, PrefixState, RouterOutput, SessionSlot};
+
+/// Events of one lane. Routers are named by router id, sessions by their
+/// index in the router's session list (which also names the directed
+/// link); the prefix is the lane's.
+#[derive(Clone, Debug)]
+pub(crate) enum NetEvent {
+    /// Deliver `action`, sent by `router` on `session` (already delayed).
+    Deliver {
+        router: u32,
+        session: u32,
+        action: BgpAction,
+    },
+    /// The MRAI gate of (router, session) may reopen.
+    MraiExpire { router: u32, session: u32 },
+    /// An RFD reuse check for (router, session).
+    RfdReuse { router: u32, session: u32 },
+    /// A locally-scheduled origination (beacon announcement); `stamp`
+    /// stamps the aggregator attribute with the fire time.
+    Originate { router: u32, stamp: bool },
+    /// A locally-scheduled withdrawal (beacon withdrawal).
+    WithdrawOrigin { router: u32 },
+    /// A fault-injected reset: the session `router` holds on `session`
+    /// (and its reverse) drops.
+    SessionDown { router: u32, session: u32 },
+    /// The reset session re-establishes (full table re-sync).
+    SessionUp { router: u32, session: u32 },
+}
+
+/// All mutable simulation state of one prefix.
+pub(crate) struct Lane {
+    pub(crate) prefix: Prefix,
+    pub(crate) queue: EventQueue<NetEvent>,
+    /// Jitter and processing-delay draws, keyed by the prefix value.
+    rng: SimRng,
+    /// Per router id: its own state for the prefix.
+    pub(crate) local: Vec<LocalSlot>,
+    /// Per link id (router `r`'s session `s` is link `start[r] + s`):
+    /// router `r`'s state of session `s` for the prefix.
+    pub(crate) slots: Vec<SessionSlot>,
+    /// Per link: the last scheduled delivery, to preserve TCP FIFO.
+    horizon: Vec<SimTime>,
+    /// Per link: whether its session is down (between a fault-injected
+    /// reset and its re-establishment).
+    down: Vec<bool>,
+    /// Tap records not yet merged into the network's log, in time order.
+    pub(crate) tap: Vec<TapRecord>,
+    pub(crate) stats: NetStats,
+    /// Deliveries dropped on a down session.
+    pub(crate) dropped_down: u64,
+}
+
+impl Lane {
+    /// An idle lane for `prefix` over `fabric`, whose links are built.
+    pub(crate) fn new(prefix: Prefix, fabric: &Fabric) -> Lane {
+        let links = fabric.links.to.len();
+        Lane {
+            prefix,
+            queue: EventQueue::new(),
+            rng: SimRng::new(fabric.config.seed)
+                .split("network-jitter")
+                .split(&prefix.to_string()),
+            local: vec![LocalSlot::default(); fabric.routers.len()],
+            slots: vec![SessionSlot::default(); links],
+            horizon: vec![SimTime::ZERO; links],
+            down: vec![false; links],
+            tap: Vec::new(),
+            stats: NetStats::default(),
+            dropped_down: 0,
+        }
+    }
+
+    pub(crate) fn schedule_originate(&mut self, at: SimTime, router: usize, stamp: bool) {
+        let router = router as u32;
+        self.queue
+            .schedule_at(at, NetEvent::Originate { router, stamp });
+    }
+
+    pub(crate) fn schedule_withdraw(&mut self, at: SimTime, router: usize) {
+        let router = router as u32;
+        self.queue
+            .schedule_at(at, NetEvent::WithdrawOrigin { router });
+    }
+
+    pub(crate) fn schedule_reset(&mut self, reset: &Reset) {
+        let (router, session) = (reset.router, reset.session);
+        self.queue
+            .schedule_at(reset.down_at, NetEvent::SessionDown { router, session });
+        self.queue
+            .schedule_at(reset.up_at, NetEvent::SessionUp { router, session });
+    }
+
+    /// Process every event up to `until`; returns how many. `trace` is
+    /// the network's trace, when one is attached.
+    pub(crate) fn run(
+        &mut self,
+        fabric: &Fabric,
+        until: SimTime,
+        mut trace: Option<&mut Tracer>,
+    ) -> u64 {
+        // One output buffer for the whole run: dispatch clears it per
+        // router input instead of allocating.
+        let mut out = RouterOutput::default();
+        let mut n = 0;
+        while let Some((now, ev)) = self.queue.pop_until(until) {
+            self.dispatch(fabric, now, ev, &mut out, trace.as_deref_mut());
+            n += 1;
+        }
+        n
+    }
+
+    /// Router `router`'s state for this lane's prefix.
+    fn state(&mut self, fabric: &Fabric, router: usize) -> PrefixState<'_> {
+        let links = fabric.links.range(router);
+        PrefixState {
+            prefix: self.prefix,
+            local: &mut self.local[router],
+            sessions: &mut self.slots[links],
+        }
+    }
+
+    fn dispatch(
+        &mut self,
+        fabric: &Fabric,
+        now: SimTime,
+        ev: NetEvent,
+        out: &mut RouterOutput,
+        trace: Option<&mut Tracer>,
+    ) {
+        out.clear();
+        let links = &fabric.links;
+        // `rfd_session` names the session any RFD transition in the
+        // output belongs to — only deliveries and reuse timers can flip
+        // RFD state, and both name the session up front.
+        let (router, rfd_session) = match ev {
+            NetEvent::Deliver {
+                router,
+                session,
+                action,
+            } => {
+                let link = links.id(router as usize, session as usize);
+                let to = links.to[link] as usize;
+                // A down session drops traffic on the floor.
+                if self.down[link] {
+                    self.dropped_down += 1;
+                    if let Some(trace) = trace {
+                        trace.fault(fabric, now, router as usize, to, "update_dropped");
+                    }
+                    return;
+                }
+                if action.is_announce() {
+                    self.stats.updates_announced += 1;
+                } else {
+                    self.stats.updates_withdrawn += 1;
+                }
+                let session = links.reverse[link] as usize;
+                fabric.routers[to].handle_update(
+                    &mut self.state(fabric, to),
+                    session,
+                    action,
+                    now,
+                    out,
+                );
+                (to, Some(session))
+            }
+            NetEvent::MraiExpire { router, session } => {
+                let router = router as usize;
+                fabric.routers[router].mrai_expired(
+                    &mut self.state(fabric, router),
+                    session as usize,
+                    now,
+                    out,
+                );
+                (router, None)
+            }
+            NetEvent::RfdReuse { router, session } => {
+                let (router, session) = (router as usize, session as usize);
+                fabric.routers[router].rfd_reuse_fired(
+                    &mut self.state(fabric, router),
+                    session,
+                    now,
+                    out,
+                );
+                (router, Some(session))
+            }
+            NetEvent::Originate { router, stamp } => {
+                let router = router as usize;
+                let aggregator = stamp.then(|| AggregatorStamp::new(now));
+                fabric.routers[router].originate(
+                    &mut self.state(fabric, router),
+                    aggregator,
+                    now,
+                    out,
+                );
+                (router, None)
+            }
+            NetEvent::WithdrawOrigin { router } => {
+                let router = router as usize;
+                fabric.routers[router].withdraw_origin(&mut self.state(fabric, router), now, out);
+                (router, None)
+            }
+            NetEvent::SessionDown { router, session } => {
+                let end = (router as usize, session as usize);
+                self.session_transition(fabric, now, end, false, out, trace);
+                return;
+            }
+            NetEvent::SessionUp { router, session } => {
+                let end = (router as usize, session as usize);
+                self.session_transition(fabric, now, end, true, out, trace);
+                return;
+            }
+        };
+
+        self.apply_output(fabric, now, router, rfd_session, out, trace);
+    }
+
+    /// Drive both endpoints of the link router `a` holds on `a_session`
+    /// through a session reset transition, applying each endpoint's
+    /// output on its own (so every Loc-RIB change reaches the tap buffer).
+    fn session_transition(
+        &mut self,
+        fabric: &Fabric,
+        now: SimTime,
+        (a, a_session): (usize, usize),
+        up: bool,
+        out: &mut RouterOutput,
+        mut trace: Option<&mut Tracer>,
+    ) {
+        let links = &fabric.links;
+        let link = links.id(a, a_session);
+        let b = links.to[link] as usize;
+        let b_session = links.reverse[link] as usize;
+        self.down[link] = !up;
+        self.down[links.id(b, b_session)] = !up;
+        for (router, session) in [(a, a_session), (b, b_session)] {
+            out.clear();
+            let r = &fabric.routers[router];
+            let mut st = self.state(fabric, router);
+            let touched = if up {
+                r.session_up(&mut st, session, now, out)
+            } else {
+                r.session_down(&mut st, session, now, out)
+            };
+            if touched {
+                self.apply_output(
+                    fabric,
+                    now,
+                    router,
+                    Some(session),
+                    out,
+                    trace.as_deref_mut(),
+                );
+            }
+        }
+    }
+
+    /// Translate one router output into scheduled events, stats, trace
+    /// records and tap records.
+    fn apply_output(
+        &mut self,
+        fabric: &Fabric,
+        now: SimTime,
+        router: usize,
+        rfd_session: Option<usize>,
+        out: &mut RouterOutput,
+        trace: Option<&mut Tracer>,
+    ) {
+        let links = &fabric.links;
+        let r = &fabric.routers[router];
+        self.stats.mrai_deferrals += u64::from(out.mrai_deferrals);
+        if let Some(trace) = trace {
+            // Only damped sessions have a penalty to sample.
+            let penalty = rfd_session.and_then(|session| {
+                let entry = &self.slots[links.id(router, session)].adj_in;
+                let penalty = r.session_penalty(session, self.prefix, entry, now)?;
+                Some((session, penalty))
+            });
+            trace.output(r, router, self.prefix, penalty, now, out);
+        }
+        if out.rfd_suppressed || out.rfd_released {
+            let name = rfd_session
+                .and_then(|session| r.policy_at(session).rfd_for(self.prefix))
+                .map_or("custom", |params| params.profile_name());
+            let profile = self.stats.rfd.entry(name).or_default();
+            if out.rfd_suppressed {
+                profile.suppressions += 1;
+            }
+            if out.rfd_released {
+                profile.releases += 1;
+            }
+        }
+
+        // Translate the router's requests into events.
+        let router_id = router as u32;
+        for (session, action) in out.sends.drain(..) {
+            let delivery = self.delivery_time(fabric, links.id(router, session), now);
+            self.queue.schedule_at(
+                delivery,
+                NetEvent::Deliver {
+                    router: router_id,
+                    session: session as u32,
+                    action,
+                },
+            );
+        }
+        for &(session, at) in &out.mrai_timers {
+            self.queue.schedule_at(
+                at.max(now),
+                NetEvent::MraiExpire {
+                    router: router_id,
+                    session: session as u32,
+                },
+            );
+        }
+        for &(session, at) in &out.rfd_timers {
+            self.queue.schedule_at(
+                at.max(now),
+                NetEvent::RfdReuse {
+                    router: router_id,
+                    session: session as u32,
+                },
+            );
+        }
+        if let Some(change) = out.loc_rib_change.take() {
+            if fabric.tapped[router] {
+                self.tap.push(TapRecord {
+                    vantage: r.asn(),
+                    time: now,
+                    prefix: change.prefix,
+                    route: change.route,
+                });
+            }
+        }
+    }
+
+    /// Jittered delivery time on `link` that preserves the link's FIFO
+    /// order for this prefix.
+    fn delivery_time(&mut self, fabric: &Fabric, link: usize, now: SimTime) -> SimTime {
+        let config = &fabric.config;
+        let base = fabric.links.delay[link];
+        let jitter = 1.0 + config.jitter * self.rng.uniform();
+        let (proc_lo, proc_hi) = config.processing_delay;
+        let processing = if proc_hi > proc_lo {
+            proc_lo
+                + SimDuration::from_millis(self.rng.below((proc_hi - proc_lo).as_millis().max(1)))
+        } else {
+            proc_lo
+        };
+        let mut t = now + base.mul_f64(jitter) + processing;
+        let horizon = &mut self.horizon[link];
+        if t < *horizon {
+            t = *horizon;
+        }
+        *horizon = t;
+        t
+    }
+}

@@ -30,6 +30,7 @@
 //! [RFC 4271]: https://www.rfc-editor.org/rfc/rfc4271
 
 pub mod decision;
+mod lane;
 pub mod message;
 pub mod mrai;
 pub mod network;

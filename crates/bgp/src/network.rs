@@ -1,45 +1,63 @@
 //! The simulated inter-domain network: routers, links, and the event loop.
 //!
-//! [`Network`] owns one [`Router`] per AS, per-link delay and FIFO state,
-//! and a [`netsim::EventQueue`]. It drives the simulation by popping
-//! events and feeding them to the pure router state machines, translating
-//! each router output back into scheduled events:
+//! [`Network`] splits into two parts (DESIGN.md §5e):
+//!
+//! * a read-only **fabric** that every thread shares: one [`Router`] per
+//!   AS (its sessions and policies), the CSR link arrays with their
+//!   delays, and the tap flags;
+//! * one **lane** per prefix that owns all mutable state of that prefix:
+//!   the routers' RIB, MRAI and RFD slots for it, per-link FIFO horizons
+//!   and down flags, its own event queue, its own tap buffer and a jitter
+//!   stream split from the seed by the prefix value.
+//!
+//! A lane pops its events and feeds them to the pure router state
+//! machines, translating each router output back into scheduled events:
 //!
 //! * `sends` become deliveries after the link delay (jittered, but never
-//!   reordered within a directed link — BGP sessions run over TCP, so
-//!   per-session FIFO order is preserved by clamping);
+//!   reordered within a directed link for one prefix — BGP sessions run
+//!   over TCP, so per-session FIFO order is preserved by clamping);
 //! * MRAI and RFD timer requests become timer events;
 //! * Loc-RIB changes at *tapped* ASs (the vantage points) are appended to
 //!   the tap log, which the `collector` crate turns into update dumps.
 //!
+//! [`Network::run_until`] runs the lanes on every available core, then
+//! merges their new tap records into one log by (time, prefix) and sums
+//! their counters. One prefix's propagation never reads another's state,
+//! so every output depends on the seed alone, not on the core count.
+//!
 //! Beacon origination is scheduled with [`Network::schedule_announce`] /
 //! [`Network::schedule_withdraw`]; announcements scheduled with
-//! `stamp: true` carry an [`AggregatorStamp`] of their fire time, exactly
-//! like the paper's beacons encode send timestamps in the aggregator
-//! attribute.
+//! `stamp: true` carry an [`AggregatorStamp`](crate::AggregatorStamp) of
+//! their fire time, exactly like the paper's beacons encode send
+//! timestamps in the aggregator attribute.
 //!
 //! # Data layout
 //!
-//! Inside the event loop everything is a dense index (DESIGN.md §5e):
-//! routers live in a `Vec` ordered by AS number, each router's sessions
-//! in a `Vec` ordered by peer AS number, and prefixes get ids in the
-//! order they are first scheduled. The directed links form a CSR
-//! adjacency — router `r`'s links are `start[r]..start[r + 1]`, one per
-//! session, in session order — over which delay, FIFO horizon and
-//! down-state are flat arrays. AS numbers and prefixes are translated to
-//! indices only at the public API edge. The CSR is built when the first
-//! event is scheduled; from then on the topology is fixed.
+//! Inside the event loop everything is a dense index: routers live in a
+//! `Vec` ordered by AS number and each router's sessions in a `Vec`
+//! ordered by peer AS number. The directed links form a CSR adjacency —
+//! router `r`'s links are `start[r]..start[r + 1]`, one per session, in
+//! session order — and a lane keeps its per-link state in flat arrays
+//! over it. Lanes are kept in ascending prefix order. AS numbers and
+//! prefixes are translated to indices only at the public API edge. The
+//! CSR is built when the first event is scheduled; from then on the
+//! topology is fixed.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::sync::Mutex;
+use std::thread;
 
 use netsim::faults::{FaultCounters, FaultPlan};
-use netsim::{EventQueue, SimDuration, SimRng, SimTime};
+use netsim::{SimDuration, SimTime};
 
-use crate::message::{AggregatorStamp, AsId, BgpAction};
+use crate::lane::Lane;
+use crate::message::AsId;
 use crate::policy::SessionPolicy;
 use crate::prefix::Prefix;
 use crate::rib::Route;
-use crate::router::{Router, RouterOutput};
+use crate::router::{Router, RouterOutput, Selection};
 
 /// Global network parameters.
 #[derive(Clone, Debug)]
@@ -56,7 +74,8 @@ pub struct NetworkConfig {
     /// what gives the paper's Fig. 8 its seconds-scale propagation times.
     /// Defaults to zero so protocol-level tests stay exact.
     pub processing_delay: (SimDuration, SimDuration),
-    /// Seed for the network's private randomness (jitter only).
+    /// Seed for the network's private randomness (jitter only). Each
+    /// prefix draws from its own stream split from it by the prefix.
     pub seed: u64,
 }
 
@@ -84,47 +103,6 @@ impl NetworkConfig {
     }
 }
 
-/// Events understood by the network driver. Routers are named by router
-/// id, sessions by their index in the router's session list (which also
-/// names the directed link), prefixes by prefix id.
-#[derive(Clone, Debug)]
-enum NetEvent {
-    /// Deliver `action` for `prefix`, sent by `router` on `session`
-    /// (already delayed).
-    Deliver {
-        router: u32,
-        session: u32,
-        prefix: u32,
-        action: BgpAction,
-    },
-    /// The MRAI gate of (router, session, prefix) may reopen.
-    MraiExpire {
-        router: u32,
-        session: u32,
-        prefix: u32,
-    },
-    /// An RFD reuse check for (router, session, prefix).
-    RfdReuse {
-        router: u32,
-        session: u32,
-        prefix: u32,
-    },
-    /// A locally-scheduled origination (beacon announcement); `stamp`
-    /// stamps the aggregator attribute with the fire time.
-    Originate {
-        router: u32,
-        prefix: u32,
-        stamp: bool,
-    },
-    /// A locally-scheduled withdrawal (beacon withdrawal).
-    WithdrawOrigin { router: u32, prefix: u32 },
-    /// A fault-injected reset: the session `router` holds on `session`
-    /// (and its reverse) drops.
-    SessionDown { router: u32, session: u32 },
-    /// The reset session re-establishes (full table re-sync).
-    SessionUp { router: u32, session: u32 },
-}
-
 /// One observation at a vantage point: the VP's best route for a beacon
 /// prefix changed. `route: None` records a withdrawal.
 #[derive(Clone, Debug, PartialEq)]
@@ -148,8 +126,8 @@ pub struct RfdProfileStats {
     pub releases: u64,
 }
 
-/// Protocol-level counters aggregated across the whole network.
-#[derive(Clone, Debug, Default)]
+/// Protocol-level counters, per lane or summed over all lanes.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Announcements delivered to a router.
     pub updates_announced: u64,
@@ -162,590 +140,96 @@ pub struct NetStats {
     pub rfd: BTreeMap<&'static str, RfdProfileStats>,
 }
 
-/// Per-directed-link state over a CSR adjacency. Link `start[r] + s` is
-/// router `r`'s session `s`.
+impl NetStats {
+    /// Updates delivered to a router.
+    pub fn delivered(&self) -> u64 {
+        self.updates_announced + self.updates_withdrawn
+    }
+
+    /// Add `other`'s counts to these.
+    fn merge(&mut self, other: &NetStats) {
+        self.updates_announced += other.updates_announced;
+        self.updates_withdrawn += other.updates_withdrawn;
+        self.mrai_deferrals += other.mrai_deferrals;
+        for (name, profile) in &other.rfd {
+            let sum = self.rfd.entry(name).or_default();
+            sum.suppressions += profile.suppressions;
+            sum.releases += profile.releases;
+        }
+    }
+}
+
+/// The directed links as a CSR adjacency. Link `start[r] + s` is router
+/// `r`'s session `s`.
 #[derive(Debug, Default)]
-struct Links {
+pub(crate) struct Links {
     /// Set once the arrays are built; the topology is fixed from then on.
     built: bool,
     /// `start[r]..start[r + 1]` are router `r`'s links.
     start: Vec<u32>,
     /// Receiving router of each link.
-    to: Vec<u32>,
+    pub(crate) to: Vec<u32>,
     /// The receiver's session index for each link (its session back to
     /// the sender).
-    reverse: Vec<u32>,
-    delay: Vec<SimDuration>,
-    /// Last scheduled delivery per link, to preserve TCP FIFO.
-    horizon: Vec<SimTime>,
-    /// Whether the link's session is down (between a fault-injected
-    /// reset and its re-establishment).
-    down: Vec<bool>,
+    pub(crate) reverse: Vec<u32>,
+    pub(crate) delay: Vec<SimDuration>,
 }
 
 impl Links {
-    fn id(&self, router: usize, session: usize) -> usize {
+    pub(crate) fn id(&self, router: usize, session: usize) -> usize {
         self.start[router] as usize + session
+    }
+
+    /// Router `router`'s links.
+    pub(crate) fn range(&self, router: usize) -> Range<usize> {
+        self.start[router] as usize..self.start[router + 1] as usize
     }
 }
 
-/// The simulated network.
-pub struct Network {
+/// The read-only part of the network that every lane shares.
+pub(crate) struct Fabric {
     /// Routers by router id; ids follow ascending AS number.
-    routers: Vec<Router>,
+    pub(crate) routers: Vec<Router>,
     /// Per router id: whether its Loc-RIB changes are tapped.
-    tapped: Vec<bool>,
-    links: Links,
-    /// Delays passed to `connect`, held until the link arrays are built.
-    staged_delays: BTreeMap<(AsId, AsId), SimDuration>,
-    /// Dense prefix ids, assigned in first-scheduled order.
-    prefix_ids: BTreeMap<Prefix, u32>,
-    queue: EventQueue<NetEvent>,
-    tap_log: Vec<TapRecord>,
-    rng: SimRng,
-    config: NetworkConfig,
-    delivered: u64,
-    stats: NetStats,
-    /// Optional event trace. `None` (the default) costs one branch per
-    /// dispatch; see DESIGN.md §5d.
-    trace: Option<obs::TraceBuffer>,
-    /// Interned sim-time lane per damped (router, session, prefix).
-    rfd_lanes: BTreeMap<(usize, usize, usize), obs::Lane>,
-    /// Interned sim-time lane per router for MRAI deferral instants.
+    pub(crate) tapped: Vec<bool>,
+    pub(crate) links: Links,
+    pub(crate) config: NetworkConfig,
+}
+
+/// One session reset of a fault plan.
+pub(crate) struct Reset {
+    pub(crate) down_at: SimTime,
+    pub(crate) up_at: SimTime,
+    /// The link, by the lower router id's end.
+    pub(crate) router: u32,
+    pub(crate) session: u32,
+}
+
+/// An attached event trace plus its interned sim-time lanes.
+pub(crate) struct Tracer {
+    buffer: obs::TraceBuffer,
+    /// One trace lane per damped (router, session, prefix).
+    rfd_lanes: BTreeMap<(usize, usize, Prefix), obs::Lane>,
+    /// One trace lane per router for MRAI deferral instants.
     mrai_lanes: BTreeMap<usize, obs::Lane>,
-    /// Tallies of injected faults (session resets, dropped deliveries).
-    fault_counters: FaultCounters,
-    /// True once a fault plan was applied (even one injecting nothing).
-    faults_applied: bool,
-    /// Interned sim-time lane per faulted link (router ids, low first).
+    /// One trace lane per faulted link (router ids, low first).
     fault_lanes: BTreeMap<(usize, usize), obs::Lane>,
 }
 
-impl Network {
-    /// An empty network.
-    pub fn new(config: NetworkConfig) -> Self {
-        let rng = SimRng::new(config.seed).split("network-jitter");
-        Network {
-            routers: Vec::new(),
-            tapped: Vec::new(),
-            links: Links::default(),
-            staged_delays: BTreeMap::new(),
-            prefix_ids: BTreeMap::new(),
-            queue: EventQueue::new(),
-            tap_log: Vec::new(),
-            rng,
-            config,
-            delivered: 0,
-            stats: NetStats::default(),
-            trace: None,
-            rfd_lanes: BTreeMap::new(),
-            mrai_lanes: BTreeMap::new(),
-            fault_counters: FaultCounters::default(),
-            faults_applied: false,
-            fault_lanes: BTreeMap::new(),
-        }
-    }
-
-    /// Schedule every session reset a fault plan prescribes for this
-    /// network's links over `[0, horizon)`. Each reset becomes a
-    /// session-down/session-up event pair; between the two, deliveries on
-    /// the link are dropped (and counted). Links are visited in ascending
-    /// `(AsId, AsId)` order, and the plan itself is a pure function of its
-    /// seed, so the same `(seed, plan)` always injects the same resets.
-    pub fn apply_faults(&mut self, plan: &FaultPlan, horizon: SimDuration) {
-        self.build_links();
-        self.faults_applied = true;
-        for (a, router) in self.routers.iter().enumerate() {
-            for session in 0..router.session_count() {
-                let b = self.links.to[self.links.id(a, session)] as usize;
-                if a >= b {
-                    continue; // each undirected link once
-                }
-                let (asn_a, asn_b) = (router.asn(), router.peer(session));
-                if let Some((down_at, up_at)) =
-                    plan.session_reset(u64::from(asn_a.0), u64::from(asn_b.0), horizon)
-                {
-                    let (router, session) = (a as u32, session as u32);
-                    self.queue
-                        .schedule_at(down_at, NetEvent::SessionDown { router, session });
-                    self.queue
-                        .schedule_at(up_at, NetEvent::SessionUp { router, session });
-                }
-            }
-        }
-    }
-
-    /// Tallies of faults this network actually injected.
-    pub fn fault_counters(&self) -> &FaultCounters {
-        &self.fault_counters
-    }
-
-    /// True once [`Network::apply_faults`] ran.
-    pub fn faults_applied(&self) -> bool {
-        self.faults_applied
-    }
-
-    /// Attach an event trace. RFD state-machine transitions (suppress,
-    /// release, penalty samples, delayed re-advertisements) and MRAI
-    /// deferrals are recorded on sim-time lanes — one lane per damped
-    /// (router, peer, prefix) session, one per deferring router.
-    pub fn set_trace(&mut self, trace: obs::TraceBuffer) {
-        self.trace = Some(trace);
-    }
-
-    /// Detach and return the trace, if one was attached.
-    pub fn take_trace(&mut self) -> Option<obs::TraceBuffer> {
-        self.trace.take()
-    }
-
-    /// Read-only view of the attached trace.
-    pub fn trace(&self) -> Option<&obs::TraceBuffer> {
-        self.trace.as_ref()
-    }
-
-    /// The router id of `asn`.
-    fn router_id(&self, asn: AsId) -> Option<usize> {
-        self.routers.binary_search_by_key(&asn, Router::asn).ok()
-    }
-
-    /// The router id of `asn`, which must exist.
-    fn known_router(&self, asn: AsId) -> usize {
-        self.router_id(asn)
-            .unwrap_or_else(|| panic!("unknown router {asn}"))
-    }
-
-    /// Add a router for `asn` (no-op if it exists).
-    ///
-    /// # Panics
-    /// If `asn` is new and the simulation has started (the first event
-    /// was scheduled): the topology is fixed from then on.
-    pub fn add_router(&mut self, asn: AsId) {
-        if let Err(at) = self.routers.binary_search_by_key(&asn, Router::asn) {
-            assert!(
-                !self.links.built,
-                "cannot add {asn}: the topology is fixed once events are scheduled"
-            );
-            self.routers.insert(at, Router::new(asn));
-            self.tapped.insert(at, false);
-        }
-    }
-
-    /// Connect `a` and `b` with the given per-side session policies and a
-    /// symmetric link delay. Policies are *from each side's perspective*:
-    /// `policy_at_a` is how `a` treats neighbor `b`.
-    ///
-    /// # Panics
-    /// If the simulation has started (the first event was scheduled).
-    pub fn connect(
+impl Tracer {
+    /// Record one dispatch's RFD/MRAI activity at `router`. `penalty` is
+    /// the RFD session and its penalty after the dispatch, when the
+    /// session damps the prefix.
+    pub(crate) fn output(
         &mut self,
-        a: AsId,
-        b: AsId,
-        policy_at_a: SessionPolicy,
-        policy_at_b: SessionPolicy,
-        delay: Option<SimDuration>,
-    ) {
-        assert_ne!(a, b, "self-link");
-        assert!(
-            !self.links.built,
-            "cannot connect {a}–{b}: the topology is fixed once events are scheduled"
-        );
-        debug_assert_eq!(
-            policy_at_a.relationship,
-            policy_at_b.relationship.reversed(),
-            "inconsistent relationship on link {a}–{b}"
-        );
-        self.add_router(a);
-        self.add_router(b);
-        let d = delay.unwrap_or(self.config.default_link_delay);
-        self.staged_delays.insert((a, b), d);
-        self.staged_delays.insert((b, a), d);
-        let ia = self.known_router(a);
-        self.routers[ia].add_session(b, policy_at_a);
-        let ib = self.known_router(b);
-        self.routers[ib].add_session(a, policy_at_b);
-    }
-
-    /// Build the per-link arrays from the routers' session lists. Runs
-    /// once, before the first event is scheduled.
-    fn build_links(&mut self) {
-        if self.links.built {
-            return;
-        }
-        let delays = std::mem::take(&mut self.staged_delays);
-        let mut links = Links {
-            built: true,
-            ..Links::default()
-        };
-        for router in &self.routers {
-            links.start.push(links.to.len() as u32);
-            for session in 0..router.session_count() {
-                let peer = router.peer(session);
-                let to = self.known_router(peer);
-                let reverse = self.routers[to]
-                    .session_index(router.asn())
-                    .expect("sessions come in pairs");
-                links.to.push(to as u32);
-                links.reverse.push(reverse as u32);
-                links.delay.push(delays[&(router.asn(), peer)]);
-            }
-        }
-        links.start.push(links.to.len() as u32);
-        links.horizon = vec![SimTime::ZERO; links.to.len()];
-        links.down = vec![false; links.to.len()];
-        self.links = links;
-    }
-
-    /// The dense id of `prefix`, interning it in every router on first
-    /// sight.
-    fn prefix_id(&mut self, prefix: Prefix) -> u32 {
-        if let Some(&pid) = self.prefix_ids.get(&prefix) {
-            return pid;
-        }
-        let pid = self.prefix_ids.len() as u32;
-        self.prefix_ids.insert(prefix, pid);
-        for router in &mut self.routers {
-            let interned = router.intern(prefix);
-            debug_assert_eq!(interned, pid as usize, "routers share prefix ids");
-        }
-        pid
-    }
-
-    /// Mark `asn` as a vantage point whose Loc-RIB changes are recorded.
-    pub fn attach_tap(&mut self, asn: AsId) {
-        let Some(id) = self.router_id(asn) else {
-            panic!("tap on unknown {asn}");
-        };
-        self.tapped[id] = true;
-    }
-
-    /// Immutable access to a router.
-    pub fn router(&self, asn: AsId) -> Option<&Router> {
-        self.router_id(asn).map(|id| &self.routers[id])
-    }
-
-    /// All AS numbers in the network (ascending).
-    pub fn as_ids(&self) -> Vec<AsId> {
-        self.routers.iter().map(Router::asn).collect()
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    /// Number of BGP updates delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Total events processed by the queue.
-    pub fn events_processed(&self) -> u64 {
-        self.queue.processed()
-    }
-
-    /// Protocol-level counters (updates, MRAI deferrals, RFD activity).
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    /// The deepest the event queue has ever been.
-    pub fn queue_depth_high_water(&self) -> usize {
-        self.queue.depth_high_water()
-    }
-
-    /// Export queue and protocol metrics into a run report as the
-    /// `netsim.queue` and `bgpsim.network` sections.
-    pub fn export_obs(&self, report: &mut obs::RunReport) {
-        report.push_section(self.queue.obs_section("netsim.queue"));
-        let section = report.section("bgpsim.network");
-        section
-            .counter("updates_delivered", self.delivered)
-            .counter("updates_announced", self.stats.updates_announced)
-            .counter("updates_withdrawn", self.stats.updates_withdrawn)
-            .counter("mrai_deferrals", self.stats.mrai_deferrals);
-        for (name, profile) in &self.stats.rfd {
-            section
-                .counter(&format!("rfd_suppressions.{name}"), profile.suppressions)
-                .counter(&format!("rfd_releases.{name}"), profile.releases);
-        }
-        if let Some(trace) = &self.trace {
-            trace.export_into(report.section("bgpsim.trace"));
-        }
-    }
-
-    /// Schedule an origination (announcement) of `prefix` at `router`.
-    /// With `stamp`, the announcement carries an aggregator timestamp equal
-    /// to the fire time — the beacon convention.
-    ///
-    /// # Panics
-    /// If `router` is not in the network.
-    pub fn schedule_announce(&mut self, at: SimTime, router: AsId, prefix: Prefix, stamp: bool) {
-        self.build_links();
-        let router = self.known_router(router) as u32;
-        let prefix = self.prefix_id(prefix);
-        self.queue.schedule_at(
-            at,
-            NetEvent::Originate {
-                router,
-                prefix,
-                stamp,
-            },
-        );
-    }
-
-    /// Schedule a withdrawal of a locally-originated `prefix`.
-    ///
-    /// # Panics
-    /// If `router` is not in the network.
-    pub fn schedule_withdraw(&mut self, at: SimTime, router: AsId, prefix: Prefix) {
-        self.build_links();
-        let router = self.known_router(router) as u32;
-        let prefix = self.prefix_id(prefix);
-        self.queue
-            .schedule_at(at, NetEvent::WithdrawOrigin { router, prefix });
-    }
-
-    /// Run until the queue is empty or the clock passes `until`.
-    /// Returns the number of events processed by this call.
-    pub fn run_until(&mut self, until: SimTime) -> u64 {
-        self.build_links();
-        // One output buffer for the whole run: dispatch clears it per
-        // router input instead of allocating.
-        let mut out = RouterOutput::default();
-        let mut n = 0;
-        while let Some((now, ev)) = self.queue.pop_until(until) {
-            self.dispatch(now, ev, &mut out);
-            n += 1;
-        }
-        n
-    }
-
-    /// Run until the queue fully drains (converged network).
-    pub fn run_to_quiescence(&mut self) -> u64 {
-        self.run_until(SimTime::MAX)
-    }
-
-    /// Take the accumulated tap log, leaving it empty.
-    pub fn take_tap_log(&mut self) -> Vec<TapRecord> {
-        std::mem::take(&mut self.tap_log)
-    }
-
-    /// Read-only view of the tap log.
-    pub fn tap_log(&self) -> &[TapRecord] {
-        &self.tap_log
-    }
-
-    fn dispatch(&mut self, now: SimTime, ev: NetEvent, out: &mut RouterOutput) {
-        out.clear();
-        // `rfd_session` names the session any RFD transition in the
-        // output belongs to — only deliveries and reuse timers can flip
-        // RFD state, and both name the session up front.
-        let (router, prefix, rfd_session) = match ev {
-            NetEvent::Deliver {
-                router,
-                session,
-                prefix,
-                action,
-            } => {
-                let link = self.links.id(router as usize, session as usize);
-                // A down session drops traffic on the floor.
-                if self.links.down[link] {
-                    self.fault_counters.updates_dropped_down += 1;
-                    if self.trace.is_some() {
-                        let to = self.links.to[link] as usize;
-                        self.trace_fault(now, router as usize, to, "update_dropped");
-                    }
-                    return;
-                }
-                self.delivered += 1;
-                if action.is_announce() {
-                    self.stats.updates_announced += 1;
-                } else {
-                    self.stats.updates_withdrawn += 1;
-                }
-                let to = self.links.to[link] as usize;
-                let session = self.links.reverse[link] as usize;
-                let prefix = prefix as usize;
-                self.routers[to].handle_update(session, prefix, action, now, out);
-                (to, prefix, Some(session))
-            }
-            NetEvent::MraiExpire {
-                router,
-                session,
-                prefix,
-            } => {
-                let (router, prefix) = (router as usize, prefix as usize);
-                self.routers[router].mrai_expired(session as usize, prefix, now, out);
-                (router, prefix, None)
-            }
-            NetEvent::RfdReuse {
-                router,
-                session,
-                prefix,
-            } => {
-                let (router, session, prefix) =
-                    (router as usize, session as usize, prefix as usize);
-                self.routers[router].rfd_reuse_fired(session, prefix, now, out);
-                (router, prefix, Some(session))
-            }
-            NetEvent::Originate {
-                router,
-                prefix,
-                stamp,
-            } => {
-                let (router, prefix) = (router as usize, prefix as usize);
-                let aggregator = stamp.then(|| AggregatorStamp::new(now));
-                self.routers[router].originate(prefix, aggregator, now, out);
-                (router, prefix, None)
-            }
-            NetEvent::WithdrawOrigin { router, prefix } => {
-                let (router, prefix) = (router as usize, prefix as usize);
-                self.routers[router].withdraw_origin(prefix, now, out);
-                (router, prefix, None)
-            }
-            NetEvent::SessionDown { router, session } => {
-                self.session_transition(now, router as usize, session as usize, false, out);
-                return;
-            }
-            NetEvent::SessionUp { router, session } => {
-                self.session_transition(now, router as usize, session as usize, true, out);
-                return;
-            }
-        };
-
-        self.apply_output(now, router, prefix, rfd_session, out);
-    }
-
-    /// Drive both endpoints of a link through a session reset transition
-    /// and apply each affected prefix's router output individually (so
-    /// every Loc-RIB change reaches the tap log). Each endpoint walks its
-    /// prefixes in ascending prefix order.
-    fn session_transition(
-        &mut self,
-        now: SimTime,
-        a: usize,
-        a_session: usize,
-        up: bool,
-        out: &mut RouterOutput,
-    ) {
-        let link = self.links.id(a, a_session);
-        let b = self.links.to[link] as usize;
-        let b_session = self.links.reverse[link] as usize;
-        let back = self.links.id(b, b_session);
-        self.links.down[link] = !up;
-        self.links.down[back] = !up;
-        if !up {
-            self.fault_counters.session_resets += 1;
-        }
-        if self.trace.is_some() {
-            self.trace_fault(now, a, b, if up { "session_up" } else { "session_down" });
-        }
-        for (router, session) in [(a, a_session), (b, b_session)] {
-            let prefixes = if up {
-                self.routers[router].session_up(session)
-            } else {
-                self.routers[router].session_down(session)
-            };
-            for prefix in prefixes {
-                out.clear();
-                let r = &mut self.routers[router];
-                if up {
-                    r.resync(session, prefix, now, out);
-                } else {
-                    r.handle_update(session, prefix, BgpAction::Withdraw, now, out);
-                }
-                self.apply_output(now, router, prefix, Some(session), out);
-            }
-        }
-    }
-
-    /// Translate one router output for `prefix` into scheduled events,
-    /// stats, trace records and tap-log entries.
-    fn apply_output(
-        &mut self,
-        now: SimTime,
+        r: &Router,
         router: usize,
-        prefix: usize,
-        rfd_session: Option<usize>,
-        out: &mut RouterOutput,
-    ) {
-        self.stats.mrai_deferrals += u64::from(out.mrai_deferrals);
-        if self.trace.is_some() {
-            self.trace_output(now, router, prefix, rfd_session, out);
-        }
-        if out.rfd_suppressed || out.rfd_released {
-            let r = &self.routers[router];
-            let name = rfd_session
-                .and_then(|session| r.policy_at(session).rfd_for(r.prefix(prefix)))
-                .map_or("custom", |params| params.profile_name());
-            let profile = self.stats.rfd.entry(name).or_default();
-            if out.rfd_suppressed {
-                profile.suppressions += 1;
-            }
-            if out.rfd_released {
-                profile.releases += 1;
-            }
-        }
-
-        // Translate the router's requests into events.
-        let (router_id, prefix_id) = (router as u32, prefix as u32);
-        for (session, action) in out.sends.drain(..) {
-            let delivery = self.delivery_time(self.links.id(router, session), now);
-            self.queue.schedule_at(
-                delivery,
-                NetEvent::Deliver {
-                    router: router_id,
-                    session: session as u32,
-                    prefix: prefix_id,
-                    action,
-                },
-            );
-        }
-        for &(session, at) in &out.mrai_timers {
-            self.queue.schedule_at(
-                at.max(now),
-                NetEvent::MraiExpire {
-                    router: router_id,
-                    session: session as u32,
-                    prefix: prefix_id,
-                },
-            );
-        }
-        for &(session, at) in &out.rfd_timers {
-            self.queue.schedule_at(
-                at.max(now),
-                NetEvent::RfdReuse {
-                    router: router_id,
-                    session: session as u32,
-                    prefix: prefix_id,
-                },
-            );
-        }
-        if let Some(change) = out.loc_rib_change.take() {
-            if self.tapped[router] {
-                self.tap_log.push(TapRecord {
-                    vantage: self.routers[router].asn(),
-                    time: now,
-                    prefix: change.prefix,
-                    route: change.route,
-                });
-            }
-        }
-    }
-
-    /// Record one dispatch's RFD/MRAI activity into the attached trace.
-    /// Only called when a trace is attached, so the untraced dispatch
-    /// path pays exactly one branch.
-    fn trace_output(
-        &mut self,
+        prefix: Prefix,
+        penalty: Option<(usize, f64)>,
         now: SimTime,
-        router: usize,
-        prefix: usize,
-        rfd_session: Option<usize>,
         out: &RouterOutput,
     ) {
-        let trace = self.trace.as_mut().expect("caller checked");
-        let r = &self.routers[router];
+        let trace = &mut self.buffer;
         let now_ms = now.as_millis();
         if out.mrai_deferrals > 0 {
             let next = self.mrai_lanes.len() as u32;
@@ -761,12 +245,8 @@ impl Network {
                 f64::from(out.mrai_deferrals),
             );
         }
-        let Some(session) = rfd_session else {
-            return;
-        };
-        // Only damped sessions get a lane; the penalty is `None` when the
-        // session has no RFD configured.
-        let Some(penalty) = r.session_penalty(session, prefix, now) else {
+        // Only damped sessions get a lane.
+        let Some((session, penalty)) = penalty else {
             return;
         };
         let next = self.rfd_lanes.len() as u32;
@@ -775,7 +255,7 @@ impl Network {
             .entry((router, session, prefix))
             .or_insert_with(|| {
                 let lane = obs::Lane::pair(2, next);
-                let name = format!("rfd {}<-{} {}", r.asn(), r.peer(session), r.prefix(prefix));
+                let name = format!("rfd {}<-{} {}", r.asn(), r.peer(session), prefix);
                 trace.set_lane_name(lane, &name);
                 lane
             });
@@ -799,43 +279,519 @@ impl Network {
     }
 
     /// Record an injected fault on the interned fault lane of the link
-    /// between routers `a` and `b` (either direction). Only called when a
-    /// trace is attached (callers check), keeping the untraced path at one
-    /// branch.
-    fn trace_fault(&mut self, now: SimTime, a: usize, b: usize, what: &'static str) {
-        let trace = self.trace.as_mut().expect("caller checked");
+    /// between routers `a` and `b` (either direction).
+    pub(crate) fn fault(
+        &mut self,
+        fabric: &Fabric,
+        now: SimTime,
+        a: usize,
+        b: usize,
+        what: &'static str,
+    ) {
+        let trace = &mut self.buffer;
         let key = (a.min(b), a.max(b));
         let next = self.fault_lanes.len() as u32;
-        let routers = &self.routers;
         let lane = *self.fault_lanes.entry(key).or_insert_with(|| {
             let lane = obs::Lane::pair(3, next);
-            let (a, b) = (routers[key.0].asn(), routers[key.1].asn());
+            let (a, b) = (fabric.routers[key.0].asn(), fabric.routers[key.1].asn());
             trace.set_lane_name(lane, &format!("fault {a}-{b}"));
             lane
         });
         trace.instant_sim(what, lane, now.as_millis());
     }
+}
 
-    /// Jittered delivery time on `link` that preserves per-link FIFO
-    /// order.
-    fn delivery_time(&mut self, link: usize, now: SimTime) -> SimTime {
-        let base = self.links.delay[link];
-        let jitter = 1.0 + self.config.jitter * self.rng.uniform();
-        let (proc_lo, proc_hi) = self.config.processing_delay;
-        let processing = if proc_hi > proc_lo {
-            proc_lo
-                + SimDuration::from_millis(self.rng.below((proc_hi - proc_lo).as_millis().max(1)))
-        } else {
-            proc_lo
-        };
-        let mut t = now + base.mul_f64(jitter) + processing;
-        let horizon = &mut self.links.horizon[link];
-        if t < *horizon {
-            t = *horizon;
+/// The simulated network.
+pub struct Network {
+    fabric: Fabric,
+    /// Delays passed to `connect`, held until the link arrays are built.
+    staged_delays: BTreeMap<(AsId, AsId), SimDuration>,
+    /// One lane per prefix, in ascending prefix order.
+    lanes: Vec<Lane>,
+    /// Every session reset the fault plan injects; each lane replays all
+    /// of them.
+    resets: Vec<Reset>,
+    /// The latest `until` a run reached.
+    reached: Option<SimTime>,
+    /// The merged tap log, in (time, prefix) order.
+    tap_log: Vec<TapRecord>,
+    /// The lanes' counters, summed after every run.
+    stats: NetStats,
+    /// Tallies of injected faults (session resets, dropped deliveries).
+    fault_counters: FaultCounters,
+    /// True once a fault plan was applied (even one injecting nothing).
+    faults_applied: bool,
+    /// Optional event trace. `None` (the default) costs one branch per
+    /// dispatch; see DESIGN.md §5d.
+    trace: Option<Tracer>,
+}
+
+impl Network {
+    /// An empty network.
+    pub fn new(config: NetworkConfig) -> Self {
+        Network {
+            fabric: Fabric {
+                routers: Vec::new(),
+                tapped: Vec::new(),
+                links: Links::default(),
+                config,
+            },
+            staged_delays: BTreeMap::new(),
+            lanes: Vec::new(),
+            resets: Vec::new(),
+            reached: None,
+            tap_log: Vec::new(),
+            stats: NetStats::default(),
+            fault_counters: FaultCounters::default(),
+            faults_applied: false,
+            trace: None,
         }
-        *horizon = t;
-        t
     }
+
+    /// Schedule every session reset a fault plan prescribes for this
+    /// network's links over `[0, horizon)`. Each reset becomes a
+    /// session-down/session-up event pair in every lane; between the two,
+    /// deliveries on the link are dropped (and counted). Links are
+    /// visited in ascending `(AsId, AsId)` order, and the plan itself is
+    /// a pure function of its seed, so the same `(seed, plan)` always
+    /// injects the same resets.
+    pub fn apply_faults(&mut self, plan: &FaultPlan, horizon: SimDuration) {
+        self.build_links();
+        self.faults_applied = true;
+        let links = &self.fabric.links;
+        for (a, router) in self.fabric.routers.iter().enumerate() {
+            for session in 0..router.session_count() {
+                let b = links.to[links.id(a, session)] as usize;
+                if a >= b {
+                    continue; // each undirected link once
+                }
+                let (asn_a, asn_b) = (router.asn(), router.peer(session));
+                if let Some((down_at, up_at)) =
+                    plan.session_reset(u64::from(asn_a.0), u64::from(asn_b.0), horizon)
+                {
+                    let reset = Reset {
+                        down_at,
+                        up_at,
+                        router: a as u32,
+                        session: session as u32,
+                    };
+                    for lane in &mut self.lanes {
+                        lane.schedule_reset(&reset);
+                    }
+                    self.resets.push(reset);
+                }
+            }
+        }
+    }
+
+    /// Tallies of faults this network actually injected. A link reset
+    /// counts once, however many lanes it cut; dropped deliveries are
+    /// summed over the lanes.
+    pub fn fault_counters(&self) -> &FaultCounters {
+        &self.fault_counters
+    }
+
+    /// True once [`Network::apply_faults`] ran.
+    pub fn faults_applied(&self) -> bool {
+        self.faults_applied
+    }
+
+    /// Attach an event trace. RFD state-machine transitions (suppress,
+    /// release, penalty samples, delayed re-advertisements) and MRAI
+    /// deferrals are recorded on sim-time lanes — one lane per damped
+    /// (router, peer, prefix) session, one per deferring router. With a
+    /// trace attached the prefix lanes run one after another, in prefix
+    /// order, so the trace is as deterministic as the run.
+    pub fn set_trace(&mut self, trace: obs::TraceBuffer) {
+        self.trace = Some(Tracer {
+            buffer: trace,
+            rfd_lanes: BTreeMap::new(),
+            mrai_lanes: BTreeMap::new(),
+            fault_lanes: BTreeMap::new(),
+        });
+    }
+
+    /// Detach and return the trace, if one was attached.
+    pub fn take_trace(&mut self) -> Option<obs::TraceBuffer> {
+        self.trace.take().map(|t| t.buffer)
+    }
+
+    /// Read-only view of the attached trace.
+    pub fn trace(&self) -> Option<&obs::TraceBuffer> {
+        self.trace.as_ref().map(|t| &t.buffer)
+    }
+
+    /// The router id of `asn`.
+    fn router_id(&self, asn: AsId) -> Option<usize> {
+        self.fabric
+            .routers
+            .binary_search_by_key(&asn, Router::asn)
+            .ok()
+    }
+
+    /// The router id of `asn`, which must exist.
+    fn known_router(&self, asn: AsId) -> usize {
+        self.router_id(asn)
+            .unwrap_or_else(|| panic!("unknown router {asn}"))
+    }
+
+    /// Add a router for `asn` (no-op if it exists).
+    ///
+    /// # Panics
+    /// If `asn` is new and the simulation has started (the first event
+    /// was scheduled): the topology is fixed from then on.
+    pub fn add_router(&mut self, asn: AsId) {
+        let fabric = &mut self.fabric;
+        if let Err(at) = fabric.routers.binary_search_by_key(&asn, Router::asn) {
+            assert!(
+                !fabric.links.built,
+                "cannot add {asn}: the topology is fixed once events are scheduled"
+            );
+            fabric.routers.insert(at, Router::new(asn));
+            fabric.tapped.insert(at, false);
+        }
+    }
+
+    /// Connect `a` and `b` with the given per-side session policies and a
+    /// symmetric link delay. Policies are *from each side's perspective*:
+    /// `policy_at_a` is how `a` treats neighbor `b`.
+    ///
+    /// # Panics
+    /// If the simulation has started (the first event was scheduled).
+    pub fn connect(
+        &mut self,
+        a: AsId,
+        b: AsId,
+        policy_at_a: SessionPolicy,
+        policy_at_b: SessionPolicy,
+        delay: Option<SimDuration>,
+    ) {
+        assert_ne!(a, b, "self-link");
+        assert!(
+            !self.fabric.links.built,
+            "cannot connect {a}–{b}: the topology is fixed once events are scheduled"
+        );
+        debug_assert_eq!(
+            policy_at_a.relationship,
+            policy_at_b.relationship.reversed(),
+            "inconsistent relationship on link {a}–{b}"
+        );
+        self.add_router(a);
+        self.add_router(b);
+        let d = delay.unwrap_or(self.fabric.config.default_link_delay);
+        self.staged_delays.insert((a, b), d);
+        self.staged_delays.insert((b, a), d);
+        let ia = self.known_router(a);
+        self.fabric.routers[ia].add_session(b, policy_at_a);
+        let ib = self.known_router(b);
+        self.fabric.routers[ib].add_session(a, policy_at_b);
+    }
+
+    /// Build the per-link arrays from the routers' session lists. Runs
+    /// once, before the first event is scheduled.
+    fn build_links(&mut self) {
+        if self.fabric.links.built {
+            return;
+        }
+        let delays = std::mem::take(&mut self.staged_delays);
+        let mut links = Links {
+            built: true,
+            ..Links::default()
+        };
+        for router in &self.fabric.routers {
+            links.start.push(links.to.len() as u32);
+            for session in 0..router.session_count() {
+                let peer = router.peer(session);
+                let to = self.known_router(peer);
+                let reverse = self.fabric.routers[to]
+                    .session_index(router.asn())
+                    .expect("sessions come in pairs");
+                links.to.push(to as u32);
+                links.reverse.push(reverse as u32);
+                links.delay.push(delays[&(router.asn(), peer)]);
+            }
+        }
+        links.start.push(links.to.len() as u32);
+        self.fabric.links = links;
+    }
+
+    /// The lane of `prefix`, created (and given every known session
+    /// reset) on first sight.
+    fn lane_mut(&mut self, prefix: Prefix) -> &mut Lane {
+        self.build_links();
+        let at = match self.lanes.binary_search_by_key(&prefix, |lane| lane.prefix) {
+            Ok(at) => at,
+            Err(at) => {
+                let mut lane = Lane::new(prefix, &self.fabric);
+                for reset in &self.resets {
+                    lane.schedule_reset(reset);
+                }
+                self.lanes.insert(at, lane);
+                at
+            }
+        };
+        &mut self.lanes[at]
+    }
+
+    /// The lane of `prefix`, if one was scheduled.
+    fn lane(&self, prefix: Prefix) -> Option<&Lane> {
+        let at = self
+            .lanes
+            .binary_search_by_key(&prefix, |lane| lane.prefix)
+            .ok()?;
+        Some(&self.lanes[at])
+    }
+
+    /// Mark `asn` as a vantage point whose Loc-RIB changes are recorded.
+    pub fn attach_tap(&mut self, asn: AsId) {
+        let Some(id) = self.router_id(asn) else {
+            panic!("tap on unknown {asn}");
+        };
+        self.fabric.tapped[id] = true;
+    }
+
+    /// Immutable access to a router's sessions and policies.
+    pub fn router(&self, asn: AsId) -> Option<&Router> {
+        self.router_id(asn).map(|id| &self.fabric.routers[id])
+    }
+
+    /// The best route `asn` currently selects for `prefix`, if any.
+    pub fn best(&self, asn: AsId, prefix: Prefix) -> Option<&Selection> {
+        self.lane(prefix)?.local[self.router_id(asn)?].best.as_ref()
+    }
+
+    /// Whether `asn` currently suppresses the route for `prefix` it
+    /// learned from `peer`.
+    pub fn is_suppressed(&self, asn: AsId, peer: AsId, prefix: Prefix) -> bool {
+        let (Some(lane), Some(router)) = (self.lane(prefix), self.router_id(asn)) else {
+            return false;
+        };
+        self.fabric.routers[router]
+            .session_index(peer)
+            .is_some_and(|session| {
+                let link = self.fabric.links.id(router, session);
+                lane.slots[link].adj_in.rfd.is_suppressed()
+            })
+    }
+
+    /// All AS numbers in the network (ascending).
+    pub fn as_ids(&self) -> Vec<AsId> {
+        self.fabric.routers.iter().map(Router::asn).collect()
+    }
+
+    /// Current simulated time: the latest lane clock (the time of the
+    /// last event any lane processed).
+    pub fn now(&self) -> SimTime {
+        self.lanes
+            .iter()
+            .map(|lane| lane.queue.now())
+            .max()
+            .unwrap_or(SimTime::ZERO)
+    }
+
+    /// Number of BGP updates delivered so far, over all lanes.
+    pub fn delivered(&self) -> u64 {
+        self.stats.delivered()
+    }
+
+    /// Total events processed, over all lanes.
+    pub fn events_processed(&self) -> u64 {
+        self.lanes.iter().map(|lane| lane.queue.processed()).sum()
+    }
+
+    /// Protocol-level counters (updates, MRAI deferrals, RFD activity),
+    /// summed over all lanes.
+    pub fn stats(&self) -> &NetStats {
+        &self.stats
+    }
+
+    /// One prefix's protocol-level counters, if the prefix was scheduled.
+    pub fn prefix_stats(&self, prefix: Prefix) -> Option<&NetStats> {
+        self.lane(prefix).map(|lane| &lane.stats)
+    }
+
+    /// The sum over lanes of each lane queue's deepest point: the event
+    /// slots the lane queues had to hold, since each lane keeps its own
+    /// queue alive for the whole run.
+    pub fn queue_depth_high_water(&self) -> usize {
+        self.lanes
+            .iter()
+            .map(|lane| lane.queue.depth_high_water())
+            .sum()
+    }
+
+    /// Export queue and protocol metrics into a run report as the
+    /// `netsim.queue` and `bgpsim.network` sections. The queue section
+    /// aggregates the lane queues: events and pending events are sums,
+    /// `depth_high_water` is [`Network::queue_depth_high_water`] and
+    /// `now_secs` is [`Network::now`].
+    pub fn export_obs(&self, report: &mut obs::RunReport) {
+        let pending: usize = self.lanes.iter().map(|lane| lane.queue.len()).sum();
+        report
+            .section("netsim.queue")
+            .counter("lanes", self.lanes.len() as u64)
+            .counter("events_processed", self.events_processed())
+            .counter("depth_high_water", self.queue_depth_high_water() as u64)
+            .counter("pending", pending as u64)
+            .gauge("now_secs", self.now().as_secs_f64());
+        let section = report.section("bgpsim.network");
+        section
+            .counter("updates_delivered", self.delivered())
+            .counter("updates_announced", self.stats.updates_announced)
+            .counter("updates_withdrawn", self.stats.updates_withdrawn)
+            .counter("mrai_deferrals", self.stats.mrai_deferrals);
+        for (name, profile) in &self.stats.rfd {
+            section
+                .counter(&format!("rfd_suppressions.{name}"), profile.suppressions)
+                .counter(&format!("rfd_releases.{name}"), profile.releases);
+        }
+        if let Some(trace) = &self.trace {
+            trace.buffer.export_into(report.section("bgpsim.trace"));
+        }
+    }
+
+    /// Schedule an origination (announcement) of `prefix` at `router`.
+    /// With `stamp`, the announcement carries an aggregator timestamp equal
+    /// to the fire time — the beacon convention.
+    ///
+    /// # Panics
+    /// If `router` is not in the network.
+    pub fn schedule_announce(&mut self, at: SimTime, router: AsId, prefix: Prefix, stamp: bool) {
+        let router = self.known_router(router);
+        self.lane_mut(prefix).schedule_originate(at, router, stamp);
+    }
+
+    /// Schedule a withdrawal of a locally-originated `prefix`.
+    ///
+    /// # Panics
+    /// If `router` is not in the network.
+    pub fn schedule_withdraw(&mut self, at: SimTime, router: AsId, prefix: Prefix) {
+        let router = self.known_router(router);
+        self.lane_mut(prefix).schedule_withdraw(at, router);
+    }
+
+    /// Run every lane until its queue is empty or its clock passes
+    /// `until`, then merge the lanes' new tap records and counters.
+    /// Returns the number of events processed by this call.
+    ///
+    /// Untraced, the lanes run on `available_parallelism()` scoped
+    /// threads that claim lanes one at a time; traced, they run in prefix
+    /// order on the calling thread. Either way the result is the same.
+    pub fn run_until(&mut self, until: SimTime) -> u64 {
+        self.build_links();
+        self.record_resets(until);
+        let fabric = &self.fabric;
+        let events = match &mut self.trace {
+            Some(trace) => {
+                let mut events = 0;
+                for lane in &mut self.lanes {
+                    events += lane.run(fabric, until, Some(trace));
+                }
+                events
+            }
+            None => run_parallel(&mut self.lanes, fabric, until),
+        };
+        self.merge_lanes();
+        events
+    }
+
+    /// Run until the queue fully drains (converged network).
+    pub fn run_to_quiescence(&mut self) -> u64 {
+        self.run_until(SimTime::MAX)
+    }
+
+    /// Count (and trace) the link resets and re-establishments in
+    /// `(reached, until]`. Every lane replays each of them, so they are
+    /// counted here, once per link.
+    fn record_resets(&mut self, until: SimTime) {
+        let reached = self.reached;
+        let fires = |t: SimTime| t <= until && reached.is_none_or(|r| t > r);
+        for reset in &self.resets {
+            for (at, what) in [(reset.down_at, "session_down"), (reset.up_at, "session_up")] {
+                if !fires(at) {
+                    continue;
+                }
+                if what == "session_down" {
+                    self.fault_counters.session_resets += 1;
+                }
+                if let Some(trace) = &mut self.trace {
+                    let links = &self.fabric.links;
+                    let (a, session) = (reset.router as usize, reset.session as usize);
+                    let b = links.to[links.id(a, session)] as usize;
+                    trace.fault(&self.fabric, at, a, b, what);
+                }
+            }
+        }
+        self.reached = reached.max(Some(until));
+    }
+
+    /// Move the lanes' new tap records into the log and re-sum their
+    /// counters.
+    fn merge_lanes(&mut self) {
+        let start = self.tap_log.len();
+        let new: usize = self.lanes.iter().map(|lane| lane.tap.len()).sum();
+        self.tap_log.reserve_exact(new);
+        let mut stats = NetStats::default();
+        let mut dropped_down = 0;
+        for lane in &mut self.lanes {
+            self.tap_log.extend(std::mem::take(&mut lane.tap));
+            stats.merge(&lane.stats);
+            dropped_down += lane.dropped_down;
+        }
+        // Lanes are in prefix order and each lane's records in time
+        // order, so this stable sort merges by (time, prefix, lane
+        // order). Every record of this run is later than every record of
+        // the previous one, so the whole log stays sorted.
+        self.tap_log[start..].sort_by_key(|r| (r.time, r.prefix));
+        self.stats = stats;
+        self.fault_counters.updates_dropped_down = dropped_down;
+    }
+
+    /// Take the accumulated tap log, leaving it empty.
+    pub fn take_tap_log(&mut self) -> Vec<TapRecord> {
+        std::mem::take(&mut self.tap_log)
+    }
+
+    /// Read-only view of the tap log, in (time, prefix) order.
+    pub fn tap_log(&self) -> &[TapRecord] {
+        &self.tap_log
+    }
+}
+
+/// Run `lanes` up to `until` on one scoped thread per available core (at
+/// most one per lane; the calling thread is one of them). Each thread
+/// claims the next unclaimed lane until none is left. Returns the events
+/// processed.
+fn run_parallel(lanes: &mut [Lane], fabric: &Fabric, until: SimTime) -> u64 {
+    let threads = thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(lanes.len());
+    let unclaimed = Mutex::new(lanes.iter_mut());
+    let work = || {
+        let mut events = 0;
+        loop {
+            // The guard drops at the end of this statement: the lock is
+            // held only to claim.
+            let Some(lane) = unclaimed
+                .lock()
+                .expect("lane claims never panic while holding the lock")
+                .next()
+            else {
+                return events;
+            };
+            events += lane.run(fabric, until, None);
+        }
+    };
+    thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut events = work();
+        for helper in helpers {
+            events += helper
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        }
+        events
+    })
 }
 
 #[cfg(test)]
@@ -885,7 +841,7 @@ mod tests {
         net.schedule_announce(SimTime::ZERO, AsId(10), pfx(), true);
         net.run_to_quiescence();
         // AS30 selected the route through 20 → 10.
-        match net.router(AsId(30)).unwrap().best(pfx()) {
+        match net.best(AsId(30), pfx()) {
             Some(Selection::Learned { route, .. }) => {
                 assert_eq!(
                     route.path.asns(),
@@ -913,7 +869,7 @@ mod tests {
         net.schedule_announce(SimTime::ZERO, AsId(10), pfx(), true);
         net.schedule_withdraw(SimTime::from_mins(1), AsId(10), pfx());
         net.run_to_quiescence();
-        assert!(net.router(AsId(30)).unwrap().best(pfx()).is_none());
+        assert!(net.best(AsId(30), pfx()).is_none());
         let log = net.tap_log();
         assert_eq!(log.len(), 2);
         assert!(log[1].route.is_none(), "second record is the withdrawal");
@@ -998,7 +954,7 @@ mod tests {
         net.run_to_quiescence();
 
         assert!(
-            !net.router(AsId(30)).unwrap().is_suppressed(AsId(20), pfx()),
+            !net.is_suppressed(AsId(30), AsId(20), pfx()),
             "suppression must have been released at quiescence"
         );
         // The last tap record must be the delayed re-advertisement, well
@@ -1179,7 +1135,7 @@ mod tests {
         assert_eq!(counters.session_resets, 2, "both links reset at rate 1");
         // After every reset healed, the chain re-converges on the route.
         assert!(
-            net.router(AsId(30)).unwrap().best(pfx()).is_some(),
+            net.best(AsId(30), pfx()).is_some(),
             "route must re-establish after session up"
         );
         // The reset produced visible churn at the vantage point.
@@ -1325,13 +1281,14 @@ mod tests {
     }
 
     #[test]
-    fn session_reset_walks_prefixes_in_ascending_order() {
+    fn session_reset_records_merge_in_ascending_prefix_order() {
         use netsim::faults::{FaultPlan, FaultSpec};
         // AS1 originates three prefixes in *descending* order to its
-        // provider AS2 (the tap); then the 1–2 session resets. The
-        // withdrawals at the reset and the re-sync announcements after it
-        // must come in ascending prefix order, whatever order the
-        // prefixes were first seen in.
+        // provider AS2 (the tap); then the 1–2 session resets. Each lane
+        // withdraws and re-syncs its own prefix at the same instants, and
+        // the merge by (time, prefix) must put the withdrawals and the
+        // re-sync announcements in ascending prefix order, whatever order
+        // the prefixes were first seen in.
         let mut net = Network::new(cfg());
         net.connect(
             AsId(1),
@@ -1426,5 +1383,85 @@ mod tests {
         assert!(!sorted_log.is_empty());
         assert_eq!(sorted_events, shuffled_events);
         assert_eq!(sorted_log, shuffled_log);
+    }
+
+    /// The line network with each of `flaps`' prefixes flapping at AS10
+    /// every minute from its start offset, and every link reset once, run
+    /// to quiescence.
+    fn flapping_line(flaps: &[(Prefix, SimDuration)], traced: bool) -> Network {
+        use netsim::faults::{FaultPlan, FaultSpec};
+        let mut net = line();
+        net.attach_tap(AsId(30));
+        if traced {
+            net.set_trace(obs::TraceBuffer::new(1 << 14));
+        }
+        for &(prefix, offset) in flaps {
+            for k in 0..30u64 {
+                let minute = SimTime::from_mins(k) + offset;
+                net.schedule_announce(minute, AsId(10), prefix, true);
+                net.schedule_withdraw(minute + SimDuration::from_secs(30), AsId(10), prefix);
+            }
+        }
+        let plan = FaultPlan::new(FaultSpec {
+            session_reset_rate: 1.0,
+            session_reset_duration: SimDuration::from_mins(2),
+            seed: 5,
+            ..FaultSpec::default()
+        });
+        net.apply_faults(&plan, SimDuration::from_mins(30));
+        net.run_to_quiescence();
+        net
+    }
+
+    #[test]
+    fn lane_aggregates_relate_to_each_prefix_run_alone() {
+        let flaps: Vec<(Prefix, SimDuration)> = ["10.0.1.0/24", "10.0.2.0/24", "10.0.3.0/24"]
+            .iter()
+            .zip([0, 7, 14])
+            .map(|(p, secs)| (p.parse().unwrap(), SimDuration::from_secs(secs)))
+            .collect();
+        let joint = flapping_line(&flaps, false);
+        let alone: Vec<Network> = flaps
+            .iter()
+            .map(|&flap| flapping_line(&[flap], false))
+            .collect();
+        let sum = |f: fn(&Network) -> u64| alone.iter().map(f).sum::<u64>();
+
+        // A link reset counts once, however many lanes it cuts.
+        assert_eq!(joint.fault_counters().session_resets, 2);
+        assert!(alone.iter().all(|n| n.fault_counters().session_resets == 2));
+        // Deliveries dropped on a down link are summed over the lanes.
+        let dropped = sum(|n| n.fault_counters().updates_dropped_down);
+        assert!(dropped > 0, "flaps must be in flight while a link is down");
+        assert_eq!(joint.fault_counters().updates_dropped_down, dropped);
+        assert_eq!(joint.events_processed(), sum(Network::events_processed));
+        assert_eq!(joint.delivered(), sum(Network::delivered));
+        assert_eq!(
+            joint.queue_depth_high_water() as u64,
+            sum(|n| n.queue_depth_high_water() as u64)
+        );
+        // The clock is the latest lane clock.
+        assert_eq!(joint.now(), alone.iter().map(Network::now).max().unwrap());
+        for (net, &(prefix, _)) in alone.iter().zip(&flaps) {
+            assert_eq!(joint.prefix_stats(prefix), Some(net.stats()));
+        }
+
+        let mut report = obs::RunReport::new("t");
+        joint.export_obs(&mut report);
+        let queue = report.get("netsim.queue").unwrap();
+        assert_eq!(queue.get("lanes"), Some(&obs::Value::Counter(3)));
+        assert_eq!(
+            queue.get("depth_high_water"),
+            Some(&obs::Value::Counter(joint.queue_depth_high_water() as u64))
+        );
+
+        // A trace runs the lanes one by one; nothing else changes.
+        let mut traced = flapping_line(&flaps, true);
+        assert_eq!(traced.tap_log(), joint.tap_log());
+        assert_eq!(traced.stats(), joint.stats());
+        assert_eq!(traced.fault_counters(), joint.fault_counters());
+        let trace = traced.take_trace().unwrap();
+        let resets = trace.events().filter(|e| e.name == "session_down").count();
+        assert_eq!(resets, 2, "each link reset is traced once");
     }
 }

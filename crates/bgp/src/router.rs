@@ -1,18 +1,19 @@
 //! A BGP-speaking router for one AS.
 //!
-//! [`Router`] is a *pure* state machine: it never touches the event queue.
-//! Every entry point (an incoming update, a timer expiry, a local
-//! origination) writes into a caller-owned `RouterOutput` what must
-//! happen next — messages to put on the wire, timers to arm, and the
-//! Loc-RIB change (if any) for vantage-point taps. The
-//! [`crate::network::Network`] driver translates those into scheduled
+//! [`Router`] is the read-only half of an AS: its number and its
+//! sessions (peer and policy). Everything a router mutates lives in the
+//! simulation lane of one prefix ([`crate::network`]) and is handed in
+//! as that router's `PrefixState`. Every entry point (an incoming
+//! update, a timer expiry, a local origination) writes into a
+//! caller-owned `RouterOutput` what must happen next — messages to put on
+//! the wire, timers to arm, and the Loc-RIB change (if any) for
+//! vantage-point taps. The network driver translates those into scheduled
 //! events. Keeping the router pure makes the RFD/MRAI interactions
 //! unit-testable without a simulator.
 //!
-//! The inputs name sessions and prefixes by dense index: a session is a
-//! position in the router's peer-sorted session list, a prefix is the id
-//! the router's prefix table handed out when the prefix was interned. All per-prefix state (Adj-RIB-In, Adj-RIB-Out, MRAI slots,
-//! Loc-RIB, originations) lives in flat slot arrays indexed by that id.
+//! The inputs name sessions by dense index: a session is a position in
+//! the router's peer-sorted session list, and `PrefixState::sessions`
+//! holds one `SessionSlot` per session in the same order.
 //!
 //! Processing pipeline for an incoming update (mirroring RFC 4271 + 2439):
 //!
@@ -36,7 +37,7 @@ use crate::mrai::{MraiGate, MraiVerdict};
 use crate::policy::{ExportPolicy, SessionPolicy};
 use crate::prefix::Prefix;
 use crate::rfd::{FlapKind, RfdTransition};
-use crate::rib::{AdjRibIn, Route};
+use crate::rib::{AdjEntry, Route};
 
 /// What a router selected for a prefix.
 #[derive(Clone, Debug, PartialEq)]
@@ -115,35 +116,51 @@ impl RouterOutput {
     }
 }
 
-/// One BGP session: how the router treats one neighbor, and the
-/// per-prefix state it keeps for it.
+/// A router's own state for one prefix.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct LocalSlot {
+    /// The local origination's stamp, if the prefix is originated here.
+    pub originated: Option<Option<AggregatorStamp>>,
+    /// The selected best route.
+    pub best: Option<Selection>,
+}
+
+/// One session's state for one prefix.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SessionSlot {
+    /// What the neighbor advertised, with its RFD state.
+    pub adj_in: AdjEntry,
+    /// What the router last advertised to the neighbor.
+    pub adj_out: Option<Route>,
+    /// The MRAI gate towards the neighbor.
+    pub mrai: MraiGate,
+}
+
+impl SessionSlot {
+    /// The session went down or came back: the peer holds none of our
+    /// routes, and the pending MRAI update died with the TCP session.
+    fn reset_outbound(&mut self) {
+        self.adj_out = None;
+        self.mrai.reset();
+    }
+}
+
+/// A router's whole state for one prefix, borrowed from that prefix's
+/// lane.
+pub(crate) struct PrefixState<'a> {
+    /// The prefix.
+    pub prefix: Prefix,
+    /// The router's own state.
+    pub local: &'a mut LocalSlot,
+    /// One slot per session, in session order.
+    pub sessions: &'a mut [SessionSlot],
+}
+
+/// One BGP session: the neighbor and how the router treats it.
 #[derive(Debug)]
 struct Session {
     peer: AsId,
     policy: SessionPolicy,
-    adj_in: AdjRibIn,
-    /// What the router last advertised to the peer, by prefix id.
-    adj_out: Vec<Option<Route>>,
-    mrai: MraiGate,
-}
-
-impl Session {
-    fn new(peer: AsId, policy: SessionPolicy, prefixes: usize) -> Self {
-        Session {
-            peer,
-            policy,
-            adj_in: AdjRibIn::new(prefixes),
-            adj_out: vec![None; prefixes],
-            mrai: MraiGate::new(policy.mrai, prefixes),
-        }
-    }
-
-    /// The session went down or came back: the peer holds none of our
-    /// routes, and the pending MRAI updates died with the TCP session.
-    fn reset_outbound(&mut self) {
-        self.adj_out.fill(None);
-        self.mrai.reset();
-    }
 }
 
 /// One AS's router.
@@ -151,16 +168,8 @@ impl Session {
 pub struct Router {
     asn: AsId,
     /// Sessions sorted by peer AS number. Export walks them in this
-    /// order, which fixes the order in which the network draws jitter.
+    /// order, which fixes the order in which a lane draws jitter.
     sessions: Vec<Session>,
-    /// The interned prefixes, by prefix id.
-    prefixes: Vec<Prefix>,
-    /// Prefix ids in ascending prefix order (session resets walk this).
-    prefix_order: Vec<usize>,
-    /// Per prefix id: the local origination's stamp, if originated here.
-    originated: Vec<Option<Option<AggregatorStamp>>>,
-    /// Per prefix id: the selected best route.
-    loc_rib: Vec<Option<Selection>>,
 }
 
 impl Router {
@@ -169,10 +178,6 @@ impl Router {
         Router {
             asn,
             sessions: Vec::new(),
-            prefixes: Vec::new(),
-            prefix_order: Vec::new(),
-            originated: Vec::new(),
-            loc_rib: Vec::new(),
         }
     }
 
@@ -181,47 +186,14 @@ impl Router {
         self.asn
     }
 
-    /// Add (or reconfigure) a session to `peer`. Reconfiguring starts the
-    /// session from empty RIBs.
+    /// Add (or reconfigure) a session to `peer`.
     pub fn add_session(&mut self, peer: AsId, policy: SessionPolicy) {
         assert_ne!(peer, self.asn, "cannot peer with self");
-        let session = Session::new(peer, policy, self.prefixes.len());
+        let session = Session { peer, policy };
         match self.sessions.binary_search_by_key(&peer, |s| s.peer) {
             Ok(i) => self.sessions[i] = session,
             Err(i) => self.sessions.insert(i, session),
         }
-    }
-
-    /// The dense id of `prefix`, interning it (one empty slot in every
-    /// per-prefix array) on first sight.
-    pub(crate) fn intern(&mut self, prefix: Prefix) -> usize {
-        if let Some(pid) = self.prefix_id(prefix) {
-            return pid;
-        }
-        let pid = self.prefixes.len();
-        self.prefixes.push(prefix);
-        let at = self
-            .prefix_order
-            .partition_point(|&p| self.prefixes[p] < prefix);
-        self.prefix_order.insert(at, pid);
-        self.originated.push(None);
-        self.loc_rib.push(None);
-        for s in &mut self.sessions {
-            s.adj_in.push_slot();
-            s.adj_out.push(None);
-            s.mrai.push_slot();
-        }
-        pid
-    }
-
-    /// The id of an already interned prefix.
-    pub(crate) fn prefix_id(&self, prefix: Prefix) -> Option<usize> {
-        self.prefixes.iter().position(|&p| p == prefix)
-    }
-
-    /// The prefix with id `pid`.
-    pub(crate) fn prefix(&self, pid: usize) -> Prefix {
-        self.prefixes[pid]
     }
 
     /// Number of sessions.
@@ -254,51 +226,34 @@ impl Router {
         self.sessions.iter().map(|s| s.peer).collect()
     }
 
-    /// The current best selection for `prefix`, if reachable.
-    pub fn best(&self, prefix: Prefix) -> Option<&Selection> {
-        self.loc_rib[self.prefix_id(prefix)?].as_ref()
-    }
-
-    /// Whether the route from `peer` for `prefix` is currently suppressed.
-    pub fn is_suppressed(&self, peer: AsId, prefix: Prefix) -> bool {
-        match (self.session_index(peer), self.prefix_id(prefix)) {
-            (Some(s), Some(pid)) => self.sessions[s].adj_in.get(pid).rfd.is_suppressed(),
-            _ => false,
-        }
-    }
-
-    /// Current RFD penalty on (peer, prefix) at `now`, if RFD is enabled.
-    pub fn rfd_penalty(&self, peer: AsId, prefix: Prefix, now: SimTime) -> Option<f64> {
-        let session = self.session_index(peer)?;
-        match self.prefix_id(prefix) {
-            Some(pid) => self.session_penalty(session, pid, now),
-            None => self.policy_at(session).rfd_for(prefix).map(|_| 0.0),
-        }
-    }
-
-    /// [`Router::rfd_penalty`] by session index and prefix id.
-    pub(crate) fn session_penalty(&self, session: usize, pid: usize, now: SimTime) -> Option<f64> {
-        let s = &self.sessions[session];
-        let params = s.policy.rfd_for(self.prefixes[pid])?;
-        Some(s.adj_in.get(pid).rfd.penalty_at(now, params))
+    /// The RFD penalty at `now` of `entry`, the Adj-RIB-In entry of
+    /// `prefix` on `session`; `None` when the session does not damp it.
+    pub(crate) fn session_penalty(
+        &self,
+        session: usize,
+        prefix: Prefix,
+        entry: &AdjEntry,
+        now: SimTime,
+    ) -> Option<f64> {
+        let params = self.policy_at(session).rfd_for(prefix)?;
+        Some(entry.rfd.penalty_at(now, params))
     }
 
     // ------------------------------------------------------------------
     // Inputs
     // ------------------------------------------------------------------
 
-    /// Process an update for prefix `pid` received on `session`.
+    /// Process an update received on `session`.
     pub(crate) fn handle_update(
-        &mut self,
+        &self,
+        st: &mut PrefixState<'_>,
         session: usize,
-        pid: usize,
         action: BgpAction,
         now: SimTime,
         out: &mut RouterOutput,
     ) {
-        let prefix = self.prefixes[pid];
         let own = self.asn;
-        let s = &mut self.sessions[session];
+        let entry = &mut st.sessions[session].adj_in;
 
         // 1. Loop detection: a path carrying our ASN makes the route
         //    unfeasible — treat as withdrawal, without an RFD penalty
@@ -312,22 +267,20 @@ impl Router {
         // 2. Adj-RIB-In + flap classification.
         let (kind, rib_changed) = match action {
             BgpAction::Announce { path, aggregator } => {
-                s.adj_in
-                    .apply_announce(pid, Route { path, aggregator }, now)
+                entry.apply_announce(Route { path, aggregator }, now)
             }
-            BgpAction::Withdraw => s.adj_in.apply_withdraw(pid, now),
+            BgpAction::Withdraw => entry.apply_withdraw(now),
         };
 
         // 3. RFD penalty accounting.
         let mut usability_changed = rib_changed;
-        if let Some(params) = s.policy.rfd_for(prefix).copied() {
-            let entry = s.adj_in.get_mut(pid);
+        if let Some(params) = self.policy_at(session).rfd_for(st.prefix) {
             if kind != FlapKind::Duplicate {
-                match entry.rfd.record(kind, now, &params) {
+                match entry.rfd.record(kind, now, params) {
                     RfdTransition::Suppressed => {
                         let at = entry
                             .rfd
-                            .release_at(&params)
+                            .release_at(params)
                             .expect("suppressed has release time");
                         out.rfd_timers.push((session, at));
                         out.rfd_suppressed = true;
@@ -351,27 +304,26 @@ impl Router {
         }
 
         if usability_changed {
-            self.reselect(pid, now, out);
+            self.reselect(st, now, out);
         }
     }
 
-    /// An RFD reuse timer fired for (session, prefix).
+    /// An RFD reuse timer fired for `session`.
     pub(crate) fn rfd_reuse_fired(
-        &mut self,
+        &self,
+        st: &mut PrefixState<'_>,
         session: usize,
-        pid: usize,
         now: SimTime,
         out: &mut RouterOutput,
     ) {
-        let s = &mut self.sessions[session];
-        let Some(params) = s.policy.rfd_for(self.prefixes[pid]).copied() else {
+        let Some(params) = self.policy_at(session).rfd_for(st.prefix) else {
             return;
         };
-        let entry = s.adj_in.get_mut(pid);
-        if entry.rfd.tick(now, &params) {
+        let entry = &mut st.sessions[session].adj_in;
+        if entry.rfd.tick(now, params) {
             // Released: the stored route (if any) becomes usable again.
             out.rfd_released = true;
-            self.reselect(pid, now, out);
+            self.reselect(st, now, out);
         } else if entry.rfd.is_suppressed() {
             // Flaps while suppressed pushed the release time out; re-arm.
             // The new deadline must be strictly in the future: exp2/log2
@@ -381,23 +333,23 @@ impl Router {
             // loop.
             let at = entry
                 .rfd
-                .release_at(&params)
+                .release_at(params)
                 .expect("still suppressed")
                 .max(now + SimDuration::from_millis(1));
             out.rfd_timers.push((session, at));
         }
     }
 
-    /// An MRAI timer fired for (session, prefix): flush the coalesced
-    /// update.
+    /// An MRAI timer fired for `session`: flush the coalesced update.
     pub(crate) fn mrai_expired(
-        &mut self,
+        &self,
+        st: &mut PrefixState<'_>,
         session: usize,
-        pid: usize,
         now: SimTime,
         out: &mut RouterOutput,
     ) {
-        if let Some(action) = self.sessions[session].mrai.expire(pid, now) {
+        let interval = self.policy_at(session).mrai;
+        if let Some(action) = st.sessions[session].mrai.expire(interval, now) {
             out.sends.push((session, action));
         }
     }
@@ -405,124 +357,129 @@ impl Router {
     /// Session `session` went down (e.g. a fault-injected reset).
     ///
     /// The per-session transient state resets with the TCP session: the
-    /// Adj-RIB-Out is forgotten (the peer no longer holds our routes)
-    /// and the MRAI gate discards its pending/coalesced updates. Returns
-    /// the prefixes with a route learned on the session, in ascending
-    /// prefix order; the caller withdraws each one through
-    /// [`Router::handle_update`], so the flap penalty accrues exactly as
-    /// RFC 2439 prescribes for session loss and every Loc-RIB change is
-    /// reported on its own.
-    pub(crate) fn session_down(&mut self, session: usize) -> Vec<usize> {
-        let s = &mut self.sessions[session];
-        s.reset_outbound();
-        self.prefix_order
-            .iter()
-            .copied()
-            .filter(|&pid| s.adj_in.get(pid).route.is_some())
-            .collect()
+    /// Adj-RIB-Out is forgotten (the peer no longer holds our route) and
+    /// the MRAI gate discards its pending update. A route learned on the
+    /// session is withdrawn through [`Router::handle_update`], so the
+    /// flap penalty accrues exactly as RFC 2439 prescribes for session
+    /// loss. Returns whether there was such a route (and so an output to
+    /// apply).
+    pub(crate) fn session_down(
+        &self,
+        st: &mut PrefixState<'_>,
+        session: usize,
+        now: SimTime,
+        out: &mut RouterOutput,
+    ) -> bool {
+        let slot = &mut st.sessions[session];
+        slot.reset_outbound();
+        let learned = slot.adj_in.route.is_some();
+        if learned {
+            self.handle_update(st, session, BgpAction::Withdraw, now, out);
+        }
+        learned
     }
 
     /// Session `session` re-established after a reset.
     ///
     /// BGP re-syncs a fresh session with a full table exchange: clear the
-    /// (stale) Adj-RIB-Out and MRAI gate, then re-advertise the entire
-    /// Loc-RIB towards this peer. Returns the Loc-RIB's prefixes in
-    /// ascending prefix order; the caller re-advertises each one through
-    /// [`Router::resync`]. On the peer's side each arriving announcement
-    /// classifies as a re-advertisement flap — the RFD penalty cost of a
-    /// session reset.
-    pub(crate) fn session_up(&mut self, session: usize) -> Vec<usize> {
-        self.sessions[session].reset_outbound();
-        self.prefix_order
-            .iter()
-            .copied()
-            .filter(|&pid| self.loc_rib[pid].is_some())
-            .collect()
-    }
-
-    /// Re-advertise the current selection for `pid` on `session` alone.
-    pub(crate) fn resync(
-        &mut self,
+    /// (stale) Adj-RIB-Out and MRAI gate, then re-advertise the current
+    /// selection towards this peer alone. On the peer's side the arriving
+    /// announcement classifies as a re-advertisement flap — the RFD
+    /// penalty cost of a session reset. Returns whether there was a
+    /// selection to re-advertise.
+    pub(crate) fn session_up(
+        &self,
+        st: &mut PrefixState<'_>,
         session: usize,
-        pid: usize,
         now: SimTime,
         out: &mut RouterOutput,
-    ) {
-        let view = self.loc_rib[pid]
-            .as_ref()
-            .map(|s| s.exported_view(self.asn));
-        self.export(pid, view.as_ref(), session..session + 1, now, out);
+    ) -> bool {
+        st.sessions[session].reset_outbound();
+        let Some(view) = st.local.best.as_ref().map(|s| s.exported_view(self.asn)) else {
+            return false;
+        };
+        self.export(st, Some(&view), session..session + 1, now, out);
+        true
     }
 
-    /// Originate (announce) prefix `pid` locally, with an optional beacon
+    /// Originate (announce) the prefix locally, with an optional beacon
     /// stamp.
     pub(crate) fn originate(
-        &mut self,
-        pid: usize,
+        &self,
+        st: &mut PrefixState<'_>,
         aggregator: Option<AggregatorStamp>,
         now: SimTime,
         out: &mut RouterOutput,
     ) {
-        self.originated[pid] = Some(aggregator);
-        self.reselect(pid, now, out);
+        st.local.originated = Some(aggregator);
+        self.reselect(st, now, out);
     }
 
     /// Withdraw a locally-originated prefix.
-    pub(crate) fn withdraw_origin(&mut self, pid: usize, now: SimTime, out: &mut RouterOutput) {
-        self.originated[pid] = None;
-        self.reselect(pid, now, out);
+    pub(crate) fn withdraw_origin(
+        &self,
+        st: &mut PrefixState<'_>,
+        now: SimTime,
+        out: &mut RouterOutput,
+    ) {
+        st.local.originated = None;
+        self.reselect(st, now, out);
     }
 
     // ------------------------------------------------------------------
     // Decision + export
     // ------------------------------------------------------------------
 
-    /// Re-run the decision process for `pid` and export any change.
-    fn reselect(&mut self, pid: usize, now: SimTime, out: &mut RouterOutput) {
-        let new = self.compute_best(pid);
-        if self.loc_rib[pid] == new {
+    /// Re-run the decision process and export any change.
+    fn reselect(&self, st: &mut PrefixState<'_>, now: SimTime, out: &mut RouterOutput) {
+        let new = self.compute_best(st);
+        if st.local.best == new {
             return;
         }
         // The exported view is the same for every neighbor; build it once.
         let view = new.as_ref().map(|s| s.exported_view(self.asn));
-        self.loc_rib[pid] = new;
-        self.export(pid, view.as_ref(), 0..self.sessions.len(), now, out);
+        st.local.best = new;
+        self.export(st, view.as_ref(), 0..self.sessions.len(), now, out);
         out.loc_rib_change = Some(LocRibChange {
-            prefix: self.prefixes[pid],
+            prefix: st.prefix,
             route: view,
         });
     }
 
-    fn compute_best(&self, pid: usize) -> Option<Selection> {
-        if let Some(aggregator) = self.originated[pid] {
+    fn compute_best(&self, st: &PrefixState<'_>) -> Option<Selection> {
+        if let Some(aggregator) = st.local.originated {
             return Some(Selection::Local { aggregator });
         }
-        let candidates = self.sessions.iter().filter_map(|s| {
-            let route = s.adj_in.get(pid).usable()?;
-            // Defensive loop check (sender-side split horizon should make
-            // this unreachable, but policy bugs must not loop forever).
-            if route.path.contains(self.asn) {
-                return None;
-            }
-            Some(Candidate {
-                neighbor: s.peer,
-                relationship: s.policy.relationship,
-                route,
-            })
-        });
+        let candidates = self
+            .sessions
+            .iter()
+            .zip(st.sessions.iter())
+            .filter_map(|(s, slot)| {
+                let route = slot.adj_in.usable()?;
+                // Defensive loop check (sender-side split horizon should
+                // make this unreachable, but policy bugs must not loop
+                // forever).
+                if route.path.contains(self.asn) {
+                    return None;
+                }
+                Some(Candidate {
+                    neighbor: s.peer,
+                    relationship: s.policy.relationship,
+                    route,
+                })
+            });
         select_best(candidates).map(|c| Selection::Learned {
             neighbor: c.neighbor,
             route: c.route.clone(),
         })
     }
 
-    /// Diff the desired advertisement of the current selection for `pid`
-    /// (whose exported view is `view`) against the Adj-RIB-Out of each
-    /// session in `sessions`, and emit the needed updates through the
-    /// MRAI gates.
+    /// Diff the desired advertisement of the current selection (whose
+    /// exported view is `view`) against the Adj-RIB-Out of each session in
+    /// `sessions`, and emit the needed updates through the MRAI gates.
     fn export(
-        &mut self,
-        pid: usize,
+        &self,
+        st: &mut PrefixState<'_>,
         view: Option<&Route>,
         sessions: Range<usize>,
         now: SimTime,
@@ -531,25 +488,26 @@ impl Router {
         let own = self.asn;
         // Who did we learn the best route from (split horizon), and what
         // relationship was it learned over (Gao–Rexford)?
-        let (learned_from, learned_rel) = match &self.loc_rib[pid] {
+        let (learned_from, learned_rel) = match &st.local.best {
             Some(Selection::Learned { neighbor, .. }) => {
                 let s = self.session_index(*neighbor).expect("learned on a session");
-                (Some(s), Some(self.sessions[s].policy.relationship))
+                (Some(s), Some(self.policy_at(s).relationship))
             }
             _ => (None, None),
         };
 
         for i in sessions {
-            let session = &mut self.sessions[i];
+            let policy = self.policy_at(i);
+            let slot = &mut st.sessions[i];
             // Desired route towards this peer: none under split horizon
             // (never advertise back to the peer the route was learned
             // from) or when the export policy forbids.
             let desired = view
                 .filter(|_| {
                     learned_from != Some(i)
-                        && ExportPolicy::permits(learned_rel, session.policy.relationship)
+                        && ExportPolicy::permits(learned_rel, policy.relationship)
                 })
-                .map(|route| match session.policy.prepend_extra {
+                .map(|route| match policy.prepend_extra {
                     0 => route.clone(),
                     extra => Route {
                         path: route.path.prepend(own, extra),
@@ -557,8 +515,7 @@ impl Router {
                     },
                 });
 
-            let current = &mut session.adj_out[pid];
-            if *current == desired {
+            if slot.adj_out == desired {
                 continue;
             }
             // Unequal, so a `None` desired means something was advertised.
@@ -569,8 +526,8 @@ impl Router {
                 },
                 None => BgpAction::Withdraw,
             };
-            *current = desired;
-            match session.mrai.submit(pid, action, now) {
+            slot.adj_out = desired;
+            match slot.mrai.submit(policy.mrai, action, now) {
                 MraiVerdict::SendNow(action) => out.sends.push((i, action)),
                 MraiVerdict::Deferred { at, arm } => {
                     out.mrai_deferrals += 1;
@@ -585,6 +542,8 @@ impl Router {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::policy::Relationship;
     use crate::rfd::VendorProfile;
@@ -593,19 +552,87 @@ mod tests {
         "10.0.0.0/24".parse().unwrap()
     }
 
+    /// A router plus its state for every prefix a test touches, held
+    /// the way the lanes of a network hold it.
+    struct Rig {
+        router: Router,
+        prefixes: BTreeMap<Prefix, (LocalSlot, Vec<SessionSlot>)>,
+    }
+
+    impl Rig {
+        fn new(asn: AsId) -> Self {
+            Rig {
+                router: Router::new(asn),
+                prefixes: BTreeMap::new(),
+            }
+        }
+
+        fn add_session(&mut self, peer: AsId, policy: SessionPolicy) {
+            self.router.add_session(peer, policy);
+        }
+
+        fn session_index(&self, peer: AsId) -> Option<usize> {
+            self.router.session_index(peer)
+        }
+
+        fn peer(&self, session: usize) -> AsId {
+            self.router.peer(session)
+        }
+
+        /// Feed one input for `prefix` to the router.
+        fn input(
+            &mut self,
+            prefix: Prefix,
+            f: impl FnOnce(&Router, &mut PrefixState<'_>, &mut RouterOutput),
+        ) -> RouterOutput {
+            let sessions = self.router.session_count();
+            let (local, slots) = self
+                .prefixes
+                .entry(prefix)
+                .or_insert_with(|| (LocalSlot::default(), vec![SessionSlot::default(); sessions]));
+            let mut out = RouterOutput::default();
+            let mut st = PrefixState {
+                prefix,
+                local,
+                sessions: slots,
+            };
+            f(&self.router, &mut st, &mut out);
+            out
+        }
+
+        fn best(&self, prefix: Prefix) -> Option<&Selection> {
+            self.prefixes.get(&prefix)?.0.best.as_ref()
+        }
+
+        fn entry(&self, peer: AsId, prefix: Prefix) -> Option<&AdjEntry> {
+            let session = self.session_index(peer)?;
+            Some(&self.prefixes.get(&prefix)?.1[session].adj_in)
+        }
+
+        fn is_suppressed(&self, peer: AsId, prefix: Prefix) -> bool {
+            self.entry(peer, prefix)
+                .is_some_and(|e| e.rfd.is_suppressed())
+        }
+
+        fn rfd_penalty(&self, peer: AsId, prefix: Prefix, now: SimTime) -> Option<f64> {
+            let session = self.session_index(peer)?;
+            let entry = self.entry(peer, prefix)?;
+            self.router.session_penalty(session, prefix, entry, now)
+        }
+    }
+
     /// Deliver `action` for `prefix` from `from`, as the network would.
     fn recv(
-        r: &mut Router,
+        r: &mut Rig,
         from: AsId,
         prefix: Prefix,
         action: BgpAction,
         now: SimTime,
     ) -> RouterOutput {
-        let pid = r.intern(prefix);
         let session = r.session_index(from).expect("session exists");
-        let mut out = RouterOutput::default();
-        r.handle_update(session, pid, action, now, &mut out);
-        out
+        r.input(prefix, |router, st, out| {
+            router.handle_update(st, session, action, now, out)
+        })
     }
 
     fn announce(path: &[u32]) -> BgpAction {
@@ -616,7 +643,7 @@ mod tests {
     }
 
     /// The output's sends as (peer, action).
-    fn sends(r: &Router, out: &RouterOutput) -> Vec<(AsId, BgpAction)> {
+    fn sends(r: &Rig, out: &RouterOutput) -> Vec<(AsId, BgpAction)> {
         out.sends
             .iter()
             .map(|(s, a)| (r.peer(*s), a.clone()))
@@ -624,48 +651,50 @@ mod tests {
     }
 
     fn originate(
-        r: &mut Router,
+        r: &mut Rig,
         prefix: Prefix,
         aggregator: Option<AggregatorStamp>,
         now: SimTime,
     ) -> RouterOutput {
-        let pid = r.intern(prefix);
-        let mut out = RouterOutput::default();
-        r.originate(pid, aggregator, now, &mut out);
-        out
+        r.input(prefix, |router, st, out| {
+            router.originate(st, aggregator, now, out)
+        })
     }
 
-    fn reuse_fired(r: &mut Router, peer: AsId, prefix: Prefix, now: SimTime) -> RouterOutput {
-        let pid = r.intern(prefix);
-        let mut out = RouterOutput::default();
-        r.rfd_reuse_fired(r.session_index(peer).unwrap(), pid, now, &mut out);
-        out
-    }
-
-    /// A session reset, driven prefix by prefix as the network does.
-    fn session_down(r: &mut Router, peer: AsId, now: SimTime) -> Vec<(Prefix, RouterOutput)> {
+    fn reuse_fired(r: &mut Rig, peer: AsId, prefix: Prefix, now: SimTime) -> RouterOutput {
         let session = r.session_index(peer).unwrap();
-        r.session_down(session)
+        r.input(prefix, |router, st, out| {
+            router.rfd_reuse_fired(st, session, now, out)
+        })
+    }
+
+    /// A session transition in every prefix the rig holds, in ascending
+    /// prefix order; returns the outputs of the prefixes it touched.
+    fn transition(r: &mut Rig, peer: AsId, now: SimTime, up: bool) -> Vec<(Prefix, RouterOutput)> {
+        let session = r.session_index(peer).unwrap();
+        let prefixes: Vec<Prefix> = r.prefixes.keys().copied().collect();
+        prefixes
             .into_iter()
-            .map(|pid| {
-                let mut out = RouterOutput::default();
-                r.handle_update(session, pid, BgpAction::Withdraw, now, &mut out);
-                (r.prefix(pid), out)
+            .filter_map(|prefix| {
+                let mut touched = false;
+                let out = r.input(prefix, |router, st, out| {
+                    touched = if up {
+                        router.session_up(st, session, now, out)
+                    } else {
+                        router.session_down(st, session, now, out)
+                    };
+                });
+                touched.then_some((prefix, out))
             })
             .collect()
     }
 
-    /// A session re-establishment, driven prefix by prefix.
-    fn session_up(r: &mut Router, peer: AsId, now: SimTime) -> Vec<(Prefix, RouterOutput)> {
-        let session = r.session_index(peer).unwrap();
-        r.session_up(session)
-            .into_iter()
-            .map(|pid| {
-                let mut out = RouterOutput::default();
-                r.resync(session, pid, now, &mut out);
-                (r.prefix(pid), out)
-            })
-            .collect()
+    fn session_down(r: &mut Rig, peer: AsId, now: SimTime) -> Vec<(Prefix, RouterOutput)> {
+        transition(r, peer, now, false)
+    }
+
+    fn session_up(r: &mut Rig, peer: AsId, now: SimTime) -> Vec<(Prefix, RouterOutput)> {
+        transition(r, peer, now, true)
     }
 
     fn plain(rel: Relationship) -> SessionPolicy {
@@ -673,8 +702,8 @@ mod tests {
     }
 
     /// Router AS1 with customer AS2 and provider AS3.
-    fn sample_router() -> Router {
-        let mut r = Router::new(AsId(1));
+    fn sample_router() -> Rig {
+        let mut r = Rig::new(AsId(1));
         r.add_session(AsId(2), plain(Relationship::Customer));
         r.add_session(AsId(3), plain(Relationship::Provider));
         r
@@ -723,7 +752,7 @@ mod tests {
 
     #[test]
     fn provider_route_not_exported_to_other_provider_or_peer() {
-        let mut r = Router::new(AsId(1));
+        let mut r = Rig::new(AsId(1));
         r.add_session(AsId(2), plain(Relationship::Provider));
         r.add_session(AsId(3), plain(Relationship::Provider));
         r.add_session(AsId(4), plain(Relationship::Peer));
@@ -767,7 +796,7 @@ mod tests {
     #[test]
     fn path_hunting_switches_to_alternative() {
         // AS1 has two customers advertising the same prefix.
-        let mut r = Router::new(AsId(1));
+        let mut r = Rig::new(AsId(1));
         r.add_session(AsId(2), plain(Relationship::Customer));
         r.add_session(AsId(4), plain(Relationship::Customer));
         r.add_session(AsId(3), plain(Relationship::Provider));
@@ -823,7 +852,7 @@ mod tests {
     #[test]
     fn rfd_suppression_withdraws_downstream_and_releases_later() {
         let params = VendorProfile::Cisco.params();
-        let mut r = Router::new(AsId(1));
+        let mut r = Rig::new(AsId(1));
         r.add_session(AsId(2), plain(Relationship::Customer).with_rfd(params));
         r.add_session(AsId(3), plain(Relationship::Provider));
 
@@ -887,7 +916,7 @@ mod tests {
         // pair once produced `release_at == now` with the route still
         // suppressed, livelocking the event loop).
         let params = VendorProfile::Juniper.params();
-        let mut r = Router::new(AsId(1));
+        let mut r = Rig::new(AsId(1));
         r.add_session(AsId(2), plain(Relationship::Customer).with_rfd(params));
         r.add_session(AsId(3), plain(Relationship::Provider));
         let mut now = SimTime::ZERO;
@@ -918,7 +947,7 @@ mod tests {
     #[test]
     fn rfd_only_applies_to_configured_session() {
         let params = VendorProfile::Juniper.params();
-        let mut r = Router::new(AsId(1));
+        let mut r = Rig::new(AsId(1));
         r.add_session(AsId(2), plain(Relationship::Peer).with_rfd(params));
         r.add_session(AsId(4), plain(Relationship::Peer));
         r.add_session(AsId(3), plain(Relationship::Customer));
@@ -945,7 +974,7 @@ mod tests {
 
     #[test]
     fn mrai_defers_rapid_announcements() {
-        let mut r = Router::new(AsId(1));
+        let mut r = Rig::new(AsId(1));
         r.add_session(AsId(2), plain(Relationship::Customer));
         r.add_session(
             AsId(3),
@@ -962,16 +991,16 @@ mod tests {
         let (session, at) = out.mrai_timers[0];
         assert_eq!(r.peer(session), AsId(3));
         // Expiry flushes the pending (coalesced) announcement.
-        let pid = r.intern(pfx());
-        let mut out = RouterOutput::default();
-        r.mrai_expired(session, pid, at, &mut out);
+        let out = r.input(pfx(), |router, st, out| {
+            router.mrai_expired(st, session, at, out)
+        });
         assert_eq!(out.sends.len(), 1);
         assert!(out.sends[0].1.is_announce());
     }
 
     #[test]
     fn prepend_extra_lengthens_exported_path() {
-        let mut r = Router::new(AsId(1));
+        let mut r = Rig::new(AsId(1));
         r.add_session(AsId(2), plain(Relationship::Customer));
         let mut pol = plain(Relationship::Provider);
         pol.prepend_extra = 2;
@@ -1037,7 +1066,7 @@ mod tests {
     #[test]
     fn session_down_accrues_rfd_penalty() {
         let params = VendorProfile::Cisco.params();
-        let mut r = Router::new(AsId(1));
+        let mut r = Rig::new(AsId(1));
         r.add_session(AsId(2), plain(Relationship::Customer).with_rfd(params));
         recv(&mut r, AsId(2), pfx(), announce_from(2), SimTime::ZERO);
         let before = r
@@ -1087,9 +1116,7 @@ mod tests {
         let mut r = sample_router();
         recv(&mut r, AsId(2), pfx(), announce_from(2), SimTime::ZERO);
         session_down(&mut r, AsId(2), SimTime::from_secs(10));
-        let pid = r.intern(pfx());
-        let session = r.session_index(AsId(2)).unwrap();
-        let entry = r.sessions[session].adj_in.get(pid);
+        let entry = r.entry(AsId(2), pfx()).unwrap();
         assert!(entry.route.is_none(), "session loss withdraws the route");
         assert!(entry.ever_announced, "history survives the reset");
     }

@@ -108,17 +108,6 @@ impl<E> EventQueue<E> {
         self.depth_hwm
     }
 
-    /// Snapshot the queue's metrics into a report section.
-    pub fn obs_section(&self, name: &str) -> obs::Section {
-        let mut section = obs::Section::new(name);
-        section
-            .counter("events_processed", self.popped)
-            .counter("depth_high_water", self.depth_hwm as u64)
-            .counter("pending", self.heap.len() as u64)
-            .gauge("now_secs", self.now.as_secs_f64());
-        section
-    }
-
     /// Schedule `event` to fire at absolute time `at`.
     ///
     /// Panics in debug builds if `at` is before the current clock; clamps to
@@ -291,14 +280,6 @@ mod tests {
         q.pop();
         assert_eq!(q.len(), 3);
         assert_eq!(q.depth_high_water(), 5, "high water must not recede");
-        let section = q.obs_section("netsim.queue");
-        assert_eq!(
-            section.get("depth_high_water"),
-            Some(&obs::Value::Counter(5))
-        );
-        assert_eq!(
-            section.get("events_processed"),
-            Some(&obs::Value::Counter(2))
-        );
+        assert_eq!(q.processed(), 2);
     }
 }

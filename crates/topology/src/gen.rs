@@ -510,7 +510,7 @@ mod tests {
         let reachable = net
             .as_ids()
             .iter()
-            .filter(|&&a| a != site && net.router(a).unwrap().best(pfx).is_some())
+            .filter(|&&a| a != site && net.best(a, pfx).is_some())
             .count();
         assert_eq!(
             reachable,

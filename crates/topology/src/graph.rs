@@ -335,10 +335,7 @@ mod tests {
             if asn == AsId(100) {
                 continue;
             }
-            assert!(
-                net.router(asn).unwrap().best(pfx).is_some(),
-                "{asn} unreachable"
-            );
+            assert!(net.best(asn, pfx).is_some(), "{asn} unreachable");
         }
         // The VP tap recorded the announcement.
         assert_eq!(net.tap_log().len(), 1);

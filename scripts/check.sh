@@ -72,6 +72,27 @@ REPRO_SCALE=tiny ./target/release/fig09_marginals \
     --resume "$artifacts/fig09.ckpt" > "$artifacts/fig09.resumed.txt"
 diff "$artifacts/fig09.ref.txt" "$artifacts/fig09.resumed.txt"
 
+echo "==> core-count independence (tiny runs on one core match unrestricted runs)"
+# The simulator runs its prefix lanes on every available core; no option
+# sets a thread count. Pinning the process to one core is the only way to
+# change it, so compare one-core runs against unrestricted ones.
+[ "$(taskset -c 0 nproc)" = 1 ] || { echo "taskset -c 0 did not pin to one core" >&2; exit 1; }
+mkdir -p "$artifacts/cores"
+for cores in all one; do
+    pin=()
+    [ "$cores" = one ] && pin=(taskset -c 0)
+    out="$artifacts/cores/$cores"
+    REPRO_SCALE=tiny "${pin[@]}" ./target/release/fig05_signature --faults drill \
+        --trace "$out.fig05.trace.json" > "$out.fig05.txt" 2> /dev/null
+    REPRO_SCALE=tiny "${pin[@]}" ./target/release/fig09_marginals > "$out.fig09.txt"
+    REPRO_SCALE=tiny "${pin[@]}" ./target/release/table4_precision_recall > "$out.table4.txt"
+    REPRO_SCALE=tiny "${pin[@]}" ./target/release/fig02_penalty_trace \
+        --trace "$out.fig02.trace.json" > /dev/null 2>&1
+done
+for file in fig05.txt fig05.trace.json fig09.txt table4.txt fig02.trace.json; do
+    cmp "$artifacts/cores/all.$file" "$artifacts/cores/one.$file"
+done
+
 echo "==> golden stdout (tiny, all 14 binaries byte-identical with flags off)"
 mkdir -p "$artifacts/golden"
 for bin in appendix_b_defaults fig02_penalty_trace fig05_signature \
@@ -85,8 +106,8 @@ done
 
 echo "==> e2ebench traced replay (digests and counts unchanged)"
 cargo build --release --offline --quiet --manifest-path e2ebench/Cargo.toml
-for pair in rfd_small:e928da9cd512103f rov_small:b216038698b928da \
-    multi_interval_faults:44603a0514b4af45; do
+for pair in rfd_small:9e6e0e0fc4833376 rov_small:b216038698b928da \
+    multi_interval_faults:f1d4089574fb87aa; do
     workload="${pair%%:*}"
     ./e2ebench/target/release/e2ebench --workload "$workload" --seed 2020 \
         --seconds 1 --trace 1 > "$artifacts/e2ebench.$workload.txt" 2> /dev/null
