@@ -348,6 +348,23 @@ pub fn min_ess_tail(chains: &[Chain]) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// The pooled mean of one quantity, given its draws from several chains
+/// (one column per chain), and its Monte Carlo standard error: the
+/// pooled standard deviation over the square root of the summed
+/// per-chain ESS. `NaN`s for no draws.
+pub fn mean_and_mcse(columns: &[Vec<f64>]) -> (f64, f64) {
+    let n = columns.iter().map(Vec::len).sum::<usize>() as f64;
+    let mean = columns.iter().flatten().sum::<f64>() / n;
+    let var = columns
+        .iter()
+        .flatten()
+        .map(|x| (x - mean).powi(2))
+        .sum::<f64>()
+        / n;
+    let ess: f64 = columns.iter().map(|c| effective_sample_size(c)).sum();
+    (mean, (var / ess).sqrt())
+}
+
 /// E-BFMI — the energy Bayesian fraction of missing information of one
 /// chain's HMC energy series: `Σ (E_i − E_{i−1})² / Σ (E_i − Ē)²`
 /// (Betancourt 2016). Momentum resampling that matches the marginal
@@ -422,6 +439,18 @@ mod tests {
         // Theory: ESS ≈ n(1−ρ)/(1+ρ) ≈ n/39.
         assert!(ess < 500.0, "ess={ess}");
         assert!(ess > 10.0, "ess={ess}");
+    }
+
+    #[test]
+    fn mcse_of_iid_draws_is_sd_over_root_n() {
+        // Four chains of 2 500 standard normals: MCSE ≈ 1/√10 000.
+        let mut rng = SimRng::new(5);
+        let columns: Vec<Vec<f64>> = (0..4)
+            .map(|_| (0..2_500).map(|_| rng.gaussian()).collect())
+            .collect();
+        let (mean, se) = mean_and_mcse(&columns);
+        assert!(mean.abs() < 0.04, "mean={mean}");
+        assert!((se - 0.01).abs() < 0.001, "mcse={se}");
     }
 
     #[test]

@@ -22,11 +22,13 @@
 //! as in NUTS) towards an 80 % acceptance target and frozen afterwards
 //! (immediately, for a chain with no warmup).
 //!
-//! Each leapfrog step costs one fused likelihood-and-gradient pass
-//! ([`LogLikelihood::eval_grad`]) plus one pass over the nodes for the
-//! prior and the Jacobian, with the Beta normaliser evaluated once per
-//! kernel. The trajectory runs in buffers owned by the kernel, so a
-//! step allocates nothing.
+//! Each leapfrog step costs one likelihood-and-gradient pass
+//! ([`LogLikelihood::eval_grad`]), which visits only the showing paths
+//! (the non-showing ones are collapsed into per-AS weights), plus one
+//! pass over the nodes for the prior and the Jacobian. The prior reuses
+//! the likelihood's `ln(1 − p)`, and its Beta normaliser is evaluated
+//! once per kernel. The trajectory runs in buffers owned by the kernel,
+//! so a step allocates nothing.
 
 use netsim::SimRng;
 
@@ -56,18 +58,22 @@ struct LogPosterior<'a> {
 impl LogPosterior<'_> {
     /// Log posterior at `theta`, with its θ-gradient written into `grad`.
     ///
-    /// Keep the accumulation as is: `log_post` starts at the likelihood
-    /// and adds `log prior + ln jac` node by node, in index order. The
-    /// golden outputs pin its rounding (DESIGN.md §5c).
+    /// `log_post` starts at the likelihood and adds `log prior + ln jac`
+    /// node by node, in index order, with the prior's `ln(1 − p)` taken
+    /// from the likelihood. The sampler pins and golden outputs pin its
+    /// rounding (DESIGN.md §5c).
     fn eval_grad(&mut self, theta: &[f64], grad: &mut [f64]) -> f64 {
         self.evals += 1;
         for (pi, &ti) in self.p.iter_mut().zip(theta) {
             *pi = sigmoid(ti);
         }
         let mut log_post = self.likelihood.eval_grad(&self.p, &mut self.grad_p);
-        for ((g, &p), &grad_p) in grad.iter_mut().zip(&self.p).zip(&self.grad_p) {
+        let log_q = self.likelihood.log_q();
+        for (((g, &p), &grad_p), &log_q) in
+            grad.iter_mut().zip(&self.p).zip(&self.grad_p).zip(log_q)
+        {
             let jac = (p * (1.0 - p)).max(1e-18);
-            log_post += self.prior.log_density(p) + jac.ln();
+            log_post += self.prior.log_density_with(p, log_q) + jac.ln();
             *g = (grad_p + self.prior.grad(p)) * jac + (1.0 - 2.0 * p);
         }
         log_post

@@ -97,17 +97,23 @@ pub(crate) struct NormalisedPrior {
 }
 
 impl NormalisedPrior {
-    /// Log density at `p`. The single definition behind
-    /// [`Prior::log_density`]: keep the term order
+    /// Log density at `p`, as [`Prior::log_density`].
+    #[inline]
+    pub(crate) fn log_density(&self, p: f64) -> f64 {
+        self.log_density_with(p, (1.0 - clamp_p(p)).ln())
+    }
+
+    /// Log density at `p`, given `log_q = ln(1 − clamp_p(p))` from the
+    /// caller (HMC reuses the likelihood's). The single definition behind
+    /// [`Self::log_density`]: keep the term order
     /// `(α−1)·ln p + (β−1)·ln(1−p) − ln B(α, β)`, because the golden
     /// outputs pin its rounding (DESIGN.md §5c).
     #[inline]
-    pub(crate) fn log_density(&self, p: f64) -> f64 {
-        let p = clamp_p(p);
+    pub(crate) fn log_density_with(&self, p: f64, log_q: f64) -> f64 {
         match self.prior {
             Prior::Uniform => 0.0,
             Prior::Beta { alpha, beta } => {
-                (alpha - 1.0) * p.ln() + (beta - 1.0) * (1.0 - p).ln() - self.log_norm
+                (alpha - 1.0) * clamp_p(p).ln() + (beta - 1.0) * log_q - self.log_norm
             }
         }
     }

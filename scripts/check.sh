@@ -15,6 +15,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> cargo test --release -p because (the build the figures and e2ebench run)"
+cargo test --release -p because -q
+
 echo "==> cargo test -p obs --no-default-features"
 cargo test -p obs --no-default-features -q
 

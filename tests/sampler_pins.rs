@@ -13,11 +13,14 @@
 //! moves at least one of them.
 //!
 //! Re-record the constants only for a deliberate, documented change of
-//! sampler semantics.
+//! sampler semantics. The same dataset also checks that the two kernels
+//! agree statistically: a re-recorded HMC pin must still give the
+//! posterior means MH gives.
 
 use std::path::PathBuf;
 
 use because::chain::{Chain, ChainConfig};
+use because::diagnostics::mean_and_mcse;
 use because::model::{NodeId, PathData, PathObservation};
 use because::{Analysis, AnalysisConfig, Prior, SupervisorConfig};
 
@@ -98,8 +101,8 @@ fn assert_pinned(a: &Analysis) {
         ),
         (
             0xd1b7_e6c9_c0f7_7b4d,
-            0x1b9b_116b_b2f7_db98,
-            0xc393_457c_0db6_57a6
+            0x799f_e090_1fe6_cb18,
+            0x6e45_8f40_df13_7576
         ),
         "sampler draws drifted from their recorded pins"
     );
@@ -164,4 +167,34 @@ fn stopped_then_resumed_run_matches_recorded_pins() {
     assert!(second.failures.is_empty(), "{:?}", second.failures);
     assert_eq!(second.resumed_chains, 4);
     assert_pinned(&second);
+}
+
+/// MH and HMC target the same posterior: on the pinned dataset, with
+/// longer chains, every AS's HMC posterior mean agrees with its MH mean
+/// within 4 combined Monte Carlo standard errors.
+#[test]
+fn hmc_means_agree_with_mh_within_monte_carlo_error() {
+    let data = dataset();
+    let config = AnalysisConfig {
+        chain: ChainConfig {
+            warmup: 500,
+            samples: 3_000,
+            thin: 1,
+        },
+        ..config()
+    };
+    let a = Analysis::run(&data, &config);
+    let columns = |chains: &[Chain], i: usize| -> Vec<Vec<f64>> {
+        chains.iter().map(|c| c.column(i)).collect()
+    };
+    for i in 0..data.num_nodes() {
+        let (mh, mh_se) = mean_and_mcse(&columns(&a.mh_chains, i));
+        let (hmc, hmc_se) = mean_and_mcse(&columns(&a.hmc_chains, i));
+        let se = mh_se.hypot(hmc_se);
+        assert!(
+            (mh - hmc).abs() <= 4.0 * se,
+            "{:?}: MH mean {mh} vs HMC mean {hmc} (combined MCSE {se})",
+            data.id(i)
+        );
+    }
 }
