@@ -1,9 +1,11 @@
 //! Cost of the obs primitives themselves — the instrumentation must stay
 //! well inside its ≤ 2 % end-to-end budget, which means every histogram
-//! record, span and registry bump has to be a handful of nanoseconds.
+//! record and span has to be a handful of nanoseconds. A served run also
+//! pays one `record_progress` per chain per observer cadence.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use obs::{Histogram, Registry, SpanSet};
+use obs::serve::{ChainProgress, ServeState};
+use obs::{Histogram, SpanSet};
 use std::hint::black_box;
 
 fn bench_histogram(c: &mut Criterion) {
@@ -37,16 +39,25 @@ fn bench_span(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_registry(c: &mut Criterion) {
+fn bench_serve(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_primitives");
-    let mut registry = Registry::new();
-    let id = registry.counter("bench_counter");
-    group.bench_function("registry_atomic_inc_1k", |b| {
+    let state = ServeState::new();
+    group.bench_function("serve_record_progress_1k", |b| {
         b.iter(|| {
-            for _ in 0..1000 {
-                registry.inc(id);
+            for i in 0..1000usize {
+                state.record_progress(ChainProgress {
+                    kernel: if i % 2 == 0 { "MH" } else { "HMC" },
+                    chain_index: (i / 2) % 2,
+                    phase: "sampling",
+                    iteration: i,
+                    total: 1000,
+                    accept_rate: 0.5,
+                    divergences: 0,
+                    split_r_hat: 1.01,
+                    min_ess: 100.0,
+                });
             }
-            black_box(&registry)
+            black_box(&state)
         })
     });
     group.finish();
@@ -55,6 +66,6 @@ fn bench_registry(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default();
-    targets = bench_histogram, bench_span, bench_registry
+    targets = bench_histogram, bench_span, bench_serve
 );
 criterion_main!(benches);

@@ -107,19 +107,6 @@ impl Dump {
         map
     }
 
-    /// Records for one prefix, all vantage points.
-    pub fn for_prefix(&self, prefix: Prefix) -> Vec<&UpdateRecord> {
-        self.records.iter().filter(|r| r.prefix == prefix).collect()
-    }
-
-    /// Records published by one project.
-    pub fn for_project(&self, project: Project) -> Vec<&UpdateRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.project == project)
-            .collect()
-    }
-
     /// Merge another dump, restoring the export-time sort invariant and
     /// collapsing exact duplicate records (identical in every field, as
     /// produced by overlapping project feeds or duplication faults).

@@ -64,11 +64,6 @@ impl Prior {
         }
     }
 
-    /// Total log density of a vector under independent priors.
-    pub fn log_density_vec(&self, p: &[f64]) -> f64 {
-        p.iter().map(|&pi| self.log_density(pi)).sum()
-    }
-
     /// Draw an initial state from the prior.
     pub fn sample(&self, rng: &mut SimRng) -> f64 {
         match *self {

@@ -17,7 +17,8 @@
 //!   chain, for the Chrome-trace export;
 //! * [`ServeProgress`] — publishes the same snapshots to the
 //!   process-global [`obs::serve`] endpoint (the `--serve <addr>` flag),
-//!   feeding the live `/metrics` and `/progress` views.
+//!   feeding the live per-chain `/progress` table and the labelled
+//!   `/metrics` rendered from it.
 //!
 //! The unobserved path uses [`NoProgress`], whose `every()` of 0 lets
 //! the loop skip every per-iteration check after one branch, so the
@@ -249,9 +250,10 @@ impl ProgressObserver for TraceProgress {
 }
 
 /// Publishes snapshots to the process-global [`obs::serve`] endpoint:
-/// each one updates the `/progress` chain table and the standard
-/// registry metrics (`repro_draws`, `repro_accept_rate`,
-/// `repro_split_r_hat`, …) scraped at `/metrics`.
+/// each one replaces this chain's row of the per-chain table that
+/// `/progress` serves and `/metrics` renders (`repro_draws`, and the
+/// `{kernel,chain}`-labelled `repro_accept_rate`, `repro_split_r_hat`,
+/// …).
 ///
 /// Observation never touches the RNG, and when no endpoint is installed
 /// [`ServeProgress::installed`] returns `None` — the driver then runs

@@ -319,9 +319,7 @@ impl Reporter {
     /// `--dash`). When `--serve` is set, the HTTP endpoint starts here.
     pub fn new(name: &str) -> Reporter {
         let server = serve_addr().and_then(|addr| {
-            let state = obs::serve::install(std::sync::Arc::new(obs::serve::ServeState::new(
-                obs::Registry::new(),
-            )));
+            let state = obs::serve::install(std::sync::Arc::new(obs::serve::ServeState::new()));
             match obs::serve::Server::start(&addr, state.clone()) {
                 Ok(s) => {
                     eprintln!("serving diagnostics on http://{}/", s.local_addr());

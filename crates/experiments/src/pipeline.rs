@@ -126,11 +126,6 @@ pub struct CampaignOutput {
 }
 
 impl CampaignOutput {
-    /// Labels restricted to one beacon prefix.
-    pub fn labels_for(&self, prefix: bgpsim::Prefix) -> Vec<&LabeledPath> {
-        self.labels.iter().filter(|l| l.prefix == prefix).collect()
-    }
-
     /// Share of labeled paths that are RFD.
     pub fn rfd_path_share(&self) -> f64 {
         if self.labels.is_empty() {

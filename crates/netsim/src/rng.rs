@@ -112,12 +112,6 @@ impl SimRng {
         (self.next_raw() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform float in `[lo, hi)`.
-    #[inline]
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Uniform integer in `[0, n)` via Lemire's multiply-shift (unbiased).
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0) is meaningless");
@@ -155,11 +149,6 @@ impl SimRng {
                 return u * (-2.0 * s.ln() / s).sqrt();
             }
         }
-    }
-
-    /// Normal with the given mean and standard deviation.
-    pub fn gaussian_with(&mut self, mean: f64, sd: f64) -> f64 {
-        mean + sd * self.gaussian()
     }
 
     /// Exponential with the given rate parameter (`rate > 0`).

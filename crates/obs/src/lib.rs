@@ -8,11 +8,6 @@
 //!   *embeds* in its own struct. Recording is a bucket scan plus field
 //!   updates (no allocation, no atomics, no locks), so it is safe to
 //!   touch from hot loops. Plain counts are ordinary `u64` fields.
-//! * [`Registry`] — a pre-registered, named metric table backed by
-//!   relaxed `AtomicU64` cells, for the one case plain cells cannot
-//!   serve: several threads sharing a sink. Handles ([`CounterId`] etc.)
-//!   are plain indices obtained up front; the hot path never hashes a
-//!   name or takes a lock.
 //! * [`SpanSet`] / [`SpanGuard`] — RAII wall-clock span timers for
 //!   phase accounting (warmup vs sampling, simulate vs label).
 //! * [`RunReport`] / [`Section`] — the snapshot form: what every
@@ -26,8 +21,9 @@
 //! * [`write_atomic`] — temp-file-plus-rename artifact writes, so an
 //!   interrupted run never leaves truncated JSON behind.
 //! * [`serve`] — a std::net-only HTTP endpoint (`--serve <addr>`)
-//!   exposing the live [`Registry`] as Prometheus text exposition at
-//!   `/metrics`, plus `/progress`, `/report`, and `/healthz`.
+//!   exposing the live per-chain sampler progress as `/progress` JSON
+//!   and as `{kernel,chain}`-labelled Prometheus text exposition at
+//!   `/metrics`, plus `/report` and `/healthz`.
 //! * [`html`] — the self-contained single-file dashboard (`--dash
 //!   <path>`): hand-rolled SVG trace plots, marginals, and diagnostics
 //!   tables with zero external assets.
@@ -49,7 +45,6 @@
 pub mod html;
 pub mod json;
 mod metrics;
-mod registry;
 mod report;
 pub mod serve;
 mod span;
@@ -57,7 +52,6 @@ pub mod trace;
 mod write;
 
 pub use metrics::Histogram;
-pub use registry::{CounterId, GaugeId, HistogramId, Registry};
 pub use report::{Entry, HistogramSnapshot, RunReport, Section, Value};
 pub use span::{SpanGuard, SpanId, SpanSet, Stopwatch};
 pub use trace::{Lane, TraceBuffer, TraceEvent, TraceKind, TraceTime};

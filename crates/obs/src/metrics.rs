@@ -5,8 +5,7 @@
 //! arrays plus `u64`/`f64` cells, so recording is a short scan and a few
 //! field updates. Subsystems export it into a [`crate::Section`] at
 //! snapshot time; plain counts are ordinary `u64` fields exported with
-//! [`crate::Section::counter`]. When several threads genuinely need one
-//! sink, use [`crate::Registry`] instead.
+//! [`crate::Section::counter`].
 
 use crate::report::HistogramSnapshot;
 

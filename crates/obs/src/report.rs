@@ -505,7 +505,7 @@ mod tests {
         assert!(s.quantile(1.1).is_nan());
         assert!(s.quantile(f64::NAN).is_nan());
 
-        // Registry-style snapshots have NaN min/max: the first bucket
+        // Snapshots without tracked extremes (NaN min/max): the first bucket
         // collapses to its bound and the overflow saturates at the last.
         let untracked = HistogramSnapshot {
             min: f64::NAN,

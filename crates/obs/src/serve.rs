@@ -1,24 +1,29 @@
-//! Live metrics serving: a dependency-free HTTP endpoint over the atomic
-//! [`Registry`].
+//! Live metrics serving: a dependency-free HTTP endpoint over the
+//! per-chain sampler progress table.
 //!
 //! A long campaign (hours at `paper` scale) is a black box without a
 //! scrapeable surface: the RunReport only exists once the run is over.
 //! [`Server`] fixes that with a deliberately tiny `std::net`-only HTTP/1.1
-//! responder — a blocking accept loop on one background thread — exposing
+//! responder — a blocking accept loop on one background thread that
+//! answers each connection itself — exposing
 //!
-//! * `GET /metrics`  — the shared [`Registry`] in Prometheus text
-//!   exposition format (version 0.0.4): counters and gauges as single
-//!   samples, histograms as cumulative `_bucket`/`_sum`/`_count`
-//!   families plus interpolated `_p50`/`_p90`/`_p99` gauges;
+//! * `GET /metrics`  — the progress table in Prometheus text exposition
+//!   format (version 0.0.4): the `repro_progress_snapshots` and
+//!   `repro_draws` counters, one `{kernel="MH",chain="0"}`-labelled
+//!   sample per chain for the `repro_accept_rate`, `repro_divergences`,
+//!   `repro_split_r_hat` and `repro_min_ess` gauges, and the
+//!   `repro_snapshot_accept_rate` histogram as cumulative
+//!   `_bucket`/`_sum`/`_count` samples plus interpolated
+//!   `_p50`/`_p90`/`_p99` gauges;
 //! * `GET /progress` — the latest per-chain sampler snapshot (draw
 //!   count, accept rate, incremental split-R̂/min-ESS) as JSON;
 //! * `GET /report`   — the most recently published [`RunReport`](crate::RunReport) JSON;
 //! * `GET /healthz`  — `200 ok`, for liveness probes.
 //!
-//! Everything is read-only and lock-cheap: the registry cells are relaxed
-//! atomics, the progress table and report body sit behind short-critical-
-//! section mutexes written only at the observer cadence (default every 50
-//! iterations). The serving thread never touches the sampler hot path.
+//! Everything is read-only and lock-cheap: the progress table and the
+//! report body each sit behind a short-critical-section mutex written
+//! only at the observer cadence (default every 50 iterations per chain).
+//! The serving thread never touches the sampler hot path.
 //!
 //! ## Process-global state
 //!
@@ -36,13 +41,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use crate::json::{json_f64, json_string};
-use crate::registry::Registry;
+use crate::metrics::Histogram;
 use crate::report::HistogramSnapshot;
 
 /// One chain's most recent progress snapshot, as published by the sampler
-/// driver's observer. Field meanings mirror `because`'s
-/// `ProgressSnapshot`; they are duplicated here as plain data so `obs`
-/// stays dependency-free.
+/// driver's observer: a `/progress` row, and the values of the chain's
+/// `{kernel,chain}`-labelled gauges at `/metrics`. Field meanings mirror
+/// `because`'s `ProgressSnapshot`; they are duplicated here as plain data
+/// so `obs` stays dependency-free.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChainProgress {
     /// Kernel label (`"MH"`, `"HMC"`).
@@ -65,60 +71,64 @@ pub struct ChainProgress {
     pub min_ess: f64,
 }
 
-/// Handles to the standard progress metrics every served run exposes.
-struct ProgressIds {
-    snapshots: crate::CounterId,
-    draws: crate::CounterId,
-    divergences: crate::GaugeId,
-    accept_rate: crate::GaugeId,
-    split_r_hat: crate::GaugeId,
-    min_ess: crate::GaugeId,
-    accept_hist: crate::HistogramId,
+/// One `/progress` row plus the draws already credited to
+/// `repro_draws` for the chain's current run.
+struct ChainRow {
+    progress: ChainProgress,
+    credited: usize,
 }
 
-/// Shared state behind the served endpoints.
-///
-/// Construction takes ownership of a pre-registered [`Registry`] (metric
-/// registration needs `&mut`, serving needs `&self`); the standard
-/// progress metrics are appended during construction.
+/// Everything `/metrics` and `/progress` render, behind one lock.
+struct ProgressTable {
+    /// Sorted by `(kernel, chain_index)`, so renders are stable.
+    rows: Vec<ChainRow>,
+    snapshots: u64,
+    draws: u64,
+    accept_hist: Histogram,
+}
+
+impl ProgressTable {
+    /// `Ok` with the chain's row index, or `Err` with where it belongs.
+    fn search(&self, kernel: &str, chain_index: usize) -> Result<usize, usize> {
+        self.rows.binary_search_by(|r| {
+            (r.progress.kernel, r.progress.chain_index).cmp(&(kernel, chain_index))
+        })
+    }
+
+    /// Add row `i`'s draws since its last credit, up to `iteration`.
+    fn credit(&mut self, i: usize, iteration: usize) {
+        let row = &mut self.rows[i];
+        self.draws += iteration.saturating_sub(row.credited) as u64;
+        row.credited = iteration;
+    }
+}
+
+/// Shared state behind the served endpoints: the per-chain progress
+/// table (with the run totals and the accept-rate histogram) and the
+/// latest published report.
 pub struct ServeState {
-    registry: Registry,
-    ids: ProgressIds,
-    progress: Mutex<Vec<ChainProgress>>,
+    table: Mutex<ProgressTable>,
     report_json: Mutex<Option<String>>,
-    /// Per-chain last seen sampling iteration, for draw-delta accounting.
-    last_iteration: Mutex<Vec<(&'static str, usize, usize)>>,
+}
+
+impl Default for ServeState {
+    fn default() -> ServeState {
+        ServeState::new()
+    }
 }
 
 impl ServeState {
-    /// Wrap a registry, appending the standard sampler-progress metrics
-    /// (`progress_snapshots`, `draws`, `divergences`, `accept_rate`,
-    /// `split_r_hat`, `min_ess`, `snapshot_accept_rate`).
-    pub fn new(mut registry: Registry) -> ServeState {
-        let ids = ProgressIds {
-            snapshots: registry.counter("progress_snapshots"),
-            draws: registry.counter("draws"),
-            divergences: registry.gauge("divergences"),
-            accept_rate: registry.gauge("accept_rate"),
-            split_r_hat: registry.gauge("split_r_hat"),
-            min_ess: registry.gauge("min_ess"),
-            accept_hist: registry.histogram(
-                "snapshot_accept_rate",
-                &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
-            ),
-        };
+    /// An empty progress table and no published report.
+    pub fn new() -> ServeState {
         ServeState {
-            registry,
-            ids,
-            progress: Mutex::new(Vec::new()),
+            table: Mutex::new(ProgressTable {
+                rows: Vec::new(),
+                snapshots: 0,
+                draws: 0,
+                accept_hist: Histogram::new(&[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
+            }),
             report_json: Mutex::new(None),
-            last_iteration: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The shared metric registry (record with pre-registered handles).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Publish the current report JSON (served at `/report`). Call at
@@ -127,48 +137,38 @@ impl ServeState {
         *self.report_json.lock().expect("report lock") = Some(json);
     }
 
-    /// Record one chain-progress snapshot: updates the `/progress` table
-    /// and the standard registry metrics.
+    /// Record one chain-progress snapshot: replaces the chain's row and
+    /// updates the run totals. During sampling, the draws since the
+    /// chain's last credit are added to `draws`; a snapshot arriving on a
+    /// row already marked `"done"` starts a new run of that chain, whose
+    /// credit restarts from zero.
     pub fn record_progress(&self, p: ChainProgress) {
-        self.registry.inc(self.ids.snapshots);
-        self.registry.set(self.ids.accept_rate, p.accept_rate);
-        self.registry.record(self.ids.accept_hist, p.accept_rate);
-        self.registry
-            .set(self.ids.divergences, p.divergences as f64);
-        if p.split_r_hat.is_finite() {
-            self.registry.set(self.ids.split_r_hat, p.split_r_hat);
-        }
-        if p.min_ess.is_finite() {
-            self.registry.set(self.ids.min_ess, p.min_ess);
-        }
-        // Draw accounting: during sampling, credit the delta since the
-        // last snapshot of this (kernel, chain).
-        if p.phase == "sampling" {
-            let mut last = self.last_iteration.lock().expect("iteration lock");
-            let entry = last
-                .iter_mut()
-                .find(|(k, c, _)| *k == p.kernel && *c == p.chain_index);
-            let prev = match entry {
-                Some((_, _, it)) => {
-                    let prev = *it;
-                    *it = p.iteration;
-                    prev
+        let mut table = self.table.lock().expect("progress lock");
+        table.snapshots += 1;
+        table.accept_hist.record(p.accept_rate);
+        let (sampling, iteration) = (p.phase == "sampling", p.iteration);
+        let i = match table.search(p.kernel, p.chain_index) {
+            Ok(i) => {
+                let row = &mut table.rows[i];
+                if row.progress.phase == "done" {
+                    row.credited = 0;
                 }
-                None => {
-                    last.push((p.kernel, p.chain_index, p.iteration));
-                    0
-                }
-            };
-            self.registry
-                .add(self.ids.draws, p.iteration.saturating_sub(prev) as u64);
-        }
-        let mut table = self.progress.lock().expect("progress lock");
-        match table
-            .iter_mut()
-            .find(|e| e.kernel == p.kernel && e.chain_index == p.chain_index)
-        {
-            Some(slot) => *slot = p,
-            None => table.push(p),
+                row.progress = p;
+                i
+            }
+            Err(i) => {
+                table.rows.insert(
+                    i,
+                    ChainRow {
+                        progress: p,
+                        credited: 0,
+                    },
+                );
+                i
+            }
+        };
+        if sampling {
+            table.credit(i, iteration);
         }
     }
 
@@ -180,42 +180,59 @@ impl ServeState {
     /// snapshotted (cadence longer than the run) have no row and stay
     /// unrecorded.
     pub fn mark_done(&self, kernel: &'static str, chain_index: usize, iteration: usize) {
-        {
-            let mut table = self.progress.lock().expect("progress lock");
-            let Some(slot) = table
-                .iter_mut()
-                .find(|e| e.kernel == kernel && e.chain_index == chain_index)
-            else {
-                return;
-            };
-            let was_sampling = slot.phase == "sampling";
-            slot.phase = "done";
-            if !was_sampling {
-                return;
-            }
-            slot.iteration = iteration;
-        }
-        let mut last = self.last_iteration.lock().expect("iteration lock");
-        if let Some((_, _, it)) = last
-            .iter_mut()
-            .find(|(k, c, _)| *k == kernel && *c == chain_index)
-        {
-            let delta = iteration.saturating_sub(*it);
-            *it = iteration;
-            self.registry.add(self.ids.draws, delta as u64);
+        let mut table = self.table.lock().expect("progress lock");
+        let Ok(i) = table.search(kernel, chain_index) else {
+            return;
+        };
+        let row = &mut table.rows[i].progress;
+        let was_sampling = row.phase == "sampling";
+        row.phase = "done";
+        if was_sampling {
+            row.iteration = iteration;
+            table.credit(i, iteration);
         }
     }
 
-    /// The `/metrics` body: the registry in Prometheus text exposition.
+    /// The `/metrics` body in Prometheus text exposition: the snapshot
+    /// and draw counters, one `{kernel,chain}`-labelled sample per chain
+    /// for each progress gauge, and the snapshot accept-rate histogram.
     pub fn render_metrics(&self) -> String {
-        self.registry.to_prometheus("repro")
+        let table = self.table.lock().expect("progress lock");
+        let mut out = format!(
+            "# TYPE repro_progress_snapshots counter\nrepro_progress_snapshots {}\n\
+             # TYPE repro_draws counter\nrepro_draws {}\n",
+            table.snapshots, table.draws
+        );
+        for name in ["accept_rate", "divergences", "split_r_hat", "min_ess"] {
+            out.push_str(&format!("# TYPE repro_{name} gauge\n"));
+            for ChainRow { progress: p, .. } in &table.rows {
+                let value = match name {
+                    "accept_rate" => p.accept_rate,
+                    "divergences" => p.divergences as f64,
+                    "split_r_hat" => p.split_r_hat,
+                    _ => p.min_ess,
+                };
+                out.push_str(&format!(
+                    "repro_{name}{{kernel=\"{}\",chain=\"{}\"}} {}\n",
+                    p.kernel,
+                    p.chain_index,
+                    prometheus_f64(value)
+                ));
+            }
+        }
+        prometheus_histogram(
+            &mut out,
+            "repro_snapshot_accept_rate",
+            &table.accept_hist.snapshot(),
+        );
+        out
     }
 
     /// The `/progress` body: the latest per-chain snapshots as JSON.
     pub fn render_progress(&self) -> String {
-        let table = self.progress.lock().expect("progress lock");
+        let table = self.table.lock().expect("progress lock");
         let mut out = String::from("{\"chains\":[");
-        for (i, p) in table.iter().enumerate() {
+        for (i, p) in table.rows.iter().map(|r| &r.progress).enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -384,32 +401,9 @@ fn handle_connection(mut stream: TcpStream, state: &ServeState) -> std::io::Resu
     stream.flush()
 }
 
-/// Sanitize a metric name for the exposition format: every character
-/// outside `[a-zA-Z0-9_:]` becomes `_` (the registry's dotted label
-/// convention `rfd_suppressions.cisco` turns into
-/// `rfd_suppressions_cisco`), and a leading digit gains a `_` prefix.
-pub fn prometheus_name(prefix: &str, name: &str) -> String {
-    let mut out = String::with_capacity(prefix.len() + name.len() + 1);
-    if !prefix.is_empty() {
-        out.push_str(prefix);
-        out.push('_');
-    }
-    for (i, c) in name.chars().enumerate() {
-        if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-            if i == 0 && out.is_empty() && c.is_ascii_digit() {
-                out.push('_');
-            }
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    out
-}
-
 /// A float in exposition form: `+Inf` / `-Inf` / `NaN` per the format
 /// spec, shortest-round-trip decimal otherwise.
-pub fn prometheus_f64(v: f64) -> String {
+fn prometheus_f64(v: f64) -> String {
     if v.is_nan() {
         "NaN".to_string()
     } else if v == f64::INFINITY {
@@ -423,7 +417,7 @@ pub fn prometheus_f64(v: f64) -> String {
 
 /// Render one histogram snapshot as a cumulative Prometheus family plus
 /// interpolated quantile gauges, appending to `out`.
-pub(crate) fn prometheus_histogram(out: &mut String, name: &str, snap: &HistogramSnapshot) {
+fn prometheus_histogram(out: &mut String, name: &str, snap: &HistogramSnapshot) {
     out.push_str(&format!("# TYPE {name} histogram\n"));
     let mut cumulative = 0u64;
     for (i, c) in snap.counts.iter().enumerate() {
@@ -446,7 +440,9 @@ pub(crate) fn prometheus_histogram(out: &mut String, name: &str, snap: &Histogra
 /// Validate a Prometheus text-exposition body: every line must be a
 /// comment (`# HELP` / `# TYPE` with a valid type), blank, or a sample
 /// `name{labels} value` with a well-formed name, balanced quoted labels,
-/// and a parseable value. Returns the first offence with its line number.
+/// and a parseable value, and no series (a metric name with one label
+/// set, in any label order) may appear twice. Returns the first offence
+/// with its line number.
 ///
 /// This is the in-tree scrape check: the serve tests and the CI smoke leg
 /// both run real `/metrics` output through it.
@@ -463,6 +459,7 @@ pub fn validate_exposition(body: &str) -> Result<(), String> {
                 .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
     };
     let valid_value = |s: &str| matches!(s, "+Inf" | "-Inf" | "NaN") || s.parse::<f64>().is_ok();
+    let mut series = std::collections::HashSet::new();
     for (lineno, line) in body.lines().enumerate() {
         let n = lineno + 1;
         if line.is_empty() {
@@ -498,6 +495,7 @@ pub fn validate_exposition(body: &str) -> Result<(), String> {
             return Err(format!("line {n}: bad metric name {name_part:?}"));
         }
         let rest = rest.trim_start();
+        let mut labels_seen = Vec::new();
         let value_part = if let Some(labels) = rest.strip_prefix('{') {
             let Some(close) = labels.find('}') else {
                 return Err(format!("line {n}: unbalanced label braces"));
@@ -510,6 +508,7 @@ pub fn validate_exposition(body: &str) -> Result<(), String> {
                 if !valid_name(k) || !v.starts_with('"') || !v.ends_with('"') || v.len() < 2 {
                     return Err(format!("line {n}: malformed label {pair:?}"));
                 }
+                labels_seen.push(pair);
             }
             after[1..].trim_start()
         } else {
@@ -518,6 +517,10 @@ pub fn validate_exposition(body: &str) -> Result<(), String> {
         let value = value_part.split_whitespace().next().unwrap_or("");
         if !valid_value(value) {
             return Err(format!("line {n}: unparseable value {value:?}"));
+        }
+        labels_seen.sort_unstable();
+        if !series.insert((name_part, labels_seen)) {
+            return Err(format!("line {n}: duplicate series {line:?}"));
         }
     }
     Ok(())
@@ -540,32 +543,29 @@ mod tests {
         (head.to_string(), body.to_string())
     }
 
-    fn served_state() -> Arc<ServeState> {
-        let mut reg = Registry::new();
-        let events = reg.counter("events_processed");
-        let depth = reg.gauge("queue_depth");
-        let delay = reg.histogram("export_delay_mins", &[1.0, 10.0]);
-        let state = Arc::new(ServeState::new(reg));
-        state.registry().add(events, 42);
-        state.registry().set(depth, 7.5);
-        state.registry().record(delay, 0.5);
-        state.registry().record(delay, 99.0);
-        state
-    }
-
-    #[test]
-    fn healthz_metrics_progress_report_roundtrip() {
-        let state = served_state();
-        state.record_progress(ChainProgress {
-            kernel: "MH",
-            chain_index: 0,
+    fn sampling(kernel: &'static str, chain_index: usize, iteration: usize) -> ChainProgress {
+        ChainProgress {
+            kernel,
+            chain_index,
             phase: "sampling",
-            iteration: 100,
+            iteration,
             total: 400,
             accept_rate: 0.44,
             divergences: 0,
             split_r_hat: 1.02,
             min_ess: 55.0,
+        }
+    }
+
+    #[test]
+    fn healthz_metrics_progress_report_roundtrip() {
+        let state = Arc::new(ServeState::new());
+        state.record_progress(sampling("MH", 0, 100));
+        state.record_progress(ChainProgress {
+            phase: "warmup",
+            split_r_hat: f64::NAN,
+            min_ess: f64::NAN,
+            ..sampling("HMC", 1, 50)
         });
         state.publish_report_json("{\"name\":\"t\",\"sections\":[]}".to_string());
         let server = Server::start("127.0.0.1:0", state).expect("bind");
@@ -578,14 +578,20 @@ mod tests {
         let (head, body) = scrape(addr, "/metrics");
         assert!(head.contains("text/plain; version=0.0.4"));
         validate_exposition(&body).expect("exposition must parse");
-        assert!(body.contains("# TYPE repro_events_processed counter"));
-        assert!(body.contains("repro_events_processed 42"));
-        assert!(body.contains("repro_queue_depth 7.5"));
-        assert!(body.contains("repro_export_delay_mins_bucket{le=\"+Inf\"} 2"));
-        assert!(body.contains("repro_export_delay_mins_count 2"));
-        assert!(body.contains("repro_export_delay_mins_p50"));
-        assert!(body.contains("repro_accept_rate 0.44"));
-        assert!(body.contains("repro_draws 100"));
+        assert!(
+            body.contains("# TYPE repro_progress_snapshots counter\nrepro_progress_snapshots 2\n")
+        );
+        assert!(body.contains("# TYPE repro_draws counter\nrepro_draws 100\n"));
+        assert!(body.contains(
+            "# TYPE repro_accept_rate gauge\n\
+             repro_accept_rate{kernel=\"HMC\",chain=\"1\"} 0.44\n\
+             repro_accept_rate{kernel=\"MH\",chain=\"0\"} 0.44\n"
+        ));
+        assert!(body.contains("repro_split_r_hat{kernel=\"MH\",chain=\"0\"} 1.02\n"));
+        assert!(body.contains("repro_split_r_hat{kernel=\"HMC\",chain=\"1\"} NaN\n"));
+        assert!(body.contains("repro_min_ess{kernel=\"MH\",chain=\"0\"} 55\n"));
+        assert!(body.contains("repro_divergences{kernel=\"HMC\",chain=\"1\"} 0\n"));
+        assert!(body.contains("repro_snapshot_accept_rate_count 2\n"));
 
         let (head, body) = scrape(addr, "/progress");
         assert!(head.contains("application/json"));
@@ -603,7 +609,7 @@ mod tests {
 
     #[test]
     fn report_404_until_published() {
-        let state = Arc::new(ServeState::new(Registry::new()));
+        let state = Arc::new(ServeState::new());
         let server = Server::start("127.0.0.1:0", state.clone()).expect("bind");
         let (head, _) = scrape(server.local_addr(), "/report");
         assert!(head.starts_with("HTTP/1.1 404"));
@@ -615,7 +621,7 @@ mod tests {
 
     #[test]
     fn shutdown_joins_the_accept_thread() {
-        let state = Arc::new(ServeState::new(Registry::new()));
+        let state = Arc::new(ServeState::new());
         let server = Server::start("127.0.0.1:0", state).expect("bind");
         let addr = server.local_addr();
         // Returning at all proves the accept thread joined (a wedged
@@ -627,23 +633,12 @@ mod tests {
 
     #[test]
     fn progress_draw_deltas_accumulate_not_double_count() {
-        let state = Arc::new(ServeState::new(Registry::new()));
-        let snap = |it: usize| ChainProgress {
-            kernel: "HMC",
-            chain_index: 1,
-            phase: "sampling",
-            iteration: it,
-            total: 400,
-            accept_rate: 0.8,
-            divergences: 0,
-            split_r_hat: f64::NAN,
-            min_ess: f64::NAN,
-        };
-        state.record_progress(snap(50));
-        state.record_progress(snap(100));
-        state.record_progress(snap(150));
+        let state = ServeState::new();
+        state.record_progress(sampling("HMC", 1, 50));
+        state.record_progress(sampling("HMC", 1, 100));
+        state.record_progress(sampling("HMC", 1, 150));
         let metrics = state.render_metrics();
-        assert!(metrics.contains("repro_draws 150"), "{metrics}");
+        assert!(metrics.contains("repro_draws 150\n"), "{metrics}");
         // The table keeps one row per chain, not one per snapshot.
         let progress = state.render_progress();
         assert_eq!(progress.matches("\"kernel\"").count(), 1);
@@ -652,17 +647,10 @@ mod tests {
 
     #[test]
     fn mark_done_flips_phase_and_credits_draw_tail() {
-        let state = Arc::new(ServeState::new(Registry::new()));
+        let state = ServeState::new();
         let snap = |it: usize| ChainProgress {
-            kernel: "MH",
-            chain_index: 0,
-            phase: "sampling",
-            iteration: it,
             total: 170,
-            accept_rate: 0.5,
-            divergences: 0,
-            split_r_hat: 1.02,
-            min_ess: 80.0,
+            ..sampling("MH", 0, it)
         };
         state.record_progress(snap(50));
         state.record_progress(snap(100));
@@ -670,37 +658,31 @@ mod tests {
         // mark_done credits the 70-draw tail and keeps the statistics.
         state.mark_done("MH", 0, 170);
         let metrics = state.render_metrics();
-        assert!(metrics.contains("repro_draws 170"), "{metrics}");
+        assert!(metrics.contains("repro_draws 170\n"), "{metrics}");
         let progress = state.render_progress();
         assert!(progress.contains("\"phase\":\"done\""), "{progress}");
         assert!(progress.contains("\"iteration\":170"), "{progress}");
         assert!(progress.contains("\"split_r_hat\":1.02"), "{progress}");
         // Idempotent: a second call credits nothing.
         state.mark_done("MH", 0, 170);
-        assert!(state.render_metrics().contains("repro_draws 170"));
+        assert!(state.render_metrics().contains("repro_draws 170\n"));
         // Unknown chains are ignored.
         state.mark_done("HMC", 9, 170);
     }
 
     #[test]
     fn mark_done_credits_only_the_draws_of_a_stopped_chain() {
-        let state = Arc::new(ServeState::new(Registry::new()));
+        let state = ServeState::new();
         let snap = |phase: &'static str, it: usize, total: usize| ChainProgress {
-            kernel: "HMC",
-            chain_index: 1,
             phase,
-            iteration: it,
             total,
-            accept_rate: 0.8,
-            divergences: 0,
-            split_r_hat: f64::NAN,
-            min_ess: f64::NAN,
+            ..sampling("HMC", 1, it)
         };
         // Stopped at draw 120 of 200: the row ends at 120, not 200.
         state.record_progress(snap("sampling", 50, 200));
         state.record_progress(snap("sampling", 100, 200));
         state.mark_done("HMC", 1, 120);
-        assert!(state.render_metrics().contains("repro_draws 120"));
+        assert!(state.render_metrics().contains("repro_draws 120\n"));
         let progress = state.render_progress();
         assert!(progress.contains("\"phase\":\"done\""), "{progress}");
         assert!(progress.contains("\"iteration\":120"), "{progress}");
@@ -711,23 +693,101 @@ mod tests {
             ..snap("warmup", 50, 300)
         });
         state.mark_done("MH", 0, 70);
-        assert!(state.render_metrics().contains("repro_draws 120"));
+        assert!(state.render_metrics().contains("repro_draws 120\n"));
         assert!(!state.render_progress().contains("\"phase\":\"warmup\""));
     }
 
     #[test]
-    fn prometheus_name_sanitizes() {
-        assert_eq!(
-            prometheus_name("repro", "rfd_suppressions.cisco"),
-            "repro_rfd_suppressions_cisco"
-        );
-        assert_eq!(prometheus_name("", "lost.AS12"), "lost_AS12");
-        assert_eq!(prometheus_name("", "9lives"), "_9lives");
+    fn a_chain_run_twice_is_credited_both_runs() {
+        // Two 170-draw runs of MH chain 0 in one process, as when one
+        // binary runs several analyses. The second run's first snapshot
+        // lands on the row the first run marked done.
+        let state = ServeState::new();
+        for _ in 0..2 {
+            state.record_progress(ChainProgress {
+                phase: "warmup",
+                total: 100,
+                ..sampling("MH", 0, 50)
+            });
+            for it in [50, 100, 150] {
+                state.record_progress(ChainProgress {
+                    total: 170,
+                    ..sampling("MH", 0, it)
+                });
+            }
+            state.mark_done("MH", 0, 170);
+        }
+        let metrics = state.render_metrics();
+        assert!(metrics.contains("repro_draws 340\n"), "{metrics}");
+    }
+
+    #[test]
+    fn concurrent_chains_keep_their_own_labelled_values() {
+        let state = ServeState::new();
+        let chains = [("MH", 0), ("MH", 1), ("HMC", 0), ("HMC", 1)];
+        std::thread::scope(|scope| {
+            for (k, &(kernel, chain_index)) in chains.iter().enumerate() {
+                let state = &state;
+                scope.spawn(move || {
+                    for it in 1..=200 {
+                        state.record_progress(ChainProgress {
+                            accept_rate: 0.125 * (k + 1) as f64,
+                            divergences: k as u64,
+                            split_r_hat: 1.0 + 0.25 * k as f64,
+                            min_ess: 10.0 * (k + 1) as f64,
+                            ..sampling(kernel, chain_index, it)
+                        });
+                    }
+                });
+            }
+        });
+        let body = state.render_metrics();
+        validate_exposition(&body).expect("exposition must parse");
+        assert!(body.contains("repro_progress_snapshots 800\n"), "{body}");
+        assert!(body.contains("repro_draws 800\n"), "{body}");
+        for (k, (kernel, chain_index)) in chains.into_iter().enumerate() {
+            let labels = format!("{{kernel=\"{kernel}\",chain=\"{chain_index}\"}}");
+            for (name, value) in [
+                ("accept_rate", 0.125 * (k + 1) as f64),
+                ("divergences", k as f64),
+                ("split_r_hat", 1.0 + 0.25 * k as f64),
+                ("min_ess", 10.0 * (k + 1) as f64),
+            ] {
+                let series = format!("repro_{name}{labels} ");
+                let samples: Vec<&str> = body.lines().filter(|l| l.starts_with(&series)).collect();
+                assert_eq!(samples, [format!("{series}{value}")], "{body}");
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_accept_rate_histogram_is_cumulative_and_typed() {
+        let state = ServeState::new();
+        for (chain_index, accept_rate) in [0.0625, 0.375, 0.9375].into_iter().enumerate() {
+            state.record_progress(ChainProgress {
+                accept_rate,
+                ..sampling("MH", chain_index, 50)
+            });
+        }
+        let text = state.render_metrics();
+        validate_exposition(&text).expect("exposition must parse");
+        let name = "repro_snapshot_accept_rate";
+        assert!(text.contains(&format!("# TYPE {name} histogram\n")));
+        // Buckets are cumulative: 1 up to 0.3, 2 from 0.4, the +Inf total.
+        for (le, count) in [("0.1", 1), ("0.3", 1), ("0.4", 2), ("0.9", 2), ("+Inf", 3)] {
+            let line = format!("{name}_bucket{{le=\"{le}\"}} {count}\n");
+            assert!(text.contains(&line), "missing {line:?} in\n{text}");
+        }
+        assert!(text.contains(&format!("{name}_sum 1.375\n")));
+        assert!(text.contains(&format!("{name}_count 3\n")));
+        for q in ["p50", "p90", "p99"] {
+            assert!(text.contains(&format!("# TYPE {name}_{q} gauge\n{name}_{q} ")));
+        }
     }
 
     #[test]
     fn validator_accepts_good_and_rejects_bad() {
-        let good = "# TYPE a counter\na 1\n# TYPE b gauge\nb{x=\"1\",y=\"z\"} 2.5\nc_bucket{le=\"+Inf\"} 3\nd NaN\n";
+        let good = "# TYPE a counter\na 1\n# TYPE b gauge\nb{x=\"1\",y=\"z\"} 2.5\nb{x=\"2\",y=\"z\"} 3\nc_bucket{le=\"+Inf\"} 3\nd NaN\n";
         validate_exposition(good).expect("good body");
         assert!(validate_exposition("a 1").is_err(), "missing newline");
         assert!(validate_exposition("1bad 1\n").is_err(), "bad name");
@@ -741,11 +801,19 @@ mod tests {
             validate_exposition("# TYPE a rainbow\na 1\n").is_err(),
             "bad type"
         );
+        assert!(
+            validate_exposition("a 1\na 2\n").is_err(),
+            "duplicate series"
+        );
+        assert!(
+            validate_exposition("b{x=\"1\",y=\"z\"} 1\nb{y=\"z\",x=\"1\"} 2\n").is_err(),
+            "duplicate series, labels reordered"
+        );
     }
 
     #[test]
-    fn exposition_of_live_registry_always_validates() {
-        let state = served_state();
-        validate_exposition(&state.render_metrics()).expect("render must self-validate");
+    fn exposition_of_an_empty_table_validates() {
+        validate_exposition(&ServeState::new().render_metrics())
+            .expect("render must self-validate");
     }
 }

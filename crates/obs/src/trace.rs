@@ -1,7 +1,7 @@
 //! Structured event tracing: a bounded, lossy ring buffer of typed
 //! events with a Chrome trace-event exporter.
 //!
-//! Aggregate metrics ([`crate::Registry`], [`crate::Histogram`]) answer
+//! Aggregate metrics ([`crate::Histogram`], [`crate::RunReport`]) answer
 //! *how much*; a trace answers *when*. [`TraceBuffer`] records typed
 //! [`TraceEvent`]s — span begin/end, instants, counter samples — each
 //! stamped with either wall-clock time or simulated time and tagged with
@@ -240,19 +240,6 @@ impl TraceBuffer {
         self.push(TraceEvent {
             name,
             kind: TraceKind::End,
-            time,
-            lane,
-            value: f64::NAN,
-        });
-    }
-
-    /// A wall-stamped point event on `lane`.
-    #[inline]
-    pub fn instant_wall(&mut self, name: &'static str, lane: Lane) {
-        let time = self.wall_now();
-        self.push(TraceEvent {
-            name,
-            kind: TraceKind::Instant,
             time,
             lane,
             value: f64::NAN,

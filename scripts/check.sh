@@ -163,9 +163,11 @@ import json, re, sys
 metrics_path, progress_path, report_path, dash_path = sys.argv[1:5]
 
 # Prometheus text exposition 0.0.4: TYPE lines, then samples with finite
-# or +/-Inf/NaN float values; histogram buckets must be cumulative.
+# or +/-Inf/NaN float values; histogram buckets must be cumulative, no
+# (name, labels) series may repeat, and every /progress chain must have
+# its {kernel,chain}-labelled accept_rate sample.
 name_re = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-seen, buckets = {}, {}
+seen, buckets, series = {}, {}, set()
 for line in open(metrics_path):
     line = line.rstrip("\n")
     if not line:
@@ -181,6 +183,9 @@ for line in open(metrics_path):
     assert name_re.match(name), name
     float(value)  # parses (inf/nan allowed by the format)
     seen[name] = float(value)
+    key = (name, labels or "")
+    assert key not in series, f"series repeats: {line}"
+    series.add(key)
     if name.endswith("_bucket"):
         buckets.setdefault(name, []).append(float(value))
 for counts in buckets.values():
@@ -193,6 +198,8 @@ assert progress["chains"], "empty /progress table"
 for chain in progress["chains"]:
     assert chain["phase"] == "done", f"chain not done at scrape: {chain}"
     assert chain["iteration"] == chain["total"], chain
+    labels = '{kernel="%s",chain="%d"}' % (chain["kernel"], chain["chain"])
+    assert ("repro_accept_rate", labels) in series, f"no accept_rate sample for {labels}"
 
 report = json.load(open(report_path))
 sections = {s["name"] for s in report["sections"]}
