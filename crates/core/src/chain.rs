@@ -64,8 +64,9 @@ pub trait Sampler {
     fn divergences(&self) -> u64 {
         0
     }
-    /// Likelihood evaluations so far (full or incremental — the unit a
-    /// kernel actually pays for).
+    /// Likelihood evaluations so far: incremental deltas for MH, and for
+    /// HMC full log-posterior values (one per chain at its start, then
+    /// one per trajectory that reaches its last leapfrog step).
     fn likelihood_evals(&self) -> u64 {
         0
     }
@@ -124,7 +125,7 @@ pub struct Chain {
     /// Divergent trajectories during warmup + sampling (HMC only).
     pub divergences: u64,
     /// Likelihood evaluations the kernel paid for (incremental deltas
-    /// for MH, full evals for HMC).
+    /// for MH, log-posterior values for HMC: one per trajectory).
     pub likelihood_evals: u64,
     /// Likelihood gradient evaluations (0 for gradient-free kernels).
     pub grad_evals: u64,

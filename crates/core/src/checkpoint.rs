@@ -33,7 +33,11 @@ pub const MAGIC: [u8; 8] = *b"RFDCKPT\0";
 ///   between the flat draws and the kernel state (and the HMC kernel
 ///   payload gained its `last_energy`). v1 files are rejected with
 ///   [`CheckpointError::BadVersion`]; the affected chain restarts fresh.
-pub const VERSION: u32 = 2;
+/// * v3 — the HMC kernel payload counts log-posterior evaluations (one
+///   per trajectory) and gradient evaluations (one per leapfrog step)
+///   separately, where v2 stored one shared counter. Older files are
+///   rejected with [`CheckpointError::BadVersion`].
+pub const VERSION: u32 = 3;
 
 /// Typed checkpoint failure.
 #[derive(Debug)]
@@ -410,6 +414,24 @@ mod tests {
                 "flipping byte {i} went undetected"
             );
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_version_2_file_is_rejected_as_bad_version() {
+        let path = tmp_path("v2");
+        write_frame(&path, b"x").unwrap();
+        // A well-formed v2 frame: version field and checksum rewritten.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.truncate(bytes.len() - 8);
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let checksum = fnv1a(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            read_frame(&path),
+            Err(CheckpointError::BadVersion(2))
+        ));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -22,13 +22,20 @@
 //! as in NUTS) towards an 80 % acceptance target and frozen afterwards
 //! (immediately, for a chain with no warmup).
 //!
-//! Each leapfrog step costs one likelihood-and-gradient pass
-//! ([`LogLikelihood::eval_grad`]), which visits only the showing paths
-//! (the non-showing ones are collapsed into per-AS weights), plus one
-//! pass over the nodes for the prior and the Jacobian. The prior reuses
-//! the likelihood's `ln(1 − p)`, and its Beta normaliser is evaluated
-//! once per kernel. The trajectory runs in buffers owned by the kernel,
-//! so a step allocates nothing.
+//! The Metropolis correction reads the log posterior only at the end of
+//! a trajectory, so the leapfrog computes it once per trajectory. Steps
+//! 1..L−1 take a gradient-only pass ([`LogLikelihood::grad`]: per node a
+//! `sigmoid` and an `ln`, per showing path one `expm1` or `exp`); the
+//! last step takes the value-and-gradient pass
+//! ([`LogLikelihood::eval_grad`], which adds the `ln` of each showing
+//! path's split, and per node the prior's `ln p` and `ln jac`). Both
+//! modes write the same gradient bits, and both visit only the showing
+//! paths (the non-showing ones are collapsed into per-AS weights). An
+//! intermediate step flags a divergence when some `θ_i` is NaN, which is
+//! exactly when the log posterior there would be non-finite. The prior
+//! reuses the likelihood's `ln(1 − p)`, and its Beta normaliser is
+//! evaluated once per kernel. The trajectory runs in buffers owned by
+//! the kernel, so a step allocates nothing.
 
 use netsim::SimRng;
 
@@ -51,8 +58,12 @@ struct LogPosterior<'a> {
     p: Vec<f64>,
     /// `∂ log P(D|p) / ∂ p` at that point.
     grad_p: Vec<f64>,
-    /// Evaluations so far (one per leapfrog step, plus the initial one).
-    evals: u64,
+    /// Log-posterior evaluations so far: the initial one, plus one per
+    /// trajectory that reaches its last leapfrog step.
+    value_evals: u64,
+    /// Gradient evaluations so far: one per leapfrog step, plus the
+    /// initial one.
+    grad_evals: u64,
 }
 
 impl LogPosterior<'_> {
@@ -63,20 +74,63 @@ impl LogPosterior<'_> {
     /// from the likelihood. The sampler pins and golden outputs pin its
     /// rounding (DESIGN.md §5c).
     fn eval_grad(&mut self, theta: &[f64], grad: &mut [f64]) -> f64 {
-        self.evals += 1;
+        self.value_evals += 1;
+        self.pass::<true>(theta, grad)
+    }
+
+    /// The θ-gradient of [`Self::eval_grad`], bit for bit, without the log
+    /// posterior: per node a `sigmoid` and an `ln`, per showing path one
+    /// `expm1` or `exp`.
+    ///
+    /// Returns whether the log posterior at `theta` is finite, exactly as
+    /// `eval_grad(theta).is_finite()` would: `p` and `1 − p` are clamped
+    /// away from 0 inside every logarithm and the Jacobian is floored,
+    /// so the value is finite unless some `θ_i` is NaN, which makes it
+    /// NaN.
+    fn grad(&mut self, theta: &[f64], grad: &mut [f64]) -> bool {
+        self.pass::<false>(theta, grad);
+        !theta.iter().any(|t| t.is_nan())
+    }
+
+    /// The shared pass: the gradient always, the log posterior only if
+    /// `VALUE` (otherwise 0).
+    #[inline(always)]
+    fn pass<const VALUE: bool>(&mut self, theta: &[f64], grad: &mut [f64]) -> f64 {
+        self.grad_evals += 1;
         for (pi, &ti) in self.p.iter_mut().zip(theta) {
             *pi = sigmoid(ti);
         }
-        let mut log_post = self.likelihood.eval_grad(&self.p, &mut self.grad_p);
+        let mut log_post = if VALUE {
+            self.likelihood.eval_grad(&self.p, &mut self.grad_p)
+        } else {
+            self.likelihood.grad(&self.p, &mut self.grad_p);
+            0.0
+        };
         let log_q = self.likelihood.log_q();
         for (((g, &p), &grad_p), &log_q) in
             grad.iter_mut().zip(&self.p).zip(&self.grad_p).zip(log_q)
         {
             let jac = (p * (1.0 - p)).max(1e-18);
-            log_post += self.prior.log_density_with(p, log_q) + jac.ln();
+            if VALUE {
+                log_post += self.prior.log_density_with(p, log_q) + jac.ln();
+            }
             *g = (grad_p + self.prior.grad(p)) * jac + (1.0 - 2.0 * p);
         }
         log_post
+    }
+}
+
+/// The leapfrog position update `θ += ε·r`.
+fn drift(theta: &mut [f64], momentum: &[f64], eps: f64) {
+    for (t, &r) in theta.iter_mut().zip(momentum) {
+        *t += eps * r;
+    }
+}
+
+/// The leapfrog momentum update `r += (coeff·ε)·g`.
+fn kick(momentum: &mut [f64], grad: &[f64], coeff_eps: f64) {
+    for (r, &g) in momentum.iter_mut().zip(grad) {
+        *r += coeff_eps * g;
     }
 }
 
@@ -121,7 +175,8 @@ impl<'a> Hmc<'a> {
             prior: prior.normalised(),
             p: vec![0.0; n],
             grad_p: vec![0.0; n],
-            evals: 0,
+            value_evals: 0,
+            grad_evals: 0,
         };
         let mut grad_theta = vec![0.0; n];
         let log_post = target.eval_grad(&theta, &mut grad_theta);
@@ -196,58 +251,42 @@ impl Sampler for Hmc<'_> {
         let h0 = -self.log_post + kinetic0;
         self.last_energy = h0;
 
-        // Leapfrog trajectory, from the current state.
+        // Leapfrog trajectory, from the current state, opening with a
+        // half-step of momentum.
         self.theta_prop.copy_from_slice(&self.theta);
-        // Half-step momentum.
-        for (r, &g) in self.momentum.iter_mut().zip(&self.grad_theta) {
-            *r += 0.5 * eps * g;
-        }
-        let mut diverged = false;
-        for step in 0..self.leapfrog_steps {
-            for (t, &r) in self.theta_prop.iter_mut().zip(&self.momentum) {
-                *t += eps * r;
-            }
-            let lp = self.target.eval_grad(&self.theta_prop, &mut self.grad_prop);
-            if !lp.is_finite() {
-                diverged = true;
-                break;
-            }
-            let coeff = if step + 1 == self.leapfrog_steps {
-                0.5
-            } else {
-                1.0
-            };
-            for (r, &g) in self.momentum.iter_mut().zip(&self.grad_prop) {
-                *r += coeff * eps * g;
-            }
-            if step + 1 == self.leapfrog_steps {
-                // Metropolis correction on the total energy.
-                let kinetic1: f64 = 0.5 * self.momentum.iter().map(|v| v * v).sum::<f64>();
-                let h1 = -lp + kinetic1;
-                let log_alpha = (h0 - h1).min(0.0);
-                self.proposed += 1;
-                let alpha = log_alpha.exp();
-                if rng.uniform() < alpha {
-                    std::mem::swap(&mut self.theta, &mut self.theta_prop);
-                    std::mem::swap(&mut self.grad_theta, &mut self.grad_prop);
-                    self.log_post = lp;
-                    self.refresh_p();
-                    self.accepted += 1;
-                }
-                if self.adapting {
-                    self.dual_average(alpha);
-                }
+        kick(&mut self.momentum, &self.grad_theta, 0.5 * eps);
+        // Steps 1..L−1 need only the gradient.
+        for _ in 1..self.leapfrog_steps {
+            drift(&mut self.theta_prop, &self.momentum, eps);
+            if !self.target.grad(&self.theta_prop, &mut self.grad_prop) {
+                self.reject_divergent();
                 return;
             }
+            kick(&mut self.momentum, &self.grad_prop, eps);
         }
-        if diverged {
-            // Divergent trajectory: reject, feed zero acceptance into the
-            // adaptation so the step size shrinks.
-            self.proposed += 1;
-            self.divergences += 1;
-            if self.adapting {
-                self.dual_average(0.0);
-            }
+        // The last step also needs the log posterior, for the Metropolis
+        // correction on the total energy.
+        drift(&mut self.theta_prop, &self.momentum, eps);
+        let lp = self.target.eval_grad(&self.theta_prop, &mut self.grad_prop);
+        if !lp.is_finite() {
+            self.reject_divergent();
+            return;
+        }
+        kick(&mut self.momentum, &self.grad_prop, 0.5 * eps);
+        let kinetic1: f64 = 0.5 * self.momentum.iter().map(|v| v * v).sum::<f64>();
+        let h1 = -lp + kinetic1;
+        let log_alpha = (h0 - h1).min(0.0);
+        self.proposed += 1;
+        let alpha = log_alpha.exp();
+        if rng.uniform() < alpha {
+            std::mem::swap(&mut self.theta, &mut self.theta_prop);
+            std::mem::swap(&mut self.grad_theta, &mut self.grad_prop);
+            self.log_post = lp;
+            self.refresh_p();
+            self.accepted += 1;
+        }
+        if self.adapting {
+            self.dual_average(alpha);
         }
     }
 
@@ -289,12 +328,11 @@ impl Sampler for Hmc<'_> {
     }
 
     fn likelihood_evals(&self) -> u64 {
-        self.target.evals
+        self.target.value_evals
     }
 
     fn grad_evals(&self) -> u64 {
-        // Every evaluation is a fused likelihood-and-gradient pass.
-        self.target.evals
+        self.target.grad_evals
     }
 
     fn energy(&self) -> f64 {
@@ -318,7 +356,8 @@ impl Checkpointable for Hmc<'_> {
         w.u64(self.accepted);
         w.u64(self.proposed);
         w.u64(self.divergences);
-        w.u64(self.target.evals);
+        w.u64(self.target.value_evals);
+        w.u64(self.target.grad_evals);
         w.f64(self.last_energy);
     }
 
@@ -346,7 +385,8 @@ impl Checkpointable for Hmc<'_> {
         self.accepted = r.u64()?;
         self.proposed = r.u64()?;
         self.divergences = r.u64()?;
-        self.target.evals = r.u64()?;
+        self.target.value_evals = r.u64()?;
+        self.target.grad_evals = r.u64()?;
         self.last_energy = r.f64()?;
         if self.grad_theta.len() != n || self.leapfrog_steps == 0 {
             return Err(CheckpointError::Mismatch(
@@ -358,6 +398,17 @@ impl Checkpointable for Hmc<'_> {
 }
 
 impl Hmc<'_> {
+    /// Reject a divergent trajectory (its log posterior is not finite)
+    /// and feed zero acceptance into the adaptation, so the step size
+    /// shrinks.
+    fn reject_divergent(&mut self) {
+        self.proposed += 1;
+        self.divergences += 1;
+        if self.adapting {
+            self.dual_average(0.0);
+        }
+    }
+
     /// One dual-averaging update after observing acceptance prob `alpha`.
     fn dual_average(&mut self, alpha: f64) {
         const GAMMA: f64 = 0.05;
@@ -681,6 +732,141 @@ mod tests {
         );
         assert_eq!(run.into_parts().0.len(), 1);
         check(&seen, "run_chains_supervised");
+    }
+
+    /// A fresh log posterior over `d`, with no evaluations counted.
+    fn target(d: &PathData, prior: Prior) -> LogPosterior<'_> {
+        let n = d.num_nodes();
+        LogPosterior {
+            likelihood: LogLikelihood::new(d),
+            prior: prior.normalised(),
+            p: vec![0.0; n],
+            grad_p: vec![0.0; n],
+            value_evals: 0,
+            grad_evals: 0,
+        }
+    }
+
+    /// Six ASs on one- to three-hop paths, each observed three times.
+    fn split_data() -> PathData {
+        data(
+            &[
+                (&[1, 2], true),
+                (&[2, 3], false),
+                (&[1, 3, 4], true),
+                (&[4], false),
+                (&[5, 6], true),
+                (&[3, 6, 2], false),
+                (&[6], true),
+            ],
+            3,
+        )
+    }
+
+    const PRIORS: [Prior; 3] = [
+        Prior::Uniform,
+        Prior::Beta {
+            alpha: 1.0,
+            beta: 4.0,
+        },
+        Prior::Beta {
+            alpha: 2.0,
+            beta: 3.0,
+        },
+    ];
+
+    #[test]
+    fn gradient_only_pass_writes_the_value_pass_gradient_bit_for_bit() {
+        let d = split_data();
+        let n = d.num_nodes();
+        let mut rng = SimRng::new(41);
+        for prior in PRIORS {
+            let mut lp = target(&d, prior);
+            for k in 0..500 {
+                // Mostly moderate θ, sometimes far out in either tail.
+                let scale = [1.0, 4.0, 30.0][k % 3];
+                let theta: Vec<f64> = (0..n).map(|_| scale * rng.gaussian()).collect();
+                let mut with_value = vec![f64::NAN; n];
+                let mut grad_only = vec![f64::NAN; n];
+                let value = lp.eval_grad(&theta, &mut with_value);
+                assert!(lp.grad(&theta, &mut grad_only));
+                assert!(value.is_finite());
+                let bits = |g: &[f64]| g.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&grad_only), bits(&with_value), "θ = {theta:?}");
+            }
+            assert_eq!((lp.value_evals, lp.grad_evals), (500, 1000));
+        }
+    }
+
+    #[test]
+    fn intermediate_divergence_check_matches_a_non_finite_log_posterior() {
+        let d = split_data();
+        let n = d.num_nodes();
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            800.0,
+            -800.0,
+            0.0,
+        ];
+        let mut rng = SimRng::new(42);
+        let (mut finite, mut not_finite) = (0, 0);
+        for prior in PRIORS {
+            let mut lp = target(&d, prior);
+            for k in 0..2000 {
+                let mut theta: Vec<f64> = (0..n).map(|_| 3.0 * rng.gaussian()).collect();
+                // One to three coordinates replaced by special values.
+                for _ in 0..=k % 3 {
+                    let i = rng.below(n as u64) as usize;
+                    theta[i] = specials[rng.below(specials.len() as u64) as usize];
+                }
+                let mut g = vec![0.0; n];
+                let value = lp.eval_grad(&theta, &mut g);
+                let check = lp.grad(&theta, &mut g);
+                assert_eq!(check, value.is_finite(), "θ = {theta:?}: log π = {value}");
+                assert_eq!(check, !theta.iter().any(|t| t.is_nan()));
+                if check {
+                    finite += 1;
+                    assert!(g.iter().all(|x| x.is_finite()), "θ = {theta:?}: ∇ = {g:?}");
+                } else {
+                    not_finite += 1;
+                }
+            }
+        }
+        assert!(
+            finite > 1000 && not_finite > 1000,
+            "{finite} vs {not_finite}"
+        );
+    }
+
+    #[test]
+    fn likelihood_evals_count_one_value_per_trajectory() {
+        let d = split_data();
+        let mut rng = SimRng::new(43);
+        let mut s = Hmc::from_prior(&d, Prior::default(), &mut rng);
+        assert_eq!((s.likelihood_evals(), s.grad_evals()), (1, 1));
+        for it in 0..60 {
+            s.step(&mut rng);
+            s.adapt(it, 60);
+        }
+        assert_eq!(s.divergences(), 0);
+        assert_eq!(s.likelihood_evals(), 1 + s.proposals());
+        assert_eq!(s.grad_evals(), 1 + 20 * s.proposals());
+
+        // A step size this large overflows θ and then the momentum to
+        // ±∞, and ∞ − ∞ is NaN: trajectories diverge, most of them
+        // before their last step, where no value is computed.
+        s.step_size = f64::MAX;
+        let (values, grads) = (s.likelihood_evals(), s.grad_evals());
+        for _ in 0..40 {
+            s.step(&mut rng);
+        }
+        let divergences = s.divergences();
+        assert!(divergences > 0);
+        let (values, grads) = (s.likelihood_evals() - values, s.grad_evals() - grads);
+        assert!(values < 40, "{values} values for {divergences} divergences");
+        assert!(grads < 40 * 20 && grads > values);
     }
 
     #[test]

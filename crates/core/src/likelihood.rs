@@ -16,20 +16,22 @@
 //!
 //! ## The collapsed HMC pass
 //!
-//! HMC needs the total and the gradient at every leapfrog step. The
-//! non-showing paths are linear in `log q`: together they contribute
-//! `Σ_i W_i · log q_i`, where `W_i` is the total weight of the
-//! non-showing paths through node `i`. [`LogLikelihood::new`] computes
-//! `W_i` once per dataset, along with the list of showing paths, so
-//! [`LogLikelihood::eval_grad`] never visits a non-showing path. Per step
-//! it computes `log q_i` once per node into a reused buffer, adds
-//! `Σ_i W_i · log q_i` in node order, then walks the showing paths in
-//! path order: one sum `S`, one `log1mexp(S)` and one
-//! `c_J = w · exp(S − log1mexp(S))`, which is added to the gradient slot
-//! of each node on the path. A last pass over the nodes turns the slot
-//! into `∂/∂p_i = (Σ_{J∋i} c_J − W_i) / q_i`. [`LogLikelihood::eval`]
-//! sums in the same order with the same expressions, so the two totals
-//! agree bit for bit (DESIGN.md §5c).
+//! HMC needs the gradient at every leapfrog step and the total only at
+//! the last one. The non-showing paths are linear in `log q`: together
+//! they contribute `Σ_i W_i · log q_i`, where `W_i` is the total weight
+//! of the non-showing paths through node `i`. [`LogLikelihood::new`]
+//! computes `W_i` once per dataset, along with the list of showing paths,
+//! so a pass never visits a non-showing path. Per step it computes
+//! `log q_i` once per node into a reused buffer, then walks the showing
+//! paths in path order: one sum `S` and one `expm1` or `exp` of it
+//! (`math::OneMinusExp`), which gives the odds `c_J = w · Q/(1 − Q)`
+//! added to the gradient slot of each node on the path. A last pass over
+//! the nodes turns the slot into `∂/∂p_i = (Σ_{J∋i} c_J − W_i) / q_i`.
+//! [`LogLikelihood::grad`] stops there. [`LogLikelihood::eval_grad`] also
+//! adds `Σ_i W_i · log q_i` in node order and, per showing path, the `ln`
+//! of the same split (`log1mexp(S)`); it writes the same gradient bits.
+//! [`LogLikelihood::eval`] sums in the same order with the same
+//! expressions, so the two totals agree bit for bit (DESIGN.md §5c).
 //!
 //! ## Numerical safety at the `log1mexp` boundary
 //!
@@ -42,7 +44,7 @@
 //! in both places: `commit` clamps the stored sum to `≤ 0`, and **every**
 //! `log1mexp` call site clamps its argument with `.min(0.0)`.
 
-use crate::math::log1mexp;
+use crate::math::{log1mexp, OneMinusExp};
 use crate::model::PathData;
 
 /// Lower clamp for `p` and `1 − p`: keeps `log q` finite while being far
@@ -64,7 +66,7 @@ pub struct LogLikelihood<'a> {
     /// Indices of the showing paths, in path order.
     showing: Vec<u32>,
     /// `ln(1 − clamp_p(p_i))` per node, rebuilt by every
-    /// [`Self::eval_grad`].
+    /// [`Self::eval_grad`] and [`Self::grad`].
     log_q: Vec<f64>,
 }
 
@@ -98,7 +100,7 @@ impl<'a> LogLikelihood<'a> {
     }
 
     /// `ln(1 − clamp_p(p_i))` per node at the point of the last
-    /// [`Self::eval_grad`] call.
+    /// [`Self::eval_grad`] or [`Self::grad`] call.
     pub(crate) fn log_q(&self) -> &[f64] {
         &self.log_q
     }
@@ -125,18 +127,34 @@ impl<'a> LogLikelihood<'a> {
     ///
     /// With `Q = e^{S}`, a showing path adds `w · Q / (1 − Q) / q_i` to
     /// the gradient of each of its nodes. That factor is evaluated once
-    /// per path as `c = w · exp(S − log1mexp(S))`, which stays stable
-    /// when `Q → 0` or `Q → 1`. The non-showing paths add `−W_i / q_i`.
-    /// The returned total is bit-identical to [`Self::eval`]. Allocates
-    /// nothing after the first call.
+    /// per path as `c = w · odds`, from the same `expm1` or `exp` that
+    /// gives the path's `log1mexp(S)` (`math::OneMinusExp`), which stays
+    /// stable when `Q → 0` or `Q → 1`. The non-showing paths add
+    /// `−W_i / q_i`. The returned total is bit-identical to
+    /// [`Self::eval`]. Allocates nothing after the first call.
     pub fn eval_grad(&mut self, p: &[f64], grad: &mut [f64]) -> f64 {
+        self.pass::<true>(p, grad)
+    }
+
+    /// The gradient of [`Self::eval_grad`], bit for bit, without the
+    /// total: one `ln` per node and one `expm1` or `exp` per showing
+    /// path.
+    pub fn grad(&mut self, p: &[f64], grad: &mut [f64]) {
+        self.pass::<false>(p, grad);
+    }
+
+    /// The shared pass: the gradient always, the total only if `VALUE`
+    /// (otherwise 0). The gradient never reads the total, so both modes
+    /// write the same bits.
+    #[inline(always)]
+    fn pass<const VALUE: bool>(&mut self, p: &[f64], grad: &mut [f64]) -> f64 {
         assert_eq!(p.len(), self.data.num_nodes(), "dimension mismatch");
         assert_eq!(grad.len(), p.len());
         self.log_q.clear();
         self.log_q
             .extend(p.iter().map(|&pi| (1.0 - clamp_p(pi)).ln()));
         let log_q = &self.log_q;
-        let mut total = self.quiet_total(log_q);
+        let mut total = if VALUE { self.quiet_total(log_q) } else { 0.0 };
         // `grad` first accumulates Σ_{J∋i} c_J over the showing paths.
         grad.fill(0.0);
         for (nodes, w) in self.showing_paths() {
@@ -145,9 +163,11 @@ impl<'a> LogLikelihood<'a> {
                 .map(|&i| log_q[i as usize])
                 .sum::<f64>()
                 .min(0.0);
-            let log_denom = log1mexp(s); // log(1 − Q)
-            total += w * log_denom;
-            let c = w * (s - log_denom).exp();
+            let denom = OneMinusExp::new(s); // 1 − Q
+            if VALUE {
+                total += w * denom.ln();
+            }
+            let c = w * denom.odds();
             for &i in nodes {
                 grad[i as usize] += c;
             }
@@ -488,6 +508,10 @@ mod tests {
                 let mut grad = vec![f64::NAN; n];
                 let total = ll.eval_grad(p, &mut grad);
                 assert_eq!(total.to_bits(), ll.eval(p).to_bits(), "total vs eval");
+                let mut grad_only = vec![f64::NAN; n];
+                ll.grad(p, &mut grad_only);
+                let bits = |g: &[f64]| g.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&grad_only), bits(&grad), "grad vs eval_grad");
                 let mut reference = vec![0.0; n];
                 let scale = two_pass_grad(&d, p, &mut reference);
                 for (i, (a, b)) in grad.iter().zip(&reference).enumerate() {

@@ -6,22 +6,62 @@
 //! evaluated as `log1mexp(Σ log q_i)` with the standard numerically-stable
 //! split.
 
+/// `1 − e^x` for `x ≤ 0`, held in the form the Mächler split computes it
+/// with one `expm1` or `exp`: the single definition of that branch, behind
+/// both [`log1mexp`] and the HMC gradient's per-path odds.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum OneMinusExp {
+    /// `x > −ln 2`: `m = −expm1(x) = 1 − e^x`, in `[0, ½)`.
+    Near(f64),
+    /// `x ≤ −ln 2`: `e = exp(x) = e^x`, in `[0, ½]`.
+    Far(f64),
+}
+
+impl OneMinusExp {
+    /// Split `x ≤ 0`. Costs one `expm1` or one `exp`; `x > 0` is invalid
+    /// input (debug-asserted).
+    #[inline]
+    pub(crate) fn new(x: f64) -> Self {
+        debug_assert!(x <= 0.0, "1 − e^x needs x ≤ 0, got {x}");
+        if x == 0.0 {
+            // `−expm1(0.0)` is `−0.0`, whose odds would be `−∞`.
+            OneMinusExp::Near(0.0)
+        } else if x > -std::f64::consts::LN_2 {
+            OneMinusExp::Near(-x.exp_m1())
+        } else {
+            OneMinusExp::Far(x.exp())
+        }
+    }
+
+    /// `log(1 − e^x)`: `ln m` or `ln_1p(−e)`.
+    #[inline]
+    pub(crate) fn ln(self) -> f64 {
+        match self {
+            OneMinusExp::Near(m) => m.ln(),
+            OneMinusExp::Far(e) => (-e).ln_1p(),
+        }
+    }
+
+    /// The odds `e^x / (1 − e^x)`: `(1 − m)/m` or `e/(1 − e)`, without a
+    /// further transcendental. `+∞` at `x = 0`.
+    #[inline]
+    pub(crate) fn odds(self) -> f64 {
+        match self {
+            OneMinusExp::Near(m) => (1.0 - m) / m,
+            OneMinusExp::Far(e) => e / (1.0 - e),
+        }
+    }
+}
+
 /// `log(1 − e^x)` for `x < 0`, numerically stable.
 ///
-/// Uses the Mächler split: `log(−expm1(x))` for `x > −ln 2`, otherwise
-/// `log1p(−exp(x))`. Returns `−∞` at `x = 0` (the event is impossible) and
-/// `NaN` for `x > 0` (invalid input, debug-asserted).
+/// Uses the Mächler split (`OneMinusExp`, shared with HMC's gradient):
+/// `log(−expm1(x))` for `x > −ln 2`, otherwise `log1p(−exp(x))`. Returns
+/// `−∞` at `x = 0` (the event is impossible) and `NaN` for `x > 0`
+/// (invalid input, debug-asserted).
+#[inline]
 pub fn log1mexp(x: f64) -> f64 {
-    debug_assert!(x <= 0.0, "log1mexp needs x ≤ 0, got {x}");
-    if x == 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    const LN_2: f64 = std::f64::consts::LN_2;
-    if x > -LN_2 {
-        (-x.exp_m1()).ln()
-    } else {
-        (-x.exp()).ln_1p()
-    }
+    OneMinusExp::new(x).ln()
 }
 
 /// The logistic sigmoid `1 / (1 + e^{−x})`, stable for large `|x|`.
@@ -175,6 +215,59 @@ mod tests {
         assert!((log1mexp(x) - (-x).ln()).abs() < 1e-6);
         // Very negative x: result ≈ −e^x ≈ 0⁻.
         assert!(log1mexp(-100.0).abs() < 1e-40);
+    }
+
+    /// The form [`log1mexp`] had before it delegated to [`OneMinusExp`].
+    fn log1mexp_inline(x: f64) -> f64 {
+        if x == 0.0 {
+            return f64::NEG_INFINITY;
+        }
+        if x > -std::f64::consts::LN_2 {
+            (-x.exp_m1()).ln()
+        } else {
+            (-x.exp()).ln_1p()
+        }
+    }
+
+    #[test]
+    fn one_minus_exp_keeps_log1mexp_bits_and_gives_the_odds() {
+        let ln_2 = std::f64::consts::LN_2;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            -1e-300,
+            -1e-15,
+            -1e-9,
+            -0.3,
+            -ln_2,
+            -ln_2 * (1.0 + f64::EPSILON),
+            -1.0,
+            -20.7,
+            -745.0,
+            -800.0,
+            f64::NEG_INFINITY,
+        ];
+        xs.push(f64::from_bits((-ln_2).to_bits() - 1)); // just above −ln 2
+        for k in 1..2000 {
+            xs.push(-(k as f64) * 0.0173);
+        }
+        for x in xs {
+            let split = OneMinusExp::new(x);
+            assert_eq!(log1mexp(x).to_bits(), log1mexp_inline(x).to_bits(), "x={x}");
+            assert_eq!(split.ln().to_bits(), log1mexp(x).to_bits(), "x={x}");
+            // The odds against the old `exp(x − log1mexp(x))`.
+            let odds = split.odds();
+            let reference = (x - log1mexp(x)).exp();
+            if x == 0.0 {
+                assert_eq!(odds, f64::INFINITY);
+                assert_eq!(reference, f64::INFINITY);
+            } else {
+                assert!(
+                    (odds - reference).abs() <= 1e-12 * reference,
+                    "x={x}: odds {odds} vs {reference}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -453,6 +453,7 @@ mod tests {
     use super::*;
     use crate::chain::tests::Collector;
     use crate::chain::{run_chain, Sampler};
+    use crate::hmc::Hmc;
     use crate::mh::MetropolisHastings;
     use crate::model::{NodeId, PathData, PathObservation};
     use crate::prior::Prior;
@@ -489,6 +490,10 @@ mod tests {
 
     fn mh<'a>(d: &'a PathData) -> impl Fn(usize, &mut SimRng) -> MetropolisHastings<'a> + Sync {
         move |_k, r| MetropolisHastings::from_prior(d, Prior::default(), r)
+    }
+
+    fn hmc<'a>(d: &'a PathData) -> impl Fn(usize, &mut SimRng) -> Hmc<'a> + Sync {
+        move |_k, r| Hmc::from_prior(d, Prior::default(), r)
     }
 
     /// Chain `k` of a multi-chain run on `rng`, run alone by `run_chain`.
@@ -590,6 +595,18 @@ mod tests {
     #[test]
     fn interrupt_then_resume_is_bitwise_identical() {
         let d = data();
+        assert_interrupt_then_resume_is_bitwise_identical(mh(&d), "mh");
+        assert_interrupt_then_resume_is_bitwise_identical(hmc(&d), "hmc");
+    }
+
+    /// Stop two chains of `make` at draw 25, resume them, and compare
+    /// each against the same chain run uninterrupted: draws, counters and
+    /// per-draw metadata.
+    fn assert_interrupt_then_resume_is_bitwise_identical<S, F>(make: F, tag: &str)
+    where
+        S: Checkpointable + Send,
+        F: Fn(usize, &mut SimRng) -> S + Sync,
+    {
         let cfg = ChainConfig {
             warmup: 50,
             samples: 70,
@@ -597,7 +614,7 @@ mod tests {
         };
         let rng = SimRng::new(7);
 
-        let base = tmp_base("resume");
+        let base = tmp_base(&format!("resume-{tag}"));
         let stop = SupervisorConfig {
             checkpoint: Some(base.clone()),
             checkpoint_every: 10,
@@ -605,11 +622,11 @@ mod tests {
             ..Default::default()
         };
         let first =
-            run_chains_supervised(mh(&d), |_| Collector::every(10), 2, &cfg, &rng, &stop, "mh");
+            run_chains_supervised(&make, |_| Collector::every(10), 2, &cfg, &rng, &stop, tag);
         for c in &first.chains {
             assert!(
                 matches!(c.outcome, ChainOutcome::Interrupted { samples_done: 25 }),
-                "chain {} was {:?}",
+                "{tag} chain {} was {:?}",
                 c.chain_index,
                 c.outcome.status()
             );
@@ -627,32 +644,32 @@ mod tests {
             resume: Some(base.clone()),
             ..Default::default()
         };
-        let second = run_chains_supervised(
-            mh(&d),
-            |_| Collector::every(10),
-            2,
-            &cfg,
-            &rng,
-            &resume,
-            "mh",
-        );
+        let second =
+            run_chains_supervised(&make, |_| Collector::every(10), 2, &cfg, &rng, &resume, tag);
         assert_eq!(second.resumed_chains(), 2);
         let (done, failed) = second.into_parts();
         assert!(failed.is_empty(), "failures: {failed:?}");
         for (k, chain, observer) in &done {
-            let u = solo(&d, &cfg, &rng, *k);
+            let mut r = rng.split_index("chain", *k as u64);
+            let u = run_chain(make(*k, &mut r), &cfg, &mut r);
             assert_eq!(
                 chain.flat(),
                 u.flat(),
-                "resumed chain {k} is not bitwise identical"
+                "resumed {tag} chain {k} is not bitwise identical"
             );
             assert_eq!(chain.accept_rate, u.accept_rate);
             assert_eq!(chain.proposals, u.proposals);
+            assert_eq!(chain.divergences, u.divergences);
             assert_eq!(chain.likelihood_evals, u.likelihood_evals);
+            assert_eq!(chain.grad_evals, u.grad_evals);
             // Per-draw metadata survives the round trip bit for bit
             // (bitwise compare: MH energies are NaN, which != itself).
             let bits = |c: &Chain| c.energies().iter().map(|e| e.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(chain), bits(&u), "resumed chain {k} energies differ");
+            assert_eq!(
+                bits(chain),
+                bits(&u),
+                "resumed {tag} chain {k} energies differ"
+            );
             assert_eq!(chain.divergent_draws(), u.divergent_draws());
             // A resumed chain skips warmup and samples from draw 25 on.
             let observer = observer.as_ref().unwrap();
@@ -665,7 +682,7 @@ mod tests {
             );
             assert_eq!(chain.warmup_secs, 0.0);
         }
-        cleanup(&base, "mh", 2);
+        cleanup(&base, tag, 2);
     }
 
     #[test]

@@ -58,6 +58,17 @@ for path in sys.argv[1:]:
     faults = sections.get("faults")
     assert faults is not None, f"{path}: no faults section"
     assert faults.get("total", 0) > 0, f"{path}: fault plan injected nothing"
+# fig09 runs inference. HMC computes the log posterior once per chain
+# at its start and once per trajectory that reaches its last leapfrog
+# step, and the gradient at every step.
+path = sys.argv[2]
+hmc = {e["name"]: e.get("value") for s in json.load(open(path))["sections"]
+       if s["name"] == "because.hmc" for e in s["entries"]}
+chains, proposals = hmc["chains"], hmc["proposals"]
+values, grads = hmc["likelihood_evals"], hmc["grad_evals"]
+assert chains <= values <= chains + proposals < grads, (
+    f"{path}: HMC counters chains={chains} likelihood_evals={values} "
+    f"proposals={proposals} grad_evals={grads}")
 PY
 
 echo "==> resume-equivalence smoke test (kill at draw 150, resume, diff)"

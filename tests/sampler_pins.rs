@@ -101,8 +101,8 @@ fn assert_pinned(a: &Analysis) {
         ),
         (
             0xd1b7_e6c9_c0f7_7b4d,
-            0x799f_e090_1fe6_cb18,
-            0x6e45_8f40_df13_7576
+            0x00f9_eacf_ec36_a279,
+            0xc393_457c_0db6_57a6
         ),
         "sampler draws drifted from their recorded pins"
     );
