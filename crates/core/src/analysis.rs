@@ -13,7 +13,7 @@ use netsim::SimRng;
 use crate::category::Category;
 use crate::chain::{Chain, ChainConfig};
 use crate::checkpoint::Checkpointable;
-use crate::diagnostics;
+use crate::diagnostics::{self, nan_max, nan_min, CoordDiagnostics};
 use crate::hmc::Hmc;
 use crate::mh::MetropolisHastings;
 use crate::model::{NodeId, PathData};
@@ -136,10 +136,8 @@ pub struct ChainFailure {
 }
 
 /// Convergence diagnostics of one kernel's chains.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct KernelDiagnostics {
-    /// Worst split-R̂ across coordinates (NaN with fewer than two chains).
-    pub max_r_hat: f64,
     /// Worst rank-normalized split-R̂ across coordinates (NaN with fewer
     /// than two chains).
     pub max_rank_r_hat: f64,
@@ -147,24 +145,33 @@ pub struct KernelDiagnostics {
     pub min_ess_bulk: f64,
     /// Smallest tail ESS across coordinates (NaN without draws).
     pub min_ess_tail: f64,
+    /// The rank-normalized diagnostics of each coordinate, in dense
+    /// index order (empty when no chain survived).
+    pub coords: Vec<CoordDiagnostics>,
 }
 
 impl KernelDiagnostics {
-    /// Diagnose one kernel's chains (all NaN when none survived).
+    /// Diagnose one kernel's chains (all NaN when none survived): one
+    /// [`diagnostics::coordinate`] pass per coordinate, folded into the
+    /// headline fields.
     pub(crate) fn of(chains: &[Chain]) -> Self {
-        // Multi-chain R̂ statistics need at least two chains to compare.
-        let multi = |f: fn(&[Chain]) -> f64| {
-            if chains.len() > 1 {
-                f(chains)
-            } else {
-                f64::NAN
-            }
+        let dim = chains.first().map_or(0, Chain::dim);
+        let coords: Vec<CoordDiagnostics> = (0..dim)
+            .map(|i| diagnostics::coordinate(chains, i))
+            .collect();
+        let fold = |field: fn(&CoordDiagnostics) -> f64, pick: fn(f64, f64) -> f64| {
+            coords.iter().map(field).fold(f64::NAN, pick)
         };
         KernelDiagnostics {
-            max_r_hat: multi(diagnostics::max_r_hat),
-            max_rank_r_hat: multi(diagnostics::max_rank_r_hat),
-            min_ess_bulk: diagnostics::min_ess_bulk(chains),
-            min_ess_tail: diagnostics::min_ess_tail(chains),
+            // Multi-chain R̂ statistics need at least two chains to compare.
+            max_rank_r_hat: if chains.len() > 1 {
+                fold(|c| c.rank_r_hat, nan_max)
+            } else {
+                f64::NAN
+            },
+            min_ess_bulk: fold(|c| c.ess_bulk, nan_min),
+            min_ess_tail: fold(|c| c.ess_tail, nan_min),
+            coords,
         }
     }
 }
@@ -180,8 +187,6 @@ pub struct Analysis {
     pub hmc_chains: Vec<Chain>,
     /// Paths labeled as showing the property that no flagged AS explains.
     pub unexplained_paths: usize,
-    /// Worst split-R̂ across coordinates and kernels (NaN if single chain).
-    pub max_r_hat: f64,
     /// Worst rank-normalized split-R̂ (max of bulk and folded statistics,
     /// Vehtari et al. 2021) across coordinates and kernels (NaN if
     /// single chain).
@@ -457,22 +462,6 @@ impl Analysis {
             report.category = categories[i];
         }
 
-        // NaN-aware combiners: propagate a known per-kernel value over
-        // NaN, NaN only when neither kernel produced one.
-        fn nan_max(a: f64, b: f64) -> f64 {
-            match (a.is_nan(), b.is_nan()) {
-                (false, false) => a.max(b),
-                (false, true) => a,
-                (true, _) => b,
-            }
-        }
-        fn nan_min(a: f64, b: f64) -> f64 {
-            match (a.is_nan(), b.is_nan()) {
-                (false, false) => a.min(b),
-                (false, true) => a,
-                (true, _) => b,
-            }
-        }
         // The two kernels' diagnostics are independent pure functions of
         // their chains: compute them side by side.
         let (mh_diagnostics, hmc_diagnostics) = std::thread::scope(|scope| {
@@ -480,8 +469,8 @@ impl Analysis {
             let hmc = KernelDiagnostics::of(&hmc_chains);
             (mh.join().expect("MH diagnostics panicked"), hmc)
         });
+        // Pool the kernels: a known per-kernel value wins over NaN.
         let (mh, hmc) = (&mh_diagnostics, &hmc_diagnostics);
-        let max_r_hat = nan_max(mh.max_r_hat, hmc.max_r_hat);
         let max_rank_r_hat = nan_max(mh.max_rank_r_hat, hmc.max_rank_r_hat);
         let min_ess_bulk = nan_min(mh.min_ess_bulk, hmc.min_ess_bulk);
         let min_ess_tail = nan_min(mh.min_ess_tail, hmc.min_ess_tail);
@@ -495,7 +484,6 @@ impl Analysis {
             mh_chains,
             hmc_chains,
             unexplained_paths: pin.unexplained_paths.len(),
-            max_r_hat,
             max_rank_r_hat,
             min_ess_bulk,
             min_ess_tail,
@@ -555,7 +543,6 @@ impl Analysis {
         }
         report
             .section("because.diagnostics")
-            .gauge("max_r_hat", self.max_r_hat)
             .gauge("max_rank_r_hat", self.max_rank_r_hat)
             .gauge("min_ess_bulk", self.min_ess_bulk)
             .gauge("min_ess_tail", self.min_ess_tail)
@@ -735,7 +722,6 @@ mod tests {
             ..AnalysisConfig::fast(5)
         };
         let a = Analysis::run(&data, &cfg);
-        assert!(a.max_r_hat < 1.1, "r_hat={}", a.max_r_hat);
         assert!(a.max_rank_r_hat < 1.1, "rank r_hat={}", a.max_rank_r_hat);
         assert!(
             a.min_ess_bulk.is_finite() && a.min_ess_bulk > 1.0,
@@ -758,14 +744,13 @@ mod tests {
         let obs = observations(&[(&[1], true), (&[1, 2], true), (&[2], false)], 10);
         let data = PathData::from_observations(&obs, &[]);
         let a = Analysis::run(&data, &AnalysisConfig::fast(10));
-        let (mh, hmc) = (a.mh_diagnostics, a.hmc_diagnostics);
+        let (mh, hmc) = (&a.mh_diagnostics, &a.hmc_diagnostics);
         for d in [mh, hmc] {
             assert!(d.min_ess_bulk.is_finite() && d.min_ess_tail.is_finite());
-            assert!(d.max_r_hat.is_finite() && d.max_rank_r_hat.is_finite());
+            assert!(d.max_rank_r_hat.is_finite());
         }
         assert_eq!(a.min_ess_bulk, mh.min_ess_bulk.min(hmc.min_ess_bulk));
         assert_eq!(a.min_ess_tail, mh.min_ess_tail.min(hmc.min_ess_tail));
-        assert_eq!(a.max_r_hat, mh.max_r_hat.max(hmc.max_r_hat));
         assert_eq!(a.max_rank_r_hat, mh.max_rank_r_hat.max(hmc.max_rank_r_hat));
         assert_eq!(
             mh.min_ess_bulk.to_bits(),
@@ -823,15 +808,14 @@ mod tests {
             assert_eq!(a.failures.len(), cfg.n_chains, "{kernel}");
             assert!(a.failures.iter().all(|f| f.kernel == kernel));
             let (lost, kept) = if kernel == "MH" {
-                (a.mh_diagnostics, a.hmc_diagnostics)
+                (&a.mh_diagnostics, &a.hmc_diagnostics)
             } else {
-                (a.hmc_diagnostics, a.mh_diagnostics)
+                (&a.hmc_diagnostics, &a.mh_diagnostics)
             };
             assert!(lost.min_ess_bulk.is_nan() && lost.max_rank_r_hat.is_nan());
             assert!(kept.min_ess_bulk.is_finite() && kept.max_rank_r_hat.is_finite());
             assert_eq!(a.min_ess_bulk, kept.min_ess_bulk, "{kernel}");
             assert_eq!(a.min_ess_tail, kept.min_ess_tail, "{kernel}");
-            assert_eq!(a.max_r_hat, kept.max_r_hat, "{kernel}");
             assert_eq!(a.max_rank_r_hat, kept.max_rank_r_hat, "{kernel}");
             // E-BFMI comes from HMC chains only.
             assert_eq!(a.e_bfmi.is_empty(), kernel == "HMC");

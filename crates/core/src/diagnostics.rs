@@ -12,7 +12,9 @@
 //! rank before computing the classic statistics. That makes them robust
 //! to heavy tails and — via the *folded* transform `|x − median|` — able
 //! to catch chains that agree in location but disagree in scale, which
-//! classic split-R̂ misses entirely.
+//! classic split-R̂ misses entirely. [`coordinate`] computes all three
+//! rank statistics of one coordinate from one column extraction and
+//! three sorts; `Analysis` keeps one row per coordinate.
 
 use crate::chain::Chain;
 use crate::math::inv_normal_cdf;
@@ -73,6 +75,9 @@ pub fn effective_sample_size(draws: &[f64]) -> f64 {
 
 /// Minimum ESS across all coordinates of a chain.
 ///
+/// Like [`split_r_hat`], kept for the live per-chain progress snapshots;
+/// the pipeline reports [`min_ess_bulk`] and [`min_ess_tail`].
+///
 /// Returns `NaN` for a zero-dimension chain: there is no coordinate to
 /// measure, and the `+∞` a bare min-fold would produce reads downstream
 /// as "perfectly mixed".
@@ -92,22 +97,33 @@ pub fn min_ess(chain: &Chain) -> f64 {
 /// Split-R̂ for one coordinate across multiple chains: each chain is cut
 /// in half and the Gelman–Rubin statistic computed over the 2m half
 /// chains. Values near 1 indicate convergence; > 1.05 is suspect.
+///
+/// The classic statistic is kept for the live per-chain progress
+/// snapshots (through [`max_r_hat`]) and for e2ebench's traced replay;
+/// the pipeline itself reports the rank-normalized [`coordinate`]
+/// statistics.
 pub fn split_r_hat(chains: &[Chain], coord: usize) -> f64 {
-    split_halves(chains, coord).map_or(f64::NAN, |halves| gelman_rubin_halves(&halves))
+    let cols: Vec<Vec<f64>> = chains
+        .iter()
+        .filter(|c| c.len() >= 4)
+        .map(|c| c.column(coord))
+        .collect();
+    split_halves(&cols).map_or(f64::NAN, |halves| gelman_rubin_halves(&halves))
 }
 
 /// The Gelman–Rubin statistic over half-chains that all hold the same
 /// number of draws. Shared by [`split_r_hat`] and the rank-normalized
 /// variants; the accumulation order is load-bearing (split-R̂ values are
 /// asserted bit-for-bit in tests).
-fn gelman_rubin_halves(halves: &[Vec<f64>]) -> f64 {
-    let n = halves.first().map(Vec::len).unwrap_or(0);
+fn gelman_rubin_halves<H: AsRef<[f64]>>(halves: &[H]) -> f64 {
+    let n = halves.first().map_or(0, |h| h.as_ref().len());
     if n < 2 {
         return f64::NAN;
     }
     let mut means = Vec::with_capacity(halves.len());
     let mut vars = Vec::with_capacity(halves.len());
     for h in halves {
+        let h = h.as_ref();
         let len = h.len() as f64;
         let mu = h.iter().sum::<f64>() / len;
         means.push(mu);
@@ -124,8 +140,8 @@ fn gelman_rubin_halves(halves: &[Vec<f64>]) -> f64 {
     (var_plus / w).sqrt()
 }
 
-/// Half-columns of `coord` across `chains`. `None` when no chain has at
-/// least 4 draws.
+/// Both halves of every column with at least 4 draws. `None` when no
+/// column has at least 4 draws.
 ///
 /// The pooled B/W formulas of [`gelman_rubin_halves`] assume every half
 /// contributes the same number of draws, so halves from different-length
@@ -133,50 +149,42 @@ fn gelman_rubin_halves(halves: &[Vec<f64>]) -> f64 {
 /// statistics are computed. (Computing per-half stats at full length but
 /// plugging the minimum into the formulas, as an earlier version did,
 /// skews both B and W whenever chain lengths differ.)
-fn split_halves(chains: &[Chain], coord: usize) -> Option<Vec<Vec<f64>>> {
-    let min_half = chains
-        .iter()
-        .filter(|c| c.len() >= 4)
-        .map(|c| c.len() / 2)
-        .min()?;
-    let mut col: Vec<f64> = Vec::new();
-    let mut halves = Vec::new();
-    for c in chains {
-        if c.len() < 4 {
-            continue;
-        }
-        c.copy_column(coord, &mut col);
-        let mid = col.len() / 2;
-        halves.push(col[..min_half].to_vec());
-        halves.push(col[mid..mid + min_half].to_vec());
-    }
-    Some(halves)
+fn split_halves(cols: &[Vec<f64>]) -> Option<Vec<&[f64]>> {
+    let long = || cols.iter().filter(|c| c.len() >= 4);
+    let min_half = long().map(|c| c.len() / 2).min()?;
+    Some(
+        long()
+            .flat_map(|c| {
+                let mid = c.len() / 2;
+                [&c[..min_half], &c[mid..mid + min_half]]
+            })
+            .collect(),
+    )
 }
 
-/// Replace every value across `seqs` with its normal score: the pooled
-/// average-tie rank `r` mapped through `Φ⁻¹((r − 3/8)/(N + 1/4))`
-/// (Blom's offset, as in Vehtari et al. 2021). `NaN` values keep their
-/// `NaN`; infinities are tamed to finite scores by construction.
-fn rank_normalize(seqs: &mut [Vec<f64>]) {
-    let n_total: usize = seqs.iter().map(Vec::len).sum();
-    if n_total == 0 {
-        return;
-    }
-    let mut idx: Vec<(u32, u32)> = Vec::with_capacity(n_total);
-    for (h, s) in seqs.iter().enumerate() {
-        for i in 0..s.len() {
-            idx.push((h as u32, i as u32));
-        }
-    }
-    idx.sort_by(|a, b| {
-        seqs[a.0 as usize][a.1 as usize].total_cmp(&seqs[b.0 as usize][b.1 as usize])
-    });
+/// The normal score of every value across `seqs`, in the shape of
+/// `seqs`, and the pooled values sorted by `total_cmp`. A value's score
+/// is its pooled average-tie rank `r` mapped through
+/// `Φ⁻¹((r − 3/8)/(N + 1/4))` (Blom's offset, as in Vehtari et al.
+/// 2021). `NaN` values keep their `NaN`; infinities are tamed to finite
+/// scores by construction.
+fn rank_normalize<S: AsRef<[f64]>>(seqs: &[S]) -> (Vec<Vec<f64>>, Vec<f64>) {
+    // Each value with its flat position; equal keys under `total_cmp`
+    // are bit-identical, so an unstable sort yields the same pool.
+    let mut pool: Vec<(f64, u32)> = seqs
+        .iter()
+        .flat_map(|s| s.as_ref().iter().copied())
+        .zip(0..)
+        .collect();
+    pool.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let n_total = pool.len();
     let denom = n_total as f64 + 0.25;
+    let mut flat = vec![0.0; n_total];
     let mut s = 0;
     while s < n_total {
-        let v = seqs[idx[s].0 as usize][idx[s].1 as usize];
+        let v = pool[s].0;
         let mut e = s + 1;
-        while e < n_total && seqs[idx[e].0 as usize][idx[e].1 as usize] == v {
+        while e < n_total && pool[e].0 == v {
             e += 1;
         }
         // Mean of the 1-based ranks s+1..=e shared by the tie group.
@@ -185,167 +193,166 @@ fn rank_normalize(seqs: &mut [Vec<f64>]) {
         } else {
             inv_normal_cdf(((s + 1 + e) as f64 / 2.0 - 0.375) / denom)
         };
-        for &(h, i) in &idx[s..e] {
-            seqs[h as usize][i as usize] = z;
+        for &(_, at) in &pool[s..e] {
+            flat[at as usize] = z;
         }
         s = e;
     }
+    let mut rest = flat.as_slice();
+    let scores = seqs
+        .iter()
+        .map(|seq| {
+            let (head, tail) = rest.split_at(seq.as_ref().len());
+            rest = tail;
+            head.to_vec()
+        })
+        .collect();
+    (scores, pool.into_iter().map(|(v, _)| v).collect())
 }
 
-/// Median of all values pooled across `seqs` (sorted by `total_cmp`).
-fn pooled_median(seqs: &[Vec<f64>]) -> f64 {
-    let mut all: Vec<f64> = seqs.iter().flatten().copied().collect();
-    if all.is_empty() {
-        return f64::NAN;
-    }
-    all.sort_by(|a, b| a.total_cmp(b));
-    let n = all.len();
+/// Median of values sorted by `total_cmp`.
+fn median(sorted: &[f64]) -> f64 {
+    let n = sorted.len();
     if n % 2 == 1 {
-        all[n / 2]
+        sorted[n / 2]
     } else {
-        0.5 * (all[n / 2 - 1] + all[n / 2])
+        0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
     }
 }
 
-/// Pooled empirical quantile across `seqs` (linear interpolation between
-/// order statistics).
-fn pooled_quantile(seqs: &[Vec<f64>], q: f64) -> f64 {
-    let mut all: Vec<f64> = seqs.iter().flatten().copied().collect();
-    if all.is_empty() {
-        return f64::NAN;
-    }
-    all.sort_by(|a, b| a.total_cmp(b));
-    let pos = q * (all.len() - 1) as f64;
+/// Empirical quantile of values sorted by `total_cmp` (linear
+/// interpolation between order statistics).
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
-    all[lo] + (all[hi] - all[lo]) * frac
+    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
-/// Rank-normalized split-R̂ for one coordinate (Vehtari et al. 2021):
-/// the maximum of the *bulk* statistic (Gelman–Rubin over the
-/// rank-normalized half-chains) and the *folded* statistic (same, over
-/// rank-normalized `|x − median|`). Bulk catches location differences
-/// robustly; folded catches chains that agree in location but disagree
-/// in scale — invisible to classic [`split_r_hat`]. `NaN` when no chain
-/// has at least 4 draws.
-pub fn rank_normalized_split_r_hat(chains: &[Chain], coord: usize) -> f64 {
-    let Some(halves) = split_halves(chains, coord) else {
-        return f64::NAN;
-    };
-    let mut bulk_halves = halves.clone();
-    rank_normalize(&mut bulk_halves);
-    let bulk = gelman_rubin_halves(&bulk_halves);
-
-    let med = pooled_median(&halves);
-    let mut folded: Vec<Vec<f64>> = halves
-        .iter()
-        .map(|h| h.iter().map(|&x| (x - med).abs()).collect())
-        .collect();
-    rank_normalize(&mut folded);
-    let fold = gelman_rubin_halves(&folded);
-
-    // f64::max ignores NaN operands: propagate a known value over NaN,
-    // NaN only when both statistics are undefined.
-    if bulk.is_nan() {
-        fold
-    } else {
-        bulk.max(fold)
-    }
+/// The rank-normalized diagnostics of one coordinate (Vehtari et al.
+/// 2021).
+#[derive(Clone, Copy, Debug)]
+pub struct CoordDiagnostics {
+    /// Rank-normalized split-R̂: the maximum of the *bulk* statistic
+    /// (Gelman–Rubin over the rank-normalized half-chains) and the
+    /// *folded* statistic (same, over rank-normalized `|x − median|`).
+    /// Bulk catches location differences robustly; folded catches chains
+    /// that agree in location but disagree in scale — invisible to
+    /// classic [`split_r_hat`]. `NaN` when no chain has at least 4 draws.
+    pub rank_r_hat: f64,
+    /// Bulk ESS: the ESS of the rank-normalized draws, summed across
+    /// chains (per-chain Geyer estimates — the standard multi-chain
+    /// approximation). Robust to heavy tails because ranks are bounded.
+    /// `NaN` when no chain carries the coordinate.
+    pub ess_bulk: f64,
+    /// Tail ESS: the smaller of the ESS of the 5 % and 95 %
+    /// pooled-quantile indicator sequences `I(x ≤ q05)` / `I(x ≥ q95)`,
+    /// each summed across chains. Low tail ESS flags chains whose
+    /// extremes mix much more slowly than their bulk (interval estimates
+    /// untrustworthy even when the bulk looks healthy). `NaN` when no
+    /// chain carries the coordinate.
+    pub ess_tail: f64,
 }
 
-/// Worst rank-normalized split-R̂ over all coordinates (same NaN
-/// semantics as [`max_r_hat`]).
-pub fn max_rank_r_hat(chains: &[Chain]) -> f64 {
-    let dim = chains.first().map(Chain::dim).unwrap_or(0);
-    let mut worst = f64::NAN;
-    for i in 0..dim {
-        let r = rank_normalized_split_r_hat(chains, i);
-        if !r.is_nan() && (worst.is_nan() || r > worst) {
-            worst = r;
-        }
-    }
-    worst
-}
-
-/// Full (untruncated) columns of `coord`, one per non-empty chain.
-fn columns(chains: &[Chain], coord: usize) -> Vec<Vec<f64>> {
-    chains
+/// Rank-R̂, bulk ESS and tail ESS of coordinate `coord` in one pass:
+/// each chain's column is extracted once, and three rankings serve all
+/// three statistics. Ranking the split halves gives bulk R̂ and the
+/// pooled median the folded halves are taken about; ranking the folded
+/// halves gives folded R̂; ranking the full columns gives bulk ESS and,
+/// from the same sorted pool, the tail cut points.
+pub fn coordinate(chains: &[Chain], coord: usize) -> CoordDiagnostics {
+    let cols: Vec<Vec<f64>> = chains
         .iter()
         .filter(|c| !c.is_empty() && coord < c.dim())
         .map(|c| c.column(coord))
-        .collect()
-}
-
-/// Bulk ESS of one coordinate: the ESS of the rank-normalized draws,
-/// summed across chains (per-chain Geyer estimates — the standard
-/// multi-chain approximation). Robust to heavy tails because ranks are
-/// bounded. `NaN` when no chain carries the coordinate.
-pub fn ess_bulk(chains: &[Chain], coord: usize) -> f64 {
-    let mut cols = columns(chains, coord);
+        .collect();
+    let rank_r_hat = split_halves(&cols).map_or(f64::NAN, |halves| {
+        let (bulk, sorted) = rank_normalize(&halves);
+        let med = median(&sorted);
+        let folded: Vec<Vec<f64>> = halves
+            .iter()
+            .map(|h| h.iter().map(|&x| (x - med).abs()).collect())
+            .collect();
+        let bulk = gelman_rubin_halves(&bulk);
+        let fold = gelman_rubin_halves(&rank_normalize(&folded).0);
+        nan_max(bulk, fold)
+    });
     if cols.is_empty() {
-        return f64::NAN;
+        return CoordDiagnostics {
+            rank_r_hat,
+            ess_bulk: f64::NAN,
+            ess_tail: f64::NAN,
+        };
     }
-    rank_normalize(&mut cols);
-    cols.iter().map(|c| effective_sample_size(c)).sum()
-}
-
-/// Tail ESS of one coordinate: the smaller of the ESS of the 5 % and
-/// 95 % pooled-quantile indicator sequences `I(x ≤ q05)` / `I(x ≥ q95)`,
-/// each summed across chains. Low tail ESS flags chains whose extremes
-/// mix much more slowly than their bulk (interval estimates untrustworthy
-/// even when the bulk looks healthy). `NaN` when no chain carries the
-/// coordinate.
-pub fn ess_tail(chains: &[Chain], coord: usize) -> f64 {
-    let cols = columns(chains, coord);
-    if cols.is_empty() {
-        return f64::NAN;
-    }
-    let q05 = pooled_quantile(&cols, 0.05);
-    let q95 = pooled_quantile(&cols, 0.95);
-    let indicator_ess = |lower: bool, cut: f64| -> f64 {
+    let (scores, sorted) = rank_normalize(&cols);
+    let ess_bulk = scores.iter().map(|c| effective_sample_size(c)).sum();
+    let (q05, q95) = (quantile(&sorted, 0.05), quantile(&sorted, 0.95));
+    let indicator_ess = |hit: &dyn Fn(f64) -> bool| -> f64 {
         cols.iter()
             .map(|c| {
-                let ind: Vec<f64> = c
-                    .iter()
-                    .map(|&x| {
-                        let hit = if lower { x <= cut } else { x >= cut };
-                        if hit {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect();
+                let ind: Vec<f64> = c.iter().map(|&x| if hit(x) { 1.0 } else { 0.0 }).collect();
                 effective_sample_size(&ind)
             })
             .sum()
     };
-    indicator_ess(true, q05).min(indicator_ess(false, q95))
+    CoordDiagnostics {
+        rank_r_hat,
+        ess_bulk,
+        ess_tail: indicator_ess(&|x| x <= q05).min(indicator_ess(&|x| x >= q95)),
+    }
+}
+
+/// NaN-aware maximum: a known value wins over `NaN`, `NaN` only when
+/// both are. Folding from `NaN` gives the worst known value, or `NaN`
+/// when there is none — never the `-∞` a bare max-fold reads as
+/// "perfectly converged".
+pub(crate) fn nan_max(a: f64, b: f64) -> f64 {
+    match (a.is_nan(), b.is_nan()) {
+        (false, false) => a.max(b),
+        (false, true) => a,
+        (true, _) => b,
+    }
+}
+
+/// NaN-aware minimum, the counterpart of [`nan_max`].
+pub(crate) fn nan_min(a: f64, b: f64) -> f64 {
+    match (a.is_nan(), b.is_nan()) {
+        (false, false) => a.min(b),
+        (false, true) => a,
+        (true, _) => b,
+    }
+}
+
+/// One field of [`coordinate`] over every coordinate (the first chain's
+/// dimension), folded from `NaN` by `pick`.
+fn fold_coordinates(
+    chains: &[Chain],
+    field: fn(&CoordDiagnostics) -> f64,
+    pick: fn(f64, f64) -> f64,
+) -> f64 {
+    let dim = chains.first().map_or(0, Chain::dim);
+    (0..dim)
+        .map(|i| field(&coordinate(chains, i)))
+        .fold(f64::NAN, pick)
+}
+
+/// Worst rank-normalized split-R̂ over all coordinates (`NaN` when no
+/// coordinate has one, as for [`max_r_hat`]).
+pub fn max_rank_r_hat(chains: &[Chain]) -> f64 {
+    fold_coordinates(chains, |c| c.rank_r_hat, nan_max)
 }
 
 /// Smallest bulk ESS across all coordinates (`NaN` for no draws or a
 /// zero-dimension chain, mirroring [`min_ess`]).
 pub fn min_ess_bulk(chains: &[Chain]) -> f64 {
-    let dim = chains.first().map(Chain::dim).unwrap_or(0);
-    if dim == 0 || chains.iter().all(Chain::is_empty) {
-        return f64::NAN;
-    }
-    (0..dim)
-        .map(|i| ess_bulk(chains, i))
-        .fold(f64::INFINITY, f64::min)
+    fold_coordinates(chains, |c| c.ess_bulk, nan_min)
 }
 
 /// Smallest tail ESS across all coordinates (`NaN` for no draws or a
 /// zero-dimension chain).
 pub fn min_ess_tail(chains: &[Chain]) -> f64 {
-    let dim = chains.first().map(Chain::dim).unwrap_or(0);
-    if dim == 0 || chains.iter().all(Chain::is_empty) {
-        return f64::NAN;
-    }
-    (0..dim)
-        .map(|i| ess_tail(chains, i))
-        .fold(f64::INFINITY, f64::min)
+    fold_coordinates(chains, |c| c.ess_tail, nan_min)
 }
 
 /// The pooled mean of one quantity, given its draws from several chains
@@ -386,7 +393,8 @@ pub fn e_bfmi(energies: &[f64]) -> f64 {
     num / denom
 }
 
-/// Worst split-R̂ over all coordinates.
+/// Worst split-R̂ over all coordinates: the per-chain progress
+/// snapshots' R̂ and e2ebench's traced `max_r_hat` (see [`split_r_hat`]).
 ///
 /// Returns `NaN` when there are no chains, the chains have no
 /// coordinates, or every per-coordinate R̂ is itself `NaN` (all chains
@@ -620,7 +628,7 @@ mod tests {
         let chains: Vec<Chain> = (0..4)
             .map(|_| chain_of((0..1000).map(|_| vec![rng.gaussian()]).collect()))
             .collect();
-        let r = rank_normalized_split_r_hat(&chains, 0);
+        let r = coordinate(&chains, 0).rank_r_hat;
         assert!((r - 1.0).abs() < 0.03, "rank rhat={r}");
     }
 
@@ -629,7 +637,7 @@ mod tests {
         let mut rng = SimRng::new(22);
         let a = chain_of((0..500).map(|_| vec![rng.gaussian()]).collect());
         let b = chain_of((0..500).map(|_| vec![5.0 + rng.gaussian()]).collect());
-        let r = rank_normalized_split_r_hat(&[a, b], 0);
+        let r = coordinate(&[a, b], 0).rank_r_hat;
         assert!(r > 1.5, "rank rhat={r}");
     }
 
@@ -644,7 +652,7 @@ mod tests {
         let b = chain_of((0..800).map(|_| vec![5.0 * rng.gaussian()]).collect());
         let chains = [a, b];
         let classic = split_r_hat(&chains, 0);
-        let rank = rank_normalized_split_r_hat(&chains, 0);
+        let rank = coordinate(&chains, 0).rank_r_hat;
         assert!(classic < 1.05, "classic rhat={classic}");
         assert!(rank > 1.2, "folded rank rhat={rank}");
     }
@@ -662,7 +670,7 @@ mod tests {
         let chains: Vec<Chain> = (0..4)
             .map(|_| chain_of((0..1000).map(|_| vec![cauchy()]).collect()))
             .collect();
-        let r = rank_normalized_split_r_hat(&chains, 0);
+        let r = coordinate(&chains, 0).rank_r_hat;
         assert!(r < 1.05, "rank rhat on heavy tails={r}");
     }
 
@@ -670,13 +678,13 @@ mod tests {
     fn rank_rhat_degenerate_inputs() {
         // Too short for any split.
         let short = chain_of(vec![vec![1.0], vec![2.0]]);
-        assert!(rank_normalized_split_r_hat(&[short], 0).is_nan());
+        assert!(coordinate(&[short], 0).rank_r_hat.is_nan());
         assert!(max_rank_r_hat(&[]).is_nan());
         // Identical constant chains: all ranks tie, zero within-variance,
         // trivially converged.
         let a = chain_of(vec![vec![0.5]; 20]);
         let b = chain_of(vec![vec![0.5]; 20]);
-        assert_eq!(rank_normalized_split_r_hat(&[a, b], 0), 1.0);
+        assert_eq!(coordinate(&[a, b], 0).rank_r_hat, 1.0);
     }
 
     #[test]
@@ -695,8 +703,8 @@ mod tests {
         );
         let chains = [a, b];
         let worst = max_rank_r_hat(&chains);
-        let c0 = rank_normalized_split_r_hat(&chains, 0);
-        let c1 = rank_normalized_split_r_hat(&chains, 1);
+        let c0 = coordinate(&chains, 0).rank_r_hat;
+        let c1 = coordinate(&chains, 1).rank_r_hat;
         assert_eq!(worst, c0.max(c1));
         assert!(worst > 1.5, "worst={worst}");
     }
@@ -707,9 +715,9 @@ mod tests {
         let chains: Vec<Chain> = (0..4)
             .map(|_| chain_of((0..1000).map(|_| vec![rng.gaussian()]).collect()))
             .collect();
-        let bulk = ess_bulk(&chains, 0);
+        let bulk = coordinate(&chains, 0).ess_bulk;
         assert!(bulk > 2500.0, "bulk ess={bulk}");
-        let tail = ess_tail(&chains, 0);
+        let tail = coordinate(&chains, 0).ess_tail;
         assert!(tail > 500.0, "tail ess={tail}");
     }
 
@@ -729,8 +737,8 @@ mod tests {
                 )
             })
             .collect();
-        let bulk = ess_bulk(&chains, 0);
-        let tail = ess_tail(&chains, 0);
+        let bulk = coordinate(&chains, 0).ess_bulk;
+        let tail = coordinate(&chains, 0).ess_tail;
         assert!(bulk < 600.0, "bulk ess={bulk}");
         assert!(tail < 600.0, "tail ess={tail}");
         assert!(bulk > 1.0 && tail >= 1.0);
@@ -776,8 +784,8 @@ mod tests {
     #[test]
     fn rank_normalize_handles_ties_and_order() {
         // Ties share the average rank; output is monotone in the input.
-        let mut seqs = vec![vec![2.0, 1.0, 2.0], vec![3.0, 1.0]];
-        rank_normalize(&mut seqs);
+        let (seqs, sorted) = rank_normalize(&[vec![2.0, 1.0, 2.0], vec![3.0, 1.0]]);
+        assert_eq!(sorted, vec![1.0, 1.0, 2.0, 2.0, 3.0]);
         // Values 1.0 (ranks 1,2 → 1.5), 2.0 (ranks 3,4 → 3.5), 3.0 (rank 5).
         let z = |r: f64| inv_normal_cdf((r - 0.375) / 5.25);
         assert_eq!(seqs[0], vec![z(3.5), z(1.5), z(3.5)]);

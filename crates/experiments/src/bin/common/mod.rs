@@ -11,47 +11,45 @@
 //!
 //! Every binary also understands the observability flags:
 //!
-//! * `--report-json <path>` (or `--report-json=<path>`, or the
-//!   `REPRO_REPORT_JSON` environment variable) — write the run report
-//!   as JSON to `path`; the special path `-` streams the JSON to stdout
-//!   after the figure/table output;
+//! * `--report-json <path>` (or `--report-json=<path>`) — write the run
+//!   report as JSON to `path`; the special path `-` streams the JSON to
+//!   stdout after the figure/table output;
 //! * `--report` — print the run report as text to stdout after the
 //!   figure/table output (kept off the default path so existing output
 //!   stays byte-for-byte diffable);
-//! * `--trace <path>` (or `--trace=<path>`, or `REPRO_TRACE`) — record
-//!   RFD/MRAI simulator activity and per-chain sampler progress, and
-//!   write a Chrome trace-event file (open in Perfetto / `about:tracing`)
-//!   to `path`;
+//! * `--trace <path>` (or `--trace=<path>`) — record RFD/MRAI simulator
+//!   activity and per-chain sampler progress, and write a Chrome
+//!   trace-event file (open in Perfetto / `about:tracing`) to `path`;
 //! * `--progress [every-n]` — stream per-chain sampler diagnostics
 //!   (accept rate, incremental split-R̂/min-ESS) to stderr every `n`
 //!   iterations (default 200);
-//! * `--serve <addr>` (or `REPRO_SERVE`) — serve live diagnostics over
-//!   HTTP while the run executes: `GET /metrics` (Prometheus text
-//!   exposition), `/progress` (per-chain table), `/report` (run report
-//!   JSON so far), `/healthz`. `REPRO_SERVE_LINGER_SECS=<n>` keeps the
-//!   endpoint up `n` seconds after the run finishes, for scrapes;
-//! * `--dash <path>` (or `REPRO_DASH`) — write a self-contained HTML
-//!   diagnostics dashboard (trace plots with divergence ticks, marginal
-//!   histograms with HPDI bands, R̂/ESS table, E-BFMI, fault/coverage
-//!   sections, phase waterfall) when the run finishes.
+//! * `--serve <addr>` — serve live diagnostics over HTTP while the run
+//!   executes: `GET /metrics` (Prometheus text exposition), `/progress`
+//!   (per-chain table), `/report` (run report JSON so far), `/healthz`.
+//!   `REPRO_SERVE_LINGER_SECS=<n>` keeps the endpoint up `n` seconds
+//!   after the run finishes, for scrapes;
+//! * `--dash <path>` — write a self-contained HTML diagnostics dashboard
+//!   (trace plots with divergence ticks, marginal histograms with HPDI
+//!   bands, rank-R̂/ESS table, E-BFMI, fault/coverage sections, phase
+//!   waterfall) when the run finishes.
 //!
 //! Robustness flags (all off by default — the default run is
 //! byte-identical to a build without them):
 //!
-//! * `--faults <spec>` (or `REPRO_FAULTS`) — inject deterministic
-//!   measurement-plane faults; `<spec>` is `key=value,…` per
-//!   [`netsim::faults::FaultSpec::parse`], or the word `drill` for a
-//!   representative mix. Injected faults are tallied in the `faults`
-//!   report section and coverage loss in `coverage`;
-//! * `--checkpoint <base>` (or `REPRO_CHECKPOINT`) — write per-chain
-//!   MCMC checkpoints to `<base>.<kernel>.<k>` every `--checkpoint-every`
-//!   draws (default 100, `REPRO_CHECKPOINT_EVERY`);
-//! * `--resume <base>` (or `REPRO_RESUME`) — resume each chain from its
-//!   checkpoint; resumed runs finish draw-for-draw identical to an
-//!   uninterrupted run. Missing files start fresh; corrupt files poison
-//!   only their chain (reported in `because.supervisor`);
-//! * `--timeout-secs <n>` (or `REPRO_TIMEOUT_SECS`) — per-chain
-//!   wall-clock watchdog; a timed-out sampling chain checkpoints first;
+//! * `--faults <spec>` — inject deterministic measurement-plane faults;
+//!   `<spec>` is `key=value,…` per [`netsim::faults::FaultSpec::parse`],
+//!   or the word `drill` for a representative mix. Injected faults are
+//!   tallied in the `faults` report section and coverage loss in
+//!   `coverage`;
+//! * `--checkpoint <base>` — write per-chain MCMC checkpoints to
+//!   `<base>.<kernel>.<k>` every `--checkpoint-every` draws (default
+//!   100);
+//! * `--resume <base>` — resume each chain from its checkpoint; resumed
+//!   runs finish draw-for-draw identical to an uninterrupted run. Missing
+//!   files start fresh; corrupt files poison only their chain (reported
+//!   in `because.supervisor`);
+//! * `--timeout-secs <n>` — per-chain wall-clock watchdog; a timed-out
+//!   sampling chain checkpoints first;
 //! * `REPRO_KILL_AFTER_DRAWS` — test hook: checkpoint then exit with
 //!   code 86 after N draws, simulating an external kill.
 
@@ -184,15 +182,10 @@ fn flag_value(name: &str) -> Option<String> {
     None
 }
 
-/// A flag's value, falling back to an environment variable.
-fn flag_or_env(name: &str, env: &str) -> Option<String> {
-    flag_value(name).or_else(|| std::env::var(env).ok().filter(|s| !s.is_empty()))
-}
-
-/// The `--report-json` destination, if any: `--report-json <path>`,
-/// `--report-json=<path>`, or the `REPRO_REPORT_JSON` variable.
+/// The `--report-json` destination, if any: `--report-json <path>` or
+/// `--report-json=<path>`.
 pub fn report_json_path() -> Option<std::path::PathBuf> {
-    flag_or_env("report-json", "REPRO_REPORT_JSON").map(std::path::PathBuf::from)
+    flag_value("report-json").map(std::path::PathBuf::from)
 }
 
 /// True when `--report` was passed: print the text report to stdout.
@@ -200,31 +193,31 @@ pub fn report_requested() -> bool {
     std::env::args().skip(1).any(|a| a == "--report")
 }
 
-/// The `--trace` destination, if any: `--trace <path>`,
-/// `--trace=<path>`, or the `REPRO_TRACE` variable.
+/// The `--trace` destination, if any: `--trace <path>` or
+/// `--trace=<path>`.
 pub fn trace_path() -> Option<std::path::PathBuf> {
-    flag_or_env("trace", "REPRO_TRACE").map(std::path::PathBuf::from)
+    flag_value("trace").map(std::path::PathBuf::from)
 }
 
-/// The `--serve` listen address, if any: `--serve <addr>`,
-/// `--serve=<addr>`, or the `REPRO_SERVE` variable
-/// (e.g. `127.0.0.1:9184`, or `127.0.0.1:0` for an ephemeral port).
+/// The `--serve` listen address, if any: `--serve <addr>` or
+/// `--serve=<addr>` (e.g. `127.0.0.1:9184`, or `127.0.0.1:0` for an
+/// ephemeral port).
 pub fn serve_addr() -> Option<String> {
-    flag_or_env("serve", "REPRO_SERVE")
+    flag_value("serve")
 }
 
-/// The `--dash` destination, if any: `--dash <path>`, `--dash=<path>`,
-/// or the `REPRO_DASH` variable — write the single-file HTML diagnostics
-/// dashboard there when the run finishes.
+/// The `--dash` destination, if any: `--dash <path>` or `--dash=<path>`
+/// — write the single-file HTML diagnostics dashboard there when the
+/// run finishes.
 pub fn dash_path() -> Option<std::path::PathBuf> {
-    flag_or_env("dash", "REPRO_DASH").map(std::path::PathBuf::from)
+    flag_value("dash").map(std::path::PathBuf::from)
 }
 
-/// The fault plan spec from `--faults <spec>` / `REPRO_FAULTS`, if any.
+/// The fault plan spec from `--faults <spec>`, if any.
 /// A malformed spec is a usage error: report it and exit 2 rather than
 /// silently running fault-free.
 pub fn faults_spec() -> Option<FaultSpec> {
-    let text = flag_or_env("faults", "REPRO_FAULTS")?;
+    let text = flag_value("faults")?;
     match FaultSpec::parse(&text) {
         Ok(spec) => Some(spec),
         Err(e) => {
@@ -235,8 +228,7 @@ pub fn faults_spec() -> Option<FaultSpec> {
 }
 
 /// The chain supervisor settings from `--checkpoint` / `--resume` /
-/// `--checkpoint-every` / `--timeout-secs` (and their `REPRO_*`
-/// variables). All absent → the default supervisor, which reproduces
+/// `--checkpoint-every` / `--timeout-secs`. All absent → the default supervisor, which reproduces
 /// the unsupervised run bitwise.
 pub fn supervisor_config() -> SupervisorConfig {
     supervisor_config_tagged("")
@@ -255,12 +247,12 @@ pub fn supervisor_config_tagged(tag: &str) -> SupervisorConfig {
         }
     };
     SupervisorConfig {
-        checkpoint: flag_or_env("checkpoint", "REPRO_CHECKPOINT").map(&with_tag),
-        resume: flag_or_env("resume", "REPRO_RESUME").map(&with_tag),
-        checkpoint_every: flag_or_env("checkpoint-every", "REPRO_CHECKPOINT_EVERY")
+        checkpoint: flag_value("checkpoint").map(&with_tag),
+        resume: flag_value("resume").map(&with_tag),
+        checkpoint_every: flag_value("checkpoint-every")
             .and_then(|s| s.parse().ok())
             .unwrap_or(100),
-        wall_clock_timeout: flag_or_env("timeout-secs", "REPRO_TIMEOUT_SECS")
+        wall_clock_timeout: flag_value("timeout-secs")
             .and_then(|s| s.parse::<u64>().ok())
             .map(Duration::from_secs),
         stop_after_draws: None,

@@ -4,12 +4,14 @@
 //! [`obs::html`] renders; this module decides what goes on the page:
 //! which coordinates get trace plots and marginals (flagged ASs first,
 //! then the worst-converged rest), the per-coordinate diagnostics table
-//! (classic and rank-normalized split-R̂, bulk/tail ESS), the per-chain
-//! E-BFMI strip, and the run-summary header. The caller attaches the
-//! final [`obs::RunReport`] and phase spans before writing (see the
-//! `Reporter` in the binaries' `common` module).
+//! (rank-normalized split-R̂ and bulk/tail ESS, read from the rows
+//! [`Analysis`] computed), the per-chain E-BFMI strip, and the
+//! run-summary header. The caller attaches the final [`obs::RunReport`]
+//! and phase spans before writing (see the `Reporter` in the binaries'
+//! `common` module).
 
-use because::{diagnostics, Analysis, Category, Chain, Marginal};
+use because::diagnostics::CoordDiagnostics;
+use because::{Analysis, Category, Chain, Marginal};
 use obs::html::{Dashboard, DiagRow, MarginalPlot, TracePlot};
 
 use crate::infer::InferenceOutput;
@@ -31,10 +33,10 @@ pub fn build(title: &str, inf: &InferenceOutput) -> Dashboard {
 /// E-BFMI strip. Plots come from the HMC chains when HMC ran, else the
 /// MH chains; divergent-draw ticks mark HMC divergences.
 pub fn build_analysis(title: &str, analysis: &Analysis) -> Dashboard {
-    let (chains, kernel) = if !analysis.hmc_chains.is_empty() {
-        (&analysis.hmc_chains, "HMC")
+    let (chains, diag, kernel) = if !analysis.hmc_chains.is_empty() {
+        (&analysis.hmc_chains, &analysis.hmc_diagnostics, "HMC")
     } else {
-        (&analysis.mh_chains, "MH")
+        (&analysis.mh_chains, &analysis.mh_diagnostics, "MH")
     };
 
     let mut dash = Dashboard::new(title);
@@ -45,14 +47,14 @@ pub fn build_analysis(title: &str, analysis: &Analysis) -> Dashboard {
     }
 
     let pooled = Chain::pooled(chains);
-    for coord in select_coords(analysis, chains) {
+    for coord in select_coords(analysis, &diag.coords) {
         let name = format!("theta[AS{}]", analysis.reports[coord].id);
+        let row = &diag.coords[coord];
         dash.push_diag_row(DiagRow {
             name: name.clone(),
-            r_hat: diagnostics::split_r_hat(chains, coord),
-            rank_r_hat: diagnostics::rank_normalized_split_r_hat(chains, coord),
-            ess_bulk: diagnostics::ess_bulk(chains, coord),
-            ess_tail: diagnostics::ess_tail(chains, coord),
+            rank_r_hat: row.rank_r_hat,
+            ess_bulk: row.ess_bulk,
+            ess_tail: row.ess_tail,
         });
         dash.push_trace(trace_plot(&name, chains, coord));
         dash.push_marginal(marginal_plot(&name, &pooled.column(coord)));
@@ -80,7 +82,6 @@ fn summarize(dash: &mut Dashboard, analysis: &Analysis, chains: &[Chain], kernel
             "chains",
             &format!("{} × {kernel} ({draws} retained draws)", chains.len()),
         )
-        .summary_item("max split-R̂", &fmt(analysis.max_r_hat))
         .summary_item("max rank-R̂", &fmt(analysis.max_rank_r_hat))
         .summary_item("min bulk ESS", &fmt(analysis.min_ess_bulk))
         .summary_item("min tail ESS", &fmt(analysis.min_ess_tail))
@@ -91,8 +92,9 @@ fn summarize(dash: &mut Dashboard, analysis: &Analysis, chains: &[Chain], kernel
 
 /// Pick the coordinates worth plotting: every flagged AS (category 4/5
 /// or Eq.-8 inconsistent) first, then the worst rank-R̂ of the rest,
-/// capped at [`MAX_COORDS`].
-fn select_coords(analysis: &Analysis, chains: &[Chain]) -> Vec<usize> {
+/// capped at [`MAX_COORDS`]. `rows` are the plotted kernel's
+/// per-coordinate diagnostics.
+fn select_coords(analysis: &Analysis, rows: &[CoordDiagnostics]) -> Vec<usize> {
     let reports = &analysis.reports;
     let mut picked: Vec<usize> = (0..reports.len())
         .filter(|&i| flagged(&reports[i]))
@@ -101,7 +103,7 @@ fn select_coords(analysis: &Analysis, chains: &[Chain]) -> Vec<usize> {
     if picked.len() < MAX_COORDS {
         let mut rest: Vec<(usize, f64)> = (0..reports.len())
             .filter(|&i| !flagged(&reports[i]))
-            .map(|i| (i, diagnostics::rank_normalized_split_r_hat(chains, i)))
+            .map(|i| (i, rows[i].rank_r_hat))
             .collect();
         // Worst convergence first; NaN (single chain / short run) last.
         rest.sort_by(|a, b| match (a.1.is_nan(), b.1.is_nan()) {
@@ -185,7 +187,7 @@ mod tests {
             "no external assets"
         );
         assert!(html.matches("theta[AS").count() > 0, "coordinates plotted");
-        let coords = select_coords(&inf.analysis, &inf.analysis.hmc_chains);
+        let coords = select_coords(&inf.analysis, &inf.analysis.hmc_diagnostics.coords);
         assert!(!coords.is_empty() && coords.len() <= MAX_COORDS);
         // Selected coordinates are unique and in range.
         let mut deduped = coords.clone();
@@ -197,7 +199,7 @@ mod tests {
     #[test]
     fn flagged_ases_are_always_plotted() {
         let inf = inference();
-        let coords = select_coords(&inf.analysis, &inf.analysis.hmc_chains);
+        let coords = select_coords(&inf.analysis, &inf.analysis.hmc_diagnostics.coords);
         let flagged_coords: Vec<usize> = (0..inf.analysis.reports.len())
             .filter(|&i| flagged(&inf.analysis.reports[i]))
             .take(MAX_COORDS)

@@ -63,8 +63,6 @@ pub struct MarginalPlot {
 pub struct DiagRow {
     /// Coordinate name.
     pub name: String,
-    /// Classic split-R̂.
-    pub r_hat: f64,
     /// Rank-normalized split-R̂ (max of bulk and folded variants).
     pub rank_r_hat: f64,
     /// Bulk effective sample size.
@@ -197,17 +195,15 @@ impl Dashboard {
             out.push_str("<p>No diagnostics recorded.</p>\n");
         } else {
             out.push_str(
-                "<table>\n<tr><th>coordinate</th><th>split-R&#770;</th>\
-                 <th>rank-R&#770;</th><th>ESS bulk</th><th>ESS tail</th></tr>\n",
+                "<table>\n<tr><th>coordinate</th><th>rank-R&#770;</th>\
+                 <th>ESS bulk</th><th>ESS tail</th></tr>\n",
             );
             for row in &self.diagnostics {
                 let _ = writeln!(
                     out,
-                    "<tr><th>{}</th><td class=\"{}\">{}</td><td class=\"{}\">{}</td>\
+                    "<tr><th>{}</th><td class=\"{}\">{}</td>\
                      <td class=\"{}\">{}</td><td class=\"{}\">{}</td></tr>",
                     esc(&row.name),
-                    r_hat_class(row.r_hat),
-                    num(row.r_hat),
                     r_hat_class(row.rank_r_hat),
                     num(row.rank_r_hat),
                     ess_class(row.ess_bulk),
@@ -702,10 +698,15 @@ mod tests {
             .summary_item("chains", "2")
             .push_diag_row(DiagRow {
                 name: "theta[AS3]".to_string(),
-                r_hat: 1.003,
                 rank_r_hat: 1.021,
                 ess_bulk: 812.0,
                 ess_tail: 120.0,
+            })
+            .push_diag_row(DiagRow {
+                name: "theta[AS4]".to_string(),
+                rank_r_hat: 1.003,
+                ess_bulk: 2400.0,
+                ess_tail: 900.0,
             })
             .set_e_bfmi(vec![0.9, 0.2])
             .push_trace(TracePlot {

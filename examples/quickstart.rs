@@ -72,5 +72,5 @@ fn main() {
     }
 
     println!("\nflagged as damping: {:?}", analysis.property_nodes());
-    println!("max split-R̂ across chains: {:.3}", analysis.max_r_hat);
+    println!("max rank-R̂ across chains: {:.3}", analysis.max_rank_r_hat);
 }

@@ -217,8 +217,9 @@ sections = {s["name"] for s in report["sections"]}
 assert "because.diagnostics" in sections, sections
 diag = next(s for s in report["sections"] if s["name"] == "because.diagnostics")
 names = {e["name"] for e in diag["entries"]}
-for want in ("max_r_hat", "max_rank_r_hat", "min_ess_bulk", "min_ess_tail"):
+for want in ("max_rank_r_hat", "min_ess_bulk", "min_ess_tail"):
     assert want in names, f"{want} missing from live report"
+assert "max_r_hat" not in names, "classic max_r_hat left in because.diagnostics"
 
 html = open(dash_path).read()
 assert html.startswith("<!DOCTYPE html>"), "not an HTML document"
