@@ -4,7 +4,7 @@
 
 use bgpsim::{AsId, NetworkConfig, Prefix};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use netsim::{EventQueue, SimTime};
+use netsim::{EventQueue, SimDuration, SimTime};
 use std::hint::black_box;
 use topology::{generate, TopologyConfig};
 
@@ -23,6 +23,39 @@ fn bench_event_queue(c: &mut Criterion) {
             let mut acc = 0u64;
             while let Some((_, e)) = q.pop() {
                 acc = acc.wrapping_add(e);
+            }
+            black_box(acc)
+        })
+    });
+    // A lane's pattern (hold model): about 1k events pending, and each
+    // pop schedules one more, 0.5–8.2 s ahead like a delivery or, one
+    // time in ten, 30 s–1 h ahead like an MRAI or RFD timer.
+    group.bench_function("hold_lane_mix", |b| {
+        let ahead = |r: u64| {
+            let ms = if r.is_multiple_of(10) {
+                30_000 + (r / 10) % 3_570_000
+            } else {
+                500 + (r / 10) % 7_700
+            };
+            SimDuration::from_millis(ms)
+        };
+        b.iter(|| {
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            let mut draw = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let mut q: EventQueue<u64> = EventQueue::new();
+            for i in 0..1_000u64 {
+                q.schedule_at(SimTime::ZERO + ahead(draw()), i);
+            }
+            let mut acc = 0u64;
+            for i in 0..10_000u64 {
+                let (t, e) = q.pop().expect("the hold keeps 1k events pending");
+                acc = acc.wrapping_add(e);
+                q.schedule_at(t + ahead(draw()), i);
             }
             black_box(acc)
         })

@@ -610,9 +610,10 @@ impl Network {
         self.lane(prefix).map(|lane| &lane.stats)
     }
 
-    /// The sum over lanes of each lane queue's deepest point: the event
-    /// slots the lane queues had to hold, since each lane keeps its own
-    /// queue alive for the whole run.
+    /// The sum over lanes of each lane queue's deepest point. Each lane
+    /// keeps its pending events for the whole run, but only a lane that
+    /// is popping holds a ring of buckets (`netsim::engine`), so this
+    /// bounds the events held, not the memory.
     pub fn queue_depth_high_water(&self) -> usize {
         self.lanes
             .iter()

@@ -1,11 +1,11 @@
 //! Implementations of the three heuristics and their combination.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize};
 
 use beacon::BeaconSchedule;
-use bgpsim::{AsId, Prefix};
+use bgpsim::{AsId, AsPath, Prefix};
 use collector::Dump;
 use netsim::stats::{linear_fit_bins, Histogram};
 use signature::{clean_path, LabeledPath};
@@ -145,7 +145,10 @@ pub fn burst_distribution(
     schedule: &BeaconSchedule,
     bins: usize,
 ) -> BTreeMap<AsId, f64> {
-    let mut histograms: BTreeMap<AsId, Histogram> = BTreeMap::new();
+    // One histogram per distinct raw path, cleaned once and added into
+    // the histogram of each of its ASs. Bin heights are counts, so the
+    // order of the additions does not matter.
+    let mut by_path: HashMap<&AsPath, Histogram> = HashMap::new();
     for record in dump.valid_announcements() {
         if record.prefix != schedule.prefix {
             continue;
@@ -159,6 +162,9 @@ pub fn burst_distribution(
         else {
             continue;
         };
+        let Some(path) = record.path.as_ref() else {
+            continue;
+        };
         // Relative position of the *arrival* within the burst; damped
         // paths stop receiving early, re-advertisements land past 1.0 and
         // clamp into the last bin — which is fine, they are a single
@@ -168,14 +174,21 @@ pub fn burst_distribution(
             .saturating_since(schedule.burst_start(burst))
             .as_secs_f64()
             / schedule.burst_duration.as_secs_f64();
-        let Some(path) = record.path.as_ref().and_then(clean_path) else {
+        by_path
+            .entry(path)
+            .or_insert_with(|| Histogram::new(0.0, 1.0, bins))
+            .push(rel.min(1.0 - 1e-9));
+    }
+    let mut histograms: BTreeMap<AsId, Histogram> = BTreeMap::new();
+    for (path, h) in &by_path {
+        let Some(path) = clean_path(path) else {
             continue;
         };
         for &a in path.asns() {
             histograms
                 .entry(a)
                 .or_insert_with(|| Histogram::new(0.0, 1.0, bins))
-                .push(rel.min(1.0 - 1e-9));
+                .merge(h);
         }
     }
 

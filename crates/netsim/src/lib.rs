@@ -13,8 +13,11 @@
 //! * [`time::SimTime`] is a newtype over integer milliseconds. All protocol
 //!   constants (MRAI, RFD half-life, beacon intervals) are expressed in it.
 //! * Events at equal timestamps are processed in insertion order (FIFO),
-//!   guaranteed by a monotone sequence number, so runs are reproducible
-//!   bit-for-bit given the same seed.
+//!   so runs are reproducible bit-for-bit given the same seed. The queue
+//!   is a calendar queue: one FIFO bucket per millisecond over a 2^14 ms
+//!   window ahead of the clock, and a binary heap ordered by (time,
+//!   sequence number) for the events beyond it, which move into their
+//!   buckets before the window reaches them (see [`engine`]).
 //! * [`rng`] provides seedable, splittable randomness so that independent
 //!   subsystems (topology generation, link jitter, MCMC chains) can draw from
 //!   decorrelated streams derived from one experiment seed.
@@ -28,6 +31,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{EventQueue, ScheduledEvent};
+pub use engine::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

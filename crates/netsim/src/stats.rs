@@ -177,6 +177,18 @@ impl Histogram {
         self.counts[idx] += 1;
     }
 
+    /// Add `other`'s counts bin by bin. Panics unless both histograms
+    /// cover the same range with the same bins.
+    pub fn merge(&mut self, other: &Histogram) {
+        assert!(
+            self.lo == other.lo && self.hi == other.hi && self.bins() == other.bins(),
+            "merged histograms must share their bins"
+        );
+        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
+            *c += o;
+        }
+    }
+
     /// Raw bin counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
@@ -351,6 +363,31 @@ mod tests {
         assert_eq!(h.total(), 7);
         assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
         assert!((h.bin_center(4) - 9.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn histogram_merge_adds_counts() {
+        let (mut a, mut b, mut both) = (
+            Histogram::new(0.0, 1.0, 4),
+            Histogram::new(0.0, 1.0, 4),
+            Histogram::new(0.0, 1.0, 4),
+        );
+        for x in [0.1, 0.3, 0.3] {
+            a.push(x);
+            both.push(x);
+        }
+        for x in [0.3, 0.9] {
+            b.push(x);
+            both.push(x);
+        }
+        a.merge(&b);
+        assert_eq!(a.counts(), both.counts());
+    }
+
+    #[test]
+    #[should_panic(expected = "share their bins")]
+    fn histogram_merge_rejects_other_bins() {
+        Histogram::new(0.0, 1.0, 4).merge(&Histogram::new(0.0, 1.0, 5));
     }
 
     #[test]

@@ -8,6 +8,8 @@ use bgpsim::rfd::{FlapKind, RfdState};
 use bgpsim::{AsId, AsPath, Prefix, VendorProfile};
 use netsim::{EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 // ---------------------------------------------------------------------
 // RFD state machine
@@ -96,6 +98,73 @@ proptest! {
             }
             last = Some((t, i));
         }
+    }
+
+    /// Any interleaving of `schedule_at`, `pop`, `pop_until` and `clear`
+    /// pops exactly what a binary heap of (time, seq) pops. The delays
+    /// cover same-millisecond ties, both sides of the queue's 2^14 ms
+    /// window, deliveries, MRAI/RFD timers and 2 h breaks; `pop_until`
+    /// drains to a deadline like a lane run that stops early and is
+    /// followed by more scheduling. Release builds also schedule into
+    /// the past, which clamps to `now`.
+    #[test]
+    fn event_queue_matches_a_time_seq_heap(
+        ops in proptest::collection::vec((0u8..10, 0u8..7, 0u64..10_000_000), 1..400)
+    ) {
+        let mut q = EventQueue::new();
+        let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut next_seq = 0u64;
+        let pop_reference = |reference: &mut BinaryHeap<Reverse<(u64, u64)>>| {
+            reference.pop().map(|Reverse((t, seq))| (SimTime::from_millis(t), seq))
+        };
+        for (op, kind, x) in ops {
+            let now = q.now().as_millis();
+            match op {
+                0..=5 => {
+                    let at = match kind {
+                        0 => now,
+                        1 => now + x % 50,
+                        2 => now + 16_370 + x % 30,
+                        3 => now + 500 + x % 7_700,
+                        4 => now + 30_000 + x % 3_570_000,
+                        5 => now + 7_200_000 + x % 60_000,
+                        _ if cfg!(debug_assertions) => now,
+                        _ => now.saturating_sub(x % 100_000),
+                    };
+                    q.schedule_at(SimTime::from_millis(at), next_seq);
+                    reference.push(Reverse((at.max(now), next_seq)));
+                    next_seq += 1;
+                }
+                6 | 7 => prop_assert_eq!(q.pop(), pop_reference(&mut reference)),
+                8 => {
+                    let deadline = now + x % 20_000;
+                    loop {
+                        let due = reference.peek().is_some_and(|r| r.0 .0 <= deadline);
+                        let got = q.pop_until(SimTime::from_millis(deadline));
+                        if !due {
+                            prop_assert_eq!(got, None);
+                            break;
+                        }
+                        prop_assert_eq!(got, pop_reference(&mut reference));
+                    }
+                }
+                _ if x.is_multiple_of(4) => {
+                    q.clear();
+                    reference.clear();
+                }
+                _ => prop_assert_eq!(q.pop(), pop_reference(&mut reference)),
+            }
+            prop_assert_eq!(q.len(), reference.len());
+            prop_assert_eq!(
+                q.peek_time(),
+                reference.peek().map(|r| SimTime::from_millis(r.0 .0))
+            );
+        }
+        while !reference.is_empty() {
+            prop_assert_eq!(q.pop(), pop_reference(&mut reference));
+        }
+        prop_assert_eq!(q.pop(), None);
+        prop_assert!(q.depth_high_water() >= q.len());
     }
 
     // -----------------------------------------------------------------
