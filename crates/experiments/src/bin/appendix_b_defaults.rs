@@ -1,85 +1,3 @@
-//! Appendix B — RFD default parameters per vendor/recommendation, plus
-//! the derived quantities the paper's analysis relies on: the penalty
-//! ceiling and the slowest flap interval each profile still damps.
-
-use bgpsim::VendorProfile;
-use experiments::report;
-use netsim::SimDuration;
-
-#[path = "common/mod.rs"]
-mod common;
-
 fn main() {
-    common::banner("Appendix B: RFD default parameters");
-    let reporter = common::Reporter::new("appendix_b_defaults");
-    let profiles = [
-        VendorProfile::Cisco,
-        VendorProfile::Juniper,
-        VendorProfile::Rfc7454,
-    ];
-
-    let mut rows = Vec::new();
-    type Field = (&'static str, fn(&bgpsim::RfdParams) -> String);
-    let fields: [Field; 7] = [
-        ("Withdrawal penalty", |p| {
-            format!("{:.0}", p.withdrawal_penalty)
-        }),
-        ("Readvertisement penalty", |p| {
-            format!("{:.0}", p.readvertisement_penalty)
-        }),
-        ("Attributes change penalty", |p| {
-            format!("{:.0}", p.attribute_change_penalty)
-        }),
-        ("Suppress-threshold", |p| {
-            format!("{:.0}", p.suppress_threshold)
-        }),
-        ("Half-life (min)", |p| {
-            format!("{:.0}", p.half_life.as_mins_f64())
-        }),
-        ("Reuse-threshold", |p| format!("{:.0}", p.reuse_threshold)),
-        ("Max suppress time (min)", |p| {
-            format!("{:.0}", p.max_suppress_time.as_mins_f64())
-        }),
-    ];
-    for (name, get) in fields {
-        let mut row = vec![name.to_string()];
-        for prof in profiles {
-            row.push(get(&prof.params()));
-        }
-        rows.push(row);
-    }
-    println!(
-        "{}",
-        report::table(&["RFD parameter", "Cisco", "Juniper", "RFC 7454"], &rows)
-    );
-
-    println!("derived:");
-    let mut rows = Vec::new();
-    for prof in profiles {
-        let p = prof.params();
-        // Slowest interval that still triggers sustained damping.
-        let mut slowest = None;
-        for secs in (30..=900).rev().step_by(30) {
-            if p.triggers_at(SimDuration::from_secs(secs)) {
-                slowest = Some(secs);
-                break;
-            }
-        }
-        rows.push(vec![
-            prof.name().to_string(),
-            format!("{:.0}", p.penalty_ceiling()),
-            slowest
-                .map(|s| format!("{:.1} min", s as f64 / 60.0))
-                .unwrap_or_else(|| "never".to_string()),
-        ]);
-    }
-    println!(
-        "{}",
-        report::table(
-            &["profile", "penalty ceiling", "slowest damped flap interval"],
-            &rows
-        )
-    );
-    println!("(paper: Cisco ≈ 8 min, Juniper ≈ 9 min, recommended ≈ 2 min)");
-    reporter.emit();
+    experiments::figures::main("appendix_b_defaults");
 }

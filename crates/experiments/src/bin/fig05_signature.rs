@@ -1,151 +1,3 @@
-//! Fig. 5 — the Beacon pattern and the RFD signature.
-//!
-//! Builds a minimal network: a beacon site feeding two parallel chains to
-//! one vantage point, one chain damping (Cisco defaults) and the other
-//! clean. Runs one Burst–Break pair at a 1-minute interval and prints the
-//! update timeline observed at the vantage point for each path, plus the
-//! measured r-delta — the damped path's delayed re-advertisement.
-
-use std::collections::BTreeMap;
-
-use beacon::BeaconSchedule;
-use bgpsim::{AsId, Network, NetworkConfig, Relationship, SessionPolicy, VendorProfile};
-use netsim::faults::FaultPlan;
-use netsim::{SimDuration, SimTime};
-use signature::{label_dump_with_outages, LabelingConfig};
-
-#[path = "common/mod.rs"]
-mod common;
-
 fn main() {
-    common::banner("Figure 5: Beacon pattern and RFD signature");
-    let mut reporter = common::Reporter::new("fig05_signature");
-
-    // Topology: beacon AS 65000 → AS 10 → {AS 21 (damps), AS 22 (clean)} → VPs 31/32.
-    let mut net = Network::new(NetworkConfig {
-        jitter: 0.2,
-        seed: common::seed(),
-        ..Default::default()
-    });
-    let cust = SessionPolicy::plain(Relationship::Customer);
-    let prov = SessionPolicy::plain(Relationship::Provider);
-    net.connect(AsId(65000), AsId(10), prov, cust, None);
-    net.connect(
-        AsId(10),
-        AsId(21),
-        prov,
-        cust.with_rfd(VendorProfile::Cisco.params()),
-        None,
-    );
-    net.connect(AsId(10), AsId(22), prov, cust, None);
-    net.connect(AsId(21), AsId(31), prov, cust, None);
-    net.connect(AsId(22), AsId(32), prov, cust, None);
-    net.attach_tap(AsId(31));
-    net.attach_tap(AsId(32));
-    if reporter.trace_enabled() {
-        net.set_trace(obs::TraceBuffer::new(1 << 16));
-    }
-
-    let schedule = BeaconSchedule::standard(
-        "10.0.0.0/24".parse().unwrap(),
-        AsId(65000),
-        SimDuration::from_mins(1),
-        SimDuration::from_hours(2),
-        SimTime::ZERO,
-        1,
-    );
-    schedule.apply(&mut net);
-    let plan = common::faults_spec().map(FaultPlan::new);
-    let horizon_span = schedule.end() - SimTime::ZERO;
-    if let Some(plan) = &plan {
-        net.apply_faults(plan, horizon_span);
-    }
-    net.run_to_quiescence();
-
-    let taps = net.take_tap_log();
-    let mut fault_counters = net.fault_counters().clone();
-    let set = collector::CollectorSet::single(&[AsId(31), AsId(32)], collector::Project::Isolario);
-    let dump = set.process_with_faults(
-        &taps,
-        &collector::CollectorConfig::clean(),
-        schedule.end(),
-        plan.as_ref(),
-        &mut fault_counters,
-    );
-    let outages: BTreeMap<AsId, (SimTime, SimTime)> = plan
-        .as_ref()
-        .map(|plan| {
-            [AsId(31), AsId(32)]
-                .iter()
-                .filter_map(|&vp| {
-                    plan.vp_outage(u64::from(vp.0), horizon_span)
-                        .map(|window| (vp, window))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-
-    let burst_end = schedule.burst_end(0);
-    println!(
-        "burst: {} .. {} (update interval 1 min)",
-        schedule.burst_start(0),
-        burst_end
-    );
-    println!();
-    for (vp, name) in [
-        (AsId(31), "RFD path (via damping AS 21)"),
-        (AsId(32), "non-RFD path (via AS 22)"),
-    ] {
-        println!("--- {name} ---");
-        let records: Vec<_> = dump.records().iter().filter(|r| r.vantage == vp).collect();
-        let during_burst = records
-            .iter()
-            .filter(|r| r.exported_at <= burst_end)
-            .count();
-        println!("updates seen during burst: {during_burst}");
-        for r in records.iter().rev().take(3).rev() {
-            println!(
-                "  {}  {}",
-                r.exported_at,
-                if r.is_announcement() {
-                    "announce"
-                } else {
-                    "withdraw"
-                }
-            );
-        }
-        println!();
-    }
-
-    net.export_obs(reporter.report_mut());
-    reporter.merge_trace(net.take_trace());
-    reporter.report_mut().push_section(dump.obs_section());
-    if plan.is_some() {
-        reporter
-            .report_mut()
-            .push_section(fault_counters.obs_section());
-    }
-
-    let labels = label_dump_with_outages(&dump, &schedule, &LabelingConfig::default(), &outages);
-    println!("path labels:");
-    for l in &labels {
-        let fmt = |v: Option<f64>| {
-            v.map(|m| format!("{m:.1} min"))
-                .unwrap_or_else(|| "-".to_string())
-        };
-        println!(
-            "  {}  rfd={}  pairs {}/{}  r-delta {} (from last update, §4.2), {} (from burst end, Fig. 13){}",
-            l.path,
-            l.rfd,
-            l.pairs_matching,
-            l.pairs_total,
-            fmt(l.mean_r_delta_mins()),
-            fmt(l.mean_break_delta_mins()),
-            if l.unobservable { "  [unobservable]" } else { "" }
-        );
-    }
-    reporter
-        .report_mut()
-        .push_section(signature::obs_section(&labels));
-    reporter.emit();
+    experiments::figures::main("fig05_signature");
 }

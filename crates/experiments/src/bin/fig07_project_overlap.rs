@@ -1,44 +1,3 @@
-//! Fig. 7 — overlap of gathered data between the collector projects.
-//!
-//! Per project: observations contributed, unique AS paths, and the share
-//! of all paths only that project saw — the paper's justification for
-//! consuming RIPE RIS, RouteViews *and* Isolario.
-
-use experiments::coverage::{project_exclusive_shares, project_observations};
-use experiments::pipeline::run_campaign;
-use experiments::report;
-
-#[path = "common/mod.rs"]
-mod common;
-
 fn main() {
-    common::banner("Figure 7: overlap of gathered data per collector project");
-    let mut reporter = common::Reporter::new("fig07_project_overlap");
-    let out = run_campaign(&common::experiment(1, common::seed()));
-    reporter.merge(out.report.clone());
-    reporter.merge_trace(out.trace.clone());
-
-    let obs = project_observations(&out.dump);
-    let shares = project_exclusive_shares(&out.dump);
-
-    let rows: Vec<Vec<String>> = shares
-        .iter()
-        .map(|(p, (paths, exclusive))| {
-            vec![
-                p.name().to_string(),
-                obs[p].len().to_string(),
-                paths.to_string(),
-                report::pct(*exclusive),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        report::table(
-            &["project", "observations", "unique paths", "exclusive share"],
-            &rows
-        )
-    );
-    println!("(an exclusive share > 0 for every project = each adds data)");
-    reporter.emit();
+    experiments::figures::main("fig07_project_overlap");
 }

@@ -1,63 +1,3 @@
-//! Fig. 8 — propagation times of anchor prefixes vs RIPE-style beacons,
-//! and per-project export behaviour.
-//!
-//! The anchor prefixes flap on the RIPE beacon schedule, so comparing the
-//! two CDFs validates the infrastructure: both should show the same
-//! characteristics, with per-project export delays on top (RouteViews'
-//! 50-second cadence, Isolario ≤ 30 s, diverse RIS).
-
-use collector::Project;
-use experiments::coverage::{export_propagation_cdf, propagation_cdf};
-use experiments::pipeline::run_campaign;
-use experiments::report;
-
-#[path = "common/mod.rs"]
-mod common;
-
 fn main() {
-    common::banner("Figure 8: propagation time CDFs");
-    let mut reporter = common::Reporter::new("fig08_propagation");
-    let out = run_campaign(&common::experiment(1, common::seed()));
-    reporter.merge(out.report.clone());
-    reporter.merge_trace(out.trace.clone());
-
-    let anchors: Vec<bgpsim::Prefix> = out.campaign.sites.iter().map(|s| s.anchor.prefix).collect();
-    let beacons: Vec<bgpsim::Prefix> = out.campaign.beacon_schedules().map(|b| b.prefix).collect();
-
-    let quantiles = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99];
-    let describe = |name: &str, cdf: &netsim::stats::Ecdf| {
-        if cdf.is_empty() {
-            println!("{name}: no data");
-            return;
-        }
-        let cells: Vec<String> = quantiles
-            .iter()
-            .map(|&q| format!("p{:.0}={:.1}s", q * 100.0, cdf.quantile(q).unwrap()))
-            .collect();
-        println!("{name:<28} n={:<6} {}", cdf.len(), cells.join("  "));
-    };
-
-    println!("arrival at vantage points (send → VP):");
-    describe("anchor prefixes", &propagation_cdf(&out.dump, &anchors));
-    describe("beacon prefixes", &propagation_cdf(&out.dump, &beacons));
-    println!();
-    println!("visible in public dumps (send → export), per project:");
-    for p in Project::ALL {
-        describe(p.name(), &export_propagation_cdf(&out.dump, &anchors, p));
-    }
-    println!();
-    let cdf = propagation_cdf(&out.dump, &anchors);
-    if !cdf.is_empty() {
-        let rows = report::cdf_rows(&cdf.points(), &[0.25, 0.5, 0.75, 0.9, 1.0]);
-        println!("anchor arrival CDF sketch:");
-        for (x, f) in rows {
-            println!(
-                "  {:>6.1}s  {:>5.1}%  {}",
-                x,
-                100.0 * f,
-                report::bar(f, 1.0, 40)
-            );
-        }
-    }
-    reporter.emit();
+    experiments::figures::main("fig08_propagation");
 }

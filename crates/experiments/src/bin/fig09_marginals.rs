@@ -1,103 +1,3 @@
-//! Fig. 9 — archetypal marginal posterior distributions.
-//!
-//! Runs the 1-minute campaign and BeCAUSe, then picks the four
-//! diagnostic archetypes the paper illustrates:
-//!
-//! (a) strong damper — mass at 1, tiny spread;
-//! (b) strong non-damper — mass at 0, tiny spread;
-//! (c) inconsistent damper — mid/low mean with high spread (the AS-701
-//!     case), flagged by the Eq.-8 pass;
-//! (d) no-information AS — the Beta prior recovered (shadowed by an
-//!     upstream damper).
-//!
-//! Each marginal is printed as a 20-bin histogram over [0, 1].
-
-use because::Chain;
-use experiments::infer::infer_with_supervision;
-use experiments::pipeline::run_campaign;
-use experiments::report;
-use heuristics::HeuristicConfig;
-
-#[path = "common/mod.rs"]
-mod common;
-
-fn histogram(draws: &[f64]) -> Vec<usize> {
-    let mut bins = vec![0usize; 20];
-    for &d in draws {
-        let idx = ((d * 20.0) as usize).min(19);
-        bins[idx] += 1;
-    }
-    bins
-}
-
-fn print_marginal(title: &str, draws: &[f64]) {
-    println!("--- {title} ---");
-    let bins = histogram(draws);
-    let max = *bins.iter().max().unwrap_or(&1) as f64;
-    for (i, &count) in bins.iter().enumerate() {
-        let lo = i as f64 / 20.0;
-        println!(
-            "  [{lo:.2}..{:.2})  {}",
-            lo + 0.05,
-            report::bar(count as f64, max, 40)
-        );
-    }
-    let mean = draws.iter().sum::<f64>() / draws.len().max(1) as f64;
-    println!("  mean = {mean:.3}\n");
-}
-
 fn main() {
-    common::banner("Figure 9: archetypal marginal posteriors");
-    let mut reporter = common::Reporter::new("fig09_marginals");
-    let seed = common::seed();
-    let out = run_campaign(&common::experiment(1, seed));
-    reporter.merge(out.report.clone());
-    reporter.merge_trace(out.trace.clone());
-    let inf = infer_with_supervision(
-        &out,
-        &common::analysis_config(seed),
-        &HeuristicConfig::default(),
-        &common::supervisor_config(),
-    );
-    let analysis = &inf.analysis;
-    inf.export_obs(reporter.report_mut());
-    reporter.dash_inference(&inf);
-    reporter.merge_trace(analysis.trace.clone());
-    let pooled = Chain::pooled(&analysis.hmc_chains);
-
-    // Select archetypes from the reports.
-    let damper = analysis
-        .reports
-        .iter()
-        .filter(|r| r.category == because::Category::C5)
-        .max_by(|a, b| a.certainty().partial_cmp(&b.certainty()).unwrap());
-    let clean = analysis
-        .reports
-        .iter()
-        .filter(|r| r.category == because::Category::C1)
-        .max_by(|a, b| a.certainty().partial_cmp(&b.certainty()).unwrap());
-    let inconsistent = analysis.reports.iter().find(|r| r.flagged_inconsistent);
-    let no_info = analysis
-        .reports
-        .iter()
-        .filter(|r| r.category == because::Category::C3 && !r.flagged_inconsistent)
-        .min_by(|a, b| a.certainty().partial_cmp(&b.certainty()).unwrap());
-
-    let cases = [
-        ("(a) strong damper", damper),
-        ("(b) strong non-damper", clean),
-        ("(c) inconsistent damper (Eq. 8 flagged)", inconsistent),
-        ("(d) no information — prior recovered", no_info),
-    ];
-    for (title, report) in cases {
-        match report {
-            Some(r) => {
-                let idx = inf.data.index(r.id).expect("reported AS is in data");
-                let draws = pooled.column(idx);
-                print_marginal(&format!("{title}: AS{}", r.id), &draws);
-            }
-            None => println!("--- {title}: no example in this run ---\n"),
-        }
-    }
-    reporter.emit();
+    experiments::figures::main("fig09_marginals");
 }

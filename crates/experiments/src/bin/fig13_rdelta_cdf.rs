@@ -1,72 +1,3 @@
-//! Fig. 13 — CDF of the re-advertisement delta across damped paths, for
-//! the 1-minute and 3-minute update intervals.
-//!
-//! Fig. 13 plots the §6.2 quantity: the delta between the **end of the
-//! Burst** and the re-advertisement (not the §4.2 labeling r-delta).
-//!
-//! At a 1-minute interval the damping penalty saturates at its ceiling,
-//! so the post-Burst release takes exactly max-suppress-time — the CDF
-//! shows plateaus at the deployed values (10/30/60 min). At 3 minutes
-//! the penalty stays below the ceiling and the plateaus wash out.
-
-use experiments::pipeline::run_campaign;
-use experiments::report;
-use netsim::stats::Ecdf;
-
-#[path = "common/mod.rs"]
-mod common;
-
 fn main() {
-    common::banner("Figure 13: CDF of mean r-delta per damped path");
-    let mut reporter = common::Reporter::new("fig13_rdelta_cdf");
-    let seed = common::seed();
-
-    for mins in [1u64, 3] {
-        let mut cfg = common::experiment(mins, seed);
-        // A denser deployment with a uniform max-suppress mix, so every
-        // plateau has visible representatives even on small topologies.
-        cfg.deployment.rfd_share = (cfg.deployment.rfd_share * 1.8).min(0.3);
-        cfg.deployment.max_suppress_mix = vec![(10, 1.0), (30, 1.0), (60, 1.0)];
-        let out = run_campaign(&cfg);
-        reporter.merge_prefixed(out.report.clone(), &format!("interval_{mins}"));
-        reporter.merge_trace(out.trace.clone());
-        let means: Vec<f64> = out
-            .labels
-            .iter()
-            .filter(|l| l.rfd)
-            .filter_map(|l| l.mean_break_delta_mins())
-            .collect();
-        println!(
-            "--- {mins}-minute update interval: {} damped paths ---",
-            means.len()
-        );
-        if means.is_empty() {
-            println!("  (no damped paths)\n");
-            continue;
-        }
-        let cdf = Ecdf::new(means);
-        for q in [0.1, 0.25, 0.5, 0.75, 0.9, 0.99] {
-            let v = cdf.quantile(q).unwrap();
-            println!(
-                "  p{:<4.0} {:>7.1} min  {}",
-                q * 100.0,
-                v,
-                report::bar(q, 1.0, 30)
-            );
-        }
-        // Plateau detection: mass within ±2 min of the configured
-        // max-suppress values.
-        println!("  mass near configured max-suppress-times:");
-        for target in [10.0, 30.0, 60.0] {
-            let near = cdf.eval(target + 2.0) - cdf.eval(target - 2.0);
-            println!(
-                "    {target:>4.0} min: {:>5.1}%  {}",
-                100.0 * near,
-                report::bar(near, 1.0, 30)
-            );
-        }
-        println!();
-    }
-    println!("(expected: clear plateaus at 1 min, washed out at 3 min)");
-    reporter.emit();
+    experiments::figures::main("fig13_rdelta_cdf");
 }

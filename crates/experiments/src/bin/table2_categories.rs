@@ -1,70 +1,3 @@
-//! Table 2 — total and share of assigned categories for the 1-minute
-//! update interval.
-//!
-//! The paper reports 574 ASs split 28.9 / 49.3 / 12.5 / 4.3 / 4.9 % over
-//! categories 1–5, with categories 4+5 (≥ 9 %) accepted as RFD-enabled.
-//! The shape to reproduce: most ASs confidently non-damping (C1+C2),
-//! a C3 tail with no information, and a C4+C5 share around the planted
-//! deployment rate.
-
-use experiments::infer::infer_with_supervision;
-use experiments::pipeline::run_campaign;
-use experiments::report;
-use heuristics::HeuristicConfig;
-
-#[path = "common/mod.rs"]
-mod common;
-
 fn main() {
-    common::banner("Table 2: category totals and shares (1-minute interval)");
-    let mut reporter = common::Reporter::new("table2_categories");
-    let seed = common::seed();
-    let out = run_campaign(&common::experiment(1, seed));
-    reporter.merge(out.report.clone());
-    reporter.merge_trace(out.trace.clone());
-    let inf = infer_with_supervision(
-        &out,
-        &common::analysis_config(seed),
-        &HeuristicConfig::default(),
-        &common::supervisor_config(),
-    );
-    inf.export_obs(reporter.report_mut());
-    reporter.merge_trace(inf.analysis.trace.clone());
-    reporter.dash_inference(&inf);
-
-    let counts = inf.analysis.category_counts();
-    let shares = inf.analysis.category_shares();
-    let rows: Vec<Vec<String>> = (0..5)
-        .map(|i| {
-            vec![
-                format!("Category {}", i + 1),
-                counts[i].to_string(),
-                report::pct(shares[i]),
-                report::bar(shares[i], 1.0, 30),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        report::table(&["category", "total", "share", ""], &rows)
-    );
-
-    let rfd_share = shares[3] + shares[4];
-    println!("measured ASs: {}", inf.analysis.reports.len());
-    println!(
-        "RFD-enabled (C4+C5): {} (paper: ≥ 9 %)",
-        report::pct(rfd_share)
-    );
-    println!(
-        "planted deployment share over measured ASs: {}",
-        report::pct(
-            out.deployment
-                .ground_truth()
-                .iter()
-                .filter(|a| inf.data.index(because::NodeId(a.0)).is_some())
-                .count() as f64
-                / inf.analysis.reports.len().max(1) as f64
-        )
-    );
-    reporter.emit();
+    experiments::figures::main("table2_categories");
 }

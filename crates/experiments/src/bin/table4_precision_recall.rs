@@ -1,87 +1,3 @@
-//! Table 4 — precision/recall of BeCAUSe versus the heuristics on RFD
-//! ground truth, plus BeCAUSe on the ROV benchmark.
-//!
-//! Paper values: RFD — BeCAUSe 100 % / 87 %, heuristics 97 % / 80 %;
-//! ROV — BeCAUSe 100 % / 64 % (misses are ASs hidden behind another ROV
-//! AS). The shape to reproduce: BeCAUSe precision ≥ heuristic precision,
-//! recall bounded by visibility, ROV recall below RFD recall.
-
-use experiments::infer::infer_with_supervision;
-use experiments::metrics::evaluate_against_oracle;
-use experiments::pipeline::run_campaign;
-use experiments::report;
-use heuristics::HeuristicConfig;
-use netsim::SimDuration;
-use rov::{build, RovScenarioConfig};
-
-#[path = "common/mod.rs"]
-mod common;
-
 fn main() {
-    common::banner("Table 4: precision / recall on oracle ground truth");
-    let mut reporter = common::Reporter::new("table4_precision_recall");
-    let seed = common::seed();
-
-    // --- RFD ------------------------------------------------------------
-    let out = run_campaign(&common::experiment(1, seed));
-    reporter.merge(out.report.clone());
-    reporter.merge_trace(out.trace.clone());
-    let inf = infer_with_supervision(
-        &out,
-        &common::analysis_config(seed),
-        &HeuristicConfig::default(),
-        &common::supervisor_config(),
-    );
-    inf.export_obs(reporter.report_mut());
-    reporter.merge_trace(inf.analysis.trace.clone());
-    reporter.dash_inference(&inf);
-    let interval = SimDuration::from_mins(1);
-    let because_eval = evaluate_against_oracle(&out, &inf.because_flagged(), interval);
-    let heuristics_eval = evaluate_against_oracle(&out, &inf.heuristics_flagged(), interval);
-
-    // --- ROV ------------------------------------------------------------
-    let rov_cfg = RovScenarioConfig {
-        topology: common::topology_config(seed),
-        seed,
-        ..Default::default()
-    };
-    let scenario = build(&rov_cfg);
-    let (_, rov_pr) = scenario.evaluate(&common::analysis_config(seed));
-
-    let rows = vec![
-        vec![
-            "RFD".to_string(),
-            "BeCAUSe".to_string(),
-            report::pct(because_eval.pr.precision()),
-            report::pct(because_eval.pr.recall()),
-        ],
-        vec![
-            "RFD".to_string(),
-            "Heuristics".to_string(),
-            report::pct(heuristics_eval.pr.precision()),
-            report::pct(heuristics_eval.pr.recall()),
-        ],
-        vec![
-            "ROV".to_string(),
-            "BeCAUSe".to_string(),
-            report::pct(rov_pr.precision()),
-            report::pct(rov_pr.recall()),
-        ],
-    ];
-    println!(
-        "{}",
-        report::table(&["problem", "method", "precision", "recall"], &rows)
-    );
-
-    println!("RFD detail:  BeCAUSe    {}", because_eval.summary());
-    println!("             heuristics {}", heuristics_eval.summary());
-    println!(
-        "ROV detail:  {} planted, {} hidden behind another ROV AS, {} paths ({} ROV share)",
-        scenario.rov_ases.len(),
-        scenario.hidden_rov_ases().len(),
-        scenario.paths.len(),
-        report::pct(scenario.rov_share())
-    );
-    println!("(paper: RFD 100/87 vs 97/80; ROV 100/64 — shape, not absolutes)");
-    reporter.emit();
+    experiments::figures::main("table4_precision_recall");
 }

@@ -14,8 +14,6 @@ use because::diagnostics::CoordDiagnostics;
 use because::{Analysis, Category, Chain, Marginal};
 use obs::html::{Dashboard, DiagRow, MarginalPlot, TracePlot};
 
-use crate::infer::InferenceOutput;
-
 /// Most coordinates shown in the trace/marginal/diagnostics sections —
 /// the dashboard stays readable (and small) on paper-scale runs.
 pub const MAX_COORDS: usize = 12;
@@ -23,16 +21,11 @@ pub const MAX_COORDS: usize = 12;
 /// Bins in each marginal-posterior histogram.
 const BINS: usize = 30;
 
-/// Build the inference part of the dashboard from a full pipeline run.
-pub fn build(title: &str, inf: &InferenceOutput) -> Dashboard {
-    build_analysis(title, &inf.analysis)
-}
-
 /// Build the inference part of the dashboard: summary header, one
 /// trace + marginal + diagnostics row per selected coordinate, and the
 /// E-BFMI strip. Plots come from the HMC chains when HMC ran, else the
 /// MH chains; divergent-draw ticks mark HMC divergences.
-pub fn build_analysis(title: &str, analysis: &Analysis) -> Dashboard {
+pub fn build(title: &str, analysis: &Analysis) -> Dashboard {
     let (chains, diag, kernel) = if !analysis.hmc_chains.is_empty() {
         (&analysis.hmc_chains, &analysis.hmc_diagnostics, "HMC")
     } else {
@@ -164,7 +157,7 @@ mod tests {
     use because::AnalysisConfig;
     use heuristics::HeuristicConfig;
 
-    fn inference() -> InferenceOutput {
+    fn inference() -> crate::InferenceOutput {
         let out = run_campaign(&ExperimentConfig::small(1, 31));
         crate::infer::infer_becauase_and_heuristics(
             &out,
@@ -176,7 +169,7 @@ mod tests {
     #[test]
     fn dashboard_is_self_contained_and_capped() {
         let inf = inference();
-        let dash = build("test run", &inf);
+        let dash = build("test run", &inf.analysis);
         let html = dash.render();
         assert!(html.contains("<svg"), "trace/marginal SVGs present");
         assert!(html.contains("id=\"diagnostics\""));

@@ -5,6 +5,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use because::{Analysis, AnalysisConfig, NodeId, PathData, PathObservation, SupervisorConfig};
 use bgpsim::AsId;
 use heuristics::{evaluate, HeuristicConfig, HeuristicScores};
+use signature::LabeledPath;
 
 use crate::pipeline::CampaignOutput;
 
@@ -27,7 +28,7 @@ pub struct Coverage {
 
 impl Coverage {
     /// Tally coverage loss over a campaign's labels.
-    pub fn from_labels(labels: &[signature::LabeledPath]) -> Coverage {
+    pub fn from_labels(labels: &[LabeledPath]) -> Coverage {
         let mut cov = Coverage {
             paths_total: labels.len(),
             ..Coverage::default()
@@ -107,11 +108,8 @@ impl InferenceOutput {
     }
 }
 
-/// Build the BeCAUSe dataset from labeled paths: one observation per
-/// Burst–Break pair (paths measured over many pairs carry more weight),
-/// beacon-site ASs excluded (known non-damping, §3.2). Paths with no
-/// observable Burst–Break pair (a fault window ate their evidence) are
-/// excluded entirely — an unobserved path is not a clean path.
+/// Build the BeCAUSe dataset from a campaign's labeled paths, beacon-site
+/// ASs excluded (known non-damping, §3.2); see [`path_data`].
 pub fn path_data_from_labels(output: &CampaignOutput) -> PathData {
     let exclude: Vec<NodeId> = output
         .topology
@@ -119,8 +117,16 @@ pub fn path_data_from_labels(output: &CampaignOutput) -> PathData {
         .iter()
         .map(|a| NodeId(a.0))
         .collect();
-    let observations: Vec<PathObservation> = output
-        .labels
+    path_data(&output.labels, &exclude)
+}
+
+/// Build the BeCAUSe dataset from labeled paths: one observation per
+/// Burst–Break pair (paths measured over many pairs carry more weight),
+/// `exclude`d ASs left out. Paths with no observable Burst–Break pair (a
+/// fault window ate their evidence) are excluded entirely — an
+/// unobserved path is not a clean path.
+pub fn path_data(labels: &[LabeledPath], exclude: &[NodeId]) -> PathData {
+    let observations: Vec<PathObservation> = labels
         .iter()
         .filter(|l| !l.unobservable)
         .flat_map(|l| {
@@ -136,7 +142,7 @@ pub fn path_data_from_labels(output: &CampaignOutput) -> PathData {
             )
         })
         .collect();
-    PathData::from_observations(&observations, &exclude)
+    PathData::from_observations(&observations, exclude)
 }
 
 /// Run BeCAUSe and the three heuristics on a campaign output.

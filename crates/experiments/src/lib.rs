@@ -16,19 +16,23 @@
 //! 4. [`coverage`] computes the measurement-infrastructure statistics
 //!    (Fig. 6 link similarity, Fig. 7 project overlap, Fig. 8
 //!    propagation delays).
-//! 5. [`report`] renders aligned text tables for the per-figure binaries
-//!    (`src/bin/fig*.rs`, `src/bin/table*.rs`), each of which regenerates
-//!    one table or figure of the paper.
+//! 5. [`figures`] renders each table and figure of the paper from one
+//!    [`suite::Suite`], which runs the default campaign and its
+//!    inference once for all of them; [`report`] renders their aligned
+//!    text tables. `src/bin/` holds one binary per figure and
+//!    `repro_all`, which renders them all.
 //! 6. [`dash`] assembles the single-file HTML diagnostics dashboard
 //!    (`--dash <path>` on any binary) from an inference run.
 
 pub mod coverage;
 pub mod dash;
 pub mod deployment;
+pub mod figures;
 pub mod infer;
 pub mod metrics;
 pub mod pipeline;
 pub mod report;
+pub mod suite;
 
 pub use deployment::{AsDeployment, DampMode, Deployment, DeploymentConfig};
 pub use infer::{infer_becauase_and_heuristics, infer_with_supervision, Coverage, InferenceOutput};

@@ -203,19 +203,7 @@ pub fn run_campaign(config: &ExperimentConfig) -> CampaignOutput {
 
     // 6. Signature detection per beacon prefix. Pairs whose Break window
     //    an outage swallowed are marked unobservable rather than clean.
-    let vp_outages: BTreeMap<AsId, (SimTime, SimTime)> = plan
-        .as_ref()
-        .map(|plan| {
-            topology
-                .vantage_points
-                .iter()
-                .filter_map(|&vp| {
-                    plan.vp_outage(u64::from(vp.0), horizon_span)
-                        .map(|window| (vp, window))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
+    let vp_outages = vp_outages(plan.as_ref(), &topology.vantage_points, horizon_span);
     let guard = spans.enter(label_span);
     let mut labels = Vec::new();
     for schedule in campaign.beacon_schedules() {
@@ -254,6 +242,21 @@ pub fn run_campaign(config: &ExperimentConfig) -> CampaignOutput {
         fault_counters,
         vp_outages,
     }
+}
+
+/// The outage window each of `vps` suffers under `plan` over a run of
+/// `horizon`, keyed by VP. Empty without a plan.
+pub fn vp_outages(
+    plan: Option<&FaultPlan>,
+    vps: &[AsId],
+    horizon: SimDuration,
+) -> BTreeMap<AsId, (SimTime, SimTime)> {
+    plan.map(|plan| {
+        vps.iter()
+            .filter_map(|&vp| plan.vp_outage(u64::from(vp.0), horizon).map(|w| (vp, w)))
+            .collect()
+    })
+    .unwrap_or_default()
 }
 
 #[cfg(test)]

@@ -118,6 +118,14 @@ for bin in appendix_b_defaults fig02_penalty_trace fig05_signature \
 done
 (cd "$artifacts/golden" && sha256sum --quiet -c "$root/tests/golden_stdout_tiny.sha256")
 
+echo "==> golden stdout (tiny, all 14 files of one repro_all run)"
+REPRO_SCALE=tiny ./target/release/repro_all "$artifacts/golden_all" 2> /dev/null
+(cd "$artifacts/golden_all" && sha256sum --quiet -c "$root/tests/golden_stdout_tiny.sha256")
+
+echo "==> results/ (small, one repro_all run equals the committed files)"
+REPRO_SCALE=small ./target/release/repro_all "$artifacts/results" 2> /dev/null
+diff -r "$root/results" "$artifacts/results"
+
 echo "==> e2ebench traced replay (digests and counts unchanged)"
 cargo build --release --offline --quiet --manifest-path e2ebench/Cargo.toml
 for pair in rfd_small:9e6e0e0fc4833376 rov_small:b216038698b928da \

@@ -1,0 +1,43 @@
+//! Every figure rendered through one shared `Suite` prints exactly what
+//! it prints through a suite of its own, and the shared suite runs the
+//! default 1-minute campaign and its inference once.
+//!
+//! A figure that mutated state the suite shares (the memoised campaign
+//! or inference) would change the output of every figure after it, and
+//! fail the byte comparison.
+
+use experiments::figures::ALL;
+use experiments::suite::{Flags, Suite};
+
+fn suite() -> Suite {
+    Suite::new("suite_test", "tiny", 2020, Flags::default())
+}
+
+fn render(figure: &experiments::figures::Figure, suite: &mut Suite) -> String {
+    let mut out = Vec::new();
+    figure.write(suite, &mut out).expect("render into memory");
+    String::from_utf8(out).expect("figures print UTF-8")
+}
+
+#[test]
+fn one_suite_renders_every_figure_as_its_own_suite_does() {
+    let mut shared = suite();
+    for figure in &ALL {
+        let alone = render(figure, &mut suite());
+        assert_eq!(render(figure, &mut shared), alone, "{}", figure.name);
+    }
+
+    let report = shared.report_mut();
+    let count = |name: &str| report.sections.iter().filter(|s| s.name == name).count();
+    // One unprefixed campaign (the shared 1-minute one) and one
+    // unprefixed inference across all 14 figures. fig12's other
+    // intervals and fig13's campaigns are prefixed.
+    assert_eq!(count("pipeline"), 1, "the 1-minute campaign ran once");
+    assert_eq!(count("because.hmc"), 1, "the 1-minute inference ran once");
+    for mins in [2, 3, 5, 10, 15] {
+        assert_eq!(count(&format!("interval_{mins}.pipeline")), 1);
+        assert_eq!(count(&format!("interval_{mins}.because.hmc")), 1);
+    }
+    assert_eq!(count("fig13.interval_1.pipeline"), 1);
+    assert_eq!(count("fig13.interval_3.pipeline"), 1);
+}
