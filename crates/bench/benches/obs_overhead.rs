@@ -53,8 +53,8 @@ fn bench_serve(c: &mut Criterion) {
                     total: 1000,
                     accept_rate: 0.5,
                     divergences: 0,
-                    split_r_hat: 1.01,
-                    min_ess: 100.0,
+                    max_rank_r_hat: 1.01,
+                    min_ess_bulk: 100.0,
                 });
             }
             black_box(&state)

@@ -6,9 +6,9 @@
 //! * `fig12_point`: one interval point of the Fig. 12 sweep;
 //! * `rov_scenario`: the §7 ROV benchmark construction + inference.
 
-use because::AnalysisConfig;
+use because::{AnalysisConfig, SupervisorConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
-use experiments::infer::infer_becauase_and_heuristics;
+use experiments::infer::infer_with_supervision;
 use experiments::metrics::evaluate_against_oracle;
 use experiments::pipeline::{run_campaign, ExperimentConfig};
 use heuristics::HeuristicConfig;
@@ -62,8 +62,12 @@ fn bench_fig11(c: &mut Criterion) {
     let out = run_campaign(&small_experiment(1));
     group.bench_function("fig11_table2_inference", |b| {
         b.iter(|| {
-            let inf =
-                infer_becauase_and_heuristics(&out, &analysis_cfg(), &HeuristicConfig::default());
+            let inf = infer_with_supervision(
+                &out,
+                &analysis_cfg(),
+                &HeuristicConfig::default(),
+                &SupervisorConfig::default(),
+            );
             black_box(inf.analysis.category_counts())
         })
     });
@@ -76,8 +80,12 @@ fn bench_table4(c: &mut Criterion) {
     group.bench_function("table4_rfd_end_to_end", |b| {
         b.iter(|| {
             let out = run_campaign(&small_experiment(1));
-            let inf =
-                infer_becauase_and_heuristics(&out, &analysis_cfg(), &HeuristicConfig::default());
+            let inf = infer_with_supervision(
+                &out,
+                &analysis_cfg(),
+                &HeuristicConfig::default(),
+                &SupervisorConfig::default(),
+            );
             let eval =
                 evaluate_against_oracle(&out, &inf.because_flagged(), SimDuration::from_mins(1));
             black_box((eval.pr.precision(), eval.pr.recall()))

@@ -4,7 +4,7 @@
 use because::chain::{run_chain, ChainConfig, Sampler};
 use because::hmc::Hmc;
 use because::mh::MetropolisHastings;
-use because::{Prior, TraceProgress};
+use because::{LiveProgress, Prior};
 use bench::synthetic_paths;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netsim::SimRng;
@@ -32,10 +32,10 @@ fn bench_mh_sweep(c: &mut Criterion) {
 
 /// The driver A/Bs on one full MH chain: `run_chain` (`plain`), the
 /// supervised driver with no observer (`supervised_default`), and the
-/// supervised driver with a `TraceProgress` recorder at the default
+/// supervised driver with a `LiveProgress` trace lane at the default
 /// cadence (`traced_every_50`). The gap between the last two is the whole
-/// cost of per-k snapshots (Welford means + incremental split-R̂/min-ESS)
-/// plus the ring-buffer pushes.
+/// cost of the snapshots (the chain's rank-R̂ and bulk ESS, recomputed at
+/// 50·2^k draws and the last draw) plus the ring-buffer pushes.
 fn bench_chain_run_traced(c: &mut Criterion) {
     let mut group = c.benchmark_group("mh_chain_run");
     group.sample_size(10);
@@ -81,7 +81,7 @@ fn bench_chain_run_traced(c: &mut Criterion) {
             let rng = SimRng::new(5);
             let run = because::run_chains_supervised(
                 |_k, rng| MetropolisHastings::from_prior(&data, Prior::default(), rng),
-                |_k| TraceProgress::new(50, 2048, std::time::Instant::now(), 0),
+                |_k| LiveProgress::new(0, Some((obs::Lane(0), std::time::Instant::now()))),
                 1,
                 &config,
                 &rng,
@@ -92,7 +92,8 @@ fn bench_chain_run_traced(c: &mut Criterion) {
             let (_, chain, observer) = completed.pop().expect("chain completed");
             let events = observer
                 .expect("completed chain keeps its observer")
-                .into_buffer()
+                .into_trace()
+                .expect("a lane was asked for")
                 .len();
             black_box((chain.len(), events))
         })

@@ -19,9 +19,7 @@ use crate::mh::MetropolisHastings;
 use crate::model::{NodeId, PathData};
 use crate::pinpoint::{apply_pinpoint, pinpoint_inconsistent};
 use crate::prior::Prior;
-use crate::progress::{
-    ChainPhase, ProgressObserver, ProgressSnapshot, ServeProgress, StderrTicker, TraceProgress,
-};
+use crate::progress::{LiveProgress, TRACE_CAPACITY};
 use crate::summary::Marginal;
 use crate::supervisor::{run_chains_supervised, SupervisorConfig};
 
@@ -38,9 +36,10 @@ pub struct AnalysisConfig {
     pub hpdi_level: f64,
     /// Master seed.
     pub seed: u64,
-    /// Streaming-progress cadence in iterations: every `progress_every`
-    /// iterations each chain prints a stderr ticker line (accept rate,
-    /// incremental split-R̂/min-ESS). `0` (default) disables the ticker.
+    /// Live-progress cadence in iterations: every `progress_every`
+    /// iterations each chain prints a stderr line (accept rate, and the
+    /// chain's rank-R̂ and bulk ESS while sampling). `0` (default) turns
+    /// the line off.
     pub progress_every: usize,
     /// Record chain phases and per-snapshot convergence counters into a
     /// trace buffer, surfaced as [`Analysis::trace`].
@@ -222,65 +221,6 @@ pub struct Analysis {
     pub checkpoints_written: u64,
 }
 
-/// Per-chain observer combining the optional stderr ticker and the
-/// optional trace recorder under one cadence.
-struct RunObserver {
-    ticker: Option<StderrTicker>,
-    trace: Option<TraceProgress>,
-    serve: Option<ServeProgress>,
-}
-
-impl ProgressObserver for RunObserver {
-    fn every(&self) -> usize {
-        // All constituents share one cadence; any active one carries it.
-        match (&self.ticker, &self.trace, &self.serve) {
-            (Some(t), _, _) => t.every(),
-            (None, Some(t), _) => t.every(),
-            (None, None, Some(t)) => t.every(),
-            (None, None, None) => 0,
-        }
-    }
-
-    fn observe(&mut self, snap: &ProgressSnapshot) {
-        if let Some(t) = &mut self.ticker {
-            t.observe(snap);
-        }
-        if let Some(t) = &mut self.trace {
-            t.observe(snap);
-        }
-        if let Some(t) = &mut self.serve {
-            t.observe(snap);
-        }
-    }
-
-    fn begin_phase(
-        &mut self,
-        chain_index: usize,
-        kind: crate::chain::SamplerKind,
-        phase: ChainPhase,
-    ) {
-        if let Some(t) = &mut self.trace {
-            t.begin_phase(chain_index, kind, phase);
-        }
-    }
-
-    fn end_phase(
-        &mut self,
-        chain_index: usize,
-        kind: crate::chain::SamplerKind,
-        phase: ChainPhase,
-        iteration: usize,
-        total: usize,
-    ) {
-        if let Some(t) = &mut self.trace {
-            t.end_phase(chain_index, kind, phase, iteration, total);
-        }
-        if let Some(t) = &mut self.serve {
-            t.end_phase(chain_index, kind, phase, iteration, total);
-        }
-    }
-}
-
 /// Runs one kernel's supervised chains at a time and totals the
 /// supervision results across kernels.
 struct KernelRuns<'a> {
@@ -302,11 +242,11 @@ impl KernelRuns<'_> {
         tag: &str,
         make_sampler: F,
         make_observer: G,
-    ) -> (Vec<Chain>, Vec<RunObserver>, f64)
+    ) -> (Vec<Chain>, Vec<LiveProgress>, f64)
     where
         S: Checkpointable + Send,
         F: Fn(usize, &mut SimRng) -> S + Sync,
-        G: Fn(usize) -> RunObserver + Sync,
+        G: Fn(usize) -> LiveProgress + Sync,
     {
         let watch = obs::Stopwatch::start();
         let run = run_chains_supervised(
@@ -362,24 +302,13 @@ impl Analysis {
     ) -> Analysis {
         let rng = SimRng::new(config.seed);
 
-        // Progress/trace observers share one cadence and wall epoch; lane
-        // bases keep MH and HMC chains on distinct trace lanes.
+        // One live observer per chain. The chains' trace lanes share one
+        // wall epoch; lane bases keep MH and HMC chains on distinct lanes.
         let epoch = std::time::Instant::now();
-        let cadence = if config.progress_every > 0 {
-            config.progress_every
-        } else {
-            50
-        };
         let make_observer = |lane_base: u64| {
-            move |_k: usize| RunObserver {
-                ticker: (config.progress_every > 0)
-                    .then(|| StderrTicker::new(config.progress_every)),
-                trace: config
-                    .trace
-                    .then(|| TraceProgress::new(cadence, 2048, epoch, lane_base)),
-                // Live only when a `--serve` endpoint was installed in
-                // this process; otherwise the unobserved zero-cost path.
-                serve: ServeProgress::installed(cadence),
+            move |k: usize| {
+                let lane = obs::Lane(lane_base + k as u64);
+                LiveProgress::new(config.progress_every, config.trace.then_some((lane, epoch)))
             }
         };
 
@@ -405,10 +334,10 @@ impl Analysis {
         );
         let trace = config.trace.then(|| {
             let chains = mh_observers.len() + hmc_observers.len();
-            let mut merged = obs::TraceBuffer::with_epoch(2048 * chains.max(1), epoch);
-            for o in mh_observers.into_iter().chain(hmc_observers) {
-                if let Some(t) = o.trace {
-                    merged.merge(t.into_buffer());
+            let mut merged = obs::TraceBuffer::with_epoch(TRACE_CAPACITY * chains.max(1), epoch);
+            for lane in mh_observers.into_iter().chain(hmc_observers) {
+                if let Some(buf) = lane.into_trace() {
+                    merged.merge(buf);
                 }
             }
             merged

@@ -10,8 +10,11 @@
 use netsim::SimRng;
 use serde::{Deserialize, Serialize};
 
+use obs::serve::ChainProgress;
+
 use crate::checkpoint::CheckpointError;
-use crate::progress::{ChainPhase, NoProgress, ProgressObserver, ProgressSnapshot};
+use crate::diagnostics::{coordinate, nan_max, nan_min};
+use crate::progress::{ChainPhase, NoProgress, ProgressObserver};
 use crate::supervisor::ChainOutcome;
 
 /// Which MCMC kernel produced a chain.
@@ -397,9 +400,15 @@ impl<S: Sampler> ChainHook<S> for Unsupervised {}
 
 /// The chain loop behind every driver: warmup with adaptation and
 /// `end_warmup`, thinned sampling with energy and divergence
-/// bookkeeping, Welford means and observer snapshots every
-/// `observer.every()` iterations (see [`crate::progress`]), and the
+/// bookkeeping, observer snapshots every `observer.every()` iterations
+/// and at the last retained draw (see [`crate::progress`]), and the
 /// `hook`'s supervision points.
+///
+/// A sampling snapshot carries the chain's worst rank-R̂ and smallest
+/// bulk ESS over the first `every·2^k` draws for the largest such count
+/// reached, or over every draw at the last one: the values depend only
+/// on the draw count, so a resumed chain reports what an uninterrupted
+/// one does, and the recomputes cost about twice one final pass.
 ///
 /// Neither observation nor the hook touches the RNG between draws, so
 /// every driver produces the same chain draw for draw. Every return
@@ -414,6 +423,17 @@ pub(crate) fn drive_chain<S: Sampler, O: ProgressObserver, H: ChainHook<S>>(
 ) -> Result<ChainOutcome, CheckpointError> {
     let every = observer.every();
     let kind = sampler.kind();
+    let snapshot = |sampler: &S, phase: ChainPhase, iteration, total, (r_hat, ess)| ChainProgress {
+        kernel: kind.name(),
+        chain_index,
+        phase: phase.name(),
+        iteration,
+        total,
+        accept_rate: sampler.acceptance_rate(),
+        divergences: sampler.divergences(),
+        max_rank_r_hat: r_hat,
+        min_ess_bulk: ess,
+    };
     let mut chain = Chain::with_capacity(kind, sampler.dim(), config.samples);
     let resumed = hook.start(&mut sampler, rng, &mut chain)?;
 
@@ -433,18 +453,9 @@ pub(crate) fn drive_chain<S: Sampler, O: ProgressObserver, H: ChainHook<S>>(
             sampler.step(rng);
             sampler.adapt(it, config.warmup);
             if every > 0 && (it + 1) % every == 0 {
-                observer.observe(&ProgressSnapshot {
-                    chain_index,
-                    kind,
-                    phase: ChainPhase::Warmup,
-                    iteration: it + 1,
-                    total: config.warmup,
-                    accept_rate: sampler.acceptance_rate(),
-                    divergences: sampler.divergences(),
-                    means: &[],
-                    split_r_hat: f64::NAN,
-                    min_ess: f64::NAN,
-                });
+                let total = config.warmup;
+                let diag = (f64::NAN, f64::NAN);
+                observer.observe(&snapshot(&sampler, ChainPhase::Warmup, it + 1, total, diag));
             }
         }
         sampler.end_warmup();
@@ -460,20 +471,10 @@ pub(crate) fn drive_chain<S: Sampler, O: ProgressObserver, H: ChainHook<S>>(
     if every > 0 {
         observer.begin_phase(chain_index, kind, ChainPhase::Sampling);
     }
-    // Welford online means over retained draws (only maintained when
-    // observed — the unobserved path allocates nothing). A resumed chain
-    // replays them over its restored rows in original order, so they
-    // match the uninterrupted run bit for bit.
-    let mut means: Vec<f64> = Vec::new();
-    if every > 0 {
-        means.resize(sampler.dim(), 0.0);
-        for (s, row) in chain.rows().enumerate() {
-            let n = (s + 1) as f64;
-            for (m, &x) in means.iter_mut().zip(row) {
-                *m += (x - *m) / n;
-            }
-        }
-    }
+    // The draw count the live diagnostics were last computed over, and
+    // their values.
+    let mut diag_at = 0;
+    let mut diag = (f64::NAN, f64::NAN);
     // Divergence watermark: only trajectories inside the sampling phase
     // mark draws (warmup divergences are the kernel's problem to adapt
     // away, not the posterior's). After a resume the restored kernel
@@ -498,27 +499,21 @@ pub(crate) fn drive_chain<S: Sampler, O: ProgressObserver, H: ChainHook<S>>(
             chain.divergent_draws.push(s);
             prev_div = div;
         }
-        if every > 0 {
-            let n = (s + 1) as f64;
-            for (m, &x) in means.iter_mut().zip(sampler.state()) {
-                *m += (x - *m) / n;
+        let n = s + 1;
+        if every > 0 && (n % every == 0 || n == config.samples) {
+            let due = if n == config.samples {
+                n
+            } else {
+                every << (n / every).ilog2()
+            };
+            if due != diag_at {
+                diag = live_diagnostics(&chain, due);
+                diag_at = due;
             }
-            if (s + 1) % every == 0 {
-                observer.observe(&ProgressSnapshot {
-                    chain_index,
-                    kind,
-                    phase: ChainPhase::Sampling,
-                    iteration: s + 1,
-                    total: config.samples,
-                    accept_rate: sampler.acceptance_rate(),
-                    divergences: sampler.divergences(),
-                    means: &means,
-                    split_r_hat: crate::diagnostics::max_r_hat(std::slice::from_ref(&chain)),
-                    min_ess: crate::diagnostics::min_ess(&chain),
-                });
-            }
+            let total = config.samples;
+            observer.observe(&snapshot(&sampler, ChainPhase::Sampling, n, total, diag));
         }
-        let done = (s + 1) as u64;
+        let done = n as u64;
         stopped = hook
             .after_draw(done, &sampler, rng, &chain)
             .map(|stop| stop.then_some(ChainOutcome::Interrupted { samples_done: done }))
@@ -547,6 +542,25 @@ pub(crate) fn drive_chain<S: Sampler, O: ProgressObserver, H: ChainHook<S>>(
     chain.warmup_secs = warmup_secs;
     chain.sampling_secs = sampling_watch.elapsed_secs();
     Ok(ChainOutcome::Completed(chain))
+}
+
+/// The worst rank-R̂ and smallest bulk ESS over the first `draws` draws
+/// of `chain` alone: one [`coordinate`] pass per coordinate.
+fn live_diagnostics(chain: &Chain, draws: usize) -> (f64, f64) {
+    let prefix;
+    let chain = if draws == chain.len() {
+        chain
+    } else {
+        let rows = chain.rows().take(draws).map(<[f64]>::to_vec).collect();
+        prefix = Chain::from_rows(chain.kind, rows, 0.0);
+        &prefix
+    };
+    let chains = std::slice::from_ref(chain);
+    (0..chain.dim())
+        .map(|i| coordinate(chains, i))
+        .fold((f64::NAN, f64::NAN), |(r_hat, ess), c| {
+            (nan_max(r_hat, c.rank_r_hat), nan_min(ess, c.ess_bulk))
+        })
 }
 
 #[cfg(test)]
@@ -702,8 +716,7 @@ pub(crate) mod tests {
     #[derive(Default)]
     pub(crate) struct Collector {
         pub(crate) every: usize,
-        /// `(phase, iteration, accept rate, means, split-R̂, min-ESS)`.
-        pub(crate) snaps: Vec<(ChainPhase, usize, f64, Vec<f64>, f64, f64)>,
+        pub(crate) snaps: Vec<ChainProgress>,
         /// `(phase, None)` at a phase's start, `(phase, Some(iterations
         /// run))` at its end.
         pub(crate) phases: Vec<(ChainPhase, Option<usize>)>,
@@ -722,15 +735,8 @@ pub(crate) mod tests {
         fn every(&self) -> usize {
             self.every
         }
-        fn observe(&mut self, s: &ProgressSnapshot) {
-            self.snaps.push((
-                s.phase,
-                s.iteration,
-                s.accept_rate,
-                s.means.to_vec(),
-                s.split_r_hat,
-                s.min_ess,
-            ));
+        fn observe(&mut self, s: &ChainProgress) {
+            self.snaps.push(*s);
         }
         fn begin_phase(&mut self, _: usize, _: SamplerKind, phase: ChainPhase) {
             self.phases.push((phase, None));
@@ -744,7 +750,7 @@ pub(crate) mod tests {
     fn observed_run_matches_unobserved_draw_for_draw() {
         let cfg = ChainConfig {
             warmup: 100,
-            samples: 400,
+            samples: 420,
             thin: 1,
         };
         let make = || Toy {
@@ -774,33 +780,51 @@ pub(crate) mod tests {
         );
         assert_eq!(plain.accept_rate, observed.accept_rate);
 
-        // 100/50 warmup + 400/50 sampling snapshots, phases bracketed.
-        assert_eq!(collector.snaps.len(), 2 + 8);
+        // 100/50 warmup + 420/50 sampling snapshots, one more at the last
+        // draw, phases bracketed.
+        let at: Vec<usize> = collector.snaps.iter().map(|s| s.iteration).collect();
+        assert_eq!(at, [50, 100, 50, 100, 150, 200, 250, 300, 350, 400, 420]);
         assert_eq!(
             collector.phases,
             vec![
                 (ChainPhase::Warmup, None),
                 (ChainPhase::Warmup, Some(100)),
                 (ChainPhase::Sampling, None),
-                (ChainPhase::Sampling, Some(400)),
+                (ChainPhase::Sampling, Some(420)),
             ]
         );
         // Warmup snapshots carry no convergence estimates.
-        let (phase, it, accept, means, rhat, ess) = &collector.snaps[0];
-        assert_eq!((*phase, *it), (ChainPhase::Warmup, 50));
-        assert!(*accept > 0.0 && means.is_empty() && rhat.is_nan() && ess.is_nan());
-        // The final sampling snapshot agrees with the finished chain.
-        let (phase, it, _, means, rhat, ess) = collector.snaps.last().unwrap();
-        assert_eq!((*phase, *it), (ChainPhase::Sampling, 400));
-        for (i, m) in means.iter().enumerate() {
-            assert!(
-                (m - observed.mean(i)).abs() < 1e-9,
-                "welford mean {i}: {m} vs {}",
-                observed.mean(i)
-            );
+        let first = &collector.snaps[0];
+        assert_eq!(
+            (first.phase, first.kernel, first.total),
+            ("warmup", "MH", 100)
+        );
+        assert!(first.accept_rate > 0.0);
+        assert!(first.max_rank_r_hat.is_nan() && first.min_ess_bulk.is_nan());
+        // Sampling snapshots carry the diagnostics of the first 50·2^k
+        // draws (the largest such count reached), and of every draw at
+        // the last one.
+        let diag = |s: &ChainProgress| (s.max_rank_r_hat.to_bits(), s.min_ess_bulk.to_bits());
+        let over = |draws: usize| {
+            let (r_hat, ess) = live_diagnostics(&observed, draws);
+            assert!(r_hat.is_finite() && r_hat > 0.9, "rhat={r_hat}");
+            assert!(ess.is_finite() && ess >= 1.0, "ess={ess}");
+            (r_hat.to_bits(), ess.to_bits())
+        };
+        let sampling = &collector.snaps[2..];
+        for (snap, draws) in sampling
+            .iter()
+            .zip([50, 100, 100, 200, 200, 200, 200, 400, 420])
+        {
+            assert_eq!(snap.phase, "sampling");
+            assert_eq!(diag(snap), over(draws), "snapshot at {}", snap.iteration);
         }
-        assert!(rhat.is_finite() && *rhat > 0.9, "rhat={rhat}");
-        assert!(ess.is_finite() && *ess >= 1.0, "ess={ess}");
+        // The last one is one coordinate pass over this chain alone.
+        let chains = std::slice::from_ref(&observed);
+        let c: Vec<_> = (0..2).map(|i| coordinate(chains, i)).collect();
+        let last = sampling.last().unwrap();
+        assert_eq!(last.max_rank_r_hat, c[0].rank_r_hat.max(c[1].rank_r_hat));
+        assert_eq!(last.min_ess_bulk, c[0].ess_bulk.min(c[1].ess_bulk));
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! to catch chains that agree in location but disagree in scale, which
 //! classic split-R̂ misses entirely. [`coordinate`] computes all three
 //! rank statistics of one coordinate from one column extraction and
-//! three sorts; `Analysis` keeps one row per coordinate.
+//! one sort; `Analysis` keeps one row per coordinate, and the live
+//! progress snapshots use it over each chain alone.
 
 use crate::chain::Chain;
 use crate::math::inv_normal_cdf;
@@ -73,35 +74,13 @@ pub fn effective_sample_size(draws: &[f64]) -> f64 {
     (n as f64 / (1.0 + 2.0 * rho_sum)).clamp(1.0, n as f64)
 }
 
-/// Minimum ESS across all coordinates of a chain.
-///
-/// Like [`split_r_hat`], kept for the live per-chain progress snapshots;
-/// the pipeline reports [`min_ess_bulk`] and [`min_ess_tail`].
-///
-/// Returns `NaN` for a zero-dimension chain: there is no coordinate to
-/// measure, and the `+∞` a bare min-fold would produce reads downstream
-/// as "perfectly mixed".
-pub fn min_ess(chain: &Chain) -> f64 {
-    if chain.dim() == 0 {
-        return f64::NAN;
-    }
-    let mut buf = Vec::with_capacity(chain.len());
-    (0..chain.dim())
-        .map(|i| {
-            chain.copy_column(i, &mut buf);
-            effective_sample_size(&buf)
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
 /// Split-R̂ for one coordinate across multiple chains: each chain is cut
 /// in half and the Gelman–Rubin statistic computed over the 2m half
 /// chains. Values near 1 indicate convergence; > 1.05 is suspect.
 ///
-/// The classic statistic is kept for the live per-chain progress
-/// snapshots (through [`max_r_hat`]) and for e2ebench's traced replay;
-/// the pipeline itself reports the rank-normalized [`coordinate`]
-/// statistics.
+/// The classic statistic is kept only for e2ebench's traced replay
+/// (through [`max_r_hat`]); the pipeline and its live progress report
+/// the rank-normalized [`coordinate`] statistics.
 pub fn split_r_hat(chains: &[Chain], coord: usize) -> f64 {
     let cols: Vec<Vec<f64>> = chains
         .iter()
@@ -162,21 +141,25 @@ fn split_halves(cols: &[Vec<f64>]) -> Option<Vec<&[f64]>> {
     )
 }
 
-/// The normal score of every value across `seqs`, in the shape of
-/// `seqs`, and the pooled values sorted by `total_cmp`. A value's score
-/// is its pooled average-tie rank `r` mapped through
-/// `Φ⁻¹((r − 3/8)/(N + 1/4))` (Blom's offset, as in Vehtari et al.
-/// 2021). `NaN` values keep their `NaN`; infinities are tamed to finite
-/// scores by construction.
-fn rank_normalize<S: AsRef<[f64]>>(seqs: &[S]) -> (Vec<Vec<f64>>, Vec<f64>) {
-    // Each value with its flat position; equal keys under `total_cmp`
-    // are bit-identical, so an unstable sort yields the same pool.
+/// Every value across `seqs` with its flat position (its index in their
+/// concatenation), sorted by `total_cmp`. Equal keys under `total_cmp`
+/// are bit-identical, so an unstable sort yields the same pool.
+fn ranked<S: AsRef<[f64]>>(seqs: &[S]) -> Vec<(f64, u32)> {
     let mut pool: Vec<(f64, u32)> = seqs
         .iter()
         .flat_map(|s| s.as_ref().iter().copied())
         .zip(0..)
         .collect();
     pool.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    pool
+}
+
+/// The normal score of every value of a [`ranked`] pool, by flat
+/// position. A value's score is its pooled average-tie rank `r` mapped
+/// through `Φ⁻¹((r − 3/8)/(N + 1/4))` (Blom's offset, as in Vehtari et
+/// al. 2021). `NaN` values keep their `NaN`; infinities are tamed to
+/// finite scores by construction.
+fn normal_scores(pool: &[(f64, u32)]) -> Vec<f64> {
     let n_total = pool.len();
     let denom = n_total as f64 + 0.25;
     let mut flat = vec![0.0; n_total];
@@ -198,36 +181,64 @@ fn rank_normalize<S: AsRef<[f64]>>(seqs: &[S]) -> (Vec<Vec<f64>>, Vec<f64>) {
         }
         s = e;
     }
-    let mut rest = flat.as_slice();
-    let scores = seqs
-        .iter()
-        .map(|seq| {
-            let (head, tail) = rest.split_at(seq.as_ref().len());
-            rest = tail;
-            head.to_vec()
-        })
-        .collect();
-    (scores, pool.into_iter().map(|(v, _)| v).collect())
+    flat
 }
 
-/// Median of values sorted by `total_cmp`.
-fn median(sorted: &[f64]) -> f64 {
+/// `flat` cut into the lengths of `seqs`.
+fn shape<'a, S: AsRef<[f64]>>(mut flat: &'a [f64], seqs: &[S]) -> Vec<&'a [f64]> {
+    seqs.iter()
+        .map(|seq| {
+            let (head, tail) = flat.split_at(seq.as_ref().len());
+            flat = tail;
+            head
+        })
+        .collect()
+}
+
+/// The [`ranked`] pool of `|x − med|` over a ranked `pool`, built by
+/// merging the values below `med` (read backwards) with the rest: both
+/// runs are already in order, so no sort is needed. With a `NaN` value
+/// or an infinite `med`, where that order breaks, it sorts instead.
+fn folded(pool: &[(f64, u32)], med: f64) -> Vec<(f64, u32)> {
+    let fold = |&(x, at): &(f64, u32)| ((x - med).abs(), at);
+    let has_nan = |p: Option<&(f64, u32)>| p.is_some_and(|p| p.0.is_nan());
+    if !med.is_finite() || has_nan(pool.first()) || has_nan(pool.last()) {
+        let mut out: Vec<(f64, u32)> = pool.iter().map(fold).collect();
+        out.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        return out;
+    }
+    let split = pool.partition_point(|p| p.0 < med);
+    let mut below = pool[..split].iter().rev().map(fold).peekable();
+    let mut above = pool[split..].iter().map(fold).peekable();
+    let mut out = Vec::with_capacity(pool.len());
+    while let Some(next) = match (below.peek(), above.peek()) {
+        (Some(b), Some(a)) if a.0 < b.0 => above.next(),
+        (Some(_), _) => below.next(),
+        (None, _) => above.next(),
+    } {
+        out.push(next);
+    }
+    out
+}
+
+/// Median of a [`ranked`] pool.
+fn median(sorted: &[(f64, u32)]) -> f64 {
     let n = sorted.len();
     if n % 2 == 1 {
-        sorted[n / 2]
+        sorted[n / 2].0
     } else {
-        0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
+        0.5 * (sorted[n / 2 - 1].0 + sorted[n / 2].0)
     }
 }
 
-/// Empirical quantile of values sorted by `total_cmp` (linear
-/// interpolation between order statistics).
-fn quantile(sorted: &[f64], q: f64) -> f64 {
+/// Empirical quantile of a [`ranked`] pool (linear interpolation between
+/// order statistics).
+fn quantile(sorted: &[(f64, u32)], q: f64) -> f64 {
     let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
+    sorted[lo].0 + (sorted[hi].0 - sorted[lo].0) * frac
 }
 
 /// The rank-normalized diagnostics of one coordinate (Vehtari et al.
@@ -256,38 +267,44 @@ pub struct CoordDiagnostics {
 }
 
 /// Rank-R̂, bulk ESS and tail ESS of coordinate `coord` in one pass:
-/// each chain's column is extracted once, and three rankings serve all
-/// three statistics. Ranking the split halves gives bulk R̂ and the
-/// pooled median the folded halves are taken about; ranking the folded
-/// halves gives folded R̂; ranking the full columns gives bulk ESS and,
-/// from the same sorted pool, the tail cut points.
+/// each chain's column is extracted once, and one sort serves all three
+/// statistics. Ranking the full columns gives bulk ESS and the tail cut
+/// points. Ranking the split halves gives bulk R̂ and the pooled median
+/// the folded halves are taken about; when every column has one even
+/// length, the halves are the columns cut in two, so the columns'
+/// ranking serves them. The folded halves' ranking is merged from the
+/// halves', and gives folded R̂.
 pub fn coordinate(chains: &[Chain], coord: usize) -> CoordDiagnostics {
     let cols: Vec<Vec<f64>> = chains
         .iter()
         .filter(|c| !c.is_empty() && coord < c.dim())
         .map(|c| c.column(coord))
         .collect();
-    let rank_r_hat = split_halves(&cols).map_or(f64::NAN, |halves| {
-        let (bulk, sorted) = rank_normalize(&halves);
-        let med = median(&sorted);
-        let folded: Vec<Vec<f64>> = halves
-            .iter()
-            .map(|h| h.iter().map(|&x| (x - med).abs()).collect())
-            .collect();
-        let bulk = gelman_rubin_halves(&bulk);
-        let fold = gelman_rubin_halves(&rank_normalize(&folded).0);
-        nan_max(bulk, fold)
-    });
     if cols.is_empty() {
         return CoordDiagnostics {
-            rank_r_hat,
+            rank_r_hat: f64::NAN,
             ess_bulk: f64::NAN,
             ess_tail: f64::NAN,
         };
     }
-    let (scores, sorted) = rank_normalize(&cols);
-    let ess_bulk = scores.iter().map(|c| effective_sample_size(c)).sum();
-    let (q05, q95) = (quantile(&sorted, 0.05), quantile(&sorted, 0.95));
+    let pool = ranked(&cols);
+    let scores = normal_scores(&pool);
+    let rank_r_hat = split_halves(&cols).map_or(f64::NAN, |halves| {
+        let covers = halves.iter().map(|h| h.len()).sum::<usize>() == pool.len();
+        let own_pool = (!covers).then(|| ranked(&halves));
+        let half_pool = own_pool.as_ref().unwrap_or(&pool);
+        let own_scores = (!covers).then(|| normal_scores(half_pool));
+        let half_scores = own_scores.as_ref().unwrap_or(&scores);
+        let fold_scores = normal_scores(&folded(half_pool, median(half_pool)));
+        let bulk = gelman_rubin_halves(&shape(half_scores, &halves));
+        let fold = gelman_rubin_halves(&shape(&fold_scores, &halves));
+        nan_max(bulk, fold)
+    });
+    let ess_bulk = shape(&scores, &cols)
+        .iter()
+        .map(|c| effective_sample_size(c))
+        .sum();
+    let (q05, q95) = (quantile(&pool, 0.05), quantile(&pool, 0.95));
     let indicator_ess = |hit: &dyn Fn(f64) -> bool| -> f64 {
         cols.iter()
             .map(|c| {
@@ -344,7 +361,8 @@ pub fn max_rank_r_hat(chains: &[Chain]) -> f64 {
 }
 
 /// Smallest bulk ESS across all coordinates (`NaN` for no draws or a
-/// zero-dimension chain, mirroring [`min_ess`]).
+/// zero-dimension chain: the `+∞` a bare min-fold would produce reads
+/// downstream as "perfectly mixed").
 pub fn min_ess_bulk(chains: &[Chain]) -> f64 {
     fold_coordinates(chains, |c| c.ess_bulk, nan_min)
 }
@@ -393,8 +411,8 @@ pub fn e_bfmi(energies: &[f64]) -> f64 {
     num / denom
 }
 
-/// Worst split-R̂ over all coordinates: the per-chain progress
-/// snapshots' R̂ and e2ebench's traced `max_r_hat` (see [`split_r_hat`]).
+/// Worst split-R̂ over all coordinates, kept only for e2ebench's traced
+/// `max_r_hat` (see [`split_r_hat`]).
 ///
 /// Returns `NaN` when there are no chains, the chains have no
 /// coordinates, or every per-coordinate R̂ is itself `NaN` (all chains
@@ -606,9 +624,9 @@ mod tests {
     }
 
     #[test]
-    fn min_ess_zero_dim_chain_is_nan() {
+    fn min_ess_bulk_zero_dim_chain_is_nan() {
         let c = chain_of(vec![vec![]; 10]);
-        assert!(min_ess(&c).is_nan());
+        assert!(min_ess_bulk(&[c]).is_nan());
     }
 
     #[test]
@@ -782,10 +800,14 @@ mod tests {
     }
 
     #[test]
-    fn rank_normalize_handles_ties_and_order() {
+    fn normal_scores_handle_ties_and_order() {
         // Ties share the average rank; output is monotone in the input.
-        let (seqs, sorted) = rank_normalize(&[vec![2.0, 1.0, 2.0], vec![3.0, 1.0]]);
+        let seqs = [vec![2.0, 1.0, 2.0], vec![3.0, 1.0]];
+        let pool = ranked(&seqs);
+        let sorted: Vec<f64> = pool.iter().map(|p| p.0).collect();
         assert_eq!(sorted, vec![1.0, 1.0, 2.0, 2.0, 3.0]);
+        let flat = normal_scores(&pool);
+        let seqs = shape(&flat, &seqs);
         // Values 1.0 (ranks 1,2 → 1.5), 2.0 (ranks 3,4 → 3.5), 3.0 (rank 5).
         let z = |r: f64| inv_normal_cdf((r - 0.375) / 5.25);
         assert_eq!(seqs[0], vec![z(3.5), z(1.5), z(3.5)]);
@@ -794,7 +816,34 @@ mod tests {
     }
 
     #[test]
-    fn min_ess_takes_worst_coordinate() {
+    fn folded_pool_is_the_sorted_pool_of_distances() {
+        let mut rng = SimRng::new(9);
+        // Ties, both signs, and values equal to the median.
+        let values: Vec<f64> = (0..301)
+            .map(|_| (rng.gaussian() * 4.0).round() / 2.0)
+            .collect();
+        let check = |values: &[f64]| {
+            let pool = ranked(&[values]);
+            let med = median(&pool);
+            let mut want: Vec<(f64, u32)> =
+                pool.iter().map(|&(x, at)| ((x - med).abs(), at)).collect();
+            want.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            let got = folded(&pool, med);
+            let bits = |p: &[(f64, u32)]| p.iter().map(|q| q.0.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want));
+            for &(f, at) in &got {
+                assert_eq!(f.to_bits(), (values[at as usize] - med).abs().to_bits());
+            }
+        };
+        check(&values);
+        // A NaN breaks the merge order; the sort takes over.
+        let mut with_nan = values.clone();
+        with_nan[7] = f64::NAN;
+        check(&with_nan);
+    }
+
+    #[test]
+    fn min_ess_bulk_takes_worst_coordinate() {
         let mut rng = SimRng::new(5);
         let mut x = 0.0;
         let samples: Vec<Vec<f64>> = (0..2000)
@@ -803,9 +852,9 @@ mod tests {
                 vec![rng.gaussian(), x] // coord 0 iid, coord 1 sticky
             })
             .collect();
-        let c = chain_of(samples);
-        let worst = min_ess(&c);
-        let ess0 = effective_sample_size(&c.column(0));
+        let c = vec![chain_of(samples)];
+        let worst = min_ess_bulk(&c);
+        let ess0 = coordinate(&c, 0).ess_bulk;
         assert!(worst < ess0 / 3.0, "worst={worst} ess0={ess0}");
     }
 }

@@ -65,9 +65,7 @@ pub use checkpoint::{CheckpointError, Checkpointable};
 pub use likelihood::LogLikelihood;
 pub use model::{NodeId, PathData, PathObservation, PathRef};
 pub use prior::Prior;
-pub use progress::{
-    ChainPhase, NoProgress, ProgressObserver, ProgressSnapshot, StderrTicker, TraceProgress,
-};
+pub use progress::{ChainPhase, LiveProgress, NoProgress, ProgressObserver};
 pub use summary::Marginal;
 pub use supervisor::{
     run_chains_supervised, ChainOutcome, SupervisedRun, SupervisorConfig, KILL_EXIT_CODE,

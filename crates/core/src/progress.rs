@@ -1,28 +1,29 @@
-//! Streaming sampler diagnostics: the [`ProgressObserver`] hook on the
-//! chain driver.
+//! Live sampler progress: the [`ProgressObserver`] hook on the chain
+//! driver and [`LiveProgress`], the one observer the pipeline runs.
 //!
-//! The chain loop calls the observer every `k` iterations with a
-//! [`ProgressSnapshot`] — running accept rate, Welford online means, and
-//! an incremental split-R̂ / min-ESS estimate over the draws collected so
-//! far (reusing the capped estimators in [`crate::diagnostics`]) — and
+//! Every `every()` iterations, and at the last retained draw, the chain
+//! loop fills one [`ChainProgress`] record (the type the [`obs::serve`]
+//! table stores): running accept rate, divergences, and during sampling
+//! the worst rank-R̂ and smallest bulk ESS of that chain alone, from the
+//! same [`crate::diagnostics::coordinate`] pass the run report uses. It
 //! brackets each phase with `begin_phase`/`end_phase`, also when a chain
 //! stops early. Observers are handed to
-//! [`crate::supervisor::run_chains_supervised`]. Three ship with the
-//! crate:
+//! [`crate::supervisor::run_chains_supervised`].
 //!
-//! * [`StderrTicker`] — one line per snapshot on stderr, the
-//!   `--progress [every-n]` flag of the experiment binaries;
-//! * [`TraceProgress`] — records the same snapshots as wall-clock
-//!   counter events in an owned [`obs::TraceBuffer`], one lane per
-//!   chain, for the Chrome-trace export;
-//! * [`ServeProgress`] — publishes the same snapshots to the
-//!   process-global [`obs::serve`] endpoint (the `--serve <addr>` flag),
-//!   feeding the live per-chain `/progress` table and the labelled
-//!   `/metrics` rendered from it.
+//! [`LiveProgress`] sends each record to up to three outputs at one
+//! cadence: a stderr line (`--progress [every-n]`), counter events on the
+//! chain's trace lane (`--trace`, `--dash`), and the chain's row of the
+//! installed serve table behind `/progress` and `/metrics` (`--serve`).
 //!
-//! The unobserved path uses [`NoProgress`], whose `every()` of 0 lets
-//! the loop skip every per-iteration check after one branch, so the
-//! monomorphised loop is the bare one.
+//! The unobserved path uses an `every()` of 0 ([`NoProgress`], or a
+//! [`LiveProgress`] with no output on), which lets the loop skip every
+//! per-iteration check after one branch, so the monomorphised loop is
+//! the bare one.
+
+use std::sync::Arc;
+use std::time::Instant;
+
+use obs::serve::{ChainProgress, ServeState};
 
 use crate::chain::SamplerKind;
 
@@ -36,7 +37,7 @@ pub enum ChainPhase {
 }
 
 impl ChainPhase {
-    /// Short label for tickers and trace events.
+    /// Short label for tickers, trace events and [`ChainProgress::phase`].
     pub fn name(self) -> &'static str {
         match self {
             ChainPhase::Warmup => "warmup",
@@ -45,46 +46,15 @@ impl ChainPhase {
     }
 }
 
-/// One per-k-iteration observation of a running chain.
-///
-/// During warmup only the kernel statistics are live; `means` is empty
-/// and the convergence estimates are `NaN` (warmup draws are discarded,
-/// so there is nothing to diagnose yet).
-#[derive(Debug)]
-pub struct ProgressSnapshot<'a> {
-    /// Which chain (the index `k` of its multi-chain run).
-    pub chain_index: usize,
-    /// Which kernel is running.
-    pub kind: SamplerKind,
-    /// Warmup or sampling.
-    pub phase: ChainPhase,
-    /// Iterations completed in this phase (retained draws during
-    /// sampling).
-    pub iteration: usize,
-    /// Total iterations this phase will run.
-    pub total: usize,
-    /// Running acceptance rate of the kernel.
-    pub accept_rate: f64,
-    /// Divergent trajectories so far (HMC).
-    pub divergences: u64,
-    /// Welford online mean per coordinate over retained draws.
-    pub means: &'a [f64],
-    /// Incremental split-R̂ over this chain's halves so far (worst
-    /// coordinate; `NaN` until enough draws).
-    pub split_r_hat: f64,
-    /// Incremental min-ESS over this chain's draws so far (`NaN` during
-    /// warmup).
-    pub min_ess: f64,
-}
-
 /// Observer hook for the chain loop (see the module docs).
 pub trait ProgressObserver {
     /// Snapshot cadence in iterations; `0` disables observation (the
     /// driver then skips all snapshot bookkeeping).
     fn every(&self) -> usize;
 
-    /// Called every [`Self::every`] iterations.
-    fn observe(&mut self, snap: &ProgressSnapshot);
+    /// Called every [`Self::every`] iterations and at the last retained
+    /// draw.
+    fn observe(&mut self, snap: &ChainProgress);
 
     /// A phase (warmup/sampling) is starting on `chain_index`.
     fn begin_phase(&mut self, chain_index: usize, kind: SamplerKind, phase: ChainPhase) {
@@ -114,192 +84,103 @@ impl ProgressObserver for NoProgress {
     fn every(&self) -> usize {
         0
     }
-    fn observe(&mut self, _snap: &ProgressSnapshot) {}
+    fn observe(&mut self, _snap: &ChainProgress) {}
 }
 
-/// Prints one stderr line per snapshot — the `--progress` ticker.
-#[derive(Clone, Copy, Debug)]
-pub struct StderrTicker {
-    every: usize,
-}
+/// The cadence of the trace and serve outputs when no stderr cadence
+/// is set.
+const DEFAULT_EVERY: usize = 50;
 
-impl StderrTicker {
-    /// A ticker firing every `every` iterations (`every >= 1`).
-    pub fn new(every: usize) -> StderrTicker {
-        StderrTicker {
-            every: every.max(1),
-        }
-    }
-}
+/// Events one chain's trace lane holds before the oldest are dropped.
+pub(crate) const TRACE_CAPACITY: usize = 2048;
 
-impl ProgressObserver for StderrTicker {
-    fn every(&self) -> usize {
-        self.every
-    }
-
-    fn observe(&mut self, s: &ProgressSnapshot) {
-        match s.phase {
-            ChainPhase::Warmup => eprintln!(
-                "progress {} chain {} {} {}/{} accept={:.3}",
-                s.kind.name(),
-                s.chain_index,
-                s.phase.name(),
-                s.iteration,
-                s.total,
-                s.accept_rate,
-            ),
-            ChainPhase::Sampling => eprintln!(
-                "progress {} chain {} {} {}/{} accept={:.3} Rhat={:.3} minESS={:.1} div={}",
-                s.kind.name(),
-                s.chain_index,
-                s.phase.name(),
-                s.iteration,
-                s.total,
-                s.accept_rate,
-                s.split_r_hat,
-                s.min_ess,
-                s.divergences,
-            ),
-        }
-    }
-}
-
-/// Records snapshots as wall-clock trace events in an owned buffer.
+/// One chain's live view: the stderr line, its trace lane and its serve
+/// row, each optional, at one cadence.
 ///
-/// Each chain gets one lane (`Lane(chain_index)`), named on the first
-/// phase boundary (`"MH chain 0"`). Phases become spans; snapshots
-/// become counter samples (`accept_rate`, `split_r_hat`, `min_ess`,
-/// `divergences`, and `mean0` — the first coordinate's running mean).
-#[derive(Debug)]
-pub struct TraceProgress {
+/// On the trace lane, phases become wall-clock spans and snapshots
+/// counter samples (`accept_rate`, `max_rank_r_hat` and `min_ess_bulk`
+/// while sampling, and `divergences` once there are any). The serve row
+/// is flipped to `"done"` when sampling closes or the chain stops early.
+/// Observation never touches the RNG.
+pub struct LiveProgress {
     every: usize,
-    lane_base: u64,
-    buf: obs::TraceBuffer,
+    stderr: bool,
+    trace: Option<(obs::Lane, obs::TraceBuffer)>,
+    serve: Option<&'static Arc<ServeState>>,
 }
 
-impl TraceProgress {
-    /// An observer sampling every `every` iterations into a buffer of
-    /// `cap` events with the given wall-clock epoch (share one epoch
-    /// across chains so merged stamps are comparable). `lane_base`
-    /// offsets the chain lanes so several kernels' buffers can merge
-    /// without colliding (e.g. MH at 0, HMC at `n_chains`).
-    pub fn new(
-        every: usize,
-        cap: usize,
-        epoch: std::time::Instant,
-        lane_base: u64,
-    ) -> TraceProgress {
-        TraceProgress {
-            every: every.max(1),
-            lane_base,
-            buf: obs::TraceBuffer::with_epoch(cap, epoch),
+impl LiveProgress {
+    /// A chain's observer: the stderr line every `progress_every`
+    /// iterations when that is non-zero, a trace lane when `trace` names
+    /// one (with the wall-clock epoch shared by the run's chains, so
+    /// merged stamps compare), and the serve row when an
+    /// [`obs::serve::install`] happened in this process. The trace and
+    /// serve outputs follow the stderr cadence, or every 50 iterations
+    /// without one; with no output on, `every()` is 0.
+    pub fn new(progress_every: usize, trace: Option<(obs::Lane, Instant)>) -> LiveProgress {
+        let serve = obs::serve::installed();
+        let on = progress_every > 0 || trace.is_some() || serve.is_some();
+        LiveProgress {
+            every: match progress_every {
+                0 if on => DEFAULT_EVERY,
+                n => n,
+            },
+            stderr: progress_every > 0,
+            trace: trace
+                .map(|(lane, epoch)| (lane, obs::TraceBuffer::with_epoch(TRACE_CAPACITY, epoch))),
+            serve,
         }
     }
 
-    fn lane(&self, chain_index: usize) -> obs::Lane {
-        obs::Lane(self.lane_base + chain_index as u64)
-    }
-
-    /// The recorded buffer.
-    pub fn into_buffer(self) -> obs::TraceBuffer {
-        self.buf
+    /// The recorded trace lane, when one was asked for.
+    pub fn into_trace(self) -> Option<obs::TraceBuffer> {
+        self.trace.map(|(_, buf)| buf)
     }
 }
 
-impl ProgressObserver for TraceProgress {
+impl ProgressObserver for LiveProgress {
     fn every(&self) -> usize {
         self.every
     }
 
-    fn observe(&mut self, s: &ProgressSnapshot) {
-        let lane = self.lane(s.chain_index);
-        self.buf.counter_wall("accept_rate", lane, s.accept_rate);
-        if s.phase == ChainPhase::Sampling {
-            self.buf.counter_wall("split_r_hat", lane, s.split_r_hat);
-            self.buf.counter_wall("min_ess", lane, s.min_ess);
-            if let Some(&m) = s.means.first() {
-                self.buf.counter_wall("mean0", lane, m);
+    fn observe(&mut self, s: &ChainProgress) {
+        let sampling = s.phase == ChainPhase::Sampling.name();
+        if self.stderr {
+            let head = format!(
+                "progress {} chain {} {} {}/{} accept={:.3}",
+                s.kernel, s.chain_index, s.phase, s.iteration, s.total, s.accept_rate
+            );
+            if sampling {
+                eprintln!(
+                    "{head} rankRhat={:.3} essBulk={:.1} div={}",
+                    s.max_rank_r_hat, s.min_ess_bulk, s.divergences
+                );
+            } else {
+                eprintln!("{head}");
             }
         }
-        if s.divergences > 0 {
-            self.buf
-                .counter_wall("divergences", lane, s.divergences as f64);
+        if let Some((lane, buf)) = &mut self.trace {
+            buf.counter_wall("accept_rate", *lane, s.accept_rate);
+            if sampling {
+                buf.counter_wall("max_rank_r_hat", *lane, s.max_rank_r_hat);
+                buf.counter_wall("min_ess_bulk", *lane, s.min_ess_bulk);
+            }
+            if s.divergences > 0 {
+                buf.counter_wall("divergences", *lane, s.divergences as f64);
+            }
+        }
+        if let Some(state) = self.serve {
+            state.record_progress(*s);
         }
     }
 
     fn begin_phase(&mut self, chain_index: usize, kind: SamplerKind, phase: ChainPhase) {
-        let lane = self.lane(chain_index);
-        if phase == ChainPhase::Warmup {
-            self.buf
-                .set_lane_name(lane, &format!("{} chain {chain_index}", kind.name()));
+        if let Some((lane, buf)) = &mut self.trace {
+            if phase == ChainPhase::Warmup {
+                buf.set_lane_name(*lane, &format!("{} chain {chain_index}", kind.name()));
+            }
+            buf.begin_wall(phase.name(), *lane);
         }
-        self.buf.begin_wall(phase.name(), lane);
-    }
-
-    fn end_phase(
-        &mut self,
-        chain_index: usize,
-        _kind: SamplerKind,
-        phase: ChainPhase,
-        _iteration: usize,
-        _total: usize,
-    ) {
-        let lane = self.lane(chain_index);
-        self.buf.end_wall(phase.name(), lane);
-    }
-}
-
-/// Publishes snapshots to the process-global [`obs::serve`] endpoint:
-/// each one replaces this chain's row of the per-chain table that
-/// `/progress` serves and `/metrics` renders (`repro_draws`, and the
-/// `{kernel,chain}`-labelled `repro_accept_rate`, `repro_split_r_hat`,
-/// …).
-///
-/// Observation never touches the RNG, and when no endpoint is installed
-/// [`ServeProgress::installed`] returns `None` — the driver then runs
-/// the unobserved (zero-cost) path.
-pub struct ServeProgress {
-    every: usize,
-    state: &'static std::sync::Arc<obs::serve::ServeState>,
-}
-
-impl std::fmt::Debug for ServeProgress {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeProgress")
-            .field("every", &self.every)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ServeProgress {
-    /// An observer posting every `every` iterations to the installed
-    /// endpoint, or `None` when no [`obs::serve::install`] happened in
-    /// this process.
-    pub fn installed(every: usize) -> Option<ServeProgress> {
-        obs::serve::installed().map(|state| ServeProgress {
-            every: every.max(1),
-            state,
-        })
-    }
-}
-
-impl ProgressObserver for ServeProgress {
-    fn every(&self) -> usize {
-        self.every
-    }
-
-    fn observe(&mut self, s: &ProgressSnapshot) {
-        self.state.record_progress(obs::serve::ChainProgress {
-            kernel: s.kind.name(),
-            chain_index: s.chain_index,
-            phase: s.phase.name(),
-            iteration: s.iteration,
-            total: s.total,
-            accept_rate: s.accept_rate,
-            divergences: s.divergences,
-            split_r_hat: s.split_r_hat,
-            min_ess: s.min_ess,
-        });
     }
 
     fn end_phase(
@@ -310,11 +191,16 @@ impl ProgressObserver for ServeProgress {
         iteration: usize,
         total: usize,
     ) {
+        if let Some((lane, buf)) = &mut self.trace {
+            buf.end_wall(phase.name(), *lane);
+        }
         // Flip the chain's `/progress` row to "done" when sampling closes
         // or the chain stops early, so it is not reported mid-flight
         // forever; only the draws actually taken are credited.
-        if phase == ChainPhase::Sampling || iteration < total {
-            self.state.mark_done(kind.name(), chain_index, iteration);
+        if let Some(state) = self.serve {
+            if phase == ChainPhase::Sampling || iteration < total {
+                state.mark_done(kind.name(), chain_index, iteration);
+            }
         }
     }
 }
@@ -324,49 +210,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn no_progress_is_disabled() {
+    fn no_output_means_no_observation() {
         assert_eq!(NoProgress.every(), 0);
+        // No serve state is ever installed in this test binary.
+        assert_eq!(LiveProgress::new(0, None).every(), 0);
+        assert_eq!(LiveProgress::new(7, None).every(), 7);
+        let lane = Some((obs::Lane(0), Instant::now()));
+        assert_eq!(LiveProgress::new(0, lane).every(), DEFAULT_EVERY);
     }
 
     #[test]
-    fn ticker_clamps_cadence() {
-        assert_eq!(StderrTicker::new(0).every(), 1);
-        assert_eq!(StderrTicker::new(50).every(), 50);
-    }
-
-    #[test]
-    fn trace_progress_records_lanes_phases_and_counters() {
-        let mut tp = TraceProgress::new(10, 256, std::time::Instant::now(), 0);
-        tp.begin_phase(2, SamplerKind::Hmc, ChainPhase::Warmup);
-        tp.observe(&ProgressSnapshot {
+    fn live_progress_records_lanes_phases_and_counters() {
+        let mut live = LiveProgress::new(0, Some((obs::Lane(2), Instant::now())));
+        let snap = |phase: ChainPhase, accept_rate, divergences, diag| ChainProgress {
+            kernel: "HMC",
             chain_index: 2,
-            kind: SamplerKind::Hmc,
-            phase: ChainPhase::Warmup,
+            phase: phase.name(),
             iteration: 10,
             total: 100,
-            accept_rate: 0.8,
-            divergences: 1,
-            means: &[],
-            split_r_hat: f64::NAN,
-            min_ess: f64::NAN,
-        });
-        tp.end_phase(2, SamplerKind::Hmc, ChainPhase::Warmup, 100, 100);
-        tp.begin_phase(2, SamplerKind::Hmc, ChainPhase::Sampling);
-        tp.observe(&ProgressSnapshot {
-            chain_index: 2,
-            kind: SamplerKind::Hmc,
-            phase: ChainPhase::Sampling,
-            iteration: 10,
-            total: 100,
-            accept_rate: 0.7,
-            divergences: 0,
-            means: &[0.25, 0.5],
-            split_r_hat: 1.01,
-            min_ess: 42.0,
-        });
-        tp.end_phase(2, SamplerKind::Hmc, ChainPhase::Sampling, 100, 100);
+            accept_rate,
+            divergences,
+            max_rank_r_hat: diag,
+            min_ess_bulk: diag,
+        };
+        live.begin_phase(2, SamplerKind::Hmc, ChainPhase::Warmup);
+        live.observe(&snap(ChainPhase::Warmup, 0.8, 1, f64::NAN));
+        live.end_phase(2, SamplerKind::Hmc, ChainPhase::Warmup, 100, 100);
+        live.begin_phase(2, SamplerKind::Hmc, ChainPhase::Sampling);
+        live.observe(&snap(ChainPhase::Sampling, 0.7, 0, 1.01));
+        live.end_phase(2, SamplerKind::Hmc, ChainPhase::Sampling, 100, 100);
 
-        let buf = tp.into_buffer();
+        let buf = live.into_trace().expect("a lane was asked for");
         assert_eq!(buf.lane_name(obs::Lane(2)), Some("HMC chain 2"));
         let count = |name: &str, kind: obs::TraceKind| {
             buf.events()
@@ -378,8 +252,8 @@ mod tests {
         assert_eq!(count("sampling", obs::TraceKind::Begin), 1);
         assert_eq!(count("sampling", obs::TraceKind::End), 1);
         assert_eq!(count("accept_rate", obs::TraceKind::Counter), 2);
-        assert_eq!(count("split_r_hat", obs::TraceKind::Counter), 1);
-        assert_eq!(count("mean0", obs::TraceKind::Counter), 1);
+        assert_eq!(count("max_rank_r_hat", obs::TraceKind::Counter), 1);
+        assert_eq!(count("min_ess_bulk", obs::TraceKind::Counter), 1);
         assert_eq!(count("divergences", obs::TraceKind::Counter), 1);
         // All wall-stamped.
         assert!(buf

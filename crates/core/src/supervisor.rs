@@ -517,8 +517,8 @@ mod tests {
         let sampling = c
             .snaps
             .iter()
-            .filter(|s| s.0 == ChainPhase::Sampling)
-            .map(|s| s.1)
+            .filter(|s| s.phase == "sampling")
+            .map(|s| s.iteration)
             .chain(
                 c.phases
                     .iter()
@@ -600,8 +600,8 @@ mod tests {
     }
 
     /// Stop two chains of `make` at draw 25, resume them, and compare
-    /// each against the same chain run uninterrupted: draws, counters and
-    /// per-draw metadata.
+    /// each against the same chain run uninterrupted: draws, counters,
+    /// per-draw metadata and the snapshot records after the resume.
     fn assert_interrupt_then_resume_is_bitwise_identical<S, F>(make: F, tag: &str)
     where
         S: Checkpointable + Send,
@@ -649,9 +649,11 @@ mod tests {
         assert_eq!(second.resumed_chains(), 2);
         let (done, failed) = second.into_parts();
         assert!(failed.is_empty(), "failures: {failed:?}");
-        for (k, chain, observer) in &done {
-            let mut r = rng.split_index("chain", *k as u64);
-            let u = run_chain(make(*k, &mut r), &cfg, &mut r);
+        let plain = SupervisorConfig::default();
+        let (uninterrupted, _) =
+            run_chains_supervised(&make, |_| Collector::every(10), 2, &cfg, &rng, &plain, tag)
+                .into_parts();
+        for ((k, chain, observer), (_, u, u_observer)) in done.iter().zip(&uninterrupted) {
             assert_eq!(
                 chain.flat(),
                 u.flat(),
@@ -667,11 +669,12 @@ mod tests {
             let bits = |c: &Chain| c.energies().iter().map(|e| e.to_bits()).collect::<Vec<_>>();
             assert_eq!(
                 bits(chain),
-                bits(&u),
+                bits(u),
                 "resumed {tag} chain {k} energies differ"
             );
             assert_eq!(chain.divergent_draws(), u.divergent_draws());
-            // A resumed chain skips warmup and samples from draw 25 on.
+            // A resumed chain skips warmup and samples from draw 25 on,
+            // reporting what the uninterrupted chain reports from there.
             let observer = observer.as_ref().unwrap();
             assert_eq!(
                 observer.phases,
@@ -679,6 +682,19 @@ mod tests {
                     (ChainPhase::Sampling, None),
                     (ChainPhase::Sampling, Some(70))
                 ]
+            );
+            let after_resume: Vec<_> = u_observer
+                .as_ref()
+                .unwrap()
+                .snaps
+                .iter()
+                .filter(|s| s.phase == "sampling" && s.iteration > 25)
+                .copied()
+                .collect();
+            assert_eq!(after_resume.len(), 5);
+            assert_eq!(
+                observer.snaps, after_resume,
+                "resumed {tag} chain {k} snapshots differ"
             );
             assert_eq!(chain.warmup_secs, 0.0);
         }

@@ -7,8 +7,8 @@
 //! (rank-normalized split-R̂ and bulk/tail ESS, read from the rows
 //! [`Analysis`] computed), the per-chain E-BFMI strip, and the
 //! run-summary header. The caller attaches the final [`obs::RunReport`]
-//! and phase spans before writing (see the `Reporter` in the binaries'
-//! `common` module).
+//! and phase spans before writing (see
+//! [`Suite::emit`](crate::suite::Suite::emit)).
 
 use because::diagnostics::CoordDiagnostics;
 use because::{Analysis, Category, Chain, Marginal};
@@ -154,15 +154,16 @@ fn marginal_plot(name: &str, draws: &[f64]) -> MarginalPlot {
 mod tests {
     use super::*;
     use crate::pipeline::{run_campaign, ExperimentConfig};
-    use because::AnalysisConfig;
+    use because::{AnalysisConfig, SupervisorConfig};
     use heuristics::HeuristicConfig;
 
     fn inference() -> crate::InferenceOutput {
         let out = run_campaign(&ExperimentConfig::small(1, 31));
-        crate::infer::infer_becauase_and_heuristics(
+        crate::infer::infer_with_supervision(
             &out,
             &AnalysisConfig::fast(31),
             &HeuristicConfig::default(),
+            &SupervisorConfig::default(),
         )
     }
 

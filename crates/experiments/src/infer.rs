@@ -145,23 +145,10 @@ pub fn path_data(labels: &[LabeledPath], exclude: &[NodeId]) -> PathData {
     PathData::from_observations(&observations, exclude)
 }
 
-/// Run BeCAUSe and the three heuristics on a campaign output.
-pub fn infer_becauase_and_heuristics(
-    output: &CampaignOutput,
-    analysis_config: &AnalysisConfig,
-    heuristic_config: &HeuristicConfig,
-) -> InferenceOutput {
-    infer_with_supervision(
-        output,
-        analysis_config,
-        heuristic_config,
-        &SupervisorConfig::default(),
-    )
-}
-
-/// [`infer_becauase_and_heuristics`] under a chain supervisor:
-/// checkpoint/resume, per-chain panic isolation and a wall-clock
-/// watchdog. The default supervisor reproduces the plain run bitwise.
+/// Run BeCAUSe and the three heuristics on a campaign output, BeCAUSe's
+/// chains under `supervisor`: checkpoint/resume, per-chain panic
+/// isolation and a wall-clock watchdog. The default supervisor
+/// reproduces the unsupervised run bitwise.
 pub fn infer_with_supervision(
     output: &CampaignOutput,
     analysis_config: &AnalysisConfig,
@@ -189,10 +176,11 @@ mod tests {
     #[test]
     fn end_to_end_inference_flags_a_real_damper() {
         let out = run_campaign(&ExperimentConfig::small(1, 21));
-        let inf = infer_becauase_and_heuristics(
+        let inf = infer_with_supervision(
             &out,
             &AnalysisConfig::fast(21),
             &HeuristicConfig::default(),
+            &SupervisorConfig::default(),
         );
         assert!(inf.data.num_paths() > 0);
         let truth = out.deployment.ground_truth();

@@ -35,6 +35,6 @@ pub mod report;
 pub mod suite;
 
 pub use deployment::{AsDeployment, DampMode, Deployment, DeploymentConfig};
-pub use infer::{infer_becauase_and_heuristics, infer_with_supervision, Coverage, InferenceOutput};
+pub use infer::{infer_with_supervision, Coverage, InferenceOutput};
 pub use metrics::{detectable_universe, evaluate_against_oracle, OracleEvaluation};
 pub use pipeline::{run_campaign, CampaignOutput, ExperimentConfig};

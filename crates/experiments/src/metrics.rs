@@ -118,9 +118,9 @@ pub fn evaluate_against_oracle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::infer::infer_becauase_and_heuristics;
+    use crate::infer::infer_with_supervision;
     use crate::pipeline::{run_campaign, ExperimentConfig};
-    use because::AnalysisConfig;
+    use because::{AnalysisConfig, SupervisorConfig};
     use heuristics::HeuristicConfig;
 
     #[test]
@@ -146,10 +146,11 @@ mod tests {
     #[test]
     fn because_evaluation_has_reasonable_quality() {
         let out = run_campaign(&ExperimentConfig::small(1, 33));
-        let inf = infer_becauase_and_heuristics(
+        let inf = infer_with_supervision(
             &out,
             &AnalysisConfig::fast(33),
             &HeuristicConfig::default(),
+            &SupervisorConfig::default(),
         );
         let eval = evaluate_against_oracle(
             &out,

@@ -7,9 +7,11 @@
 //! renders all of them through one (see [`crate::figures`]).
 //!
 //! Two environment variables keep runs scriptable without an
-//! argument-parsing dependency:
+//! argument-parsing dependency ([`Suite::from_env`]; any other value is
+//! a usage error, exit code 2):
 //!
-//! * `REPRO_SEED`  — experiment seed (default 2020, the paper's year);
+//! * `REPRO_SEED`  — experiment seed, a `u64` (default 2020, the
+//!   paper's year);
 //! * `REPRO_SCALE` — `tiny` | `small` | `paper` (default `small`):
 //!   topology size and campaign length. `paper` approaches the real
 //!   study's scale and takes correspondingly longer.
@@ -27,11 +29,14 @@
 //!   per-chain sampler progress, and write a Chrome trace-event file
 //!   (open in Perfetto / `about:tracing`) to `path`;
 //! * `--progress [every-n]` — stream per-chain sampler diagnostics
-//!   (accept rate, incremental split-R̂/min-ESS) to stderr every `n`
-//!   iterations (default 200);
+//!   (accept rate, and while sampling the chain's rank-R̂ and bulk ESS,
+//!   the estimators of the run report) to stderr every `n` iterations
+//!   (default 200) and at each chain's last draw;
 //! * `--serve <addr>` — serve live diagnostics over HTTP while the run
-//!   executes: `GET /metrics` (Prometheus text exposition), `/progress`
-//!   (per-chain table), `/report` (run report JSON so far), `/healthz`.
+//!   executes: `GET /metrics` (Prometheus text exposition, with the
+//!   per-chain `repro_max_rank_r_hat` and `repro_min_ess_bulk` gauges),
+//!   `/progress` (per-chain table), `/report` (run report JSON so far),
+//!   `/healthz`.
 //!   `REPRO_SERVE_LINGER_SECS=<n>` keeps the endpoint up `n` seconds
 //!   after the run finishes, for scrapes;
 //! * `--dash <path>` — write a self-contained HTML diagnostics dashboard
@@ -54,6 +59,7 @@
 //! * `REPRO_KILL_AFTER_DRAWS` — test hook: checkpoint then exit with
 //!   code 86 after N draws, simulating an external kill.
 
+use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
@@ -136,6 +142,40 @@ impl Flags {
     }
 }
 
+/// The run size `REPRO_SCALE` names: topology size, campaign cycles and
+/// chain lengths.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scale {
+    /// The smallest run; the scale of the golden-stdout hashes.
+    Tiny,
+    /// The default, and the scale of `results/`.
+    Small,
+    /// Approaching the study's scale.
+    Paper,
+}
+
+impl Scale {
+    /// The scale called `name`, if any.
+    pub fn parse(name: &str) -> Option<Scale> {
+        match name {
+            "tiny" => Some(Scale::Tiny),
+            "small" => Some(Scale::Small),
+            "paper" => Some(Scale::Paper),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for Scale {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Paper => "paper",
+        })
+    }
+}
+
 /// Scale, seed and flags; the run report, trace and dashboard; and the
 /// shared 1-minute campaign and inference.
 ///
@@ -146,7 +186,7 @@ impl Flags {
 /// streams to `/metrics` while chains run and `/report` tracks each
 /// merge.
 pub struct Suite {
-    scale: String,
+    scale: Scale,
     seed: u64,
     flags: Flags,
     report: obs::RunReport,
@@ -160,7 +200,7 @@ pub struct Suite {
 
 impl Suite {
     /// A suite whose report is called `name`.
-    pub fn new(name: &str, scale: &str, seed: u64, flags: Flags) -> Suite {
+    pub fn new(name: &str, scale: Scale, seed: u64, flags: Flags) -> Suite {
         let server = flags.serve.as_deref().and_then(|addr| {
             let state = obs::serve::install(std::sync::Arc::new(obs::serve::ServeState::new()));
             let server = obs::serve::Server::start(addr, state.clone());
@@ -173,7 +213,7 @@ impl Suite {
         // `--dash` wants the phase-span waterfall from the trace.
         let traced = flags.trace.is_some() || flags.dash.is_some();
         Suite {
-            scale: scale.to_string(),
+            scale,
             seed,
             report: obs::RunReport::new(name),
             started: obs::Stopwatch::start(),
@@ -186,19 +226,38 @@ impl Suite {
         }
     }
 
-    /// [`Suite::new`] at `REPRO_SCALE` and `REPRO_SEED`.
+    /// [`Suite::new`] at `REPRO_SCALE` (default `small`) and
+    /// `REPRO_SEED` (default 2020). A value that does not parse is a
+    /// usage error: report it and exit 2 rather than silently run the
+    /// default.
     pub fn from_env(name: &str, flags: Flags) -> Suite {
-        let scale = std::env::var("REPRO_SCALE").unwrap_or_else(|_| "small".to_string());
-        let seed = std::env::var("REPRO_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(2020);
-        Suite::new(name, &scale, seed, flags)
+        fn var<T>(key: &str, default: T, parse: fn(&str) -> Option<T>, want: &str) -> T {
+            let Some(value) = std::env::var_os(key) else {
+                return default;
+            };
+            value.to_str().and_then(parse).unwrap_or_else(|| {
+                eprintln!("invalid {key}={value:?}: expected {want}");
+                std::process::exit(2);
+            })
+        }
+        let scale = var(
+            "REPRO_SCALE",
+            Scale::Small,
+            Scale::parse,
+            "tiny, small or paper",
+        );
+        let seed = var(
+            "REPRO_SEED",
+            2020,
+            |s| s.parse().ok(),
+            "an unsigned 64-bit seed",
+        );
+        Suite::new(name, scale, seed, flags)
     }
 
-    /// The scale name.
-    pub fn scale(&self) -> &str {
-        &self.scale
+    /// The scale.
+    pub fn scale(&self) -> Scale {
+        self.scale
     }
 
     /// The experiment seed.
@@ -223,10 +282,10 @@ impl Suite {
 
     /// Topology for the scale.
     pub(crate) fn topology_config(&self) -> TopologyConfig {
-        let (n_tier1, n_transit, n_stub, n_vantage_points) = match self.scale.as_str() {
-            "tiny" => return TopologyConfig::tiny(self.seed),
-            "paper" => (8, 150, 500, 80),
-            _ => (6, 60, 150, 40),
+        let (n_tier1, n_transit, n_stub, n_vantage_points) = match self.scale {
+            Scale::Tiny => return TopologyConfig::tiny(self.seed),
+            Scale::Small => (6, 60, 150, 40),
+            Scale::Paper => (8, 150, 500, 80),
         };
         TopologyConfig {
             n_tier1,
@@ -244,10 +303,10 @@ impl Suite {
     pub(crate) fn experiment(&self, interval_mins: u64) -> ExperimentConfig {
         let mut cfg = ExperimentConfig::single_interval(interval_mins, self.seed);
         cfg.topology = self.topology_config();
-        cfg.cycles = match self.scale.as_str() {
-            "tiny" => 3,
-            "paper" => 8,
-            _ => 4,
+        cfg.cycles = match self.scale {
+            Scale::Tiny => 3,
+            Scale::Small => 4,
+            Scale::Paper => 8,
         };
         cfg.trace = self.trace_enabled();
         cfg.faults = self.flags.faults.clone();
@@ -256,10 +315,10 @@ impl Suite {
 
     /// Analysis settings matched to the scale.
     pub(crate) fn analysis_config(&self) -> AnalysisConfig {
-        let (warmup, samples) = match self.scale.as_str() {
-            "tiny" => (200, 400),
-            "paper" => (800, 1500),
-            _ => (400, 800),
+        let (warmup, samples) = match self.scale {
+            Scale::Tiny => (200, 400),
+            Scale::Small => (400, 800),
+            Scale::Paper => (800, 1500),
         };
         AnalysisConfig {
             prior: Prior::default(),

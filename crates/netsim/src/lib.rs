@@ -22,8 +22,8 @@
 //!   subsystems (topology generation, link jitter, MCMC chains) can draw from
 //!   decorrelated streams derived from one experiment seed.
 //! * [`stats`] holds the small numeric toolkit shared across crates:
-//!   running moments, histograms, empirical CDFs and ordinary least squares
-//!   (used by the paper's heuristic M3 and several figures).
+//!   histograms, empirical CDFs and ordinary least squares (used by the
+//!   paper's heuristic M3 and several figures).
 
 pub mod engine;
 pub mod faults;

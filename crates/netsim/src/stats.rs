@@ -1,69 +1,9 @@
-//! Shared numeric toolkit: running moments, quantiles, histograms, empirical
-//! CDFs and ordinary least-squares regression.
+//! Shared numeric toolkit: histograms, empirical CDFs and ordinary
+//! least-squares regression.
 //!
 //! These primitives back several parts of the reproduction: the paper's
 //! heuristic M3 fits a line to a 40-bin announcement histogram (Fig. 10),
-//! Fig. 8 and Fig. 13 are empirical CDFs, and the MCMC diagnostics need
-//! stable mean/variance accumulation.
-
-/// Welford online mean/variance accumulator — numerically stable single-pass
-/// moments, safe for millions of samples.
-#[derive(Debug, Clone, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Fresh accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.n as f64 / n as f64;
-        self.m2 += other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-    }
-}
+//! and Fig. 8 and Fig. 13 are empirical CDFs.
 
 /// Linear (`y = intercept + slope * x`) least-squares fit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -272,54 +212,9 @@ impl Ecdf {
     }
 }
 
-/// Quantile of a mutable sample, sorting in place (nearest-rank).
-pub fn quantile_inplace(xs: &mut [f64], q: f64) -> Option<f64> {
-    if xs.is_empty() {
-        return None;
-    }
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-    let q = q.clamp(0.0, 1.0);
-    let rank = ((q * xs.len() as f64).ceil() as usize).clamp(1, xs.len());
-    Some(xs[rank - 1])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_two_pass() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        let mean = 5.0;
-        let var: f64 = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-        assert!((w.variance() - var).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Welford::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-10);
-        assert!((a.variance() - whole.variance()).abs() < 1e-10);
-    }
 
     #[test]
     fn linear_fit_exact_line() {
@@ -414,12 +309,5 @@ mod tests {
         assert_eq!(pts.len(), 3);
         assert!(pts.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 < w[1].1));
         assert!((pts.last().unwrap().1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantile_inplace_matches_ecdf() {
-        let mut xs = vec![5.0, 1.0, 3.0];
-        assert_eq!(quantile_inplace(&mut xs, 0.5), Some(3.0));
-        assert_eq!(quantile_inplace(&mut [][..].to_vec(), 0.5), None);
     }
 }

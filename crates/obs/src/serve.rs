@@ -11,12 +11,12 @@
 //!   format (version 0.0.4): the `repro_progress_snapshots` and
 //!   `repro_draws` counters, one `{kernel="MH",chain="0"}`-labelled
 //!   sample per chain for the `repro_accept_rate`, `repro_divergences`,
-//!   `repro_split_r_hat` and `repro_min_ess` gauges, and the
+//!   `repro_max_rank_r_hat` and `repro_min_ess_bulk` gauges, and the
 //!   `repro_snapshot_accept_rate` histogram as cumulative
 //!   `_bucket`/`_sum`/`_count` samples plus interpolated
 //!   `_p50`/`_p90`/`_p99` gauges;
 //! * `GET /progress` — the latest per-chain sampler snapshot (draw
-//!   count, accept rate, incremental split-R̂/min-ESS) as JSON;
+//!   count, accept rate, the chain's rank-R̂ and bulk ESS) as JSON;
 //! * `GET /report`   — the most recently published [`RunReport`](crate::RunReport) JSON;
 //! * `GET /healthz`  — `200 ok`, for liveness probes.
 //!
@@ -44,12 +44,11 @@ use crate::json::{json_f64, json_string};
 use crate::metrics::Histogram;
 use crate::report::HistogramSnapshot;
 
-/// One chain's most recent progress snapshot, as published by the sampler
-/// driver's observer: a `/progress` row, and the values of the chain's
-/// `{kernel,chain}`-labelled gauges at `/metrics`. Field meanings mirror
-/// `because`'s `ProgressSnapshot`; they are duplicated here as plain data
-/// so `obs` stays dependency-free.
-#[derive(Clone, Debug, PartialEq)]
+/// One progress snapshot of a running chain: the record `because`'s chain
+/// driver fills and every live output reads, and here a `/progress` row
+/// and the values of the chain's `{kernel,chain}`-labelled gauges at
+/// `/metrics`. It lives in `obs` so that `obs` stays dependency-free.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChainProgress {
     /// Kernel label (`"MH"`, `"HMC"`).
     pub kernel: &'static str,
@@ -65,10 +64,12 @@ pub struct ChainProgress {
     pub accept_rate: f64,
     /// Divergent trajectories so far.
     pub divergences: u64,
-    /// Incremental split-R̂ over this chain's halves (`NaN` in warmup).
-    pub split_r_hat: f64,
-    /// Incremental min-ESS over this chain's draws (`NaN` in warmup).
-    pub min_ess: f64,
+    /// Worst rank-normalized split-R̂ over the coordinates of this chain
+    /// alone (`NaN` in warmup).
+    pub max_rank_r_hat: f64,
+    /// Smallest bulk ESS over the coordinates of this chain alone (`NaN`
+    /// in warmup).
+    pub min_ess_bulk: f64,
 }
 
 /// One `/progress` row plus the draws already credited to
@@ -203,14 +204,19 @@ impl ServeState {
              # TYPE repro_draws counter\nrepro_draws {}\n",
             table.snapshots, table.draws
         );
-        for name in ["accept_rate", "divergences", "split_r_hat", "min_ess"] {
+        for name in [
+            "accept_rate",
+            "divergences",
+            "max_rank_r_hat",
+            "min_ess_bulk",
+        ] {
             out.push_str(&format!("# TYPE repro_{name} gauge\n"));
             for ChainRow { progress: p, .. } in &table.rows {
                 let value = match name {
                     "accept_rate" => p.accept_rate,
                     "divergences" => p.divergences as f64,
-                    "split_r_hat" => p.split_r_hat,
-                    _ => p.min_ess,
+                    "max_rank_r_hat" => p.max_rank_r_hat,
+                    _ => p.min_ess_bulk,
                 };
                 out.push_str(&format!(
                     "repro_{name}{{kernel=\"{}\",chain=\"{}\"}} {}\n",
@@ -245,10 +251,10 @@ impl ServeState {
             out.push_str(",\"accept_rate\":");
             json_f64(&mut out, p.accept_rate);
             out.push_str(&format!(",\"divergences\":{}", p.divergences));
-            out.push_str(",\"split_r_hat\":");
-            json_f64(&mut out, p.split_r_hat);
-            out.push_str(",\"min_ess\":");
-            json_f64(&mut out, p.min_ess);
+            out.push_str(",\"max_rank_r_hat\":");
+            json_f64(&mut out, p.max_rank_r_hat);
+            out.push_str(",\"min_ess_bulk\":");
+            json_f64(&mut out, p.min_ess_bulk);
             out.push('}');
         }
         out.push_str("]}");
@@ -552,8 +558,8 @@ mod tests {
             total: 400,
             accept_rate: 0.44,
             divergences: 0,
-            split_r_hat: 1.02,
-            min_ess: 55.0,
+            max_rank_r_hat: 1.02,
+            min_ess_bulk: 55.0,
         }
     }
 
@@ -563,8 +569,8 @@ mod tests {
         state.record_progress(sampling("MH", 0, 100));
         state.record_progress(ChainProgress {
             phase: "warmup",
-            split_r_hat: f64::NAN,
-            min_ess: f64::NAN,
+            max_rank_r_hat: f64::NAN,
+            min_ess_bulk: f64::NAN,
             ..sampling("HMC", 1, 50)
         });
         state.publish_report_json("{\"name\":\"t\",\"sections\":[]}".to_string());
@@ -587,9 +593,9 @@ mod tests {
              repro_accept_rate{kernel=\"HMC\",chain=\"1\"} 0.44\n\
              repro_accept_rate{kernel=\"MH\",chain=\"0\"} 0.44\n"
         ));
-        assert!(body.contains("repro_split_r_hat{kernel=\"MH\",chain=\"0\"} 1.02\n"));
-        assert!(body.contains("repro_split_r_hat{kernel=\"HMC\",chain=\"1\"} NaN\n"));
-        assert!(body.contains("repro_min_ess{kernel=\"MH\",chain=\"0\"} 55\n"));
+        assert!(body.contains("repro_max_rank_r_hat{kernel=\"MH\",chain=\"0\"} 1.02\n"));
+        assert!(body.contains("repro_max_rank_r_hat{kernel=\"HMC\",chain=\"1\"} NaN\n"));
+        assert!(body.contains("repro_min_ess_bulk{kernel=\"MH\",chain=\"0\"} 55\n"));
         assert!(body.contains("repro_divergences{kernel=\"HMC\",chain=\"1\"} 0\n"));
         assert!(body.contains("repro_snapshot_accept_rate_count 2\n"));
 
@@ -662,7 +668,7 @@ mod tests {
         let progress = state.render_progress();
         assert!(progress.contains("\"phase\":\"done\""), "{progress}");
         assert!(progress.contains("\"iteration\":170"), "{progress}");
-        assert!(progress.contains("\"split_r_hat\":1.02"), "{progress}");
+        assert!(progress.contains("\"max_rank_r_hat\":1.02"), "{progress}");
         // Idempotent: a second call credits nothing.
         state.mark_done("MH", 0, 170);
         assert!(state.render_metrics().contains("repro_draws 170\n"));
@@ -733,8 +739,8 @@ mod tests {
                         state.record_progress(ChainProgress {
                             accept_rate: 0.125 * (k + 1) as f64,
                             divergences: k as u64,
-                            split_r_hat: 1.0 + 0.25 * k as f64,
-                            min_ess: 10.0 * (k + 1) as f64,
+                            max_rank_r_hat: 1.0 + 0.25 * k as f64,
+                            min_ess_bulk: 10.0 * (k + 1) as f64,
                             ..sampling(kernel, chain_index, it)
                         });
                     }
@@ -750,8 +756,8 @@ mod tests {
             for (name, value) in [
                 ("accept_rate", 0.125 * (k + 1) as f64),
                 ("divergences", k as f64),
-                ("split_r_hat", 1.0 + 0.25 * k as f64),
-                ("min_ess", 10.0 * (k + 1) as f64),
+                ("max_rank_r_hat", 1.0 + 0.25 * k as f64),
+                ("min_ess_bulk", 10.0 * (k + 1) as f64),
             ] {
                 let series = format!("repro_{name}{labels} ");
                 let samples: Vec<&str> = body.lines().filter(|l| l.starts_with(&series)).collect();

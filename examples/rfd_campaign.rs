@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run --release --example rfd_campaign`
 
-use because::AnalysisConfig;
-use experiments::infer::infer_becauase_and_heuristics;
+use because::{AnalysisConfig, SupervisorConfig};
+use experiments::infer::infer_with_supervision;
 use experiments::metrics::evaluate_against_oracle;
 use experiments::pipeline::{run_campaign, ExperimentConfig};
 use heuristics::HeuristicConfig;
@@ -47,10 +47,11 @@ fn main() {
     );
 
     println!("\nrunning BeCAUSe (MH + HMC) and heuristics…");
-    let inf = infer_becauase_and_heuristics(
+    let inf = infer_with_supervision(
         &out,
         &AnalysisConfig::fast(seed),
         &HeuristicConfig::default(),
+        &SupervisorConfig::default(),
     );
 
     let interval = SimDuration::from_mins(1);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# The full local gate: format, lints, tests, and bench compilation.
-# CI (.github/workflows/ci.yml) runs the same sequence; run this before
-# pushing to catch everything it would.
+# The full gate: format, lints, tests, bench compilation, docs, and the
+# CLI legs. CI (.github/workflows/ci.yml) runs this script; run it
+# before pushing to catch everything CI would.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root="$(pwd)"
@@ -184,9 +184,10 @@ metrics_path, progress_path, report_path, dash_path = sys.argv[1:5]
 # Prometheus text exposition 0.0.4: TYPE lines, then samples with finite
 # or +/-Inf/NaN float values; histogram buckets must be cumulative, no
 # (name, labels) series may repeat, and every /progress chain must have
-# its {kernel,chain}-labelled accept_rate sample.
+# its {kernel,chain}-labelled accept_rate sample and rank-diagnostics
+# samples equal to its /progress row.
 name_re = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-seen, buckets, series = {}, {}, set()
+seen, buckets, series = {}, {}, {}
 for line in open(metrics_path):
     line = line.rstrip("\n")
     if not line:
@@ -204,13 +205,13 @@ for line in open(metrics_path):
     seen[name] = float(value)
     key = (name, labels or "")
     assert key not in series, f"series repeats: {line}"
-    series.add(key)
+    series[key] = float(value)
     if name.endswith("_bucket"):
         buckets.setdefault(name, []).append(float(value))
 for counts in buckets.values():
     assert counts == sorted(counts), "histogram buckets not cumulative"
 assert seen.get("repro_draws", 0) > 0, "no draws recorded at /metrics"
-assert "repro_split_r_hat" in seen, "split_r_hat gauge missing"
+assert "repro_max_rank_r_hat" in seen, "max_rank_r_hat gauge missing"
 
 progress = json.load(open(progress_path))
 assert progress["chains"], "empty /progress table"
@@ -219,6 +220,9 @@ for chain in progress["chains"]:
     assert chain["iteration"] == chain["total"], chain
     labels = '{kernel="%s",chain="%d"}' % (chain["kernel"], chain["chain"])
     assert ("repro_accept_rate", labels) in series, f"no accept_rate sample for {labels}"
+    for gauge in ("max_rank_r_hat", "min_ess_bulk"):
+        got = series.get((f"repro_{gauge}", labels))
+        assert got == chain[gauge], f"repro_{gauge}{labels} is {got}, /progress has {chain}"
 
 report = json.load(open(report_path))
 sections = {s["name"] for s in report["sections"]}

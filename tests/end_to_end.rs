@@ -3,11 +3,11 @@
 
 use std::collections::BTreeSet;
 
-use because::AnalysisConfig;
+use because::{AnalysisConfig, SupervisorConfig};
 use because_repro::*;
 use bgpsim::AsId;
 use collector::CollectorConfig;
-use experiments::infer::infer_becauase_and_heuristics;
+use experiments::infer::infer_with_supervision;
 use experiments::metrics::{detectable_universe, evaluate_against_oracle, observable_truth};
 use experiments::pipeline::{run_campaign, ExperimentConfig};
 use heuristics::HeuristicConfig;
@@ -23,10 +23,18 @@ fn pipeline_is_deterministic_end_to_end() {
     let b = run_campaign(&small(100));
     assert_eq!(a.labels, b.labels);
     assert_eq!(a.dump.len(), b.dump.len());
-    let ia =
-        infer_becauase_and_heuristics(&a, &AnalysisConfig::fast(100), &HeuristicConfig::default());
-    let ib =
-        infer_becauase_and_heuristics(&b, &AnalysisConfig::fast(100), &HeuristicConfig::default());
+    let ia = infer_with_supervision(
+        &a,
+        &AnalysisConfig::fast(100),
+        &HeuristicConfig::default(),
+        &SupervisorConfig::default(),
+    );
+    let ib = infer_with_supervision(
+        &b,
+        &AnalysisConfig::fast(100),
+        &HeuristicConfig::default(),
+        &SupervisorConfig::default(),
+    );
     assert_eq!(ia.because_flagged(), ib.because_flagged());
     assert_eq!(ia.heuristics_flagged(), ib.heuristics_flagged());
 }
@@ -38,10 +46,11 @@ fn because_keeps_perfect_precision_across_seeds() {
     let mut total_flagged = 0;
     for seed in [101u64, 102, 103] {
         let out = run_campaign(&small(seed));
-        let inf = infer_becauase_and_heuristics(
+        let inf = infer_with_supervision(
             &out,
             &AnalysisConfig::fast(seed),
             &HeuristicConfig::default(),
+            &SupervisorConfig::default(),
         );
         let truth = out.deployment.ground_truth();
         for flagged in inf.because_flagged() {
@@ -125,10 +134,11 @@ fn no_deployment_means_no_rfd_labels_and_no_flags() {
     cfg.deployment.rfd_share = 0.0;
     let out = run_campaign(&cfg);
     assert!(out.labels.iter().all(|l| !l.rfd));
-    let inf = infer_becauase_and_heuristics(
+    let inf = infer_with_supervision(
         &out,
         &AnalysisConfig::fast(106),
         &HeuristicConfig::default(),
+        &SupervisorConfig::default(),
     );
     assert!(
         inf.because_flagged().is_empty(),
@@ -152,10 +162,11 @@ fn beacons_visible_at_nearly_all_vantage_points() {
 #[test]
 fn oracle_evaluation_shapes_hold() {
     let out = run_campaign(&small(108));
-    let inf = infer_becauase_and_heuristics(
+    let inf = infer_with_supervision(
         &out,
         &AnalysisConfig::fast(108),
         &HeuristicConfig::default(),
+        &SupervisorConfig::default(),
     );
     let interval = SimDuration::from_mins(1);
     let b = evaluate_against_oracle(&out, &inf.because_flagged(), interval);

@@ -7,10 +7,10 @@
 //! fail the byte comparison.
 
 use experiments::figures::ALL;
-use experiments::suite::{Flags, Suite};
+use experiments::suite::{Flags, Scale, Suite};
 
 fn suite() -> Suite {
-    Suite::new("suite_test", "tiny", 2020, Flags::default())
+    Suite::new("suite_test", Scale::Tiny, 2020, Flags::default())
 }
 
 fn render(figure: &experiments::figures::Figure, suite: &mut Suite) -> String {
@@ -40,4 +40,43 @@ fn one_suite_renders_every_figure_as_its_own_suite_does() {
     }
     assert_eq!(count("fig13.interval_1.pipeline"), 1);
     assert_eq!(count("fig13.interval_3.pipeline"), 1);
+}
+
+/// An unknown `REPRO_SCALE` or an unparsable `REPRO_SEED` is a usage
+/// error (exit code 2 and a message naming the variable), not a silent
+/// run at the default. Checked in a child run of this test binary, which
+/// builds its suite from the environment.
+#[test]
+fn a_bad_scale_or_seed_exits_with_usage() {
+    const CHILD: &str = "SUITE_TEST_FROM_ENV";
+    if std::env::var_os(CHILD).is_some() {
+        Suite::from_env("suite_test", Flags::default());
+        return;
+    }
+    assert_eq!(Scale::parse("tinyy"), None);
+    for scale in [Scale::Tiny, Scale::Small, Scale::Paper] {
+        assert_eq!(Scale::parse(&scale.to_string()), Some(scale));
+    }
+    for (key, value, other) in [
+        ("REPRO_SCALE", "tinyy", "REPRO_SEED"),
+        ("REPRO_SEED", "twenty", "REPRO_SCALE"),
+    ] {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "a_bad_scale_or_seed_exits_with_usage",
+                "--nocapture",
+            ])
+            .env(CHILD, "1")
+            .env(key, value)
+            .env_remove(other)
+            .output()
+            .expect("run the test binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{key}={value}: {stderr}");
+        assert!(
+            stderr.contains(&format!("invalid {key}=\"{value}\"")),
+            "{stderr}"
+        );
+    }
 }
