@@ -103,21 +103,6 @@ impl Campaign {
         )
     }
 
-    /// The April 2020 campaign: 5/10/15-minute intervals, 2 h breaks.
-    pub fn april(sites: &[AsId], start: SimTime, cycles: usize) -> Self {
-        Campaign::new(
-            sites,
-            &[
-                SimDuration::from_mins(5),
-                SimDuration::from_mins(10),
-                SimDuration::from_mins(15),
-            ],
-            SimDuration::from_hours(2),
-            start,
-            cycles,
-        )
-    }
-
     /// A single-interval campaign (one beacon prefix per site) — the unit
     /// the per-interval analyses (Fig. 12) run on.
     pub fn uniform(
@@ -197,15 +182,6 @@ mod tests {
         }
         // 7 sites × 4 prefixes = 28, like the paper.
         assert_eq!(c.prefixes().len(), 28);
-    }
-
-    #[test]
-    fn april_campaign_shape() {
-        let c = Campaign::april(&sites(), SimTime::ZERO, 4);
-        for s in &c.sites {
-            assert_eq!(s.beacons[0].update_interval, SimDuration::from_mins(5));
-            assert_eq!(s.beacons[0].break_duration, SimDuration::from_hours(2));
-        }
     }
 
     #[test]

@@ -239,15 +239,6 @@ impl AnchorSchedule {
         events
     }
 
-    /// The announcement send times (used by Fig. 8's propagation study).
-    pub fn announce_times(&self) -> Vec<SimTime> {
-        self.events()
-            .into_iter()
-            .filter(|e| e.kind == BeaconEventKind::Announce)
-            .map(|e| e.at)
-            .collect()
-    }
-
     /// Schedule every event into `net`.
     pub fn apply(&self, net: &mut Network) {
         for e in self.events() {
@@ -358,7 +349,6 @@ mod tests {
         assert_eq!(ev[1].kind, BeaconEventKind::Withdraw);
         assert_eq!(ev[1].at, SimTime::from_mins(120));
         assert_eq!(ev[2].at, SimTime::from_mins(240));
-        assert_eq!(a.announce_times().len(), 3);
     }
 
     #[test]

@@ -7,7 +7,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use experiments::pipeline::{run_campaign, ExperimentConfig};
 use heuristics::HeuristicConfig;
 use netsim::{SimDuration, SimTime};
-use signature::{clean_path, label_dump, LabelingConfig};
+use signature::{clean_path, label_dump_with_outages, LabelingConfig};
+use std::collections::BTreeMap;
 use std::hint::black_box;
 
 fn campaign() -> experiments::pipeline::CampaignOutput {
@@ -39,7 +40,13 @@ fn bench_label_dump(c: &mut Criterion) {
         b.iter(|| {
             let mut n = 0;
             for s in &schedules {
-                n += label_dump(&out.dump, s, &LabelingConfig::default()).len();
+                n += label_dump_with_outages(
+                    &out.dump,
+                    s,
+                    &LabelingConfig::default(),
+                    &BTreeMap::new(),
+                )
+                .len();
             }
             black_box(n)
         })

@@ -1,11 +1,11 @@
 //! Cost of the obs primitives themselves — the instrumentation must stay
 //! well inside its ≤ 2 % end-to-end budget, which means every histogram
-//! record and span has to be a handful of nanoseconds. A served run also
+//! record has to be a handful of nanoseconds. A served run also
 //! pays one `record_progress` per chain per observer cadence.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use obs::serve::{ChainProgress, ServeState};
-use obs::{Histogram, SpanSet};
+use obs::Histogram;
 use std::hint::black_box;
 
 fn bench_histogram(c: &mut Criterion) {
@@ -18,22 +18,6 @@ fn bench_histogram(c: &mut Criterion) {
                 hist.record((i.wrapping_mul(2654435761) % 150) as f64);
             }
             black_box(hist.count())
-        })
-    });
-    group.finish();
-}
-
-fn bench_span(c: &mut Criterion) {
-    let mut group = c.benchmark_group("obs_primitives");
-    group.bench_function("span_enter_exit_1k", |b| {
-        let mut spans = SpanSet::new();
-        let id = spans.register("bench_secs");
-        b.iter(|| {
-            for _ in 0..1000 {
-                let guard = spans.enter(id);
-                drop(guard);
-            }
-            black_box(spans.secs(id))
         })
     });
     group.finish();
@@ -66,6 +50,6 @@ fn bench_serve(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default();
-    targets = bench_histogram, bench_span, bench_serve
+    targets = bench_histogram, bench_serve
 );
 criterion_main!(benches);

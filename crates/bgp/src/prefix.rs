@@ -41,11 +41,6 @@ impl Prefix {
         }
     }
 
-    /// Build from dotted-quad octets.
-    pub fn from_octets(a: u8, b: u8, c: u8, d: u8, len: u8) -> Self {
-        Self::new(u32::from_be_bytes([a, b, c, d]), len)
-    }
-
     /// The `i`-th /24 inside the 10.0.0.0/8 experiment block. The
     /// reproduction allocates beacon prefixes from this space, mirroring
     /// the paper's per-site /24s.
@@ -126,7 +121,7 @@ mod tests {
 
     #[test]
     fn normalises_host_bits() {
-        let p = Prefix::from_octets(10, 0, 0, 7, 24);
+        let p = Prefix::new(u32::from_be_bytes([10, 0, 0, 7]), 24);
         assert_eq!(p.to_string(), "10.0.0.0/24");
     }
 

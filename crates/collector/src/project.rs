@@ -129,13 +129,9 @@ impl CollectorSet {
         self.assignments.get(&vp).copied()
     }
 
-    /// All vantage points feeding `project`.
-    pub fn members(&self, project: Project) -> Vec<AsId> {
-        self.assignments
-            .iter()
-            .filter(|(_, &p)| p == project)
-            .map(|(&vp, _)| vp)
-            .collect()
+    /// Every registered vantage point, ascending.
+    pub fn vantage_points(&self) -> impl Iterator<Item = AsId> + '_ {
+        self.assignments.keys().copied()
     }
 
     /// Number of registered vantage points.
@@ -149,20 +145,13 @@ impl CollectorSet {
     }
 
     /// Turn raw tap records into a collector dump, applying per-project
-    /// export delays and the configured observation noise.
+    /// export delays, the configured observation noise and the optional
+    /// injected [`FaultPlan`].
     ///
     /// `horizon` is the campaign end: blackout windows are placed inside
-    /// `[0, horizon)`.
-    pub fn process(&self, taps: &[TapRecord], config: &CollectorConfig, horizon: SimTime) -> Dump {
-        self.process_with_faults(taps, config, horizon, None, &mut FaultCounters::default())
-    }
-
-    /// [`CollectorSet::process`] with an optional injected [`FaultPlan`].
-    ///
-    /// With `plan = None` this is byte-identical to `process`: the fault
-    /// machinery draws only from the plan's own decorrelated streams, so
-    /// enabling it never perturbs the collector-noise sequence. Every
-    /// injected fault is tallied in `counters`.
+    /// `[0, horizon)`. The fault machinery draws only from the plan's own
+    /// decorrelated streams, so a plan never perturbs the collector-noise
+    /// sequence. Every injected fault is tallied in `counters`.
     pub fn process_with_faults(
         &self,
         taps: &[TapRecord],
@@ -313,6 +302,16 @@ mod tests {
         (1..=9).map(AsId).collect()
     }
 
+    /// `taps` through `set` with no fault plan.
+    fn process(
+        set: &CollectorSet,
+        taps: &[TapRecord],
+        config: &CollectorConfig,
+        horizon: SimTime,
+    ) -> Dump {
+        set.process_with_faults(taps, config, horizon, None, &mut FaultCounters::default())
+    }
+
     fn tap(vp: u32, t_secs: u64, announced: bool) -> TapRecord {
         let route = announced.then(|| bgpsim::rib::Route {
             path: AsPath::from_slice(&[AsId(vp), AsId(100)]),
@@ -336,14 +335,16 @@ mod tests {
             assert_eq!(a.project_of(vp), b.project_of(vp));
         }
         for p in Project::ALL {
-            assert_eq!(a.members(p).len(), 3, "9 VPs split 3-3-3");
+            let members = a.vantage_points().filter(|&vp| a.project_of(vp) == Some(p));
+            assert_eq!(members.count(), 3, "9 VPs split 3-3-3");
         }
     }
 
     #[test]
     fn unregistered_vps_are_dropped() {
         let set = CollectorSet::single(&[AsId(1)], Project::Isolario);
-        let dump = set.process(
+        let dump = process(
+            &set,
             &[tap(1, 10, true), tap(2, 10, true)],
             &CollectorConfig::clean(),
             SimTime::from_mins(60),
@@ -396,7 +397,7 @@ mod tests {
             aggregator_corruption: 1.0,
             ..CollectorConfig::clean()
         };
-        let dump = set.process(&[tap(1, 10, true)], &cfg, SimTime::from_mins(60));
+        let dump = process(&set, &[tap(1, 10, true)], &cfg, SimTime::from_mins(60));
         assert_eq!(dump.len(), 1);
         let rec = &dump.records()[0];
         assert!(rec.path.is_some());
@@ -414,7 +415,7 @@ mod tests {
             ..CollectorConfig::clean()
         };
         let taps: Vec<TapRecord> = (0..20).map(|i| tap(1, 60 * i, i % 2 == 0)).collect();
-        let dump = set.process(&taps, &cfg, SimTime::from_mins(30));
+        let dump = process(&set, &taps, &cfg, SimTime::from_mins(30));
         // The blackout starts somewhere in [0, 30 min) and lasts forever →
         // strictly fewer records than taps.
         assert!(dump.len() < taps.len());
@@ -426,7 +427,12 @@ mod tests {
         let taps: Vec<TapRecord> = (0..50)
             .map(|i| tap(1 + (i % 9) as u32, 1000 - 20 * i, true))
             .collect();
-        let dump = set.process(&taps, &CollectorConfig::clean(), SimTime::from_mins(60));
+        let dump = process(
+            &set,
+            &taps,
+            &CollectorConfig::clean(),
+            SimTime::from_mins(60),
+        );
         let times: Vec<SimTime> = dump.records().iter().map(|r| r.exported_at).collect();
         let mut sorted = times.clone();
         sorted.sort();
@@ -434,7 +440,8 @@ mod tests {
     }
 
     #[test]
-    fn process_with_no_plan_matches_process() {
+    fn a_zero_rate_plan_matches_no_plan() {
+        use netsim::faults::{FaultPlan, FaultSpec};
         let set = CollectorSet::assign(&vps(), 4);
         let taps: Vec<TapRecord> = (0..40)
             .map(|i| tap(1 + (i % 9) as u32, 30 * i, true))
@@ -445,10 +452,11 @@ mod tests {
             ..CollectorConfig::default()
         };
         let horizon = SimTime::from_mins(60);
-        let plain = set.process(&taps, &cfg, horizon);
-        let mut counters = netsim::faults::FaultCounters::default();
-        let faulted = set.process_with_faults(&taps, &cfg, horizon, None, &mut counters);
-        assert_eq!(plain.records(), faulted.records());
+        let plain = process(&set, &taps, &cfg, horizon);
+        let plan = FaultPlan::new(FaultSpec::default());
+        let mut counters = FaultCounters::default();
+        let armed = set.process_with_faults(&taps, &cfg, horizon, Some(&plan), &mut counters);
+        assert_eq!(plain.records(), armed.records());
         assert_eq!(counters.total(), 0);
     }
 
@@ -581,7 +589,8 @@ mod tests {
     #[test]
     fn withdrawals_have_no_path_or_stamp() {
         let set = CollectorSet::single(&[AsId(1)], Project::RipeRis);
-        let dump = set.process(
+        let dump = process(
+            &set,
             &[tap(1, 5, false)],
             &CollectorConfig::clean(),
             SimTime::from_mins(60),

@@ -79,11 +79,6 @@ impl<'a> MetropolisHastings<'a> {
         }
         x.clamp(0.0, 1.0)
     }
-
-    /// Current per-coordinate proposal scales (diagnostics).
-    pub fn scales(&self) -> &[f64] {
-        &self.scale
-    }
 }
 
 impl Sampler for MetropolisHastings<'_> {

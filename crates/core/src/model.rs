@@ -278,21 +278,6 @@ impl PathData {
     pub(crate) fn path_csr(&self) -> (&[u32], &[PathMeta]) {
         (&self.path_nodes, &self.path_meta)
     }
-
-    /// Share of observations labeled as showing the property.
-    pub fn property_share(&self) -> f64 {
-        let total = self.num_observations();
-        if total == 0 {
-            return 0.0;
-        }
-        let shown: u64 = self
-            .path_meta
-            .iter()
-            .filter(|m| m.wshow & 1 == 1)
-            .map(|m| u64::from(m.wshow >> 1))
-            .sum();
-        shown as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -393,18 +378,6 @@ mod tests {
         // Offsets cover the arena exactly.
         let total: usize = d.paths().map(|p| p.nodes.len()).sum();
         assert_eq!(total, from_incidence.len());
-    }
-
-    #[test]
-    fn property_share() {
-        let obs = vec![
-            PathObservation::new(n(&[1]), true),
-            PathObservation::new(n(&[1]), true),
-            PathObservation::new(n(&[2]), false),
-            PathObservation::new(n(&[3]), false),
-        ];
-        let d = PathData::from_observations(&obs, &[]);
-        assert!((d.property_share() - 0.5).abs() < 1e-12);
     }
 
     #[test]

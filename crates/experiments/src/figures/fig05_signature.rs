@@ -8,12 +8,12 @@
 
 use beacon::BeaconSchedule;
 use bgpsim::{AsId, Network, NetworkConfig, Relationship, SessionPolicy, VendorProfile};
-use netsim::faults::FaultPlan;
+use collector::{CollectorConfig, CollectorSet, Project};
 use netsim::{SimDuration, SimTime};
-use signature::{label_dump_with_outages, LabelingConfig};
+use signature::LabelingConfig;
 
 use super::{io, Suite, Write};
-use crate::pipeline::vp_outages;
+use crate::pipeline::measure;
 
 /// Render the figure after its banner.
 pub fn render(suite: &mut Suite, w: &mut dyn Write) -> io::Result<()> {
@@ -38,9 +38,6 @@ pub fn render(suite: &mut Suite, w: &mut dyn Write) -> io::Result<()> {
     net.connect(AsId(22), AsId(32), prov, cust, None);
     net.attach_tap(AsId(31));
     net.attach_tap(AsId(32));
-    if suite.trace_enabled() {
-        net.set_trace(obs::TraceBuffer::new(1 << 16));
-    }
 
     let schedule = BeaconSchedule::standard(
         "10.0.0.0/24".parse().unwrap(),
@@ -51,24 +48,15 @@ pub fn render(suite: &mut Suite, w: &mut dyn Write) -> io::Result<()> {
         1,
     );
     schedule.apply(&mut net);
-    let plan = suite.faults().cloned().map(FaultPlan::new);
-    let horizon_span = schedule.end() - SimTime::ZERO;
-    if let Some(plan) = &plan {
-        net.apply_faults(plan, horizon_span);
-    }
-    net.run_to_quiescence();
-
-    let taps = net.take_tap_log();
-    let mut fault_counters = net.fault_counters().clone();
-    let set = collector::CollectorSet::single(&[AsId(31), AsId(32)], collector::Project::Isolario);
-    let dump = set.process_with_faults(
-        &taps,
-        &collector::CollectorConfig::clean(),
-        schedule.end(),
-        plan.as_ref(),
-        &mut fault_counters,
+    let m = measure(
+        net,
+        &[&schedule],
+        &CollectorSet::single(&[AsId(31), AsId(32)], Project::Isolario),
+        &CollectorConfig::clean(),
+        &LabelingConfig::default(),
+        suite.faults(),
+        suite.trace_enabled(),
     );
-    let outages = vp_outages(plan.as_ref(), &[AsId(31), AsId(32)], horizon_span);
 
     let burst_end = schedule.burst_end(0);
     writeln!(
@@ -83,7 +71,12 @@ pub fn render(suite: &mut Suite, w: &mut dyn Write) -> io::Result<()> {
         (AsId(32), "non-RFD path (via AS 22)"),
     ] {
         writeln!(w, "--- {name} ---")?;
-        let records: Vec<_> = dump.records().iter().filter(|r| r.vantage == vp).collect();
+        let records: Vec<_> = m
+            .dump
+            .records()
+            .iter()
+            .filter(|r| r.vantage == vp)
+            .collect();
         let during_burst = records
             .iter()
             .filter(|r| r.exported_at <= burst_end)
@@ -104,20 +97,10 @@ pub fn render(suite: &mut Suite, w: &mut dyn Write) -> io::Result<()> {
         writeln!(w)?;
     }
 
-    net.export_obs(suite.report_mut());
-    suite.merge_trace(net.take_trace());
-    suite.report_mut().push_section(dump.obs_section());
-    if plan.is_some() {
-        suite
-            .report_mut()
-            .push_section(fault_counters.obs_section());
-    }
-
-    let labels = label_dump_with_outages(&dump, &schedule, &LabelingConfig::default(), &outages);
     writeln!(w, "path labels:")?;
-    for l in &labels {
+    for l in &m.labels {
         let fmt = |v: Option<f64>| {
-            v.map(|m| format!("{m:.1} min"))
+            v.map(|mins| format!("{mins:.1} min"))
                 .unwrap_or_else(|| "-".to_string())
         };
         writeln!(
@@ -132,8 +115,7 @@ pub fn render(suite: &mut Suite, w: &mut dyn Write) -> io::Result<()> {
             if l.unobservable { "  [unobservable]" } else { "" }
         )?;
     }
-    suite
-        .report_mut()
-        .push_section(signature::obs_section(&labels));
+    suite.report_mut().merge(m.report);
+    suite.merge_trace(m.trace);
     Ok(())
 }

@@ -21,10 +21,11 @@ use bgpsim::{AsId, Network, NetworkConfig, Relationship, SessionPolicy, VendorPr
 use collector::{CollectorConfig, CollectorSet, Project};
 use heuristics::HeuristicConfig;
 use netsim::{SimDuration, SimTime};
-use signature::{label_dump, LabelingConfig};
+use signature::LabelingConfig;
 
 use super::{io, Suite, Write};
 use crate::infer::path_data;
+use crate::pipeline::measure;
 use crate::report;
 
 /// A standard 1-minute two-phase schedule from `site` for `prefix`.
@@ -57,29 +58,27 @@ fn run_case(
         ..Default::default()
     });
     build(&mut net);
-    if suite.trace_enabled() {
-        net.set_trace(obs::TraceBuffer::new(1 << 14));
-    }
     for &vp in vantage_points {
         net.attach_tap(vp);
     }
     for s in schedules {
         s.apply(&mut net);
     }
-    net.run_to_quiescence();
-    suite.merge_trace(net.take_trace());
-    let taps = net.take_tap_log();
-    let set = CollectorSet::single(vantage_points, Project::Isolario);
-    let horizon = schedules.iter().map(|s| s.end()).max().expect("schedules");
-    let dump = set.process(&taps, &CollectorConfig::clean(), horizon);
-    let mut labels = Vec::new();
-    for s in schedules {
-        labels.extend(label_dump(&dump, s, &LabelingConfig::default()));
-    }
+    let schedules: Vec<&BeaconSchedule> = schedules.iter().collect();
+    let m = measure(
+        net,
+        &schedules,
+        &CollectorSet::single(vantage_points, Project::Isolario),
+        &CollectorConfig::clean(),
+        &LabelingConfig::default(),
+        None,
+        suite.trace_enabled(),
+    );
+    suite.merge_trace(m.trace);
 
     // BeCAUSe.
     let sites: Vec<NodeId> = schedules.iter().map(|s| NodeId(s.site.0)).collect();
-    let data = path_data(&labels, &sites);
+    let data = path_data(&m.labels, &sites);
     let acfg = AnalysisConfig {
         progress_every: suite.progress_every(),
         trace: suite.trace_enabled(),
@@ -97,8 +96,7 @@ fn run_case(
         .unwrap_or(false);
 
     // Heuristics.
-    let schedule_refs: Vec<&BeaconSchedule> = schedules.iter().collect();
-    let scores = heuristics::evaluate(&labels, &dump, &schedule_refs, &HeuristicConfig::default());
+    let scores = heuristics::evaluate(&m.labels, &m.dump, &schedules, &HeuristicConfig::default());
     let heuristic_flag = scores
         .per_as
         .get(&target)

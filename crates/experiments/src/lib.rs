@@ -10,7 +10,10 @@
 //!    behind Fig. 13 and MRAI deployment.
 //! 2. [`pipeline`] runs a measurement campaign end to end: simulate the
 //!    beacons through the network, collect dumps at the vantage points,
-//!    and label paths with the RFD signature.
+//!    and label paths with the RFD signature. [`pipeline::measure`] is
+//!    the one place that fixes that order (fault plan → run → collect →
+//!    VP outages → label), for the campaign and for every hand-built
+//!    network alike.
 //! 3. [`infer`] feeds the labeled paths to BeCAUSe and to the heuristics
 //!    and evaluates both against the deployment oracle ([`metrics`]).
 //! 4. [`coverage`] computes the measurement-infrastructure statistics

@@ -1,12 +1,16 @@
 //! The end-to-end measurement pipeline: topology → deployment → beacons →
 //! simulation → collector dumps → labeled paths.
+//!
+//! [`measure`] is the one place that fixes the measurement's order —
+//! fault plan → run → collect → VP outages → label — for the campaign
+//! ([`run_campaign`]) and for every hand-built network alike.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use beacon::Campaign;
-use bgpsim::AsId;
+use beacon::{BeaconSchedule, Campaign};
+use bgpsim::{AsId, Network};
 use collector::{CollectorConfig, CollectorSet, Dump};
 use netsim::faults::{FaultCounters, FaultPlan, FaultSpec};
 use netsim::{SimDuration, SimTime};
@@ -135,32 +139,21 @@ impl CampaignOutput {
     }
 }
 
-/// Run the full measurement pipeline.
+/// Run the full measurement pipeline: build the topology, plant the
+/// deployment, schedule the beacon campaign, then [`measure`].
 pub fn run_campaign(config: &ExperimentConfig) -> CampaignOutput {
-    let mut spans = obs::SpanSet::new();
-    let topo_span = spans.register("topology_secs");
-    let sim_span = spans.register("simulate_secs");
-    let collect_span = spans.register("collect_secs");
-    let label_span = spans.register("label_secs");
-
-    // 1. Topology + deployment.
-    let guard = spans.enter(topo_span);
+    let topology_clock = obs::Stopwatch::start();
     let topology = generate(&config.topology);
     let deployment = Deployment::assign(&topology, &config.deployment);
-    drop(guard);
+    let topology_secs = topology_clock.elapsed_secs();
 
-    // 2. Network with the deployment's session policies and realistic
-    //    per-hop processing delays (Fig. 8's seconds-scale propagation).
+    // The deployment's session policies and realistic per-hop processing
+    // delays (Fig. 8's seconds-scale propagation).
     let net_config = bgpsim::NetworkConfig {
         jitter: 0.5,
         ..bgpsim::NetworkConfig::realistic(config.seed)
     };
     let mut net = topology.instantiate(net_config, deployment.policy_hook());
-    if config.trace {
-        net.set_trace(obs::TraceBuffer::new(1 << 16));
-    }
-
-    // 3. Beacon campaign.
     let campaign = Campaign::new(
         &topology.beacon_sites,
         &config.intervals,
@@ -169,94 +162,164 @@ pub fn run_campaign(config: &ExperimentConfig) -> CampaignOutput {
         config.cycles,
     );
     campaign.apply(&mut net);
-
-    // 3b. Fault plan: session resets go into the event queue before the
-    //     run; VP-level faults are applied at collector time below.
-    let plan = config.faults.clone().map(FaultPlan::new);
-    let horizon = campaign.end();
-    let horizon_span = horizon - SimTime::ZERO;
-    if let Some(plan) = &plan {
-        net.apply_faults(plan, horizon_span);
-    }
-
-    // 4. Run to quiescence (the queue drains once all RFD reuse timers
-    //    past the last break have fired).
-    let guard = spans.enter(sim_span);
-    net.run_to_quiescence();
-    drop(guard);
-    let events_processed = net.events_processed();
-    let updates_delivered = net.delivered();
-    let mut fault_counters = net.fault_counters().clone();
-
-    // 5. Collector processing.
-    let guard = spans.enter(collect_span);
-    let taps = net.take_tap_log();
-    let collectors = CollectorSet::assign(&topology.vantage_points, config.seed);
-    let dump = collectors.process_with_faults(
-        &taps,
+    let schedules: Vec<&BeaconSchedule> = campaign.beacon_schedules().collect();
+    let m = measure(
+        net,
+        &schedules,
+        &CollectorSet::assign(&topology.vantage_points, config.seed),
         &config.collector,
-        horizon,
-        plan.as_ref(),
-        &mut fault_counters,
+        &config.labeling,
+        config.faults.as_ref(),
+        config.trace,
     );
-    drop(guard);
 
-    // 6. Signature detection per beacon prefix. Pairs whose Break window
-    //    an outage swallowed are marked unobservable rather than clean.
-    let vp_outages = vp_outages(plan.as_ref(), &topology.vantage_points, horizon_span);
-    let guard = spans.enter(label_span);
-    let mut labels = Vec::new();
-    for schedule in campaign.beacon_schedules() {
-        labels.extend(label_dump_with_outages(
-            &dump,
-            schedule,
-            &config.labeling,
-            &vp_outages,
-        ));
-    }
-    drop(guard);
-
-    // 7. Assemble the run report from every subsystem. The faults
-    //    section appears only on faulted runs, keeping fault-free
-    //    reports byte-identical to a build without fault support.
     let mut report = obs::RunReport::new("campaign");
-    spans.export_into(report.section("pipeline"));
-    net.export_obs(&mut report);
-    report.push_section(dump.obs_section());
-    report.push_section(signature::obs_section(&labels));
-    if plan.is_some() {
-        report.push_section(fault_counters.obs_section());
-    }
-    let trace = net.take_trace();
+    report
+        .section("pipeline")
+        .span_secs("topology_secs", topology_secs)
+        .span_secs("simulate_secs", m.simulate_secs)
+        .span_secs("collect_secs", m.collect_secs)
+        .span_secs("label_secs", m.label_secs);
+    report.merge(m.report);
 
     CampaignOutput {
         topology,
         deployment,
         campaign,
-        dump,
-        labels,
-        events_processed,
-        updates_delivered,
+        dump: m.dump,
+        labels: m.labels,
+        events_processed: m.events_processed,
+        updates_delivered: m.updates_delivered,
         report,
-        trace,
-        fault_counters,
-        vp_outages,
+        trace: m.trace,
+        fault_counters: m.fault_counters,
+        vp_outages: m.vp_outages,
     }
 }
 
-/// The outage window each of `vps` suffers under `plan` over a run of
-/// `horizon`, keyed by VP. Empty without a plan.
-pub fn vp_outages(
-    plan: Option<&FaultPlan>,
-    vps: &[AsId],
-    horizon: SimDuration,
-) -> BTreeMap<AsId, (SimTime, SimTime)> {
-    plan.map(|plan| {
-        vps.iter()
-            .filter_map(|&vp| plan.vp_outage(u64::from(vp.0), horizon).map(|w| (vp, w)))
-            .collect()
-    })
-    .unwrap_or_default()
+/// What [`measure`] observed of one run.
+#[derive(Debug)]
+pub struct Measurement {
+    /// The collector dump.
+    pub dump: Dump,
+    /// Labeled paths, across every schedule measured.
+    pub labels: Vec<LabeledPath>,
+    /// Every fault injected, merged across the network and collector
+    /// layers. All-zero on fault-free runs.
+    pub fault_counters: FaultCounters,
+    /// The outage window each vantage point suffered. Empty on
+    /// fault-free runs.
+    pub vp_outages: BTreeMap<AsId, (SimTime, SimTime)>,
+    /// The `netsim.queue`, `bgpsim.network`, `[bgpsim.trace]`,
+    /// `collector.dump`, `signature.labels` and `[faults]` sections, in
+    /// that order.
+    pub report: obs::RunReport,
+    /// Sim-time trace of RFD/MRAI activity, when tracing was asked for.
+    pub trace: Option<obs::TraceBuffer>,
+    /// Simulator events processed.
+    pub events_processed: u64,
+    /// BGP updates delivered.
+    pub updates_delivered: u64,
+    /// Wall-clock seconds running the network to quiescence.
+    pub simulate_secs: f64,
+    /// Wall-clock seconds turning the taps into a dump.
+    pub collect_secs: f64,
+    /// Wall-clock seconds labeling the dump.
+    pub label_secs: f64,
+}
+
+/// Measure a built network the way the paper does (§4): run the beacons,
+/// collect the dumps at the vantage points, label every Burst–Break pair.
+///
+/// `net` comes with its vantage-point taps attached and `schedules`
+/// (plus any anchors) already applied. The fault plan `faults` spans the
+/// latest end among `schedules`; its session resets go into the
+/// network's queue before the run, its VP-level faults into collection,
+/// and its VP outages into labeling, which marks the pairs an outage
+/// swallowed as unobservable rather than clean. `trace` attaches a
+/// 2¹⁶-event trace buffer to the network.
+pub fn measure(
+    mut net: Network,
+    schedules: &[&BeaconSchedule],
+    collectors: &CollectorSet,
+    collector: &CollectorConfig,
+    labeling: &LabelingConfig,
+    faults: Option<&FaultSpec>,
+    trace: bool,
+) -> Measurement {
+    if trace {
+        net.set_trace(obs::TraceBuffer::new(1 << 16));
+    }
+    let plan = faults.cloned().map(FaultPlan::new);
+    let horizon = schedules.iter().fold(SimTime::ZERO, |h, s| h.max(s.end()));
+    let horizon_span = horizon - SimTime::ZERO;
+    if let Some(plan) = &plan {
+        net.apply_faults(plan, horizon_span);
+    }
+
+    // The queue drains once all RFD reuse timers past the last break
+    // have fired.
+    let clock = obs::Stopwatch::start();
+    net.run_to_quiescence();
+    let simulate_secs = clock.elapsed_secs();
+    let events_processed = net.events_processed();
+    let updates_delivered = net.delivered();
+    let mut fault_counters = net.fault_counters().clone();
+    let taps = net.take_tap_log();
+    let mut report = obs::RunReport::new("measurement");
+    net.export_obs(&mut report);
+    let trace = net.take_trace();
+    drop(net);
+
+    let clock = obs::Stopwatch::start();
+    let dump = collectors.process_with_faults(
+        &taps,
+        collector,
+        horizon,
+        plan.as_ref(),
+        &mut fault_counters,
+    );
+    let collect_secs = clock.elapsed_secs();
+    drop(taps);
+
+    let vp_outages: BTreeMap<AsId, (SimTime, SimTime)> = match &plan {
+        Some(plan) => collectors
+            .vantage_points()
+            .filter_map(|vp| {
+                plan.vp_outage(u64::from(vp.0), horizon_span)
+                    .map(|w| (vp, w))
+            })
+            .collect(),
+        None => BTreeMap::new(),
+    };
+    let clock = obs::Stopwatch::start();
+    let labels: Vec<LabeledPath> = schedules
+        .iter()
+        .flat_map(|s| label_dump_with_outages(&dump, s, labeling, &vp_outages))
+        .collect();
+    let label_secs = clock.elapsed_secs();
+
+    // The faults section appears only on faulted runs, keeping
+    // fault-free reports byte-identical to a build without fault support.
+    report.push_section(dump.obs_section());
+    report.push_section(signature::obs_section(&labels));
+    if plan.is_some() {
+        report.push_section(fault_counters.obs_section());
+    }
+
+    Measurement {
+        dump,
+        labels,
+        fault_counters,
+        vp_outages,
+        report,
+        trace,
+        events_processed,
+        updates_delivered,
+        simulate_secs,
+        collect_secs,
+        label_secs,
+    }
 }
 
 #[cfg(test)]

@@ -16,9 +16,10 @@
 //!   topology size and campaign length. `paper` approaches the real
 //!   study's scale and takes correspondingly longer.
 //!
-//! The figure binaries understand these flags ([`Flags::from_args`]).
-//! All are off by default, and a run without them prints exactly what a
-//! build without them would:
+//! The figure binaries understand these flags ([`Flags::from_args`]);
+//! any other argument, a flag missing its value or a value that does not
+//! parse is a usage error, exit code 2. All are off by default, and a run
+//! without them prints exactly what a build without them would:
 //!
 //! * `--report-json <path>` (or `--report-json=<path>`) — write the run
 //!   report as JSON to `path`; the special path `-` streams the JSON to
@@ -90,56 +91,83 @@ pub struct Flags {
 
 impl Flags {
     /// Parse the process arguments (and `REPRO_KILL_AFTER_DRAWS`). A
-    /// malformed `--faults` spec is a usage error: report it and exit 2
-    /// rather than silently running fault-free.
+    /// usage error (see [`Flags::parse`]) is reported and exits 2 rather
+    /// than silently running without the flag.
     pub fn from_args() -> Flags {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        // `--<name> <v>` or `--<name>=<v>`.
-        let value = |name: &str| {
-            let assigned = format!("--{name}=");
-            args.iter()
-                .enumerate()
-                .find_map(|(i, arg)| match arg.strip_prefix("--") {
-                    Some(bare) if bare == name => args.get(i + 1).cloned(),
-                    _ => arg.strip_prefix(assigned.as_str()).map(str::to_string),
-                })
-        };
-        let number = |name: &str| value(name).and_then(|s| s.parse::<u64>().ok());
-        let faults = value("faults").map(|text| {
-            FaultSpec::parse(&text).unwrap_or_else(|e| {
-                eprintln!("invalid --faults spec: {e}");
-                std::process::exit(2);
-            })
+        let mut flags = Flags::parse(&args).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
         });
-        // `--progress [every-n]`: the count is optional.
-        let progress_every = args
-            .iter()
-            .enumerate()
-            .find_map(|(i, arg)| match arg.as_str() {
-                "--progress" => Some(args.get(i + 1).and_then(|n| n.parse().ok())),
-                _ => arg.strip_prefix("--progress=").map(|n| n.parse().ok()),
-            })
-            .map_or(0, |n: Option<usize>| n.unwrap_or(200).max(1));
-        Flags {
-            report_json: value("report-json").map(PathBuf::from),
-            report: args.iter().any(|a| a == "--report"),
-            trace: value("trace").map(PathBuf::from),
-            dash: value("dash").map(PathBuf::from),
-            serve: value("serve"),
-            progress_every,
-            faults,
-            supervisor: SupervisorConfig {
-                checkpoint: value("checkpoint").map(PathBuf::from),
-                resume: value("resume").map(PathBuf::from),
-                checkpoint_every: number("checkpoint-every").unwrap_or(100),
-                wall_clock_timeout: number("timeout-secs").map(Duration::from_secs),
-                stop_after_draws: None,
-                kill_after_draws: std::env::var("REPRO_KILL_AFTER_DRAWS")
-                    .ok()
-                    .and_then(|s| s.parse().ok()),
-            },
-        }
+        flags.supervisor.kill_after_draws = std::env::var("REPRO_KILL_AFTER_DRAWS")
+            .ok()
+            .and_then(|s| s.parse().ok());
+        flags
     }
+
+    /// Parse figure-binary arguments. A valued flag is `--<name> <v>` or
+    /// `--<name>=<v>`; `--progress` takes an optional count. An unknown
+    /// argument, a valued flag without its value, a number that does not
+    /// parse and a malformed `--faults` spec are errors, each named in
+    /// the message.
+    pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Flags, String> {
+        let mut flags = Flags::default();
+        flags.supervisor.checkpoint_every = 100;
+        let mut args = args.iter().map(AsRef::as_ref).peekable();
+        while let Some(arg) = args.next() {
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, value)) if name.starts_with("--") => (name, Some(value)),
+                _ => (arg, None),
+            };
+            let mut value = || match inline {
+                Some(value) => Ok(value.to_string()),
+                None => args
+                    .next_if(|value| !value.starts_with("--"))
+                    .map(str::to_string)
+                    .ok_or_else(|| format!("{name} needs a value")),
+            };
+            match name {
+                "--report" if inline.is_none() => flags.report = true,
+                "--report-json" => flags.report_json = Some(value()?.into()),
+                "--trace" => flags.trace = Some(value()?.into()),
+                "--dash" => flags.dash = Some(value()?.into()),
+                "--serve" => flags.serve = Some(value()?),
+                "--faults" => {
+                    let spec = FaultSpec::parse(&value()?)
+                        .map_err(|e| format!("invalid --faults spec: {e}"))?;
+                    flags.faults = Some(spec);
+                }
+                "--checkpoint" => flags.supervisor.checkpoint = Some(value()?.into()),
+                "--resume" => flags.supervisor.resume = Some(value()?.into()),
+                "--checkpoint-every" => {
+                    flags.supervisor.checkpoint_every = number(name, &value()?)?;
+                }
+                "--timeout-secs" => {
+                    let secs = number(name, &value()?)?;
+                    flags.supervisor.wall_clock_timeout = Some(Duration::from_secs(secs));
+                }
+                // `--progress [every-n]`: the count is optional.
+                "--progress" => {
+                    let every = match inline {
+                        Some(n) => number(name, n)?,
+                        None => args
+                            .next_if(|n| n.parse::<usize>().is_ok())
+                            .map_or(Ok(200), |n| number(name, n))?,
+                    };
+                    flags.progress_every = every.max(1);
+                }
+                _ => return Err(format!("unknown argument {arg:?}")),
+            }
+        }
+        Ok(flags)
+    }
+}
+
+/// The value of flag `name` as a number, or an error naming both.
+fn number<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("invalid {name} {value:?}: expected a whole number"))
 }
 
 /// The run size `REPRO_SCALE` names: topology size, campaign cycles and
@@ -518,5 +546,101 @@ fn note(what: &str, path: &Path, written: io::Result<()>) {
     match written {
         Ok(()) => eprintln!("{what} written to {}", path.display()),
         Err(e) => eprintln!("failed to write {what} {}: {e}", path.display()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Flags, String> {
+        Flags::parse(args)
+    }
+
+    #[test]
+    fn no_arguments_turn_every_flag_off() {
+        let flags = parse(&[]).unwrap();
+        assert!(flags.report_json.is_none() && flags.trace.is_none() && flags.dash.is_none());
+        assert!(!flags.report && flags.serve.is_none() && flags.faults.is_none());
+        assert_eq!(flags.progress_every, 0);
+        assert_eq!(flags.supervisor.checkpoint_every, 100);
+        assert!(flags.supervisor.checkpoint.is_none() && flags.supervisor.resume.is_none());
+        assert!(flags.supervisor.wall_clock_timeout.is_none());
+    }
+
+    #[test]
+    fn every_flag_form_parses() {
+        let flags = parse(&[
+            "--trace",
+            "t.json",
+            "--report-json",
+            "r.json",
+            "--dash",
+            "d.html",
+            "--serve",
+            "127.0.0.1:0",
+            "--faults",
+            "outage=0.3,reset=0.2,loss=0.02,dup=0.02,reorder=0.05,clock-skew-secs=5,seed=7",
+            "--checkpoint",
+            "c.ckpt",
+            "--resume",
+            "c.ckpt",
+            "--checkpoint-every",
+            "7",
+            "--timeout-secs",
+            "30",
+            "--report",
+            "--progress",
+            "50",
+        ])
+        .unwrap();
+        assert_eq!(flags.trace, Some(PathBuf::from("t.json")));
+        assert_eq!(flags.report_json, Some(PathBuf::from("r.json")));
+        assert_eq!(flags.dash, Some(PathBuf::from("d.html")));
+        assert_eq!(flags.serve.as_deref(), Some("127.0.0.1:0"));
+        assert!(flags.faults.is_some());
+        assert_eq!(flags.supervisor.checkpoint, Some(PathBuf::from("c.ckpt")));
+        assert_eq!(flags.supervisor.resume, Some(PathBuf::from("c.ckpt")));
+        assert_eq!(flags.supervisor.checkpoint_every, 7);
+        assert_eq!(
+            flags.supervisor.wall_clock_timeout,
+            Some(Duration::from_secs(30))
+        );
+        assert!(flags.report);
+        assert_eq!(flags.progress_every, 50);
+
+        let flags = parse(&["--report-json=-", "--faults=drill", "--progress=0"]).unwrap();
+        assert_eq!(flags.report_json, Some(PathBuf::from("-")));
+        assert!(flags.faults.is_some());
+        assert_eq!(flags.progress_every, 1, "a zero cadence means every draw");
+
+        // `--progress` without a count, last or before another flag.
+        assert_eq!(parse(&["--progress"]).unwrap().progress_every, 200);
+        let flags = parse(&["--progress", "--faults", "drill"]).unwrap();
+        assert_eq!(flags.progress_every, 200);
+        assert!(flags.faults.is_some());
+    }
+
+    #[test]
+    fn bad_arguments_are_usage_errors() {
+        for (args, want) in [
+            (&["--trase", "x.json"][..], "unknown argument \"--trase\""),
+            (&["--report-json"], "--report-json needs a value"),
+            (&["--trace", "--report"], "--trace needs a value"),
+            (
+                &["--checkpoint-every", "abc"],
+                "invalid --checkpoint-every \"abc\"",
+            ),
+            (&["--timeout-secs", "abc"], "invalid --timeout-secs \"abc\""),
+            (&["--progress=abc"], "invalid --progress \"abc\""),
+            (&["--progress", "abc"], "unknown argument \"abc\""),
+            (&["--report=yes"], "unknown argument \"--report=yes\""),
+            (&["--faults", "outage=lots"], "invalid --faults spec"),
+        ] {
+            let err = parse(args)
+                .err()
+                .unwrap_or_else(|| panic!("{args:?} parsed"));
+            assert!(err.contains(want), "{args:?}: {err}");
+        }
     }
 }

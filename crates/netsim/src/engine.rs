@@ -297,11 +297,6 @@ impl<E> EventQueue<E> {
         self.depth_hwm = self.depth_hwm.max(self.len());
     }
 
-    /// Schedule `event` to fire `delay` after the current clock.
-    pub fn schedule_after(&mut self, delay: crate::time::SimDuration, event: E) {
-        self.schedule_at(self.now + delay, event);
-    }
-
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.next().map(|(time, _)| time)
@@ -441,11 +436,11 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_is_relative_to_now() {
+    fn peek_time_after_a_pop() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_secs(10), 0u32);
         q.pop();
-        q.schedule_after(SimDuration::from_secs(5), 1u32);
+        q.schedule_at(q.now() + SimDuration::from_secs(5), 1u32);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(15)));
     }
 

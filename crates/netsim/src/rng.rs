@@ -216,16 +216,6 @@ impl SimRng {
     }
 }
 
-impl SimRng {
-    /// Fill a byte buffer with generator output (any length).
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_raw().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,13 +359,5 @@ mod tests {
         let draws: Vec<u64> = (0..8).map(|_| r.next_raw()).collect();
         assert!(draws.iter().any(|&x| x != draws[0]));
         assert!(draws.iter().any(|&x| x != 0));
-    }
-
-    #[test]
-    fn fill_bytes_fills_odd_lengths() {
-        let mut r = SimRng::new(29);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -8,8 +8,8 @@
 //!   *embeds* in its own struct. Recording is a bucket scan plus field
 //!   updates (no allocation, no atomics, no locks), so it is safe to
 //!   touch from hot loops. Plain counts are ordinary `u64` fields.
-//! * [`SpanSet`] / [`SpanGuard`] — RAII wall-clock span timers for
-//!   phase accounting (warmup vs sampling, simulate vs label).
+//! * [`Stopwatch`] — a wall-clock timer for phase accounting
+//!   (simulate vs collect vs label).
 //! * [`RunReport`] / [`Section`] — the snapshot form: what every
 //!   `fig*`/`table*` binary prints with `--report` or dumps with
 //!   `--report-json <path>`. Text and JSON rendering are hand-rolled
@@ -53,6 +53,6 @@ mod write;
 
 pub use metrics::Histogram;
 pub use report::{Entry, HistogramSnapshot, RunReport, Section, Value};
-pub use span::{SpanGuard, SpanId, SpanSet, Stopwatch};
+pub use span::Stopwatch;
 pub use trace::{Lane, TraceBuffer, TraceEvent, TraceKind, TraceTime};
 pub use write::{write_atomic, write_atomic_with};

@@ -152,11 +152,6 @@ impl Section {
         self.push(name, Value::Histogram(h.snapshot()))
     }
 
-    /// Append a histogram entry from an owned snapshot.
-    pub fn histogram_snapshot(&mut self, name: &str, snap: HistogramSnapshot) -> &mut Section {
-        self.push(name, Value::Histogram(snap))
-    }
-
     /// Look up an entry by name.
     pub fn get(&self, name: &str) -> Option<&Value> {
         self.entries

@@ -1,14 +1,7 @@
-//! Wall-clock span timers for phase accounting.
-//!
-//! [`Stopwatch`] is the simplest form: start, read. [`SpanSet`] holds
-//! named accumulating spans registered up front; entering a span returns
-//! an RAII [`SpanGuard`] that adds the elapsed wall-clock to the span's
-//! cell on drop, so early returns and `?` exits are accounted correctly.
+//! Wall-clock timing for phase accounting: [`Stopwatch`] starts, then
+//! reads the seconds elapsed.
 
-use std::cell::Cell;
 use std::time::Instant;
-
-use crate::report::Section;
 
 /// A started wall-clock timer.
 #[derive(Clone, Copy, Debug)]
@@ -36,71 +29,6 @@ impl Default for Stopwatch {
     }
 }
 
-/// Handle to a registered span.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanId(usize);
-
-/// A set of named, accumulating wall-clock spans.
-#[derive(Debug, Default)]
-pub struct SpanSet {
-    spans: Vec<(String, Cell<f64>)>,
-}
-
-impl SpanSet {
-    /// An empty set.
-    pub fn new() -> SpanSet {
-        SpanSet::default()
-    }
-
-    /// Register a span, returning its handle. Span names conventionally
-    /// end in `_secs`.
-    pub fn register(&mut self, name: &str) -> SpanId {
-        self.spans.push((name.to_string(), Cell::new(0.0)));
-        SpanId(self.spans.len() - 1)
-    }
-
-    /// Enter a span: the returned guard adds the elapsed wall-clock to
-    /// the span when dropped.
-    pub fn enter(&self, id: SpanId) -> SpanGuard<'_> {
-        SpanGuard {
-            cell: &self.spans[id.0].1,
-            start: Instant::now(),
-        }
-    }
-
-    /// Run `f` inside the span.
-    pub fn time<R>(&self, id: SpanId, f: impl FnOnce() -> R) -> R {
-        let _guard = self.enter(id);
-        f()
-    }
-
-    /// Accumulated seconds in a span.
-    pub fn secs(&self, id: SpanId) -> f64 {
-        self.spans[id.0].1.get()
-    }
-
-    /// Export every span as a `span_secs` entry of `section`.
-    pub fn export_into(&self, section: &mut Section) {
-        for (name, cell) in &self.spans {
-            section.span_secs(name, cell.get());
-        }
-    }
-}
-
-/// RAII guard: accumulates elapsed wall-clock into its span on drop.
-#[derive(Debug)]
-pub struct SpanGuard<'a> {
-    cell: &'a Cell<f64>,
-    start: Instant,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.cell
-            .set(self.cell.get() + self.start.elapsed().as_secs_f64());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,33 +38,5 @@ mod tests {
         let sw = Stopwatch::start();
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(sw.elapsed_secs() > 0.0);
-    }
-
-    #[test]
-    fn guard_accumulates_on_drop() {
-        let mut spans = SpanSet::new();
-        let id = spans.register("phase_secs");
-        assert_eq!(spans.secs(id), 0.0);
-        {
-            let _g = spans.enter(id);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let first = spans.secs(id);
-        assert!(first > 0.0);
-        spans.time(id, || {
-            std::thread::sleep(std::time::Duration::from_millis(2))
-        });
-        assert!(spans.secs(id) > first, "spans accumulate across entries");
-    }
-
-    #[test]
-    fn export_writes_span_entries() {
-        let mut spans = SpanSet::new();
-        let id = spans.register("warmup_secs");
-        spans.time(id, || ());
-        let mut section = Section::new("test");
-        spans.export_into(&mut section);
-        assert_eq!(section.entries.len(), 1);
-        assert_eq!(section.entries[0].name, "warmup_secs");
     }
 }

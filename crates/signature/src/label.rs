@@ -132,20 +132,12 @@ impl LabeledPath {
     }
 }
 
-/// Label every (vantage, prefix, path) in `dump` against `schedule`.
+/// Label every (vantage, prefix, path) in `dump` against `schedule`,
+/// aware of vantage-point outage windows (from an injected fault plan or
+/// known infrastructure failures; empty when there are none).
 ///
 /// Only records for the schedule's prefix are considered; run once per
 /// beacon prefix (each (site, prefix) is an independent experiment, §4.3).
-pub fn label_dump(
-    dump: &Dump,
-    schedule: &BeaconSchedule,
-    config: &LabelingConfig,
-) -> Vec<LabeledPath> {
-    label_dump_with_outages(dump, schedule, config, &BTreeMap::new())
-}
-
-/// [`label_dump`] aware of vantage-point outage windows (from an
-/// injected fault plan or known infrastructure failures).
 ///
 /// A Burst–Break pair whose window overlaps its vantage point's outage
 /// is *unobservable*: the outage may have eaten the burst (faking
@@ -252,17 +244,9 @@ pub fn obs_section(labels: &[LabeledPath]) -> obs::Section {
     section
 }
 
-/// Analyse every Burst–Break pair for one (vantage, prefix) record stream.
-pub fn pair_outcomes(
-    records: &[&UpdateRecord],
-    schedule: &BeaconSchedule,
-    config: &LabelingConfig,
-) -> Vec<PairOutcome> {
-    pair_outcomes_with_outage(records, schedule, config, None)
-}
-
-/// [`pair_outcomes`] aware of the vantage point's outage window: pairs
-/// whose Burst–Break window overlaps it come back with
+/// Analyse every Burst–Break pair for one (vantage, prefix) record
+/// stream, aware of the vantage point's outage window: pairs whose
+/// Burst–Break window overlaps it come back with
 /// [`PairOutcome::observable`] false and no match verdict.
 pub fn pair_outcomes_with_outage(
     records: &[&UpdateRecord],
@@ -435,7 +419,7 @@ mod tests {
 
     fn label(records: Vec<UpdateRecord>, s: &BeaconSchedule) -> Vec<LabeledPath> {
         let dump = Dump::new(records);
-        label_dump(&dump, s, &LabelingConfig::default())
+        label_dump_with_outages(&dump, s, &LabelingConfig::default(), &BTreeMap::new())
     }
 
     #[test]
@@ -699,7 +683,8 @@ mod tests {
         outages.insert(AsId(901), (SimTime::ZERO, SimTime::from_mins(100000)));
         let dump = Dump::new(rfd_stream(&s));
         let with = label_dump_with_outages(&dump, &s, &LabelingConfig::default(), &outages);
-        let without = label_dump(&dump, &s, &LabelingConfig::default());
+        let without =
+            label_dump_with_outages(&dump, &s, &LabelingConfig::default(), &BTreeMap::new());
         assert_eq!(with, without);
     }
 
@@ -753,7 +738,7 @@ mod tests {
 
                 let mut base = Dump::new(records.clone());
                 base.normalize(&integrity);
-                let baseline = label_dump(&base, &s, &LabelingConfig::default());
+                let baseline = label_dump_with_outages(&base, &s, &LabelingConfig::default(), &BTreeMap::new());
                 prop_assert_eq!(baseline.len(), 2);
 
                 let mut rng = SimRng::new(seed).split("perturb");
@@ -775,7 +760,7 @@ mod tests {
 
                 let mut dump = Dump::new(perturbed);
                 dump.normalize(&integrity);
-                let labels = label_dump(&dump, &s, &LabelingConfig::default());
+                let labels = label_dump_with_outages(&dump, &s, &LabelingConfig::default(), &BTreeMap::new());
                 prop_assert_eq!(labels, baseline);
             }
         }

@@ -26,6 +26,4 @@ pub mod clean;
 pub mod label;
 
 pub use clean::{clean_path, CleanPath};
-pub use label::{
-    label_dump, label_dump_with_outages, obs_section, LabeledPath, LabelingConfig, PairOutcome,
-};
+pub use label::{label_dump_with_outages, obs_section, LabeledPath, LabelingConfig, PairOutcome};

@@ -15,10 +15,13 @@
 //! Run with: `cargo run --release --example inconsistent_damping`
 
 use beacon::BeaconSchedule;
-use because::{Analysis, AnalysisConfig, NodeId, PathData, PathObservation};
+use because::{Analysis, AnalysisConfig, NodeId};
 use bgpsim::{AsId, Network, NetworkConfig, Relationship, SessionPolicy, VendorProfile};
+use collector::{CollectorConfig, CollectorSet, Project};
+use experiments::infer::path_data;
+use experiments::pipeline::measure;
 use netsim::{SimDuration, SimTime};
-use signature::{label_dump, LabelingConfig};
+use signature::LabelingConfig;
 
 fn schedule(site: u32, prefix: &str) -> BeaconSchedule {
     BeaconSchedule::standard(
@@ -75,16 +78,17 @@ fn main() {
         s.apply(&mut net);
     }
     println!("simulating 10 Burst–Break pairs over 7 beacon prefixes…");
-    net.run_to_quiescence();
-
-    let taps = net.take_tap_log();
-    let set = collector::CollectorSet::single(&vps, collector::Project::RipeRis);
-    let horizon = schedules.iter().map(|s| s.end()).max().unwrap();
-    let dump = set.process(&taps, &collector::CollectorConfig::clean(), horizon);
-    let mut labels = Vec::new();
-    for s in &schedules {
-        labels.extend(label_dump(&dump, s, &LabelingConfig::default()));
-    }
+    let schedule_refs: Vec<&BeaconSchedule> = schedules.iter().collect();
+    let labels = measure(
+        net,
+        &schedule_refs,
+        &CollectorSet::single(&vps, Project::RipeRis),
+        &CollectorConfig::clean(),
+        &LabelingConfig::default(),
+        None,
+        false,
+    )
+    .labels;
 
     let damped_count = labels.iter().filter(|l| l.rfd).count();
     println!(
@@ -93,20 +97,8 @@ fn main() {
         damped_count
     );
 
-    let observations: Vec<PathObservation> = labels
-        .iter()
-        .flat_map(|l| {
-            let nodes: Vec<NodeId> = l.path.asns().iter().map(|a| NodeId(a.0)).collect();
-            std::iter::repeat_n(PathObservation::new(nodes.clone(), true), l.pairs_matching).chain(
-                std::iter::repeat_n(
-                    PathObservation::new(nodes, false),
-                    l.pairs_total - l.pairs_matching,
-                ),
-            )
-        })
-        .collect();
     let sites: Vec<NodeId> = schedules.iter().map(|s| NodeId(s.site.0)).collect();
-    let data = PathData::from_observations(&observations, &sites);
+    let data = path_data(&labels, &sites);
     let analysis = Analysis::run(&data, &AnalysisConfig::fast(2020));
 
     println!("\nper-AS verdicts:");

@@ -42,6 +42,12 @@ REPRO_SCALE=tiny ./target/release/fig06_link_similarity \
 python3 -m json.tool "$artifacts/fig06.trace.json" > /dev/null
 python3 -m json.tool "$artifacts/fig06.report.json" > /dev/null
 
+echo "==> examples (release; inconsistent_damping asserts Eq. 8 flags AS 701)"
+cargo build --release --examples -q
+for src in examples/*.rs; do
+    "./target/release/examples/$(basename "$src" .rs)" > /dev/null
+done
+
 echo "==> fault-matrix smoke test (--faults on a tiny campaign)"
 REPRO_SCALE=tiny ./target/release/fig05_signature \
     --faults drill \

@@ -42,6 +42,36 @@ fn one_suite_renders_every_figure_as_its_own_suite_does() {
     assert_eq!(count("fig13.interval_3.pipeline"), 1);
 }
 
+/// `--faults` reaches fig05's hand-built network through the same
+/// measurement as the default campaign: the report holds one `faults`
+/// section that counted injected faults and the labels, and no campaign
+/// ran.
+#[test]
+fn fig05_under_the_fault_drill_reports_its_faults() {
+    let flags = Flags::parse(&["--faults", "drill"]).expect("valid flags");
+    let mut suite = Suite::new("suite_test", Scale::Tiny, 2020, flags);
+    let fig05 = ALL
+        .iter()
+        .find(|f| f.name == "fig05_signature")
+        .expect("fig05 is registered");
+    render(fig05, &mut suite);
+
+    let report = suite.report_mut();
+    let faults: Vec<_> = report
+        .sections
+        .iter()
+        .filter(|s| s.name == "faults")
+        .collect();
+    assert_eq!(faults.len(), 1, "one faults section");
+    assert!(
+        matches!(faults[0].get("total"), Some(obs::Value::Counter(n)) if *n > 0),
+        "the drill injected nothing: {:?}",
+        faults[0]
+    );
+    assert!(report.get("signature.labels").is_some());
+    assert!(report.get("pipeline").is_none(), "fig05 runs no campaign");
+}
+
 /// An unknown `REPRO_SCALE` or an unparsable `REPRO_SEED` is a usage
 /// error (exit code 2 and a message naming the variable), not a silent
 /// run at the default. Checked in a child run of this test binary, which
