@@ -54,7 +54,7 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
     let data = synthetic_paths(200, 1000, 0.2, 3);
     let ll = LogLikelihood::new(&data);
     let p = mid_p(&data);
-    let inc = IncrementalLikelihood::new(&data, &p);
+    let mut inc = IncrementalLikelihood::new(&data, &p);
 
     group.bench_function("incremental_delta", |b| {
         let mut i = 0usize;

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use obs::serve::ChainProgress;
 
 use crate::checkpoint::CheckpointError;
-use crate::diagnostics::{coordinate, nan_max, nan_min};
+use crate::diagnostics::{coordinate_bulk, nan_max, nan_min};
 use crate::progress::{ChainPhase, NoProgress, ProgressObserver};
 use crate::supervisor::ChainOutcome;
 
@@ -545,7 +545,7 @@ pub(crate) fn drive_chain<S: Sampler, O: ProgressObserver, H: ChainHook<S>>(
 }
 
 /// The worst rank-R̂ and smallest bulk ESS over the first `draws` draws
-/// of `chain` alone: one [`coordinate`] pass per coordinate.
+/// of `chain` alone: one [`coordinate_bulk`] pass per coordinate.
 fn live_diagnostics(chain: &Chain, draws: usize) -> (f64, f64) {
     let prefix;
     let chain = if draws == chain.len() {
@@ -557,9 +557,9 @@ fn live_diagnostics(chain: &Chain, draws: usize) -> (f64, f64) {
     };
     let chains = std::slice::from_ref(chain);
     (0..chain.dim())
-        .map(|i| coordinate(chains, i))
-        .fold((f64::NAN, f64::NAN), |(r_hat, ess), c| {
-            (nan_max(r_hat, c.rank_r_hat), nan_min(ess, c.ess_bulk))
+        .map(|i| coordinate_bulk(chains, i))
+        .fold((f64::NAN, f64::NAN), |(r_hat, ess), (r, e)| {
+            (nan_max(r_hat, r), nan_min(ess, e))
         })
 }
 
@@ -821,7 +821,9 @@ pub(crate) mod tests {
         }
         // The last one is one coordinate pass over this chain alone.
         let chains = std::slice::from_ref(&observed);
-        let c: Vec<_> = (0..2).map(|i| coordinate(chains, i)).collect();
+        let c: Vec<_> = (0..2)
+            .map(|i| crate::diagnostics::coordinate(chains, i))
+            .collect();
         let last = sampling.last().unwrap();
         assert_eq!(last.max_rank_r_hat, c[0].rank_r_hat.max(c[1].rank_r_hat));
         assert_eq!(last.min_ess_bulk, c[0].ess_bulk.min(c[1].ess_bulk));

@@ -15,7 +15,8 @@
 //! classic split-R̂ misses entirely. [`coordinate`] computes all three
 //! rank statistics of one coordinate from one column extraction and
 //! one sort; `Analysis` keeps one row per coordinate, and the live
-//! progress snapshots use it over each chain alone.
+//! progress snapshots take its rank-R̂ and bulk ESS over each chain
+//! alone, without the tail ESS they would drop.
 
 use crate::chain::Chain;
 use crate::math::inv_normal_cdf;
@@ -275,38 +276,19 @@ pub struct CoordDiagnostics {
 /// ranking serves them. The folded halves' ranking is merged from the
 /// halves', and gives folded R̂.
 pub fn coordinate(chains: &[Chain], coord: usize) -> CoordDiagnostics {
-    let cols: Vec<Vec<f64>> = chains
-        .iter()
-        .filter(|c| !c.is_empty() && coord < c.dim())
-        .map(|c| c.column(coord))
-        .collect();
-    if cols.is_empty() {
+    let Some(columns) = Columns::of(chains, coord) else {
         return CoordDiagnostics {
             rank_r_hat: f64::NAN,
             ess_bulk: f64::NAN,
             ess_tail: f64::NAN,
         };
-    }
-    let pool = ranked(&cols);
-    let scores = normal_scores(&pool);
-    let rank_r_hat = split_halves(&cols).map_or(f64::NAN, |halves| {
-        let covers = halves.iter().map(|h| h.len()).sum::<usize>() == pool.len();
-        let own_pool = (!covers).then(|| ranked(&halves));
-        let half_pool = own_pool.as_ref().unwrap_or(&pool);
-        let own_scores = (!covers).then(|| normal_scores(half_pool));
-        let half_scores = own_scores.as_ref().unwrap_or(&scores);
-        let fold_scores = normal_scores(&folded(half_pool, median(half_pool)));
-        let bulk = gelman_rubin_halves(&shape(half_scores, &halves));
-        let fold = gelman_rubin_halves(&shape(&fold_scores, &halves));
-        nan_max(bulk, fold)
-    });
-    let ess_bulk = shape(&scores, &cols)
-        .iter()
-        .map(|c| effective_sample_size(c))
-        .sum();
-    let (q05, q95) = (quantile(&pool, 0.05), quantile(&pool, 0.95));
+    };
+    let (rank_r_hat, ess_bulk) = columns.bulk();
+    let (q05, q95) = (quantile(&columns.pool, 0.05), quantile(&columns.pool, 0.95));
     let indicator_ess = |hit: &dyn Fn(f64) -> bool| -> f64 {
-        cols.iter()
+        columns
+            .cols
+            .iter()
             .map(|c| {
                 let ind: Vec<f64> = c.iter().map(|&x| if hit(x) { 1.0 } else { 0.0 }).collect();
                 effective_sample_size(&ind)
@@ -317,6 +299,57 @@ pub fn coordinate(chains: &[Chain], coord: usize) -> CoordDiagnostics {
         rank_r_hat,
         ess_bulk,
         ess_tail: indicator_ess(&|x| x <= q05).min(indicator_ess(&|x| x >= q95)),
+    }
+}
+
+/// [`coordinate`]'s rank-R̂ and bulk ESS, bit for bit, without the tail
+/// ESS: the live progress snapshots read only these two.
+pub(crate) fn coordinate_bulk(chains: &[Chain], coord: usize) -> (f64, f64) {
+    Columns::of(chains, coord).map_or((f64::NAN, f64::NAN), |columns| columns.bulk())
+}
+
+/// One coordinate's column from every chain that carries it, and their
+/// pooled ranking.
+struct Columns {
+    cols: Vec<Vec<f64>>,
+    pool: Vec<(f64, u32)>,
+}
+
+impl Columns {
+    /// `None` when no chain carries coordinate `coord`.
+    fn of(chains: &[Chain], coord: usize) -> Option<Columns> {
+        let cols: Vec<Vec<f64>> = chains
+            .iter()
+            .filter(|c| !c.is_empty() && coord < c.dim())
+            .map(|c| c.column(coord))
+            .collect();
+        if cols.is_empty() {
+            return None;
+        }
+        let pool = ranked(&cols);
+        Some(Columns { cols, pool })
+    }
+
+    /// Rank-R̂ and bulk ESS.
+    fn bulk(&self) -> (f64, f64) {
+        let (cols, pool) = (&self.cols, &self.pool);
+        let scores = normal_scores(pool);
+        let rank_r_hat = split_halves(cols).map_or(f64::NAN, |halves| {
+            let covers = halves.iter().map(|h| h.len()).sum::<usize>() == pool.len();
+            let own_pool = (!covers).then(|| ranked(&halves));
+            let half_pool = own_pool.as_ref().unwrap_or(pool);
+            let own_scores = (!covers).then(|| normal_scores(half_pool));
+            let half_scores = own_scores.as_ref().unwrap_or(&scores);
+            let fold_scores = normal_scores(&folded(half_pool, median(half_pool)));
+            let bulk = gelman_rubin_halves(&shape(half_scores, &halves));
+            let fold = gelman_rubin_halves(&shape(&fold_scores, &halves));
+            nan_max(bulk, fold)
+        });
+        let ess_bulk = shape(&scores, cols)
+            .iter()
+            .map(|c| effective_sample_size(c))
+            .sum();
+        (rank_r_hat, ess_bulk)
     }
 }
 

@@ -24,18 +24,18 @@
 //!
 //! The Metropolis correction reads the log posterior only at the end of
 //! a trajectory, so the leapfrog computes it once per trajectory. Steps
-//! 1..L−1 take a gradient-only pass ([`LogLikelihood::grad`]: per node a
-//! `sigmoid` and an `ln`, per showing path one `expm1` or `exp`); the
-//! last step takes the value-and-gradient pass
-//! ([`LogLikelihood::eval_grad`], which adds the `ln` of each showing
-//! path's split, and per node the prior's `ln p` and `ln jac`). Both
-//! modes write the same gradient bits, and both visit only the showing
-//! paths (the non-showing ones are collapsed into per-AS weights). An
-//! intermediate step flags a divergence when some `θ_i` is NaN, which is
-//! exactly when the log posterior there would be non-finite. The prior
-//! reuses the likelihood's `ln(1 − p)`, and its Beta normaliser is
-//! evaluated once per kernel. The trajectory runs in buffers owned by
-//! the kernel, so a step allocates nothing.
+//! 1..L−1 take a gradient-only pass ([`LogLikelihood::grad`]): per node
+//! one `exp` (the `sigmoid`) and nothing else transcendental, because
+//! each showing path's odds come from the product of its `q_i`. The last
+//! step takes the value-and-gradient pass ([`LogLikelihood::eval_grad`],
+//! which adds per node `ln q`, the prior's `ln p` and `ln jac`, and per
+//! showing path one `ln`). Both modes write the same gradient bits, and
+//! both visit only the showing paths (the non-showing ones are collapsed
+//! into per-AS weights). An intermediate step flags a divergence when
+//! some `θ_i` is NaN, which is exactly when the log posterior there
+//! would be non-finite. The prior reuses the likelihood's `ln(1 − p)`,
+//! and its Beta normaliser is evaluated once per kernel. The trajectory
+//! runs in buffers owned by the kernel, so a step allocates nothing.
 
 use netsim::SimRng;
 
@@ -79,8 +79,8 @@ impl LogPosterior<'_> {
     }
 
     /// The θ-gradient of [`Self::eval_grad`], bit for bit, without the log
-    /// posterior: per node a `sigmoid` and an `ln`, per showing path one
-    /// `expm1` or `exp`.
+    /// posterior: one `exp` per node (the `sigmoid`), and no
+    /// transcendental per showing path.
     ///
     /// Returns whether the log posterior at `theta` is finite, exactly as
     /// `eval_grad(theta).is_finite()` would: `p` and `1 − p` are clamped
@@ -106,18 +106,22 @@ impl LogPosterior<'_> {
             self.likelihood.grad(&self.p, &mut self.grad_p);
             0.0
         };
-        let log_q = self.likelihood.log_q();
-        for (((g, &p), &grad_p), &log_q) in
-            grad.iter_mut().zip(&self.p).zip(&self.grad_p).zip(log_q)
-        {
-            let jac = (p * (1.0 - p)).max(1e-18);
-            if VALUE {
-                log_post += self.prior.log_density_with(p, log_q) + jac.ln();
+        if VALUE {
+            for (&p, &log_q) in self.p.iter().zip(self.likelihood.log_q()) {
+                log_post += self.prior.log_density_with(p, log_q) + jacobian(p).ln();
             }
-            *g = (grad_p + self.prior.grad(p)) * jac + (1.0 - 2.0 * p);
+        }
+        for ((g, &p), &grad_p) in grad.iter_mut().zip(&self.p).zip(&self.grad_p) {
+            *g = (grad_p + self.prior.grad(p)) * jacobian(p) + (1.0 - 2.0 * p);
         }
         log_post
     }
+}
+
+/// `dp/dθ = p(1 − p)`, floored so its `ln` stays finite.
+#[inline]
+fn jacobian(p: f64) -> f64 {
+    (p * (1.0 - p)).max(1e-18)
 }
 
 /// The leapfrog position update `θ += ε·r`.

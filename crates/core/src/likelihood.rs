@@ -1,12 +1,13 @@
 //! The path likelihood (Eq. 5 of the paper), its gradient, and an
 //! incremental evaluator for component-wise samplers.
 //!
-//! Everything is kept in log space. For a path `J` with `S_J = Σ_{i∈J}
+//! Totals are log-likelihoods. For a path `J` with `S_J = Σ_{i∈J}
 //! log q_i`:
 //!
 //! * a **non-showing** path contributes `w_J · S_J`;
-//! * a **showing** path contributes `w_J · log(1 − e^{S_J})`
-//!   (via [`crate::math::log1mexp`]),
+//! * a **showing** path contributes `w_J · log(1 − e^{S_J})` (the full
+//!   evaluator computes `1 − e^{S_J} = 1 − ∏ q_i` directly, the
+//!   incremental one via [`crate::math::log1mexp`]),
 //!
 //! where `w_J` is the observation weight (identical measurements
 //! collapsed). Changing a single `q_i` only changes `S_J` for paths
@@ -21,17 +22,32 @@
 //! they contribute `Σ_i W_i · log q_i`, where `W_i` is the total weight
 //! of the non-showing paths through node `i`. [`LogLikelihood::new`]
 //! computes `W_i` once per dataset, along with the list of showing paths,
-//! so a pass never visits a non-showing path. Per step it computes
-//! `log q_i` once per node into a reused buffer, then walks the showing
-//! paths in path order: one sum `S` and one `expm1` or `exp` of it
-//! (`math::OneMinusExp`), which gives the odds `c_J = w · Q/(1 − Q)`
+//! so a pass never visits a non-showing path. Per step it stores
+//! `c_i = clamp_p(p_i)` and `q_i = 1 − c_i` once per node into a reused
+//! buffer, then walks the showing paths in path order. Along a path it
+//! forms the product `Q = ∏ q_i` and, by the recurrence
+//! `m ← c_i + q_i · m` from `m = 0`, the complement `m = 1 − Q`: every
+//! term is positive, so nothing cancels, and no transcendental is
+//! needed. The path's odds factor `c_J = w · Q/(1 − Q)` is `w · Q / m`,
 //! added to the gradient slot of each node on the path. A last pass over
 //! the nodes turns the slot into `∂/∂p_i = (Σ_{J∋i} c_J − W_i) / q_i`.
-//! [`LogLikelihood::grad`] stops there. [`LogLikelihood::eval_grad`] also
-//! adds `Σ_i W_i · log q_i` in node order and, per showing path, the `ln`
-//! of the same split (`log1mexp(S)`); it writes the same gradient bits.
-//! [`LogLikelihood::eval`] sums in the same order with the same
-//! expressions, so the two totals agree bit for bit (DESIGN.md §5c).
+//! [`LogLikelihood::grad`] stops there: it takes no transcendental at
+//! all. [`LogLikelihood::eval_grad`] also takes `ln q_i` per node, adds
+//! `Σ_i W_i · ln q_i` in node order and, per showing path, `w · ln m`; it
+//! writes the same gradient bits. [`LogLikelihood::eval`] sums in the
+//! same order with the same expressions, so the two totals agree bit for
+//! bit (DESIGN.md §5c).
+//!
+//! ## The incremental cache
+//!
+//! [`IncrementalLikelihood`] keeps, per path, `S_J` and its current term
+//! (`log1mexp(S_J)` for a showing path, `S_J` for a quiet one). Pricing a
+//! move ([`IncrementalLikelihood::delta`]) takes one `ln` for the new
+//! `log q_i` and one `log1mexp` per showing path through `i`; it keeps
+//! the new terms and `log q_i`, which [`IncrementalLikelihood::commit`]
+//! then stores without recomputing them. Its terms use `log1mexp` of the
+//! cached sums, not the product form, so its totals agree with
+//! [`LogLikelihood::eval`] to rounding, not bit for bit.
 //!
 //! ## Numerical safety at the `log1mexp` boundary
 //!
@@ -44,7 +60,7 @@
 //! in both places: `commit` clamps the stored sum to `≤ 0`, and **every**
 //! `log1mexp` call site clamps its argument with `.min(0.0)`.
 
-use crate::math::{log1mexp, OneMinusExp};
+use crate::math::log1mexp;
 use crate::model::PathData;
 
 /// Lower clamp for `p` and `1 − p`: keeps `log q` finite while being far
@@ -57,6 +73,27 @@ pub fn clamp_p(p: f64) -> f64 {
     p.clamp(P_EPS, 1.0 - P_EPS)
 }
 
+/// `(c, q)` with `c = clamp_p(p)` and `q = 1 − c`.
+#[inline]
+fn c_and_q(p: f64) -> (f64, f64) {
+    let c = clamp_p(p);
+    (c, 1.0 - c)
+}
+
+/// A showing path's `Q = ∏ q_i` and `m = 1 − Q`, the latter from the
+/// recurrence `m ← c_i + q_i · m`: all terms positive, no cancellation.
+/// `m ≥ P_EPS`, so `ln m` and `Q / m` are finite.
+#[inline]
+fn show_split(nodes: &[u32], cq: &[(f64, f64)]) -> (f64, f64) {
+    let (mut prod, mut m) = (1.0, 0.0);
+    for &i in nodes {
+        let (c, q) = cq[i as usize];
+        prod *= q;
+        m = c + q * m;
+    }
+    (prod, m)
+}
+
 /// Full-dataset log-likelihood evaluator.
 #[derive(Clone, Debug)]
 pub struct LogLikelihood<'a> {
@@ -65,8 +102,11 @@ pub struct LogLikelihood<'a> {
     quiet_weight: Vec<f64>,
     /// Indices of the showing paths, in path order.
     showing: Vec<u32>,
-    /// `ln(1 − clamp_p(p_i))` per node, rebuilt by every
+    /// `(clamp_p(p_i), 1 − clamp_p(p_i))` per node, rebuilt by every
     /// [`Self::eval_grad`] and [`Self::grad`].
+    cq: Vec<(f64, f64)>,
+    /// `ln(1 − clamp_p(p_i))` per node, rebuilt by every
+    /// [`Self::eval_grad`] (not by [`Self::grad`]).
     log_q: Vec<f64>,
 }
 
@@ -90,6 +130,7 @@ impl<'a> LogLikelihood<'a> {
             data,
             quiet_weight,
             showing,
+            cq: Vec::new(),
             log_q: Vec::new(),
         }
     }
@@ -100,7 +141,7 @@ impl<'a> LogLikelihood<'a> {
     }
 
     /// `ln(1 − clamp_p(p_i))` per node at the point of the last
-    /// [`Self::eval_grad`] or [`Self::grad`] call.
+    /// [`Self::eval_grad`] call.
     pub(crate) fn log_q(&self) -> &[f64] {
         &self.log_q
     }
@@ -109,15 +150,12 @@ impl<'a> LogLikelihood<'a> {
     /// total, for callers that need no gradient.
     pub fn eval(&self, p: &[f64]) -> f64 {
         assert_eq!(p.len(), self.data.num_nodes(), "dimension mismatch");
-        let log_q: Vec<f64> = p.iter().map(|&pi| (1.0 - clamp_p(pi)).ln()).collect();
+        let cq: Vec<(f64, f64)> = p.iter().map(|&pi| c_and_q(pi)).collect();
+        let log_q: Vec<f64> = cq.iter().map(|&(_, q)| q.ln()).collect();
         let mut total = self.quiet_total(&log_q);
         for (nodes, w) in self.showing_paths() {
-            let s = nodes
-                .iter()
-                .map(|&i| log_q[i as usize])
-                .sum::<f64>()
-                .min(0.0);
-            total += w * log1mexp(s);
+            let (_, m) = show_split(nodes, &cq);
+            total += w * m.ln();
         }
         total
     }
@@ -125,20 +163,17 @@ impl<'a> LogLikelihood<'a> {
     /// `log P(D | p)`, with the gradient `∂ log P(D|p) / ∂ p_i` written
     /// into `grad` (overwritten), in one pass over the showing paths.
     ///
-    /// With `Q = e^{S}`, a showing path adds `w · Q / (1 − Q) / q_i` to
-    /// the gradient of each of its nodes. That factor is evaluated once
-    /// per path as `c = w · odds`, from the same `expm1` or `exp` that
-    /// gives the path's `log1mexp(S)` (`math::OneMinusExp`), which stays
-    /// stable when `Q → 0` or `Q → 1`. The non-showing paths add
-    /// `−W_i / q_i`. The returned total is bit-identical to
-    /// [`Self::eval`]. Allocates nothing after the first call.
+    /// With `Q = ∏ q_i` and `m = 1 − Q`, a showing path adds
+    /// `w · Q / m / q_i` to the gradient of each of its nodes, and
+    /// `w · ln m` to the total. The non-showing paths add `−W_i / q_i`.
+    /// The returned total is bit-identical to [`Self::eval`]. Allocates
+    /// nothing after the first call.
     pub fn eval_grad(&mut self, p: &[f64], grad: &mut [f64]) -> f64 {
         self.pass::<true>(p, grad)
     }
 
     /// The gradient of [`Self::eval_grad`], bit for bit, without the
-    /// total: one `ln` per node and one `expm1` or `exp` per showing
-    /// path.
+    /// total and without a transcendental.
     pub fn grad(&mut self, p: &[f64], grad: &mut [f64]) {
         self.pass::<false>(p, grad);
     }
@@ -150,30 +185,29 @@ impl<'a> LogLikelihood<'a> {
     fn pass<const VALUE: bool>(&mut self, p: &[f64], grad: &mut [f64]) -> f64 {
         assert_eq!(p.len(), self.data.num_nodes(), "dimension mismatch");
         assert_eq!(grad.len(), p.len());
-        self.log_q.clear();
-        self.log_q
-            .extend(p.iter().map(|&pi| (1.0 - clamp_p(pi)).ln()));
-        let log_q = &self.log_q;
-        let mut total = if VALUE { self.quiet_total(log_q) } else { 0.0 };
+        self.cq.clear();
+        self.cq.extend(p.iter().map(|&pi| c_and_q(pi)));
+        let mut total = 0.0;
+        if VALUE {
+            self.log_q.clear();
+            self.log_q.extend(self.cq.iter().map(|&(_, q)| q.ln()));
+            total = self.quiet_total(&self.log_q);
+        }
+        let cq = &self.cq;
         // `grad` first accumulates Σ_{J∋i} c_J over the showing paths.
         grad.fill(0.0);
         for (nodes, w) in self.showing_paths() {
-            let s = nodes
-                .iter()
-                .map(|&i| log_q[i as usize])
-                .sum::<f64>()
-                .min(0.0);
-            let denom = OneMinusExp::new(s); // 1 − Q
+            let (prod, m) = show_split(nodes, cq);
             if VALUE {
-                total += w * denom.ln();
+                total += w * m.ln();
             }
-            let c = w * denom.odds();
+            let c = w * prod / m;
             for &i in nodes {
                 grad[i as usize] += c;
             }
         }
-        for ((g, &quiet), &pi) in grad.iter_mut().zip(&self.quiet_weight).zip(p) {
-            *g = (*g - quiet) / (1.0 - clamp_p(pi));
+        for ((g, &quiet), &(_, q)) in grad.iter_mut().zip(&self.quiet_weight).zip(cq) {
+            *g = (*g - quiet) / q;
         }
         total
     }
@@ -199,8 +233,9 @@ impl<'a> LogLikelihood<'a> {
     }
 }
 
-/// Incremental evaluator: caches per-path `S_J` and the total, and updates
-/// both in `O(paths through i)` when one coordinate moves.
+/// Incremental evaluator: caches per-path `S_J`, each path's term and the
+/// total, and updates them in `O(paths through i)` when one coordinate
+/// moves.
 ///
 /// Invariant: every cached `path_sum[j]` is `≤ 0` — maintained by clamping
 /// in [`Self::commit`] (see the module docs on drift).
@@ -209,10 +244,22 @@ pub struct IncrementalLikelihood<'a> {
     data: &'a PathData,
     log_q: Vec<f64>,
     path_sum: Vec<f64>,
+    /// Each path's current term: `log1mexp(path_sum[j])` for a showing
+    /// path, `path_sum[j]` for a quiet one. Derived from `path_sum`, so
+    /// it is rebuilt rather than checkpointed.
+    path_term: Vec<f64>,
     total: f64,
     commits: u64,
     /// Rebuild from scratch every this many commits to cap float drift.
     rebuild_every: u64,
+    /// The move last priced by [`Self::delta`]: the coordinate and the
+    /// bits of its proposed value, until a commit or rebuild.
+    proposed: Option<(usize, u64)>,
+    /// `ln(1 − clamp_p(·))` of that proposed value.
+    proposed_log_q: f64,
+    /// The terms of the paths through that coordinate after the move, in
+    /// `paths_of` order.
+    proposed_terms: Vec<f64>,
 }
 
 impl<'a> IncrementalLikelihood<'a> {
@@ -222,9 +269,13 @@ impl<'a> IncrementalLikelihood<'a> {
             data,
             log_q: Vec::new(),
             path_sum: Vec::new(),
+            path_term: Vec::new(),
             total: 0.0,
             commits: 0,
             rebuild_every: 100_000,
+            proposed: None,
+            proposed_log_q: 0.0,
+            proposed_terms: Vec::new(),
         };
         il.rebuild(p);
         il
@@ -238,25 +289,35 @@ impl<'a> IncrementalLikelihood<'a> {
         self.path_sum.clear();
         self.path_sum.reserve(n_paths);
         let (arena, meta) = self.data.path_csr();
-        let mut total = 0.0;
         let mut lo = 0usize;
         for j in 0..n_paths {
             let hi = meta[j + 1].offset as usize;
-            let wshow = meta[j].wshow;
             let s: f64 = arena[lo..hi].iter().map(|&i| self.log_q[i as usize]).sum();
             lo = hi;
             // Fresh sums of non-positive terms cannot exceed zero, but the
             // invariant is cheap to enforce uniformly.
-            let s = s.min(0.0);
-            self.path_sum.push(s);
-            let c = if wshow & 1 == 1 {
+            self.path_sum.push(s.min(0.0));
+        }
+        self.rebuild_terms();
+    }
+
+    /// Recompute `path_term`, the total and no pending move from
+    /// `path_sum`.
+    fn rebuild_terms(&mut self) {
+        let (_, meta) = self.data.path_csr();
+        self.path_term.clear();
+        let mut total = 0.0;
+        for (m, &s) in meta.iter().zip(&self.path_sum) {
+            let c = if m.wshow & 1 == 1 {
                 log1mexp(s.min(0.0))
             } else {
                 s
             };
-            total += f64::from(wshow >> 1) * c;
+            self.path_term.push(c);
+            total += f64::from(m.wshow >> 1) * c;
         }
         self.total = total;
+        self.proposed = None;
     }
 
     /// Current total log-likelihood.
@@ -264,25 +325,37 @@ impl<'a> IncrementalLikelihood<'a> {
         self.total
     }
 
-    /// Log-likelihood change if `p_i` moved to `new_p` (no state change).
-    pub fn delta(&self, i: usize, new_p: f64) -> f64 {
+    /// Log-likelihood change if `p_i` moved to `new_p`. Changes no
+    /// likelihood state, but keeps the move's new terms for
+    /// [`Self::commit`] and its `log q` for the caller's prior.
+    pub fn delta(&mut self, i: usize, new_p: f64) -> f64 {
         let new_log_q = (1.0 - clamp_p(new_p)).ln();
         let d_log_q = new_log_q - self.log_q[i];
-        let (_, meta) = self.data.path_csr();
+        let data = self.data;
+        let (_, meta) = data.path_csr();
+        self.proposed_terms.clear();
         let mut delta = 0.0;
-        for &j in self.data.paths_of(i) {
+        for &j in data.paths_of(i) {
             let j = j as usize;
             let wshow = meta[j].wshow;
-            let s_old = self.path_sum[j];
-            let s_new = s_old + d_log_q;
-            let (c_old, c_new) = if wshow & 1 == 1 {
-                (log1mexp(s_old.min(0.0)), log1mexp(s_new.min(0.0)))
+            let s_new = self.path_sum[j] + d_log_q;
+            let c_new = if wshow & 1 == 1 {
+                log1mexp(s_new.min(0.0))
             } else {
-                (s_old, s_new)
+                s_new
             };
-            delta += f64::from(wshow >> 1) * (c_new - c_old);
+            self.proposed_terms.push(c_new);
+            delta += f64::from(wshow >> 1) * (c_new - self.path_term[j]);
         }
+        self.proposed = Some((i, new_p.to_bits()));
+        self.proposed_log_q = new_log_q;
         delta
+    }
+
+    /// `ln(1 − clamp_p(new_p))` of the move last priced by
+    /// [`Self::delta`]; MH's prior reuses it.
+    pub(crate) fn proposed_log_q(&self) -> f64 {
+        self.proposed_log_q
     }
 
     /// Serialize the caches bit-exactly for a checkpoint.
@@ -290,7 +363,8 @@ impl<'a> IncrementalLikelihood<'a> {
     /// The caches are stored as-is rather than rebuilt on restore: a
     /// rebuild recomputes the sums from scratch and differs from the
     /// drifted incremental values by ulps, which would break draw-for-draw
-    /// resume equivalence.
+    /// resume equivalence. The path terms are a function of the sums and
+    /// are recomputed on restore.
     pub(crate) fn save_state(&self, w: &mut crate::checkpoint::Writer) {
         w.f64_slice(&self.log_q);
         w.f64_slice(&self.path_sum);
@@ -317,23 +391,34 @@ impl<'a> IncrementalLikelihood<'a> {
         }
         self.log_q = log_q;
         self.path_sum = path_sum;
+        self.rebuild_terms();
+        // The drifted running total, not the fresh sum of the terms.
         self.total = r.f64()?;
         self.commits = r.u64()?;
         self.rebuild_every = r.u64()?;
         Ok(())
     }
 
-    /// Commit the move of `p_i` to `new_p`, updating caches.
+    /// Commit the move of `p_i` to `new_p`, updating caches. Reuses what
+    /// [`Self::delta`] computed when it last priced this same move.
     pub fn commit(&mut self, i: usize, new_p: f64, delta: f64) {
-        let new_log_q = (1.0 - clamp_p(new_p)).ln();
-        let d_log_q = new_log_q - self.log_q[i];
-        self.log_q[i] = new_log_q;
+        if self.proposed != Some((i, new_p.to_bits())) {
+            self.delta(i, new_p);
+        }
+        self.proposed = None;
+        let d_log_q = self.proposed_log_q - self.log_q[i];
+        self.log_q[i] = self.proposed_log_q;
         let data = self.data; // copy of the shared reference, frees `self`
-        for &j in data.paths_of(i) {
+        let (_, meta) = data.path_csr();
+        for (&j, &term) in data.paths_of(i).iter().zip(&self.proposed_terms) {
             let j = j as usize;
             // Clamp the stored sum: repeated += can round a near-zero sum
             // to a small positive value, which would later reach log1mexp.
-            self.path_sum[j] = (self.path_sum[j] + d_log_q).min(0.0);
+            let s = (self.path_sum[j] + d_log_q).min(0.0);
+            self.path_sum[j] = s;
+            // A showing path's term is `log1mexp(s)`, which `delta` took
+            // of the same clamped sum; a quiet path's is the stored sum.
+            self.path_term[j] = if meta[j].wshow & 1 == 1 { term } else { s };
         }
         self.total += delta;
         self.commits += 1;
@@ -434,12 +519,13 @@ mod tests {
         assert!(g[0] < 0.0);
     }
 
-    /// The per-entry gradient that [`LogLikelihood::eval_grad`] replaced,
-    /// kept as the reference: every path visited, one `exp` per entry.
-    /// Also returns, per node, the sum of the absolute per-path terms:
-    /// the scale that bounds the rounding of any summation order.
+    /// An accurate per-entry reference for [`LogLikelihood::eval_grad`]'s
+    /// gradient: every path visited, `log q_i = ln_1p(−c_i)` and, per
+    /// showing entry, `e^{S − log q_i} / (−expm1(S))`. Also returns, per
+    /// node, the sum of the absolute per-path terms: the scale that bounds
+    /// the rounding of any summation order.
     fn two_pass_grad(data: &PathData, p: &[f64], grad: &mut [f64]) -> Vec<f64> {
-        let log_q: Vec<f64> = p.iter().map(|&pi| (1.0 - clamp_p(pi)).ln()).collect();
+        let log_q: Vec<f64> = p.iter().map(|&pi| (-clamp_p(pi)).ln_1p()).collect();
         grad.fill(0.0);
         let mut scale = vec![0.0; p.len()];
         for j in 0..data.num_paths() {
@@ -449,8 +535,7 @@ mod tests {
             for &i in nodes {
                 let i = i as usize;
                 let term = if data.shows_property(j) {
-                    let s = s.min(0.0);
-                    w * (s - log_q[i] - log1mexp(s)).exp()
+                    w * (s - log_q[i]).exp() / -s.exp_m1()
                 } else {
                     -w * (-log_q[i]).exp()
                 };
@@ -565,6 +650,45 @@ mod tests {
         }
     }
 
+    /// The cached path terms stay the function of the cached sums that a
+    /// rebuild (and so a checkpoint restore) recomputes, and a commit the
+    /// last `delta` did not price updates the caches as one it did.
+    #[test]
+    fn path_terms_follow_the_sums_and_commit_needs_no_delta() {
+        let d = random_data(12, 80, 5);
+        let p0: Vec<f64> = (0..d.num_nodes())
+            .map(|i| (i as f64 * 0.37).fract())
+            .collect();
+        let mut priced = IncrementalLikelihood::new(&d, &p0);
+        let mut unpriced = priced.clone();
+        let mut x = 42u64;
+        for step in 0..3000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let i = (x >> 33) as usize % d.num_nodes();
+            let new_p = [
+                0.0,
+                P_EPS,
+                1.0 - P_EPS,
+                1.0,
+                (x >> 11) as f64 / (1u64 << 53) as f64,
+            ][step % 5];
+            let delta = priced.delta(i, new_p);
+            // A stale pricing of another move must not leak into the commit.
+            unpriced.delta((i + 1) % d.num_nodes(), 0.5);
+            priced.commit(i, new_p, delta);
+            unpriced.commit(i, new_p, delta);
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&priced.path_sum), bits(&unpriced.path_sum));
+        assert_eq!(bits(&priced.path_term), bits(&unpriced.path_term));
+        assert_eq!(bits(&priced.log_q), bits(&unpriced.log_q));
+        let mut fresh = priced.clone();
+        fresh.rebuild_terms();
+        assert_eq!(bits(&fresh.path_term), bits(&priced.path_term));
+    }
+
     #[test]
     fn extreme_p_values_stay_finite() {
         let d = data(&[(&[1, 2], true), (&[1, 2], false)]);
@@ -582,7 +706,7 @@ mod tests {
     fn delta_of_identity_move_is_zero() {
         let d = data(&[(&[1, 2], true)]);
         let p = [0.4, 0.6];
-        let inc = IncrementalLikelihood::new(&d, &p);
+        let mut inc = IncrementalLikelihood::new(&d, &p);
         assert!(inc.delta(0, 0.4).abs() < 1e-12);
     }
 
@@ -657,6 +781,7 @@ mod tests {
         let mut inc = IncrementalLikelihood::new(&d, &[1e-9, 1e-9]);
         inc.rebuild_every = u64::MAX;
         inc.path_sum[0] = 5e-14; // accumulated-rounding end state
+        inc.path_term[0] = log1mexp(0.0); // its term, as a commit stores it
 
         // `delta` on the drifted cache must not produce NaN thanks to its
         // call-site clamps (`−inf`/`+inf` is the honest answer for a sum

@@ -7,6 +7,11 @@
 //! likelihood part of that ratio is evaluated incrementally — only the
 //! paths through the moved AS are touched — which is what makes MH
 //! practical on datasets with hundreds of ASs and thousands of paths.
+//! The kernel also caches each AS's current prior log density, and the
+//! candidate's prior reuses the `ln(1 − p)` the likelihood delta took, so
+//! a proposal costs one `ln` for that and one `ln p` for the prior, plus
+//! one `log1mexp` per showing path through the AS; an accepted one
+//! stores what the proposal computed and takes no further logarithm.
 //!
 //! During warmup each σ_i adapts towards the ~44 % acceptance rate that
 //! is optimal for one-dimensional random-walk kernels; adaptation freezes
@@ -28,6 +33,9 @@ pub struct MetropolisHastings<'a> {
     p: Vec<f64>,
     likelihood: IncrementalLikelihood<'a>,
     prior: NormalisedPrior,
+    /// The prior log density of each `p_i`; a function of `p`, so it is
+    /// rebuilt rather than checkpointed.
+    log_prior: Vec<f64>,
     scale: Vec<f64>,
     order: Vec<usize>,
     accepted: u64,
@@ -45,10 +53,12 @@ impl<'a> MetropolisHastings<'a> {
         let init: Vec<f64> = init.into_iter().map(clamp_p).collect();
         let likelihood = IncrementalLikelihood::new(data, &init);
         let n = init.len();
+        let prior = prior.normalised();
         MetropolisHastings {
+            log_prior: init.iter().map(|&p| prior.log_density(p)).collect(),
             p: init,
             likelihood,
-            prior: prior.normalised(),
+            prior,
             scale: vec![0.25; n],
             order: (0..n).collect(),
             accepted: 0,
@@ -97,13 +107,16 @@ impl Sampler for MetropolisHastings<'_> {
             let current = self.p[i];
             let candidate = Self::reflect(current + self.scale[i] * rng.gaussian());
             let delta_lik = self.likelihood.delta(i, candidate);
-            let delta_prior = self.prior.log_density(candidate) - self.prior.log_density(current);
-            let log_alpha = delta_lik + delta_prior;
+            let log_prior = self
+                .prior
+                .log_density_with(candidate, self.likelihood.proposed_log_q());
+            let log_alpha = delta_lik + (log_prior - self.log_prior[i]);
             self.proposed += 1;
             self.window_proposed[i] += 1;
             if log_alpha >= 0.0 || rng.uniform() < log_alpha.exp() {
                 self.likelihood.commit(i, candidate, delta_lik);
                 self.p[i] = clamp_p(candidate);
+                self.log_prior[i] = log_prior;
                 self.accepted += 1;
                 self.window_accepted[i] += 1;
             }
@@ -179,6 +192,7 @@ impl Checkpointable for MetropolisHastings<'_> {
                 p.len()
             )));
         }
+        self.log_prior = p.iter().map(|&p| self.prior.log_density(p)).collect();
         self.p = p;
         self.likelihood.restore_state(r)?;
         self.scale = r.f64_vec()?;

@@ -99,7 +99,8 @@ impl NormalisedPrior {
     }
 
     /// Log density at `p`, given `log_q = ln(1 − clamp_p(p))` from the
-    /// caller (HMC reuses the likelihood's). The single definition behind
+    /// caller (HMC reuses the likelihood's, MH the one its likelihood
+    /// delta took for the candidate). The single definition behind
     /// [`Self::log_density`]: keep the term order
     /// `(α−1)·ln p + (β−1)·ln(1−p) − ln B(α, β)`, because the golden
     /// outputs pin its rounding (DESIGN.md §5c).

@@ -4,8 +4,9 @@
 //! Every `every()` iterations, and at the last retained draw, the chain
 //! loop fills one [`ChainProgress`] record (the type the [`obs::serve`]
 //! table stores): running accept rate, divergences, and during sampling
-//! the worst rank-R̂ and smallest bulk ESS of that chain alone, from the
-//! same [`crate::diagnostics::coordinate`] pass the run report uses. It
+//! the worst rank-R̂ and smallest bulk ESS of that chain alone, with the
+//! same bits as the [`crate::diagnostics::coordinate`] pass the run
+//! report uses (which also computes the tail ESS the snapshot drops). It
 //! brackets each phase with `begin_phase`/`end_phase`, also when a chain
 //! stops early. Observers are handed to
 //! [`crate::supervisor::run_chains_supervised`].

@@ -72,15 +72,22 @@ pub const ALL: [Figure; 14] = figures! {
     table4_precision_recall: "Table 4: precision / recall on oracle ground truth",
 };
 
-/// The whole of a figure binary: render the figure called `name` to
-/// stdout through a suite read from the environment and the arguments,
-/// then emit the run report and artifacts the flags ask for.
+/// The whole of a figure binary: [`main_with_args`] on the process
+/// arguments.
 pub fn main(name: &str) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    main_with_args(name, &args);
+}
+
+/// Render the figure called `name` to stdout through a suite read from
+/// the environment and `args`, then emit the run report and artifacts
+/// the flags ask for. A usage error in `args` exits 2.
+pub fn main_with_args(name: &str, args: &[String]) {
     let figure = ALL
         .iter()
         .find(|f| f.name == name)
         .expect("a registered figure");
-    let mut suite = Suite::from_env(name, Flags::from_args());
+    let mut suite = Suite::from_env(name, Flags::from_args(args));
     figure
         .write(&mut suite, &mut io::stdout().lock())
         .expect("write to stdout");

@@ -90,12 +90,11 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Parse the process arguments (and `REPRO_KILL_AFTER_DRAWS`). A
+    /// Parse a binary's arguments (and `REPRO_KILL_AFTER_DRAWS`). A
     /// usage error (see [`Flags::parse`]) is reported and exits 2 rather
     /// than silently running without the flag.
-    pub fn from_args() -> Flags {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut flags = Flags::parse(&args).unwrap_or_else(|e| {
+    pub fn from_args(args: &[String]) -> Flags {
+        let mut flags = Flags::parse(args).unwrap_or_else(|e| {
             eprintln!("{e}");
             std::process::exit(2);
         });

@@ -108,7 +108,9 @@ impl FaultSpec {
     /// Keys: `outage`, `outage-mins`, `reset`, `reset-mins`, `loss`,
     /// `dup`, `reorder`, `skew-secs`, `clock-skew-secs`, `truncate`,
     /// `delay`, `delay-mins`, `seed`. The single word `drill` selects
-    /// [`FaultSpec::drill`] defaults (later keys still override).
+    /// [`FaultSpec::drill`] defaults (later keys still override). A rate
+    /// key (`outage`, `reset`, `loss`, `dup`, `reorder`, `truncate`,
+    /// `delay`) outside `[0, 1]` is an error naming the key.
     pub fn parse(text: &str) -> Result<FaultSpec, String> {
         let mut spec = FaultSpec::default();
         for part in text.split(',').map(str::trim).filter(|p| !p.is_empty()) {
@@ -120,10 +122,17 @@ impl FaultSpec {
             let (key, value) = part
                 .split_once('=')
                 .ok_or_else(|| format!("fault spec item {part:?} is not key=value"))?;
-            let fval = || -> Result<f64, String> {
-                value
+            let rate = || -> Result<f64, String> {
+                let r = value
                     .parse::<f64>()
-                    .map_err(|_| format!("fault spec {key}={value:?}: not a number"))
+                    .map_err(|_| format!("fault spec {key}={value:?}: not a number"))?;
+                if (0.0..=1.0).contains(&r) {
+                    Ok(r)
+                } else {
+                    Err(format!(
+                        "fault spec {key}={value:?}: a rate is a probability in [0, 1]"
+                    ))
+                }
             };
             let dur_mins = || -> Result<SimDuration, String> {
                 value
@@ -138,17 +147,17 @@ impl FaultSpec {
                     .map_err(|_| format!("fault spec {key}={value:?}: not a second count"))
             };
             match key {
-                "outage" => spec.vp_outage_rate = fval()?,
+                "outage" => spec.vp_outage_rate = rate()?,
                 "outage-mins" => spec.vp_outage_duration = dur_mins()?,
-                "reset" => spec.session_reset_rate = fval()?,
+                "reset" => spec.session_reset_rate = rate()?,
                 "reset-mins" => spec.session_reset_duration = dur_mins()?,
-                "loss" => spec.loss_rate = fval()?,
-                "dup" => spec.duplication_rate = fval()?,
-                "reorder" => spec.reorder_rate = fval()?,
+                "loss" => spec.loss_rate = rate()?,
+                "dup" => spec.duplication_rate = rate()?,
+                "reorder" => spec.reorder_rate = rate()?,
                 "skew-secs" => spec.reorder_skew = dur_secs()?,
                 "clock-skew-secs" => spec.clock_skew = dur_secs()?,
-                "truncate" => spec.truncate_rate = fval()?,
-                "delay" => spec.delay_rate = fval()?,
+                "truncate" => spec.truncate_rate = rate()?,
+                "delay" => spec.delay_rate = rate()?,
                 "delay-mins" => spec.export_delay = dur_mins()?,
                 "seed" => {
                     spec.seed = value
@@ -492,6 +501,21 @@ mod tests {
         assert!(FaultSpec::parse("bogus=1").is_err());
         assert!(FaultSpec::parse("outage").is_err());
         assert!(FaultSpec::parse("outage=x").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_rates_outside_the_unit_interval() {
+        for key in [
+            "outage", "reset", "loss", "dup", "reorder", "truncate", "delay",
+        ] {
+            for bad in ["20", "1.5", "-0.1", "NaN", "inf"] {
+                let err = FaultSpec::parse(&format!("{key}={bad}")).unwrap_err();
+                assert!(err.contains(&format!("{key}=")), "{key}={bad}: {err}");
+            }
+            for good in ["0", "1", "0.5"] {
+                assert!(FaultSpec::parse(&format!("{key}={good}")).is_ok());
+            }
+        }
     }
 
     #[test]

@@ -77,6 +77,16 @@ assert chains <= values <= chains + proposals < grads, (
     f"proposals={proposals} grad_evals={grads}")
 PY
 
+echo "==> a fault rate outside [0, 1] is a usage error (exit 2)"
+set +e
+REPRO_SCALE=tiny ./target/release/fig05_signature --faults loss=20 > /dev/null 2>&1
+rate_status=$?
+set -e
+if [ "$rate_status" -ne 2 ]; then
+    echo "expected --faults loss=20 to exit 2, got $rate_status" >&2
+    exit 1
+fi
+
 echo "==> resume-equivalence smoke test (kill at draw 150, resume, diff)"
 REPRO_SCALE=tiny ./target/release/fig09_marginals > "$artifacts/fig09.ref.txt"
 set +e

@@ -1,7 +1,7 @@
 //! Property-based tests over the core data structures and invariants,
 //! spanning crates (hence integration-level).
 
-use because::likelihood::{IncrementalLikelihood, LogLikelihood, P_EPS};
+use because::likelihood::{clamp_p, IncrementalLikelihood, LogLikelihood, P_EPS};
 use because::summary::Marginal;
 use because::{NodeId, PathData, PathObservation};
 use bgpsim::rfd::{FlapKind, RfdState};
@@ -10,6 +10,33 @@ use netsim::{EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// `∂ log P(D|p) / ∂p`, path by path: `log q_i = ln_1p(−c_i)` with
+/// `c_i = clamp_p(p_i)`, and per showing entry `e^{S − log q_i} /
+/// (−expm1(S))`, accurate at both clamps. Also returns, per node, the sum
+/// of the absolute per-path terms, which bounds the rounding of any
+/// summation order.
+fn accurate_grad(data: &PathData, p: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let log_q: Vec<f64> = p.iter().map(|&pi| (-clamp_p(pi)).ln_1p()).collect();
+    let mut grad = vec![0.0; p.len()];
+    let mut scale = vec![0.0; p.len()];
+    for j in 0..data.num_paths() {
+        let nodes = data.path_nodes(j);
+        let w = f64::from(data.weight(j));
+        let s: f64 = nodes.iter().map(|&i| log_q[i as usize]).sum();
+        for &i in nodes {
+            let i = i as usize;
+            let term = if data.shows_property(j) {
+                w * (s - log_q[i]).exp() / -s.exp_m1()
+            } else {
+                -w * (-log_q[i]).exp()
+            };
+            grad[i] += term;
+            scale[i] += term.abs();
+        }
+    }
+    (grad, scale)
+}
 
 // ---------------------------------------------------------------------
 // RFD state machine
@@ -318,6 +345,51 @@ proptest! {
         prop_assert!(fused.to_bits() == v.to_bits(), "eval_grad total {fused} vs eval {v}");
         for (i, gi) in g.iter().enumerate() {
             prop_assert!(gi.is_finite(), "grad[{i}] = {gi} at p={p:?}");
+        }
+    }
+
+    /// `grad` and `eval_grad` write the same gradient bits, and both stay
+    /// within 1e-12 of an accurate two-pass reference, relative to the sum
+    /// of the absolute per-path terms, with every `p_i` at a clamp
+    /// boundary, at 1 or in the middle.
+    #[test]
+    fn gradient_matches_the_accurate_reference_at_the_clamps(
+        paths in proptest::collection::vec(
+            (proptest::collection::vec(1u32..10, 1..6), any::<bool>()),
+            1..30
+        ),
+        selectors in proptest::collection::vec(0u8..4, 9),
+        mids in proptest::collection::vec(0.01f64..0.99, 9),
+    ) {
+        let observations: Vec<PathObservation> = paths
+            .iter()
+            .map(|(ids, label)| PathObservation::new(
+                ids.iter().map(|&i| NodeId(i)).collect(), *label))
+            .collect();
+        let data = PathData::from_observations(&observations, &[]);
+        let n = data.num_nodes();
+        let p: Vec<f64> = (0..n)
+            .map(|i| match selectors[i % selectors.len()] {
+                0 => P_EPS,
+                1 => 1.0 - P_EPS,
+                2 => 1.0,
+                _ => mids[i % mids.len()],
+            })
+            .collect();
+        let mut ll = LogLikelihood::new(&data);
+        let mut with_value = vec![f64::NAN; n];
+        let mut grad_only = vec![f64::NAN; n];
+        ll.eval_grad(&p, &mut with_value);
+        ll.grad(&p, &mut grad_only);
+        let bits = |g: &[f64]| g.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&grad_only), bits(&with_value));
+        let (reference, scale) = accurate_grad(&data, &p);
+        for i in 0..n {
+            prop_assert!(
+                (with_value[i] - reference[i]).abs() <= 1e-12 * scale[i],
+                "grad[{}] = {} vs reference {} (scale {}) at p = {:?}",
+                i, with_value[i], reference[i], scale[i], p
+            );
         }
     }
 

@@ -101,7 +101,7 @@ fn assert_pinned(a: &Analysis) {
         ),
         (
             0xd1b7_e6c9_c0f7_7b4d,
-            0x00f9_eacf_ec36_a279,
+            0xecb9_a7d1_ce82_1cbe,
             0xc393_457c_0db6_57a6
         ),
         "sampler draws drifted from their recorded pins"

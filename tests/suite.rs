@@ -110,3 +110,40 @@ fn a_bad_scale_or_seed_exits_with_usage() {
         );
     }
 }
+
+/// A fault rate outside [0, 1] is a usage error of the figure binaries:
+/// `--faults loss=20` (meant as 20 %) exits 2 naming the key instead of
+/// losing every record. Checked in a child run of this test binary,
+/// which renders fig05 as its binary would with those arguments.
+#[test]
+fn a_fault_rate_outside_the_unit_interval_exits_with_usage() {
+    const CHILD: &str = "SUITE_TEST_FIGURE_ARGS";
+    if let Some(args) = std::env::var_os(CHILD) {
+        let args: Vec<String> = args
+            .to_str()
+            .expect("UTF-8 arguments")
+            .split(' ')
+            .map(String::from)
+            .collect();
+        experiments::figures::main_with_args("fig05_signature", &args);
+        return;
+    }
+    for (args, code) in [("--faults loss=20", 2), ("--faults loss=0.2", 0)] {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "a_fault_rate_outside_the_unit_interval_exits_with_usage",
+                "--nocapture",
+            ])
+            .env(CHILD, args)
+            .env("REPRO_SCALE", "tiny")
+            .env_remove("REPRO_SEED")
+            .output()
+            .expect("run the test binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args}: {stderr}");
+        if code == 2 {
+            assert!(stderr.contains("loss=\"20\""), "{stderr}");
+        }
+    }
+}
