@@ -1,7 +1,5 @@
 //! Update dumps: the collector-side record format and query helpers.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use bgpsim::{AggregatorStamp, AsId, AsPath, Prefix};
@@ -34,6 +32,12 @@ impl UpdateRecord {
         self.path.is_some()
     }
 
+    /// True for an announcement carrying a valid beacon stamp — the
+    /// paper's validity filter (§4.3).
+    pub fn is_valid_announcement(&self) -> bool {
+        self.is_announcement() && self.beacon_time().is_some()
+    }
+
     /// The beacon send time, if the record carries a *valid* stamp.
     /// Corrupted and missing stamps yield `None` — such announcements are
     /// discarded by the analysis, as in the paper.
@@ -45,21 +49,120 @@ impl UpdateRecord {
     }
 }
 
-/// A time-ordered set of update records with query helpers.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// One `(prefix, vantage)` stream: the records `start..end` of a dump.
+#[derive(Clone, Debug)]
+struct Stream {
+    prefix: Prefix,
+    vantage: AsId,
+    start: usize,
+    end: usize,
+}
+
+/// Update records laid out stream-major, with query helpers.
+///
+/// The records are grouped into one stream per `(prefix, vantage)` pair
+/// — the unit the paper labels (§4.2–4.3) — in ascending
+/// `(prefix, vantage)` order. Each stream is in export order, and
+/// records with equal export times keep their collection order: the
+/// order a global stable sort by export time would leave them in.
+/// [`Dump::normalize`] re-sorts each stream into observation order.
+#[derive(Clone, Debug, Default)]
 pub struct Dump {
     records: Vec<UpdateRecord>,
+    streams: Vec<Stream>,
 }
 
 impl Dump {
-    /// Wrap records (assumed sorted by export time).
-    pub fn new(records: Vec<UpdateRecord>) -> Self {
-        Dump { records }
+    /// Lay `records` out stream-major. Their order is taken as
+    /// collection order: within a stream, records with equal export
+    /// times keep it.
+    pub fn new(mut records: Vec<UpdateRecord>) -> Self {
+        records.sort_by_key(|r| (r.prefix, r.vantage));
+        Self::from_grouped(records)
     }
 
-    /// All records.
+    /// Lay out records given in collection order, each tagged with the
+    /// rank of its stream among `0..streams` in ascending
+    /// `(prefix, vantage)` order. A counting sort places the records in
+    /// place, without a second record buffer.
+    pub(crate) fn from_tagged(
+        mut records: Vec<UpdateRecord>,
+        mut tags: Vec<u32>,
+        streams: usize,
+    ) -> Self {
+        assert_eq!(records.len(), tags.len(), "one stream tag per record");
+        assert!(
+            u32::try_from(records.len()).is_ok(),
+            "record positions fit the u32 tags"
+        );
+        let mut next = vec![0u32; streams];
+        for &t in &tags {
+            next[t as usize] += 1;
+        }
+        let mut offset = 0u32;
+        for slot in &mut next {
+            offset += std::mem::replace(slot, offset);
+        }
+        // Each tag becomes its record's destination; equal tags keep
+        // their collection order.
+        for t in &mut tags {
+            let slot = &mut next[*t as usize];
+            *t = *slot;
+            *slot += 1;
+        }
+        // Follow the permutation's cycles: every swap puts one record in
+        // its final place.
+        for i in 0..records.len() {
+            while tags[i] as usize != i {
+                let j = tags[i] as usize;
+                records.swap(i, j);
+                tags.swap(i, j);
+            }
+        }
+        Self::from_grouped(records)
+    }
+
+    /// Index records already grouped by stream in ascending
+    /// `(prefix, vantage)` order, each stream in collection order, and
+    /// sort each stream by export time (stably).
+    fn from_grouped(mut records: Vec<UpdateRecord>) -> Self {
+        let streams = Self::index(&records);
+        for s in &streams {
+            records[s.start..s.end].sort_by_key(|r| r.exported_at);
+        }
+        Dump { records, streams }
+    }
+
+    /// The stream table of grouped records.
+    fn index(records: &[UpdateRecord]) -> Vec<Stream> {
+        let mut streams: Vec<Stream> = Vec::new();
+        for (i, r) in records.iter().enumerate() {
+            match streams.last_mut() {
+                Some(s) if (s.prefix, s.vantage) == (r.prefix, r.vantage) => s.end = i + 1,
+                _ => streams.push(Stream {
+                    prefix: r.prefix,
+                    vantage: r.vantage,
+                    start: i,
+                    end: i + 1,
+                }),
+            }
+        }
+        streams
+    }
+
+    /// All records, stream-major (see [`Dump`]).
     pub fn records(&self) -> &[UpdateRecord] {
         &self.records
+    }
+
+    /// The streams of one prefix — the records each vantage point
+    /// reported for it — in ascending vantage order.
+    pub fn streams_of(&self, prefix: Prefix) -> impl Iterator<Item = (AsId, &[UpdateRecord])> {
+        let first = self.streams.partition_point(|s| s.prefix < prefix);
+        self.streams[first..]
+            .iter()
+            .take_while(move |s| s.prefix == prefix)
+            .map(|s| (s.vantage, &self.records[s.start..s.end]))
     }
 
     /// Number of records.
@@ -75,9 +178,7 @@ impl Dump {
     /// Announcements whose aggregator stamp is present and valid —
     /// the paper's validity filter (§4.3).
     pub fn valid_announcements(&self) -> impl Iterator<Item = &UpdateRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.is_announcement() && r.beacon_time().is_some())
+        self.records.iter().filter(|r| r.is_valid_announcement())
     }
 
     /// Share of announcements that fail the validity filter.
@@ -97,73 +198,39 @@ impl Dump {
         invalid as f64 / announcements.len() as f64
     }
 
-    /// Records grouped per (vantage, prefix) — the unit at which the RFD
-    /// signature search runs. Groups preserve time order.
-    pub fn by_vantage_prefix(&self) -> BTreeMap<(AsId, Prefix), Vec<&UpdateRecord>> {
-        let mut map: BTreeMap<(AsId, Prefix), Vec<&UpdateRecord>> = BTreeMap::new();
-        for r in &self.records {
-            map.entry((r.vantage, r.prefix)).or_default().push(r);
-        }
-        map
-    }
-
-    /// Merge another dump, restoring the export-time sort invariant and
-    /// collapsing exact duplicate records (identical in every field, as
-    /// produced by overlapping project feeds or duplication faults).
-    /// Returns the number of duplicates collapsed.
-    pub fn merge(&mut self, other: Dump) -> u64 {
-        self.records.extend(other.records);
-        self.records
-            .sort_by_key(|r| (r.exported_at, r.vantage, r.prefix));
-        Self::collapse_exact_duplicates(&mut self.records)
-    }
-
-    /// Remove exact duplicates from an export-sorted record list.
+    /// True when `stream[i]` repeats an earlier record of its stream
+    /// exactly (identical in every field, as produced by duplication
+    /// faults).
     ///
-    /// A plain `dedup` is not enough: the sort key is only
-    /// `(exported_at, vantage, prefix)`, so two identical records can be
-    /// separated by a distinct record carrying the same key. Collapse
-    /// within each equal-key run instead, keeping first occurrences in
-    /// order.
-    fn collapse_exact_duplicates(records: &mut Vec<UpdateRecord>) -> u64 {
-        let mut collapsed = 0u64;
-        let mut out: Vec<UpdateRecord> = Vec::with_capacity(records.len());
-        let mut run_start = 0usize;
-        for r in records.drain(..) {
-            let key = (r.exported_at, r.vantage, r.prefix);
-            if out[run_start..]
-                .first()
-                .is_some_and(|f| (f.exported_at, f.vantage, f.prefix) != key)
-            {
-                run_start = out.len();
-            }
-            if out[run_start..].contains(&r) {
-                collapsed += 1;
-            } else {
-                out.push(r);
-            }
-        }
-        *records = out;
-        collapsed
+    /// Identical records share their export time, and in either stream
+    /// order (export, or observation after [`Dump::normalize`]) every
+    /// record between two of them does too, so only the run of equal
+    /// export times before `i` is searched.
+    fn is_repeat(stream: &[UpdateRecord], i: usize) -> bool {
+        let r = &stream[i];
+        stream[..i]
+            .iter()
+            .rev()
+            .take_while(|e| e.exported_at == r.exported_at)
+            .any(|e| e == r)
     }
 
     /// Audit the dump against its invariants without modifying it.
     ///
-    /// Assumes the export-time sort invariant holds (it does for every
-    /// dump this crate produces); anomalies are counted per
-    /// `(vantage, prefix)` stream.
+    /// Anomalies are counted per `(prefix, vantage)` stream, walked in
+    /// stream order.
     pub fn check_integrity(&self, config: &IntegrityConfig) -> DumpIntegrity {
         let mut integrity = DumpIntegrity::default();
-        let mut dup_probe = self.records.clone();
-        integrity.exact_duplicates = Self::collapse_exact_duplicates(&mut dup_probe);
-        for r in &self.records {
-            if r.exported_at < r.observed_at {
-                integrity.negative_export_delay += 1;
-            }
-        }
-        for group in self.by_vantage_prefix().values() {
+        for s in &self.streams {
+            let stream = &self.records[s.start..s.end];
             let mut max_seen = SimTime::ZERO;
-            for (i, r) in group.iter().enumerate() {
+            for (i, r) in stream.iter().enumerate() {
+                if Self::is_repeat(stream, i) {
+                    integrity.exact_duplicates += 1;
+                }
+                if r.exported_at < r.observed_at {
+                    integrity.negative_export_delay += 1;
+                }
                 if i > 0 && r.observed_at < max_seen {
                     let skew = max_seen.saturating_since(r.observed_at);
                     if skew <= config.reorder_budget {
@@ -174,7 +241,7 @@ impl Dump {
                 }
                 max_seen = max_seen.max(r.observed_at);
                 if i > 0 {
-                    let gap = r.exported_at.saturating_since(group[i - 1].exported_at);
+                    let gap = r.exported_at.saturating_since(stream[i - 1].exported_at);
                     if gap > config.gap_threshold {
                         integrity.stream_gaps += 1;
                     }
@@ -185,17 +252,27 @@ impl Dump {
     }
 
     /// Repair the dump into canonical *analysis order* and report what
-    /// was wrong: exact duplicates are collapsed and records are
-    /// re-sorted stream-major by observation time, which undoes any
-    /// export-side reordering (the signature search walks streams in
-    /// observation order). Returns the pre-repair integrity audit.
+    /// was wrong: exact duplicates are collapsed and each stream is
+    /// re-sorted by observation time, which undoes any export-side
+    /// reordering (the signature search walks streams in observation
+    /// order). Returns the pre-repair integrity audit.
     pub fn normalize(&mut self, config: &IntegrityConfig) -> DumpIntegrity {
         let integrity = self.check_integrity(config);
+        let repeats: Vec<bool> = self
+            .streams
+            .iter()
+            .flat_map(|s| {
+                let stream = &self.records[s.start..s.end];
+                (0..stream.len()).map(move |i| Self::is_repeat(stream, i))
+            })
+            .collect();
+        let mut repeats = repeats.into_iter();
         self.records
-            .sort_by_key(|r| (r.exported_at, r.vantage, r.prefix));
-        Self::collapse_exact_duplicates(&mut self.records);
-        self.records
-            .sort_by_key(|r| (r.vantage, r.prefix, r.observed_at, r.exported_at));
+            .retain(|_| !repeats.next().expect("one flag per record"));
+        self.streams = Self::index(&self.records);
+        for s in &self.streams {
+            self.records[s.start..s.end].sort_by_key(|r| (r.observed_at, r.exported_at));
+        }
         integrity
     }
 
@@ -335,17 +412,57 @@ mod tests {
     }
 
     #[test]
-    fn grouping_preserves_order() {
+    fn streams_group_per_prefix_and_vantage_in_export_order() {
+        let mut other = rec(1, 5, true, true);
+        other.prefix = "10.0.1.0/24".parse().unwrap();
         let d = Dump::new(vec![
-            rec(1, 10, true, true),
             rec(2, 15, true, true),
             rec(1, 20, false, true),
+            other,
+            rec(1, 10, true, true),
         ]);
-        let groups = d.by_vantage_prefix();
-        assert_eq!(groups.len(), 2);
-        let g1 = &groups[&(AsId(1), "10.0.0.0/24".parse().unwrap())];
-        assert_eq!(g1.len(), 2);
-        assert!(g1[0].observed_at < g1[1].observed_at);
+        let prefix: Prefix = "10.0.0.0/24".parse().unwrap();
+        let streams: Vec<(AsId, &[UpdateRecord])> = d.streams_of(prefix).collect();
+        assert_eq!(streams.len(), 2);
+        assert_eq!(streams[0].0, AsId(1));
+        assert_eq!(streams[1].0, AsId(2));
+        let times: Vec<SimTime> = streams[0].1.iter().map(|r| r.exported_at).collect();
+        assert_eq!(times, [SimTime::from_secs(20), SimTime::from_secs(30)]);
+        // The 10.0.0.0/24 streams come first, then 10.0.1.0/24's.
+        assert_eq!(d.records()[3].prefix, "10.0.1.0/24".parse().unwrap());
+        assert_eq!(d.streams_of("10.0.1.0/24".parse().unwrap()).count(), 1);
+        assert_eq!(d.streams_of("10.0.2.0/24".parse().unwrap()).count(), 0);
+    }
+
+    #[test]
+    fn equal_export_times_keep_collection_order() {
+        let first = rec(1, 10, true, true);
+        let mut second = rec(1, 10, false, true);
+        second.observed_at = SimTime::from_secs(12);
+        let d = Dump::new(vec![rec(1, 40, true, true), first.clone(), second.clone()]);
+        assert_eq!(d.records()[..2], [first, second]);
+    }
+
+    #[test]
+    fn from_tagged_matches_new() {
+        let records: Vec<UpdateRecord> = (0..40u64)
+            .map(|i| {
+                let mut r = rec(1 + (i % 3) as u32, 100 - 2 * i, i % 4 != 0, true);
+                r.exported_at = SimTime::from_secs(200 - 5 * (i % 7));
+                if i % 2 == 0 {
+                    r.prefix = "10.0.1.0/24".parse().unwrap();
+                }
+                r
+            })
+            .collect();
+        // Rank of (prefix, vantage): 10.0.0.0/24 first, then VPs 1..=3.
+        let second: Prefix = "10.0.1.0/24".parse().unwrap();
+        let tags: Vec<u32> = records
+            .iter()
+            .map(|r| u32::from(r.prefix == second) * 3 + r.vantage.0 - 1)
+            .collect();
+        let tagged = Dump::from_tagged(records.clone(), tags, 6);
+        assert_eq!(tagged.records(), Dump::new(records).records());
     }
 
     #[test]
@@ -353,15 +470,6 @@ mod tests {
         let d = Dump::new(vec![rec(1, 10, true, true), rec(1, 20, true, false)]);
         let delays = d.propagation_delays_secs();
         assert_eq!(delays, vec![2.0]);
-    }
-
-    #[test]
-    fn merge_resorts() {
-        let mut a = Dump::new(vec![rec(1, 100, true, true)]);
-        let b = Dump::new(vec![rec(2, 10, true, true)]);
-        a.merge(b);
-        assert_eq!(a.records()[0].vantage, AsId(2));
-        assert_eq!(a.len(), 2);
     }
 
     #[test]
@@ -405,28 +513,33 @@ mod tests {
     }
 
     #[test]
-    fn merge_collapses_exact_duplicates_from_overlapping_dumps() {
-        // Two project dumps that overlap: the shared records are exact
-        // duplicates and must collapse; the same-key-but-distinct record
-        // (different path) must survive even when sorted between them.
+    fn duplicates_collapse_around_a_same_time_interloper() {
+        // Duplicated records share their export time; a distinct record
+        // with that export time (a different path) may sit between the
+        // copies and must survive.
         let shared = rec(1, 10, true, true);
         let mut interloper = rec(1, 10, true, true);
         interloper.path = Some(AsPath::from_slice(&[AsId(1), AsId(7), AsId(9)]));
-        let mut a = Dump::new(vec![shared.clone(), rec(1, 30, true, true)]);
-        let b = Dump::new(vec![
+        let mut d = Dump::new(vec![
+            shared.clone(),
+            rec(1, 30, true, true),
             shared.clone(),
             interloper.clone(),
             shared.clone(),
             rec(2, 20, false, true),
         ]);
-        let collapsed = a.merge(b);
-        assert_eq!(collapsed, 2, "both extra copies of the shared record");
-        assert_eq!(a.len(), 4);
-        assert!(a.records().contains(&interloper));
-        let times: Vec<SimTime> = a.records().iter().map(|r| r.exported_at).collect();
-        let mut sorted = times.clone();
-        sorted.sort();
-        assert_eq!(times, sorted, "merge restores the export-time sort");
+        let integrity = d.normalize(&IntegrityConfig::default());
+        assert_eq!(
+            integrity.exact_duplicates, 2,
+            "both extra copies of the shared record"
+        );
+        assert_eq!(d.len(), 4);
+        assert!(d.records().contains(&interloper));
+        assert_eq!(
+            d.check_integrity(&IntegrityConfig::default())
+                .exact_duplicates,
+            0
+        );
     }
 
     #[test]
@@ -471,8 +584,8 @@ mod tests {
         let integrity = d.normalize(&IntegrityConfig::default());
         assert_eq!(integrity.exact_duplicates, 1);
         assert_eq!(d.len(), 2);
-        let group = d.by_vantage_prefix();
-        let stream = &group[&(AsId(1), "10.0.0.0/24".parse().unwrap())];
+        let (vantage, stream) = d.streams_of("10.0.0.0/24".parse().unwrap()).next().unwrap();
+        assert_eq!(vantage, AsId(1));
         assert_eq!(stream[0].observed_at, SimTime::from_secs(100));
         assert_eq!(stream[1].observed_at, SimTime::from_secs(200));
     }

@@ -16,9 +16,12 @@
 //!   labeling rule exists to tolerate) can be injected as per-VP blackout
 //!   windows.
 //!
-//! The output is a [`dump::Dump`]: a time-ordered list of
-//! [`dump::UpdateRecord`]s, the exact shape the signature-detection and
-//! tomography stages consume.
+//! The output is a [`dump::Dump`] of [`dump::UpdateRecord`]s laid out
+//! stream-major: one stream per `(prefix, vantage)` pair — the unit the
+//! paper labels — in ascending `(prefix, vantage)` order, each stream in
+//! export order with equal export times in collection order. Labeling
+//! and the heuristics read only their own prefix's streams
+//! ([`dump::Dump::streams_of`]).
 
 pub mod dump;
 pub mod project;

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use bgpsim::{AsId, TapRecord};
+use bgpsim::{AsId, Prefix, TapRecord};
 use netsim::faults::{ExportFault, FaultCounters, FaultPlan};
 use netsim::{SimDuration, SimRng, SimTime};
 
@@ -151,7 +151,9 @@ impl CollectorSet {
     /// `horizon` is the campaign end: blackout windows are placed inside
     /// `[0, horizon)`. The fault machinery draws only from the plan's own
     /// decorrelated streams, so a plan never perturbs the collector-noise
-    /// sequence. Every injected fault is tallied in `counters`.
+    /// sequence. Every injected fault is tallied in `counters`. Random
+    /// draws happen in tap order; the dump is then laid out stream-major
+    /// (see [`Dump`]).
     pub fn process_with_faults(
         &self,
         taps: &[TapRecord],
@@ -162,27 +164,29 @@ impl CollectorSet {
     ) -> Dump {
         let mut rng = SimRng::new(config.seed).split("collector-noise");
 
-        // Pre-draw blackout windows per VP (deterministic per seed).
-        let mut blackouts: BTreeMap<AsId, (SimTime, SimTime)> = BTreeMap::new();
-        for &vp in self.assignments.keys() {
-            let mut vp_rng = rng.split_index("reset", u64::from(vp.0));
+        // One row per registered VP, ascending, with everything the
+        // per-record loop needs. Blackout windows and faults are pure
+        // functions of the seeds, drawn up front.
+        let horizon_dur = horizon.saturating_since(SimTime::ZERO);
+        let vps: Vec<AsId> = self.assignments.keys().copied().collect();
+        let mut rows: Vec<VpRow> = Vec::with_capacity(vps.len());
+        for (&vp, &project) in &self.assignments {
+            let id = u64::from(vp.0);
+            let mut vp_rng = rng.split_index("reset", id);
+            let mut blackout = None;
             if vp_rng.chance(config.session_reset_rate) && horizon > SimTime::ZERO {
-                let start_ms = vp_rng.below(horizon.as_millis().max(1));
-                let start = SimTime::from_millis(start_ms);
-                blackouts.insert(vp, (start, start + config.session_reset_duration));
+                let start = SimTime::from_millis(vp_rng.below(horizon.as_millis().max(1)));
+                blackout = Some((start, start + config.session_reset_duration));
             }
-        }
-
-        // Materialise per-VP faults up front (pure functions of the plan).
-        let mut vp_faults: BTreeMap<AsId, VpFaults> = BTreeMap::new();
-        if let Some(plan) = plan {
-            let horizon_dur = horizon.saturating_since(SimTime::ZERO);
-            for &vp in self.assignments.keys() {
-                let id = u64::from(vp.0);
+            let faults = plan.map(|plan| {
                 let faults = VpFaults {
                     outage: plan.vp_outage(id, horizon_dur),
                     clock_skew_ms: plan.clock_skew_ms(id),
                     export: plan.export_fault(id, horizon_dur),
+                    // Sequential per-record decisions, one stream per VP
+                    // so the outcome is independent of how taps
+                    // interleave across VPs.
+                    records: plan.stream("records").split_index("vp", id),
                 };
                 if faults.outage.is_some() {
                     counters.vp_outages += 1;
@@ -193,25 +197,36 @@ impl CollectorSet {
                 if !faults.export.delay.is_zero() {
                     counters.exports_delayed += 1;
                 }
-                vp_faults.insert(vp, faults);
-            }
+                faults
+            });
+            rows.push(VpRow {
+                project,
+                blackout,
+                faults,
+            });
         }
-        // Sequential per-record decision streams, one per VP so the
-        // outcome is independent of how taps interleave across VPs.
-        let mut vp_streams: BTreeMap<AsId, SimRng> = BTreeMap::new();
 
+        // Each kept record is tagged `prefix id × |VPs| + VP index`, the
+        // prefix id counting prefixes in order of first sight; the ids
+        // are ranked once all prefixes are known.
+        let mut prefix_ids: Vec<(Prefix, u32)> = Vec::new();
         let mut records = Vec::with_capacity(taps.len());
+        let mut tags: Vec<u32> = Vec::with_capacity(taps.len());
         for tap in taps {
-            let Some(project) = self.project_of(tap.vantage) else {
+            let Ok(v) = vps.binary_search(&tap.vantage) else {
                 continue; // not a registered full-feed peer
             };
-            if let Some(&(b0, b1)) = blackouts.get(&tap.vantage) {
+            let row = &mut rows[v];
+            if let Some((b0, b1)) = row.blackout {
                 if tap.time >= b0 && tap.time < b1 {
                     continue; // session was down
                 }
             }
-            let faults = vp_faults.get(&tap.vantage);
-            if let Some(f) = faults {
+            // Per-record fault draws, in a fixed order (loss, dup, skew)
+            // so the stream stays aligned whatever the rates are.
+            let mut duplicate = false;
+            let mut reorder_skew_ms = 0u64;
+            if let (Some(f), Some(plan)) = (&mut row.faults, plan) {
                 if let Some((o0, o1)) = f.outage {
                     if tap.time >= o0 && tap.time < o1 {
                         counters.records_outage_dropped += 1;
@@ -224,28 +239,18 @@ impl CollectorSet {
                         continue; // dump was truncated before this record
                     }
                 }
-            }
-            // Per-record fault draws, in a fixed order (loss, dup, skew)
-            // so the stream stays aligned whatever the rates are.
-            let mut duplicate = false;
-            let mut reorder_skew_ms = 0u64;
-            if let Some(plan) = plan {
-                let frng = vp_streams.entry(tap.vantage).or_insert_with(|| {
-                    plan.stream("records")
-                        .split_index("vp", u64::from(tap.vantage.0))
-                });
                 let spec = plan.spec();
-                if frng.chance(spec.loss_rate) {
+                if f.records.chance(spec.loss_rate) {
                     counters.records_lost += 1;
                     continue;
                 }
-                duplicate = frng.chance(spec.duplication_rate);
-                if frng.chance(spec.reorder_rate) {
-                    reorder_skew_ms = frng.below(spec.reorder_skew.as_millis().max(1));
+                duplicate = f.records.chance(spec.duplication_rate);
+                if f.records.chance(spec.reorder_rate) {
+                    reorder_skew_ms = f.records.below(spec.reorder_skew.as_millis().max(1));
                 }
             }
-            let mut exported_at = project.export_time(tap.time, &mut rng);
-            if let Some(f) = faults {
+            let mut exported_at = row.project.export_time(tap.time, &mut rng);
+            if let Some(f) = &row.faults {
                 let mut ms = exported_at.as_millis() as i64;
                 if reorder_skew_ms > 0 {
                     counters.records_reordered += 1;
@@ -265,7 +270,7 @@ impl CollectorSet {
                 }
             }
             let record = UpdateRecord {
-                project,
+                project: row.project,
                 vantage: tap.vantage,
                 prefix: tap.prefix,
                 observed_at: tap.time,
@@ -273,23 +278,50 @@ impl CollectorSet {
                 path,
                 aggregator,
             };
+            let prefix_id = match prefix_ids.binary_search_by_key(&tap.prefix, |&(p, _)| p) {
+                Ok(i) => prefix_ids[i].1,
+                Err(i) => {
+                    let id = prefix_ids.len() as u32;
+                    prefix_ids.insert(i, (tap.prefix, id));
+                    id
+                }
+            };
+            let tag = prefix_id * vps.len() as u32 + v as u32;
             if duplicate {
                 counters.records_duplicated += 1;
                 records.push(record.clone());
+                tags.push(tag);
             }
             records.push(record);
+            tags.push(tag);
         }
-        records.sort_by_key(|r| (r.exported_at, r.vantage, r.prefix));
-        Dump::new(records)
+        // `prefix_ids` is sorted by prefix, so its positions rank the ids.
+        let mut rank = vec![0u32; prefix_ids.len()];
+        for (r, &(_, id)) in prefix_ids.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        let n_vps = vps.len() as u32;
+        for tag in &mut tags {
+            *tag = rank[(*tag / n_vps) as usize] * n_vps + *tag % n_vps;
+        }
+        Dump::from_tagged(records, tags, prefix_ids.len() * vps.len())
     }
 }
 
+/// A registered vantage point's state for one processing pass.
+struct VpRow {
+    project: Project,
+    blackout: Option<(SimTime, SimTime)>,
+    faults: Option<VpFaults>,
+}
+
 /// The materialised per-vantage-point faults for one processing pass.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 struct VpFaults {
     outage: Option<(SimTime, SimTime)>,
     clock_skew_ms: i64,
     export: ExportFault,
+    records: SimRng,
 }
 
 #[cfg(test)]
@@ -421,8 +453,26 @@ mod tests {
         assert!(dump.len() < taps.len());
     }
 
+    /// Every stream of `dump` is in export order, the streams ascend by
+    /// vantage point (one prefix), and together they hold every record.
+    fn assert_streams_in_export_order(dump: &Dump) {
+        let prefix: Prefix = "10.0.0.0/24".parse().unwrap();
+        let mut seen = 0;
+        let mut last_vp = None;
+        for (vp, stream) in dump.streams_of(prefix) {
+            assert!(last_vp < Some(vp), "streams ascend by vantage point");
+            last_vp = Some(vp);
+            assert!(stream.iter().all(|r| r.vantage == vp));
+            assert!(stream
+                .windows(2)
+                .all(|w| w[0].exported_at <= w[1].exported_at));
+            seen += stream.len();
+        }
+        assert_eq!(seen, dump.len());
+    }
+
     #[test]
-    fn records_sorted_by_export_time() {
+    fn streams_sorted_by_export_time() {
         let set = CollectorSet::assign(&vps(), 9);
         let taps: Vec<TapRecord> = (0..50)
             .map(|i| tap(1 + (i % 9) as u32, 1000 - 20 * i, true))
@@ -433,10 +483,7 @@ mod tests {
             &CollectorConfig::clean(),
             SimTime::from_mins(60),
         );
-        let times: Vec<SimTime> = dump.records().iter().map(|r| r.exported_at).collect();
-        let mut sorted = times.clone();
-        sorted.sort();
-        assert_eq!(times, sorted);
+        assert_streams_in_export_order(&dump);
     }
 
     #[test]
@@ -526,7 +573,7 @@ mod tests {
     }
 
     #[test]
-    fn faulted_processing_is_deterministic_and_stays_sorted() {
+    fn faulted_processing_is_deterministic_and_streams_stay_sorted() {
         use netsim::faults::{FaultPlan, FaultSpec};
         let set = CollectorSet::assign(&vps(), 4);
         let taps: Vec<TapRecord> = (0..60)
@@ -549,10 +596,7 @@ mod tests {
         let (b, cb) = run();
         assert_eq!(a.records(), b.records());
         assert_eq!(ca, cb);
-        let times: Vec<SimTime> = a.records().iter().map(|r| r.exported_at).collect();
-        let mut sorted = times.clone();
-        sorted.sort();
-        assert_eq!(times, sorted, "final sort restores export order");
+        assert_streams_in_export_order(&a);
     }
 
     #[test]

@@ -5,19 +5,29 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bgpsim::{AsId, Prefix};
-use collector::{Dump, Project};
+use collector::{Dump, Project, UpdateRecord};
 use netsim::stats::Ecdf;
 use signature::clean_path;
+
+/// The valid announcements of the given prefixes, read from their
+/// streams only (each prefix once, however often it is listed).
+fn valid_announcements_of<'a>(
+    dump: &'a Dump,
+    prefixes: &[Prefix],
+) -> impl Iterator<Item = &'a UpdateRecord> {
+    let wanted: BTreeSet<Prefix> = prefixes.iter().copied().collect();
+    wanted
+        .into_iter()
+        .flat_map(|p| dump.streams_of(p))
+        .flat_map(|(_, stream)| stream)
+        .filter(|r| r.is_valid_announcement())
+}
 
 /// The set of AS-level links (unordered pairs) observed on paths of the
 /// given prefixes in the dump.
 pub fn observed_links(dump: &Dump, prefixes: &[Prefix]) -> BTreeSet<(AsId, AsId)> {
-    let wanted: BTreeSet<Prefix> = prefixes.iter().copied().collect();
     let mut links = BTreeSet::new();
-    for r in dump.valid_announcements() {
-        if !wanted.contains(&r.prefix) {
-            continue;
-        }
+    for r in valid_announcements_of(dump, prefixes) {
         if let Some(p) = r.path.as_ref().and_then(clean_path) {
             for (a, b) in p.links() {
                 links.insert((a.min(b), a.max(b)));
@@ -52,12 +62,8 @@ pub fn link_similarity(
 /// combinations — the paper's "median paths per link" argument for using
 /// several sites.
 pub fn link_path_counts(dump: &Dump, prefixes: &[Prefix]) -> BTreeMap<(AsId, AsId), usize> {
-    let wanted: BTreeSet<Prefix> = prefixes.iter().copied().collect();
     let mut paths: BTreeSet<(AsId, Prefix, Vec<AsId>)> = BTreeSet::new();
-    for r in dump.valid_announcements() {
-        if !wanted.contains(&r.prefix) {
-            continue;
-        }
+    for r in valid_announcements_of(dump, prefixes) {
         if let Some(p) = r.path.as_ref().and_then(clean_path) {
             paths.insert((r.vantage, r.prefix, p.asns().to_vec()));
         }
@@ -127,12 +133,8 @@ fn first_arrival_delays(
     project: Option<Project>,
     use_export_time: bool,
 ) -> Vec<f64> {
-    let wanted: BTreeSet<Prefix> = prefixes.iter().copied().collect();
     let mut first: BTreeMap<(AsId, Prefix, netsim::SimTime), f64> = BTreeMap::new();
-    for r in dump.valid_announcements() {
-        if !wanted.contains(&r.prefix) {
-            continue;
-        }
+    for r in valid_announcements_of(dump, prefixes) {
         if let Some(p) = project {
             if r.project != p {
                 continue;

@@ -149,20 +149,18 @@ pub fn burst_distribution(
     // the histogram of each of its ASs. Bin heights are counts, so the
     // order of the additions does not matter.
     let mut by_path: HashMap<&AsPath, Histogram> = HashMap::new();
-    for record in dump.valid_announcements() {
-        if record.prefix != schedule.prefix {
-            continue;
-        }
-        let Some(sent) = record.beacon_time() else {
+    let records = dump
+        .streams_of(schedule.prefix)
+        .flat_map(|(_, stream)| stream);
+    for record in records {
+        // The validity filter: an announcement with a valid stamp.
+        let (Some(path), Some(sent)) = (record.path.as_ref(), record.beacon_time()) else {
             continue;
         };
         // Locate the burst this announcement belongs to.
         let Some(burst) = (0..schedule.cycles)
             .find(|&i| sent >= schedule.burst_start(i) && sent < schedule.burst_end(i))
         else {
-            continue;
-        };
-        let Some(path) = record.path.as_ref() else {
             continue;
         };
         // Relative position of the *arrival* within the burst; damped

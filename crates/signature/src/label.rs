@@ -136,8 +136,9 @@ impl LabeledPath {
 /// aware of vantage-point outage windows (from an injected fault plan or
 /// known infrastructure failures; empty when there are none).
 ///
-/// Only records for the schedule's prefix are considered; run once per
-/// beacon prefix (each (site, prefix) is an independent experiment, §4.3).
+/// Only the schedule's prefix's streams are read ([`Dump::streams_of`]);
+/// run once per beacon prefix (each (site, prefix) is an independent
+/// experiment, §4.3).
 ///
 /// A Burst–Break pair whose window overlaps its vantage point's outage
 /// is *unobservable*: the outage may have eaten the burst (faking
@@ -151,17 +152,12 @@ pub fn label_dump_with_outages(
     config: &LabelingConfig,
     outages: &BTreeMap<AsId, (SimTime, SimTime)>,
 ) -> Vec<LabeledPath> {
-    // Group only this schedule's records: per vantage point, ascending,
-    // each group in dump (time) order.
+    // Only this schedule's streams: per vantage point, ascending.
     let prefix = schedule.prefix;
-    let mut by_vantage: BTreeMap<AsId, Vec<&UpdateRecord>> = BTreeMap::new();
-    for r in dump.records().iter().filter(|r| r.prefix == prefix) {
-        by_vantage.entry(r.vantage).or_default().push(r);
-    }
     let mut out = Vec::new();
-    for (vantage, records) in by_vantage {
+    for (vantage, records) in dump.streams_of(prefix) {
         let outage = outages.get(&vantage).copied();
-        let outcomes = pair_outcomes_with_outage(&records, schedule, config, outage);
+        let outcomes = pair_outcomes_with_outage(records, schedule, config, outage);
         // Aggregate per path: (observable, matching, r/break deltas,
         // unobservable).
         type Acc = (usize, usize, Vec<SimDuration>, Vec<SimDuration>, usize);
@@ -249,7 +245,7 @@ pub fn obs_section(labels: &[LabeledPath]) -> obs::Section {
 /// Burst–Break window overlaps it come back with
 /// [`PairOutcome::observable`] false and no match verdict.
 pub fn pair_outcomes_with_outage(
-    records: &[&UpdateRecord],
+    records: &[UpdateRecord],
     schedule: &BeaconSchedule,
     config: &LabelingConfig,
     outage: Option<(SimTime, SimTime)>,
@@ -270,7 +266,7 @@ pub fn pair_outcomes_with_outage(
         // Records attributable to this pair's burst phase. Announcements
         // must carry a valid stamp from within the burst (the validity
         // filter); withdrawals carry no stamp and are accepted by time.
-        let in_burst: Vec<&&UpdateRecord> = records
+        let in_burst: Vec<&UpdateRecord> = records
             .iter()
             .filter(|r| {
                 if r.exported_at < burst_start || r.exported_at >= burst_cutoff {
@@ -299,14 +295,8 @@ pub fn pair_outcomes_with_outage(
 
         // Attribute the pair to a path: the re-advertised path when
         // present, otherwise the last announced path of the burst.
-        let path_record = re_adv.copied().or_else(|| {
-            in_burst
-                .iter()
-                .rev()
-                .find(|r| r.path.is_some())
-                .copied()
-                .copied()
-        });
+        let path_record =
+            re_adv.or_else(|| in_burst.iter().rev().find(|r| r.path.is_some()).copied());
         let Some(path_record) = path_record else {
             continue; // only withdrawals seen: nothing to attribute
         };
