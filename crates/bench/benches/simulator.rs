@@ -1,6 +1,6 @@
 //! Discrete-event simulator throughput: event-queue operations, BGP
-//! convergence, and a full Burst propagation — the substrate cost behind
-//! every figure.
+//! convergence, and a full Burst propagation (undamped, damped, faulted
+//! and traced) — the substrate cost behind every figure.
 
 use bgpsim::{AsId, NetworkConfig, Prefix};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -129,6 +129,32 @@ fn bench_burst(c: &mut Criterion) {
             schedule.apply(&mut net);
             net.run_to_quiescence();
             black_box(net.events_processed())
+        })
+    });
+    // The same burst with Cisco RFD on every session, set through the
+    // policy hook: the suppress/release path a damped campaign runs.
+    group.bench_function("one_2h_burst_1min_damped", |b| {
+        let cisco = bgpsim::VendorProfile::Cisco.params();
+        b.iter(|| {
+            let mut net = topo.instantiate(
+                NetworkConfig {
+                    jitter: 0.3,
+                    seed: 6,
+                    ..Default::default()
+                },
+                |_, _, pol| pol.with_rfd(cisco),
+            );
+            let schedule = beacon::BeaconSchedule::standard(
+                pfx,
+                site,
+                netsim::SimDuration::from_mins(1),
+                netsim::SimDuration::from_hours(2),
+                SimTime::ZERO,
+                1,
+            );
+            schedule.apply(&mut net);
+            net.run_to_quiescence();
+            black_box((net.events_processed(), net.stats().rfd.len()))
         })
     });
     // The enabled-faults A/B: same burst with an armed session-reset

@@ -15,55 +15,57 @@
 
 use crate::message::AsId;
 use crate::policy::Relationship;
-use crate::rib::Route;
+use crate::rib::LaneRoute;
 
 /// One candidate in the decision process.
-#[derive(Clone, Debug)]
-pub struct Candidate<'a> {
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Candidate {
     /// The neighbor the route was learned from.
     pub neighbor: AsId,
     /// Relationship of that neighbor (determines local preference).
     pub relationship: Relationship,
+    /// Length of the route's AS path, prepending included.
+    pub path_len: usize,
     /// The route itself.
-    pub route: &'a Route,
+    pub route: LaneRoute,
 }
 
-impl Candidate<'_> {
+impl Candidate {
     /// Lexicographic preference key: *larger is better*.
     /// (local_pref ↑, path length ↓, neighbor ASN ↓)
     fn key(&self) -> (u32, isize, i64) {
         (
             self.relationship.local_pref(),
-            -(self.route.path.len() as isize),
+            -(self.path_len as isize),
             -i64::from(self.neighbor.0),
         )
     }
 }
 
 /// Select the best route among candidates; `None` when empty.
-pub fn select_best<'a>(
-    candidates: impl IntoIterator<Item = Candidate<'a>>,
-) -> Option<Candidate<'a>> {
+pub(crate) fn select_best(candidates: impl IntoIterator<Item = Candidate>) -> Option<Candidate> {
     candidates.into_iter().max_by(|a, b| a.key().cmp(&b.key()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::AsPath;
+    use crate::paths::PathArena;
 
-    fn route_with_len(len: usize) -> Route {
-        let path: AsPath = (0..len as u32).map(|i| AsId(1000 + i)).collect();
-        Route {
-            path,
+    /// A route over a path of `len` distinct ASs, interned in `paths`.
+    fn route_with_len(paths: &mut PathArena, len: usize) -> LaneRoute {
+        let asns: Vec<AsId> = (0..len as u32).map(|i| AsId(1000 + i)).collect();
+        LaneRoute {
+            path: paths.intern(&asns),
             aggregator: None,
         }
     }
 
-    fn cand(neighbor: u32, rel: Relationship, route: &Route) -> Candidate<'_> {
+    fn cand(paths: &PathArena, neighbor: u32, rel: Relationship, route: LaneRoute) -> Candidate {
         Candidate {
             neighbor: AsId(neighbor),
             relationship: rel,
+            path_len: paths.len(route.path),
             route,
         }
     }
@@ -75,11 +77,12 @@ mod tests {
 
     #[test]
     fn customer_beats_shorter_provider_path() {
-        let long = route_with_len(5);
-        let short = route_with_len(1);
+        let mut paths = PathArena::default();
+        let long = route_with_len(&mut paths, 5);
+        let short = route_with_len(&mut paths, 1);
         let best = select_best(vec![
-            cand(1, Relationship::Customer, &long),
-            cand(2, Relationship::Provider, &short),
+            cand(&paths, 1, Relationship::Customer, long),
+            cand(&paths, 2, Relationship::Provider, short),
         ])
         .unwrap();
         assert_eq!(best.neighbor, AsId(1), "local-pref dominates path length");
@@ -87,11 +90,12 @@ mod tests {
 
     #[test]
     fn shorter_path_wins_within_same_pref() {
-        let long = route_with_len(4);
-        let short = route_with_len(2);
+        let mut paths = PathArena::default();
+        let long = route_with_len(&mut paths, 4);
+        let short = route_with_len(&mut paths, 2);
         let best = select_best(vec![
-            cand(9, Relationship::Peer, &long),
-            cand(1, Relationship::Peer, &short),
+            cand(&paths, 9, Relationship::Peer, long),
+            cand(&paths, 1, Relationship::Peer, short),
         ])
         .unwrap();
         assert_eq!(best.neighbor, AsId(1));
@@ -99,11 +103,12 @@ mod tests {
 
     #[test]
     fn lowest_neighbor_id_breaks_full_ties() {
-        let a = route_with_len(3);
-        let b = route_with_len(3);
+        let mut paths = PathArena::default();
+        let a = route_with_len(&mut paths, 3);
+        let b = route_with_len(&mut paths, 3);
         let best = select_best(vec![
-            cand(700, Relationship::Peer, &a),
-            cand(30, Relationship::Peer, &b),
+            cand(&paths, 700, Relationship::Peer, a),
+            cand(&paths, 30, Relationship::Peer, b),
         ])
         .unwrap();
         assert_eq!(best.neighbor, AsId(30));
@@ -111,14 +116,16 @@ mod tests {
 
     #[test]
     fn prepending_counts_against_path() {
-        let plain = route_with_len(3);
-        let prepended = Route {
-            path: route_with_len(2).path.prepend(AsId(77), 3), // length 5
+        let mut paths = PathArena::default();
+        let plain = route_with_len(&mut paths, 3);
+        let short = route_with_len(&mut paths, 2);
+        let prepended = LaneRoute {
+            path: paths.prepend_n(short.path, AsId(77), 3), // length 5
             aggregator: None,
         };
         let best = select_best(vec![
-            cand(1, Relationship::Peer, &prepended),
-            cand(2, Relationship::Peer, &plain),
+            cand(&paths, 1, Relationship::Peer, prepended),
+            cand(&paths, 2, Relationship::Peer, plain),
         ])
         .unwrap();
         assert_eq!(best.neighbor, AsId(2));
@@ -126,11 +133,12 @@ mod tests {
 
     #[test]
     fn peer_beats_provider() {
-        let a = route_with_len(3);
-        let b = route_with_len(3);
+        let mut paths = PathArena::default();
+        let a = route_with_len(&mut paths, 3);
+        let b = route_with_len(&mut paths, 3);
         let best = select_best(vec![
-            cand(1, Relationship::Provider, &a),
-            cand(2, Relationship::Peer, &b),
+            cand(&paths, 1, Relationship::Provider, a),
+            cand(&paths, 2, Relationship::Peer, b),
         ])
         .unwrap();
         assert_eq!(best.neighbor, AsId(2));

@@ -3,23 +3,32 @@
 //! A [`Lane`] owns that prefix's Adj-RIB-In/Out, MRAI and RFD slots and
 //! Loc-RIB in every router, the per-link FIFO horizons and down flags,
 //! its own event queue, a jitter stream split from the network seed by
-//! the prefix, and a buffer of the tap records it produced since the
-//! network last merged them. It reads the routers' sessions and policies,
-//! the CSR link arrays and the tap flags from the network's shared,
-//! read-only [`Fabric`]. Two lanes share no mutable state, so the network
-//! runs them on separate threads (DESIGN.md §5e).
+//! the prefix, its path arena, and a buffer of the tap records it
+//! produced since the network last merged them. It reads the routers'
+//! sessions and policies, the CSR link arrays and the tap flags from the
+//! network's shared, read-only [`Fabric`]. Two lanes share no mutable
+//! state, so the network runs them on separate threads (DESIGN.md §5e).
+//!
+//! Every route inside the lane — in a RIB slot, an MRAI gate, a
+//! `Deliver` event, a Loc-RIB selection — carries its AS path as a
+//! `PathId` into the lane's [`PathArena`], so routes are `Copy` and
+//! comparing two paths compares two integers. The boundary is the tap:
+//! a tapped Loc-RIB change becomes a [`TapRecord`] whose path is an
+//! `AsPath` the arena builds once per distinct path and shares.
 
 use netsim::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::message::{AggregatorStamp, BgpAction};
 use crate::network::{Fabric, NetStats, Reset, TapRecord, Tracer};
+use crate::paths::PathArena;
 use crate::prefix::Prefix;
+use crate::rib::Route;
 use crate::router::{LocalSlot, PrefixState, RouterOutput, SessionSlot};
 
 /// Events of one lane. Routers are named by router id, sessions by their
 /// index in the router's session list (which also names the directed
 /// link); the prefix is the lane's.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum NetEvent {
     /// Deliver `action`, sent by `router` on `session` (already delayed).
     Deliver {
@@ -43,6 +52,11 @@ pub(crate) enum NetEvent {
     SessionUp { router: u32, session: u32 },
 }
 
+// A lane keeps every pending event for the whole run; a byte here is a
+// byte per pending event. Pinned so the queue's payload cannot grow
+// unnoticed.
+const _: () = assert!(std::mem::size_of::<NetEvent>() <= 32);
+
 /// All mutable simulation state of one prefix.
 pub(crate) struct Lane {
     pub(crate) prefix: Prefix,
@@ -59,6 +73,8 @@ pub(crate) struct Lane {
     /// Per link: whether its session is down (between a fault-injected
     /// reset and its re-establishment).
     down: Vec<bool>,
+    /// Every AS path the lane's routes carry.
+    pub(crate) paths: PathArena,
     /// Tap records not yet merged into the network's log, in time order.
     pub(crate) tap: Vec<TapRecord>,
     pub(crate) stats: NetStats,
@@ -80,6 +96,7 @@ impl Lane {
             slots: vec![SessionSlot::default(); links],
             horizon: vec![SimTime::ZERO; links],
             down: vec![false; links],
+            paths: PathArena::default(),
             tap: Vec::new(),
             stats: NetStats::default(),
             dropped_down: 0,
@@ -132,6 +149,7 @@ impl Lane {
             prefix: self.prefix,
             local: &mut self.local[router],
             sessions: &mut self.slots[links],
+            paths: &mut self.paths,
         }
     }
 
@@ -339,11 +357,15 @@ impl Lane {
         }
         if let Some(change) = out.loc_rib_change.take() {
             if fabric.tapped[router] {
+                let route = change.route.map(|route| Route {
+                    path: self.paths.shared(route.path),
+                    aggregator: route.aggregator,
+                });
                 self.tap.push(TapRecord {
                     vantage: r.asn(),
                     time: now,
                     prefix: change.prefix,
-                    route: change.route,
+                    route,
                 });
             }
         }

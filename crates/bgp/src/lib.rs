@@ -29,18 +29,19 @@
 //! [RFC 2439]: https://www.rfc-editor.org/rfc/rfc2439
 //! [RFC 4271]: https://www.rfc-editor.org/rfc/rfc4271
 
-pub mod decision;
+mod decision;
 mod lane;
 pub mod message;
-pub mod mrai;
+mod mrai;
 pub mod network;
+mod paths;
 pub mod policy;
 pub mod prefix;
 pub mod rfd;
 pub mod rib;
 pub mod router;
 
-pub use message::{AggregatorStamp, AsId, AsPath, BgpAction};
+pub use message::{AggregatorStamp, AsId, AsPath};
 pub use network::{Network, NetworkConfig, TapRecord};
 pub use policy::{ExportPolicy, Relationship, SessionPolicy};
 pub use prefix::Prefix;

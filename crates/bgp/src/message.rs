@@ -1,10 +1,11 @@
 //! BGP message and attribute types.
 //!
-//! The simulator exchanges single-prefix updates: a [`BgpAction`] — an
-//! announcement (carrying an [`AsPath`] and optional transitive
-//! [`AggregatorStamp`]) or a withdrawal — for one prefix. Real UPDATE
-//! messages can pack several NLRI; one prefix per message is equivalent
-//! at the routing level and keeps the event queue simple.
+//! The simulator exchanges single-prefix updates: a `BgpAction` — an
+//! announcement (carrying an AS path, interned in the lane's path arena,
+//! and an optional transitive [`AggregatorStamp`]) or a withdrawal — for
+//! one prefix. Real UPDATE messages can pack several NLRI; one prefix per
+//! message is equivalent at the routing level and keeps the event queue
+//! simple. [`AsPath`] is the path's form outside the simulator.
 
 use std::fmt;
 use std::sync::Arc;
@@ -12,6 +13,8 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use netsim::SimTime;
+
+use crate::paths::PathId;
 
 /// An Autonomous System number.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -33,9 +36,12 @@ impl fmt::Debug for AsId {
 /// (neighbor of the receiver) first, origin last. Prepending is represented
 /// naturally by repeated entries.
 ///
-/// Paths are immutable and shared: cloning one (into an Adj-RIB-Out, an
-/// update on the wire, a tap record) bumps a reference count instead of
-/// copying the ASNs. `Arc` rather than `Rc` keeps routes `Send`.
+/// This is the form a path takes outside the simulator: in tap records,
+/// collector dumps and labels. Inside a simulation lane a route carries a
+/// copyable id into the lane's hash-consed path arena instead, and the
+/// lane builds each distinct tapped path as an `AsPath` once, so tap
+/// records that share a path share one allocation. `Arc` rather than
+/// `Rc` keeps tap records `Send`.
 #[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct AsPath(Arc<[AsId]>);
 
@@ -153,12 +159,13 @@ impl AggregatorStamp {
 }
 
 /// What an update does to a prefix.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum BgpAction {
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum BgpAction {
     /// Advertise a route with the given path and optional aggregator stamp.
     Announce {
-        /// AS path, first hop first (receiver's neighbor is `path[0]`).
-        path: AsPath,
+        /// AS path in the lane's arena, first hop first (the receiver's
+        /// neighbor is its head).
+        path: PathId,
         /// Transitive beacon timestamp, forwarded verbatim.
         aggregator: Option<AggregatorStamp>,
     },
@@ -168,7 +175,7 @@ pub enum BgpAction {
 
 impl BgpAction {
     /// True for an announcement.
-    pub fn is_announce(&self) -> bool {
+    pub(crate) fn is_announce(&self) -> bool {
         matches!(self, BgpAction::Announce { .. })
     }
 }
@@ -242,8 +249,9 @@ mod tests {
 
     #[test]
     fn action_kind() {
+        let mut paths = crate::paths::PathArena::default();
         let a = BgpAction::Announce {
-            path: p(&[1]),
+            path: paths.intern(&[AsId(1)]),
             aggregator: None,
         };
         assert!(a.is_announce());

@@ -9,7 +9,7 @@
 //! pattern the paper's §4.1 explicitly distinguishes from the RFD
 //! signature (minutes-long suppression).
 //!
-//! [`MraiGate`] is a pure state machine: the router submits outbound
+//! `MraiGate` is a pure state machine: the router submits outbound
 //! updates and acts on the returned verdicts; the network layer schedules
 //! the expiry timers the gate requests.
 
@@ -18,8 +18,8 @@ use netsim::{SimDuration, SimTime};
 use crate::message::BgpAction;
 
 /// Result of submitting an update to the gate.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MraiVerdict {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum MraiVerdict {
     /// Send the update on the wire now.
     SendNow(BgpAction),
     /// The update was queued; arm a timer for `at` (unless one for this
@@ -36,7 +36,7 @@ pub enum MraiVerdict {
 /// The interval is the session's policy, passed in on every call; `None`
 /// disables MRAI and leaves the gate untouched.
 #[derive(Debug, Clone, Default)]
-pub struct MraiGate {
+pub(crate) struct MraiGate {
     /// Earliest time the next announcement may be sent.
     open_at: SimTime,
     /// Latest coalesced update waiting for the gate to open.
@@ -48,12 +48,12 @@ pub struct MraiGate {
 impl MraiGate {
     /// Forget the pending update and open the gate (the session carrying
     /// it was reset).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = MraiGate::default();
     }
 
     /// Submit an outbound update; returns what to do with it.
-    pub fn submit(
+    pub(crate) fn submit(
         &mut self,
         interval: Option<SimDuration>,
         action: BgpAction,
@@ -87,7 +87,11 @@ impl MraiGate {
 
     /// An expiry timer fired. Returns the coalesced update to send, if any
     /// survived (a withdrawal may have cancelled it).
-    pub fn expire(&mut self, interval: Option<SimDuration>, now: SimTime) -> Option<BgpAction> {
+    pub(crate) fn expire(
+        &mut self,
+        interval: Option<SimDuration>,
+        now: SimTime,
+    ) -> Option<BgpAction> {
         let interval = interval?;
         self.armed = false;
         let action = self.pending.take()?;
@@ -98,15 +102,23 @@ impl MraiGate {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
     use crate::message::AsId;
-    use crate::message::AsPath;
+    use crate::paths::PathArena;
 
     const MRAI: Option<SimDuration> = Some(SimDuration::from_secs(30));
 
+    thread_local! {
+        /// The tests' path arena: `ann(tag)` interns `[tag]` here, so
+        /// equal tags give equal announcements.
+        static PATHS: RefCell<PathArena> = RefCell::new(PathArena::default());
+    }
+
     fn ann(tag: u32) -> BgpAction {
         BgpAction::Announce {
-            path: AsPath::from_slice(&[AsId(tag)]),
+            path: PATHS.with(|paths| paths.borrow_mut().intern(&[AsId(tag)])),
             aggregator: None,
         }
     }

@@ -7,8 +7,9 @@
 //!   delays, and the tap flags;
 //! * one **lane** per prefix that owns all mutable state of that prefix:
 //!   the routers' RIB, MRAI and RFD slots for it, per-link FIFO horizons
-//!   and down flags, its own event queue, its own tap buffer and a jitter
-//!   stream split from the seed by the prefix value.
+//!   and down flags, its own event queue, its own tap buffer, the arena
+//!   that interns every AS path its routes carry, and a jitter stream
+//!   split from the seed by the prefix value.
 //!
 //! A lane pops its events and feeds them to the pure router state
 //! machines, translating each router output back into scheduled events:
@@ -555,9 +556,12 @@ impl Network {
         self.router_id(asn).map(|id| &self.fabric.routers[id])
     }
 
-    /// The best route `asn` currently selects for `prefix`, if any.
-    pub fn best(&self, asn: AsId, prefix: Prefix) -> Option<&Selection> {
-        self.lane(prefix)?.local[self.router_id(asn)?].best.as_ref()
+    /// The best route `asn` currently selects for `prefix`, if any, with
+    /// its AS path built from the prefix lane's path arena.
+    pub fn best(&self, asn: AsId, prefix: Prefix) -> Option<Selection> {
+        let lane = self.lane(prefix)?;
+        let best = lane.local[self.router_id(asn)?].best?;
+        Some(best.materialize(&lane.paths))
     }
 
     /// Whether `asn` currently suppresses the route for `prefix` it

@@ -13,7 +13,10 @@
 //!
 //! The inputs name sessions by dense index: a session is a position in
 //! the router's peer-sorted session list, and `PrefixState::sessions`
-//! holds one `SessionSlot` per session in the same order.
+//! holds one `SessionSlot` per session in the same order. Routes carry
+//! their AS paths as ids into the lane's path arena
+//! (`PrefixState::paths`); only [`Selection`], what the network reports
+//! outside the lane, holds an [`AsPath`].
 //!
 //! Processing pipeline for an incoming update (mirroring RFC 4271 + 2439):
 //!
@@ -34,12 +37,14 @@ use netsim::{SimDuration, SimTime};
 use crate::decision::{select_best, Candidate};
 use crate::message::{AggregatorStamp, AsId, AsPath, BgpAction};
 use crate::mrai::{MraiGate, MraiVerdict};
+use crate::paths::{PathArena, PathId};
 use crate::policy::{ExportPolicy, SessionPolicy};
 use crate::prefix::Prefix;
 use crate::rfd::{FlapKind, RfdTransition};
-use crate::rib::{AdjEntry, Route};
+use crate::rib::{AdjEntry, LaneRoute, Route};
 
-/// What a router selected for a prefix.
+/// What a router selected for a prefix, as
+/// [`Network::best`](crate::Network::best) reports it.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Selection {
     /// The prefix is locally originated.
@@ -73,13 +78,50 @@ impl Selection {
     }
 }
 
+/// What a router selected for a prefix, as its lane stores it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum LaneSelection {
+    /// The prefix is locally originated, with this stamp.
+    Local { aggregator: Option<AggregatorStamp> },
+    /// Best route learned from `neighbor`, as received.
+    Learned { neighbor: AsId, route: LaneRoute },
+}
+
+impl LaneSelection {
+    /// The route as this router exports it (own ASN prepended), interned
+    /// in `paths`. Every neighbor and the tap record share it.
+    fn exported_view(self, own: AsId, paths: &mut PathArena) -> LaneRoute {
+        match self {
+            LaneSelection::Local { aggregator } => LaneRoute {
+                path: paths.prepend(PathId::EMPTY, own),
+                aggregator,
+            },
+            LaneSelection::Learned { route, .. } => LaneRoute {
+                path: paths.prepend(route.path, own),
+                aggregator: route.aggregator,
+            },
+        }
+    }
+
+    /// The selection with its path built from `paths`.
+    pub(crate) fn materialize(self, paths: &PathArena) -> Selection {
+        match self {
+            LaneSelection::Local { aggregator } => Selection::Local { aggregator },
+            LaneSelection::Learned { neighbor, route } => Selection::Learned {
+                neighbor,
+                route: route.materialize(paths),
+            },
+        }
+    }
+}
+
 /// A Loc-RIB change, reported so vantage-point taps can record it.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LocRibChange {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct LocRibChange {
     /// The affected prefix.
     pub prefix: Prefix,
     /// The new best route in exported view (`None` = prefix unreachable).
-    pub route: Option<Route>,
+    pub route: Option<LaneRoute>,
 }
 
 /// Everything a router wants done after processing one input. Each input
@@ -122,7 +164,7 @@ pub(crate) struct LocalSlot {
     /// The local origination's stamp, if the prefix is originated here.
     pub originated: Option<Option<AggregatorStamp>>,
     /// The selected best route.
-    pub best: Option<Selection>,
+    pub best: Option<LaneSelection>,
 }
 
 /// One session's state for one prefix.
@@ -131,10 +173,14 @@ pub(crate) struct SessionSlot {
     /// What the neighbor advertised, with its RFD state.
     pub adj_in: AdjEntry,
     /// What the router last advertised to the neighbor.
-    pub adj_out: Option<Route>,
+    pub adj_out: Option<LaneRoute>,
     /// The MRAI gate towards the neighbor.
     pub mrai: MraiGate,
 }
+
+// A lane holds one slot per link, so a byte here is a byte per link per
+// prefix. Pinned at its measured size so it cannot grow unnoticed.
+const _: () = assert!(std::mem::size_of::<SessionSlot>() == 120);
 
 impl SessionSlot {
     /// The session went down or came back: the peer holds none of our
@@ -154,6 +200,8 @@ pub(crate) struct PrefixState<'a> {
     pub local: &'a mut LocalSlot,
     /// One slot per session, in session order.
     pub sessions: &'a mut [SessionSlot],
+    /// The lane's path arena, which every route's path points into.
+    pub paths: &'a mut PathArena,
 }
 
 /// One BGP session: the neighbor and how the router treats it.
@@ -260,16 +308,16 @@ impl Router {
         //    (RFC 2439 penalises route *changes*, and an unfeasible
         //    announcement never enters the RIB).
         let action = match action {
-            BgpAction::Announce { ref path, .. } if path.contains(own) => BgpAction::Withdraw,
+            BgpAction::Announce { path, .. } if st.paths.contains(path, own) => BgpAction::Withdraw,
             other => other,
         };
 
         // 2. Adj-RIB-In + flap classification.
         let (kind, rib_changed) = match action {
             BgpAction::Announce { path, aggregator } => {
-                entry.apply_announce(Route { path, aggregator }, now)
+                entry.apply_announce(LaneRoute { path, aggregator })
             }
-            BgpAction::Withdraw => entry.apply_withdraw(now),
+            BgpAction::Withdraw => entry.apply_withdraw(),
         };
 
         // 3. RFD penalty accounting.
@@ -395,10 +443,11 @@ impl Router {
         out: &mut RouterOutput,
     ) -> bool {
         st.sessions[session].reset_outbound();
-        let Some(view) = st.local.best.as_ref().map(|s| s.exported_view(self.asn)) else {
+        let Some(best) = st.local.best else {
             return false;
         };
-        self.export(st, Some(&view), session..session + 1, now, out);
+        let view = best.exported_view(self.asn, st.paths);
+        self.export(st, Some(view), session..session + 1, now, out);
         true
     }
 
@@ -437,18 +486,18 @@ impl Router {
             return;
         }
         // The exported view is the same for every neighbor; build it once.
-        let view = new.as_ref().map(|s| s.exported_view(self.asn));
+        let view = new.map(|s| s.exported_view(self.asn, st.paths));
         st.local.best = new;
-        self.export(st, view.as_ref(), 0..self.sessions.len(), now, out);
+        self.export(st, view, 0..self.sessions.len(), now, out);
         out.loc_rib_change = Some(LocRibChange {
             prefix: st.prefix,
             route: view,
         });
     }
 
-    fn compute_best(&self, st: &PrefixState<'_>) -> Option<Selection> {
+    fn compute_best(&self, st: &PrefixState<'_>) -> Option<LaneSelection> {
         if let Some(aggregator) = st.local.originated {
-            return Some(Selection::Local { aggregator });
+            return Some(LaneSelection::Local { aggregator });
         }
         let candidates = self
             .sessions
@@ -456,21 +505,24 @@ impl Router {
             .zip(st.sessions.iter())
             .filter_map(|(s, slot)| {
                 let route = slot.adj_in.usable()?;
-                // Defensive loop check (sender-side split horizon should
-                // make this unreachable, but policy bugs must not loop
-                // forever).
-                if route.path.contains(self.asn) {
-                    return None;
-                }
+                // `handle_update` turns a looped announcement into a
+                // withdrawal, so no Adj-RIB-In route holds our ASN.
+                debug_assert!(
+                    !st.paths.contains(route.path, self.asn),
+                    "looped route in {}'s Adj-RIB-In from {}",
+                    self.asn,
+                    s.peer
+                );
                 Some(Candidate {
                     neighbor: s.peer,
                     relationship: s.policy.relationship,
+                    path_len: st.paths.len(route.path),
                     route,
                 })
             });
-        select_best(candidates).map(|c| Selection::Learned {
+        select_best(candidates).map(|c| LaneSelection::Learned {
             neighbor: c.neighbor,
-            route: c.route.clone(),
+            route: c.route,
         })
     }
 
@@ -480,7 +532,7 @@ impl Router {
     fn export(
         &self,
         st: &mut PrefixState<'_>,
-        view: Option<&Route>,
+        view: Option<LaneRoute>,
         sessions: Range<usize>,
         now: SimTime,
         out: &mut RouterOutput,
@@ -488,9 +540,9 @@ impl Router {
         let own = self.asn;
         // Who did we learn the best route from (split horizon), and what
         // relationship was it learned over (Gao–Rexford)?
-        let (learned_from, learned_rel) = match &st.local.best {
-            Some(Selection::Learned { neighbor, .. }) => {
-                let s = self.session_index(*neighbor).expect("learned on a session");
+        let (learned_from, learned_rel) = match st.local.best {
+            Some(LaneSelection::Learned { neighbor, .. }) => {
+                let s = self.session_index(neighbor).expect("learned on a session");
                 (Some(s), Some(self.policy_at(s).relationship))
             }
             _ => (None, None),
@@ -498,7 +550,6 @@ impl Router {
 
         for i in sessions {
             let policy = self.policy_at(i);
-            let slot = &mut st.sessions[i];
             // Desired route towards this peer: none under split horizon
             // (never advertise back to the peer the route was learned
             // from) or when the export policy forbids.
@@ -508,20 +559,21 @@ impl Router {
                         && ExportPolicy::permits(learned_rel, policy.relationship)
                 })
                 .map(|route| match policy.prepend_extra {
-                    0 => route.clone(),
-                    extra => Route {
-                        path: route.path.prepend(own, extra),
-                        aggregator: route.aggregator,
+                    0 => route,
+                    extra => LaneRoute {
+                        path: st.paths.prepend_n(route.path, own, extra),
+                        ..route
                     },
                 });
 
+            let slot = &mut st.sessions[i];
             if slot.adj_out == desired {
                 continue;
             }
             // Unequal, so a `None` desired means something was advertised.
-            let action = match &desired {
+            let action = match desired {
                 Some(route) => BgpAction::Announce {
-                    path: route.path.clone(),
+                    path: route.path,
                     aggregator: route.aggregator,
                 },
                 None => BgpAction::Withdraw,
@@ -552,11 +604,31 @@ mod tests {
         "10.0.0.0/24".parse().unwrap()
     }
 
+    /// An update as the tests write and read it, with its path as an
+    /// [`AsPath`]; the rig interns it on the way in and builds it on the
+    /// way out.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Update {
+        Announce {
+            path: AsPath,
+            aggregator: Option<AggregatorStamp>,
+        },
+        Withdraw,
+    }
+
+    impl Update {
+        fn is_announce(&self) -> bool {
+            matches!(self, Update::Announce { .. })
+        }
+    }
+
     /// A router plus its state for every prefix a test touches, held
-    /// the way the lanes of a network hold it.
+    /// the way the lanes of a network hold it. One path arena serves all
+    /// prefixes: ids need only be consistent within the rig.
     struct Rig {
         router: Router,
         prefixes: BTreeMap<Prefix, (LocalSlot, Vec<SessionSlot>)>,
+        paths: PathArena,
     }
 
     impl Rig {
@@ -564,6 +636,29 @@ mod tests {
             Rig {
                 router: Router::new(asn),
                 prefixes: BTreeMap::new(),
+                paths: PathArena::default(),
+            }
+        }
+
+        /// `update` as the router receives it, its path interned.
+        fn intern(&mut self, update: Update) -> BgpAction {
+            match update {
+                Update::Announce { path, aggregator } => BgpAction::Announce {
+                    path: self.paths.intern(path.asns()),
+                    aggregator,
+                },
+                Update::Withdraw => BgpAction::Withdraw,
+            }
+        }
+
+        /// `action` as a test reads it, its path built.
+        fn update(&self, action: BgpAction) -> Update {
+            match action {
+                BgpAction::Announce { path, aggregator } => Update::Announce {
+                    path: self.paths.path(path),
+                    aggregator,
+                },
+                BgpAction::Withdraw => Update::Withdraw,
             }
         }
 
@@ -595,13 +690,15 @@ mod tests {
                 prefix,
                 local,
                 sessions: slots,
+                paths: &mut self.paths,
             };
             f(&self.router, &mut st, &mut out);
             out
         }
 
-        fn best(&self, prefix: Prefix) -> Option<&Selection> {
-            self.prefixes.get(&prefix)?.0.best.as_ref()
+        fn best(&self, prefix: Prefix) -> Option<Selection> {
+            let best = self.prefixes.get(&prefix)?.0.best?;
+            Some(best.materialize(&self.paths))
         }
 
         fn entry(&self, peer: AsId, prefix: Prefix) -> Option<&AdjEntry> {
@@ -621,32 +718,27 @@ mod tests {
         }
     }
 
-    /// Deliver `action` for `prefix` from `from`, as the network would.
-    fn recv(
-        r: &mut Rig,
-        from: AsId,
-        prefix: Prefix,
-        action: BgpAction,
-        now: SimTime,
-    ) -> RouterOutput {
+    /// Deliver `update` for `prefix` from `from`, as the network would.
+    fn recv(r: &mut Rig, from: AsId, prefix: Prefix, update: Update, now: SimTime) -> RouterOutput {
         let session = r.session_index(from).expect("session exists");
+        let action = r.intern(update);
         r.input(prefix, |router, st, out| {
             router.handle_update(st, session, action, now, out)
         })
     }
 
-    fn announce(path: &[u32]) -> BgpAction {
-        BgpAction::Announce {
+    fn announce(path: &[u32]) -> Update {
+        Update::Announce {
             path: path.iter().map(|&a| AsId(a)).collect(),
             aggregator: None,
         }
     }
 
-    /// The output's sends as (peer, action).
-    fn sends(r: &Rig, out: &RouterOutput) -> Vec<(AsId, BgpAction)> {
+    /// The output's sends as (peer, update).
+    fn sends(r: &Rig, out: &RouterOutput) -> Vec<(AsId, Update)> {
         out.sends
             .iter()
-            .map(|(s, a)| (r.peer(*s), a.clone()))
+            .map(|&(s, a)| (r.peer(s), r.update(a)))
             .collect()
     }
 
@@ -709,7 +801,7 @@ mod tests {
         r
     }
 
-    fn announce_from(origin: u32) -> BgpAction {
+    fn announce_from(origin: u32) -> Update {
         announce(&[origin])
     }
 
@@ -725,7 +817,7 @@ mod tests {
         assert_eq!(out.sends.len(), 2);
         for (_, u) in sends(&r, &out) {
             match u {
-                BgpAction::Announce { path, aggregator } => {
+                Update::Announce { path, aggregator } => {
                     assert_eq!(path.asns(), &[AsId(1)]);
                     assert!(aggregator.is_some());
                 }
@@ -745,7 +837,7 @@ mod tests {
         let (to, u) = &sent[0];
         assert_eq!(*to, AsId(3));
         match u {
-            BgpAction::Announce { path, .. } => assert_eq!(path.asns(), &[AsId(1), AsId(2)]),
+            Update::Announce { path, .. } => assert_eq!(path.asns(), &[AsId(1), AsId(2)]),
             _ => panic!("expected announce"),
         }
     }
@@ -774,21 +866,21 @@ mod tests {
             &mut r,
             AsId(2),
             pfx(),
-            BgpAction::Withdraw,
+            Update::Withdraw,
             SimTime::from_secs(1),
         );
         let sent = sends(&r, &out);
         assert_eq!(sent.len(), 1);
         let (to, u) = &sent[0];
         assert_eq!(*to, AsId(3));
-        assert!(matches!(u, BgpAction::Withdraw));
+        assert!(matches!(u, Update::Withdraw));
         assert!(r.best(pfx()).is_none());
     }
 
     #[test]
     fn duplicate_withdrawal_is_silent() {
         let mut r = sample_router();
-        let out = recv(&mut r, AsId(2), pfx(), BgpAction::Withdraw, SimTime::ZERO);
+        let out = recv(&mut r, AsId(2), pfx(), Update::Withdraw, SimTime::ZERO);
         assert!(out.sends.is_empty());
         assert!(out.loc_rib_change.is_none());
     }
@@ -816,14 +908,14 @@ mod tests {
             &mut r,
             AsId(2),
             pfx(),
-            BgpAction::Withdraw,
+            Update::Withdraw,
             SimTime::from_secs(2),
         );
         let sent = sends(&r, &out);
         let to_provider: Vec<_> = sent.iter().filter(|(to, _)| *to == AsId(3)).collect();
         assert_eq!(to_provider.len(), 1);
         match &to_provider[0].1 {
-            BgpAction::Announce { path, .. } => {
+            Update::Announce { path, .. } => {
                 assert_eq!(path.asns(), &[AsId(1), AsId(4), AsId(9)]);
             }
             _ => panic!("expected alternative-path announce"),
@@ -832,7 +924,7 @@ mod tests {
         assert!(sent
             .iter()
             .filter(|(to, _)| *to == AsId(4))
-            .all(|(_, u)| matches!(u, BgpAction::Withdraw)));
+            .all(|(_, u)| matches!(u, Update::Withdraw)));
     }
 
     #[test]
@@ -843,10 +935,9 @@ mod tests {
         let looped = announce(&[2, 1]);
         let out = recv(&mut r, AsId(2), pfx(), looped, SimTime::from_secs(1));
         assert!(r.best(pfx()).is_none());
-        assert!(out
-            .sends
+        assert!(sends(&r, &out)
             .iter()
-            .any(|(_, u)| matches!(u, BgpAction::Withdraw)));
+            .any(|(_, u)| matches!(u, Update::Withdraw)));
     }
 
     #[test]
@@ -861,7 +952,7 @@ mod tests {
         // Flap until suppression: W/A alternating every 60 s.
         for i in 0..40 {
             let out = if i % 2 == 0 {
-                recv(&mut r, AsId(2), pfx(), BgpAction::Withdraw, now)
+                recv(&mut r, AsId(2), pfx(), Update::Withdraw, now)
             } else {
                 recv(&mut r, AsId(2), pfx(), announce_from(2), now)
             };
@@ -921,7 +1012,7 @@ mod tests {
         r.add_session(AsId(3), plain(Relationship::Provider));
         let mut now = SimTime::ZERO;
         while !r.is_suppressed(AsId(2), pfx()) {
-            recv(&mut r, AsId(2), pfx(), BgpAction::Withdraw, now);
+            recv(&mut r, AsId(2), pfx(), Update::Withdraw, now);
             now += SimDuration::from_secs(30);
             recv(&mut r, AsId(2), pfx(), announce_from(2), now);
             now += SimDuration::from_secs(30);
@@ -955,7 +1046,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         for i in 0..30 {
             let (u2, u4) = if i % 2 == 0 {
-                (BgpAction::Withdraw, BgpAction::Withdraw)
+                (Update::Withdraw, Update::Withdraw)
             } else {
                 (announce_from(2), announce(&[4]))
             };
@@ -968,7 +1059,7 @@ mod tests {
         // The undamped session still provides a best route.
         assert!(matches!(
             r.best(pfx()),
-            Some(Selection::Learned { neighbor, .. }) if *neighbor == AsId(4)
+            Some(Selection::Learned { neighbor, .. }) if neighbor == AsId(4)
         ));
     }
 
@@ -1006,8 +1097,8 @@ mod tests {
         pol.prepend_extra = 2;
         r.add_session(AsId(3), pol);
         let out = recv(&mut r, AsId(2), pfx(), announce_from(2), SimTime::ZERO);
-        match &out.sends[0].1 {
-            BgpAction::Announce { path, .. } => {
+        match &sends(&r, &out)[0].1 {
+            Update::Announce { path, .. } => {
                 assert_eq!(path.asns(), &[AsId(1), AsId(1), AsId(1), AsId(2)]);
             }
             _ => panic!("expected announce"),
@@ -1020,7 +1111,7 @@ mod tests {
         let out = recv(&mut r, AsId(2), pfx(), announce_from(2), SimTime::ZERO);
         let change = out.loc_rib_change.expect("best changed");
         assert_eq!(change.prefix, pfx());
-        let route = change.route.expect("announced");
+        let route = change.route.expect("announced").materialize(&r.paths);
         assert_eq!(route.path.asns(), &[AsId(1), AsId(2)]);
     }
 
@@ -1030,7 +1121,7 @@ mod tests {
         // Provider route first.
         recv(&mut r, AsId(3), pfx(), announce(&[3]), SimTime::ZERO);
         assert!(
-            matches!(r.best(pfx()), Some(Selection::Learned { neighbor, .. }) if *neighbor == AsId(3))
+            matches!(r.best(pfx()), Some(Selection::Learned { neighbor, .. }) if neighbor == AsId(3))
         );
         // Customer route displaces it despite equal length.
         let out = recv(
@@ -1041,7 +1132,7 @@ mod tests {
             SimTime::from_secs(1),
         );
         assert!(
-            matches!(r.best(pfx()), Some(Selection::Learned { neighbor, .. }) if *neighbor == AsId(2))
+            matches!(r.best(pfx()), Some(Selection::Learned { neighbor, .. }) if neighbor == AsId(2))
         );
         // The new best is customer-learned → exported to the provider.
         assert!(sends(&r, &out).iter().any(|(to, _)| *to == AsId(3)));
@@ -1059,7 +1150,7 @@ mod tests {
         // The loss propagates downstream as a withdrawal to AS3.
         assert!(sends(&r, out)
             .iter()
-            .any(|(to, u)| *to == AsId(3) && matches!(u, BgpAction::Withdraw)));
+            .any(|(to, u)| *to == AsId(3) && matches!(u, Update::Withdraw)));
         assert!(r.best(pfx()).is_none());
     }
 
