@@ -118,9 +118,9 @@ mod tests {
     fn prepending_counts_against_path() {
         let mut paths = PathArena::default();
         let plain = route_with_len(&mut paths, 3);
-        let short = route_with_len(&mut paths, 2);
+        // AS 77 prepended three times onto a two-hop path: length 5.
         let prepended = LaneRoute {
-            path: paths.prepend_n(short.path, AsId(77), 3), // length 5
+            path: paths.intern(&[AsId(77), AsId(77), AsId(77), AsId(1000), AsId(1001)]),
             aggregator: None,
         };
         let best = select_best(vec![

@@ -306,14 +306,14 @@ impl Lane {
             // Only damped sessions have a penalty to sample.
             let penalty = rfd_session.and_then(|session| {
                 let entry = &self.slots[links.id(router, session)].adj_in;
-                let penalty = r.session_penalty(session, self.prefix, entry, now)?;
+                let penalty = r.session_penalty(session, entry, now)?;
                 Some((session, penalty))
             });
             trace.output(r, router, self.prefix, penalty, now, out);
         }
         if out.rfd_suppressed || out.rfd_released {
             let name = rfd_session
-                .and_then(|session| r.policy_at(session).rfd_for(self.prefix))
+                .and_then(|session| r.policy_at(session).rfd.as_ref())
                 .map_or("custom", |params| params.profile_name());
             let profile = self.stats.rfd.entry(name).or_default();
             if out.rfd_suppressed {

@@ -320,8 +320,6 @@ pub struct Network {
     stats: NetStats,
     /// Tallies of injected faults (session resets, dropped deliveries).
     fault_counters: FaultCounters,
-    /// True once a fault plan was applied (even one injecting nothing).
-    faults_applied: bool,
     /// Optional event trace. `None` (the default) costs one branch per
     /// dispatch; see DESIGN.md §5d.
     trace: Option<Tracer>,
@@ -344,7 +342,6 @@ impl Network {
             tap_log: Vec::new(),
             stats: NetStats::default(),
             fault_counters: FaultCounters::default(),
-            faults_applied: false,
             trace: None,
         }
     }
@@ -358,7 +355,6 @@ impl Network {
     /// injects the same resets.
     pub fn apply_faults(&mut self, plan: &FaultPlan, horizon: SimDuration) {
         self.build_links();
-        self.faults_applied = true;
         let links = &self.fabric.links;
         for (a, router) in self.fabric.routers.iter().enumerate() {
             for session in 0..router.session_count() {
@@ -390,11 +386,6 @@ impl Network {
     /// summed over the lanes.
     pub fn fault_counters(&self) -> &FaultCounters {
         &self.fault_counters
-    }
-
-    /// True once [`Network::apply_faults`] ran.
-    pub fn faults_applied(&self) -> bool {
-        self.faults_applied
     }
 
     /// Attach an event trace. RFD state-machine transitions (suppress,
@@ -1135,7 +1126,6 @@ mod tests {
         net.schedule_announce(SimTime::ZERO, AsId(10), pfx(), true);
         net.apply_faults(&plan, SimDuration::from_mins(30));
         net.run_to_quiescence();
-        assert!(net.faults_applied());
         let counters = net.fault_counters();
         assert_eq!(counters.session_resets, 2, "both links reset at rate 1");
         // After every reset healed, the chain re-converges on the route.
@@ -1199,7 +1189,6 @@ mod tests {
         let mut net = line();
         net.schedule_announce(SimTime::ZERO, AsId(10), pfx(), true);
         net.run_to_quiescence();
-        assert!(!net.faults_applied());
         assert_eq!(net.fault_counters().total(), 0);
     }
 

@@ -106,11 +106,6 @@ impl PathArena {
         })
     }
 
-    /// The path with `asn` prepended `count` times (sender-side export).
-    pub(crate) fn prepend_n(&mut self, path: PathId, asn: AsId, count: usize) -> PathId {
-        (0..count).fold(path, |p, _| self.prepend(p, asn))
-    }
-
     /// Path length, prepending included (what the decision process uses).
     pub(crate) fn len(&self, path: PathId) -> usize {
         self.nodes[path.0 as usize].len as usize
@@ -223,7 +218,7 @@ mod tests {
         let mut arena = PathArena::default();
         let base = arena.intern(&ids(&[7, 8, 9]));
         assert_eq!(arena.len(base), 3);
-        let padded = arena.prepend_n(base, AsId(6), 3);
+        let padded = arena.intern(&ids(&[6, 6, 6, 7, 8, 9]));
         assert_eq!(arena.len(padded), 6);
         assert_eq!(arena.path(padded).asns(), &ids(&[6, 6, 6, 7, 8, 9])[..]);
         for asn in [6, 7, 8, 9] {
@@ -248,23 +243,20 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random prepend sequences, single and repeated, over a small
-        /// AS alphabet (so paths collide): the arena's path equals the
-        /// chain of `AsPath::prepend` calls, and ids are equal exactly
-        /// when the paths are.
+        /// Random prepend sequences over a small AS alphabet (so paths
+        /// collide and repeat ASs): the arena's path equals the chain of
+        /// `AsPath::prepend` calls, and ids are equal exactly when the
+        /// paths are.
         #[test]
         fn arena_matches_as_path_prepend(
-            steps in proptest::collection::vec((0u32..4, 0usize..3, 0usize..8), 1..40),
+            steps in proptest::collection::vec((0u32..4, 0usize..8), 1..40),
         ) {
             let mut arena = PathArena::default();
             let mut built: Vec<(PathId, AsPath)> = vec![(PathId::EMPTY, AsPath::empty())];
-            for (asn, count, from) in steps {
+            for (asn, from) in steps {
                 let (id, path) = built[from % built.len()].clone();
-                let next = match count {
-                    1 => arena.prepend(id, AsId(asn)),
-                    _ => arena.prepend_n(id, AsId(asn), count),
-                };
-                let expected = path.prepend(AsId(asn), count);
+                let next = arena.prepend(id, AsId(asn));
+                let expected = path.prepend(AsId(asn), 1);
                 prop_assert_eq!(arena.path(next), expected.clone());
                 prop_assert_eq!(arena.shared(next), expected.clone());
                 prop_assert_eq!(arena.len(next), expected.len());

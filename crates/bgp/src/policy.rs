@@ -9,18 +9,16 @@
 //! beacon signals placed near Tier-1s travel provider→customer or
 //! peer→peer, so an AS damping *only customers* is invisible.
 //!
-//! Per-session knobs live in [`SessionPolicy`]: inbound RFD (optionally
-//! limited to a prefix-length range — §2.1 mentions operators damping
-//! different prefix lengths differently), outbound MRAI, and outbound
-//! prepending. Per-session RFD is what lets an experiment deploy the
-//! paper's *inconsistently damping* AS-701 analogue (damp every neighbor
-//! except one).
+//! Per-session knobs live in [`SessionPolicy`]: the relationship, inbound
+//! RFD (applied to every prefix the session carries) and outbound MRAI.
+//! Exports prepend the local ASN exactly once. Per-session RFD is what
+//! lets an experiment deploy the paper's *inconsistently damping* AS-701
+//! analogue (damp every neighbor except one).
 
 use serde::{Deserialize, Serialize};
 
 use netsim::SimDuration;
 
-use crate::prefix::Prefix;
 use crate::rfd::RfdParams;
 
 /// The business relationship of a neighbor, *from the local AS's
@@ -76,25 +74,6 @@ impl ExportPolicy {
     }
 }
 
-/// Inclusive prefix-length bounds for applying RFD on a session.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct PrefixLenRange {
-    /// Minimum prefix length (inclusive).
-    pub min: u8,
-    /// Maximum prefix length (inclusive).
-    pub max: u8,
-}
-
-impl PrefixLenRange {
-    /// The full range — damp every prefix length.
-    pub const ALL: PrefixLenRange = PrefixLenRange { min: 0, max: 32 };
-
-    /// True if `prefix` falls inside the range.
-    pub fn contains(self, prefix: Prefix) -> bool {
-        (self.min..=self.max).contains(&prefix.len())
-    }
-}
-
 /// Configuration of one directed session (how the local router treats one
 /// neighbor).
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
@@ -103,13 +82,8 @@ pub struct SessionPolicy {
     pub relationship: Relationship,
     /// Inbound route flap damping on this session, if enabled.
     pub rfd: Option<RfdParams>,
-    /// Prefix lengths the RFD config applies to.
-    pub rfd_prefix_lens: PrefixLenRange,
     /// Outbound MRAI interval for announcements, if enabled.
     pub mrai: Option<SimDuration>,
-    /// Extra copies of the local ASN prepended on export (0 = none beyond
-    /// the mandatory one).
-    pub prepend_extra: usize,
 }
 
 impl SessionPolicy {
@@ -118,9 +92,7 @@ impl SessionPolicy {
         SessionPolicy {
             relationship,
             rfd: None,
-            rfd_prefix_lens: PrefixLenRange::ALL,
             mrai: None,
-            prepend_extra: 0,
         }
     }
 
@@ -134,20 +106,6 @@ impl SessionPolicy {
     pub fn with_mrai(mut self, interval: SimDuration) -> Self {
         self.mrai = Some(interval);
         self
-    }
-
-    /// Restrict RFD to a prefix-length range.
-    pub fn with_rfd_prefix_lens(mut self, range: PrefixLenRange) -> Self {
-        self.rfd_prefix_lens = range;
-        self
-    }
-
-    /// The RFD parameters that apply to `prefix` on this session, if any.
-    pub fn rfd_for(&self, prefix: Prefix) -> Option<&RfdParams> {
-        match &self.rfd {
-            Some(p) if self.rfd_prefix_lens.contains(prefix) => Some(p),
-            _ => None,
-        }
     }
 }
 
@@ -192,23 +150,10 @@ mod tests {
     }
 
     #[test]
-    fn prefix_len_range_filters_rfd() {
-        let pol = SessionPolicy::plain(Relationship::Peer)
-            .with_rfd(VendorProfile::Cisco.params())
-            .with_rfd_prefix_lens(PrefixLenRange { min: 20, max: 24 });
-        let p24: Prefix = "10.0.0.0/24".parse().unwrap();
-        let p16: Prefix = "10.0.0.0/16".parse().unwrap();
-        assert!(pol.rfd_for(p24).is_some());
-        assert!(pol.rfd_for(p16).is_none());
-    }
-
-    #[test]
     fn plain_session_has_no_rfd_or_mrai() {
         let pol = SessionPolicy::plain(Relationship::Provider);
-        let p: Prefix = "10.0.0.0/24".parse().unwrap();
-        assert!(pol.rfd_for(p).is_none());
+        assert!(pol.rfd.is_none());
         assert!(pol.mrai.is_none());
-        assert_eq!(pol.prepend_extra, 0);
     }
 
     #[test]
@@ -218,7 +163,5 @@ mod tests {
             .with_mrai(SimDuration::from_secs(30));
         assert!(pol.rfd.is_some());
         assert_eq!(pol.mrai, Some(SimDuration::from_secs(30)));
-        let any: Prefix = "192.0.2.0/24".parse().unwrap();
-        assert!(pol.rfd_for(any).is_some());
     }
 }

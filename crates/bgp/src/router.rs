@@ -274,16 +274,15 @@ impl Router {
         self.sessions.iter().map(|s| s.peer).collect()
     }
 
-    /// The RFD penalty at `now` of `entry`, the Adj-RIB-In entry of
-    /// `prefix` on `session`; `None` when the session does not damp it.
+    /// The RFD penalty at `now` of `entry`, an Adj-RIB-In entry on
+    /// `session`; `None` when the session does not damp.
     pub(crate) fn session_penalty(
         &self,
         session: usize,
-        prefix: Prefix,
         entry: &AdjEntry,
         now: SimTime,
     ) -> Option<f64> {
-        let params = self.policy_at(session).rfd_for(prefix)?;
+        let params = self.policy_at(session).rfd.as_ref()?;
         Some(entry.rfd.penalty_at(now, params))
     }
 
@@ -322,7 +321,7 @@ impl Router {
 
         // 3. RFD penalty accounting.
         let mut usability_changed = rib_changed;
-        if let Some(params) = self.policy_at(session).rfd_for(st.prefix) {
+        if let Some(params) = self.policy_at(session).rfd.as_ref() {
             if kind != FlapKind::Duplicate {
                 match entry.rfd.record(kind, now, params) {
                     RfdTransition::Suppressed => {
@@ -364,7 +363,7 @@ impl Router {
         now: SimTime,
         out: &mut RouterOutput,
     ) {
-        let Some(params) = self.policy_at(session).rfd_for(st.prefix) else {
+        let Some(params) = self.policy_at(session).rfd.as_ref() else {
             return;
         };
         let entry = &mut st.sessions[session].adj_in;
@@ -537,7 +536,6 @@ impl Router {
         now: SimTime,
         out: &mut RouterOutput,
     ) {
-        let own = self.asn;
         // Who did we learn the best route from (split horizon), and what
         // relationship was it learned over (Gao–Rexford)?
         let (learned_from, learned_rel) = match st.local.best {
@@ -553,18 +551,9 @@ impl Router {
             // Desired route towards this peer: none under split horizon
             // (never advertise back to the peer the route was learned
             // from) or when the export policy forbids.
-            let desired = view
-                .filter(|_| {
-                    learned_from != Some(i)
-                        && ExportPolicy::permits(learned_rel, policy.relationship)
-                })
-                .map(|route| match policy.prepend_extra {
-                    0 => route,
-                    extra => LaneRoute {
-                        path: st.paths.prepend_n(route.path, own, extra),
-                        ..route
-                    },
-                });
+            let desired = view.filter(|_| {
+                learned_from != Some(i) && ExportPolicy::permits(learned_rel, policy.relationship)
+            });
 
             let slot = &mut st.sessions[i];
             if slot.adj_out == desired {
@@ -714,7 +703,7 @@ mod tests {
         fn rfd_penalty(&self, peer: AsId, prefix: Prefix, now: SimTime) -> Option<f64> {
             let session = self.session_index(peer)?;
             let entry = self.entry(peer, prefix)?;
-            self.router.session_penalty(session, prefix, entry, now)
+            self.router.session_penalty(session, entry, now)
         }
     }
 
@@ -1087,22 +1076,6 @@ mod tests {
         });
         assert_eq!(out.sends.len(), 1);
         assert!(out.sends[0].1.is_announce());
-    }
-
-    #[test]
-    fn prepend_extra_lengthens_exported_path() {
-        let mut r = Rig::new(AsId(1));
-        r.add_session(AsId(2), plain(Relationship::Customer));
-        let mut pol = plain(Relationship::Provider);
-        pol.prepend_extra = 2;
-        r.add_session(AsId(3), pol);
-        let out = recv(&mut r, AsId(2), pfx(), announce_from(2), SimTime::ZERO);
-        match &sends(&r, &out)[0].1 {
-            Update::Announce { path, .. } => {
-                assert_eq!(path.asns(), &[AsId(1), AsId(1), AsId(1), AsId(2)]);
-            }
-            _ => panic!("expected announce"),
-        }
     }
 
     #[test]

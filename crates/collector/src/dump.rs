@@ -65,7 +65,8 @@ struct Stream {
 /// `(prefix, vantage)` order. Each stream is in export order, and
 /// records with equal export times keep their collection order: the
 /// order a global stable sort by export time would leave them in.
-/// [`Dump::normalize`] re-sorts each stream into observation order.
+/// Faulted dumps are not repaired: duplicates, reordering and outage
+/// gaps reach the labeller as the collector produced them.
 #[derive(Clone, Debug, Default)]
 pub struct Dump {
     records: Vec<UpdateRecord>,
@@ -198,104 +199,6 @@ impl Dump {
         invalid as f64 / announcements.len() as f64
     }
 
-    /// True when `stream[i]` repeats an earlier record of its stream
-    /// exactly (identical in every field, as produced by duplication
-    /// faults).
-    ///
-    /// Identical records share their export time, and in either stream
-    /// order (export, or observation after [`Dump::normalize`]) every
-    /// record between two of them does too, so only the run of equal
-    /// export times before `i` is searched.
-    fn is_repeat(stream: &[UpdateRecord], i: usize) -> bool {
-        let r = &stream[i];
-        stream[..i]
-            .iter()
-            .rev()
-            .take_while(|e| e.exported_at == r.exported_at)
-            .any(|e| e == r)
-    }
-
-    /// Audit the dump against its invariants without modifying it.
-    ///
-    /// Anomalies are counted per `(prefix, vantage)` stream, walked in
-    /// stream order.
-    pub fn check_integrity(&self, config: &IntegrityConfig) -> DumpIntegrity {
-        let mut integrity = DumpIntegrity::default();
-        for s in &self.streams {
-            let stream = &self.records[s.start..s.end];
-            let mut max_seen = SimTime::ZERO;
-            for (i, r) in stream.iter().enumerate() {
-                if Self::is_repeat(stream, i) {
-                    integrity.exact_duplicates += 1;
-                }
-                if r.exported_at < r.observed_at {
-                    integrity.negative_export_delay += 1;
-                }
-                if i > 0 && r.observed_at < max_seen {
-                    let skew = max_seen.saturating_since(r.observed_at);
-                    if skew <= config.reorder_budget {
-                        integrity.reordered_within_budget += 1;
-                    } else {
-                        integrity.reordered_beyond_budget += 1;
-                    }
-                }
-                max_seen = max_seen.max(r.observed_at);
-                if i > 0 {
-                    let gap = r.exported_at.saturating_since(stream[i - 1].exported_at);
-                    if gap > config.gap_threshold {
-                        integrity.stream_gaps += 1;
-                    }
-                }
-            }
-        }
-        integrity
-    }
-
-    /// Repair the dump into canonical *analysis order* and report what
-    /// was wrong: exact duplicates are collapsed and each stream is
-    /// re-sorted by observation time, which undoes any export-side
-    /// reordering (the signature search walks streams in observation
-    /// order). Returns the pre-repair integrity audit.
-    pub fn normalize(&mut self, config: &IntegrityConfig) -> DumpIntegrity {
-        let integrity = self.check_integrity(config);
-        let repeats: Vec<bool> = self
-            .streams
-            .iter()
-            .flat_map(|s| {
-                let stream = &self.records[s.start..s.end];
-                (0..stream.len()).map(move |i| Self::is_repeat(stream, i))
-            })
-            .collect();
-        let mut repeats = repeats.into_iter();
-        self.records
-            .retain(|_| !repeats.next().expect("one flag per record"));
-        self.streams = Self::index(&self.records);
-        for s in &self.streams {
-            self.records[s.start..s.end].sort_by_key(|r| (r.observed_at, r.exported_at));
-        }
-        integrity
-    }
-
-    /// Propagation delays (beacon send → VP arrival) of all valid
-    /// announcements — the Fig. 8 measurement.
-    pub fn propagation_delays_secs(&self) -> Vec<f64> {
-        self.valid_announcements()
-            .filter_map(|r| {
-                let sent = r.beacon_time()?;
-                Some(r.observed_at.saturating_since(sent).as_secs_f64())
-            })
-            .collect()
-    }
-
-    /// Export delays (VP arrival → dump publication), per project.
-    pub fn export_delays_secs(&self, project: Project) -> Vec<f64> {
-        self.records
-            .iter()
-            .filter(|r| r.project == project)
-            .map(|r| r.exported_at.saturating_since(r.observed_at).as_secs_f64())
-            .collect()
-    }
-
     /// Snapshot the dump into a `collector.dump` report section:
     /// per-project record counts and the export-delay distribution.
     pub fn obs_section(&self) -> obs::Section {
@@ -314,65 +217,6 @@ impl Dump {
             delays.record(r.exported_at.saturating_since(r.observed_at).as_secs_f64());
         }
         section.histogram("export_delay_secs", &delays);
-        section
-    }
-}
-
-/// Tolerances for the dump integrity audit.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct IntegrityConfig {
-    /// Out-of-order observation skew tolerated within a
-    /// `(vantage, prefix)` stream before it counts as pathological.
-    pub reorder_budget: netsim::SimDuration,
-    /// Export-time gap within a stream above which a gap is reported
-    /// (a likely collector blackout or truncated dump).
-    pub gap_threshold: netsim::SimDuration,
-}
-
-impl Default for IntegrityConfig {
-    fn default() -> Self {
-        IntegrityConfig {
-            reorder_budget: netsim::SimDuration::from_secs(30),
-            gap_threshold: netsim::SimDuration::from_mins(30),
-        }
-    }
-}
-
-/// Counts from a dump integrity audit ([`Dump::check_integrity`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DumpIntegrity {
-    /// Records identical to an earlier record in every field.
-    pub exact_duplicates: u64,
-    /// In-stream observation-order inversions within the reorder budget.
-    pub reordered_within_budget: u64,
-    /// Inversions exceeding the budget — the dump is worse than its
-    /// declared tolerance.
-    pub reordered_beyond_budget: u64,
-    /// Export-time gaps within a stream above the gap threshold.
-    pub stream_gaps: u64,
-    /// Records whose export precedes their observation (clock skew).
-    pub negative_export_delay: u64,
-}
-
-impl DumpIntegrity {
-    /// Total anomalies of all kinds.
-    pub fn total(&self) -> u64 {
-        self.exact_duplicates
-            + self.reordered_within_budget
-            + self.reordered_beyond_budget
-            + self.stream_gaps
-            + self.negative_export_delay
-    }
-
-    /// The `collector.integrity` section of a run report.
-    pub fn obs_section(&self) -> obs::Section {
-        let mut section = obs::Section::new("collector.integrity");
-        section.counter("exact_duplicates", self.exact_duplicates);
-        section.counter("reordered_within_budget", self.reordered_within_budget);
-        section.counter("reordered_beyond_budget", self.reordered_beyond_budget);
-        section.counter("stream_gaps", self.stream_gaps);
-        section.counter("negative_export_delay", self.negative_export_delay);
-        section.counter("total", self.total());
         section
     }
 }
@@ -466,20 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn propagation_delays_only_from_valid_stamps() {
-        let d = Dump::new(vec![rec(1, 10, true, true), rec(1, 20, true, false)]);
-        let delays = d.propagation_delays_secs();
-        assert_eq!(delays, vec![2.0]);
-    }
-
-    #[test]
-    fn export_delay_query() {
-        let d = Dump::new(vec![rec(1, 10, true, true)]);
-        assert_eq!(d.export_delays_secs(Project::Isolario), vec![10.0]);
-        assert!(d.export_delays_secs(Project::RipeRis).is_empty());
-    }
-
-    #[test]
     fn obs_section_counts_per_project_and_buckets_delays() {
         let mut third = rec(3, 30, true, true);
         third.project = Project::RipeRis;
@@ -507,102 +337,7 @@ mod tests {
         let d = Dump::default();
         assert!(d.is_empty());
         assert_eq!(d.invalid_share(), 0.0);
-        assert!(d.propagation_delays_secs().is_empty());
-        assert!(d.export_delays_secs(Project::Isolario).is_empty());
-        assert_eq!(d.check_integrity(&IntegrityConfig::default()).total(), 0);
-    }
-
-    #[test]
-    fn duplicates_collapse_around_a_same_time_interloper() {
-        // Duplicated records share their export time; a distinct record
-        // with that export time (a different path) may sit between the
-        // copies and must survive.
-        let shared = rec(1, 10, true, true);
-        let mut interloper = rec(1, 10, true, true);
-        interloper.path = Some(AsPath::from_slice(&[AsId(1), AsId(7), AsId(9)]));
-        let mut d = Dump::new(vec![
-            shared.clone(),
-            rec(1, 30, true, true),
-            shared.clone(),
-            interloper.clone(),
-            shared.clone(),
-            rec(2, 20, false, true),
-        ]);
-        let integrity = d.normalize(&IntegrityConfig::default());
-        assert_eq!(
-            integrity.exact_duplicates, 2,
-            "both extra copies of the shared record"
-        );
-        assert_eq!(d.len(), 4);
-        assert!(d.records().contains(&interloper));
-        assert_eq!(
-            d.check_integrity(&IntegrityConfig::default())
-                .exact_duplicates,
-            0
-        );
-    }
-
-    #[test]
-    fn integrity_counts_duplicates_reorder_and_negative_delay() {
-        let r1 = rec(1, 100, true, true);
-        let mut early = rec(1, 90, true, true);
-        // Exported after r1 but observed before it: a 10 s inversion.
-        early.exported_at = r1.exported_at + netsim::SimDuration::from_secs(5);
-        let mut negative = rec(1, 300, true, true);
-        negative.exported_at = SimTime::from_secs(200);
-        let d = Dump::new(vec![r1.clone(), r1.clone(), early, negative]);
-        let cfg = IntegrityConfig::default();
-        let integrity = d.check_integrity(&cfg);
-        assert_eq!(integrity.exact_duplicates, 1);
-        assert_eq!(integrity.reordered_within_budget, 1);
-        assert_eq!(integrity.reordered_beyond_budget, 0);
-        assert_eq!(integrity.negative_export_delay, 1);
-
-        let tight = IntegrityConfig {
-            reorder_budget: netsim::SimDuration::from_secs(1),
-            ..cfg
-        };
-        assert_eq!(d.check_integrity(&tight).reordered_beyond_budget, 1);
-    }
-
-    #[test]
-    fn integrity_reports_stream_gaps() {
-        let mut late = rec(1, 10, true, true);
-        late.exported_at = SimTime::from_mins(120);
-        let d = Dump::new(vec![rec(1, 10, true, true), late]);
-        let integrity = d.check_integrity(&IntegrityConfig::default());
-        assert_eq!(integrity.stream_gaps, 1);
-    }
-
-    #[test]
-    fn normalize_restores_observation_order_and_collapses() {
-        let a = rec(1, 100, true, true);
-        let mut b = rec(1, 200, true, true);
-        // Export-side reordering: b observed later but exported first.
-        b.exported_at = SimTime::from_secs(90);
-        let mut d = Dump::new(vec![b.clone(), a.clone(), a.clone()]);
-        let integrity = d.normalize(&IntegrityConfig::default());
-        assert_eq!(integrity.exact_duplicates, 1);
-        assert_eq!(d.len(), 2);
-        let (vantage, stream) = d.streams_of("10.0.0.0/24".parse().unwrap()).next().unwrap();
-        assert_eq!(vantage, AsId(1));
-        assert_eq!(stream[0].observed_at, SimTime::from_secs(100));
-        assert_eq!(stream[1].observed_at, SimTime::from_secs(200));
-    }
-
-    #[test]
-    fn integrity_obs_section_has_all_counters() {
-        let integrity = DumpIntegrity {
-            exact_duplicates: 2,
-            stream_gaps: 1,
-            ..DumpIntegrity::default()
-        };
-        let section = integrity.obs_section();
-        assert_eq!(section.name, "collector.integrity");
-        assert_eq!(
-            section.get("exact_duplicates"),
-            Some(&obs::Value::Counter(2))
-        );
-        assert_eq!(section.get("total"), Some(&obs::Value::Counter(3)));
+        assert_eq!(d.valid_announcements().count(), 0);
+        assert_eq!(d.streams_of("10.0.0.0/24".parse().unwrap()).count(), 0);
     }
 }

@@ -12,9 +12,11 @@
 //! * ~1 % of real announcements arrived with a **mangled aggregator
 //!   field**; the same corruption can be injected here, and the analysis
 //!   pipeline discards those records exactly as the paper does;
-//! * **session resets** (the "unexpected infrastructure failures" the 90 %
-//!   labeling rule exists to tolerate) can be injected as per-VP blackout
-//!   windows.
+//! * **VP outages** (the "unexpected infrastructure failures" the 90 %
+//!   labeling rule exists to tolerate) are at most one blackout window per VP,
+//!   drawn by a [`netsim::faults::FaultPlan`]
+//!   (`FaultSpec::vp_outage_rate`); every window and every record it
+//!   drops is counted in `FaultCounters`.
 //!
 //! The output is a [`dump::Dump`] of [`dump::UpdateRecord`]s laid out
 //! stream-major: one stream per `(prefix, vantage)` pair — the unit the
@@ -26,5 +28,5 @@
 pub mod dump;
 pub mod project;
 
-pub use dump::{Dump, DumpIntegrity, IntegrityConfig, UpdateRecord};
+pub use dump::{Dump, UpdateRecord};
 pub use project::{CollectorConfig, CollectorSet, Project};

@@ -65,11 +65,6 @@ pub struct CollectorConfig {
     /// (the paper measured ~1 %). Corrupted records are *kept* in the dump
     /// but flagged invalid; the analysis pipeline discards them.
     pub aggregator_corruption: f64,
-    /// Probability a vantage point suffers one session reset during the
-    /// campaign (a blackout window during which it records nothing).
-    pub session_reset_rate: f64,
-    /// Length of a blackout window.
-    pub session_reset_duration: SimDuration,
     /// Noise seed.
     pub seed: u64,
 }
@@ -78,8 +73,6 @@ impl Default for CollectorConfig {
     fn default() -> Self {
         CollectorConfig {
             aggregator_corruption: 0.01,
-            session_reset_rate: 0.0,
-            session_reset_duration: SimDuration::from_mins(30),
             seed: 0,
         }
     }
@@ -148,10 +141,10 @@ impl CollectorSet {
     /// export delays, the configured observation noise and the optional
     /// injected [`FaultPlan`].
     ///
-    /// `horizon` is the campaign end: blackout windows are placed inside
-    /// `[0, horizon)`. The fault machinery draws only from the plan's own
-    /// decorrelated streams, so a plan never perturbs the collector-noise
-    /// sequence. Every injected fault is tallied in `counters`. Random
+    /// `horizon` is the campaign end: the plan's VP outage windows start
+    /// inside `[0, horizon)`. The fault machinery draws only from the
+    /// plan's own decorrelated streams, so a plan never perturbs the
+    /// collector-noise sequence. Every injected fault is tallied in `counters`. Random
     /// draws happen in tap order; the dump is then laid out stream-major
     /// (see [`Dump`]).
     pub fn process_with_faults(
@@ -165,19 +158,13 @@ impl CollectorSet {
         let mut rng = SimRng::new(config.seed).split("collector-noise");
 
         // One row per registered VP, ascending, with everything the
-        // per-record loop needs. Blackout windows and faults are pure
-        // functions of the seeds, drawn up front.
+        // per-record loop needs. Faults are pure functions of the plan's
+        // seed, drawn up front.
         let horizon_dur = horizon.saturating_since(SimTime::ZERO);
         let vps: Vec<AsId> = self.assignments.keys().copied().collect();
         let mut rows: Vec<VpRow> = Vec::with_capacity(vps.len());
         for (&vp, &project) in &self.assignments {
             let id = u64::from(vp.0);
-            let mut vp_rng = rng.split_index("reset", id);
-            let mut blackout = None;
-            if vp_rng.chance(config.session_reset_rate) && horizon > SimTime::ZERO {
-                let start = SimTime::from_millis(vp_rng.below(horizon.as_millis().max(1)));
-                blackout = Some((start, start + config.session_reset_duration));
-            }
             let faults = plan.map(|plan| {
                 let faults = VpFaults {
                     outage: plan.vp_outage(id, horizon_dur),
@@ -199,11 +186,7 @@ impl CollectorSet {
                 }
                 faults
             });
-            rows.push(VpRow {
-                project,
-                blackout,
-                faults,
-            });
+            rows.push(VpRow { project, faults });
         }
 
         // Each kept record is tagged `prefix id × |VPs| + VP index`, the
@@ -217,11 +200,6 @@ impl CollectorSet {
                 continue; // not a registered full-feed peer
             };
             let row = &mut rows[v];
-            if let Some((b0, b1)) = row.blackout {
-                if tap.time >= b0 && tap.time < b1 {
-                    continue; // session was down
-                }
-            }
             // Per-record fault draws, in a fixed order (loss, dup, skew)
             // so the stream stays aligned whatever the rates are.
             let mut duplicate = false;
@@ -311,7 +289,6 @@ impl CollectorSet {
 /// A registered vantage point's state for one processing pass.
 struct VpRow {
     project: Project,
-    blackout: Option<(SimTime, SimTime)>,
     faults: Option<VpFaults>,
 }
 
@@ -438,21 +415,6 @@ mod tests {
         assert_eq!(dump.valid_announcements().count(), 0);
     }
 
-    #[test]
-    fn session_reset_blacks_out_a_window() {
-        let set = CollectorSet::single(&[AsId(1)], Project::Isolario);
-        let cfg = CollectorConfig {
-            session_reset_rate: 1.0,
-            session_reset_duration: SimDuration::from_hours(1000), // covers everything
-            ..CollectorConfig::clean()
-        };
-        let taps: Vec<TapRecord> = (0..20).map(|i| tap(1, 60 * i, i % 2 == 0)).collect();
-        let dump = process(&set, &taps, &cfg, SimTime::from_mins(30));
-        // The blackout starts somewhere in [0, 30 min) and lasts forever →
-        // strictly fewer records than taps.
-        assert!(dump.len() < taps.len());
-    }
-
     /// Every stream of `dump` is in export order, the streams ascend by
     /// vantage point (one prefix), and together they hold every record.
     fn assert_streams_in_export_order(dump: &Dump) {
@@ -495,7 +457,6 @@ mod tests {
             .collect();
         let cfg = CollectorConfig {
             aggregator_corruption: 0.5,
-            session_reset_rate: 0.3,
             ..CollectorConfig::default()
         };
         let horizon = SimTime::from_mins(60);

@@ -2,6 +2,7 @@
 //! RFD AS versus a non-RFD AS, with the linear-regression fit that
 //! heuristic M3 scores.
 
+use beacon::Phase;
 use netsim::stats::{linear_fit_bins, Histogram};
 use signature::clean_path;
 
@@ -40,9 +41,7 @@ pub fn render(suite: &mut Suite, w: &mut dyn Write) -> io::Result<()> {
             let Some(sent) = r.beacon_time() else {
                 continue;
             };
-            let Some(burst) = (0..schedule.cycles)
-                .find(|&i| sent >= schedule.burst_start(i) && sent < schedule.burst_end(i))
-            else {
+            let Phase::Burst(burst) = schedule.phase_at(sent) else {
                 continue;
             };
             let Some(p) = r.path.as_ref().and_then(clean_path) else {

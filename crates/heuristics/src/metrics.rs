@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize};
 
-use beacon::BeaconSchedule;
+use beacon::{BeaconSchedule, Phase};
 use bgpsim::{AsId, AsPath, Prefix};
 use collector::Dump;
 use netsim::stats::{linear_fit_bins, Histogram};
@@ -158,9 +158,7 @@ pub fn burst_distribution(
             continue;
         };
         // Locate the burst this announcement belongs to.
-        let Some(burst) = (0..schedule.cycles)
-            .find(|&i| sent >= schedule.burst_start(i) && sent < schedule.burst_end(i))
-        else {
+        let Phase::Burst(burst) = schedule.phase_at(sent) else {
             continue;
         };
         // Relative position of the *arrival* within the burst; damped

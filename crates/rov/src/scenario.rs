@@ -19,10 +19,6 @@ pub struct RovScenarioConfig {
     pub topology: TopologyConfig,
     /// Target share of paths labeled ROV (paper: ~0.9).
     pub target_rov_share: f64,
-    /// Collect paths at every AS rather than only the configured vantage
-    /// points. The paper had ~400 full-feed peers; on synthetic graphs a
-    /// comparable path diversity requires observing more broadly.
-    pub observe_everywhere: bool,
     /// Master seed.
     pub seed: u64,
 }
@@ -32,7 +28,6 @@ impl Default for RovScenarioConfig {
         RovScenarioConfig {
             topology: TopologyConfig::default(),
             target_rov_share: 0.9,
-            observe_everywhere: true,
             seed: 0,
         }
     }
@@ -56,7 +51,7 @@ pub struct RovScenario {
 }
 
 /// Build the scenario: grow a topology, converge two beacon prefixes,
-/// collect the VP paths, plant ROV at the largest customer cones until
+/// collect every AS's selected path, plant ROV at the largest customer cones until
 /// the target path share is reached, and label.
 pub fn build(config: &RovScenarioConfig) -> RovScenario {
     let mut topo_config = config.topology.clone();
@@ -76,40 +71,31 @@ pub fn build(config: &RovScenarioConfig) -> RovScenario {
         "147.28.249.0/24".parse().unwrap(),
     ];
 
-    // Converge both prefixes and collect every VP's selected path.
+    // Converge both prefixes.
     let net_config = NetworkConfig {
         jitter: 0.3,
         seed: config.seed,
         ..Default::default()
     };
     let mut net = topology.instantiate(net_config, |_, _, pol| pol);
-    if config.observe_everywhere {
-        for asn in net.as_ids() {
-            if asn != origin {
-                net.attach_tap(asn);
-            }
-        }
-    }
     for (k, &pfx) in prefixes.iter().enumerate() {
         let site = if k == 0 { origin } else { origin2 };
         net.schedule_announce(SimTime::from_secs(k as u64), site, pfx, true);
     }
     net.run_to_quiescence();
 
-    // Final selected path per (vantage, prefix): the last announcement in
-    // the tap log (path hunting transients are superseded).
-    let mut final_paths: std::collections::BTreeMap<(AsId, Prefix), CleanPath> =
-        std::collections::BTreeMap::new();
-    for rec in net.tap_log() {
-        if let Some(route) = &rec.route {
-            if let Some(cp) = clean_path(&route.path) {
-                final_paths.insert((rec.vantage, rec.prefix), cp);
-            }
-        } else {
-            final_paths.remove(&(rec.vantage, rec.prefix));
-        }
-    }
-    let collected: Vec<CleanPath> = final_paths.into_values().collect();
+    // Collect the converged path of every AS but the first origin, as a
+    // collector would record it (exported view), in (AS, prefix) order:
+    // `as_ids` and `prefixes` both ascend. The paper had ~400 full-feed
+    // peers; on synthetic graphs a comparable path diversity requires
+    // observing every AS.
+    let collected: Vec<CleanPath> = net
+        .as_ids()
+        .into_iter()
+        .filter(|&asn| asn != origin)
+        .flat_map(|asn| prefixes.map(|pfx| (asn, pfx)))
+        .filter_map(|(asn, pfx)| clean_path(&net.best(asn, pfx)?.exported_view(asn).path))
+        .collect();
 
     // Plant ROV: Tier-1 and transit ASs by descending customer cone until
     // the target share of collected paths contains a planted AS — ROV
@@ -269,7 +255,6 @@ mod tests {
         RovScenarioConfig {
             topology: TopologyConfig::tiny(seed),
             target_rov_share: 0.9,
-            observe_everywhere: true,
             seed,
         }
     }

@@ -691,7 +691,6 @@ mod tests {
 
     mod properties {
         use super::*;
-        use collector::IntegrityConfig;
         use netsim::SimRng;
         use proptest::prelude::*;
 
@@ -716,18 +715,15 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// Labeling is invariant under record duplication and
-            /// bounded reordering once the dump is normalized: the
-            /// signature search walks streams in canonical observation
-            /// order, so transport-level record shuffling must never
-            /// flip a verdict.
+            /// bounded reordering of the raw dump — the dump production
+            /// labels, with no repair step: transport-level record
+            /// shuffling must never flip a verdict.
             #[test]
             fn labels_survive_duplication_and_bounded_reordering(seed in any::<u64>()) {
                 let s = schedule();
                 let records = mixed_records(&s);
-                let integrity = IntegrityConfig::default();
 
-                let mut base = Dump::new(records.clone());
-                base.normalize(&integrity);
+                let base = Dump::new(records.clone());
                 let baseline = label_dump_with_outages(&base, &s, &LabelingConfig::default(), &BTreeMap::new());
                 prop_assert_eq!(baseline.len(), 2);
 
@@ -748,8 +744,7 @@ mod tests {
                     perturbed.swap(i, j);
                 }
 
-                let mut dump = Dump::new(perturbed);
-                dump.normalize(&integrity);
+                let dump = Dump::new(perturbed);
                 let labels = label_dump_with_outages(&dump, &s, &LabelingConfig::default(), &BTreeMap::new());
                 prop_assert_eq!(labels, baseline);
             }

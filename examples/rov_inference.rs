@@ -20,7 +20,6 @@ fn main() {
             ..TopologyConfig::default_with_seed(seed)
         },
         target_rov_share: 0.9,
-        observe_everywhere: true,
         seed,
     };
 

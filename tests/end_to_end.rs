@@ -11,6 +11,7 @@ use experiments::infer::infer_with_supervision;
 use experiments::metrics::{detectable_universe, evaluate_against_oracle, observable_truth};
 use experiments::pipeline::{run_campaign, ExperimentConfig};
 use heuristics::HeuristicConfig;
+use netsim::faults::FaultSpec;
 use netsim::SimDuration;
 
 fn small(seed: u64) -> ExperimentConfig {
@@ -68,17 +69,21 @@ fn because_keeps_perfect_precision_across_seeds() {
 #[test]
 fn labels_survive_aggregator_corruption_and_resets() {
     // The paper's noise: ~1 % corrupted aggregator fields and occasional
-    // session resets. The 90 % rule plus the validity filter must keep
-    // labeling usable.
+    // VP session resets (outage windows). The 90 % rule plus the validity
+    // filter must keep labeling usable.
     let mut clean_cfg = small(104);
     clean_cfg.collector = CollectorConfig::clean();
     let mut noisy_cfg = small(104);
     noisy_cfg.collector = CollectorConfig {
         aggregator_corruption: 0.01,
-        session_reset_rate: 0.2,
-        session_reset_duration: SimDuration::from_mins(30),
         seed: 104,
     };
+    noisy_cfg.faults = Some(FaultSpec {
+        vp_outage_rate: 0.2,
+        vp_outage_duration: SimDuration::from_mins(30),
+        seed: 104,
+        ..FaultSpec::default()
+    });
     noisy_cfg.cycles = 6; // more pairs → the 90 % rule has room to forgive
 
     let clean = run_campaign(&clean_cfg);
