@@ -88,21 +88,6 @@ impl Campaign {
         }
     }
 
-    /// The March 2020 campaign: 1/2/3-minute intervals, 6 h breaks.
-    pub fn march(sites: &[AsId], start: SimTime, cycles: usize) -> Self {
-        Campaign::new(
-            sites,
-            &[
-                SimDuration::from_mins(1),
-                SimDuration::from_mins(2),
-                SimDuration::from_mins(3),
-            ],
-            SimDuration::from_hours(6),
-            start,
-            cycles,
-        )
-    }
-
     /// A single-interval campaign (one beacon prefix per site) — the unit
     /// the per-interval analyses (Fig. 12) run on.
     pub fn uniform(
@@ -170,9 +155,16 @@ mod tests {
         (0..7).map(|i| AsId(65000 + i)).collect()
     }
 
+    /// The paper's March 2020 campaign: 1/2/3-minute intervals, 6 h breaks.
+    fn march(cycles: usize) -> Campaign {
+        let intervals = [1, 2, 3].map(SimDuration::from_mins);
+        let six_hours = SimDuration::from_hours(6);
+        Campaign::new(&sites(), &intervals, six_hours, SimTime::ZERO, cycles)
+    }
+
     #[test]
     fn march_campaign_shape() {
-        let c = Campaign::march(&sites(), SimTime::ZERO, 4);
+        let c = march(4);
         assert_eq!(c.sites.len(), 7);
         for s in &c.sites {
             assert_eq!(s.beacons.len(), 3);
@@ -186,7 +178,7 @@ mod tests {
 
     #[test]
     fn prefixes_are_unique() {
-        let c = Campaign::march(&sites(), SimTime::ZERO, 2);
+        let c = march(2);
         let mut p = c.prefixes();
         let n = p.len();
         p.sort();
@@ -196,7 +188,7 @@ mod tests {
 
     #[test]
     fn schedule_lookup_by_prefix() {
-        let c = Campaign::march(&sites(), SimTime::ZERO, 2);
+        let c = march(2);
         let b = &c.sites[3].beacons[1];
         let found = c.schedule_for(b.prefix).expect("present");
         assert_eq!(found.site, c.sites[3].site);
@@ -222,7 +214,7 @@ mod tests {
 
     #[test]
     fn end_covers_all_schedules() {
-        let c = Campaign::march(&sites(), SimTime::ZERO, 2);
+        let c = march(2);
         let end = c.end();
         for b in c.beacon_schedules() {
             assert!(b.end() <= end);

@@ -91,7 +91,13 @@ fn label_all(out: &experiments::pipeline::CampaignOutput) -> usize {
     out.campaign
         .beacon_schedules()
         .map(|s| {
-            label_dump_with_outages(&out.dump, s, &LabelingConfig::default(), &out.vp_outages).len()
+            label_dump_with_outages(
+                &out.dump,
+                s,
+                &LabelingConfig::default(),
+                out.dump.vp_outages(),
+            )
+            .len()
         })
         .sum()
 }

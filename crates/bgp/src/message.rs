@@ -87,25 +87,6 @@ impl AsPath {
             .chain(self.0.iter().copied())
             .collect()
     }
-
-    /// The path with consecutive duplicates collapsed — the paper's path
-    /// cleaning step ("paths are cleaned by removing AS path prepending").
-    pub fn deduplicated(&self) -> AsPath {
-        let mut v: Vec<AsId> = Vec::with_capacity(self.0.len());
-        for &a in self.0.iter() {
-            if v.last() != Some(&a) {
-                v.push(a);
-            }
-        }
-        AsPath(v.into())
-    }
-
-    /// True if the *deduplicated* path visits some AS twice (a routing loop).
-    pub fn has_loop(&self) -> bool {
-        let d = self.deduplicated();
-        let mut seen = std::collections::HashSet::with_capacity(d.0.len());
-        !d.0.iter().all(|a| seen.insert(*a))
-    }
 }
 
 impl fmt::Display for AsPath {
@@ -201,20 +182,10 @@ mod tests {
         let path = p(&[2, 3]);
         let padded = path.prepend(AsId(2), 3);
         assert_eq!(padded.len(), 5);
-        assert_eq!(padded.deduplicated(), p(&[2, 3]));
-    }
-
-    #[test]
-    fn dedup_removes_consecutive_only() {
-        let path = p(&[1, 1, 2, 2, 2, 3, 1]);
-        assert_eq!(path.deduplicated(), p(&[1, 2, 3, 1]));
-    }
-
-    #[test]
-    fn loop_detection_ignores_prepending() {
-        assert!(!p(&[1, 1, 1, 2]).has_loop());
-        assert!(p(&[1, 2, 1]).has_loop());
-        assert!(!p(&[]).has_loop());
+        assert_eq!(
+            padded.asns(),
+            &[AsId(2), AsId(2), AsId(2), AsId(2), AsId(3)]
+        );
     }
 
     #[test]

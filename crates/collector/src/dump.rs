@@ -1,10 +1,13 @@
 //! Update dumps: the collector-side record format and query helpers.
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
-use bgpsim::{AggregatorStamp, AsId, AsPath, Prefix};
+use bgpsim::{AggregatorStamp, AsId, Prefix};
 use netsim::SimTime;
 
+use crate::clean::CleanPath;
 use crate::project::Project;
 
 /// One exported update as it appears in a collector dump.
@@ -20,8 +23,8 @@ pub struct UpdateRecord {
     pub observed_at: SimTime,
     /// When the record appeared in the public dump.
     pub exported_at: SimTime,
-    /// The AS path (VP's ASN first); `None` records a withdrawal.
-    pub path: Option<AsPath>,
+    /// The cleaned AS path (VP's ASN first); `None` records a withdrawal.
+    pub path: Option<CleanPath>,
     /// The transitive beacon stamp, possibly corrupted.
     pub aggregator: Option<AggregatorStamp>,
 }
@@ -66,20 +69,22 @@ struct Stream {
 /// records with equal export times keep their collection order: the
 /// order a global stable sort by export time would leave them in.
 /// Faulted dumps are not repaired: duplicates, reordering and outage
-/// gaps reach the labeller as the collector produced them.
+/// gaps reach the labeller as the collector produced them, and the
+/// outage windows come with the dump ([`Dump::vp_outages`]).
 #[derive(Clone, Debug, Default)]
 pub struct Dump {
     records: Vec<UpdateRecord>,
     streams: Vec<Stream>,
+    vp_outages: BTreeMap<AsId, (SimTime, SimTime)>,
 }
 
 impl Dump {
     /// Lay `records` out stream-major. Their order is taken as
     /// collection order: within a stream, records with equal export
-    /// times keep it.
+    /// times keep it. No vantage point was dark.
     pub fn new(mut records: Vec<UpdateRecord>) -> Self {
         records.sort_by_key(|r| (r.prefix, r.vantage));
-        Self::from_grouped(records)
+        Self::from_grouped(records, BTreeMap::new())
     }
 
     /// Lay out records given in collection order, each tagged with the
@@ -90,6 +95,7 @@ impl Dump {
         mut records: Vec<UpdateRecord>,
         mut tags: Vec<u32>,
         streams: usize,
+        vp_outages: BTreeMap<AsId, (SimTime, SimTime)>,
     ) -> Self {
         assert_eq!(records.len(), tags.len(), "one stream tag per record");
         assert!(
@@ -120,18 +126,25 @@ impl Dump {
                 tags.swap(i, j);
             }
         }
-        Self::from_grouped(records)
+        Self::from_grouped(records, vp_outages)
     }
 
     /// Index records already grouped by stream in ascending
     /// `(prefix, vantage)` order, each stream in collection order, and
     /// sort each stream by export time (stably).
-    fn from_grouped(mut records: Vec<UpdateRecord>) -> Self {
+    fn from_grouped(
+        mut records: Vec<UpdateRecord>,
+        vp_outages: BTreeMap<AsId, (SimTime, SimTime)>,
+    ) -> Self {
         let streams = Self::index(&records);
         for s in &streams {
             records[s.start..s.end].sort_by_key(|r| r.exported_at);
         }
-        Dump { records, streams }
+        Dump {
+            records,
+            streams,
+            vp_outages,
+        }
     }
 
     /// The stream table of grouped records.
@@ -164,6 +177,13 @@ impl Dump {
             .iter()
             .take_while(move |s| s.prefix == prefix)
             .map(|s| (s.vantage, &self.records[s.start..s.end]))
+    }
+
+    /// The outage window each vantage point suffered, as the collector
+    /// applied it: keyed by VP AS, `[start, end)` in observation time.
+    /// Empty when no fault plan darkened a vantage point.
+    pub fn vp_outages(&self) -> &BTreeMap<AsId, (SimTime, SimTime)> {
+        &self.vp_outages
     }
 
     /// Number of records.
@@ -232,7 +252,7 @@ mod tests {
             prefix: "10.0.0.0/24".parse().unwrap(),
             observed_at: SimTime::from_secs(t),
             exported_at: SimTime::from_secs(t + 10),
-            path: announced.then(|| AsPath::from_slice(&[AsId(vp), AsId(9)])),
+            path: announced.then(|| CleanPath::from_asns(&[AsId(vp), AsId(9)])),
             aggregator: announced.then(|| {
                 let s = AggregatorStamp::new(SimTime::from_secs(t.saturating_sub(2)));
                 if valid {
@@ -305,7 +325,7 @@ mod tests {
             .iter()
             .map(|r| u32::from(r.prefix == second) * 3 + r.vantage.0 - 1)
             .collect();
-        let tagged = Dump::from_tagged(records.clone(), tags, 6);
+        let tagged = Dump::from_tagged(records.clone(), tags, 6, BTreeMap::new());
         assert_eq!(tagged.records(), Dump::new(records).records());
     }
 
@@ -339,5 +359,6 @@ mod tests {
         assert_eq!(d.invalid_share(), 0.0);
         assert_eq!(d.valid_announcements().count(), 0);
         assert_eq!(d.streams_of("10.0.0.0/24".parse().unwrap()).count(), 0);
+        assert!(d.vp_outages().is_empty());
     }
 }

@@ -16,17 +16,25 @@
 //!   labeling rule exists to tolerate) are at most one blackout window per VP,
 //!   drawn by a [`netsim::faults::FaultPlan`]
 //!   (`FaultSpec::vp_outage_rate`); every window and every record it
-//!   drops is counted in `FaultCounters`.
+//!   drops is counted in `FaultCounters`;
+//! * every announced path is **cleaned** as it is recorded
+//!   ([`clean::clean_path`]: prepending collapsed, looped and empty paths
+//!   not recorded), as the paper cleans its paths (§4.2).
 //!
-//! The output is a [`dump::Dump`] of [`dump::UpdateRecord`]s laid out
-//! stream-major: one stream per `(prefix, vantage)` pair — the unit the
-//! paper labels — in ascending `(prefix, vantage)` order, each stream in
-//! export order with equal export times in collection order. Labeling
-//! and the heuristics read only their own prefix's streams
-//! ([`dump::Dump::streams_of`]).
+//! This crate is the one place that cleans a path or draws a VP's dark
+//! window. The output is a [`dump::Dump`] of [`dump::UpdateRecord`]s
+//! carrying [`clean::CleanPath`]s, laid out stream-major: one stream per
+//! `(prefix, vantage)` pair — the unit the paper labels — in ascending
+//! `(prefix, vantage)` order, each stream in export order with equal
+//! export times in collection order. The dump also records the outage
+//! windows the collector applied ([`dump::Dump::vp_outages`]), which
+//! labeling reads. Labeling and the heuristics read only their own
+//! prefix's streams ([`dump::Dump::streams_of`]).
 
+pub mod clean;
 pub mod dump;
 pub mod project;
 
+pub use clean::{clean_path, CleanPath};
 pub use dump::{Dump, UpdateRecord};
 pub use project::{CollectorConfig, CollectorSet, Project};

@@ -9,6 +9,7 @@ use bgpsim::{AsId, Prefix, TapRecord};
 use netsim::faults::{ExportFault, FaultCounters, FaultPlan};
 use netsim::{SimDuration, SimRng, SimTime};
 
+use crate::clean::clean_path;
 use crate::dump::{Dump, UpdateRecord};
 
 /// The three route-collector projects of the paper.
@@ -117,16 +118,6 @@ impl CollectorSet {
         }
     }
 
-    /// The project a vantage point feeds, if it is registered.
-    pub fn project_of(&self, vp: AsId) -> Option<Project> {
-        self.assignments.get(&vp).copied()
-    }
-
-    /// Every registered vantage point, ascending.
-    pub fn vantage_points(&self) -> impl Iterator<Item = AsId> + '_ {
-        self.assignments.keys().copied()
-    }
-
     /// Number of registered vantage points.
     pub fn len(&self) -> usize {
         self.assignments.len()
@@ -141,12 +132,17 @@ impl CollectorSet {
     /// export delays, the configured observation noise and the optional
     /// injected [`FaultPlan`].
     ///
+    /// Each announced path is cleaned as it is recorded
+    /// ([`clean_path`]); an announcement whose path cleaning rejects
+    /// (looped or empty) is not recorded and draws nothing.
+    ///
     /// `horizon` is the campaign end: the plan's VP outage windows start
-    /// inside `[0, horizon)`. The fault machinery draws only from the
+    /// inside `[0, horizon)`, and the dump keeps the windows it applied
+    /// ([`Dump::vp_outages`]). The fault machinery draws only from the
     /// plan's own decorrelated streams, so a plan never perturbs the
-    /// collector-noise sequence. Every injected fault is tallied in `counters`. Random
-    /// draws happen in tap order; the dump is then laid out stream-major
-    /// (see [`Dump`]).
+    /// collector-noise sequence. Every injected fault is tallied in
+    /// `counters`. Random draws happen in tap order; the dump is then
+    /// laid out stream-major (see [`Dump`]).
     pub fn process_with_faults(
         &self,
         taps: &[TapRecord],
@@ -163,6 +159,7 @@ impl CollectorSet {
         let horizon_dur = horizon.saturating_since(SimTime::ZERO);
         let vps: Vec<AsId> = self.assignments.keys().copied().collect();
         let mut rows: Vec<VpRow> = Vec::with_capacity(vps.len());
+        let mut vp_outages = BTreeMap::new();
         for (&vp, &project) in &self.assignments {
             let id = u64::from(vp.0);
             let faults = plan.map(|plan| {
@@ -175,8 +172,9 @@ impl CollectorSet {
                     // interleave across VPs.
                     records: plan.stream("records").split_index("vp", id),
                 };
-                if faults.outage.is_some() {
+                if let Some(window) = faults.outage {
                     counters.vp_outages += 1;
+                    vp_outages.insert(vp, window);
                 }
                 if faults.clock_skew_ms != 0 {
                     counters.clock_skewed_vps += 1;
@@ -198,6 +196,13 @@ impl CollectorSet {
         for tap in taps {
             let Ok(v) = vps.binary_search(&tap.vantage) else {
                 continue; // not a registered full-feed peer
+            };
+            let (path, mut aggregator) = match &tap.route {
+                Some(route) => match clean_path(&route.path) {
+                    Some(path) => (Some(path), route.aggregator),
+                    None => continue, // looped or empty: dropped by cleaning
+                },
+                None => (None, None),
             };
             let row = &mut rows[v];
             // Per-record fault draws, in a fixed order (loss, dup, skew)
@@ -238,10 +243,6 @@ impl CollectorSet {
                 ms += f.export.delay.as_millis() as i64;
                 exported_at = SimTime::from_millis(ms.max(0) as u64);
             }
-            let (path, mut aggregator) = match &tap.route {
-                Some(route) => (Some(route.path.clone()), route.aggregator),
-                None => (None, None),
-            };
             if let Some(stamp) = aggregator {
                 if rng.chance(config.aggregator_corruption) {
                     aggregator = Some(stamp.corrupted());
@@ -282,7 +283,7 @@ impl CollectorSet {
         for tag in &mut tags {
             *tag = rank[(*tag / n_vps) as usize] * n_vps + *tag % n_vps;
         }
-        Dump::from_tagged(records, tags, prefix_ids.len() * vps.len())
+        Dump::from_tagged(records, tags, prefix_ids.len() * vps.len(), vp_outages)
     }
 }
 
@@ -338,13 +339,25 @@ mod tests {
 
     #[test]
     fn assignment_is_balanced_and_deterministic() {
-        let a = CollectorSet::assign(&vps(), 3);
-        let b = CollectorSet::assign(&vps(), 3);
-        for vp in vps() {
-            assert_eq!(a.project_of(vp), b.project_of(vp));
-        }
+        // One tap per VP: each record names the project its VP feeds.
+        let taps: Vec<TapRecord> = vps().iter().map(|vp| tap(vp.0, 10, true)).collect();
+        let projects = |set: &CollectorSet| -> Vec<(AsId, Project)> {
+            let dump = process(
+                set,
+                &taps,
+                &CollectorConfig::clean(),
+                SimTime::from_mins(60),
+            );
+            dump.records()
+                .iter()
+                .map(|r| (r.vantage, r.project))
+                .collect()
+        };
+        let a = projects(&CollectorSet::assign(&vps(), 3));
+        assert_eq!(a.len(), 9);
+        assert_eq!(a, projects(&CollectorSet::assign(&vps(), 3)));
         for p in Project::ALL {
-            let members = a.vantage_points().filter(|&vp| a.project_of(vp) == Some(p));
+            let members = a.iter().filter(|&&(_, q)| q == p);
             assert_eq!(members.count(), 3, "9 VPs split 3-3-3");
         }
     }
@@ -466,6 +479,7 @@ mod tests {
         let armed = set.process_with_faults(&taps, &cfg, horizon, Some(&plan), &mut counters);
         assert_eq!(plain.records(), armed.records());
         assert_eq!(counters.total(), 0);
+        assert!(armed.vp_outages().is_empty());
     }
 
     #[test]
@@ -492,6 +506,12 @@ mod tests {
         assert_eq!(counters.vp_outages, 1);
         assert!(counters.records_outage_dropped > 0);
         assert_eq!(dump.len() as u64 + counters.records_outage_dropped, 20);
+        // The dump keeps the window it applied, and no kept record is in it.
+        let &(start, end) = dump.vp_outages().get(&AsId(1)).expect("VP 1 went dark");
+        assert!(dump
+            .records()
+            .iter()
+            .all(|r| r.observed_at < start || r.observed_at >= end));
     }
 
     #[test]

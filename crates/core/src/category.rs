@@ -32,18 +32,6 @@ impl Category {
         self as u8
     }
 
-    /// Construct from a numeric value.
-    pub fn from_value(v: u8) -> Option<Category> {
-        match v {
-            1 => Some(Category::C1),
-            2 => Some(Category::C2),
-            3 => Some(Category::C3),
-            4 => Some(Category::C4),
-            5 => Some(Category::C5),
-            _ => None,
-        }
-    }
-
     /// The paper accepts categories 4 and 5 as "RFD-enabled".
     pub fn is_property(self) -> bool {
         matches!(self, Category::C4 | Category::C5)
@@ -180,15 +168,6 @@ mod tests {
             level: 0.95,
         };
         assert_eq!(Category::from_marginal(&m), Category::C2);
-    }
-
-    #[test]
-    fn roundtrip_values() {
-        for v in 1..=5 {
-            assert_eq!(Category::from_value(v).unwrap().value(), v);
-        }
-        assert_eq!(Category::from_value(0), None);
-        assert_eq!(Category::from_value(6), None);
     }
 
     #[test]

@@ -39,18 +39,6 @@ pub fn logit(p: f64) -> f64 {
     (p / (1.0 - p)).ln()
 }
 
-/// `log(e^a + e^b)` without overflow.
-pub fn logaddexp(a: f64, b: f64) -> f64 {
-    if a == f64::NEG_INFINITY {
-        return b;
-    }
-    if b == f64::NEG_INFINITY {
-        return a;
-    }
-    let m = a.max(b);
-    m + ((a - m).exp() + (b - m).exp()).ln()
-}
-
 /// `log Γ(x)` via the Lanczos approximation (g = 7, n = 9), accurate to
 /// ~1e-13 for positive arguments — used by Beta prior normalisation.
 pub fn ln_gamma(x: f64) -> f64 {
@@ -200,17 +188,6 @@ mod tests {
         assert!(logit(1.0).is_finite());
         assert!(logit(0.0) < -20.0);
         assert!(logit(1.0) > 20.0);
-    }
-
-    #[test]
-    fn logaddexp_basic() {
-        let v = logaddexp(1.0_f64.ln(), 2.0_f64.ln());
-        assert!((v - 3.0_f64.ln()).abs() < 1e-12);
-        assert_eq!(logaddexp(f64::NEG_INFINITY, 5.0), 5.0);
-        assert_eq!(logaddexp(5.0, f64::NEG_INFINITY), 5.0);
-        // Large magnitudes must not overflow.
-        let v = logaddexp(1000.0, 1000.0);
-        assert!((v - (1000.0 + 2.0_f64.ln())).abs() < 1e-9);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bgpsim::{AsId, Prefix};
-use collector::{Dump, Project, UpdateRecord};
+use collector::{CleanPath, Dump, Project, UpdateRecord};
 use netsim::stats::Ecdf;
-use signature::clean_path;
 
 /// The valid announcements of the given prefixes, read from their
 /// streams only (each prefix once, however often it is listed).
@@ -27,11 +26,9 @@ fn valid_announcements_of<'a>(
 /// given prefixes in the dump.
 pub fn observed_links(dump: &Dump, prefixes: &[Prefix]) -> BTreeSet<(AsId, AsId)> {
     let mut links = BTreeSet::new();
-    for r in valid_announcements_of(dump, prefixes) {
-        if let Some(p) = r.path.as_ref().and_then(clean_path) {
-            for (a, b) in p.links() {
-                links.insert((a.min(b), a.max(b)));
-            }
+    for p in valid_announcements_of(dump, prefixes).filter_map(|r| r.path.as_ref()) {
+        for (a, b) in p.links() {
+            links.insert((a.min(b), a.max(b)));
         }
     }
     links
@@ -62,59 +59,59 @@ pub fn link_similarity(
 /// combinations — the paper's "median paths per link" argument for using
 /// several sites.
 pub fn link_path_counts(dump: &Dump, prefixes: &[Prefix]) -> BTreeMap<(AsId, AsId), usize> {
-    let mut paths: BTreeSet<(AsId, Prefix, Vec<AsId>)> = BTreeSet::new();
+    let mut paths: BTreeSet<(AsId, Prefix, &CleanPath)> = BTreeSet::new();
     for r in valid_announcements_of(dump, prefixes) {
-        if let Some(p) = r.path.as_ref().and_then(clean_path) {
-            paths.insert((r.vantage, r.prefix, p.asns().to_vec()));
+        if let Some(p) = &r.path {
+            paths.insert((r.vantage, r.prefix, p));
         }
     }
     let mut counts: BTreeMap<(AsId, AsId), usize> = BTreeMap::new();
-    for (_, _, asns) in &paths {
-        for w in asns.windows(2) {
-            let key = (w[0].min(w[1]), w[0].max(w[1]));
-            *counts.entry(key).or_insert(0) += 1;
+    for (_, _, p) in &paths {
+        for (a, b) in p.links() {
+            *counts.entry((a.min(b), a.max(b))).or_insert(0) += 1;
         }
     }
     counts
 }
 
 /// Fig. 7 — per project: the set of (vantage, prefix, path) observations
-/// it contributes, for overlap analysis.
-pub fn project_observations(dump: &Dump) -> BTreeMap<Project, BTreeSet<(AsId, Prefix, Vec<AsId>)>> {
-    let mut out: BTreeMap<Project, BTreeSet<(AsId, Prefix, Vec<AsId>)>> = BTreeMap::new();
-    for p in Project::ALL {
-        out.entry(p).or_default();
-    }
+/// it contributes, for overlap analysis. Every project has an entry.
+pub fn project_observations(
+    dump: &Dump,
+) -> BTreeMap<Project, BTreeSet<(AsId, Prefix, &CleanPath)>> {
+    let mut out: BTreeMap<Project, BTreeSet<(AsId, Prefix, &CleanPath)>> =
+        Project::ALL.map(|p| (p, BTreeSet::new())).into();
     for r in dump.valid_announcements() {
-        if let Some(p) = r.path.as_ref().and_then(clean_path) {
+        if let Some(p) = &r.path {
             out.entry(r.project)
                 .or_default()
-                .insert((r.vantage, r.prefix, p.asns().to_vec()));
+                .insert((r.vantage, r.prefix, p));
         }
     }
     out
 }
 
-/// Unique AS paths per project and the share each project contributes
-/// exclusively (Fig. 7's "every project adds data" point).
-pub fn project_exclusive_shares(dump: &Dump) -> BTreeMap<Project, (usize, f64)> {
-    let obs = project_observations(dump);
+/// Unique AS paths per project and the share of all paths each project
+/// contributes exclusively (Fig. 7's "every project adds data" point),
+/// from [`project_observations`].
+pub fn project_exclusive_shares(
+    observations: &BTreeMap<Project, BTreeSet<(AsId, Prefix, &CleanPath)>>,
+) -> BTreeMap<Project, (usize, f64)> {
     // Overlap is computed on paths (ignoring which VP reported them).
-    let paths_of = |p: Project| -> BTreeSet<Vec<AsId>> {
-        obs[&p].iter().map(|(_, _, path)| path.clone()).collect()
-    };
-    let all: BTreeSet<Vec<AsId>> = Project::ALL.iter().flat_map(|&p| paths_of(p)).collect();
-    let total = all.len().max(1) as f64;
-    Project::ALL
+    let paths: BTreeMap<Project, BTreeSet<&CleanPath>> = observations
         .iter()
-        .map(|&p| {
-            let own = paths_of(p);
-            let others: BTreeSet<Vec<AsId>> = Project::ALL
-                .iter()
-                .filter(|&&q| q != p)
-                .flat_map(|&q| paths_of(q))
-                .collect();
-            let exclusive = own.difference(&others).count();
+        .map(|(&p, obs)| (p, obs.iter().map(|&(_, _, path)| path).collect()))
+        .collect();
+    // How many projects saw each path.
+    let mut seen_by: BTreeMap<&CleanPath, usize> = BTreeMap::new();
+    for &path in paths.values().flatten() {
+        *seen_by.entry(path).or_insert(0) += 1;
+    }
+    let total = seen_by.len().max(1) as f64;
+    paths
+        .iter()
+        .map(|(&p, own)| {
+            let exclusive = own.iter().filter(|&&path| seen_by[path] == 1).count();
             (p, (own.len(), exclusive as f64 / total))
         })
         .collect()
@@ -214,7 +211,7 @@ mod tests {
     #[test]
     fn project_shares_cover_all_projects() {
         let out = output();
-        let shares = project_exclusive_shares(&out.dump);
+        let shares = project_exclusive_shares(&project_observations(&out.dump));
         assert_eq!(shares.len(), 3);
         let total_paths: usize = shares.values().map(|(n, _)| *n).sum();
         assert!(total_paths > 0);

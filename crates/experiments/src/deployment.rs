@@ -235,19 +235,6 @@ impl Deployment {
             .map(|(&a, _)| a)
             .collect()
     }
-
-    /// Share of dampers per profile label (reporting).
-    pub fn profile_shares(&self) -> BTreeMap<String, f64> {
-        let total = self.damping.len().max(1) as f64;
-        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-        for d in self.damping.values() {
-            *counts.entry(d.profile.clone()).or_insert(0) += 1;
-        }
-        counts
-            .into_iter()
-            .map(|(k, v)| (k, v as f64 / total))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -302,9 +289,12 @@ mod tests {
             ..Default::default()
         };
         let d = Deployment::assign(&t, &cfg);
-        let shares = d.profile_shares();
-        let vendor = shares.get("cisco").copied().unwrap_or(0.0)
-            + shares.get("juniper").copied().unwrap_or(0.0);
+        let vendor_dampers = d
+            .damping
+            .values()
+            .filter(|d| d.profile == "cisco" || d.profile == "juniper")
+            .count();
+        let vendor = vendor_dampers as f64 / d.damping.len() as f64;
         assert!((vendor - 0.6).abs() < 0.1, "vendor share {vendor}");
     }
 

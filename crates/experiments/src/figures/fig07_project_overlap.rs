@@ -13,7 +13,7 @@ pub fn render(suite: &mut Suite, w: &mut dyn Write) -> io::Result<()> {
     let out = suite.campaign(1);
 
     let obs = project_observations(&out.dump);
-    let shares = project_exclusive_shares(&out.dump);
+    let shares = project_exclusive_shares(&obs);
 
     let rows: Vec<Vec<String>> = shares
         .iter()

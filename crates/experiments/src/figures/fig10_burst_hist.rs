@@ -2,9 +2,8 @@
 //! RFD AS versus a non-RFD AS, with the linear-regression fit that
 //! heuristic M3 scores.
 
-use beacon::Phase;
+use heuristics::{burst_histograms, M3_BINS};
 use netsim::stats::{linear_fit_bins, Histogram};
-use signature::clean_path;
 
 use super::{io, Suite, Write};
 use crate::report;
@@ -12,7 +11,6 @@ use crate::report;
 /// Render the figure after its banner.
 pub fn render(suite: &mut Suite, w: &mut dyn Write) -> io::Result<()> {
     let out = suite.campaign(1);
-    let schedule = out.campaign.sites[0].beacons[0].clone();
 
     // Pick a damping AS that is on labeled RFD paths and a clean AS.
     let damper = out
@@ -30,32 +28,22 @@ pub fn render(suite: &mut Suite, w: &mut dyn Write) -> io::Result<()> {
             !out.deployment.damping.contains_key(a) && !out.topology.beacon_sites.contains(a)
         });
 
-    let bins = 40;
+    // M3's per-AS histograms, merged over the beacon prefixes. Every
+    // beacon runs on one clock, and no anchor stamp falls in a burst.
+    let bins = M3_BINS;
+    let per_schedule: Vec<_> = out
+        .campaign
+        .beacon_schedules()
+        .map(|s| burst_histograms(&out.dump, s, bins))
+        .collect();
     for (title, asn) in [("RFD AS", damper), ("non-RFD AS", clean)] {
         let Some(asn) = asn else {
             writeln!(w, "--- {title}: none found in this run ---")?;
             continue;
         };
         let mut hist = Histogram::new(0.0, 1.0, bins);
-        for r in out.dump.valid_announcements() {
-            let Some(sent) = r.beacon_time() else {
-                continue;
-            };
-            let Phase::Burst(burst) = schedule.phase_at(sent) else {
-                continue;
-            };
-            let Some(p) = r.path.as_ref().and_then(clean_path) else {
-                continue;
-            };
-            if !p.contains(asn) {
-                continue;
-            }
-            let rel = r
-                .exported_at
-                .saturating_since(schedule.burst_start(burst))
-                .as_secs_f64()
-                / schedule.burst_duration.as_secs_f64();
-            hist.push(rel.min(1.0 - 1e-9));
+        for h in per_schedule.iter().filter_map(|m| m.get(&asn)) {
+            hist.merge(h);
         }
         writeln!(
             w,

@@ -25,7 +25,6 @@ pub fn render(suite: &mut Suite, w: &mut dyn Write) -> io::Result<()> {
     let rov_cfg = RovScenarioConfig {
         topology: suite.topology_config(),
         seed: suite.seed(),
-        ..Default::default()
     };
     let scenario = build(&rov_cfg);
     let (_, rov_pr) = scenario.evaluate(&suite.analysis_config());

@@ -2,8 +2,10 @@
 //! simulation → collector dumps → labeled paths.
 //!
 //! [`measure`] is the one place that fixes the measurement's order —
-//! fault plan → run → collect → VP outages → label — for the campaign
-//! ([`run_campaign`]) and for every hand-built network alike.
+//! fault plan → run → collect → label — for the campaign
+//! ([`run_campaign`]) and for every hand-built network alike. Collection
+//! cleans the paths and records the VP-outage windows it applied;
+//! labeling reads those windows from the dump.
 
 use std::collections::BTreeMap;
 
@@ -123,9 +125,10 @@ pub struct CampaignOutput {
     /// Tallies of every fault actually injected, merged across the
     /// network and collector layers. All-zero on fault-free runs.
     pub fault_counters: FaultCounters,
-    /// The outage window each vantage point suffered, keyed by VP AS.
-    /// Empty on fault-free runs. Labeling uses this to mark Burst–Break
-    /// pairs the outage swallowed as unobservable.
+    /// The outage window each vantage point suffered, keyed by VP AS: a
+    /// copy of [`Dump::vp_outages`], which labeling reads. Empty on
+    /// fault-free runs. Kept because the benchmark harness builds a
+    /// `CampaignOutput` itself.
     pub vp_outages: BTreeMap<AsId, (SimTime, SimTime)>,
 }
 
@@ -186,14 +189,14 @@ pub fn run_campaign(config: &ExperimentConfig) -> CampaignOutput {
         topology,
         deployment,
         campaign,
-        dump: m.dump,
         labels: m.labels,
         events_processed: m.events_processed,
         updates_delivered: m.updates_delivered,
         report,
         trace: m.trace,
         fault_counters: m.fault_counters,
-        vp_outages: m.vp_outages,
+        vp_outages: m.dump.vp_outages().clone(),
+        dump: m.dump,
     }
 }
 
@@ -207,9 +210,6 @@ pub struct Measurement {
     /// Every fault injected, merged across the network and collector
     /// layers. All-zero on fault-free runs.
     pub fault_counters: FaultCounters,
-    /// The outage window each vantage point suffered. Empty on
-    /// fault-free runs.
-    pub vp_outages: BTreeMap<AsId, (SimTime, SimTime)>,
     /// The `netsim.queue`, `bgpsim.network`, `[bgpsim.trace]`,
     /// `collector.dump`, `signature.labels` and `[faults]` sections, in
     /// that order.
@@ -234,9 +234,10 @@ pub struct Measurement {
 /// `net` comes with its vantage-point taps attached and `schedules`
 /// (plus any anchors) already applied. The fault plan `faults` spans the
 /// latest end among `schedules`; its session resets go into the
-/// network's queue before the run, its VP-level faults into collection,
-/// and its VP outages into labeling, which marks the pairs an outage
-/// swallowed as unobservable rather than clean. `trace` attaches a
+/// network's queue before the run and its VP-level faults into
+/// collection. Labeling reads the outage windows the collector applied
+/// from the dump, and marks the pairs an outage swallowed as
+/// unobservable rather than clean. `trace` attaches a
 /// 2¹⁶-event trace buffer to the network.
 pub fn measure(
     mut net: Network,
@@ -252,9 +253,8 @@ pub fn measure(
     }
     let plan = faults.cloned().map(FaultPlan::new);
     let horizon = schedules.iter().fold(SimTime::ZERO, |h, s| h.max(s.end()));
-    let horizon_span = horizon - SimTime::ZERO;
     if let Some(plan) = &plan {
-        net.apply_faults(plan, horizon_span);
+        net.apply_faults(plan, horizon - SimTime::ZERO);
     }
 
     // The queue drains once all RFD reuse timers past the last break
@@ -282,20 +282,10 @@ pub fn measure(
     let collect_secs = clock.elapsed_secs();
     drop(taps);
 
-    let vp_outages: BTreeMap<AsId, (SimTime, SimTime)> = match &plan {
-        Some(plan) => collectors
-            .vantage_points()
-            .filter_map(|vp| {
-                plan.vp_outage(u64::from(vp.0), horizon_span)
-                    .map(|w| (vp, w))
-            })
-            .collect(),
-        None => BTreeMap::new(),
-    };
     let clock = obs::Stopwatch::start();
     let labels: Vec<LabeledPath> = schedules
         .iter()
-        .flat_map(|s| label_dump_with_outages(&dump, s, labeling, &vp_outages))
+        .flat_map(|s| label_dump_with_outages(&dump, s, labeling, dump.vp_outages()))
         .collect();
     let label_secs = clock.elapsed_secs();
 
@@ -311,7 +301,6 @@ pub fn measure(
         dump,
         labels,
         fault_counters,
-        vp_outages,
         report,
         trace,
         events_processed,

@@ -321,7 +321,6 @@ impl Suite {
             n_beacon_sites: 7,
             n_vantage_points,
             seed: self.seed,
-            ..TopologyConfig::default()
         }
     }
 

@@ -15,7 +15,8 @@
 //!   alternatives *avoiding* the AS across the damped paths it sits on.
 //! * **M3 — announcement distribution** ([`burst_distribution`]): a
 //!   damping AS forwards fewer updates towards the end of a Burst. Bins
-//!   announcements into a 40-bucket histogram over the Burst (Fig. 10),
+//!   announcements into a 40-bucket histogram over the Burst
+//!   ([`burst_histograms`], which Fig. 10 plots),
 //!   fits a line, and maps a declining trend to a score via the slope's
 //!   relative change.
 //!
@@ -26,6 +27,6 @@
 pub mod metrics;
 
 pub use metrics::{
-    alternative_paths, burst_distribution, evaluate, path_ratio, AsScores, HeuristicConfig,
-    HeuristicScores,
+    alternative_paths, burst_distribution, burst_histograms, evaluate, path_ratio, AsScores,
+    HeuristicConfig, HeuristicScores, M3_BINS,
 };

@@ -5,26 +5,24 @@ use std::collections::{BTreeMap, HashMap};
 use serde::{Deserialize, Serialize};
 
 use beacon::{BeaconSchedule, Phase};
-use bgpsim::{AsId, AsPath, Prefix};
-use collector::Dump;
+use bgpsim::{AsId, Prefix};
+use collector::{CleanPath, Dump};
 use netsim::stats::{linear_fit_bins, Histogram};
-use signature::{clean_path, LabeledPath};
+use signature::LabeledPath;
+
+/// Histogram buckets for M3 (the paper uses 40).
+pub const M3_BINS: usize = 40;
 
 /// Combination settings.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct HeuristicConfig {
     /// Decision threshold on the averaged score.
     pub threshold: f64,
-    /// Histogram buckets for M3 (the paper uses 40).
-    pub bins: usize,
 }
 
 impl Default for HeuristicConfig {
     fn default() -> Self {
-        HeuristicConfig {
-            threshold: 0.5,
-            bins: 40,
-        }
+        HeuristicConfig { threshold: 0.5 }
     }
 }
 
@@ -137,18 +135,42 @@ pub fn alternative_paths(labels: &[LabeledPath]) -> BTreeMap<AsId, f64> {
 /// **M3** — announcement distribution across Bursts (§5.2.3, Fig. 10).
 ///
 /// Builds, per AS, a histogram of announcement arrivals over the relative
-/// Burst time for every path containing the AS, fits a linear regression
-/// to the bin heights, and maps the decline to `[0, 1]`: a line that
-/// falls to zero over the Burst scores 1, a flat or rising line scores 0.
+/// Burst time for every path containing the AS ([`burst_histograms`]),
+/// fits a linear regression to the bin heights, and maps the decline to
+/// `[0, 1]`: a line that falls to zero over the Burst scores 1, a flat or
+/// rising line scores 0.
 pub fn burst_distribution(
     dump: &Dump,
     schedule: &BeaconSchedule,
     bins: usize,
 ) -> BTreeMap<AsId, f64> {
-    // One histogram per distinct raw path, cleaned once and added into
-    // the histogram of each of its ASs. Bin heights are counts, so the
-    // order of the additions does not matter.
-    let mut by_path: HashMap<&AsPath, Histogram> = HashMap::new();
+    burst_histograms(dump, schedule, bins)
+        .into_iter()
+        .filter_map(|(a, h)| {
+            let fit = linear_fit_bins(&h.heights())?;
+            let score = if fit.slope >= 0.0 {
+                0.0
+            } else {
+                // Relative decline across the burst, clamped to [0, 1].
+                (-fit.relative_change(0.0, (bins - 1) as f64)).clamp(0.0, 1.0)
+            };
+            Some((a, score))
+        })
+        .collect()
+}
+
+/// M3's histograms: per AS, the arrivals of the schedule's valid burst
+/// announcements over relative Burst time, in `bins` bins over
+/// `[0, 1)`, counted on every path through the AS (what Fig. 10 plots).
+pub fn burst_histograms(
+    dump: &Dump,
+    schedule: &BeaconSchedule,
+    bins: usize,
+) -> BTreeMap<AsId, Histogram> {
+    // One histogram per distinct clean path, added into the histogram of
+    // each of its ASs. Bin heights are counts, so the order of the
+    // additions does not matter.
+    let mut by_path: HashMap<&CleanPath, Histogram> = HashMap::new();
     let records = dump
         .streams_of(schedule.prefix)
         .flat_map(|(_, stream)| stream);
@@ -177,9 +199,6 @@ pub fn burst_distribution(
     }
     let mut histograms: BTreeMap<AsId, Histogram> = BTreeMap::new();
     for (path, h) in &by_path {
-        let Some(path) = clean_path(path) else {
-            continue;
-        };
         for &a in path.asns() {
             histograms
                 .entry(a)
@@ -187,34 +206,23 @@ pub fn burst_distribution(
                 .merge(h);
         }
     }
-
     histograms
-        .into_iter()
-        .filter_map(|(a, h)| {
-            let fit = linear_fit_bins(&h.heights())?;
-            let score = if fit.slope >= 0.0 {
-                0.0
-            } else {
-                // Relative decline across the burst, clamped to [0, 1].
-                (-fit.relative_change(0.0, (bins - 1) as f64)).clamp(0.0, 1.0)
-            };
-            Some((a, score))
-        })
-        .collect()
 }
 
-/// Run all three heuristics and combine per AS.
+/// Run all three heuristics and combine per AS. The scores do not
+/// depend on the configuration: its threshold applies to the result
+/// ([`HeuristicScores::rfd_ases`]), and M3 uses [`M3_BINS`].
 pub fn evaluate(
     labels: &[LabeledPath],
     dump: &Dump,
     schedules: &[&BeaconSchedule],
-    config: &HeuristicConfig,
+    _config: &HeuristicConfig,
 ) -> HeuristicScores {
     let m1 = path_ratio(labels);
     let m2 = alternative_paths(labels);
     let mut m3: BTreeMap<AsId, Vec<f64>> = BTreeMap::new();
     for s in schedules {
-        for (a, v) in burst_distribution(dump, s, config.bins) {
+        for (a, v) in burst_distribution(dump, s, M3_BINS) {
             m3.entry(a).or_default().push(v);
         }
     }
@@ -243,7 +251,6 @@ pub fn evaluate(
 mod tests {
     use super::*;
     use netsim::{SimDuration, SimTime};
-    use signature::CleanPath;
 
     fn lp(vantage: u32, path: &[u32], rfd: bool) -> LabeledPath {
         LabeledPath {
@@ -302,7 +309,7 @@ mod tests {
 
     #[test]
     fn m3_declining_histogram_scores_high() {
-        use bgpsim::{AggregatorStamp, AsPath};
+        use bgpsim::AggregatorStamp;
         use collector::{Project, UpdateRecord};
         let schedule = BeaconSchedule::standard(
             "10.0.0.0/24".parse().unwrap(),
@@ -318,7 +325,7 @@ mod tests {
             prefix: schedule.prefix,
             observed_at: arrival,
             exported_at: arrival,
-            path: Some(AsPath::from_slice(&[AsId(900), AsId(via), AsId(65000)])),
+            path: Some(CleanPath::from_asns(&[AsId(900), AsId(via), AsId(65000)])),
             aggregator: Some(AggregatorStamp::new(sent)),
         };
         let mut records = Vec::new();

@@ -151,13 +151,6 @@ impl SimRng {
         }
     }
 
-    /// Exponential with the given rate parameter (`rate > 0`).
-    pub fn exponential(&mut self, rate: f64) -> f64 {
-        assert!(rate > 0.0, "exponential rate must be positive");
-        // 1 - uniform() is in (0, 1], so ln never sees zero.
-        -(1.0 - self.uniform()).ln() / rate
-    }
-
     /// Gamma(shape, scale) via Marsaglia–Tsang; used for Beta sampling.
     pub fn gamma(&mut self, shape: f64, scale: f64) -> f64 {
         assert!(shape > 0.0 && scale > 0.0, "gamma params must be positive");
@@ -294,14 +287,6 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean={mean}");
         assert!((var - 1.0).abs() < 0.03, "var={var}");
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut r = SimRng::new(13);
-        let n = 100_000;
-        let mean: f64 = (0..n).map(|_| r.exponential(2.0)).sum::<f64>() / n as f64;
-        assert!((mean - 0.5).abs() < 0.02, "mean={mean}");
     }
 
     #[test]

@@ -56,17 +56,6 @@ impl PrecisionRecall {
             tp as f64 / (tp + fnn) as f64
         }
     }
-
-    /// Harmonic mean of precision and recall.
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +71,6 @@ mod tests {
         let pr = PrecisionRecall::compute(&set(&[1, 2]), &set(&[1, 2]), &set(&[1, 2, 3, 4]));
         assert_eq!(pr.precision(), 1.0);
         assert_eq!(pr.recall(), 1.0);
-        assert_eq!(pr.f1(), 1.0);
     }
 
     #[test]
@@ -115,6 +103,5 @@ mod tests {
         assert_eq!(pr.recall(), 1.0);
         let pr = PrecisionRecall::compute(&set(&[]), &set(&[1]), &set(&[1]));
         assert_eq!(pr.recall(), 0.0);
-        assert_eq!(pr.f1(), 0.0);
     }
 }

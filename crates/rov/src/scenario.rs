@@ -12,25 +12,16 @@ use topology::{generate, Topology, TopologyConfig};
 
 use crate::eval::PrecisionRecall;
 
+/// Target share of paths labeled ROV (paper: ~0.9).
+pub const TARGET_ROV_SHARE: f64 = 0.9;
+
 /// Scenario parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct RovScenarioConfig {
     /// Topology to grow.
     pub topology: TopologyConfig,
-    /// Target share of paths labeled ROV (paper: ~0.9).
-    pub target_rov_share: f64,
     /// Master seed.
     pub seed: u64,
-}
-
-impl Default for RovScenarioConfig {
-    fn default() -> Self {
-        RovScenarioConfig {
-            topology: TopologyConfig::default(),
-            target_rov_share: 0.9,
-            seed: 0,
-        }
-    }
 }
 
 /// The constructed benchmark.
@@ -134,7 +125,7 @@ pub fn build(config: &RovScenarioConfig) -> RovScenario {
     //   almost all covered by the current set, since such an AS would be
     //   born hidden (undetectable in principle) and only distort the
     //   recall accounting. Real ROV deployment is similarly spread out.
-    let ceiling = (config.target_rov_share + 0.06).min(0.97);
+    let ceiling = (TARGET_ROV_SHARE + 0.06).min(0.97);
     let paths_of = |asn: AsId| -> Vec<usize> {
         collected
             .iter()
@@ -144,7 +135,7 @@ pub fn build(config: &RovScenarioConfig) -> RovScenario {
             .collect()
     };
     for (_, asn) in candidates {
-        if share(&rov_ases) >= config.target_rov_share {
+        if share(&rov_ases) >= TARGET_ROV_SHARE {
             break;
         }
         let own = paths_of(asn);
@@ -254,7 +245,6 @@ mod tests {
     fn small_config(seed: u64) -> RovScenarioConfig {
         RovScenarioConfig {
             topology: TopologyConfig::tiny(seed),
-            target_rov_share: 0.9,
             seed,
         }
     }

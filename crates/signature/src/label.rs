@@ -6,10 +6,8 @@ use serde::{Deserialize, Serialize};
 
 use beacon::BeaconSchedule;
 use bgpsim::{AsId, Prefix};
-use collector::{Dump, UpdateRecord};
+use collector::{CleanPath, Dump, UpdateRecord};
 use netsim::{SimDuration, SimTime};
-
-use crate::clean::{clean_path, CleanPath};
 
 /// Detection thresholds.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -103,15 +101,6 @@ pub struct LabeledPath {
 }
 
 impl LabeledPath {
-    /// Matching share over pairs with data.
-    pub fn match_share(&self) -> f64 {
-        if self.pairs_total == 0 {
-            0.0
-        } else {
-            self.pairs_matching as f64 / self.pairs_total as f64
-        }
-    }
-
     /// Mean r-delta in minutes (§4.2 quantity).
     pub fn mean_r_delta_mins(&self) -> Option<f64> {
         if self.r_deltas.is_empty() {
@@ -133,8 +122,9 @@ impl LabeledPath {
 }
 
 /// Label every (vantage, prefix, path) in `dump` against `schedule`,
-/// aware of vantage-point outage windows (from an injected fault plan or
-/// known infrastructure failures; empty when there are none).
+/// aware of vantage-point outage windows: the ones the collector applied
+/// ([`Dump::vp_outages`]), or any other known infrastructure failures;
+/// empty when there are none. Paths come clean from the dump.
 ///
 /// Only the schedule's prefix's streams are read ([`Dump::streams_of`]);
 /// run once per beacon prefix (each (site, prefix) is an independent
@@ -297,11 +287,8 @@ pub fn pair_outcomes_with_outage(
         // present, otherwise the last announced path of the burst.
         let path_record =
             re_adv.or_else(|| in_burst.iter().rev().find(|r| r.path.is_some()).copied());
-        let Some(path_record) = path_record else {
+        let Some(path) = path_record.and_then(|r| r.path.clone()) else {
             continue; // only withdrawals seen: nothing to attribute
-        };
-        let Some(path) = path_record.path.as_ref().and_then(clean_path) else {
-            continue; // looped or empty path: discarded by cleaning
         };
 
         let r_delta = re_adv.map(|r| r.exported_at.saturating_since(last_burst_at));
@@ -330,7 +317,7 @@ pub fn pair_outcomes_with_outage(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpsim::{AggregatorStamp, AsPath};
+    use bgpsim::AggregatorStamp;
     use collector::Project;
     use netsim::SimTime;
 
@@ -345,6 +332,11 @@ mod tests {
         )
     }
 
+    fn asns(ids: &[u32]) -> Vec<AsId> {
+        ids.iter().map(|&i| AsId(i)).collect()
+    }
+
+    /// A collected record: its path, if any, already clean.
     fn rec(t: SimTime, announced: bool, stamp: Option<SimTime>, path: &[u32]) -> UpdateRecord {
         UpdateRecord {
             project: Project::Isolario,
@@ -352,7 +344,7 @@ mod tests {
             prefix: "10.0.0.0/24".parse().unwrap(),
             observed_at: t,
             exported_at: t,
-            path: announced.then(|| path.iter().map(|&i| AsId(i)).collect::<AsPath>()),
+            path: announced.then(|| CleanPath::from_asns(&asns(path))),
             aggregator: stamp.map(AggregatorStamp::new),
         }
     }
@@ -437,7 +429,6 @@ mod tests {
         // r-delta ≈ (burst_end + 40 min) − (11th update arrival)
         let mean = l.mean_r_delta_mins().unwrap();
         assert!(mean > 30.0, "mean r-delta {mean} should be large");
-        assert!((l.match_share() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -532,26 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn prepended_paths_collapse_to_one_label() {
-        let s = schedule();
-        let mut records = non_rfd_stream(&s);
-        // Half the announcements carry a prepended variant of the path.
-        for (i, r) in records.iter_mut().enumerate() {
-            if i % 2 == 0 && r.path.is_some() {
-                r.path = Some(
-                    [900, 100, 100, 100, 65000]
-                        .iter()
-                        .map(|&x| AsId(x))
-                        .collect::<AsPath>(),
-                );
-            }
-        }
-        let labels = label(records, &s);
-        assert_eq!(labels.len(), 1, "prepending must not split the path");
-        assert_eq!(labels[0].path.asns(), &[AsId(900), AsId(100), AsId(65000)]);
-    }
-
-    #[test]
     fn pairs_without_data_are_skipped() {
         let s = schedule();
         // Data only for burst 0; bursts 1 and 2 silent.
@@ -574,7 +545,7 @@ mod tests {
             if let Some(path) = &r.path {
                 let mut asns: Vec<AsId> = path.asns().to_vec();
                 asns[0] = AsId(901);
-                r.path = Some(AsPath::from_slice(&asns));
+                r.path = Some(CleanPath::from_asns(&asns));
             }
         }
         records.extend(clean);
@@ -597,11 +568,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_labels_have_zero_match_share_and_no_means() {
+    fn empty_labels_have_no_means() {
         let l = LabeledPath {
             vantage: AsId(1),
             prefix: "10.0.0.0/24".parse().unwrap(),
-            path: clean_path(&[AsId(1), AsId(2)].iter().copied().collect::<AsPath>()).unwrap(),
+            path: CleanPath::from_asns(&[AsId(1), AsId(2)]),
             pairs_total: 0,
             pairs_matching: 0,
             r_deltas: Vec::new(),
@@ -610,7 +581,6 @@ mod tests {
             rfd: false,
             unobservable: false,
         };
-        assert_eq!(l.match_share(), 0.0, "0/0 must be 0.0, not NaN");
         assert_eq!(l.mean_r_delta_mins(), None);
         assert_eq!(l.mean_break_delta_mins(), None);
     }
@@ -703,7 +673,7 @@ mod tests {
                 if let Some(path) = &r.path {
                     let mut asns: Vec<AsId> = path.asns().to_vec();
                     asns[0] = AsId(901);
-                    r.path = Some(AsPath::from_slice(&asns));
+                    r.path = Some(CleanPath::from_asns(&asns));
                 }
             }
             records.extend(clean);

@@ -18,12 +18,15 @@
 //! match the signature — slack that absorbs session resets and other
 //! infrastructure noise.
 //!
-//! Paths are *cleaned* before use: prepending removed, looped paths
-//! dropped, and announcements with missing/corrupted aggregator stamps
-//! discarded (the paper's validity filter).
+//! Paths arrive clean: the collector cleans each path as it records it
+//! (prepending removed, looped paths dropped; see `collector::clean`),
+//! and this crate re-exports [`clean_path`] and [`CleanPath`] from there.
+//! Labeling drops announcements with missing/corrupted aggregator stamps
+//! (the paper's validity filter), and reads each vantage point's outage
+//! window from the dump (`collector::Dump::vp_outages`) when its caller
+//! passes that map.
 
-pub mod clean;
 pub mod label;
 
-pub use clean::{clean_path, CleanPath};
+pub use collector::{clean_path, CleanPath};
 pub use label::{label_dump_with_outages, obs_section, LabeledPath, LabelingConfig, PairOutcome};

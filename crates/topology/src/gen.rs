@@ -25,14 +25,6 @@ pub struct TopologyConfig {
     pub n_beacon_sites: usize,
     /// Number of vantage points to sample.
     pub n_vantage_points: usize,
-    /// Probability a stub is dual-homed (two providers).
-    pub stub_multihoming: f64,
-    /// Expected number of lateral peer links per transit AS.
-    pub transit_peering: f64,
-    /// Minimum link delay.
-    pub min_delay: SimDuration,
-    /// Maximum link delay.
-    pub max_delay: SimDuration,
     /// Seed (derive from the experiment seed).
     pub seed: u64,
 }
@@ -45,10 +37,6 @@ impl Default for TopologyConfig {
             n_stub: 200,
             n_beacon_sites: 7,
             n_vantage_points: 40,
-            stub_multihoming: 0.35,
-            transit_peering: 1.0,
-            min_delay: SimDuration::from_millis(5),
-            max_delay: SimDuration::from_millis(60),
             seed: 0,
         }
     }
@@ -72,7 +60,6 @@ impl TopologyConfig {
             n_beacon_sites: 2,
             n_vantage_points: 5,
             seed,
-            ..Default::default()
         }
     }
 }
@@ -82,6 +69,14 @@ const TIER1_BASE: u32 = 1;
 const TRANSIT_BASE: u32 = 100;
 const STUB_BASE: u32 = 10_000;
 const BEACON_BASE: u32 = 65_000;
+
+/// Probability a stub is dual-homed (two providers).
+const STUB_MULTIHOMING: f64 = 0.35;
+/// Expected number of lateral peer links per transit AS.
+const TRANSIT_PEERING: f64 = 1.0;
+/// Link delays are uniform over `[MIN_DELAY_MS, MAX_DELAY_MS)` milliseconds.
+const MIN_DELAY_MS: u64 = 5;
+const MAX_DELAY_MS: u64 = 60;
 
 /// Generate a topology from the configuration.
 pub fn generate(config: &TopologyConfig) -> Topology {
@@ -93,10 +88,8 @@ pub fn generate(config: &TopologyConfig) -> Topology {
     let mut rng = SimRng::new(config.seed).split("topology");
     let mut topo = Topology::default();
 
-    let delay = |rng: &mut SimRng, cfg: &TopologyConfig| {
-        let lo = cfg.min_delay.as_millis();
-        let hi = cfg.max_delay.as_millis().max(lo + 1);
-        SimDuration::from_millis(lo + rng.below(hi - lo))
+    let delay = |rng: &mut SimRng| {
+        SimDuration::from_millis(MIN_DELAY_MS + rng.below(MAX_DELAY_MS - MIN_DELAY_MS))
     };
 
     // --- Tier-1 clique -------------------------------------------------
@@ -115,7 +108,7 @@ pub fn generate(config: &TopologyConfig) -> Topology {
                 a: tier1[i],
                 b: tier1[j],
                 rel_at_a: Relationship::Peer,
-                delay: delay(&mut rng, config),
+                delay: delay(&mut rng),
             });
         }
     }
@@ -144,7 +137,7 @@ pub fn generate(config: &TopologyConfig) -> Topology {
                 a: provider,
                 b: id,
                 rel_at_a: Relationship::Customer,
-                delay: delay(&mut rng, config),
+                delay: delay(&mut rng),
             });
         }
         transit.push(id);
@@ -154,7 +147,7 @@ pub fn generate(config: &TopologyConfig) -> Topology {
 
     // Lateral peering between transit ASs. Skip pairs that already have a
     // customer–provider link — one relationship per AS pair.
-    let n_peer_links = (config.transit_peering * config.n_transit as f64 / 2.0).round() as usize;
+    let n_peer_links = (TRANSIT_PEERING * config.n_transit as f64 / 2.0).round() as usize;
     let mut peered: std::collections::BTreeSet<(AsId, AsId)> = topo
         .links
         .iter()
@@ -175,7 +168,7 @@ pub fn generate(config: &TopologyConfig) -> Topology {
                 a: key.0,
                 b: key.1,
                 rel_at_a: Relationship::Peer,
-                delay: delay(&mut rng, config),
+                delay: delay(&mut rng),
             });
         }
     }
@@ -198,11 +191,7 @@ pub fn generate(config: &TopologyConfig) -> Topology {
             id,
             tier: Tier::Stub,
         });
-        let n_providers = if rng.chance(config.stub_multihoming) {
-            2
-        } else {
-            1
-        };
+        let n_providers = if rng.chance(STUB_MULTIHOMING) { 2 } else { 1 };
         let pool = if stub_provider_pool.is_empty() {
             &tier1
         } else {
@@ -218,7 +207,7 @@ pub fn generate(config: &TopologyConfig) -> Topology {
                 a: provider,
                 b: id,
                 rel_at_a: Relationship::Customer,
-                delay: delay(&mut rng, config),
+                delay: delay(&mut rng),
             });
         }
     }
@@ -261,7 +250,7 @@ pub fn generate(config: &TopologyConfig) -> Topology {
                 a: provider,
                 b: id,
                 rel_at_a: Relationship::Customer,
-                delay: delay(&mut rng, config),
+                delay: delay(&mut rng),
             });
         }
         topo.beacon_sites.push(id);
@@ -489,7 +478,8 @@ mod tests {
         let cfg = TopologyConfig::default();
         let t = generate(&cfg);
         for l in &t.links {
-            assert!(l.delay >= cfg.min_delay && l.delay <= cfg.max_delay);
+            let ms = l.delay.as_millis();
+            assert!((MIN_DELAY_MS..MAX_DELAY_MS).contains(&ms), "{ms} ms");
         }
     }
 

@@ -19,7 +19,6 @@ fn main() {
             n_stub: 100,
             ..TopologyConfig::default_with_seed(seed)
         },
-        target_rov_share: 0.9,
         seed,
     };
 

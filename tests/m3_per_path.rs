@@ -1,4 +1,4 @@
-//! Heuristic M3 builds one histogram per distinct raw path and adds it
+//! Heuristic M3 builds one histogram per distinct clean path and adds it
 //! into each of the path's ASs. This keeps the per-record version it
 //! replaced as the reference and checks both agree bit for bit on real
 //! campaign dumps, with and without faults.
@@ -11,10 +11,9 @@ use experiments::pipeline::{run_campaign, ExperimentConfig};
 use netsim::faults::FaultSpec;
 use netsim::stats::{linear_fit_bins, Histogram};
 use netsim::SimDuration;
-use signature::clean_path;
 
-/// M3 as it was: clean each record's path and push its arrival into the
-/// histogram of every AS on it.
+/// M3 as it was: push each record's arrival into the histogram of every
+/// AS on its (collector-cleaned) path.
 fn reference_burst_distribution(
     dump: &Dump,
     schedule: &beacon::BeaconSchedule,
@@ -38,7 +37,7 @@ fn reference_burst_distribution(
             .saturating_since(schedule.burst_start(burst))
             .as_secs_f64()
             / schedule.burst_duration.as_secs_f64();
-        let Some(path) = record.path.as_ref().and_then(clean_path) else {
+        let Some(path) = &record.path else {
             continue;
         };
         for &a in path.asns() {

@@ -6,6 +6,7 @@ use because::summary::Marginal;
 use because::{NodeId, PathData, PathObservation};
 use bgpsim::rfd::{FlapKind, RfdState};
 use bgpsim::{AsId, AsPath, Prefix, VendorProfile};
+use collector::clean_path;
 use netsim::{EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -198,17 +199,25 @@ proptest! {
     // AS paths and prefixes
     // -----------------------------------------------------------------
 
-    /// Deduplication is idempotent and never lengthens a path; loop
-    /// detection is invariant under prepending.
+    /// Cleaning collapses prepending and rejects exactly the looped
+    /// paths: it agrees with a run-length reference, is idempotent, never
+    /// lengthens a path, and is invariant under prepending.
     #[test]
     fn as_path_cleaning_properties(raw in proptest::collection::vec(1u32..50, 1..20), reps in 1usize..4) {
         let path: AsPath = raw.iter().map(|&i| AsId(i)).collect();
-        let dedup = path.deduplicated();
-        prop_assert_eq!(dedup.deduplicated(), dedup.clone());
-        prop_assert!(dedup.len() <= path.len());
+        // The reference: one entry per run of equal ASs; a loop repeats one.
+        let mut runs: Vec<AsId> = path.asns().to_vec();
+        runs.dedup();
+        let looped = runs.iter().enumerate().any(|(i, a)| runs[..i].contains(a));
+        let clean = clean_path(&path);
+        prop_assert_eq!(clean.is_none(), looped);
+        if let Some(c) = &clean {
+            prop_assert_eq!(c.asns(), &runs[..]);
+            prop_assert!(c.len() <= path.len());
+            prop_assert_eq!(clean_path(&AsPath::from_slice(c.asns())), Some(c.clone()));
+        }
         let prepended = path.prepend(AsId(raw[0]), reps);
-        prop_assert_eq!(prepended.has_loop(), path.has_loop());
-        prop_assert_eq!(prepended.deduplicated(), dedup);
+        prop_assert_eq!(clean_path(&prepended), clean);
     }
 
     /// Prefix display/parse round-trips.

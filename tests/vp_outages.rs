@@ -1,9 +1,9 @@
 //! No vantage-point loss is silent. A VP outage is the one way a vantage
 //! point goes dark: the fault plan draws one window per VP, the
-//! collector drops exactly the records observed inside it, the fault
-//! counters count every window, and the outage map handed to the
-//! labeller names every window. This test holds a run with VP outages
-//! as the only fault to the same run fault-free.
+//! collector drops exactly the records observed inside it and records
+//! the window in the dump, the fault counters count every window, and
+//! the labeller reads the dump's map. This test holds a run with VP
+//! outages as the only fault to the same run fault-free.
 
 use std::collections::BTreeMap;
 
@@ -44,6 +44,11 @@ fn every_outage_is_counted_and_drops_exactly_its_window() {
     });
     let clean = run_campaign(&clean_cfg);
     let faulted = run_campaign(&outage_cfg);
+
+    // One map of windows: the one the collector applied.
+    assert_eq!(faulted.vp_outages, *faulted.dump.vp_outages());
+    assert!(clean.dump.vp_outages().is_empty());
+    assert!(clean.vp_outages.is_empty());
 
     let counters = &faulted.fault_counters;
     assert_eq!(counters.vp_outages as usize, faulted.vp_outages.len());
