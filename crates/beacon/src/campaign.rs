@@ -88,18 +88,6 @@ impl Campaign {
         }
     }
 
-    /// A single-interval campaign (one beacon prefix per site) — the unit
-    /// the per-interval analyses (Fig. 12) run on.
-    pub fn uniform(
-        sites: &[AsId],
-        interval: SimDuration,
-        break_duration: SimDuration,
-        start: SimTime,
-        cycles: usize,
-    ) -> Self {
-        Campaign::new(sites, &[interval], break_duration, start, cycles)
-    }
-
     /// Every beacon schedule across all sites.
     pub fn beacon_schedules(&self) -> impl Iterator<Item = &BeaconSchedule> {
         self.sites.iter().flat_map(|s| s.beacons.iter())
@@ -198,10 +186,10 @@ mod tests {
     }
 
     #[test]
-    fn uniform_campaign_has_one_beacon_per_site() {
-        let c = Campaign::uniform(
+    fn single_interval_campaign_has_one_beacon_per_site() {
+        let c = Campaign::new(
             &sites(),
-            SimDuration::from_mins(1),
+            &[SimDuration::from_mins(1)],
             SimDuration::from_hours(2),
             SimTime::ZERO,
             3,

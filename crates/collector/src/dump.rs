@@ -1,6 +1,6 @@
 //! Update dumps: the collector-side record format and query helpers.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -11,14 +11,12 @@ use crate::clean::CleanPath;
 use crate::project::Project;
 
 /// One exported update as it appears in a collector dump.
+///
+/// A record holds only what varies within its stream: the prefix, the
+/// vantage point and the VP's project are the stream's key, kept once
+/// per stream ([`Dump::streams`]).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct UpdateRecord {
-    /// The collector project that published it.
-    pub project: Project,
-    /// The full-feed peer (vantage point) that reported it.
-    pub vantage: AsId,
-    /// The affected prefix.
-    pub prefix: Prefix,
     /// When the VP's best route changed (arrival at the VP).
     pub observed_at: SimTime,
     /// When the record appeared in the public dump.
@@ -28,6 +26,10 @@ pub struct UpdateRecord {
     /// The transitive beacon stamp, possibly corrupted.
     pub aggregator: Option<AggregatorStamp>,
 }
+
+// A dump holds millions of records; a byte here is a byte per record.
+// Pinned so the record cannot grow unnoticed.
+const _: () = assert!(std::mem::size_of::<UpdateRecord>() <= 48);
 
 impl UpdateRecord {
     /// True for an announcement.
@@ -52,11 +54,13 @@ impl UpdateRecord {
     }
 }
 
-/// One `(prefix, vantage)` stream: the records `start..end` of a dump.
+/// One `(prefix, vantage)` stream: its key, the project its vantage
+/// point feeds, and the records `start..end` of a dump.
 #[derive(Clone, Debug)]
 struct Stream {
     prefix: Prefix,
     vantage: AsId,
+    project: Project,
     start: usize,
     end: usize,
 }
@@ -65,12 +69,14 @@ struct Stream {
 ///
 /// The records are grouped into one stream per `(prefix, vantage)` pair
 /// — the unit the paper labels (§4.2–4.3) — in ascending
-/// `(prefix, vantage)` order. Each stream is in export order, and
-/// records with equal export times keep their collection order: the
-/// order a global stable sort by export time would leave them in.
-/// Faulted dumps are not repaired: duplicates, reordering and outage
-/// gaps reach the labeller as the collector produced them, and the
-/// outage windows come with the dump ([`Dump::vp_outages`]).
+/// `(prefix, vantage)` order; no stream is empty. The stream table holds
+/// each stream's key and its vantage point's project, so a record holds
+/// none of them. Each stream is in export order, and records with equal
+/// export times keep their collection order: the order a global stable
+/// sort by export time would leave them in. Faulted dumps are not
+/// repaired: duplicates, reordering and outage gaps reach the labeller
+/// as the collector produced them, and the outage windows come with the
+/// dump ([`Dump::vp_outages`]).
 #[derive(Clone, Debug, Default)]
 pub struct Dump {
     records: Vec<UpdateRecord>,
@@ -79,22 +85,40 @@ pub struct Dump {
 }
 
 impl Dump {
-    /// Lay `records` out stream-major. Their order is taken as
-    /// collection order: within a stream, records with equal export
-    /// times keep it. No vantage point was dark.
-    pub fn new(mut records: Vec<UpdateRecord>) -> Self {
-        records.sort_by_key(|r| (r.prefix, r.vantage));
-        Self::from_grouped(records, BTreeMap::new())
+    /// Lay out records given in collection order, each with its stream
+    /// key and its vantage point's project (one project per vantage
+    /// point). Within a stream, records with equal export times keep
+    /// collection order. No vantage point was dark.
+    pub fn new(records: impl IntoIterator<Item = (Prefix, AsId, Project, UpdateRecord)>) -> Self {
+        let keyed: Vec<(Prefix, AsId, Project, UpdateRecord)> = records.into_iter().collect();
+        let prefixes: BTreeSet<Prefix> = keyed.iter().map(|k| k.0).collect();
+        let prefixes: Vec<Prefix> = prefixes.into_iter().collect();
+        let vps: BTreeMap<AsId, Project> = keyed.iter().map(|k| (k.1, k.2)).collect();
+        let vps: Vec<(AsId, Project)> = vps.into_iter().collect();
+        let (records, tags) = keyed
+            .into_iter()
+            .map(|(prefix, vantage, _, record)| {
+                let p = prefixes.binary_search(&prefix).expect("a collected prefix");
+                let v = vps.binary_search_by_key(&vantage, |&(vp, _)| vp);
+                let tag = p * vps.len() + v.expect("a collected vantage point");
+                let tag = u32::try_from(tag).expect("stream ranks fit the u32 tags");
+                (record, tag)
+            })
+            .unzip();
+        Self::from_tagged(records, tags, &prefixes, &vps, BTreeMap::new())
     }
 
-    /// Lay out records given in collection order, each tagged with the
-    /// rank of its stream among `0..streams` in ascending
-    /// `(prefix, vantage)` order. A counting sort places the records in
-    /// place, without a second record buffer.
+    /// Lay out records given in collection order, each tagged
+    /// `prefix rank × |vps| + VP index`: the rank of its prefix in the
+    /// ascending `prefixes`, the index of its vantage point in the
+    /// ascending `vps` (each with its project). A counting sort places
+    /// the records in place, without a second record buffer; each
+    /// stream is then sorted by export time (stably).
     pub(crate) fn from_tagged(
         mut records: Vec<UpdateRecord>,
         mut tags: Vec<u32>,
-        streams: usize,
+        prefixes: &[Prefix],
+        vps: &[(AsId, Project)],
         vp_outages: BTreeMap<AsId, (SimTime, SimTime)>,
     ) -> Self {
         assert_eq!(records.len(), tags.len(), "one stream tag per record");
@@ -102,13 +126,27 @@ impl Dump {
             u32::try_from(records.len()).is_ok(),
             "record positions fit the u32 tags"
         );
-        let mut next = vec![0u32; streams];
+        let mut next = vec![0u32; prefixes.len() * vps.len()];
         for &t in &tags {
             next[t as usize] += 1;
         }
+        // Turn the counts into start offsets; each non-empty tag is a
+        // stream.
+        let mut streams = Vec::new();
         let mut offset = 0u32;
-        for slot in &mut next {
-            offset += std::mem::replace(slot, offset);
+        for (t, slot) in next.iter_mut().enumerate() {
+            let count = std::mem::replace(slot, offset);
+            if count > 0 {
+                let (vantage, project) = vps[t % vps.len()];
+                streams.push(Stream {
+                    prefix: prefixes[t / vps.len()],
+                    vantage,
+                    project,
+                    start: offset as usize,
+                    end: (offset + count) as usize,
+                });
+            }
+            offset += count;
         }
         // Each tag becomes its record's destination; equal tags keep
         // their collection order.
@@ -126,17 +164,6 @@ impl Dump {
                 tags.swap(i, j);
             }
         }
-        Self::from_grouped(records, vp_outages)
-    }
-
-    /// Index records already grouped by stream in ascending
-    /// `(prefix, vantage)` order, each stream in collection order, and
-    /// sort each stream by export time (stably).
-    fn from_grouped(
-        mut records: Vec<UpdateRecord>,
-        vp_outages: BTreeMap<AsId, (SimTime, SimTime)>,
-    ) -> Self {
-        let streams = Self::index(&records);
         for s in &streams {
             records[s.start..s.end].sort_by_key(|r| r.exported_at);
         }
@@ -147,36 +174,38 @@ impl Dump {
         }
     }
 
-    /// The stream table of grouped records.
-    fn index(records: &[UpdateRecord]) -> Vec<Stream> {
-        let mut streams: Vec<Stream> = Vec::new();
-        for (i, r) in records.iter().enumerate() {
-            match streams.last_mut() {
-                Some(s) if (s.prefix, s.vantage) == (r.prefix, r.vantage) => s.end = i + 1,
-                _ => streams.push(Stream {
-                    prefix: r.prefix,
-                    vantage: r.vantage,
-                    start: i,
-                    end: i + 1,
-                }),
-            }
-        }
-        streams
-    }
-
     /// All records, stream-major (see [`Dump`]).
     pub fn records(&self) -> &[UpdateRecord] {
         &self.records
     }
 
+    /// Every stream, ascending by `(prefix, vantage)`: its prefix, its
+    /// vantage point, the project that VP feeds, and its records.
+    pub fn streams(&self) -> impl Iterator<Item = (Prefix, AsId, Project, &[UpdateRecord])> {
+        self.streams.iter().map(|s| self.view(s))
+    }
+
     /// The streams of one prefix — the records each vantage point
-    /// reported for it — in ascending vantage order.
-    pub fn streams_of(&self, prefix: Prefix) -> impl Iterator<Item = (AsId, &[UpdateRecord])> {
+    /// reported for it — in ascending vantage order, keyed as in
+    /// [`Dump::streams`].
+    pub fn streams_of(
+        &self,
+        prefix: Prefix,
+    ) -> impl Iterator<Item = (Prefix, AsId, Project, &[UpdateRecord])> {
         let first = self.streams.partition_point(|s| s.prefix < prefix);
         self.streams[first..]
             .iter()
             .take_while(move |s| s.prefix == prefix)
-            .map(|s| (s.vantage, &self.records[s.start..s.end]))
+            .map(|s| self.view(s))
+    }
+
+    fn view(&self, s: &Stream) -> (Prefix, AsId, Project, &[UpdateRecord]) {
+        (
+            s.prefix,
+            s.vantage,
+            s.project,
+            &self.records[s.start..s.end],
+        )
     }
 
     /// The outage window each vantage point suffered, as the collector
@@ -194,12 +223,6 @@ impl Dump {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// Announcements whose aggregator stamp is present and valid —
-    /// the paper's validity filter (§4.3).
-    pub fn valid_announcements(&self) -> impl Iterator<Item = &UpdateRecord> {
-        self.records.iter().filter(|r| r.is_valid_announcement())
     }
 
     /// Share of announcements that fail the validity filter.
@@ -220,21 +243,26 @@ impl Dump {
     }
 
     /// Snapshot the dump into a `collector.dump` report section:
-    /// per-project record counts and the export-delay distribution.
+    /// per-project record counts and the export-delay distribution, in
+    /// one pass over the streams.
     pub fn obs_section(&self) -> obs::Section {
-        let mut section = obs::Section::new("collector.dump");
-        section.counter("records", self.records.len() as u64);
-        for project in Project::ALL {
-            let slug = project.name().to_lowercase().replace(' ', "_");
-            let count = self.records.iter().filter(|r| r.project == project).count();
-            section.counter(&format!("records.{slug}"), count as u64);
-        }
         // Bounds span the projects' export-delay models (seconds to a
         // couple of minutes).
         let mut delays =
             obs::Histogram::new(&[1.0, 5.0, 10.0, 20.0, 30.0, 45.0, 60.0, 90.0, 120.0]);
-        for r in &self.records {
-            delays.record(r.exported_at.saturating_since(r.observed_at).as_secs_f64());
+        let mut per_project: BTreeMap<Project, usize> = BTreeMap::new();
+        for (_, _, project, stream) in self.streams() {
+            *per_project.entry(project).or_default() += stream.len();
+            for r in stream {
+                delays.record(r.exported_at.saturating_since(r.observed_at).as_secs_f64());
+            }
+        }
+        let mut section = obs::Section::new("collector.dump");
+        section.counter("records", self.records.len() as u64);
+        for project in Project::ALL {
+            let slug = project.name().to_lowercase().replace(' ', "_");
+            let count = per_project.get(&project).copied().unwrap_or(0);
+            section.counter(&format!("records.{slug}"), count as u64);
         }
         section.histogram("export_delay_secs", &delays);
         section
@@ -245,11 +273,14 @@ impl Dump {
 mod tests {
     use super::*;
 
-    fn rec(vp: u32, t: u64, announced: bool, valid: bool) -> UpdateRecord {
-        UpdateRecord {
-            project: Project::Isolario,
-            vantage: AsId(vp),
-            prefix: "10.0.0.0/24".parse().unwrap(),
+    type Keyed = (Prefix, AsId, Project, UpdateRecord);
+
+    fn prefix() -> Prefix {
+        "10.0.0.0/24".parse().unwrap()
+    }
+
+    fn rec(vp: u32, t: u64, announced: bool, valid: bool) -> Keyed {
+        let record = UpdateRecord {
             observed_at: SimTime::from_secs(t),
             exported_at: SimTime::from_secs(t + 10),
             path: announced.then(|| CleanPath::from_asns(&[AsId(vp), AsId(9)])),
@@ -261,40 +292,54 @@ mod tests {
                     s.corrupted()
                 }
             }),
-        }
+        };
+        (prefix(), AsId(vp), Project::Isolario, record)
     }
 
     #[test]
     fn validity_filter() {
-        let d = Dump::new(vec![
+        let d = Dump::new([
             rec(1, 10, true, true),
             rec(1, 20, true, false),
             rec(1, 30, false, true),
         ]);
-        assert_eq!(d.valid_announcements().count(), 1);
+        let valid = d.records().iter().filter(|r| r.is_valid_announcement());
+        assert_eq!(valid.count(), 1);
         assert!((d.invalid_share() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn streams_group_per_prefix_and_vantage_in_export_order() {
+        let second: Prefix = "10.0.1.0/24".parse().unwrap();
         let mut other = rec(1, 5, true, true);
-        other.prefix = "10.0.1.0/24".parse().unwrap();
-        let d = Dump::new(vec![
+        other.0 = second;
+        let d = Dump::new([
             rec(2, 15, true, true),
             rec(1, 20, false, true),
             other,
             rec(1, 10, true, true),
         ]);
-        let prefix: Prefix = "10.0.0.0/24".parse().unwrap();
-        let streams: Vec<(AsId, &[UpdateRecord])> = d.streams_of(prefix).collect();
+        let streams: Vec<_> = d.streams_of(prefix()).collect();
         assert_eq!(streams.len(), 2);
-        assert_eq!(streams[0].0, AsId(1));
-        assert_eq!(streams[1].0, AsId(2));
-        let times: Vec<SimTime> = streams[0].1.iter().map(|r| r.exported_at).collect();
+        assert_eq!(streams[0].1, AsId(1));
+        assert_eq!(streams[1].1, AsId(2));
+        let times: Vec<SimTime> = streams[0].3.iter().map(|r| r.exported_at).collect();
         assert_eq!(times, [SimTime::from_secs(20), SimTime::from_secs(30)]);
         // The 10.0.0.0/24 streams come first, then 10.0.1.0/24's.
-        assert_eq!(d.records()[3].prefix, "10.0.1.0/24".parse().unwrap());
-        assert_eq!(d.streams_of("10.0.1.0/24".parse().unwrap()).count(), 1);
+        let keys: Vec<(Prefix, AsId, usize)> =
+            d.streams().map(|(p, vp, _, s)| (p, vp, s.len())).collect();
+        assert_eq!(
+            keys,
+            [
+                (prefix(), AsId(1), 2),
+                (prefix(), AsId(2), 1),
+                (second, AsId(1), 1)
+            ]
+        );
+        assert!(std::ptr::eq(
+            d.streams_of(second).next().unwrap().3,
+            &d.records()[3..]
+        ));
         assert_eq!(d.streams_of("10.0.2.0/24".parse().unwrap()).count(), 0);
     }
 
@@ -302,38 +347,47 @@ mod tests {
     fn equal_export_times_keep_collection_order() {
         let first = rec(1, 10, true, true);
         let mut second = rec(1, 10, false, true);
-        second.observed_at = SimTime::from_secs(12);
-        let d = Dump::new(vec![rec(1, 40, true, true), first.clone(), second.clone()]);
-        assert_eq!(d.records()[..2], [first, second]);
+        second.3.observed_at = SimTime::from_secs(12);
+        let d = Dump::new([rec(1, 40, true, true), first.clone(), second.clone()]);
+        assert_eq!(d.records()[..2], [first.3, second.3]);
     }
 
     #[test]
-    fn from_tagged_matches_new() {
-        let records: Vec<UpdateRecord> = (0..40u64)
+    fn layout_matches_a_stable_sort_by_stream_then_export_time() {
+        let second: Prefix = "10.0.1.0/24".parse().unwrap();
+        let keyed: Vec<Keyed> = (0..40u64)
             .map(|i| {
-                let mut r = rec(1 + (i % 3) as u32, 100 - 2 * i, i % 4 != 0, true);
-                r.exported_at = SimTime::from_secs(200 - 5 * (i % 7));
+                let mut k = rec(1 + (i % 3) as u32, 100 - 2 * i, i % 4 != 0, true);
+                k.3.exported_at = SimTime::from_secs(200 - 5 * (i % 7));
                 if i % 2 == 0 {
-                    r.prefix = "10.0.1.0/24".parse().unwrap();
+                    k.0 = second;
                 }
-                r
+                k
             })
             .collect();
-        // Rank of (prefix, vantage): 10.0.0.0/24 first, then VPs 1..=3.
-        let second: Prefix = "10.0.1.0/24".parse().unwrap();
-        let tags: Vec<u32> = records
-            .iter()
-            .map(|r| u32::from(r.prefix == second) * 3 + r.vantage.0 - 1)
-            .collect();
-        let tagged = Dump::from_tagged(records.clone(), tags, 6, BTreeMap::new());
-        assert_eq!(tagged.records(), Dump::new(records).records());
+        let mut want = keyed.clone();
+        want.sort_by_key(|k| (k.0, k.1, k.3.exported_at));
+        let want: Vec<UpdateRecord> = want.into_iter().map(|k| k.3).collect();
+        assert_eq!(Dump::new(keyed).records(), want);
+    }
+
+    #[test]
+    fn streams_carry_their_vantage_points_project() {
+        let mut ris = rec(3, 30, true, true);
+        ris.2 = Project::RipeRis;
+        let d = Dump::new([rec(1, 10, true, true), ris]);
+        let projects: Vec<(AsId, Project)> = d.streams().map(|(_, vp, p, _)| (vp, p)).collect();
+        assert_eq!(
+            projects,
+            [(AsId(1), Project::Isolario), (AsId(3), Project::RipeRis)]
+        );
     }
 
     #[test]
     fn obs_section_counts_per_project_and_buckets_delays() {
         let mut third = rec(3, 30, true, true);
-        third.project = Project::RipeRis;
-        let d = Dump::new(vec![rec(1, 10, true, true), rec(2, 20, false, true), third]);
+        third.2 = Project::RipeRis;
+        let d = Dump::new([rec(1, 10, true, true), rec(2, 20, false, true), third]);
         let section = d.obs_section();
         assert_eq!(section.name, "collector.dump");
         assert_eq!(section.get("records"), Some(&obs::Value::Counter(3)));
@@ -344,6 +398,10 @@ mod tests {
         assert_eq!(
             section.get("records.ripe_ris"),
             Some(&obs::Value::Counter(1))
+        );
+        assert_eq!(
+            section.get("records.routeviews"),
+            Some(&obs::Value::Counter(0))
         );
         match section.get("export_delay_secs") {
             // All three records export 10 s after observation.
@@ -357,8 +415,9 @@ mod tests {
         let d = Dump::default();
         assert!(d.is_empty());
         assert_eq!(d.invalid_share(), 0.0);
-        assert_eq!(d.valid_announcements().count(), 0);
-        assert_eq!(d.streams_of("10.0.0.0/24".parse().unwrap()).count(), 0);
+        assert_eq!(d.streams().count(), 0);
+        assert_eq!(d.streams_of(prefix()).count(), 0);
         assert!(d.vp_outages().is_empty());
+        assert!(Dump::new([]).is_empty());
     }
 }

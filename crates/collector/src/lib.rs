@@ -26,10 +26,14 @@
 //! carrying [`clean::CleanPath`]s, laid out stream-major: one stream per
 //! `(prefix, vantage)` pair — the unit the paper labels — in ascending
 //! `(prefix, vantage)` order, each stream in export order with equal
-//! export times in collection order. The dump also records the outage
-//! windows the collector applied ([`dump::Dump::vp_outages`]), which
-//! labeling reads. Labeling and the heuristics read only their own
-//! prefix's streams ([`dump::Dump::streams_of`]).
+//! export times in collection order. A stream's key and its VP's
+//! project are kept once, in the dump's stream table, which collection
+//! builds from the stream tags it assigns; a record holds only its
+//! times, path and stamp. The dump also records the outage windows the
+//! collector applied ([`dump::Dump::vp_outages`]), which labeling reads.
+//! Consumers read streams with their keys ([`dump::Dump::streams`]);
+//! labeling and the heuristics read only their own prefix's streams
+//! ([`dump::Dump::streams_of`]).
 
 pub mod clean;
 pub mod dump;

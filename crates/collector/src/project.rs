@@ -153,16 +153,16 @@ impl CollectorSet {
     ) -> Dump {
         let mut rng = SimRng::new(config.seed).split("collector-noise");
 
-        // One row per registered VP, ascending, with everything the
-        // per-record loop needs. Faults are pure functions of the plan's
-        // seed, drawn up front.
+        // The registered VPs, ascending, with their projects, and each
+        // one's faults: pure functions of the plan's seed, drawn up front.
         let horizon_dur = horizon.saturating_since(SimTime::ZERO);
-        let vps: Vec<AsId> = self.assignments.keys().copied().collect();
-        let mut rows: Vec<VpRow> = Vec::with_capacity(vps.len());
+        let vps: Vec<(AsId, Project)> = self.assignments.iter().map(|(&v, &p)| (v, p)).collect();
         let mut vp_outages = BTreeMap::new();
-        for (&vp, &project) in &self.assignments {
-            let id = u64::from(vp.0);
-            let faults = plan.map(|plan| {
+        let mut faults: Vec<Option<VpFaults>> = vps
+            .iter()
+            .map(|&(vp, _)| {
+                let plan = plan?;
+                let id = u64::from(vp.0);
                 let faults = VpFaults {
                     outage: plan.vp_outage(id, horizon_dur),
                     clock_skew_ms: plan.clock_skew_ms(id),
@@ -182,10 +182,9 @@ impl CollectorSet {
                 if !faults.export.delay.is_zero() {
                     counters.exports_delayed += 1;
                 }
-                faults
-            });
-            rows.push(VpRow { project, faults });
-        }
+                Some(faults)
+            })
+            .collect();
 
         // Each kept record is tagged `prefix id × |VPs| + VP index`, the
         // prefix id counting prefixes in order of first sight; the ids
@@ -194,7 +193,7 @@ impl CollectorSet {
         let mut records = Vec::with_capacity(taps.len());
         let mut tags: Vec<u32> = Vec::with_capacity(taps.len());
         for tap in taps {
-            let Ok(v) = vps.binary_search(&tap.vantage) else {
+            let Ok(v) = vps.binary_search_by_key(&tap.vantage, |&(vp, _)| vp) else {
                 continue; // not a registered full-feed peer
             };
             let (path, mut aggregator) = match &tap.route {
@@ -204,12 +203,12 @@ impl CollectorSet {
                 },
                 None => (None, None),
             };
-            let row = &mut rows[v];
+            let project = vps[v].1;
             // Per-record fault draws, in a fixed order (loss, dup, skew)
             // so the stream stays aligned whatever the rates are.
             let mut duplicate = false;
             let mut reorder_skew_ms = 0u64;
-            if let (Some(f), Some(plan)) = (&mut row.faults, plan) {
+            if let (Some(f), Some(plan)) = (&mut faults[v], plan) {
                 if let Some((o0, o1)) = f.outage {
                     if tap.time >= o0 && tap.time < o1 {
                         counters.records_outage_dropped += 1;
@@ -232,8 +231,8 @@ impl CollectorSet {
                     reorder_skew_ms = f.records.below(spec.reorder_skew.as_millis().max(1));
                 }
             }
-            let mut exported_at = row.project.export_time(tap.time, &mut rng);
-            if let Some(f) = &row.faults {
+            let mut exported_at = project.export_time(tap.time, &mut rng);
+            if let Some(f) = &faults[v] {
                 let mut ms = exported_at.as_millis() as i64;
                 if reorder_skew_ms > 0 {
                     counters.records_reordered += 1;
@@ -249,9 +248,6 @@ impl CollectorSet {
                 }
             }
             let record = UpdateRecord {
-                project: row.project,
-                vantage: tap.vantage,
-                prefix: tap.prefix,
                 observed_at: tap.time,
                 exported_at,
                 path,
@@ -283,14 +279,9 @@ impl CollectorSet {
         for tag in &mut tags {
             *tag = rank[(*tag / n_vps) as usize] * n_vps + *tag % n_vps;
         }
-        Dump::from_tagged(records, tags, prefix_ids.len() * vps.len(), vp_outages)
+        let prefixes: Vec<Prefix> = prefix_ids.into_iter().map(|(p, _)| p).collect();
+        Dump::from_tagged(records, tags, &prefixes, &vps, vp_outages)
     }
-}
-
-/// A registered vantage point's state for one processing pass.
-struct VpRow {
-    project: Project,
-    faults: Option<VpFaults>,
 }
 
 /// The materialised per-vantage-point faults for one processing pass.
@@ -339,7 +330,7 @@ mod tests {
 
     #[test]
     fn assignment_is_balanced_and_deterministic() {
-        // One tap per VP: each record names the project its VP feeds.
+        // One tap per VP: each stream names the project its VP feeds.
         let taps: Vec<TapRecord> = vps().iter().map(|vp| tap(vp.0, 10, true)).collect();
         let projects = |set: &CollectorSet| -> Vec<(AsId, Project)> {
             let dump = process(
@@ -348,10 +339,7 @@ mod tests {
                 &CollectorConfig::clean(),
                 SimTime::from_mins(60),
             );
-            dump.records()
-                .iter()
-                .map(|r| (r.vantage, r.project))
-                .collect()
+            dump.streams().map(|(_, vp, p, _)| (vp, p)).collect()
         };
         let a = projects(&CollectorSet::assign(&vps(), 3));
         assert_eq!(a.len(), 9);
@@ -372,7 +360,8 @@ mod tests {
             SimTime::from_mins(60),
         );
         assert_eq!(dump.len(), 1);
-        assert_eq!(dump.records()[0].vantage, AsId(1));
+        let vps: Vec<AsId> = dump.streams().map(|(_, vp, _, _)| vp).collect();
+        assert_eq!(vps, [AsId(1)]);
     }
 
     #[test]
@@ -425,7 +414,7 @@ mod tests {
         assert!(rec.path.is_some());
         assert!(!rec.aggregator.unwrap().valid, "stamp must be corrupted");
         // The paper's pipeline filter drops it.
-        assert_eq!(dump.valid_announcements().count(), 0);
+        assert!(!rec.is_valid_announcement());
     }
 
     /// Every stream of `dump` is in export order, the streams ascend by
@@ -434,10 +423,10 @@ mod tests {
         let prefix: Prefix = "10.0.0.0/24".parse().unwrap();
         let mut seen = 0;
         let mut last_vp = None;
-        for (vp, stream) in dump.streams_of(prefix) {
+        for (p, vp, _, stream) in dump.streams_of(prefix) {
+            assert_eq!(p, prefix);
             assert!(last_vp < Some(vp), "streams ascend by vantage point");
             last_vp = Some(vp);
-            assert!(stream.iter().all(|r| r.vantage == vp));
             assert!(stream
                 .windows(2)
                 .all(|w| w[0].exported_at <= w[1].exported_at));

@@ -1,194 +1,210 @@
 //! Measurement-infrastructure statistics: link similarity across beacon
 //! sites (Fig. 6), data overlap across collector projects (Fig. 7), and
 //! propagation-delay distributions (Fig. 8).
+//!
+//! Each statistic reads every stream it needs once and takes the
+//! stream's prefix, vantage point and project from the stream header,
+//! so a stream's distinct valid paths are its distinct
+//! (vantage, prefix, path) observations.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use bgpsim::{AsId, Prefix};
 use collector::{CleanPath, Dump, Project, UpdateRecord};
 use netsim::stats::Ecdf;
+use netsim::SimTime;
 
-/// The valid announcements of the given prefixes, read from their
-/// streams only (each prefix once, however often it is listed).
-fn valid_announcements_of<'a>(
-    dump: &'a Dump,
-    prefixes: &[Prefix],
-) -> impl Iterator<Item = &'a UpdateRecord> {
-    let wanted: BTreeSet<Prefix> = prefixes.iter().copied().collect();
-    wanted
-        .into_iter()
-        .flat_map(|p| dump.streams_of(p))
-        .flat_map(|(_, stream)| stream)
-        .filter(|r| r.is_valid_announcement())
-}
-
-/// The set of AS-level links (unordered pairs) observed on paths of the
-/// given prefixes in the dump.
-pub fn observed_links(dump: &Dump, prefixes: &[Prefix]) -> BTreeSet<(AsId, AsId)> {
-    let mut links = BTreeSet::new();
-    for p in valid_announcements_of(dump, prefixes).filter_map(|r| r.path.as_ref()) {
-        for (a, b) in p.links() {
-            links.insert((a.min(b), a.max(b)));
-        }
-    }
-    links
-}
-
-/// Fig. 6 — for each beacon site, the share of *all* observed links that
-/// the site's prefixes alone reveal.
-pub fn link_similarity(
-    dump: &Dump,
-    site_prefixes: &BTreeMap<AsId, Vec<Prefix>>,
-) -> BTreeMap<AsId, f64> {
-    let all_prefixes: Vec<Prefix> = site_prefixes
-        .values()
-        .flat_map(|v| v.iter().copied())
-        .collect();
-    let all_links = observed_links(dump, &all_prefixes);
-    let total = all_links.len().max(1) as f64;
-    site_prefixes
+/// The distinct paths of a stream's valid announcements.
+fn distinct_valid_paths(stream: &[UpdateRecord]) -> BTreeSet<&CleanPath> {
+    stream
         .iter()
-        .map(|(&site, prefixes)| {
-            let own = observed_links(dump, prefixes);
-            (site, own.len() as f64 / total)
-        })
+        .filter(|r| r.is_valid_announcement())
+        .filter_map(|r| r.path.as_ref())
         .collect()
 }
 
-/// How often each link is seen on distinct (vantage, prefix, path)
-/// combinations — the paper's "median paths per link" argument for using
-/// several sites.
-pub fn link_path_counts(dump: &Dump, prefixes: &[Prefix]) -> BTreeMap<(AsId, AsId), usize> {
-    let mut paths: BTreeSet<(AsId, Prefix, &CleanPath)> = BTreeSet::new();
-    for r in valid_announcements_of(dump, prefixes) {
-        if let Some(p) = &r.path {
-            paths.insert((r.vantage, r.prefix, p));
-        }
-    }
-    let mut counts: BTreeMap<(AsId, AsId), usize> = BTreeMap::new();
-    for (_, _, p) in &paths {
-        for (a, b) in p.links() {
-            *counts.entry((a.min(b), a.max(b))).or_insert(0) += 1;
-        }
-    }
-    counts
+/// What Fig. 6 knows of one observed AS link.
+#[derive(Default)]
+struct LinkSeen {
+    /// The beacon sites whose prefixes reveal the link.
+    sites: BTreeSet<AsId>,
+    /// Distinct (vantage, prefix, path) observations crossing the link.
+    paths: usize,
+    /// The same, on the first site's prefixes alone.
+    first_site_paths: usize,
 }
 
-/// Fig. 7 — per project: the set of (vantage, prefix, path) observations
-/// it contributes, for overlap analysis. Every project has an entry.
-pub fn project_observations(
-    dump: &Dump,
-) -> BTreeMap<Project, BTreeSet<(AsId, Prefix, &CleanPath)>> {
-    let mut out: BTreeMap<Project, BTreeSet<(AsId, Prefix, &CleanPath)>> =
-        Project::ALL.map(|p| (p, BTreeSet::new())).into();
-    for r in dump.valid_announcements() {
-        if let Some(p) = &r.path {
-            out.entry(r.project)
-                .or_default()
-                .insert((r.vantage, r.prefix, p));
-        }
-    }
-    out
+/// Fig. 6's link statistics over the beacon sites' prefixes.
+#[derive(Clone, Debug, PartialEq)]
+pub struct LinkCoverage {
+    /// Per site, the share of *all* observed links that the site's
+    /// prefixes alone reveal.
+    pub site_shares: BTreeMap<AsId, f64>,
+    /// Distinct AS links (unordered pairs) observed on all sites'
+    /// prefixes.
+    pub total_links: usize,
+    /// The median number of distinct (vantage, prefix, path)
+    /// observations per link on all sites' prefixes, and on the first
+    /// site's alone — the paper's argument for several sites. Each is 0
+    /// when it observes no link.
+    pub median_paths_per_link: (usize, usize),
 }
 
-/// Unique AS paths per project and the share of all paths each project
-/// contributes exclusively (Fig. 7's "every project adds data" point),
-/// from [`project_observations`].
-pub fn project_exclusive_shares(
-    observations: &BTreeMap<Project, BTreeSet<(AsId, Prefix, &CleanPath)>>,
-) -> BTreeMap<Project, (usize, f64)> {
-    // Overlap is computed on paths (ignoring which VP reported them).
-    let paths: BTreeMap<Project, BTreeSet<&CleanPath>> = observations
-        .iter()
-        .map(|(&p, obs)| (p, obs.iter().map(|&(_, _, path)| path).collect()))
-        .collect();
-    // How many projects saw each path.
-    let mut seen_by: BTreeMap<&CleanPath, usize> = BTreeMap::new();
-    for &path in paths.values().flatten() {
-        *seen_by.entry(path).or_insert(0) += 1;
+/// Fig. 6 — read each of the sites' prefixes' streams once into one map
+/// keyed by link. A prefix listed under several sites counts for each.
+pub fn link_coverage(dump: &Dump, site_prefixes: &BTreeMap<AsId, Vec<Prefix>>) -> LinkCoverage {
+    let mut owners: BTreeMap<Prefix, BTreeSet<AsId>> = BTreeMap::new();
+    for (&site, prefixes) in site_prefixes {
+        for &prefix in prefixes {
+            owners.entry(prefix).or_default().insert(site);
+        }
+    }
+    let first = site_prefixes.keys().next();
+    let mut links: BTreeMap<(AsId, AsId), LinkSeen> = BTreeMap::new();
+    for (&prefix, sites) in &owners {
+        let on_first = first.is_some_and(|f| sites.contains(f));
+        for (_, _, _, stream) in dump.streams_of(prefix) {
+            for path in distinct_valid_paths(stream) {
+                for (a, b) in path.links() {
+                    let seen = links.entry((a.min(b), a.max(b))).or_default();
+                    seen.sites.extend(sites);
+                    seen.paths += 1;
+                    seen.first_site_paths += usize::from(on_first);
+                }
+            }
+        }
+    }
+
+    let mut own: BTreeMap<AsId, usize> = site_prefixes.keys().map(|&s| (s, 0)).collect();
+    for site in links.values().flat_map(|l| &l.sites) {
+        *own.get_mut(site).expect("a listed site") += 1;
+    }
+    let total = links.len().max(1) as f64;
+    let median = |mut v: Vec<usize>| -> usize {
+        v.sort_unstable();
+        v.get(v.len() / 2).copied().unwrap_or(0)
+    };
+    let first_site = links.values().map(|l| l.first_site_paths);
+    LinkCoverage {
+        site_shares: own
+            .into_iter()
+            .map(|(s, n)| (s, n as f64 / total))
+            .collect(),
+        total_links: links.len(),
+        median_paths_per_link: (
+            median(links.values().map(|l| l.paths).collect()),
+            median(first_site.filter(|&n| n > 0).collect()),
+        ),
+    }
+}
+
+/// Fig. 7 — what one collector project contributes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ProjectShare {
+    /// Distinct (vantage, prefix, path) observations.
+    pub observations: usize,
+    /// Distinct AS paths among them, whichever VP reported them.
+    pub paths: usize,
+    /// Share of all distinct paths that only this project saw (Fig. 7's
+    /// "every project adds data" point).
+    pub exclusive: f64,
+}
+
+/// Fig. 7 — every project's share of the dump, from one pass over its
+/// streams keyed by path. Every project has an entry.
+pub fn project_shares(dump: &Dump) -> BTreeMap<Project, ProjectShare> {
+    let mut observations: BTreeMap<Project, usize> = BTreeMap::new();
+    // The projects that saw each path.
+    let mut seen_by: BTreeMap<&CleanPath, BTreeSet<Project>> = BTreeMap::new();
+    for (_, _, project, stream) in dump.streams() {
+        let paths = distinct_valid_paths(stream);
+        *observations.entry(project).or_default() += paths.len();
+        for path in paths {
+            seen_by.entry(path).or_default().insert(project);
+        }
     }
     let total = seen_by.len().max(1) as f64;
-    paths
-        .iter()
-        .map(|(&p, own)| {
-            let exclusive = own.iter().filter(|&&path| seen_by[path] == 1).count();
-            (p, (own.len(), exclusive as f64 / total))
+    Project::ALL
+        .map(|p| {
+            let paths = seen_by.values().filter(|s| s.contains(&p)).count();
+            let exclusive = seen_by.values().filter(|s| s.len() == 1 && s.contains(&p));
+            let share = ProjectShare {
+                observations: observations.get(&p).copied().unwrap_or(0),
+                paths,
+                exclusive: exclusive.count() as f64 / total,
+            };
+            (p, share)
         })
-        .collect()
+        .into()
 }
 
-/// First-arrival delays per (vantage, prefix, beacon event).
+/// Fig. 8 — first-arrival propagation delays of a set of prefixes.
+pub struct Propagation {
+    /// Send → arrival at the vantage point.
+    pub arrival: Ecdf,
+    /// Send → visible in the public dump (what a researcher reading
+    /// public dumps sees, collector cadence included), per project.
+    /// Every project has an entry.
+    pub export: BTreeMap<Project, Ecdf>,
+}
+
+/// Fig. 8 — the delays per (vantage, prefix, beacon event) of the given
+/// prefixes, reading each of their streams once (each prefix once,
+/// however often it is listed).
 ///
 /// The paper measures "the time it takes from sending the announcement
 /// from the Beacon routers until the **first** announcement of each
 /// router reaches the vantage points". Later copies of the same stamp —
 /// path-hunting transients re-announcing a stored route hours after its
 /// origination — are not propagation and must not pollute the CDF.
-fn first_arrival_delays(
-    dump: &Dump,
-    prefixes: &[Prefix],
-    project: Option<Project>,
-    use_export_time: bool,
-) -> Vec<f64> {
-    let mut first: BTreeMap<(AsId, Prefix, netsim::SimTime), f64> = BTreeMap::new();
-    for r in valid_announcements_of(dump, prefixes) {
-        if let Some(p) = project {
-            if r.project != p {
-                continue;
+pub fn propagation(dump: &Dump, prefixes: &[Prefix]) -> Propagation {
+    let wanted: BTreeSet<Prefix> = prefixes.iter().copied().collect();
+    let mut arrival = Vec::new();
+    let mut export: BTreeMap<Project, Vec<f64>> = Project::ALL.map(|p| (p, Vec::new())).into();
+    for prefix in wanted {
+        for (_, _, project, stream) in dump.streams_of(prefix) {
+            // Per stamp: the first arrival and the first export.
+            let mut first: BTreeMap<SimTime, (f64, f64)> = BTreeMap::new();
+            for r in stream.iter().filter(|r| r.is_announcement()) {
+                let Some(sent) = r.beacon_time() else {
+                    continue; // invalid stamp: discarded
+                };
+                let delay = |at: SimTime| at.saturating_since(sent).as_secs_f64();
+                let (arrived, exported) = (delay(r.observed_at), delay(r.exported_at));
+                first
+                    .entry(sent)
+                    .and_modify(|(a, e)| {
+                        *a = a.min(arrived);
+                        *e = e.min(exported);
+                    })
+                    .or_insert((arrived, exported));
+            }
+            let export = export.get_mut(&project).expect("every project");
+            for (arrived, exported) in first.into_values() {
+                arrival.push(arrived);
+                export.push(exported);
             }
         }
-        let Some(sent) = r.beacon_time() else {
-            continue;
-        };
-        let at = if use_export_time {
-            r.exported_at
-        } else {
-            r.observed_at
-        };
-        let delay = at.saturating_since(sent).as_secs_f64();
-        first
-            .entry((r.vantage, r.prefix, sent))
-            .and_modify(|d| *d = d.min(delay))
-            .or_insert(delay);
     }
-    first.into_values().collect()
-}
-
-/// Fig. 8 — empirical CDF of first-arrival propagation delays for a set
-/// of prefixes (anchor prefixes in the paper's comparison).
-pub fn propagation_cdf(dump: &Dump, prefixes: &[Prefix]) -> Ecdf {
-    Ecdf::new(first_arrival_delays(dump, prefixes, None, false))
-}
-
-/// Fig. 8 variant measured at dump-export time (what a researcher reading
-/// public dumps sees, including collector cadence).
-pub fn export_propagation_cdf(dump: &Dump, prefixes: &[Prefix], project: Project) -> Ecdf {
-    Ecdf::new(first_arrival_delays(dump, prefixes, Some(project), true))
+    Propagation {
+        arrival: Ecdf::new(arrival),
+        export: export
+            .into_iter()
+            .map(|(p, delays)| (p, Ecdf::new(delays)))
+            .collect(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{run_campaign, ExperimentConfig};
+    use crate::pipeline::{run_campaign, CampaignOutput, ExperimentConfig};
 
-    fn output() -> crate::pipeline::CampaignOutput {
+    fn output() -> CampaignOutput {
         run_campaign(&ExperimentConfig::small(1, 41))
     }
 
-    #[test]
-    fn links_are_canonical_pairs() {
-        let out = output();
-        let prefixes = out.campaign.prefixes();
-        let links = observed_links(&out.dump, &prefixes);
-        assert!(!links.is_empty());
-        for &(a, b) in &links {
-            assert!(a < b, "links must be canonicalised");
-        }
-    }
-
-    #[test]
-    fn per_site_share_bounded_by_one() {
-        let out = output();
+    fn site_prefixes(out: &CampaignOutput) -> BTreeMap<AsId, Vec<Prefix>> {
         let mut site_prefixes: BTreeMap<AsId, Vec<Prefix>> = BTreeMap::new();
         for sc in &out.campaign.sites {
             site_prefixes
@@ -196,28 +212,70 @@ mod tests {
                 .or_default()
                 .extend(sc.beacons.iter().map(|b| b.prefix));
         }
-        let sim = link_similarity(&out.dump, &site_prefixes);
-        assert_eq!(sim.len(), out.topology.beacon_sites.len());
-        for (&site, &share) in &sim {
-            assert!((0.0..=1.0).contains(&share), "{site}: {share}");
-        }
-        // Multiple sites: no single site should see everything if the
-        // others contribute anything at all (usually true; tolerate 1.0
-        // only if all sites reach 1.0 — degenerate tiny graphs).
-        let max = sim.values().cloned().fold(0.0, f64::max);
-        assert!(max > 0.0);
+        site_prefixes
+    }
+
+    /// The one-pass statistics equal per-site link sets and per-prefix-set
+    /// path counts built apart, as Fig. 6 once built them.
+    #[test]
+    fn link_coverage_matches_per_site_sets() {
+        let out = output();
+        let sites = site_prefixes(&out);
+        // Distinct (vantage, prefix, path) observations of some prefixes.
+        let observations = |prefixes: &[Prefix]| -> BTreeSet<(AsId, Prefix, &CleanPath)> {
+            let mut set = BTreeSet::new();
+            for (prefix, vp, _, stream) in out.dump.streams() {
+                if prefixes.contains(&prefix) {
+                    set.extend(
+                        distinct_valid_paths(stream)
+                            .into_iter()
+                            .map(|p| (vp, prefix, p)),
+                    );
+                }
+            }
+            set
+        };
+        let counts = |prefixes: &[Prefix]| -> BTreeMap<(AsId, AsId), usize> {
+            let mut counts = BTreeMap::new();
+            for (_, _, path) in observations(prefixes) {
+                for (a, b) in path.links() {
+                    *counts.entry((a.min(b), a.max(b))).or_insert(0) += 1;
+                }
+            }
+            counts
+        };
+        let median = |c: BTreeMap<(AsId, AsId), usize>| {
+            let mut v: Vec<usize> = c.into_values().collect();
+            v.sort_unstable();
+            v[v.len() / 2]
+        };
+        let all: Vec<Prefix> = sites.values().flatten().copied().collect();
+        let first: &[Prefix] = sites.values().next().unwrap();
+
+        let total = counts(&all).len();
+        let want = LinkCoverage {
+            site_shares: sites
+                .iter()
+                .map(|(&site, prefixes)| (site, counts(prefixes).len() as f64 / total as f64))
+                .collect(),
+            total_links: total,
+            median_paths_per_link: (median(counts(&all)), median(counts(first))),
+        };
+        assert_eq!(link_coverage(&out.dump, &sites), want);
+        let max = want.site_shares.values().cloned().fold(0.0, f64::max);
+        assert!(max > 0.0 && max <= 1.0);
+        assert!(want.median_paths_per_link.1 >= 1);
     }
 
     #[test]
     fn project_shares_cover_all_projects() {
         let out = output();
-        let shares = project_exclusive_shares(&project_observations(&out.dump));
+        let shares = project_shares(&out.dump);
         assert_eq!(shares.len(), 3);
-        let total_paths: usize = shares.values().map(|(n, _)| *n).sum();
-        assert!(total_paths > 0);
-        for (&p, &(n, excl)) in &shares {
-            assert!((0.0..=1.0).contains(&excl), "{p:?}: {excl}");
-            assert!(n > 0, "{p:?} contributed nothing");
+        for (&p, share) in &shares {
+            assert!((0.0..=1.0).contains(&share.exclusive), "{p:?}: {share:?}");
+            assert!(share.paths > 0, "{p:?} contributed nothing");
+            assert!(share.observations >= share.paths, "{p:?}: {share:?}");
         }
     }
 
@@ -225,7 +283,7 @@ mod tests {
     fn propagation_delays_are_small_for_anchors() {
         let out = output();
         let anchors: Vec<Prefix> = out.campaign.sites.iter().map(|s| s.anchor.prefix).collect();
-        let cdf = propagation_cdf(&out.dump, &anchors);
+        let cdf = propagation(&out.dump, &anchors).arrival;
         assert!(!cdf.is_empty());
         // Paper: anchor propagation at most ~1 minute.
         let p99 = cdf.quantile(0.99).unwrap();
@@ -236,27 +294,24 @@ mod tests {
     fn export_cdf_slower_than_arrival_cdf() {
         let out = output();
         let anchors: Vec<Prefix> = out.campaign.sites.iter().map(|s| s.anchor.prefix).collect();
-        let arrival = propagation_cdf(&out.dump, &anchors);
-        for project in Project::ALL {
-            let export = export_propagation_cdf(&out.dump, &anchors, project);
+        let delays = propagation(&out.dump, &anchors);
+        assert_eq!(delays.export.len(), 3);
+        let exported: usize = delays.export.values().map(Ecdf::len).sum();
+        assert_eq!(
+            exported,
+            delays.arrival.len(),
+            "one export delay per arrival"
+        );
+        let a50 = delays.arrival.quantile(0.5).unwrap();
+        for (project, export) in &delays.export {
             if export.is_empty() {
                 continue;
             }
-            let a50 = arrival.quantile(0.5).unwrap();
             let e50 = export.quantile(0.5).unwrap();
             assert!(
                 e50 >= a50,
                 "{project:?}: export median {e50} < arrival {a50}"
             );
         }
-    }
-
-    #[test]
-    fn link_path_counts_positive() {
-        let out = output();
-        let prefixes = out.campaign.prefixes();
-        let counts = link_path_counts(&out.dump, &prefixes);
-        assert!(!counts.is_empty());
-        assert!(counts.values().all(|&c| c >= 1));
     }
 }

@@ -71,12 +71,11 @@ pub fn render(suite: &mut Suite, w: &mut dyn Write) -> io::Result<()> {
         (AsId(32), "non-RFD path (via AS 22)"),
     ] {
         writeln!(w, "--- {name} ---")?;
-        let records: Vec<_> = m
+        let records = m
             .dump
-            .records()
-            .iter()
-            .filter(|r| r.vantage == vp)
-            .collect();
+            .streams_of(schedule.prefix)
+            .find(|s| s.1 == vp)
+            .map_or(&[][..], |s| s.3);
         let during_burst = records
             .iter()
             .filter(|r| r.exported_at <= burst_end)

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use bgpsim::Prefix;
 
 use super::{io, Suite, Write};
-use crate::coverage::{link_path_counts, link_similarity, observed_links};
+use crate::coverage::link_coverage;
 use crate::report;
 
 /// Render the figure after its banner.
@@ -24,8 +24,9 @@ pub fn render(suite: &mut Suite, w: &mut dyn Write) -> io::Result<()> {
             .or_default()
             .extend(sc.beacons.iter().map(|b| b.prefix));
     }
-    let sim = link_similarity(&out.dump, &site_prefixes);
-    let rows: Vec<Vec<String>> = sim
+    let coverage = link_coverage(&out.dump, &site_prefixes);
+    let rows: Vec<Vec<String>> = coverage
+        .site_shares
         .iter()
         .map(|(site, share)| {
             vec![
@@ -39,34 +40,9 @@ pub fn render(suite: &mut Suite, w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "{table}")?;
 
     // Median paths per link: single site vs all sites.
-    let all_prefixes: Vec<Prefix> = site_prefixes
-        .values()
-        .flat_map(|v| v.iter().copied())
-        .collect();
-    let median = |prefixes: &[Prefix]| -> usize {
-        let counts = link_path_counts(&out.dump, prefixes);
-        let mut v: Vec<usize> = counts.values().copied().collect();
-        if v.is_empty() {
-            return 0;
-        }
-        v.sort_unstable();
-        v[v.len() / 2]
-    };
-    let single_site = site_prefixes
-        .values()
-        .next()
-        .map(|p| median(p))
-        .unwrap_or(0);
+    let (all_sites, single_site) = coverage.median_paths_per_link;
     writeln!(w, "median paths per link, single site: {single_site}")?;
-    writeln!(
-        w,
-        "median paths per link, all sites:   {}",
-        median(&all_prefixes)
-    )?;
+    writeln!(w, "median paths per link, all sites:   {all_sites}")?;
     writeln!(w)?;
-    writeln!(
-        w,
-        "total links observed: {}",
-        observed_links(&out.dump, &all_prefixes).len()
-    )
+    writeln!(w, "total links observed: {}", coverage.total_links)
 }

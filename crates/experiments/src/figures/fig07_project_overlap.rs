@@ -5,24 +5,21 @@
 //! consuming RIPE RIS, RouteViews *and* Isolario.
 
 use super::{io, Suite, Write};
-use crate::coverage::{project_exclusive_shares, project_observations};
+use crate::coverage::project_shares;
 use crate::report;
 
 /// Render the figure after its banner.
 pub fn render(suite: &mut Suite, w: &mut dyn Write) -> io::Result<()> {
     let out = suite.campaign(1);
 
-    let obs = project_observations(&out.dump);
-    let shares = project_exclusive_shares(&obs);
-
-    let rows: Vec<Vec<String>> = shares
+    let rows: Vec<Vec<String>> = project_shares(&out.dump)
         .iter()
-        .map(|(p, (paths, exclusive))| {
+        .map(|(p, share)| {
             vec![
                 p.name().to_string(),
-                obs[p].len().to_string(),
-                paths.to_string(),
-                report::pct(*exclusive),
+                share.observations.to_string(),
+                share.paths.to_string(),
+                report::pct(share.exclusive),
             ]
         })
         .collect();

@@ -6,11 +6,10 @@
 //! characteristics, with per-project export delays on top (RouteViews'
 //! 50-second cadence, Isolario ≤ 30 s, diverse RIS).
 
-use collector::Project;
 use netsim::stats::Ecdf;
 
 use super::{io, Suite, Write};
-use crate::coverage::{export_propagation_cdf, propagation_cdf};
+use crate::coverage::propagation;
 use crate::report;
 
 /// Render the figure after its banner.
@@ -32,16 +31,21 @@ pub fn render(suite: &mut Suite, w: &mut dyn Write) -> io::Result<()> {
         writeln!(w, "{name:<28} n={:<6} {}", cdf.len(), cells.join("  "))
     };
 
+    let anchor = propagation(&out.dump, &anchors);
     writeln!(w, "arrival at vantage points (send → VP):")?;
-    describe(w, "anchor prefixes", &propagation_cdf(&out.dump, &anchors))?;
-    describe(w, "beacon prefixes", &propagation_cdf(&out.dump, &beacons))?;
+    describe(w, "anchor prefixes", &anchor.arrival)?;
+    describe(
+        w,
+        "beacon prefixes",
+        &propagation(&out.dump, &beacons).arrival,
+    )?;
     writeln!(w)?;
     writeln!(w, "visible in public dumps (send → export), per project:")?;
-    for p in Project::ALL {
-        describe(w, p.name(), &export_propagation_cdf(&out.dump, &anchors, p))?;
+    for (p, cdf) in &anchor.export {
+        describe(w, p.name(), cdf)?;
     }
     writeln!(w)?;
-    let cdf = propagation_cdf(&out.dump, &anchors);
+    let cdf = &anchor.arrival;
     if !cdf.is_empty() {
         let rows = report::cdf_rows(&cdf.points(), &[0.25, 0.5, 0.75, 0.9, 1.0]);
         writeln!(w, "anchor arrival CDF sketch:")?;

@@ -18,7 +18,7 @@
 //!    and evaluates both against the deployment oracle ([`metrics`]).
 //! 4. [`coverage`] computes the measurement-infrastructure statistics
 //!    (Fig. 6 link similarity, Fig. 7 project overlap, Fig. 8
-//!    propagation delays).
+//!    propagation delays), each reading a dump stream at most once.
 //! 5. [`figures`] renders each table and figure of the paper from one
 //!    [`suite::Suite`], which runs the default campaign and its
 //!    inference once for all of them; [`report`] renders their aligned

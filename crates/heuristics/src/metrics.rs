@@ -173,7 +173,7 @@ pub fn burst_histograms(
     let mut by_path: HashMap<&CleanPath, Histogram> = HashMap::new();
     let records = dump
         .streams_of(schedule.prefix)
-        .flat_map(|(_, stream)| stream);
+        .flat_map(|(_, _, _, stream)| stream);
     for record in records {
         // The validity filter: an announcement with a valid stamp.
         let (Some(path), Some(sent)) = (record.path.as_ref(), record.beacon_time()) else {
@@ -319,14 +319,14 @@ mod tests {
             SimTime::ZERO,
             1,
         );
-        let mk = |sent: SimTime, arrival: SimTime, via: u32| UpdateRecord {
-            project: Project::Isolario,
-            vantage: AsId(900),
-            prefix: schedule.prefix,
-            observed_at: arrival,
-            exported_at: arrival,
-            path: Some(CleanPath::from_asns(&[AsId(900), AsId(via), AsId(65000)])),
-            aggregator: Some(AggregatorStamp::new(sent)),
+        let mk = |sent: SimTime, arrival: SimTime, via: u32| {
+            let record = UpdateRecord {
+                observed_at: arrival,
+                exported_at: arrival,
+                path: Some(CleanPath::from_asns(&[AsId(900), AsId(via), AsId(65000)])),
+                aggregator: Some(AggregatorStamp::new(sent)),
+            };
+            (schedule.prefix, AsId(900), Project::Isolario, record)
         };
         let mut records = Vec::new();
         for (j, e) in schedule.burst_events(0).iter().enumerate() {

@@ -299,9 +299,10 @@ impl FaultPlan {
     }
 }
 
-/// Tallies of every fault actually injected, per type. Layers keep
-/// their own counters; the pipeline merges them into one `faults`
-/// report section.
+/// Tallies of every fault actually injected, per type. The network
+/// counts its session faults; a measurement starts from a clone of those
+/// counters, collection adds its own to it, and the total becomes one
+/// `faults` report section.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Vantage points that suffered an outage window.
@@ -339,20 +340,6 @@ impl FaultCounters {
             + self.records_truncated
             + self.exports_delayed
             + self.clock_skewed_vps
-    }
-
-    /// Fold another layer's tallies into this one.
-    pub fn merge(&mut self, other: &FaultCounters) {
-        self.vp_outages += other.vp_outages;
-        self.records_outage_dropped += other.records_outage_dropped;
-        self.session_resets += other.session_resets;
-        self.updates_dropped_down += other.updates_dropped_down;
-        self.records_lost += other.records_lost;
-        self.records_duplicated += other.records_duplicated;
-        self.records_reordered += other.records_reordered;
-        self.records_truncated += other.records_truncated;
-        self.exports_delayed += other.exports_delayed;
-        self.clock_skewed_vps += other.clock_skewed_vps;
     }
 
     /// The `faults` section of a run report.
@@ -519,20 +506,14 @@ mod tests {
     }
 
     #[test]
-    fn counters_merge_and_total() {
-        let mut a = FaultCounters {
+    fn counters_total() {
+        let a = FaultCounters {
             vp_outages: 1,
             records_lost: 2,
-            ..FaultCounters::default()
-        };
-        let b = FaultCounters {
             session_resets: 3,
             updates_dropped_down: 4,
             ..FaultCounters::default()
         };
-        a.merge(&b);
-        assert_eq!(a.vp_outages, 1);
-        assert_eq!(a.session_resets, 3);
         assert_eq!(a.total(), 10);
     }
 }

@@ -205,11 +205,6 @@ impl Ecdf {
         }
         pts
     }
-
-    /// Underlying sorted sample.
-    pub fn sorted(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 #[cfg(test)]

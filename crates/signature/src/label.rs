@@ -60,9 +60,6 @@ pub struct PairOutcome {
     pub break_delta: Option<SimDuration>,
     /// Whether the pair matches the RFD signature.
     pub matches: bool,
-    /// Updates observed during the burst window (for the M3 heuristic and
-    /// Fig. 10 histograms).
-    pub burst_updates: usize,
     /// False when a vantage-point outage overlapped this pair's
     /// Burst–Break window: whatever was (not) seen cannot be trusted, so
     /// the pair is excluded from the labeling rule instead of counting
@@ -145,60 +142,42 @@ pub fn label_dump_with_outages(
     // Only this schedule's streams: per vantage point, ascending.
     let prefix = schedule.prefix;
     let mut out = Vec::new();
-    for (vantage, records) in dump.streams_of(prefix) {
+    for (_, vantage, _, records) in dump.streams_of(prefix) {
         let outage = outages.get(&vantage).copied();
-        let outcomes = pair_outcomes_with_outage(records, schedule, config, outage);
-        // Aggregate per path: (observable, matching, r/break deltas,
-        // unobservable).
-        type Acc = (usize, usize, Vec<SimDuration>, Vec<SimDuration>, usize);
-        let mut per_path: BTreeMap<CleanPath, Acc> = BTreeMap::new();
-        for o in outcomes {
-            let entry = per_path.entry(o.path.clone()).or_default();
-            if !o.observable {
-                entry.4 += 1;
-                continue;
-            }
-            entry.0 += 1;
-            if o.matches {
-                entry.1 += 1;
-            }
-            if let Some(rd) = o.r_delta {
-                entry.2.push(rd);
-            }
-            if let Some(bd) = o.break_delta {
-                entry.3.push(bd);
-            }
-        }
-        for (path, (total, matching, r_deltas, break_deltas, unobservable)) in per_path {
-            if total >= config.min_pairs {
-                let rfd = matching as f64 / total as f64 >= config.signature_share;
-                out.push(LabeledPath {
+        let mut per_path: BTreeMap<CleanPath, LabeledPath> = BTreeMap::new();
+        for o in pair_outcomes_with_outage(records, schedule, config, outage) {
+            let l = per_path
+                .entry(o.path.clone())
+                .or_insert_with(|| LabeledPath {
                     vantage,
                     prefix,
-                    path,
-                    pairs_total: total,
-                    pairs_matching: matching,
-                    r_deltas,
-                    break_deltas,
-                    pairs_unobservable: unobservable,
-                    rfd,
+                    path: o.path,
+                    pairs_total: 0,
+                    pairs_matching: 0,
+                    r_deltas: Vec::new(),
+                    break_deltas: Vec::new(),
+                    pairs_unobservable: 0,
+                    rfd: false,
                     unobservable: false,
                 });
-            } else if unobservable > 0 {
+            if !o.observable {
+                l.pairs_unobservable += 1;
+                continue;
+            }
+            l.pairs_total += 1;
+            l.pairs_matching += usize::from(o.matches);
+            l.r_deltas.extend(o.r_delta);
+            l.break_deltas.extend(o.break_delta);
+        }
+        for mut l in per_path.into_values() {
+            if l.pairs_total >= config.min_pairs {
+                l.rfd = l.pairs_matching as f64 / l.pairs_total as f64 >= config.signature_share;
+                out.push(l);
+            } else if l.pairs_unobservable > 0 {
                 // Too few observable pairs *because* of the outage: say
                 // so instead of silently dropping or mislabeling.
-                out.push(LabeledPath {
-                    vantage,
-                    prefix,
-                    path,
-                    pairs_total: total,
-                    pairs_matching: matching,
-                    r_deltas,
-                    break_deltas,
-                    pairs_unobservable: unobservable,
-                    rfd: false,
-                    unobservable: true,
-                });
+                l.unobservable = true;
+                out.push(l);
             }
         }
     }
@@ -307,7 +286,6 @@ pub fn pair_outcomes_with_outage(
             r_delta: if observable { r_delta } else { None },
             break_delta: if observable { break_delta } else { None },
             matches,
-            burst_updates: in_burst.len(),
             observable,
         });
     }
@@ -336,12 +314,11 @@ mod tests {
         ids.iter().map(|&i| AsId(i)).collect()
     }
 
+    type Keyed = (Prefix, AsId, Project, UpdateRecord);
+
     /// A collected record: its path, if any, already clean.
     fn rec(t: SimTime, announced: bool, stamp: Option<SimTime>, path: &[u32]) -> UpdateRecord {
         UpdateRecord {
-            project: Project::Isolario,
-            vantage: AsId(900),
-            prefix: "10.0.0.0/24".parse().unwrap(),
             observed_at: t,
             exported_at: t,
             path: announced.then(|| CleanPath::from_asns(&asns(path))),
@@ -399,9 +376,37 @@ mod tests {
         v
     }
 
+    /// `records` as `vp`'s stream for `prefix`, in collection order.
+    fn keyed(prefix: Prefix, vp: u32, records: Vec<UpdateRecord>) -> Vec<Keyed> {
+        records
+            .into_iter()
+            .map(|r| (prefix, AsId(vp), Project::Isolario, r))
+            .collect()
+    }
+
+    /// `records` as VP 900's stream for the schedule's prefix.
+    fn dump(records: Vec<UpdateRecord>, s: &BeaconSchedule) -> Dump {
+        Dump::new(keyed(s.prefix, 900, records))
+    }
+
     fn label(records: Vec<UpdateRecord>, s: &BeaconSchedule) -> Vec<LabeledPath> {
-        let dump = Dump::new(records);
-        label_dump_with_outages(&dump, s, &LabelingConfig::default(), &BTreeMap::new())
+        label_dump(&dump(records, s), s)
+    }
+
+    fn label_dump(dump: &Dump, s: &BeaconSchedule) -> Vec<LabeledPath> {
+        label_dump_with_outages(dump, s, &LabelingConfig::default(), &BTreeMap::new())
+    }
+
+    /// `records` with VP 901 in place of VP 900 at the head of each path.
+    fn via_vp_901(mut records: Vec<UpdateRecord>) -> Vec<UpdateRecord> {
+        for r in records.iter_mut() {
+            if let Some(path) = &r.path {
+                let mut asns: Vec<AsId> = path.asns().to_vec();
+                asns[0] = AsId(901);
+                r.path = Some(CleanPath::from_asns(&asns));
+            }
+        }
+        records
     }
 
     #[test]
@@ -538,19 +543,9 @@ mod tests {
     #[test]
     fn obs_section_counts_labels_and_buckets_rdeltas() {
         let s = schedule();
-        let mut records = rfd_stream(&s);
-        let mut clean = non_rfd_stream(&s);
-        for r in clean.iter_mut() {
-            r.vantage = AsId(901);
-            if let Some(path) = &r.path {
-                let mut asns: Vec<AsId> = path.asns().to_vec();
-                asns[0] = AsId(901);
-                r.path = Some(CleanPath::from_asns(&asns));
-            }
-        }
-        records.extend(clean);
-        records.sort_by_key(|r| r.exported_at);
-        let labels = label(records, &s);
+        let mut records = keyed(s.prefix, 900, rfd_stream(&s));
+        records.extend(keyed(s.prefix, 901, via_vp_901(non_rfd_stream(&s))));
+        let labels = label_dump(&Dump::new(records), &s);
         assert_eq!(labels.len(), 2);
 
         let section = obs_section(&labels);
@@ -598,7 +593,7 @@ mod tests {
         );
         let mut outages = BTreeMap::new();
         outages.insert(AsId(900), outage);
-        let dump = Dump::new(rfd_stream(&s));
+        let dump = dump(rfd_stream(&s), &s);
         let labels = label_dump_with_outages(&dump, &s, &LabelingConfig::default(), &outages);
         assert_eq!(labels.len(), 1);
         let l = &labels[0];
@@ -615,7 +610,7 @@ mod tests {
         let s = schedule();
         let mut outages = BTreeMap::new();
         outages.insert(AsId(900), (SimTime::ZERO, s.break_end(s.cycles - 1)));
-        let dump = Dump::new(rfd_stream(&s));
+        let dump = dump(rfd_stream(&s), &s);
         let labels = label_dump_with_outages(&dump, &s, &LabelingConfig::default(), &outages);
         assert_eq!(labels.len(), 1);
         let l = &labels[0];
@@ -641,22 +636,17 @@ mod tests {
         let s = schedule();
         let mut outages = BTreeMap::new();
         outages.insert(AsId(901), (SimTime::ZERO, SimTime::from_mins(100000)));
-        let dump = Dump::new(rfd_stream(&s));
+        let dump = dump(rfd_stream(&s), &s);
         let with = label_dump_with_outages(&dump, &s, &LabelingConfig::default(), &outages);
-        let without =
-            label_dump_with_outages(&dump, &s, &LabelingConfig::default(), &BTreeMap::new());
-        assert_eq!(with, without);
+        assert_eq!(with, label_dump(&dump, &s));
     }
 
     #[test]
     fn other_prefixes_are_ignored() {
         let s = schedule();
-        let mut records = non_rfd_stream(&s);
-        for r in records.iter_mut() {
-            r.prefix = "10.0.99.0/24".parse().unwrap();
-        }
-        let labels = label(records, &s);
-        assert!(labels.is_empty());
+        let other: Prefix = "10.0.99.0/24".parse().unwrap();
+        let dump = Dump::new(keyed(other, 900, non_rfd_stream(&s)));
+        assert!(label_dump(&dump, &s).is_empty());
     }
 
     mod properties {
@@ -665,19 +655,10 @@ mod tests {
         use proptest::prelude::*;
 
         /// The two-vantage mixed stream: one damped path, one clean.
-        fn mixed_records(s: &BeaconSchedule) -> Vec<UpdateRecord> {
-            let mut records = rfd_stream(s);
-            let mut clean = non_rfd_stream(s);
-            for r in clean.iter_mut() {
-                r.vantage = AsId(901);
-                if let Some(path) = &r.path {
-                    let mut asns: Vec<AsId> = path.asns().to_vec();
-                    asns[0] = AsId(901);
-                    r.path = Some(CleanPath::from_asns(&asns));
-                }
-            }
-            records.extend(clean);
-            records.sort_by_key(|r| (r.exported_at, r.vantage, r.prefix));
+        fn mixed_records(s: &BeaconSchedule) -> Vec<Keyed> {
+            let mut records = keyed(s.prefix, 900, rfd_stream(s));
+            records.extend(keyed(s.prefix, 901, via_vp_901(non_rfd_stream(s))));
+            records.sort_by_key(|k| (k.3.exported_at, k.1, k.0));
             records
         }
 
@@ -693,14 +674,13 @@ mod tests {
                 let s = schedule();
                 let records = mixed_records(&s);
 
-                let base = Dump::new(records.clone());
-                let baseline = label_dump_with_outages(&base, &s, &LabelingConfig::default(), &BTreeMap::new());
+                let baseline = label_dump(&Dump::new(records.clone()), &s);
                 prop_assert_eq!(baseline.len(), 2);
 
                 let mut rng = SimRng::new(seed).split("perturb");
                 let mut perturbed = records.clone();
                 // Duplicate ~20 % of the records (exact copies).
-                let dups: Vec<UpdateRecord> = perturbed
+                let dups: Vec<Keyed> = perturbed
                     .iter()
                     .filter(|_| rng.chance(0.2))
                     .cloned()
@@ -714,8 +694,7 @@ mod tests {
                     perturbed.swap(i, j);
                 }
 
-                let dump = Dump::new(perturbed);
-                let labels = label_dump_with_outages(&dump, &s, &LabelingConfig::default(), &BTreeMap::new());
+                let labels = label_dump(&Dump::new(perturbed), &s);
                 prop_assert_eq!(labels, baseline);
             }
         }

@@ -67,11 +67,6 @@ impl Topology {
         self.ases.is_empty()
     }
 
-    /// Tier of `asn`, if present.
-    pub fn tier(&self, asn: AsId) -> Option<Tier> {
-        self.ases.iter().find(|a| a.id == asn).map(|a| a.tier)
-    }
-
     /// Directed adjacency: for each AS, its neighbors with the
     /// relationship from the AS's own perspective.
     pub fn adjacency(&self) -> BTreeMap<AsId, Vec<(AsId, Relationship)>> {

@@ -6,7 +6,7 @@
 use beacon::BeaconSchedule;
 use bgpsim::rib::Route;
 use bgpsim::{AggregatorStamp, AsId, AsPath, Prefix, TapRecord};
-use collector::{CollectorConfig, CollectorSet, Dump, Project};
+use collector::{CollectorConfig, CollectorSet, Dump, Project, UpdateRecord};
 use netsim::faults::FaultCounters;
 use netsim::{SimDuration, SimTime};
 use signature::{label_dump_with_outages, LabelingConfig};
@@ -54,12 +54,21 @@ fn collect(taps: &[TapRecord]) -> Dump {
     )
 }
 
+/// The dump's one record, from the VP's one stream, keyed by its header.
+fn only_record(dump: &Dump) -> &UpdateRecord {
+    let streams: Vec<_> = dump.streams().collect();
+    assert_eq!(streams.len(), 1, "one stream");
+    let (p, vp, project, records) = streams[0];
+    assert_eq!((p, vp, project), (prefix(), VP, Project::Isolario));
+    assert_eq!(records.len(), 1, "one record");
+    &records[0]
+}
+
 #[test]
 fn a_prepended_tap_path_is_recorded_collapsed() {
     let t = SimTime::from_secs(10);
     let dump = collect(&[announce(t, t, path(&[900, 100, 100, 100, 65000]))]);
-    assert_eq!(dump.len(), 1);
-    let recorded = dump.records()[0].path.as_ref().expect("an announcement");
+    let recorded = only_record(&dump).path.as_ref().expect("an announcement");
     assert_eq!(recorded.asns(), &[AsId(900), AsId(100), AsId(65000)]);
 }
 
@@ -72,8 +81,10 @@ fn looped_and_empty_tap_paths_are_not_recorded() {
         announce(t, t, AsPath::empty()),
         withdraw(t),
     ]);
-    assert_eq!(dump.len(), 1, "only the withdrawal is recorded");
-    assert!(!dump.records()[0].is_announcement());
+    assert!(
+        !only_record(&dump).is_announcement(),
+        "only the withdrawal is recorded"
+    );
 }
 
 #[test]
@@ -82,7 +93,7 @@ fn a_clean_tap_path_is_shared_not_copied() {
     let tap = announce(t, t, path(&[900, 100, 65000]));
     let dump = collect(std::slice::from_ref(&tap));
     let tapped = &tap.route.as_ref().expect("an announcement").path;
-    let recorded = dump.records()[0].path.as_ref().expect("an announcement");
+    let recorded = only_record(&dump).path.as_ref().expect("an announcement");
     assert!(std::ptr::eq(recorded.asns(), tapped.asns()));
 }
 

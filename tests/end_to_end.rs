@@ -160,7 +160,7 @@ fn beacons_visible_at_nearly_all_vantage_points() {
     let cfg = small(107);
     let out = run_campaign(&cfg);
     let vps: BTreeSet<AsId> = out.topology.vantage_points.iter().copied().collect();
-    let seen: BTreeSet<AsId> = out.dump.records().iter().map(|r| r.vantage).collect();
+    let seen: BTreeSet<AsId> = out.dump.streams().map(|(_, vp, _, _)| vp).collect();
     assert_eq!(seen.len(), vps.len(), "some VP never saw a beacon");
 }
 

@@ -20,10 +20,11 @@ fn reference_burst_distribution(
     bins: usize,
 ) -> BTreeMap<AsId, f64> {
     let mut histograms: BTreeMap<AsId, Histogram> = BTreeMap::new();
-    for record in dump.valid_announcements() {
-        if record.prefix != schedule.prefix {
-            continue;
-        }
+    let records = dump
+        .streams()
+        .filter(|&(prefix, ..)| prefix == schedule.prefix)
+        .flat_map(|(_, _, _, stream)| stream);
+    for record in records.filter(|r| r.is_valid_announcement()) {
         let Some(sent) = record.beacon_time() else {
             continue;
         };

@@ -3,13 +3,15 @@
 //! times in collection order. These tests hold real campaign dumps, with
 //! and without the fault drill, to that contract, and check that
 //! labeling over the streams equals labeling over a flat copy of the
-//! records in the old global export order.
+//! records, keyed from their stream headers, in the old global export
+//! order. (`tests/stream_keys.rs` checks that each stream holds exactly
+//! its own records.)
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use beacon::BeaconSchedule;
 use bgpsim::{AsId, Prefix};
-use collector::{Dump, UpdateRecord};
+use collector::{Dump, Project, UpdateRecord};
 use experiments::pipeline::{run_campaign, CampaignOutput, ExperimentConfig};
 use netsim::faults::FaultSpec;
 use netsim::{SimDuration, SimTime};
@@ -30,14 +32,15 @@ fn campaign(seed: u64, drill: bool) -> CampaignOutput {
     run_campaign(&config)
 }
 
-/// Every stream of the dump, in the order [`Dump::streams_of`] yields
-/// them prefix by prefix (prefixes ascending).
-fn streams(dump: &Dump) -> Vec<(Prefix, AsId, &[UpdateRecord])> {
-    let prefixes: BTreeSet<Prefix> = dump.records().iter().map(|r| r.prefix).collect();
-    prefixes
-        .into_iter()
-        .flat_map(|p| dump.streams_of(p).map(move |(vp, s)| (p, vp, s)))
-        .collect()
+/// Every stream of the dump, in the order [`Dump::streams`] yields them;
+/// each prefix's run equals what [`Dump::streams_of`] yields for it.
+fn streams(dump: &Dump) -> Vec<(Prefix, AsId, Project, &[UpdateRecord])> {
+    let streams: Vec<_> = dump.streams().collect();
+    for run in streams.chunk_by(|a, b| a.0 == b.0) {
+        let of: Vec<_> = dump.streams_of(run[0].0).collect();
+        assert_eq!(of, run, "streams_of({}) is its run of streams()", run[0].0);
+    }
+    streams
 }
 
 /// How much the dump exercises the order contract: streams with two
@@ -62,16 +65,13 @@ fn assert_stream_major(dump: &Dump, label: &str) -> Exercised {
             "{label}: streams ascend by (prefix, vantage)"
         );
     }
-    for (prefix, vp, stream) in &streams {
+    for (prefix, vp, _, stream) in &streams {
         assert!(!stream.is_empty(), "{label}: no empty streams");
         assert!(
             std::ptr::eq(stream.as_ptr(), dump.records()[at..].as_ptr()),
             "{label}: stream ({prefix}, {vp}) starts where the last one ended"
         );
         at += stream.len();
-        for r in stream.iter() {
-            assert_eq!((r.prefix, r.vantage), (*prefix, *vp), "{label}: stream key");
-        }
         for w in stream.windows(2) {
             assert!(
                 (w[0].exported_at, w[0].observed_at) <= (w[1].exported_at, w[1].observed_at),
@@ -101,11 +101,14 @@ fn reference_labels(
     config: &LabelingConfig,
     outages: &BTreeMap<AsId, (SimTime, SimTime)>,
 ) -> Vec<LabeledPath> {
-    let mut flat: Vec<UpdateRecord> = dump.records().to_vec();
-    flat.sort_by_key(|r| (r.exported_at, r.vantage, r.prefix));
+    let mut flat: Vec<(AsId, Prefix, &UpdateRecord)> = dump
+        .streams()
+        .flat_map(|(prefix, vp, _, stream)| stream.iter().map(move |r| (vp, prefix, r)))
+        .collect();
+    flat.sort_by_key(|&(vp, prefix, r)| (r.exported_at, vp, prefix));
     let mut by_vantage: BTreeMap<AsId, Vec<UpdateRecord>> = BTreeMap::new();
-    for r in flat.into_iter().filter(|r| r.prefix == schedule.prefix) {
-        by_vantage.entry(r.vantage).or_default().push(r);
+    for (vp, _, r) in flat.into_iter().filter(|f| f.1 == schedule.prefix) {
+        by_vantage.entry(vp).or_default().push(r.clone());
     }
     let mut out = Vec::new();
     for (vantage, records) in by_vantage {

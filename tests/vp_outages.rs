@@ -17,15 +17,17 @@ use netsim::SimTime;
 /// which a dropped record shifts).
 type Observed = (Prefix, SimTime, Option<Vec<AsId>>);
 
-/// Each vantage point's records, sorted.
+/// Each vantage point's records, keyed from their stream headers, sorted.
 fn by_vantage(out: &CampaignOutput) -> BTreeMap<AsId, Vec<Observed>> {
     let mut seen: BTreeMap<AsId, Vec<Observed>> = BTreeMap::new();
-    for r in out.dump.records() {
-        seen.entry(r.vantage).or_default().push((
-            r.prefix,
-            r.observed_at,
-            r.path.as_ref().map(|p| p.asns().to_vec()),
-        ));
+    for (prefix, vp, _, stream) in out.dump.streams() {
+        seen.entry(vp).or_default().extend(stream.iter().map(|r| {
+            (
+                prefix,
+                r.observed_at,
+                r.path.as_ref().map(|p| p.asns().to_vec()),
+            )
+        }));
     }
     for records in seen.values_mut() {
         records.sort();
