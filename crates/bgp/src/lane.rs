@@ -5,9 +5,11 @@
 //! its own event queue, a jitter stream split from the network seed by
 //! the prefix, its path arena, and a buffer of the tap records it
 //! produced since the network last merged them. It reads the routers'
-//! sessions and policies, the CSR link arrays and the tap flags from the
-//! network's shared, read-only [`Fabric`]. Two lanes share no mutable
-//! state, so the network runs them on separate threads (DESIGN.md §5e).
+//! sessions and policies, the CSR link arrays (with the flags of the
+//! links into sinks, whose deliveries it counts instead of scheduling)
+//! and the tap flags from the network's shared, read-only [`Fabric`].
+//! Two lanes share no mutable state, so the network runs them on
+//! separate threads (DESIGN.md §5e).
 //!
 //! Every route inside the lane — in a RIB slot, an MRAI gate, a
 //! `Deliver` event, a Loc-RIB selection — carries its AS path as a
@@ -182,11 +184,7 @@ impl Lane {
                     }
                     return;
                 }
-                if action.is_announce() {
-                    self.stats.updates_announced += 1;
-                } else {
-                    self.stats.updates_withdrawn += 1;
-                }
+                self.stats.count_delivery(action);
                 let session = links.reverse[link] as usize;
                 fabric.routers[to].handle_update(
                     &mut self.state(fabric, to),
@@ -327,7 +325,17 @@ impl Lane {
         // Translate the router's requests into events.
         let router_id = router as u32;
         for (session, action) in out.sends.drain(..) {
-            let delivery = self.delivery_time(fabric, links.id(router, session), now);
+            let link = links.id(router, session);
+            // Drawn for every send, so the jitter stream and the FIFO
+            // horizons do not depend on which deliveries are simulated.
+            let delivery = self.delivery_time(fabric, link, now);
+            if links.elided[link] {
+                // Into a sink over a link that is never down: counting it
+                // is all its delivery would change that anyone reads.
+                self.stats.count_delivery(action);
+                self.stats.deliveries_elided += 1;
+                continue;
+            }
             self.queue.schedule_at(
                 delivery,
                 NetEvent::Deliver {

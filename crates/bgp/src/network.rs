@@ -4,7 +4,7 @@
 //!
 //! * a read-only **fabric** that every thread shares: one [`Router`] per
 //!   AS (its sessions and policies), the CSR link arrays with their
-//!   delays, and the tap flags;
+//!   delays and elision flags, and the tap and observed flags;
 //! * one **lane** per prefix that owns all mutable state of that prefix:
 //!   the routers' RIB, MRAI and RFD slots for it, per-link FIFO horizons
 //!   and down flags, its own event queue, its own tap buffer, the arena
@@ -20,6 +20,26 @@
 //! * MRAI and RFD timer requests become timer events;
 //! * Loc-RIB changes at *tapped* ASs (the vantage points) are appended to
 //!   the tap log, which the `collector` crate turns into update dumps.
+//!
+//! # Sinks: routers nobody observes
+//!
+//! A router is a **sink** when it is not tapped, not observed (see
+//! [`Network::observe`]) and has no customer session. Valley-free export
+//! sends a route learned from a peer or provider only to customers, so a
+//! sink never exports what it learns: a delivery to it can change its own
+//! RIB and RFD state, which nobody reads, and nothing else. A delivery on
+//! a link into a sink is therefore counted, not simulated, unless a fault
+//! plan resets that link (the deliveries a down link drops are counted as
+//! faults, so those links stay simulated). The lane still draws the
+//! delivery's jitter, so every RNG stream and FIFO horizon is what it
+//! would be if the delivery were scheduled.
+//!
+//! A sink that originates a prefix is safe too: while it originates, its
+//! `Local` selection outranks every learned route, and every route it
+//! learns for its own prefix carries its ASN and is loop-rejected. Once
+//! it withdraws, it is a sink like any other: whatever it would now
+//! select was learned from a peer or provider and goes to no neighbour,
+//! so it withdraws from every neighbour either way.
 //!
 //! [`Network::run_until`] runs the lanes on every available core, then
 //! merges their new tap records into one log by (time, prefix) and sums
@@ -54,7 +74,7 @@ use netsim::faults::{FaultCounters, FaultPlan};
 use netsim::{SimDuration, SimTime};
 
 use crate::lane::Lane;
-use crate::message::AsId;
+use crate::message::{AsId, BgpAction};
 use crate::policy::SessionPolicy;
 use crate::prefix::Prefix;
 use crate::rib::Route;
@@ -134,6 +154,9 @@ pub struct NetStats {
     pub updates_announced: u64,
     /// Withdrawals delivered to a router.
     pub updates_withdrawn: u64,
+    /// Deliveries to a sink, counted in the two counters above when
+    /// sent instead of being simulated (see the module docs).
+    pub deliveries_elided: u64,
     /// Announcements the MRAI gates deferred.
     pub mrai_deferrals: u64,
     /// RFD suppressions/releases keyed by parameter-set name
@@ -147,10 +170,20 @@ impl NetStats {
         self.updates_announced + self.updates_withdrawn
     }
 
+    /// Count one delivered update.
+    pub(crate) fn count_delivery(&mut self, action: BgpAction) {
+        if action.is_announce() {
+            self.updates_announced += 1;
+        } else {
+            self.updates_withdrawn += 1;
+        }
+    }
+
     /// Add `other`'s counts to these.
     fn merge(&mut self, other: &NetStats) {
         self.updates_announced += other.updates_announced;
         self.updates_withdrawn += other.updates_withdrawn;
+        self.deliveries_elided += other.deliveries_elided;
         self.mrai_deferrals += other.mrai_deferrals;
         for (name, profile) in &other.rfd {
             let sum = self.rfd.entry(name).or_default();
@@ -174,6 +207,10 @@ pub(crate) struct Links {
     /// the sender).
     pub(crate) reverse: Vec<u32>,
     pub(crate) delay: Vec<SimDuration>,
+    /// Whether a delivery on the link is counted instead of simulated:
+    /// the link leads into a sink and no session reset touches it. Set
+    /// when the first run starts.
+    pub(crate) elided: Vec<bool>,
 }
 
 impl Links {
@@ -193,8 +230,18 @@ pub(crate) struct Fabric {
     pub(crate) routers: Vec<Router>,
     /// Per router id: whether its Loc-RIB changes are tapped.
     pub(crate) tapped: Vec<bool>,
+    /// Per router id: whether anyone reads its RIB (tapped routers are).
+    observed: Vec<bool>,
     pub(crate) links: Links,
     pub(crate) config: NetworkConfig,
+}
+
+impl Fabric {
+    /// Whether router `router` is a sink: unobserved and without a
+    /// customer session, so it exports nothing it learns.
+    fn is_sink(&self, router: usize) -> bool {
+        !self.observed[router] && !self.routers[router].has_customer()
+    }
 }
 
 /// One session reset of a fault plan.
@@ -332,6 +379,7 @@ impl Network {
             fabric: Fabric {
                 routers: Vec::new(),
                 tapped: Vec::new(),
+                observed: Vec::new(),
                 links: Links::default(),
                 config,
             },
@@ -353,7 +401,14 @@ impl Network {
     /// visited in ascending `(AsId, AsId)` order, and the plan itself is
     /// a pure function of its seed, so the same `(seed, plan)` always
     /// injects the same resets.
+    ///
+    /// # Panics
+    /// If a run has started: which links are simulated is fixed then.
     pub fn apply_faults(&mut self, plan: &FaultPlan, horizon: SimDuration) {
+        assert!(
+            self.reached.is_none(),
+            "faults must be applied before the first run"
+        );
         self.build_links();
         let links = &self.fabric.links;
         for (a, router) in self.fabric.routers.iter().enumerate() {
@@ -441,6 +496,7 @@ impl Network {
             );
             fabric.routers.insert(at, Router::new(asn));
             fabric.tapped.insert(at, false);
+            fabric.observed.insert(at, false);
         }
     }
 
@@ -507,6 +563,27 @@ impl Network {
         self.fabric.links = links;
     }
 
+    /// Mark the links whose deliveries are counted, not simulated: every
+    /// link into a sink that no session reset touches. Runs when the
+    /// first run starts; the observed set and the resets are fixed from
+    /// then on.
+    fn elide_sink_links(&mut self) {
+        let fabric = &self.fabric;
+        let links = &fabric.links;
+        let mut elided: Vec<bool> = links
+            .to
+            .iter()
+            .map(|&to| fabric.is_sink(to as usize))
+            .collect();
+        for reset in &self.resets {
+            let link = links.id(reset.router as usize, reset.session as usize);
+            let back = links.id(links.to[link] as usize, links.reverse[link] as usize);
+            elided[link] = false;
+            elided[back] = false;
+        }
+        self.fabric.links.elided = elided;
+    }
+
     /// The lane of `prefix`, created (and given every known session
     /// reset) on first sight.
     fn lane_mut(&mut self, prefix: Prefix) -> &mut Lane {
@@ -535,11 +612,48 @@ impl Network {
     }
 
     /// Mark `asn` as a vantage point whose Loc-RIB changes are recorded.
+    /// A tapped router is observed.
+    ///
+    /// # Panics
+    /// If `asn` is unknown or a run has started.
     pub fn attach_tap(&mut self, asn: AsId) {
-        let Some(id) = self.router_id(asn) else {
-            panic!("tap on unknown {asn}");
-        };
+        let id = self.observed_router(asn);
         self.fabric.tapped[id] = true;
+    }
+
+    /// Declare that the caller will read `asn`'s RIB ([`Network::best`],
+    /// [`Network::is_suppressed`]), so that it is fully simulated even if
+    /// it is a sink (see the module docs).
+    ///
+    /// # Panics
+    /// If `asn` is unknown or a run has started.
+    pub fn observe(&mut self, asn: AsId) {
+        self.observed_router(asn);
+    }
+
+    /// Mark `asn` observed and return its router id.
+    fn observed_router(&mut self, asn: AsId) -> usize {
+        assert!(
+            self.reached.is_none(),
+            "cannot observe {asn}: the observed set is fixed once a run starts"
+        );
+        let id = self.known_router(asn);
+        self.fabric.observed[id] = true;
+        id
+    }
+
+    /// The router id of `asn`, whose RIB the caller reads; `None` if it
+    /// is unknown.
+    ///
+    /// # Panics
+    /// If `asn` is a sink: its RIB is not simulated.
+    fn readable_router(&self, asn: AsId) -> Option<usize> {
+        let id = self.router_id(asn)?;
+        assert!(
+            !self.fabric.is_sink(id),
+            "{asn} is an unobserved sink: call Network::observe before the first run to read it"
+        );
+        Some(id)
     }
 
     /// Immutable access to a router's sessions and policies.
@@ -549,16 +663,24 @@ impl Network {
 
     /// The best route `asn` currently selects for `prefix`, if any, with
     /// its AS path built from the prefix lane's path arena.
+    ///
+    /// # Panics
+    /// If `asn` is a sink (unobserved, no customer session).
     pub fn best(&self, asn: AsId, prefix: Prefix) -> Option<Selection> {
+        let router = self.readable_router(asn)?;
         let lane = self.lane(prefix)?;
-        let best = lane.local[self.router_id(asn)?].best?;
+        let best = lane.local[router].best?;
         Some(best.materialize(&lane.paths))
     }
 
     /// Whether `asn` currently suppresses the route for `prefix` it
     /// learned from `peer`.
+    ///
+    /// # Panics
+    /// If `asn` is a sink (unobserved, no customer session).
     pub fn is_suppressed(&self, asn: AsId, peer: AsId, prefix: Prefix) -> bool {
-        let (Some(lane), Some(router)) = (self.lane(prefix), self.router_id(asn)) else {
+        let router = self.readable_router(asn);
+        let (Some(lane), Some(router)) = (self.lane(prefix), router) else {
             return false;
         };
         self.fabric.routers[router]
@@ -584,7 +706,8 @@ impl Network {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// Number of BGP updates delivered so far, over all lanes.
+    /// Number of BGP updates delivered so far, over all lanes. A
+    /// delivery to a sink counts when it is sent.
     pub fn delivered(&self) -> u64 {
         self.stats.delivered()
     }
@@ -635,6 +758,7 @@ impl Network {
             .counter("updates_delivered", self.delivered())
             .counter("updates_announced", self.stats.updates_announced)
             .counter("updates_withdrawn", self.stats.updates_withdrawn)
+            .counter("deliveries_elided", self.stats.deliveries_elided)
             .counter("mrai_deferrals", self.stats.mrai_deferrals);
         for (name, profile) in &self.stats.rfd {
             section
@@ -675,6 +799,9 @@ impl Network {
     /// order on the calling thread. Either way the result is the same.
     pub fn run_until(&mut self, until: SimTime) -> u64 {
         self.build_links();
+        if self.reached.is_none() {
+            self.elide_sink_links();
+        }
         self.record_resets(until);
         let fabric = &self.fabric;
         let events = match &mut self.trace {
@@ -828,6 +955,77 @@ mod tests {
             None,
         );
         net
+    }
+
+    /// The line network plus AS40, an untapped customer of AS20 and so a
+    /// sink; with `observed`, AS40 is observed. AS10 announces, and with
+    /// `resets` every link resets once.
+    fn line_with_a_stub(observed: bool, resets: bool) -> Network {
+        use netsim::faults::{FaultPlan, FaultSpec};
+        let mut net = line();
+        net.connect(
+            AsId(40),
+            AsId(20),
+            SessionPolicy::plain(Relationship::Provider),
+            SessionPolicy::plain(Relationship::Customer),
+            None,
+        );
+        net.attach_tap(AsId(30));
+        if observed {
+            net.observe(AsId(40));
+        }
+        net.schedule_announce(SimTime::ZERO, AsId(10), pfx(), true);
+        net.schedule_withdraw(SimTime::from_mins(1), AsId(10), pfx());
+        if resets {
+            let plan = FaultPlan::new(FaultSpec {
+                session_reset_rate: 1.0,
+                session_reset_duration: SimDuration::from_mins(2),
+                seed: 5,
+                ..FaultSpec::default()
+            });
+            net.apply_faults(&plan, SimDuration::from_mins(30));
+        }
+        net.run_to_quiescence();
+        net
+    }
+
+    #[test]
+    fn deliveries_to_a_sink_are_counted_not_simulated() {
+        let elided = line_with_a_stub(false, false);
+        let simulated = line_with_a_stub(true, false);
+        // AS20 announces to AS40, then withdraws. (AS10 is a sink too,
+        // but split horizon sends it nothing.)
+        assert_eq!(elided.stats().deliveries_elided, 2);
+        assert_eq!(simulated.stats().deliveries_elided, 0);
+        assert!(simulated.best(AsId(40), pfx()).is_none());
+        assert_eq!(elided.delivered(), simulated.delivered());
+        assert_eq!(elided.events_processed() + 2, simulated.events_processed());
+        assert_eq!(elided.tap_log(), simulated.tap_log());
+
+        let mut report = obs::RunReport::new("t");
+        elided.export_obs(&mut report);
+        let section = report.get("bgpsim.network").unwrap();
+        assert_eq!(
+            section.get("deliveries_elided"),
+            Some(&obs::Value::Counter(2))
+        );
+    }
+
+    #[test]
+    fn a_reset_link_into_a_sink_stays_simulated() {
+        let net = line_with_a_stub(false, true);
+        assert_eq!(net.fault_counters().session_resets, 3);
+        assert_eq!(net.stats().deliveries_elided, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "faults must be applied before the first run")]
+    fn faults_after_the_first_run_panic() {
+        let mut net = line_with_a_stub(false, false);
+        net.apply_faults(
+            &netsim::faults::FaultPlan::new(netsim::faults::FaultSpec::default()),
+            SimDuration::from_mins(30),
+        );
     }
 
     #[test]

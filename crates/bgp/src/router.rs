@@ -38,7 +38,7 @@ use crate::decision::{select_best, Candidate};
 use crate::message::{AggregatorStamp, AsId, AsPath, BgpAction};
 use crate::mrai::{MraiGate, MraiVerdict};
 use crate::paths::{PathArena, PathId};
-use crate::policy::{ExportPolicy, SessionPolicy};
+use crate::policy::{ExportPolicy, Relationship, SessionPolicy};
 use crate::prefix::Prefix;
 use crate::rfd::{FlapKind, RfdTransition};
 use crate::rib::{AdjEntry, LaneRoute, Route};
@@ -272,6 +272,14 @@ impl Router {
     /// All neighbor ASNs (ascending).
     pub fn neighbor_ids(&self) -> Vec<AsId> {
         self.sessions.iter().map(|s| s.peer).collect()
+    }
+
+    /// Whether any neighbor is a customer: the only sessions a route
+    /// learned from a peer or provider is exported over.
+    pub(crate) fn has_customer(&self) -> bool {
+        self.sessions
+            .iter()
+            .any(|s| s.policy.relationship == Relationship::Customer)
     }
 
     /// The RFD penalty at `now` of `entry`, an Adj-RIB-In entry on
@@ -586,7 +594,6 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use crate::policy::Relationship;
     use crate::rfd::VendorProfile;
 
     fn pfx() -> Prefix {

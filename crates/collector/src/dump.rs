@@ -174,11 +174,6 @@ impl Dump {
         }
     }
 
-    /// All records, stream-major (see [`Dump`]).
-    pub fn records(&self) -> &[UpdateRecord] {
-        &self.records
-    }
-
     /// Every stream, ascending by `(prefix, vantage)`: its prefix, its
     /// vantage point, the project that VP feeds, and its records.
     pub fn streams(&self) -> impl Iterator<Item = (Prefix, AsId, Project, &[UpdateRecord])> {
@@ -225,23 +220,6 @@ impl Dump {
         self.records.is_empty()
     }
 
-    /// Share of announcements that fail the validity filter.
-    pub fn invalid_share(&self) -> f64 {
-        let announcements: Vec<&UpdateRecord> = self
-            .records
-            .iter()
-            .filter(|r| r.is_announcement())
-            .collect();
-        if announcements.is_empty() {
-            return 0.0;
-        }
-        let invalid = announcements
-            .iter()
-            .filter(|r| r.beacon_time().is_none())
-            .count();
-        invalid as f64 / announcements.len() as f64
-    }
-
     /// Snapshot the dump into a `collector.dump` report section:
     /// per-project record counts and the export-delay distribution, in
     /// one pass over the streams.
@@ -266,6 +244,31 @@ impl Dump {
         }
         section.histogram("export_delay_secs", &delays);
         section
+    }
+}
+
+/// Test-side views of the dump, read through its streams.
+#[cfg(test)]
+impl Dump {
+    /// Every record, stream after stream.
+    pub(crate) fn records(&self) -> Vec<UpdateRecord> {
+        self.streams()
+            .flat_map(|(.., stream)| stream.iter().cloned())
+            .collect()
+    }
+
+    /// Share of announcements that fail the validity filter.
+    pub(crate) fn invalid_share(&self) -> f64 {
+        let announcements: Vec<&UpdateRecord> = self
+            .streams()
+            .flat_map(|(.., stream)| stream)
+            .filter(|r| r.is_announcement())
+            .collect();
+        let invalid = announcements
+            .iter()
+            .filter(|r| r.beacon_time().is_none())
+            .count();
+        invalid as f64 / announcements.len().max(1) as f64
     }
 }
 
@@ -303,7 +306,10 @@ mod tests {
             rec(1, 20, true, false),
             rec(1, 30, false, true),
         ]);
-        let valid = d.records().iter().filter(|r| r.is_valid_announcement());
+        let valid = d
+            .records()
+            .into_iter()
+            .filter(|r| r.is_valid_announcement());
         assert_eq!(valid.count(), 1);
         assert!((d.invalid_share() - 0.5).abs() < 1e-12);
     }
@@ -336,10 +342,11 @@ mod tests {
                 (second, AsId(1), 1)
             ]
         );
-        assert!(std::ptr::eq(
-            d.streams_of(second).next().unwrap().3,
-            &d.records()[3..]
-        ));
+        // Stream-major: each stream's records follow the last one's.
+        let slices: Vec<&[UpdateRecord]> = d.streams().map(|(.., s)| s).collect();
+        for w in slices.windows(2) {
+            assert!(std::ptr::eq(w[0].as_ptr_range().end, w[1].as_ptr()));
+        }
         assert_eq!(d.streams_of("10.0.2.0/24".parse().unwrap()).count(), 0);
     }
 

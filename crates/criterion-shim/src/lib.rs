@@ -14,13 +14,29 @@
 //! `CRITERION_SHIM_OUT`), which is what the repo's `BENCH_*.json`
 //! baselines are built from. No statistical outlier analysis is
 //! performed — numbers are honest raw timings.
+//!
+//! Like criterion, the bench binary takes an optional positional name
+//! filter: `cargo bench -p bench --bench simulator -- beacon_burst` runs
+//! only the benchmarks whose `group/id` label contains `beacon_burst`.
 
 use std::fmt::Display;
 use std::io::Write as _;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Calibration target: one sample should take at least this long.
 const TARGET_SAMPLE_NANOS: u128 = 5_000_000; // 5 ms
+
+/// The name filter, set once by `criterion_main!`'s `main`.
+static FILTER: OnceLock<Option<String>> = OnceLock::new();
+
+/// Take the name filter from the command line: the first argument that
+/// is not a flag (cargo passes `--bench`). Called by `criterion_main!`.
+#[doc(hidden)]
+pub fn filter_from_args() {
+    let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+    FILTER.get_or_init(|| filter);
+}
 
 /// Top-level harness handle.
 #[derive(Clone, Debug)]
@@ -173,6 +189,16 @@ pub struct Estimate {
 }
 
 fn run_benchmark<F: FnMut(&mut Bencher)>(group: &str, id: &str, sample_size: usize, mut f: F) {
+    let label = if group.is_empty() {
+        id.to_string()
+    } else {
+        format!("{group}/{id}")
+    };
+    if let Some(Some(filter)) = FILTER.get() {
+        if !label.contains(filter.as_str()) {
+            return;
+        }
+    }
     let mut bencher = Bencher {
         iters_per_sample: 0,
         sample_size,
@@ -190,11 +216,6 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(group: &str, id: &str, sample_size: usi
         mean_ns,
         median_ns: sorted[sorted.len() / 2],
         min_ns: sorted[0],
-    };
-    let label = if group.is_empty() {
-        id.to_string()
-    } else {
-        format!("{group}/{id}")
     };
     println!(
         "bench {label:<45} mean {:>12}  median {:>12}  min {:>12}  ({} iters x {} samples)",
@@ -261,11 +282,13 @@ macro_rules! criterion_group {
     };
 }
 
-/// Declare the bench `main` that runs each group.
+/// Declare the bench `main` that runs each group, honouring the name
+/// filter on the command line (see the crate docs).
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
+            $crate::filter_from_args();
             $($group();)+
         }
     };

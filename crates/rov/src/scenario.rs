@@ -69,6 +69,13 @@ pub fn build(config: &RovScenarioConfig) -> RovScenario {
         ..Default::default()
     };
     let mut net = topology.instantiate(net_config, |_, _, pol| pol);
+    // Every AS but the first origin is read below, so none may be left
+    // unsimulated as a sink.
+    for asn in net.as_ids() {
+        if asn != origin {
+            net.observe(asn);
+        }
+    }
     for (k, &pfx) in prefixes.iter().enumerate() {
         let site = if k == 0 { origin } else { origin2 };
         net.schedule_announce(SimTime::from_secs(k as u64), site, pfx, true);

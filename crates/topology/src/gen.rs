@@ -493,6 +493,9 @@ mod tests {
             ..Default::default()
         };
         let mut net = t.instantiate(netcfg, |_, _, pol| pol);
+        for asn in net.as_ids() {
+            net.observe(asn);
+        }
         let pfx: bgpsim::Prefix = "10.0.0.0/24".parse().unwrap();
         let site = t.beacon_sites[0];
         net.schedule_announce(netsim::SimTime::ZERO, site, pfx, true);

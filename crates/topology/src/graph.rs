@@ -321,6 +321,9 @@ mod tests {
             ..Default::default()
         };
         let mut net = t.instantiate(cfg, |_, _, pol| pol);
+        for asn in net.as_ids() {
+            net.observe(asn);
+        }
         let pfx: bgpsim::Prefix = "10.9.9.0/24".parse().unwrap();
         net.schedule_announce(netsim::SimTime::ZERO, AsId(100), pfx, true);
         net.run_to_quiescence();

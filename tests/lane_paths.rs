@@ -31,6 +31,10 @@ fn drilled_campaign() -> (Network, Vec<AsId>, Vec<AsId>) {
         ..NetworkConfig::realistic(config.seed)
     };
     let mut net = topology.instantiate(net_config, deployment.policy_hook());
+    // The sweep below reads every router's selection.
+    for asn in net.as_ids() {
+        net.observe(asn);
+    }
     let campaign = Campaign::new(
         &topology.beacon_sites,
         &config.intervals,

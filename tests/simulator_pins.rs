@@ -3,14 +3,19 @@
 //! `pipeline_is_deterministic_end_to_end` compares two runs of the same
 //! build, so it cannot catch a change that reorders simulator events the
 //! same way every time. The pin tests compare one run against numbers
-//! recorded from a known-good build instead: the simulator's event and
-//! delivery counts, the number of labeled paths, and an FNV-1a digest of
-//! the labels' `Debug` form. Any change to event order, to an RNG draw or
-//! to a labeling decision moves at least one of them.
+//! recorded from a known-good build instead: the simulator's event,
+//! delivery and elided-delivery counts, the number of labeled paths, and
+//! an FNV-1a digest of the labels' `Debug` form. Any change to event
+//! order, to an RNG draw or to a labeling decision moves at least one of
+//! them.
 //!
 //! Re-record the constants only for a deliberate, documented change of
-//! simulator semantics. They were last re-recorded when each prefix got
-//! its own simulation lane (per-prefix jitter streams and FIFO horizons).
+//! simulator semantics. The delivery counts and the label fields were
+//! last re-recorded when each prefix got its own simulation lane
+//! (per-prefix jitter streams and FIFO horizons). The event counts were
+//! re-recorded when deliveries to sinks (routers nobody observes) came
+//! to be counted instead of simulated: they count work that no longer
+//! happens, while the deliveries and labels stayed the same.
 //!
 //! The lane tests pin what makes the simulator's output independent of
 //! the number of cores that ran it: a prefix simulates the same alone as
@@ -30,12 +35,22 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// `(events_processed, updates_delivered, label count, label digest)`.
-fn pins(out: &CampaignOutput) -> (u64, u64, usize, u64) {
+/// `(events_processed, updates_delivered, deliveries_elided, label
+/// count, label digest)`.
+fn pins(out: &CampaignOutput) -> (u64, u64, u64, usize, u64) {
     let digest = fnv1a(format!("{:?}", out.labels).as_bytes());
+    let elided = match out
+        .report
+        .get("bgpsim.network")
+        .and_then(|section| section.get("deliveries_elided"))
+    {
+        Some(&obs::Value::Counter(n)) => n,
+        other => panic!("no deliveries_elided counter: {other:?}"),
+    };
     (
         out.events_processed,
         out.updates_delivered,
+        elided,
         out.labels.len(),
         digest,
     )
@@ -88,7 +103,7 @@ fn fault_free_tiny_campaign_matches_recorded_pins() {
     let out = run_campaign(&ExperimentConfig::small(1, 2020));
     assert_eq!(
         pins(&out),
-        (67_784, 64_221, 11, 0x35b0_8dd0_eb36_e213),
+        (29_716, 64_221, 37_718, 11, 0x35b0_8dd0_eb36_e213),
         "fault-free tiny campaign drifted from its recorded pins"
     );
 }
@@ -102,7 +117,7 @@ fn drill_tiny_campaign_matches_recorded_pins() {
     );
     assert_eq!(
         pins(&out),
-        (78_073, 73_830, 36, 0xf43e_d98c_6070_02c5),
+        (40_213, 73_830, 37_527, 36, 0xf43e_d98c_6070_02c5),
         "drill tiny campaign drifted from its recorded pins"
     );
 }

@@ -52,13 +52,14 @@ struct Exercised {
     inversions: usize,
 }
 
-/// Contract points 1 and 2: the streams partition `records()` in
-/// ascending `(prefix, vantage)` order, and within a stream
-/// `(exported_at, observed_at)` never decreases.
+/// Contract points 1 and 2: the streams partition the dump's records,
+/// laid out back to back in ascending `(prefix, vantage)` order, and
+/// within a stream `(exported_at, observed_at)` never decreases.
 fn assert_stream_major(dump: &Dump, label: &str) -> Exercised {
     let streams = streams(dump);
     let mut exercised = Exercised::default();
     let mut at = 0;
+    let mut end = streams.first().map(|s| s.3.as_ptr());
     for w in streams.windows(2) {
         assert!(
             (w[0].0, w[0].1) < (w[1].0, w[1].1),
@@ -68,9 +69,10 @@ fn assert_stream_major(dump: &Dump, label: &str) -> Exercised {
     for (prefix, vp, _, stream) in &streams {
         assert!(!stream.is_empty(), "{label}: no empty streams");
         assert!(
-            std::ptr::eq(stream.as_ptr(), dump.records()[at..].as_ptr()),
+            end.is_some_and(|end| std::ptr::eq(stream.as_ptr(), end)),
             "{label}: stream ({prefix}, {vp}) starts where the last one ended"
         );
+        end = Some(stream.as_ptr_range().end);
         at += stream.len();
         for w in stream.windows(2) {
             assert!(
