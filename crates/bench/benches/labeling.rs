@@ -7,7 +7,7 @@ use bgpsim::{AsId, AsPath, NetworkConfig};
 use collector::CollectorSet;
 use criterion::{criterion_group, criterion_main, Criterion};
 use experiments::deployment::Deployment;
-use experiments::pipeline::{run_campaign, ExperimentConfig};
+use experiments::pipeline::{collection_cuts, run_campaign, ExperimentConfig};
 use heuristics::HeuristicConfig;
 use netsim::faults::{FaultCounters, FaultPlan, FaultSpec};
 use netsim::{SimDuration, SimTime};
@@ -80,6 +80,28 @@ fn bench_collect(c: &mut Criterion) {
                 Some(&plan),
                 &mut counters,
             );
+            black_box(dump.len())
+        })
+    });
+    // The same taps in the slices `measure` runs the network in, each
+    // slice its own allocation as `take_tap_log` hands it over.
+    let slices: Vec<Vec<bgpsim::TapRecord>> = {
+        let mut rest = &taps[..];
+        collection_cuts(horizon)
+            .map(|cut| {
+                let (slice, later) = rest.split_at(rest.partition_point(|t| t.time <= cut));
+                rest = later;
+                slice.to_vec()
+            })
+            .collect()
+    };
+    group.bench_function("incremental_6_intervals_drill", |b| {
+        b.iter(|| {
+            let mut collection = collectors.collection(&config, horizon, Some(&plan));
+            for slice in black_box(&slices) {
+                collection.push(slice);
+            }
+            let dump = collection.finish(&mut FaultCounters::default());
             black_box(dump.len())
         })
     });

@@ -14,7 +14,8 @@
 //! each distinct id once and shares it.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+
+use netsim::hash::FxBuildHasher;
 
 use crate::message::{AsId, AsPath};
 
@@ -36,36 +37,13 @@ struct Node {
     len: u32,
 }
 
-/// The rustc "Fx" hash with a final rotation: one multiply per word.
-/// The arena's keys are its own integers, so no DoS resistance is
-/// needed, and the rotation moves the well-mixed high product bits to
-/// where the hash table takes its bucket index from.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0xf135_7aea_2e62_a9c5);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
 /// Every AS path one lane has built, hash-consed.
 #[derive(Debug)]
 pub(crate) struct PathArena {
     /// Node `i` is path id `i`; node 0 is the empty path.
     nodes: Vec<Node>,
     /// `(parent << 32) | head` → the id of that node.
-    index: HashMap<u64, PathId, BuildHasherDefault<FxHasher>>,
+    index: HashMap<u64, PathId, FxBuildHasher>,
     /// Built paths by id, so routes that share an id share one `AsPath`.
     shared: Vec<Option<AsPath>>,
     /// The ASNs of the path being built, so building allocates only the

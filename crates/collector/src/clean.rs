@@ -1,8 +1,8 @@
 //! Path cleaning: prepending removal and loop filtering (§4.2).
 //!
-//! The collector cleans every tap path as it records it
-//! ([`crate::CollectorSet::process_with_faults`]), so the dump holds
-//! only clean paths and no consumer cleans again.
+//! The collector cleans each distinct tap path once, as it first
+//! records it ([`crate::CollectorSet::collection`]), so the dump's path
+//! table holds only clean paths and no consumer cleans again.
 
 use std::cmp::Ordering;
 use std::fmt;

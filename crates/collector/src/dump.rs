@@ -1,6 +1,7 @@
 //! Update dumps: the collector-side record format and query helpers.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::num::NonZeroU32;
 
 use serde::{Deserialize, Serialize};
 
@@ -8,7 +9,31 @@ use bgpsim::{AggregatorStamp, AsId, Prefix};
 use netsim::SimTime;
 
 use crate::clean::CleanPath;
+use crate::paths::PathTable;
 use crate::project::Project;
+
+/// A clean path interned in its dump's path table ([`Dump::path`]).
+///
+/// Within one dump, equal ids name equal paths and equal paths have
+/// equal ids, so a consumer compares or keys paths by id. Ids count
+/// paths in order of first sight, so where an order is observable,
+/// sort by the resolved path, not by the id. Ids of different dumps are
+/// unrelated.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+pub struct PathId(NonZeroU32);
+
+impl PathId {
+    /// The id of the table's `index`-th path.
+    pub(crate) fn from_index(index: usize) -> PathId {
+        let id = u32::try_from(index + 1).expect("fewer than 2^32 - 1 distinct paths");
+        PathId(NonZeroU32::new(id).expect("index + 1 is not zero"))
+    }
+
+    /// The position of the id's path in its table.
+    pub(crate) fn index(self) -> usize {
+        self.0.get() as usize - 1
+    }
+}
 
 /// One exported update as it appears in a collector dump.
 ///
@@ -21,15 +46,16 @@ pub struct UpdateRecord {
     pub observed_at: SimTime,
     /// When the record appeared in the public dump.
     pub exported_at: SimTime,
-    /// The cleaned AS path (VP's ASN first); `None` records a withdrawal.
-    pub path: Option<CleanPath>,
+    /// The cleaned AS path (VP's ASN first), interned in the dump
+    /// ([`Dump::path`]); `None` records a withdrawal.
+    pub path: Option<PathId>,
     /// The transitive beacon stamp, possibly corrupted.
     pub aggregator: Option<AggregatorStamp>,
 }
 
 // A dump holds millions of records; a byte here is a byte per record.
 // Pinned so the record cannot grow unnoticed.
-const _: () = assert!(std::mem::size_of::<UpdateRecord>() <= 48);
+const _: () = assert!(std::mem::size_of::<UpdateRecord>() <= 40);
 
 impl UpdateRecord {
     /// True for an announcement.
@@ -73,31 +99,39 @@ struct Stream {
 /// each stream's key and its vantage point's project, so a record holds
 /// none of them. Each stream is in export order, and records with equal
 /// export times keep their collection order: the order a global stable
-/// sort by export time would leave them in. Faulted dumps are not
-/// repaired: duplicates, reordering and outage gaps reach the labeller
-/// as the collector produced them, and the outage windows come with the
-/// dump ([`Dump::vp_outages`]).
+/// sort by export time would leave them in. The path table holds each
+/// distinct clean path once; a record names its path by [`PathId`].
+/// Faulted dumps are not repaired: duplicates, reordering and outage
+/// gaps reach the labeller as the collector produced them, and the
+/// outage windows come with the dump ([`Dump::vp_outages`]).
 #[derive(Clone, Debug, Default)]
 pub struct Dump {
     records: Vec<UpdateRecord>,
     streams: Vec<Stream>,
+    paths: Vec<CleanPath>,
     vp_outages: BTreeMap<AsId, (SimTime, SimTime)>,
 }
 
 impl Dump {
     /// Lay out records given in collection order, each with its stream
-    /// key and its vantage point's project (one project per vantage
-    /// point). Within a stream, records with equal export times keep
-    /// collection order. No vantage point was dark.
-    pub fn new(records: impl IntoIterator<Item = (Prefix, AsId, Project, UpdateRecord)>) -> Self {
-        let keyed: Vec<(Prefix, AsId, Project, UpdateRecord)> = records.into_iter().collect();
+    /// key, its vantage point's project (one project per vantage point)
+    /// and its path, `None` for a withdrawal. Each path is interned and
+    /// the record's own `path` is set to its id. Within a stream,
+    /// records with equal export times keep collection order. No
+    /// vantage point was dark.
+    pub fn new(
+        records: impl IntoIterator<Item = (Prefix, AsId, Project, UpdateRecord, Option<CleanPath>)>,
+    ) -> Self {
+        let keyed: Vec<_> = records.into_iter().collect();
         let prefixes: BTreeSet<Prefix> = keyed.iter().map(|k| k.0).collect();
         let prefixes: Vec<Prefix> = prefixes.into_iter().collect();
         let vps: BTreeMap<AsId, Project> = keyed.iter().map(|k| (k.1, k.2)).collect();
         let vps: Vec<(AsId, Project)> = vps.into_iter().collect();
+        let mut paths = PathTable::default();
         let (records, tags) = keyed
             .into_iter()
-            .map(|(prefix, vantage, _, record)| {
+            .map(|(prefix, vantage, _, mut record, path)| {
+                record.path = path.map(|path| paths.intern(path));
                 let p = prefixes.binary_search(&prefix).expect("a collected prefix");
                 let v = vps.binary_search_by_key(&vantage, |&(vp, _)| vp);
                 let tag = p * vps.len() + v.expect("a collected vantage point");
@@ -105,7 +139,7 @@ impl Dump {
                 (record, tag)
             })
             .unzip();
-        Self::from_tagged(records, tags, &prefixes, &vps, BTreeMap::new())
+        Self::from_tagged(records, tags, &prefixes, &vps, paths, BTreeMap::new())
     }
 
     /// Lay out records given in collection order, each tagged
@@ -113,12 +147,14 @@ impl Dump {
     /// ascending `prefixes`, the index of its vantage point in the
     /// ascending `vps` (each with its project). A counting sort places
     /// the records in place, without a second record buffer; each
-    /// stream is then sorted by export time (stably).
+    /// stream is then sorted by export time (stably). The records' path
+    /// ids index `paths`.
     pub(crate) fn from_tagged(
         mut records: Vec<UpdateRecord>,
         mut tags: Vec<u32>,
         prefixes: &[Prefix],
         vps: &[(AsId, Project)],
+        paths: PathTable,
         vp_outages: BTreeMap<AsId, (SimTime, SimTime)>,
     ) -> Self {
         assert_eq!(records.len(), tags.len(), "one stream tag per record");
@@ -170,8 +206,18 @@ impl Dump {
         Dump {
             records,
             streams,
+            paths: paths.into_paths(),
             vp_outages,
         }
+    }
+
+    /// The clean path `id` names.
+    ///
+    /// # Panics
+    ///
+    /// When `id` is not one of this dump's ids.
+    pub fn path(&self, id: PathId) -> &CleanPath {
+        &self.paths[id.index()]
     }
 
     /// Every stream, ascending by `(prefix, vantage)`: its prefix, its
@@ -220,9 +266,10 @@ impl Dump {
         self.records.is_empty()
     }
 
-    /// Snapshot the dump into a `collector.dump` report section:
-    /// per-project record counts and the export-delay distribution, in
-    /// one pass over the streams.
+    /// Snapshot the dump into a `collector.dump` report section: the
+    /// record count, the number of distinct clean paths, per-project
+    /// record counts and the export-delay distribution, in one pass over
+    /// the streams.
     pub fn obs_section(&self) -> obs::Section {
         // Bounds span the projects' export-delay models (seconds to a
         // couple of minutes).
@@ -237,6 +284,7 @@ impl Dump {
         }
         let mut section = obs::Section::new("collector.dump");
         section.counter("records", self.records.len() as u64);
+        section.counter("paths", self.paths.len() as u64);
         for project in Project::ALL {
             let slug = project.name().to_lowercase().replace(' ', "_");
             let count = per_project.get(&project).copied().unwrap_or(0);
@@ -276,7 +324,7 @@ impl Dump {
 mod tests {
     use super::*;
 
-    type Keyed = (Prefix, AsId, Project, UpdateRecord);
+    type Keyed = (Prefix, AsId, Project, UpdateRecord, Option<CleanPath>);
 
     fn prefix() -> Prefix {
         "10.0.0.0/24".parse().unwrap()
@@ -286,7 +334,7 @@ mod tests {
         let record = UpdateRecord {
             observed_at: SimTime::from_secs(t),
             exported_at: SimTime::from_secs(t + 10),
-            path: announced.then(|| CleanPath::from_asns(&[AsId(vp), AsId(9)])),
+            path: None,
             aggregator: announced.then(|| {
                 let s = AggregatorStamp::new(SimTime::from_secs(t.saturating_sub(2)));
                 if valid {
@@ -296,7 +344,17 @@ mod tests {
                 }
             }),
         };
-        (prefix(), AsId(vp), Project::Isolario, record)
+        let path = announced.then(|| CleanPath::from_asns(&[AsId(vp), AsId(9)]));
+        (prefix(), AsId(vp), Project::Isolario, record, path)
+    }
+
+    /// Every record with its path resolved beside it, its id cleared.
+    fn resolved(d: &Dump) -> Vec<(UpdateRecord, Option<CleanPath>)> {
+        let resolve = |mut r: UpdateRecord| {
+            let path = r.path.take().map(|id| d.path(id).clone());
+            (r, path)
+        };
+        d.records().into_iter().map(resolve).collect()
     }
 
     #[test]
@@ -356,7 +414,10 @@ mod tests {
         let mut second = rec(1, 10, false, true);
         second.3.observed_at = SimTime::from_secs(12);
         let d = Dump::new([rec(1, 40, true, true), first.clone(), second.clone()]);
-        assert_eq!(d.records()[..2], [first.3, second.3]);
+        assert_eq!(
+            resolved(&d)[..2],
+            [(first.3, first.4), (second.3, second.4)]
+        );
     }
 
     #[test]
@@ -374,8 +435,8 @@ mod tests {
             .collect();
         let mut want = keyed.clone();
         want.sort_by_key(|k| (k.0, k.1, k.3.exported_at));
-        let want: Vec<UpdateRecord> = want.into_iter().map(|k| k.3).collect();
-        assert_eq!(Dump::new(keyed).records(), want);
+        let want: Vec<_> = want.into_iter().map(|k| (k.3, k.4)).collect();
+        assert_eq!(resolved(&Dump::new(keyed)), want);
     }
 
     #[test]
@@ -398,6 +459,8 @@ mod tests {
         let section = d.obs_section();
         assert_eq!(section.name, "collector.dump");
         assert_eq!(section.get("records"), Some(&obs::Value::Counter(3)));
+        // Two announced paths, 1-9 and 3-9; the withdrawal has none.
+        assert_eq!(section.get("paths"), Some(&obs::Value::Counter(2)));
         assert_eq!(
             section.get("records.isolario"),
             Some(&obs::Value::Counter(2))

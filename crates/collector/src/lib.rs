@@ -17,19 +17,22 @@
 //!   drawn by a [`netsim::faults::FaultPlan`]
 //!   (`FaultSpec::vp_outage_rate`); every window and every record it
 //!   drops is counted in `FaultCounters`;
-//! * every announced path is **cleaned** as it is recorded
-//!   ([`clean::clean_path`]: prepending collapsed, looped and empty paths
-//!   not recorded), as the paper cleans its paths (§4.2).
+//! * every announced path is **cleaned** as it is recorded, once per
+//!   distinct path ([`clean::clean_path`]: prepending collapsed, looped
+//!   and empty paths not recorded), as the paper cleans its paths (§4.2).
 //!
 //! This crate is the one place that cleans a path or draws a VP's dark
-//! window. The output is a [`dump::Dump`] of [`dump::UpdateRecord`]s
-//! carrying [`clean::CleanPath`]s, laid out stream-major: one stream per
+//! window. A run's taps can be collected in slices, as the simulation
+//! produces them ([`project::Collection`]). The output is a
+//! [`dump::Dump`] of [`dump::UpdateRecord`]s naming their
+//! [`clean::CleanPath`]s by [`dump::PathId`] in the dump's path table
+//! ([`dump::Dump::path`]), laid out stream-major: one stream per
 //! `(prefix, vantage)` pair — the unit the paper labels — in ascending
 //! `(prefix, vantage)` order, each stream in export order with equal
 //! export times in collection order. A stream's key and its VP's
 //! project are kept once, in the dump's stream table, which collection
 //! builds from the stream tags it assigns; a record holds only its
-//! times, path and stamp. The dump also records the outage windows the
+//! times, path id and stamp. The dump also records the outage windows the
 //! collector applied ([`dump::Dump::vp_outages`]), which labeling reads.
 //! Consumers read streams with their keys ([`dump::Dump::streams`]);
 //! labeling and the heuristics read only their own prefix's streams
@@ -37,8 +40,9 @@
 
 pub mod clean;
 pub mod dump;
+mod paths;
 pub mod project;
 
 pub use clean::{clean_path, CleanPath};
-pub use dump::{Dump, UpdateRecord};
-pub use project::{CollectorConfig, CollectorSet, Project};
+pub use dump::{Dump, PathId, UpdateRecord};
+pub use project::{Collection, CollectorConfig, CollectorSet, Project};

@@ -9,8 +9,8 @@ use bgpsim::{AsId, Prefix, TapRecord};
 use netsim::faults::{ExportFault, FaultCounters, FaultPlan};
 use netsim::{SimDuration, SimRng, SimTime};
 
-use crate::clean::clean_path;
 use crate::dump::{Dump, UpdateRecord};
+use crate::paths::PathTable;
 
 /// The three route-collector projects of the paper.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash, Serialize, Deserialize)]
@@ -130,19 +130,9 @@ impl CollectorSet {
 
     /// Turn raw tap records into a collector dump, applying per-project
     /// export delays, the configured observation noise and the optional
-    /// injected [`FaultPlan`].
-    ///
-    /// Each announced path is cleaned as it is recorded
-    /// ([`clean_path`]); an announcement whose path cleaning rejects
-    /// (looped or empty) is not recorded and draws nothing.
-    ///
-    /// `horizon` is the campaign end: the plan's VP outage windows start
-    /// inside `[0, horizon)`, and the dump keeps the windows it applied
-    /// ([`Dump::vp_outages`]). The fault machinery draws only from the
-    /// plan's own decorrelated streams, so a plan never perturbs the
-    /// collector-noise sequence. Every injected fault is tallied in
-    /// `counters`. Random draws happen in tap order; the dump is then
-    /// laid out stream-major (see [`Dump`]).
+    /// injected [`FaultPlan`]: one [`CollectorSet::collection`] fed all
+    /// of `taps` at once (see there). Every injected fault is tallied in
+    /// `counters`.
     pub fn process_with_faults(
         &self,
         taps: &[TapRecord],
@@ -151,14 +141,40 @@ impl CollectorSet {
         plan: Option<&FaultPlan>,
         counters: &mut FaultCounters,
     ) -> Dump {
-        let mut rng = SimRng::new(config.seed).split("collector-noise");
+        let mut collection = self.collection(config, horizon, plan);
+        collection.push(taps);
+        collection.finish(counters)
+    }
 
+    /// Start collecting a run's taps: feed them in (time, prefix) order,
+    /// in as many [`Collection::push`] slices as suits the caller, and
+    /// [`Collection::finish`] the dump. However the taps are sliced, the
+    /// dump and the fault tallies are the same.
+    ///
+    /// Each announced path is cleaned as it is recorded
+    /// ([`clean_path`](crate::clean_path)), once per distinct path; an
+    /// announcement whose path cleaning rejects (looped or empty) is not
+    /// recorded and draws nothing.
+    ///
+    /// `horizon` is the campaign end: the plan's VP outage windows start
+    /// inside `[0, horizon)`, and the dump keeps the windows it applied
+    /// ([`Dump::vp_outages`]). The fault machinery draws only from the
+    /// plan's own decorrelated streams, so a plan never perturbs the
+    /// collector-noise sequence. Random draws happen in tap order; the
+    /// dump is then laid out stream-major (see [`Dump`]).
+    pub fn collection<'p>(
+        &self,
+        config: &CollectorConfig,
+        horizon: SimTime,
+        plan: Option<&'p FaultPlan>,
+    ) -> Collection<'p> {
         // The registered VPs, ascending, with their projects, and each
         // one's faults: pure functions of the plan's seed, drawn up front.
         let horizon_dur = horizon.saturating_since(SimTime::ZERO);
         let vps: Vec<(AsId, Project)> = self.assignments.iter().map(|(&v, &p)| (v, p)).collect();
+        let mut counters = FaultCounters::default();
         let mut vp_outages = BTreeMap::new();
-        let mut faults: Vec<Option<VpFaults>> = vps
+        let faults = vps
             .iter()
             .map(|&(vp, _)| {
                 let plan = plan?;
@@ -185,45 +201,88 @@ impl CollectorSet {
                 Some(faults)
             })
             .collect();
+        Collection {
+            rng: SimRng::new(config.seed).split("collector-noise"),
+            aggregator_corruption: config.aggregator_corruption,
+            plan,
+            vps,
+            faults,
+            vp_outages,
+            counters,
+            prefix_ids: Vec::new(),
+            paths: PathTable::default(),
+            records: Vec::new(),
+            tags: Vec::new(),
+        }
+    }
+}
 
-        // Each kept record is tagged `prefix id × |VPs| + VP index`, the
-        // prefix id counting prefixes in order of first sight; the ids
-        // are ranked once all prefixes are known.
-        let mut prefix_ids: Vec<(Prefix, u32)> = Vec::new();
-        let mut records = Vec::with_capacity(taps.len());
-        let mut tags: Vec<u32> = Vec::with_capacity(taps.len());
+/// One run's collection in progress ([`CollectorSet::collection`]).
+///
+/// It holds the collector-noise stream, each VP's faults, the prefixes
+/// in order of first sight, the path table and the records kept so far,
+/// so the taps it was fed can be dropped.
+#[derive(Debug)]
+pub struct Collection<'p> {
+    rng: SimRng,
+    aggregator_corruption: f64,
+    plan: Option<&'p FaultPlan>,
+    /// The registered VPs, ascending, with their projects.
+    vps: Vec<(AsId, Project)>,
+    /// Per VP (as in `vps`), its faults under the plan.
+    faults: Vec<Option<VpFaults>>,
+    vp_outages: BTreeMap<AsId, (SimTime, SimTime)>,
+    /// The faults injected so far.
+    counters: FaultCounters,
+    /// Each prefix seen, sorted, with its id: prefixes count in order of
+    /// first sight.
+    prefix_ids: Vec<(Prefix, u32)>,
+    paths: PathTable,
+    records: Vec<UpdateRecord>,
+    /// Per record, `prefix id × |VPs| + VP index`.
+    tags: Vec<u32>,
+}
+
+impl Collection<'_> {
+    /// Collect the next taps of the run. Each slice must follow the one
+    /// before it in (time, prefix) order, as the slices
+    /// `Network::take_tap_log` returns after each run do.
+    pub fn push(&mut self, taps: &[TapRecord]) {
+        self.records.reserve(taps.len());
+        self.tags.reserve(taps.len());
+        let n_vps = self.vps.len() as u32;
         for tap in taps {
-            let Ok(v) = vps.binary_search_by_key(&tap.vantage, |&(vp, _)| vp) else {
+            let Ok(v) = self.vps.binary_search_by_key(&tap.vantage, |&(vp, _)| vp) else {
                 continue; // not a registered full-feed peer
             };
             let (path, mut aggregator) = match &tap.route {
-                Some(route) => match clean_path(&route.path) {
+                Some(route) => match self.paths.intern_tap(&route.path) {
                     Some(path) => (Some(path), route.aggregator),
                     None => continue, // looped or empty: dropped by cleaning
                 },
                 None => (None, None),
             };
-            let project = vps[v].1;
+            let project = self.vps[v].1;
             // Per-record fault draws, in a fixed order (loss, dup, skew)
             // so the stream stays aligned whatever the rates are.
             let mut duplicate = false;
             let mut reorder_skew_ms = 0u64;
-            if let (Some(f), Some(plan)) = (&mut faults[v], plan) {
+            if let (Some(f), Some(plan)) = (&mut self.faults[v], self.plan) {
                 if let Some((o0, o1)) = f.outage {
                     if tap.time >= o0 && tap.time < o1 {
-                        counters.records_outage_dropped += 1;
+                        self.counters.records_outage_dropped += 1;
                         continue; // vantage point was dark
                     }
                 }
                 if let Some(cut) = f.export.truncate_at {
                     if tap.time >= cut {
-                        counters.records_truncated += 1;
+                        self.counters.records_truncated += 1;
                         continue; // dump was truncated before this record
                     }
                 }
                 let spec = plan.spec();
                 if f.records.chance(spec.loss_rate) {
-                    counters.records_lost += 1;
+                    self.counters.records_lost += 1;
                     continue;
                 }
                 duplicate = f.records.chance(spec.duplication_rate);
@@ -231,11 +290,11 @@ impl CollectorSet {
                     reorder_skew_ms = f.records.below(spec.reorder_skew.as_millis().max(1));
                 }
             }
-            let mut exported_at = project.export_time(tap.time, &mut rng);
-            if let Some(f) = &faults[v] {
+            let mut exported_at = project.export_time(tap.time, &mut self.rng);
+            if let Some(f) = &self.faults[v] {
                 let mut ms = exported_at.as_millis() as i64;
                 if reorder_skew_ms > 0 {
-                    counters.records_reordered += 1;
+                    self.counters.records_reordered += 1;
                     ms += reorder_skew_ms as i64;
                 }
                 ms += f.clock_skew_ms;
@@ -243,7 +302,7 @@ impl CollectorSet {
                 exported_at = SimTime::from_millis(ms.max(0) as u64);
             }
             if let Some(stamp) = aggregator {
-                if rng.chance(config.aggregator_corruption) {
+                if self.rng.chance(self.aggregator_corruption) {
                     aggregator = Some(stamp.corrupted());
                 }
             }
@@ -253,6 +312,7 @@ impl CollectorSet {
                 path,
                 aggregator,
             };
+            let prefix_ids = &mut self.prefix_ids;
             let prefix_id = match prefix_ids.binary_search_by_key(&tap.prefix, |&(p, _)| p) {
                 Ok(i) => prefix_ids[i].1,
                 Err(i) => {
@@ -261,15 +321,31 @@ impl CollectorSet {
                     id
                 }
             };
-            let tag = prefix_id * vps.len() as u32 + v as u32;
+            let tag = prefix_id * n_vps + v as u32;
             if duplicate {
-                counters.records_duplicated += 1;
-                records.push(record.clone());
-                tags.push(tag);
+                self.counters.records_duplicated += 1;
+                self.records.push(record.clone());
+                self.tags.push(tag);
             }
-            records.push(record);
-            tags.push(tag);
+            self.records.push(record);
+            self.tags.push(tag);
         }
+    }
+
+    /// The dump of every tap pushed, laid out stream-major; the faults
+    /// the collection injected are added to `counters`.
+    pub fn finish(self, counters: &mut FaultCounters) -> Dump {
+        let Collection {
+            vps,
+            vp_outages,
+            counters: injected,
+            prefix_ids,
+            paths,
+            records,
+            mut tags,
+            ..
+        } = self;
+        counters.add(&injected);
         // `prefix_ids` is sorted by prefix, so its positions rank the ids.
         let mut rank = vec![0u32; prefix_ids.len()];
         for (r, &(_, id)) in prefix_ids.iter().enumerate() {
@@ -280,7 +356,7 @@ impl CollectorSet {
             *tag = rank[(*tag / n_vps) as usize] * n_vps + *tag % n_vps;
         }
         let prefixes: Vec<Prefix> = prefix_ids.into_iter().map(|(p, _)| p).collect();
-        Dump::from_tagged(records, tags, &prefixes, &vps, vp_outages)
+        Dump::from_tagged(records, tags, &prefixes, &vps, paths, vp_outages)
     }
 }
 

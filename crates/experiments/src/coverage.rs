@@ -10,16 +10,17 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bgpsim::{AsId, Prefix};
-use collector::{CleanPath, Dump, Project, UpdateRecord};
+use collector::{Dump, PathId, Project, UpdateRecord};
 use netsim::stats::Ecdf;
 use netsim::SimTime;
 
-/// The distinct paths of a stream's valid announcements.
-fn distinct_valid_paths(stream: &[UpdateRecord]) -> BTreeSet<&CleanPath> {
+/// The distinct paths of a stream's valid announcements, as ids into
+/// its dump.
+fn distinct_valid_paths(stream: &[UpdateRecord]) -> BTreeSet<PathId> {
     stream
         .iter()
         .filter(|r| r.is_valid_announcement())
-        .filter_map(|r| r.path.as_ref())
+        .filter_map(|r| r.path)
         .collect()
 }
 
@@ -65,7 +66,7 @@ pub fn link_coverage(dump: &Dump, site_prefixes: &BTreeMap<AsId, Vec<Prefix>>) -
         let on_first = first.is_some_and(|f| sites.contains(f));
         for (_, _, _, stream) in dump.streams_of(prefix) {
             for path in distinct_valid_paths(stream) {
-                for (a, b) in path.links() {
+                for (a, b) in dump.path(path).links() {
                     let seen = links.entry((a.min(b), a.max(b))).or_default();
                     seen.sites.extend(sites);
                     seen.paths += 1;
@@ -115,7 +116,7 @@ pub struct ProjectShare {
 pub fn project_shares(dump: &Dump) -> BTreeMap<Project, ProjectShare> {
     let mut observations: BTreeMap<Project, usize> = BTreeMap::new();
     // The projects that saw each path.
-    let mut seen_by: BTreeMap<&CleanPath, BTreeSet<Project>> = BTreeMap::new();
+    let mut seen_by: BTreeMap<PathId, BTreeSet<Project>> = BTreeMap::new();
     for (_, _, project, stream) in dump.streams() {
         let paths = distinct_valid_paths(stream);
         *observations.entry(project).or_default() += paths.len();
@@ -199,6 +200,7 @@ pub fn propagation(dump: &Dump, prefixes: &[Prefix]) -> Propagation {
 mod tests {
     use super::*;
     use crate::pipeline::{run_campaign, CampaignOutput, ExperimentConfig};
+    use collector::CleanPath;
 
     fn output() -> CampaignOutput {
         run_campaign(&ExperimentConfig::small(1, 41))
@@ -229,7 +231,7 @@ mod tests {
                     set.extend(
                         distinct_valid_paths(stream)
                             .into_iter()
-                            .map(|p| (vp, prefix, p)),
+                            .map(|p| (vp, prefix, out.dump.path(p))),
                     );
                 }
             }

@@ -2,10 +2,11 @@
 //! simulation → collector dumps → labeled paths.
 //!
 //! [`measure`] is the one place that fixes the measurement's order —
-//! fault plan → run → collect → label — for the campaign
-//! ([`run_campaign`]) and for every hand-built network alike. Collection
-//! cleans the paths and records the VP-outage windows it applied;
-//! labeling reads those windows from the dump.
+//! fault plan → run a slice → collect it → … → lay out → label — for
+//! the campaign ([`run_campaign`]) and for every hand-built network
+//! alike. Collection cleans each distinct path once and records the
+//! VP-outage windows it applied; labeling reads those windows from the
+//! dump.
 
 use std::collections::BTreeMap;
 
@@ -182,7 +183,8 @@ pub fn run_campaign(config: &ExperimentConfig) -> CampaignOutput {
         .span_secs("topology_secs", topology_secs)
         .span_secs("simulate_secs", m.simulate_secs)
         .span_secs("collect_secs", m.collect_secs)
-        .span_secs("label_secs", m.label_secs);
+        .span_secs("label_secs", m.label_secs)
+        .counter("collect_slices", m.collect_slices);
     report.merge(m.report);
 
     CampaignOutput {
@@ -220,22 +222,51 @@ pub struct Measurement {
     pub events_processed: u64,
     /// BGP updates delivered.
     pub updates_delivered: u64,
-    /// Wall-clock seconds running the network to quiescence.
+    /// Wall-clock seconds running the network to quiescence, summed
+    /// over the slices.
     pub simulate_secs: f64,
-    /// Wall-clock seconds turning the taps into a dump.
+    /// Wall-clock seconds turning the taps into a dump: every slice's
+    /// push plus the final layout.
     pub collect_secs: f64,
+    /// The run slices collected.
+    pub collect_slices: u64,
     /// Wall-clock seconds labeling the dump.
     pub label_secs: f64,
+}
+
+/// The simulated time between two collection cuts. [`measure`] runs the
+/// network to each whole hour up to the campaign end, and then to
+/// quiescence, collecting each slice's taps before the next runs. Every
+/// cut ends in a barrier across the simulation lanes, so finer cuts cost
+/// wall time (15-minute cuts: `rfd_small` +24%), and coarser ones keep
+/// more taps alive at once (cuts at burst and break ends only left half
+/// of a six-interval campaign's taps in one slice): see DESIGN.md §6.
+const COLLECT_EVERY: SimDuration = SimDuration::from_hours(1);
+
+/// The times [`measure`] runs the network to, in order: every whole
+/// simulated hour until one reaches the campaign end `horizon`, then
+/// [`SimTime::MAX`] (quiescence).
+pub fn collection_cuts(horizon: SimTime) -> impl Iterator<Item = SimTime> {
+    let every = COLLECT_EVERY.as_millis();
+    let slices = horizon
+        .saturating_since(SimTime::ZERO)
+        .as_millis()
+        .div_ceil(every);
+    (1..=slices)
+        .map(move |k| SimTime::from_millis(k * every))
+        .chain([SimTime::MAX])
 }
 
 /// Measure a built network the way the paper does (§4): run the beacons,
 /// collect the dumps at the vantage points, label every Burst–Break pair.
 ///
 /// `net` comes with its vantage-point taps attached and `schedules`
-/// (plus any anchors) already applied. The fault plan `faults` spans the
-/// latest end among `schedules`; its session resets go into the
-/// network's queue before the run and its VP-level faults into
-/// collection. Labeling reads the outage windows the collector applied
+/// (plus any anchors) already applied. The network runs in slices
+/// ([`collection_cuts`]), and each slice's taps are collected and dropped
+/// before the next slice runs; slicing changes nothing the run or the
+/// dump holds. The fault plan `faults` spans the latest end among
+/// `schedules`; its session resets go into the network's queue before
+/// the run and its VP-level faults into collection. Labeling reads the outage windows the collector applied
 /// from the dump, and marks the pairs an outage swallowed as
 /// unobservable rather than clean. `trace` attaches a
 /// 2¹⁶-event trace buffer to the network.
@@ -257,30 +288,31 @@ pub fn measure(
         net.apply_faults(plan, horizon - SimTime::ZERO);
     }
 
-    // The queue drains once all RFD reuse timers past the last break
-    // have fired.
-    let clock = obs::Stopwatch::start();
-    net.run_to_quiescence();
-    let simulate_secs = clock.elapsed_secs();
+    // Run and collect slice by slice, so the tap log never holds more
+    // than one slice; the last slice drains the queue once all RFD reuse
+    // timers past the last break have fired.
+    let mut collection = collectors.collection(collector, horizon, plan.as_ref());
+    let (mut simulate_secs, mut collect_secs, mut collect_slices) = (0.0, 0.0, 0);
+    for cut in collection_cuts(horizon) {
+        let clock = obs::Stopwatch::start();
+        net.run_until(cut);
+        simulate_secs += clock.elapsed_secs();
+        let clock = obs::Stopwatch::start();
+        collection.push(&net.take_tap_log());
+        collect_secs += clock.elapsed_secs();
+        collect_slices += 1;
+    }
     let events_processed = net.events_processed();
     let updates_delivered = net.delivered();
     let mut fault_counters = net.fault_counters().clone();
-    let taps = net.take_tap_log();
     let mut report = obs::RunReport::new("measurement");
     net.export_obs(&mut report);
     let trace = net.take_trace();
     drop(net);
 
     let clock = obs::Stopwatch::start();
-    let dump = collectors.process_with_faults(
-        &taps,
-        collector,
-        horizon,
-        plan.as_ref(),
-        &mut fault_counters,
-    );
-    let collect_secs = clock.elapsed_secs();
-    drop(taps);
+    let dump = collection.finish(&mut fault_counters);
+    collect_secs += clock.elapsed_secs();
 
     let clock = obs::Stopwatch::start();
     let labels: Vec<LabeledPath> = schedules
@@ -307,6 +339,7 @@ pub fn measure(
         updates_delivered,
         simulate_secs,
         collect_secs,
+        collect_slices,
         label_secs,
     }
 }

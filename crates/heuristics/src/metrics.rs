@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use beacon::{BeaconSchedule, Phase};
 use bgpsim::{AsId, Prefix};
-use collector::{CleanPath, Dump};
+use collector::{Dump, PathId};
 use netsim::stats::{linear_fit_bins, Histogram};
 use signature::LabeledPath;
 
@@ -170,13 +170,13 @@ pub fn burst_histograms(
     // One histogram per distinct clean path, added into the histogram of
     // each of its ASs. Bin heights are counts, so the order of the
     // additions does not matter.
-    let mut by_path: HashMap<&CleanPath, Histogram> = HashMap::new();
+    let mut by_path: HashMap<PathId, Histogram> = HashMap::new();
     let records = dump
         .streams_of(schedule.prefix)
         .flat_map(|(_, _, _, stream)| stream);
     for record in records {
         // The validity filter: an announcement with a valid stamp.
-        let (Some(path), Some(sent)) = (record.path.as_ref(), record.beacon_time()) else {
+        let (Some(path), Some(sent)) = (record.path, record.beacon_time()) else {
             continue;
         };
         // Locate the burst this announcement belongs to.
@@ -198,8 +198,8 @@ pub fn burst_histograms(
             .push(rel.min(1.0 - 1e-9));
     }
     let mut histograms: BTreeMap<AsId, Histogram> = BTreeMap::new();
-    for (path, h) in &by_path {
-        for &a in path.asns() {
+    for (&path, h) in &by_path {
+        for &a in dump.path(path).asns() {
             histograms
                 .entry(a)
                 .or_insert_with(|| Histogram::new(0.0, 1.0, bins))
@@ -250,6 +250,7 @@ pub fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use collector::CleanPath;
     use netsim::{SimDuration, SimTime};
 
     fn lp(vantage: u32, path: &[u32], rfd: bool) -> LabeledPath {
@@ -323,10 +324,17 @@ mod tests {
             let record = UpdateRecord {
                 observed_at: arrival,
                 exported_at: arrival,
-                path: Some(CleanPath::from_asns(&[AsId(900), AsId(via), AsId(65000)])),
+                path: None,
                 aggregator: Some(AggregatorStamp::new(sent)),
             };
-            (schedule.prefix, AsId(900), Project::Isolario, record)
+            let path = CleanPath::from_asns(&[AsId(900), AsId(via), AsId(65000)]);
+            (
+                schedule.prefix,
+                AsId(900),
+                Project::Isolario,
+                record,
+                Some(path),
+            )
         };
         let mut records = Vec::new();
         for (j, e) in schedule.burst_events(0).iter().enumerate() {

@@ -342,6 +342,32 @@ impl FaultCounters {
             + self.clock_skewed_vps
     }
 
+    /// Add `other`'s tallies to these.
+    pub fn add(&mut self, other: &FaultCounters) {
+        let FaultCounters {
+            vp_outages,
+            records_outage_dropped,
+            session_resets,
+            updates_dropped_down,
+            records_lost,
+            records_duplicated,
+            records_reordered,
+            records_truncated,
+            exports_delayed,
+            clock_skewed_vps,
+        } = other;
+        self.vp_outages += vp_outages;
+        self.records_outage_dropped += records_outage_dropped;
+        self.session_resets += session_resets;
+        self.updates_dropped_down += updates_dropped_down;
+        self.records_lost += records_lost;
+        self.records_duplicated += records_duplicated;
+        self.records_reordered += records_reordered;
+        self.records_truncated += records_truncated;
+        self.exports_delayed += exports_delayed;
+        self.clock_skewed_vps += clock_skewed_vps;
+    }
+
     /// The `faults` section of a run report.
     pub fn obs_section(&self) -> obs::Section {
         let mut section = obs::Section::new("faults");

@@ -27,6 +27,7 @@
 
 pub mod engine;
 pub mod faults;
+pub mod hash;
 pub mod rng;
 pub mod stats;
 pub mod time;

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use beacon::BeaconSchedule;
 use bgpsim::{AsId, Prefix};
-use collector::{CleanPath, Dump, UpdateRecord};
+use collector::{CleanPath, Dump, PathId, UpdateRecord};
 use netsim::{SimDuration, SimTime};
 
 /// Detection thresholds.
@@ -49,8 +49,9 @@ impl Default for LabelingConfig {
 pub struct PairOutcome {
     /// Burst index.
     pub burst: usize,
-    /// The path this pair is attributed to (the steady/re-advertised one).
-    pub path: CleanPath,
+    /// The path this pair is attributed to (the steady/re-advertised
+    /// one), as an id into the records' dump ([`Dump::path`]).
+    pub path: PathId,
     /// Observed r-delta (last burst update → re-advertisement, the §4.2
     /// labeling quantity), when a break re-advertisement existed.
     pub r_delta: Option<SimDuration>,
@@ -144,22 +145,23 @@ pub fn label_dump_with_outages(
     let mut out = Vec::new();
     for (_, vantage, _, records) in dump.streams_of(prefix) {
         let outage = outages.get(&vantage).copied();
-        let mut per_path: BTreeMap<CleanPath, LabeledPath> = BTreeMap::new();
+        // Keyed by the path itself, not its id: labels come out in path
+        // order, and ids count paths in order of first sight.
+        let mut per_path: BTreeMap<&CleanPath, LabeledPath> = BTreeMap::new();
         for o in pair_outcomes_with_outage(records, schedule, config, outage) {
-            let l = per_path
-                .entry(o.path.clone())
-                .or_insert_with(|| LabeledPath {
-                    vantage,
-                    prefix,
-                    path: o.path,
-                    pairs_total: 0,
-                    pairs_matching: 0,
-                    r_deltas: Vec::new(),
-                    break_deltas: Vec::new(),
-                    pairs_unobservable: 0,
-                    rfd: false,
-                    unobservable: false,
-                });
+            let path = dump.path(o.path);
+            let l = per_path.entry(path).or_insert_with(|| LabeledPath {
+                vantage,
+                prefix,
+                path: path.clone(),
+                pairs_total: 0,
+                pairs_matching: 0,
+                r_deltas: Vec::new(),
+                break_deltas: Vec::new(),
+                pairs_unobservable: 0,
+                rfd: false,
+                unobservable: false,
+            });
             if !o.observable {
                 l.pairs_unobservable += 1;
                 continue;
@@ -266,7 +268,7 @@ pub fn pair_outcomes_with_outage(
         // present, otherwise the last announced path of the burst.
         let path_record =
             re_adv.or_else(|| in_burst.iter().rev().find(|r| r.path.is_some()).copied());
-        let Some(path) = path_record.and_then(|r| r.path.clone()) else {
+        let Some(path) = path_record.and_then(|r| r.path) else {
             continue; // only withdrawals seen: nothing to attribute
         };
 
@@ -314,20 +316,43 @@ mod tests {
         ids.iter().map(|&i| AsId(i)).collect()
     }
 
-    type Keyed = (Prefix, AsId, Project, UpdateRecord);
+    type Keyed = (Prefix, AsId, Project, UpdateRecord, Option<CleanPath>);
 
-    /// A collected record: its path, if any, already clean.
-    fn rec(t: SimTime, announced: bool, stamp: Option<SimTime>, path: &[u32]) -> UpdateRecord {
-        UpdateRecord {
-            observed_at: t,
-            exported_at: t,
-            path: announced.then(|| CleanPath::from_asns(&asns(path))),
-            aggregator: stamp.map(AggregatorStamp::new),
+    /// A collected record with its clean path beside it, as
+    /// [`Dump::new`] takes them; it reads as its record.
+    #[derive(Clone, Debug)]
+    struct Rec {
+        record: UpdateRecord,
+        path: Option<CleanPath>,
+    }
+
+    impl std::ops::Deref for Rec {
+        type Target = UpdateRecord;
+        fn deref(&self) -> &UpdateRecord {
+            &self.record
         }
     }
 
+    impl std::ops::DerefMut for Rec {
+        fn deref_mut(&mut self) -> &mut UpdateRecord {
+            &mut self.record
+        }
+    }
+
+    /// A collected record: its path, if any, already clean.
+    fn rec(t: SimTime, announced: bool, stamp: Option<SimTime>, path: &[u32]) -> Rec {
+        let record = UpdateRecord {
+            observed_at: t,
+            exported_at: t,
+            path: None,
+            aggregator: stamp.map(AggregatorStamp::new),
+        };
+        let path = announced.then(|| CleanPath::from_asns(&asns(path)));
+        Rec { record, path }
+    }
+
     /// A faithful non-RFD stream: every beacon event arrives ~30 s later.
-    fn non_rfd_stream(s: &BeaconSchedule) -> Vec<UpdateRecord> {
+    fn non_rfd_stream(s: &BeaconSchedule) -> Vec<Rec> {
         let lag = SimDuration::from_secs(30);
         let mut v = vec![rec(s.start + lag, true, Some(s.start), &[900, 100, 65000])];
         for i in 0..s.cycles {
@@ -346,7 +371,7 @@ mod tests {
 
     /// An RFD stream: the first 10 burst updates arrive, then silence,
     /// then a re-advertisement 40 minutes into the break.
-    fn rfd_stream(s: &BeaconSchedule) -> Vec<UpdateRecord> {
+    fn rfd_stream(s: &BeaconSchedule) -> Vec<Rec> {
         let lag = SimDuration::from_secs(30);
         let mut v = vec![rec(s.start + lag, true, Some(s.start), &[900, 100, 65000])];
         for i in 0..s.cycles {
@@ -377,19 +402,19 @@ mod tests {
     }
 
     /// `records` as `vp`'s stream for `prefix`, in collection order.
-    fn keyed(prefix: Prefix, vp: u32, records: Vec<UpdateRecord>) -> Vec<Keyed> {
+    fn keyed(prefix: Prefix, vp: u32, records: Vec<Rec>) -> Vec<Keyed> {
         records
             .into_iter()
-            .map(|r| (prefix, AsId(vp), Project::Isolario, r))
+            .map(|r| (prefix, AsId(vp), Project::Isolario, r.record, r.path))
             .collect()
     }
 
     /// `records` as VP 900's stream for the schedule's prefix.
-    fn dump(records: Vec<UpdateRecord>, s: &BeaconSchedule) -> Dump {
+    fn dump(records: Vec<Rec>, s: &BeaconSchedule) -> Dump {
         Dump::new(keyed(s.prefix, 900, records))
     }
 
-    fn label(records: Vec<UpdateRecord>, s: &BeaconSchedule) -> Vec<LabeledPath> {
+    fn label(records: Vec<Rec>, s: &BeaconSchedule) -> Vec<LabeledPath> {
         label_dump(&dump(records, s), s)
     }
 
@@ -398,7 +423,7 @@ mod tests {
     }
 
     /// `records` with VP 901 in place of VP 900 at the head of each path.
-    fn via_vp_901(mut records: Vec<UpdateRecord>) -> Vec<UpdateRecord> {
+    fn via_vp_901(mut records: Vec<Rec>) -> Vec<Rec> {
         for r in records.iter_mut() {
             if let Some(path) = &r.path {
                 let mut asns: Vec<AsId> = path.asns().to_vec();
@@ -531,7 +556,7 @@ mod tests {
     fn pairs_without_data_are_skipped() {
         let s = schedule();
         // Data only for burst 0; bursts 1 and 2 silent.
-        let records: Vec<UpdateRecord> = non_rfd_stream(&s)
+        let records: Vec<Rec> = non_rfd_stream(&s)
             .into_iter()
             .filter(|r| r.exported_at < s.burst_end(0) + SimDuration::from_mins(2))
             .collect();

@@ -68,8 +68,11 @@ fn only_record(dump: &Dump) -> &UpdateRecord {
 fn a_prepended_tap_path_is_recorded_collapsed() {
     let t = SimTime::from_secs(10);
     let dump = collect(&[announce(t, t, path(&[900, 100, 100, 100, 65000]))]);
-    let recorded = only_record(&dump).path.as_ref().expect("an announcement");
-    assert_eq!(recorded.asns(), &[AsId(900), AsId(100), AsId(65000)]);
+    let recorded = only_record(&dump).path.expect("an announcement");
+    assert_eq!(
+        dump.path(recorded).asns(),
+        &[AsId(900), AsId(100), AsId(65000)]
+    );
 }
 
 #[test]
@@ -93,8 +96,8 @@ fn a_clean_tap_path_is_shared_not_copied() {
     let tap = announce(t, t, path(&[900, 100, 65000]));
     let dump = collect(std::slice::from_ref(&tap));
     let tapped = &tap.route.as_ref().expect("an announcement").path;
-    let recorded = only_record(&dump).path.as_ref().expect("an announcement");
-    assert!(std::ptr::eq(recorded.asns(), tapped.asns()));
+    let recorded = only_record(&dump).path.expect("an announcement");
+    assert!(std::ptr::eq(dump.path(recorded).asns(), tapped.asns()));
 }
 
 #[test]

@@ -38,10 +38,10 @@ fn reference_burst_distribution(
             .saturating_since(schedule.burst_start(burst))
             .as_secs_f64()
             / schedule.burst_duration.as_secs_f64();
-        let Some(path) = &record.path else {
+        let Some(path) = record.path else {
             continue;
         };
-        for &a in path.asns() {
+        for &a in dump.path(path).asns() {
             histograms
                 .entry(a)
                 .or_insert_with(|| Histogram::new(0.0, 1.0, bins))

@@ -82,7 +82,7 @@ fn every_stream_holds_exactly_its_vantage_points_records_for_its_prefix() {
     for (prefix, vp, project, stream) in dump.streams() {
         projects.entry(vp).or_default().insert(project);
         let kept = stream.iter().map(|r| {
-            let path = r.path.as_ref().map(|p| p.asns().to_vec());
+            let path = r.path.map(|p| dump.path(p).asns().to_vec());
             let stamp = r.aggregator.map(|s| (s.sent_at, s.valid));
             (r.observed_at, path, stamp)
         });

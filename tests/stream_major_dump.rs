@@ -118,20 +118,19 @@ fn reference_labels(
             pair_outcomes_with_outage(&records, schedule, config, outages.get(&vantage).copied());
         let mut per_path: BTreeMap<CleanPath, LabeledPath> = BTreeMap::new();
         for o in outcomes {
-            let l = per_path
-                .entry(o.path.clone())
-                .or_insert_with(|| LabeledPath {
-                    vantage,
-                    prefix: schedule.prefix,
-                    path: o.path.clone(),
-                    pairs_total: 0,
-                    pairs_matching: 0,
-                    r_deltas: Vec::new(),
-                    break_deltas: Vec::new(),
-                    pairs_unobservable: 0,
-                    rfd: false,
-                    unobservable: false,
-                });
+            let path = dump.path(o.path);
+            let l = per_path.entry(path.clone()).or_insert_with(|| LabeledPath {
+                vantage,
+                prefix: schedule.prefix,
+                path: path.clone(),
+                pairs_total: 0,
+                pairs_matching: 0,
+                r_deltas: Vec::new(),
+                break_deltas: Vec::new(),
+                pairs_unobservable: 0,
+                rfd: false,
+                unobservable: false,
+            });
             if !o.observable {
                 l.pairs_unobservable += 1;
                 continue;

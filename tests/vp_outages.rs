@@ -25,7 +25,7 @@ fn by_vantage(out: &CampaignOutput) -> BTreeMap<AsId, Vec<Observed>> {
             (
                 prefix,
                 r.observed_at,
-                r.path.as_ref().map(|p| p.asns().to_vec()),
+                r.path.map(|p| out.dump.path(p).asns().to_vec()),
             )
         }));
     }
