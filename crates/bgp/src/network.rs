@@ -64,7 +64,6 @@
 //! CSR is built when the first event is scheduled; from then on the
 //! topology is fixed.
 
-use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::ops::Range;
@@ -888,17 +887,13 @@ impl Network {
 
 /// Run `lanes` up to `until` on one scoped thread per available core (at
 /// most one per lane; the calling thread is one of them). Each thread
-/// claims the next unclaimed lane until none is left, the lanes with the
-/// most pending events first, so the short ones fill the gaps at the end
-/// of a run (lanes are independent, so the order changes no result).
-/// Returns the events processed.
+/// claims the next unclaimed lane until none is left. Returns the events
+/// processed.
 fn run_parallel(lanes: &mut [Lane], fabric: &Fabric, until: SimTime) -> u64 {
     let threads = thread::available_parallelism()
         .map_or(1, NonZeroUsize::get)
         .min(lanes.len());
-    let mut longest_first: Vec<&mut Lane> = lanes.iter_mut().collect();
-    longest_first.sort_by_key(|lane| Reverse(lane.queue.len()));
-    let unclaimed = Mutex::new(longest_first.into_iter());
+    let unclaimed = Mutex::new(lanes.iter_mut());
     let work = || {
         let mut events = 0;
         loop {

@@ -267,9 +267,9 @@ impl Dump {
     }
 
     /// Snapshot the dump into a `collector.dump` report section: the
-    /// record count, the number of distinct clean paths, per-project
-    /// record counts and the export-delay distribution, in one pass over
-    /// the streams.
+    /// record count, the number of distinct clean paths records name,
+    /// per-project record counts and the export-delay distribution, in
+    /// one pass over the streams.
     pub fn obs_section(&self) -> obs::Section {
         // Bounds span the projects' export-delay models (seconds to a
         // couple of minutes).

@@ -256,7 +256,7 @@ impl Collection<'_> {
                 continue; // not a registered full-feed peer
             };
             let (path, mut aggregator) = match &tap.route {
-                Some(route) => match self.paths.intern_tap(&route.path) {
+                Some(route) => match self.paths.clean_tap(&route.path) {
                     Some(path) => (Some(path), route.aggregator),
                     None => continue, // looped or empty: dropped by cleaning
                 },
@@ -309,7 +309,7 @@ impl Collection<'_> {
             let record = UpdateRecord {
                 observed_at: tap.time,
                 exported_at,
-                path,
+                path: path.map(|path| self.paths.record(path)),
                 aggregator,
             };
             let prefix_ids = &mut self.prefix_ids;
@@ -616,6 +616,42 @@ mod tests {
         );
         assert!(dump.is_empty());
         assert_eq!(counters.records_lost, 10);
+    }
+
+    #[test]
+    fn paths_of_dropped_records_are_not_in_the_table() {
+        use netsim::faults::{FaultPlan, FaultSpec};
+        // Two VPs, each announcing its own path, lose every record: each
+        // path is cleaned, but no record names it.
+        let set = CollectorSet::single(&[AsId(1), AsId(2)], Project::Isolario);
+        let plan = FaultPlan::new(FaultSpec {
+            loss_rate: 1.0,
+            seed: 7,
+            ..FaultSpec::default()
+        });
+        let taps: Vec<TapRecord> = (0..10)
+            .map(|i| tap(2 - i as u32 % 2, 60 * i, true))
+            .collect();
+        let paths = |dump: &Dump| dump.obs_section().get("paths").cloned();
+        let mut counters = FaultCounters::default();
+        let lost = set.process_with_faults(
+            &taps,
+            &CollectorConfig::clean(),
+            SimTime::from_mins(30),
+            Some(&plan),
+            &mut counters,
+        );
+        assert!(lost.is_empty());
+        assert_eq!(counters.records_lost, 10);
+        assert_eq!(paths(&lost), Some(obs::Value::Counter(0)));
+        // Without the plan both paths are recorded.
+        let kept = process(
+            &set,
+            &taps,
+            &CollectorConfig::clean(),
+            SimTime::from_mins(30),
+        );
+        assert_eq!(paths(&kept), Some(obs::Value::Counter(2)));
     }
 
     #[test]
