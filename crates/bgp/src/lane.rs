@@ -3,13 +3,19 @@
 //! A [`Lane`] owns that prefix's Adj-RIB-In/Out, MRAI and RFD slots and
 //! Loc-RIB in every router, the per-link FIFO horizons and down flags,
 //! its own event queue, a jitter stream split from the network seed by
-//! the prefix, its path arena, and a buffer of the tap records it
-//! produced since the network last merged them. It reads the routers'
-//! sessions and policies, the CSR link arrays (with the flags of the
-//! links into sinks, whose deliveries it counts instead of scheduling)
-//! and the tap flags from the network's shared, read-only [`Fabric`].
+//! the prefix, its path arena, and buffers of the tap records and (with
+//! a trace attached) the trace events it produced since the network last
+//! merged them. It reads the routers' sessions and policies, the CSR link
+//! arrays (with the flags of the links into sinks, whose deliveries it
+//! counts instead of scheduling) and the tap flags from the network's
+//! shared, read-only [`Fabric`].
 //! Two lanes share no mutable state, so the network runs them on
-//! separate threads (DESIGN.md §5e).
+//! separate threads, traced or not (DESIGN.md §5e).
+//!
+//! A lane records each trace event on a *key* ([`trace_key`]): its kind
+//! (MRAI, RFD or fault), a router, and the router's session or the
+//! link's far end. Interning keys into named trace lanes needs every
+//! lane's events in one order, so the network does it when it merges.
 //!
 //! Every route inside the lane — in a RIB slot, an MRAI gate, a
 //! `Deliver` event, a Loc-RIB selection — carries its AS path as a
@@ -21,7 +27,7 @@
 use netsim::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::message::{AggregatorStamp, BgpAction};
-use crate::network::{Fabric, NetStats, Reset, TapRecord, Tracer};
+use crate::network::{trace_key, Fabric, NetStats, Reset, TapRecord, FAULT, MRAI, RFD};
 use crate::paths::PathArena;
 use crate::prefix::Prefix;
 use crate::rib::Route;
@@ -79,6 +85,9 @@ pub(crate) struct Lane {
     pub(crate) paths: PathArena,
     /// Tap records not yet merged into the network's log, in time order.
     pub(crate) tap: Vec<TapRecord>,
+    /// Trace events of this run, each on a key, when the network has a
+    /// trace attached. Unbounded: the network takes it at every merge.
+    pub(crate) trace: Option<obs::TraceBuffer>,
     pub(crate) stats: NetStats,
     /// Deliveries dropped on a down session.
     pub(crate) dropped_down: u64,
@@ -100,6 +109,7 @@ impl Lane {
             down: vec![false; links],
             paths: PathArena::default(),
             tap: Vec::new(),
+            trace: None,
             stats: NetStats::default(),
             dropped_down: 0,
         }
@@ -125,20 +135,14 @@ impl Lane {
             .schedule_at(reset.up_at, NetEvent::SessionUp { router, session });
     }
 
-    /// Process every event up to `until`; returns how many. `trace` is
-    /// the network's trace, when one is attached.
-    pub(crate) fn run(
-        &mut self,
-        fabric: &Fabric,
-        until: SimTime,
-        mut trace: Option<&mut Tracer>,
-    ) -> u64 {
+    /// Process every event up to `until`; returns how many.
+    pub(crate) fn run(&mut self, fabric: &Fabric, until: SimTime) -> u64 {
         // One output buffer for the whole run: dispatch clears it per
         // router input instead of allocating.
         let mut out = RouterOutput::default();
         let mut n = 0;
         while let Some((now, ev)) = self.queue.pop_until(until) {
-            self.dispatch(fabric, now, ev, &mut out, trace.as_deref_mut());
+            self.dispatch(fabric, now, ev, &mut out);
             n += 1;
         }
         n
@@ -155,14 +159,7 @@ impl Lane {
         }
     }
 
-    fn dispatch(
-        &mut self,
-        fabric: &Fabric,
-        now: SimTime,
-        ev: NetEvent,
-        out: &mut RouterOutput,
-        trace: Option<&mut Tracer>,
-    ) {
+    fn dispatch(&mut self, fabric: &Fabric, now: SimTime, ev: NetEvent, out: &mut RouterOutput) {
         out.clear();
         let links = &fabric.links;
         // `rfd_session` names the session any RFD transition in the
@@ -179,8 +176,9 @@ impl Lane {
                 // A down session drops traffic on the floor.
                 if self.down[link] {
                     self.dropped_down += 1;
-                    if let Some(trace) = trace {
-                        trace.fault(fabric, now, router as usize, to, "update_dropped");
+                    if let Some(trace) = &mut self.trace {
+                        let key = trace_key(FAULT, router as usize, to);
+                        trace.instant_sim("update_dropped", key, now.as_millis());
                     }
                     return;
                 }
@@ -233,17 +231,17 @@ impl Lane {
             }
             NetEvent::SessionDown { router, session } => {
                 let end = (router as usize, session as usize);
-                self.session_transition(fabric, now, end, false, out, trace);
+                self.session_transition(fabric, now, end, false, out);
                 return;
             }
             NetEvent::SessionUp { router, session } => {
                 let end = (router as usize, session as usize);
-                self.session_transition(fabric, now, end, true, out, trace);
+                self.session_transition(fabric, now, end, true, out);
                 return;
             }
         };
 
-        self.apply_output(fabric, now, router, rfd_session, out, trace);
+        self.apply_output(fabric, now, router, rfd_session, out);
     }
 
     /// Drive both endpoints of the link router `a` holds on `a_session`
@@ -256,7 +254,6 @@ impl Lane {
         (a, a_session): (usize, usize),
         up: bool,
         out: &mut RouterOutput,
-        mut trace: Option<&mut Tracer>,
     ) {
         let links = &fabric.links;
         let link = links.id(a, a_session);
@@ -274,14 +271,7 @@ impl Lane {
                 r.session_down(&mut st, session, now, out)
             };
             if touched {
-                self.apply_output(
-                    fabric,
-                    now,
-                    router,
-                    Some(session),
-                    out,
-                    trace.as_deref_mut(),
-                );
+                self.apply_output(fabric, now, router, Some(session), out);
             }
         }
     }
@@ -295,19 +285,42 @@ impl Lane {
         router: usize,
         rfd_session: Option<usize>,
         out: &mut RouterOutput,
-        trace: Option<&mut Tracer>,
     ) {
         let links = &fabric.links;
         let r = &fabric.routers[router];
         self.stats.mrai_deferrals += u64::from(out.mrai_deferrals);
-        if let Some(trace) = trace {
+        if let Some(trace) = &mut self.trace {
+            let now_ms = now.as_millis();
+            if out.mrai_deferrals > 0 {
+                let key = trace_key(MRAI, router, 0);
+                trace.counter_sim("mrai_deferrals", key, now_ms, f64::from(out.mrai_deferrals));
+            }
             // Only damped sessions have a penalty to sample.
-            let penalty = rfd_session.and_then(|session| {
+            let damped = rfd_session.and_then(|session| {
                 let entry = &self.slots[links.id(router, session)].adj_in;
-                let penalty = r.session_penalty(session, entry, now)?;
-                Some((session, penalty))
+                Some((session, r.session_penalty(session, entry, now)?))
             });
-            trace.output(r, router, self.prefix, penalty, now, out);
+            if let Some((session, penalty)) = damped {
+                let key = trace_key(RFD, router, session);
+                trace.counter_sim("penalty", key, now_ms, penalty);
+                if out.rfd_suppressed {
+                    trace.begin_sim("suppressed", key, now_ms);
+                }
+                if out.rfd_released {
+                    trace.end_sim("suppressed", key, now_ms);
+                    let usable_again = out
+                        .loc_rib_change
+                        .as_ref()
+                        .is_some_and(|c| c.route.is_some());
+                    if usable_again {
+                        // The paper's Fig. 2 signature: the re-advertisement
+                        // the damper delayed until the penalty decayed under
+                        // reuse (the actual send may still sit behind an
+                        // MRAI gate).
+                        trace.instant_sim("readvertise", key, now_ms);
+                    }
+                }
+            }
         }
         if out.rfd_suppressed || out.rfd_released {
             let name = rfd_session

@@ -43,8 +43,13 @@
 //!
 //! [`Network::run_until`] runs the lanes on every available core, then
 //! merges their new tap records into one log by (time, prefix) and sums
-//! their counters. One prefix's propagation never reads another's state,
-//! so every output depends on the seed alone, not on the core count.
+//! their counters. With a trace attached ([`Network::set_trace`]) each
+//! lane also traces into its own buffer, on keys rather than trace
+//! lanes; the merge moves those events into the network's trace lane by
+//! lane in prefix order, interning each key into a named trace lane at
+//! first sight. One prefix's propagation never reads another's state,
+//! so every output, the trace included, depends on the seed alone, not
+//! on the core count.
 //!
 //! Beacon origination is scheduled with [`Network::schedule_announce`] /
 //! [`Network::schedule_withdraw`]; announcements scheduled with
@@ -78,7 +83,7 @@ use crate::message::{AsId, BgpAction};
 use crate::policy::SessionPolicy;
 use crate::prefix::Prefix;
 use crate::rib::Route;
-use crate::router::{Router, RouterOutput, Selection};
+use crate::router::{Router, Selection};
 
 /// Global network parameters.
 #[derive(Clone, Debug)]
@@ -257,99 +262,61 @@ pub(crate) struct Reset {
     pub(crate) session: u32,
 }
 
+/// Kinds of sim-time trace lane: the high word of an interned lane
+/// (`obs::Lane::pair(kind, n)`, `n` counting that kind's lanes in order
+/// of first sight) and the top bits of a key ([`trace_key`]).
+pub(crate) const MRAI: u32 = 1;
+pub(crate) const RFD: u32 = 2;
+pub(crate) const FAULT: u32 = 3;
+
+/// The key a simulation lane records a trace event on: `kind` and
+/// `router` in the high word, `other` in the low one — the router's
+/// session for [`RFD`] (in the recording lane's prefix), the link's far
+/// end for [`FAULT`], 0 for [`MRAI`]. [`Tracer::lane`] interns it.
+pub(crate) fn trace_key(kind: u32, router: usize, other: usize) -> obs::Lane {
+    debug_assert!(router < 1 << 30, "router ids fit in 30 bits");
+    obs::Lane::pair(kind << 30 | router as u32, other as u32)
+}
+
 /// An attached event trace plus its interned sim-time lanes.
 pub(crate) struct Tracer {
     buffer: obs::TraceBuffer,
-    /// One trace lane per damped (router, session, prefix).
-    rfd_lanes: BTreeMap<(usize, usize, Prefix), obs::Lane>,
-    /// One trace lane per router for MRAI deferral instants.
-    mrai_lanes: BTreeMap<usize, obs::Lane>,
-    /// One trace lane per faulted link (router ids, low first).
-    fault_lanes: BTreeMap<(usize, usize), obs::Lane>,
+    /// Trace lanes by (kind, router, other, prefix): one per damped
+    /// (router, session, prefix), one per router for MRAI deferrals
+    /// (`other` 0), one per faulted link (routers low first); only RFD
+    /// lanes name a prefix.
+    lanes: BTreeMap<(u32, usize, usize, Option<Prefix>), obs::Lane>,
+    /// Lanes interned so far, per kind.
+    interned: [u32; 4],
 }
 
 impl Tracer {
-    /// Record one dispatch's RFD/MRAI activity at `router`. `penalty` is
-    /// the RFD session and its penalty after the dispatch, when the
-    /// session damps the prefix.
-    pub(crate) fn output(
-        &mut self,
-        r: &Router,
-        router: usize,
-        prefix: Prefix,
-        penalty: Option<(usize, f64)>,
-        now: SimTime,
-        out: &RouterOutput,
-    ) {
-        let trace = &mut self.buffer;
-        let now_ms = now.as_millis();
-        if out.mrai_deferrals > 0 {
-            let next = self.mrai_lanes.len() as u32;
-            let lane = *self.mrai_lanes.entry(router).or_insert_with(|| {
-                let lane = obs::Lane::pair(1, next);
-                trace.set_lane_name(lane, &format!("mrai {}", r.asn()));
-                lane
-            });
-            trace.counter_sim(
-                "mrai_deferrals",
-                lane,
-                now_ms,
-                f64::from(out.mrai_deferrals),
-            );
-        }
-        // Only damped sessions get a lane.
-        let Some((session, penalty)) = penalty else {
-            return;
+    /// The trace lane `key` (a [`trace_key`], recorded by the lane of
+    /// `prefix`, if any) interns to. A key seen first takes the next lane
+    /// of its kind, named after it.
+    fn lane(&mut self, fabric: &Fabric, key: obs::Lane, prefix: Option<Prefix>) -> obs::Lane {
+        let (hi, other) = ((key.0 >> 32) as u32, key.0 as u32 as usize);
+        let (kind, router) = (hi >> 30, (hi & ((1 << 30) - 1)) as usize);
+        let key = match kind {
+            MRAI => (kind, router, 0, None),
+            RFD => (kind, router, other, prefix),
+            _ => (kind, router.min(other), router.max(other), None),
         };
-        let next = self.rfd_lanes.len() as u32;
-        let lane = *self
-            .rfd_lanes
-            .entry((router, session, prefix))
-            .or_insert_with(|| {
-                let lane = obs::Lane::pair(2, next);
-                let name = format!("rfd {}<-{} {}", r.asn(), r.peer(session), prefix);
-                trace.set_lane_name(lane, &name);
-                lane
-            });
-        trace.counter_sim("penalty", lane, now_ms, penalty);
-        if out.rfd_suppressed {
-            trace.begin_sim("suppressed", lane, now_ms);
-        }
-        if out.rfd_released {
-            trace.end_sim("suppressed", lane, now_ms);
-            let usable_again = out
-                .loc_rib_change
-                .as_ref()
-                .is_some_and(|c| c.route.is_some());
-            if usable_again {
-                // The paper's Fig. 2 signature: the re-advertisement the
-                // damper delayed until the penalty decayed under reuse
-                // (the actual send may still sit behind an MRAI gate).
-                trace.instant_sim("readvertise", lane, now_ms);
-            }
-        }
-    }
-
-    /// Record an injected fault on the interned fault lane of the link
-    /// between routers `a` and `b` (either direction).
-    pub(crate) fn fault(
-        &mut self,
-        fabric: &Fabric,
-        now: SimTime,
-        a: usize,
-        b: usize,
-        what: &'static str,
-    ) {
-        let trace = &mut self.buffer;
-        let key = (a.min(b), a.max(b));
-        let next = self.fault_lanes.len() as u32;
-        let lane = *self.fault_lanes.entry(key).or_insert_with(|| {
-            let lane = obs::Lane::pair(3, next);
-            let (a, b) = (fabric.routers[key.0].asn(), fabric.routers[key.1].asn());
-            trace.set_lane_name(lane, &format!("fault {a}-{b}"));
+        let next = &mut self.interned[kind as usize];
+        let buffer = &mut self.buffer;
+        *self.lanes.entry(key).or_insert_with(|| {
+            let lane = obs::Lane::pair(kind, *next);
+            *next += 1;
+            let (_, a, b, prefix) = key;
+            let r = &fabric.routers[a];
+            let name = match (kind, prefix) {
+                (RFD, Some(prefix)) => format!("rfd {}<-{} {prefix}", r.asn(), r.peer(b)),
+                (MRAI, _) => format!("mrai {}", r.asn()),
+                _ => format!("fault {}-{}", r.asn(), fabric.routers[b].asn()),
+            };
+            buffer.set_lane_name(lane, &name);
             lane
-        });
-        trace.instant_sim(what, lane, now.as_millis());
+        })
     }
 }
 
@@ -371,8 +338,9 @@ pub struct Network {
     stats: NetStats,
     /// Tallies of injected faults (session resets, dropped deliveries).
     fault_counters: FaultCounters,
-    /// Optional event trace. `None` (the default) costs one branch per
-    /// dispatch; see DESIGN.md §5d.
+    /// Optional event trace, fed from the lanes' traces at every merge.
+    /// `None` (the default) leaves every lane untraced, which costs one
+    /// branch per trace site; see DESIGN.md §5d.
     trace: Option<Tracer>,
 }
 
@@ -450,26 +418,21 @@ impl Network {
     /// Attach an event trace. RFD state-machine transitions (suppress,
     /// release, penalty samples, delayed re-advertisements) and MRAI
     /// deferrals are recorded on sim-time lanes — one lane per damped
-    /// (router, peer, prefix) session, one per deferring router. With a
-    /// trace attached the prefix lanes run one after another, in prefix
+    /// (router, peer, prefix) session, one per deferring router. The
+    /// prefix lanes run in parallel as always, each tracing into its own
+    /// buffer, and every run merges their events into `trace` in prefix
     /// order, so the trace is as deterministic as the run.
     pub fn set_trace(&mut self, trace: obs::TraceBuffer) {
         self.trace = Some(Tracer {
             buffer: trace,
-            rfd_lanes: BTreeMap::new(),
-            mrai_lanes: BTreeMap::new(),
-            fault_lanes: BTreeMap::new(),
+            lanes: BTreeMap::new(),
+            interned: [0; 4],
         });
     }
 
     /// Detach and return the trace, if one was attached.
     pub fn take_trace(&mut self) -> Option<obs::TraceBuffer> {
         self.trace.take().map(|t| t.buffer)
-    }
-
-    /// Read-only view of the attached trace.
-    pub fn trace(&self) -> Option<&obs::TraceBuffer> {
-        self.trace.as_ref().map(|t| &t.buffer)
     }
 
     /// The router id of `asn`.
@@ -798,26 +761,21 @@ impl Network {
     /// `until`, then merge the lanes' new tap records and counters.
     /// Returns the number of events processed by this call.
     ///
-    /// Untraced, the lanes run on `available_parallelism()` scoped
-    /// threads that claim lanes one at a time; traced, they run in prefix
-    /// order on the calling thread. Either way the result is the same.
+    /// The lanes run on `available_parallelism()` scoped threads that
+    /// claim lanes one at a time, with a trace attached or not; the
+    /// result does not depend on the thread count.
     pub fn run_until(&mut self, until: SimTime) -> u64 {
         self.build_links();
         if self.reached.is_none() {
             self.elide_sink_links();
         }
         self.record_resets(until);
-        let fabric = &self.fabric;
-        let events = match &mut self.trace {
-            Some(trace) => {
-                let mut events = 0;
-                for lane in &mut self.lanes {
-                    events += lane.run(fabric, until, Some(trace));
-                }
-                events
+        if self.trace.is_some() {
+            for lane in &mut self.lanes {
+                lane.trace = Some(obs::TraceBuffer::new(usize::MAX));
             }
-            None => run_parallel(&mut self.lanes, fabric, until),
-        };
+        }
+        let events = run_parallel(&mut self.lanes, &self.fabric, until);
         self.merge_lanes();
         events
     }
@@ -845,15 +803,16 @@ impl Network {
                     let links = &self.fabric.links;
                     let (a, session) = (reset.router as usize, reset.session as usize);
                     let b = links.to[links.id(a, session)] as usize;
-                    trace.fault(&self.fabric, at, a, b, what);
+                    let lane = trace.lane(&self.fabric, trace_key(FAULT, a, b), None);
+                    trace.buffer.instant_sim(what, lane, at.as_millis());
                 }
             }
         }
         self.reached = reached.max(Some(until));
     }
 
-    /// Move the lanes' new tap records into the log and re-sum their
-    /// counters.
+    /// Move the lanes' new tap records into the log and their trace
+    /// events into the trace, and re-sum their counters.
     fn merge_lanes(&mut self) {
         let start = self.tap_log.len();
         let new: usize = self.lanes.iter().map(|lane| lane.tap.len()).sum();
@@ -864,6 +823,14 @@ impl Network {
             self.tap_log.extend(std::mem::take(&mut lane.tap));
             stats.merge(&lane.stats);
             dropped_down += lane.dropped_down;
+            // Lane by lane in prefix order, each in its own event order:
+            // the order the lanes would record in, run one after another.
+            if let (Some(tracer), Some(trace)) = (&mut self.trace, lane.trace.take()) {
+                for ev in trace.events() {
+                    let to = tracer.lane(&self.fabric, ev.lane, Some(lane.prefix));
+                    tracer.buffer.push(obs::TraceEvent { lane: to, ..*ev });
+                }
+            }
         }
         // Lanes are in prefix order and each lane's records in time
         // order, so this stable sort merges by (time, prefix, lane
@@ -906,7 +873,7 @@ fn run_parallel(lanes: &mut [Lane], fabric: &Fabric, until: SimTime) -> u64 {
             else {
                 return events;
             };
-            events += lane.run(fabric, until, None);
+            events += lane.run(fabric, until);
         }
     };
     thread::scope(|scope| {
@@ -1399,7 +1366,6 @@ mod tests {
         let mut net = line();
         net.schedule_announce(SimTime::ZERO, AsId(10), pfx(), true);
         net.run_to_quiescence();
-        assert!(net.trace().is_none());
         assert!(net.take_trace().is_none());
     }
 
@@ -1651,7 +1617,7 @@ mod tests {
             Some(&obs::Value::Counter(joint.queue_depth_high_water() as u64))
         );
 
-        // A trace runs the lanes one by one; nothing else changes.
+        // Traced, the lanes trace into their own buffers; nothing else changes.
         let mut traced = flapping_line(&flaps, true);
         assert_eq!(traced.tap_log(), joint.tap_log());
         assert_eq!(traced.stats(), joint.stats());

@@ -81,6 +81,12 @@ fn summarize(dash: &mut Dashboard, analysis: &Analysis, chains: &[Chain], kernel
         .summary_item("divergent draws", &divergent.to_string())
         .summary_item("flagged ASs", &n_flagged.to_string())
         .summary_item("unexplained paths", &analysis.unexplained_paths.to_string());
+    for f in &analysis.failures {
+        dash.summary_item(
+            &format!("failed {} chain {}", f.kernel, f.chain_index),
+            &f.reason,
+        );
+    }
 }
 
 /// Pick the coordinates worth plotting: every flagged AS (category 4/5

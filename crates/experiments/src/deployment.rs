@@ -43,9 +43,6 @@ pub struct AsDeployment {
     pub params: RfdParams,
     /// Where it is applied.
     pub mode: DampMode,
-    /// Provenance label for reports ("cisco", "juniper", "rfc7454",
-    /// "custom-8000", …).
-    pub profile: String,
 }
 
 /// Deployment-model parameters.
@@ -112,23 +109,17 @@ impl Deployment {
                 continue;
             }
             // Parameter set.
-            let (mut params, profile) = if rng.chance(config.vendor_default_share) {
+            let mut params = if rng.chance(config.vendor_default_share) {
                 if rng.chance(0.5) {
-                    (VendorProfile::Cisco.params(), "cisco".to_string())
+                    VendorProfile::Cisco.params()
                 } else {
-                    (VendorProfile::Juniper.params(), "juniper".to_string())
+                    VendorProfile::Juniper.params()
                 }
             } else {
                 // Recommendation followers: 6000, or stricter custom.
                 let thresholds = [6000.0, 8000.0, 10000.0];
                 let thr = thresholds[rng.index(thresholds.len())];
-                let params = VendorProfile::Rfc7454.params().with_suppress_threshold(thr);
-                let profile = if (thr - 6000.0).abs() < 1.0 {
-                    "rfc7454".to_string()
-                } else {
-                    format!("custom-{}", thr as u64)
-                };
-                (params, profile)
+                VendorProfile::Rfc7454.params().with_suppress_threshold(thr)
             };
             // Max-suppress-time from the mix.
             let total_w: f64 = config.max_suppress_mix.iter().map(|&(_, w)| w).sum();
@@ -162,14 +153,7 @@ impl Deployment {
             } else {
                 DampMode::AllNeighbors
             };
-            damping.insert(
-                info.id,
-                AsDeployment {
-                    params,
-                    mode,
-                    profile,
-                },
-            );
+            damping.insert(info.id, AsDeployment { params, mode });
         }
 
         // MRAI per directed session.
@@ -289,11 +273,11 @@ mod tests {
             ..Default::default()
         };
         let d = Deployment::assign(&t, &cfg);
-        let vendor_dampers = d
-            .damping
-            .values()
-            .filter(|d| d.profile == "cisco" || d.profile == "juniper")
-            .count();
+        // Vendor defaults suppress at 2000 (Cisco) or 3000 (Juniper);
+        // followers of the recommendations at 6000 or more.
+        let thresholds = d.damping.values().map(|d| d.params.suppress_threshold);
+        assert!(thresholds.clone().all(|t| t <= 3000.0 || t >= 6000.0));
+        let vendor_dampers = thresholds.filter(|&t| t <= 3000.0).count();
         let vendor = vendor_dampers as f64 / d.damping.len() as f64;
         assert!((vendor - 0.6).abs() < 0.1, "vendor share {vendor}");
     }

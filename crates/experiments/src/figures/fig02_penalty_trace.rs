@@ -17,7 +17,7 @@ pub fn render(suite: &mut Suite, w: &mut dyn Write) -> io::Result<()> {
     // With --trace, the same timeline is recorded as sim-time events:
     // the penalty as a counter, suppression as a span, flaps as instants.
     let mut trace = suite
-        .trace_enabled()
+        .sim_trace_enabled()
         .then(|| obs::TraceBuffer::new(1 << 12));
     let lane = obs::Lane::MAIN;
     if let Some(t) = &mut trace {

@@ -55,7 +55,7 @@ pub fn render(suite: &mut Suite, w: &mut dyn Write) -> io::Result<()> {
         &CollectorConfig::clean(),
         &LabelingConfig::default(),
         suite.faults(),
-        suite.trace_enabled(),
+        suite.sim_trace_enabled(),
     );
 
     let burst_end = schedule.burst_end(0);

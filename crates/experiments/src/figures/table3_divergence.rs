@@ -72,7 +72,7 @@ fn run_case(
         &CollectorConfig::clean(),
         &LabelingConfig::default(),
         None,
-        suite.trace_enabled(),
+        suite.sim_trace_enabled(),
     );
     suite.merge_trace(m.trace);
 
@@ -81,15 +81,14 @@ fn run_case(
     let data = path_data(&m.labels, &sites);
     let acfg = AnalysisConfig {
         progress_every: suite.progress_every(),
-        trace: suite.trace_enabled(),
+        trace: suite.chain_trace_enabled(),
         ..AnalysisConfig::fast(suite.seed())
     };
     // Three analyses share this process: tag the checkpoint files so
     // the cases never collide.
     let mut analysis = because::Analysis::run_supervised(&data, &acfg, &suite.supervisor(tag));
     // Three micro-scenarios share the run: the dashboard shows the last.
-    suite.dash(&analysis);
-    suite.merge_trace(analysis.trace.take());
+    suite.analysed(&mut analysis);
     let because_flag = analysis
         .report(NodeId(target.0))
         .map(|r| r.is_property())

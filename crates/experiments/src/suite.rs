@@ -42,8 +42,9 @@
 //!   after the run finishes, for scrapes;
 //! * `--dash <path>` — write a self-contained HTML diagnostics dashboard
 //!   (trace plots with divergence ticks, marginal histograms with HPDI
-//!   bands, rank-R̂/ESS table, E-BFMI, fault/coverage sections, phase
-//!   waterfall) when the run finishes;
+//!   bands, rank-R̂/ESS table, E-BFMI, failed chains, fault/coverage
+//!   sections, phase waterfall) when the run finishes; it traces the
+//!   chains' phases for the waterfall, not the simulator;
 //! * `--faults <spec>` — inject deterministic measurement-plane faults;
 //!   `<spec>` is `key=value,…` per [`FaultSpec::parse`], or the word
 //!   `drill` for a representative mix. Injected faults are tallied in
@@ -302,9 +303,17 @@ impl Suite {
         self.flags.progress_every
     }
 
-    /// True when a trace buffer records (`--trace` or `--dash`).
-    pub(crate) fn trace_enabled(&self) -> bool {
+    /// True when the chains trace their phases (`--trace`, or `--dash`,
+    /// whose waterfall draws them).
+    pub(crate) fn chain_trace_enabled(&self) -> bool {
         self.trace.is_some()
+    }
+
+    /// True when simulations record sim-time events (`--trace` only: the
+    /// dashboard draws none, and they would evict the phases it draws
+    /// from the ring).
+    pub(crate) fn sim_trace_enabled(&self) -> bool {
+        self.flags.trace.is_some()
     }
 
     /// Topology for the scale.
@@ -334,7 +343,7 @@ impl Suite {
             Scale::Small => 4,
             Scale::Paper => 8,
         };
-        cfg.trace = self.trace_enabled();
+        cfg.trace = self.sim_trace_enabled();
         cfg.faults = self.flags.faults.clone();
         cfg
     }
@@ -356,7 +365,7 @@ impl Suite {
             n_chains: 2,
             seed: self.seed,
             progress_every: self.flags.progress_every,
-            trace: self.trace_enabled(),
+            trace: self.chain_trace_enabled(),
             ..Default::default()
         }
     }
@@ -412,8 +421,7 @@ impl Suite {
         let mut report = obs::RunReport::new("inference");
         inf.export_obs(&mut report);
         self.merge(report, &prefix(mins));
-        self.dash(&inf.analysis);
-        self.merge_trace(inf.analysis.trace.take());
+        self.analysed(&mut inf.analysis);
         let inf = Rc::new(inf);
         if mins == 1 {
             self.minute_inference = Some(Rc::clone(&inf));
@@ -458,12 +466,17 @@ impl Suite {
         }
     }
 
-    /// Show `analysis`'s chains on the dashboard; the last analysis
-    /// passed here wins. A no-op without `--dash`.
-    pub(crate) fn dash(&mut self, analysis: &Analysis) {
+    /// Take in an analysis this suite ran: say on stderr why each of its
+    /// failed chains failed, show its chains on the dashboard (the last
+    /// analysis passed here wins; only with `--dash`) and merge its trace.
+    pub(crate) fn analysed(&mut self, analysis: &mut Analysis) {
+        for f in &analysis.failures {
+            eprintln!("{} chain {} failed: {}", f.kernel, f.chain_index, f.reason);
+        }
         if self.flags.dash.is_some() {
             self.dash = Some(crate::dash::build(&self.report.name, analysis));
         }
+        self.merge_trace(analysis.trace.take());
     }
 
     /// Push the report so far to the `/report` endpoint, if one is up.

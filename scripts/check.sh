@@ -103,9 +103,11 @@ REPRO_SCALE=tiny ./target/release/fig09_marginals \
 diff "$artifacts/fig09.ref.txt" "$artifacts/fig09.resumed.txt"
 
 echo "==> core-count independence (tiny runs on one core match unrestricted runs)"
-# The simulator runs its prefix lanes on every available core; no option
-# sets a thread count. Pinning the process to one core is the only way to
-# change it, so compare one-core runs against unrestricted ones.
+# The simulator runs its prefix lanes on every available core, traced or
+# not; no option sets a thread count. Pinning the process to one core is
+# the only way to change it, so compare one-core runs against unrestricted
+# ones. fig13 runs two campaigns and no inference: its trace is all
+# sim-time events, merged from lanes that ran in parallel.
 [ "$(taskset -c 0 nproc)" = 1 ] || { echo "taskset -c 0 did not pin to one core" >&2; exit 1; }
 mkdir -p "$artifacts/cores"
 for cores in all one; do
@@ -118,8 +120,11 @@ for cores in all one; do
     REPRO_SCALE=tiny "${pin[@]}" ./target/release/table4_precision_recall > "$out.table4.txt"
     REPRO_SCALE=tiny "${pin[@]}" ./target/release/fig02_penalty_trace \
         --trace "$out.fig02.trace.json" > /dev/null 2>&1
+    REPRO_SCALE=tiny "${pin[@]}" ./target/release/fig13_rdelta_cdf \
+        --trace "$out.fig13.trace.json" > /dev/null 2>&1
 done
-for file in fig05.txt fig05.trace.json fig09.txt table4.txt fig02.trace.json; do
+for file in fig05.txt fig05.trace.json fig09.txt table4.txt fig02.trace.json \
+    fig13.trace.json; do
     cmp "$artifacts/cores/all.$file" "$artifacts/cores/one.$file"
 done
 
@@ -248,6 +253,8 @@ names = {e["name"] for e in diag["entries"]}
 for want in ("max_rank_r_hat", "min_ess_bulk", "min_ess_tail"):
     assert want in names, f"{want} missing from live report"
 assert "max_r_hat" not in names, "classic max_r_hat left in because.diagnostics"
+# --dash traces the chains' phases, not the simulator.
+assert not any(s.endswith("bgpsim.trace") for s in sections), "--dash traced the simulator"
 
 html = open(dash_path).read()
 assert html.startswith("<!DOCTYPE html>"), "not an HTML document"

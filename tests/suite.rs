@@ -72,6 +72,26 @@ fn fig05_under_the_fault_drill_reports_its_faults() {
     assert!(report.get("pipeline").is_none(), "fig05 runs no campaign");
 }
 
+/// `--dash` traces the chains' phases its waterfall draws and nothing
+/// of the simulator; `--trace` records the simulator's sim-time events
+/// too. Checked on fig05, which measures one hand-built network and
+/// runs no inference. Nothing is written: the suite is never emitted.
+#[test]
+fn only_trace_records_the_simulator() {
+    let fig05 = ALL
+        .iter()
+        .find(|f| f.name == "fig05_signature")
+        .expect("fig05 is registered");
+    for (flag, sim_traced) in [("--dash", false), ("--trace", true)] {
+        let flags = Flags::parse(&[flag, "unwritten.out"]).expect("valid flags");
+        let mut suite = Suite::new("suite_test", Scale::Tiny, 2020, flags);
+        render(fig05, &mut suite);
+        let report = suite.report_mut();
+        assert_eq!(report.get("bgpsim.trace").is_some(), sim_traced, "{flag}");
+        assert!(report.get("bgpsim.network").is_some(), "{flag}: fig05 ran");
+    }
+}
+
 /// An unknown `REPRO_SCALE` or an unparsable `REPRO_SEED` is a usage
 /// error (exit code 2 and a message naming the variable), not a silent
 /// run at the default. Checked in a child run of this test binary, which
